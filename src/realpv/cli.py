@@ -21,15 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 
 from .correspondence import (
-    DIAGONAL,
-    FULL,
-    SO2,
-    TRIVIAL,
+    SUBGROUP_KINDS,
     check_correspondence,
-    finite_list,
-    mu_n,
     normality_check,
     weak_normality_demo,
 )
@@ -59,30 +55,33 @@ def _base_tower(scn: Scenario) -> DiffTower:
     return DiffTower(base_var=scn.base_var or None)
 
 
-def _pv_from(scn: Scenario):
-    base = _base_tower(scn)
-    ode = LinearODE.from_texts(base, list(scn.coefficients))
-    radical_base = base.parse(scn.radical_base) if scn.radical_base else None
-    return build_pv(base, ode, scn.eq_class, scn.scan_bounds, radical_base)
+class _Session:
+    """One invocation's pipeline: the certified extension, its relation
+    ideal and its Galois group, each built once, on first use.  A session
+    lives for a single `main` call; nothing is kept between calls."""
+
+    def __init__(self, scn: Scenario):
+        self.scn = scn
+
+    @cached_property
+    def pv(self):
+        scn = self.scn
+        base = _base_tower(scn)
+        ode = LinearODE.from_texts(base, list(scn.coefficients))
+        radical_base = base.parse(scn.radical_base) if scn.radical_base else None
+        return build_pv(base, ode, scn.eq_class, scn.scan_bounds, radical_base)
+
+    @cached_property
+    def ideal(self):
+        return relations_ideal(self.pv)
+
+    @cached_property
+    def group(self):
+        return defining_equations(self.pv, self.ideal)
 
 
-def _descriptor_from(sub: dict):
-    kind = sub["kind"]
-    if kind == "FULL":
-        return FULL
-    if kind == "TRIVIAL":
-        return TRIVIAL
-    if kind == "DIAGONAL":
-        return DIAGONAL
-    if kind == "SO2":
-        return SO2
-    if kind == "MU_N":
-        return mu_n(sub["order"])
-    return finite_list([matrix_from_texts(m) for m in sub["matrices"]])
-
-
-def _build_report(scn: Scenario) -> Report:
-    pv = _pv_from(scn)
+def _build_report(ses: _Session) -> Report:
+    scn, pv = ses.scn, ses.pv
     rep = Report(f"build: {scn.describe()}")
     rep.info("equation", pv.ode.describe())
     rep.info("extension", "; ".join(pv.extension.describe()))
@@ -95,17 +94,15 @@ def _build_report(scn: Scenario) -> Report:
     )
     for key in sorted(pv.meta):
         rep.info(f"meta {key}", str(pv.meta[key]))
-    for check in pv.certificates.checks:
-        rep.add(check.name, check.passed, check.detail)
+    rep.extend(pv.certificates)
     rep.data["solutions"] = [str(s) for s in pv.solutions]
     rep.data["class"] = pv.eq_class
     return rep
 
 
-def _group_report(scn: Scenario) -> Report:
-    pv = _pv_from(scn)
-    rep = Report(f"group: {scn.describe()}")
-    ideal = relations_ideal(pv)
+def _group_report(ses: _Session) -> Report:
+    rep = Report(f"group: {ses.scn.describe()}")
+    ideal = ses.ideal
     for line in ideal.render():
         rep.info("relation", line)
     rep.add("relations vanish on the solutions", True, "verified on construction")
@@ -114,7 +111,7 @@ def _group_report(scn: Scenario) -> Report:
         "yes" if ideal.complete else "no (a generator relation is not expressible "
         "in the solutions; defining set may be larger than the true group)",
     )
-    group = defining_equations(pv, ideal)
+    group = ses.group
     if group.polys:
         for p in group.polys:
             rep.info("defining equation", str(p))
@@ -125,21 +122,21 @@ def _group_report(scn: Scenario) -> Report:
     return rep
 
 
-def _correspond_report(scn: Scenario) -> Report:
+def _correspond_report(ses: _Session) -> Report:
+    scn = ses.scn
     if scn.subgroup is None:
         raise ScenarioError("correspond needs a subgroup entry", location="scenario")
-    pv = _pv_from(scn)
-    group = defining_equations(pv)
-    desc = _descriptor_from(scn.subgroup)
+    group = ses.group
+    desc = SUBGROUP_KINDS[scn.subgroup["kind"]](scn.subgroup)
     rep = Report(f"correspond: {desc.label()} inside the group of {scn.describe()}")
     round_trips, fixed, sub = check_correspondence(group, desc)
     rep.info("fixed field", fixed.describe())
     rep.info(
         "stabilizer", "; ".join(sub.serialized()) if sub.polys else "the full group"
     )
-    rep.extend(round_trips.lines)
+    rep.extend(round_trips)
     normality = normality_check(group, desc)
-    rep.extend(normality.details)
+    rep.extend(normality.report)
     if normality.quotient_ode is not None:
         rep.info("quotient equation", normality.quotient_ode.describe())
         rep.info(
@@ -151,20 +148,21 @@ def _correspond_report(scn: Scenario) -> Report:
     return rep
 
 
-def _twist_report(scn: Scenario) -> Report:
+def _twist_report(ses: _Session) -> Report:
+    scn = ses.scn
     if scn.cocycle is None:
         raise ScenarioError("twist needs a cocycle entry", location="scenario")
-    pv = _pv_from(scn)
-    group = defining_equations(pv)
+    pv, group = ses.pv, ses.group
     rows = matrix_from_texts(scn.cocycle)
     rep = Report(f"twist: {scn.describe()}")
-    rep.add("matrix is a cocycle", cocycle_check(group, rows))
-    if not cocycle_check(group, rows):
+    is_cocycle = cocycle_check(group, rows)
+    rep.add("matrix is a cocycle", is_cocycle)
+    if not is_cocycle:
         return rep
     result = twist(pv, group, rows)
     rep.info("cocycle", str(result.cocycle.render()))
     rep.info("twist", result.note)
-    rep.extend(result.details)
+    rep.extend(result.report)
     if result.isomorphic_to_original:
         rep.info("real form", "isomorphic to the original extension")
     else:
@@ -178,10 +176,17 @@ def _twist_report(scn: Scenario) -> Report:
         except WitnessNotFound as e:
             rep.info("non-reality witness", f"none found: {e}")
         if pv.eq_class == "RADICAL":
-            pair = radical_pair_report(pv, result)
-            rep.extend(pair.details)
+            rep.extend(radical_pair_report(pv, result).report)
     rep.data["twisted_solutions"] = [str(x) for x in result.solutions]
     return rep
+
+
+_SCENARIO_REPORTS = {
+    "build": _build_report,
+    "group": _group_report,
+    "correspond": _correspond_report,
+    "twist": _twist_report,
+}
 
 
 def _demo_report(name: str) -> Report:
@@ -193,10 +198,10 @@ def _demo_report(name: str) -> Report:
             f"{wr.real_member_count} real member(s) vs "
             f"{wr.complex_member_count} over the complexified constants",
         )
-        rep.extend(wr.details)
+        rep.extend(wr.report)
         rep.info("control case", "q = 2, where a real member does move e")
         wr2 = weak_normality_demo(2)
-        rep.extend(wr2.details)
+        rep.extend(wr2.report)
         rep.data["q3_real_members"] = wr.real_member_count
         rep.data["q3_complex_members"] = wr.complex_member_count
         return rep
@@ -208,9 +213,9 @@ def _demo_report(name: str) -> Report:
         group = defining_equations(pv)
         h1 = h1_enumerate(group, "SO2")
         rep.info("classes", ", ".join(c.label for c in h1.classes))
-        rep.extend(h1.details)
+        rep.extend(h1.report)
         result = twist(pv, group, matrix_from_texts([["-1", "0"], ["0", "-1"]]))
-        rep.extend(result.details)
+        rep.extend(result.report)
         wit = non_reality_witness(result.tower)
         rep.add(
             "twisted field is not formally real",
@@ -236,18 +241,17 @@ def _demo_report(name: str) -> Report:
         group = defining_equations(pv)
         h1 = h1_enumerate(group, "MU_2")
         rep.info("classes", ", ".join(c.label for c in h1.classes))
-        rep.extend(h1.details)
+        rep.extend(h1.report)
         result = twist(pv, group, matrix_from_texts([["-1"]]))
-        rep.extend(result.details)
-        pair = radical_pair_report(pv, result)
-        rep.extend(pair.details)
+        rep.extend(result.report)
+        rep.extend(radical_pair_report(pv, result).report)
         rep.data["classes"] = [c.label for c in h1.classes]
         return rep
 
     if name == "seidenberg":
         rep = Report("demo: a differential field with real constants that is not real")
         res = seidenberg_demo()
-        rep.extend(res.details)
+        rep.extend(res.report)
         rep.info("witness", ", ".join(str(x) for x in res.witness))
         rep.info("new constants", " ; ".join(str(x) for x in res.new_constants))
         rep.data["witness"] = [str(x) for x in res.witness]
@@ -316,20 +320,15 @@ def main(argv=None) -> int:
             reports = [_demo_report(args.name)]
         else:
             scn = _apply_overrides(load_scenario(args.scenario), args)
-            if args.command == "build":
-                reports = [_build_report(scn)]
-            elif args.command == "group":
-                reports = [_group_report(scn)]
-            elif args.command == "correspond":
-                reports = [_correspond_report(scn)]
-            elif args.command == "twist":
-                reports = [_twist_report(scn)]
-            else:
-                reports = [_build_report(scn), _group_report(scn)]
+            ses = _Session(scn)
+            if args.command == "all":
+                reports = [_build_report(ses), _group_report(ses)]
                 if scn.subgroup is not None:
-                    reports.append(_correspond_report(scn))
+                    reports.append(_correspond_report(ses))
                 if scn.cocycle is not None:
-                    reports.append(_twist_report(scn))
+                    reports.append(_twist_report(ses))
+            else:
+                reports = [_SCENARIO_REPORTS[args.command](ses)]
     except ScenarioError as e:
         loc = f" at {e.location}" if e.location else ""
         print(f"scenario error{loc}: {e}", file=sys.stderr)
@@ -337,9 +336,8 @@ def main(argv=None) -> int:
     except NotPV as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         if e.report is not None:
-            for check in e.report.checks:
-                status = "PASS" if check.passed else "FAIL"
-                print(f"  [{status}] {check.name}: {check.detail}", file=sys.stderr)
+            for check in e.report.lines:
+                print(f"  [{check.status}] {check.name}: {check.detail}", file=sys.stderr)
         return 1
     except AlgebraError as e:
         print(f"error: {e}", file=sys.stderr)

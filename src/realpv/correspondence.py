@@ -15,11 +15,11 @@ classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import BadField, Unsupported, WitnessNotFound
+from .errors import BadField, Unsupported
 from .galois import (
     GroupElement,
     MatrixGroup,
@@ -32,9 +32,10 @@ from .galois import (
     sample_members,
 )
 from .gauss import GaussRat
-from .linsolve import mat_mul
+from .linsolve import identity, is_scalar_matrix, mat_mul
 from .poly import Poly, parse_poly
 from .pv import LinearODE, PVExtension, build_pv
+from .report import Report
 from .tower import DiffTower, FieldElement
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "SO2",
     "mu_n",
     "finite_list",
+    "SUBGROUP_KINDS",
     "IntermediateField",
     "descriptor_polys",
     "descriptor_samples",
@@ -103,11 +105,22 @@ def finite_list(matrices: Sequence[Sequence[Sequence]]) -> SubgroupDescriptor:
     return SubgroupDescriptor("FINITE_LIST", elements=rows)
 
 
+# Scenario subgroup entries by kind; each entry builds its descriptor from
+# the validated scenario object (with "order" for MU_N and "matrices" of
+# scalar strings for FINITE_LIST).
+SUBGROUP_KINDS = {
+    "FULL": lambda sub: FULL,
+    "TRIVIAL": lambda sub: TRIVIAL,
+    "MU_N": lambda sub: mu_n(sub["order"]),
+    "DIAGONAL": lambda sub: DIAGONAL,
+    "SO2": lambda sub: SO2,
+    "FINITE_LIST": lambda sub: finite_list(sub["matrices"]),
+}
+
+
 def _pm_identity(n: int) -> SubgroupDescriptor:
-    one, zero = GaussRat.of(1), GaussRat.of(0)
-    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    neg = [[-v for v in row] for row in eye]
-    return finite_list([eye, neg])
+    eye = identity(n)
+    return finite_list([eye, [[-v for v in row] for row in eye]])
 
 
 def descriptor_polys(group: MatrixGroup, desc: SubgroupDescriptor) -> list[Poly]:
@@ -142,7 +155,7 @@ def descriptor_polys(group: MatrixGroup, desc: SubgroupDescriptor) -> list[Poly]
         elems = desc.elements or ()
         if len(elems) == 2 and elems[1] == tuple(
             tuple(-v for v in row) for row in elems[0]
-        ) and _is_identity(elems[0]):
+        ) and is_scalar_matrix(elems[0], 1):
             extra = [p(f"{group.xnames[0][0]}^2 - 1")]
             for i in range(n):
                 for j in range(n):
@@ -151,20 +164,12 @@ def descriptor_polys(group: MatrixGroup, desc: SubgroupDescriptor) -> list[Poly]
                     elif i != j:
                         extra.append(p(group.xnames[i][j]))
             return base + extra
-        if len(elems) == 1 and _is_identity(elems[0]):
+        if len(elems) == 1 and is_scalar_matrix(elems[0], 1):
             return descriptor_polys(group, TRIVIAL)
         raise Unsupported(
             "only {I}, {I, -I} finite lists have a polynomial description here"
         )
     raise Unsupported(f"unknown descriptor kind {desc.kind!r}")
-
-
-def _is_identity(m: tuple[tuple[GaussRat, ...], ...]) -> bool:
-    return all(
-        v == GaussRat.of(1 if i == j else 0)
-        for i, row in enumerate(m)
-        for j, v in enumerate(row)
-    )
 
 
 def descriptor_samples(
@@ -472,24 +477,12 @@ def group_over(
     return sub, descriptor_of(group, sub)
 
 
-@dataclass
-class CorrespondenceReport:
-    lines: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.lines.append((name, passed, detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(p for _, p, _ in self.lines)
-
-
 def check_correspondence(
     group: MatrixGroup, desc: SubgroupDescriptor
-) -> tuple[CorrespondenceReport, IntermediateField, MatrixGroup]:
+) -> tuple[Report, IntermediateField, MatrixGroup]:
     """Both round trips for one descriptor: H -> fix(H) -> stab(fix(H)) = H,
     and the fixed field reproduces itself through its stabilizer."""
-    report = CorrespondenceReport()
+    report = Report("correspondence round trips")
     F = fixed_field(group, desc)
     sub, recognized = group_over(group, F)
     want = descriptor_polys(group, desc)
@@ -510,9 +503,9 @@ def check_correspondence(
 
 def check_inclusion_reversal(
     group: MatrixGroup, chain: Sequence[SubgroupDescriptor]
-) -> CorrespondenceReport:
+) -> Report:
     """Fixed fields of an ascending subgroup chain must descend."""
-    report = CorrespondenceReport()
+    report = Report("inclusion reversal")
     fields = [fixed_field(group, d) for d in chain]
     for i in range(len(chain) - 1):
         small, big = chain[i], chain[i + 1]
@@ -536,13 +529,9 @@ def check_inclusion_reversal(
 @dataclass
 class NormalityReport:
     normal: bool
-    details: list[tuple[str, bool, str]]
+    report: Report
     quotient_ode: LinearODE | None = None
     quotient_solutions: tuple[FieldElement, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(p for _, p, _ in self.details)
 
 
 def _conjugation_stable(
@@ -565,9 +554,9 @@ def normality_check(
     """Sampled conjugation stability plus, for the named normal cases, an
     exhibited quotient: the fixed field is itself PV with explicit new
     solutions, and the quotient map is checked on sample members."""
-    details: list[tuple[str, bool, str]] = []
+    report = Report("normality")
     stable, note = _conjugation_stable(group, desc)
-    details.append(("conjugation stability (sampled)", stable, note))
+    report.add("conjugation stability (sampled)", stable, note)
 
     pv = group.pv
     quotient_ode = None
@@ -578,15 +567,13 @@ def normality_check(
         ext = pv.extension
         gen = ext.lift(pv.solutions[0])
         power = gen**q
-        rate = _into_base(pv.base, power.derive() / power)
+        rate = pv.base.restrict(power.derive() / power)
         ode = LinearODE(pv.base, (-rate,))
         residue = ode.apply(power)
-        details.append(
-            (
-                "fixed field generator solves a first-order equation over K",
-                residue.is_zero(),
-                f"Y' = ({rate})*Y at {power}",
-            )
+        report.add(
+            "fixed field generator solves a first-order equation over K",
+            residue.is_zero(),
+            f"Y' = ({rate})*Y at {power}",
         )
         quotient_ode = ode
         quotient_solutions = (power,)
@@ -595,9 +582,7 @@ def normality_check(
             img = a.matrix[0][0] ** q
             if not _scalar_in_gl1(img):
                 hom_ok = False
-        details.append(
-            ("quotient map lambda -> lambda^q lands in GL1", hom_ok, f"q = {q}")
-        )
+        report.add("quotient map lambda -> lambda^q lands in GL1", hom_ok, f"q = {q}")
 
     if (
         desc.kind == "FINITE_LIST"
@@ -617,12 +602,10 @@ def normality_check(
         ode = LinearODE(pv.base, (coeff, pv.base.zero()))
         ok1 = ode.apply(y1).is_zero()
         ok2 = ode.apply(y2).is_zero()
-        details.append(
-            (
-                "double-angle pair solves Y'' + 4*omega^2*Y = 0 over K",
-                ok1 and ok2,
-                f"solutions {y1} and {y2}",
-            )
+        report.add(
+            "double-angle pair solves Y'' + 4*omega^2*Y = 0 over K",
+            ok1 and ok2,
+            f"solutions {y1} and {y2}",
         )
         quotient_ode = ode
         quotient_solutions = (y1, y2)
@@ -644,11 +627,11 @@ def normality_check(
                 im_gh = _double_angle(gh.matrix)
                 if [list(r) for r in im_gh] != mat_mul(im_g, im_h):
                     hom_ok = False
-        details.append(
-            ("double-angle map is a sampled homomorphism with kernel {I, -I}", hom_ok, "")
+        report.add(
+            "double-angle map is a sampled homomorphism with kernel {I, -I}", hom_ok
         )
 
-    return NormalityReport(stable, details, quotient_ode, quotient_solutions)
+    return NormalityReport(stable, report, quotient_ode, quotient_solutions)
 
 
 def _double_angle(m) -> list[list[GaussRat]]:
@@ -661,22 +644,6 @@ def _double_angle(m) -> list[list[GaussRat]]:
 
 def _scalar_in_gl1(v: GaussRat) -> bool:
     return bool(v)
-
-
-def _into_base(base: DiffTower, x: FieldElement) -> FieldElement:
-    """Re-read an element of the extension in the base tower; requires its
-    value to be a scalar or its variables to be base variables only."""
-    scalar = x.as_scalar()
-    if scalar is not None:
-        return base.const(scalar)
-    allowed = {base.base_var} if base.base_var else set()
-    if set(x.num.variables()) | set(x.den.variables()) <= allowed:
-        from .poly import Poly as _P
-
-        num = _P(base.context, dict(x.num.terms))
-        den = _P(base.context, dict(x.den.terms))
-        return base.elem(num, den)
-    raise BadField(f"{x} does not lie in the base field")
 
 
 # -- weak normality ----------------------------------------------------------------------
@@ -692,7 +659,7 @@ class WeakNormalityReport:
     witness_element: FieldElement
     witness_in_intermediate: bool
     moved_by_real_member: bool
-    details: list[tuple[str, bool, str]]
+    report: Report
 
 
 def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
@@ -732,37 +699,36 @@ def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
         if apply(sigma, e) != e:
             moved = True
 
-    details = [
-        (
-            f"intermediate field K(e^{q}) is PV over K",
-            sub_ok,
-            f"Y' = {q}*Y with solution e^{q}",
-        ),
-        (
-            "generator e lies outside the intermediate field",
-            not in_F,
-            "bounded membership search is empty, and exponents of window "
-            f"products are multiples of {q}",
-        ),
-        (
-            f"real members of MU_N({q})",
-            len(real_members) == (1 if q % 2 else 2),
-            f"{real_members}",
-        ),
-        (
-            "complexified member count equals q",
-            complex_count == q,
-            f"X^{q} - 1 has {q} roots over the complexified constants",
-        ),
-        (
-            "no real subgroup member moves e" if q % 2 else "a real member moves e",
-            (not moved) if q % 2 else moved,
-            "the fixed field of the real points is all of L, strictly "
-            "larger than the intermediate field"
-            if q % 2
-            else "",
-        ),
-    ]
+    report = Report(f"weak normality, q = {q}")
+    report.add(
+        f"intermediate field K(e^{q}) is PV over K",
+        sub_ok,
+        f"Y' = {q}*Y with solution e^{q}",
+    )
+    report.add(
+        "generator e lies outside the intermediate field",
+        not in_F,
+        "bounded membership search is empty, and exponents of window "
+        f"products are multiples of {q}",
+    )
+    report.add(
+        f"real members of MU_N({q})",
+        len(real_members) == (1 if q % 2 else 2),
+        f"{real_members}",
+    )
+    report.add(
+        "complexified member count equals q",
+        complex_count == q,
+        f"X^{q} - 1 has {q} roots over the complexified constants",
+    )
+    report.add(
+        "no real subgroup member moves e" if q % 2 else "a real member moves e",
+        (not moved) if q % 2 else moved,
+        "the fixed field of the real points is all of L, strictly "
+        "larger than the intermediate field"
+        if q % 2
+        else "",
+    )
     return WeakNormalityReport(
         q,
         len(real_members),
@@ -772,5 +738,5 @@ def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
         e,
         in_F,
         moved,
-        details,
+        report,
     )

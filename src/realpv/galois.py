@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BadIdeal, NotInGroup, Unsupported, WitnessNotFound
 from .gauss import GaussRat
@@ -156,20 +156,6 @@ def relations_ideal(pv: PVExtension) -> RelationIdeal:
     return ideal
 
 
-def _eval_poly_with(tower: DiffTower, p: Poly, mapping: dict[str, FieldElement]) -> FieldElement:
-    """Evaluate a polynomial whose context may mention foreign variables,
-    sending mapped variables to elements and keeping the rest."""
-    out = tower.zero()
-    items = sorted(p.terms.items(), key=lambda mc: sorted(mc[0]._key))
-    for m, c in items:
-        term = tower.const(c)
-        for v, e in sorted(m.exponents().items()):
-            img = mapping.get(v)
-            term = term * (img**e if img is not None else tower.var(v) ** e)
-        out = out + term
-    return out
-
-
 def _verify_ideal(ideal: RelationIdeal) -> None:
     pv = ideal.pv
     ext = pv.extension
@@ -183,7 +169,7 @@ def _verify_ideal(ideal: RelationIdeal) -> None:
             raise BadIdeal(f"derivation relation fails at solutions: {d.render()}")
     z_map = {f"Z{j + 1}": sols[j] for j in range(len(sols))}
     for a in ideal.algebraic:
-        if not _eval_poly_with(ext, a.poly, z_map).is_zero():
+        if not ext.eval_poly(a.poly, z_map).is_zero():
             raise BadIdeal(f"algebraic relation fails at solutions: {a.render()}")
 
 
@@ -206,7 +192,6 @@ class MatrixGroup:
     relations_complete: bool = True
     _param_tower: DiffTower | None = field(default=None, repr=False)
     _sym_images: tuple[FieldElement, ...] | None = field(default=None, repr=False)
-    _gb_cache: object = field(default=None, repr=False)
 
     def serialized(self) -> list[str]:
         return [str(p) for p in self.polys]
@@ -232,11 +217,6 @@ class MatrixGroup:
                 imgs.append(acc)
             self._sym_images = tuple(imgs)
         return self._sym_images
-
-    def groebner(self):
-        if self._gb_cache is None:
-            self._gb_cache = buchberger(self.polys, self.context)
-        return self._gb_cache
 
     def evaluate(self, p: Poly, matrix: Sequence[Sequence[GaussRat]]) -> GaussRat:
         values = {
@@ -375,7 +355,7 @@ def defining_equations(
         collected += _collect_coefficients(residue.num, xset, x_ctx)
     z_map = {f"Z{j + 1}": imgs[j] for j in range(n)}
     for a in ideal.algebraic:
-        residue = _eval_poly_with(tw, a.poly, z_map)
+        residue = tw.eval_poly(a.poly, z_map)
         collected += _collect_coefficients(residue.num, xset, x_ctx)
 
     group.polys = _normalize_polys(collected, x_ctx)

@@ -39,9 +39,6 @@ class GaussRat:
     def is_real(self) -> bool:
         return self.im == 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def conj(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)
 

@@ -13,7 +13,16 @@ from typing import Iterable, Sequence
 
 from .gauss import GaussRat
 
-__all__ = ["kernel", "solve", "det", "inverse", "mat_mul", "mat_conj", "identity"]
+__all__ = [
+    "kernel",
+    "solve",
+    "det",
+    "inverse",
+    "mat_mul",
+    "mat_conj",
+    "identity",
+    "is_scalar_matrix",
+]
 
 _ZERO = GaussRat.of(0)
 _ONE = GaussRat.of(1)
@@ -130,6 +139,16 @@ def det(rows: Sequence[Sequence[GaussRat]]) -> GaussRat:
 
 def identity(n: int) -> list[list[GaussRat]]:
     return [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
+
+
+def is_scalar_matrix(rows: Sequence[Sequence], c) -> bool:
+    """Whether the square matrix `rows` equals c times the identity."""
+    c = GaussRat.of(c)
+    return all(
+        GaussRat.of(v) == (c if r == k else _ZERO)
+        for r, row in enumerate(rows)
+        for k, v in enumerate(row)
+    )
 
 
 def inverse(rows: Sequence[Sequence[GaussRat]]) -> list[list[GaussRat]] | None:

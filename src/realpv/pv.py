@@ -38,14 +38,13 @@ from .errors import (
 )
 from .gauss import GaussRat, is_square, rational_sqrt
 from .linsolve import inverse, kernel
-from .poly import Monomial, Poly
+from .poly import Poly
+from .report import Report
 from .tower import DiffTower, FieldElement, Kind
 from .wronskian import wronskian_det, wronskian_matrix
 
 __all__ = [
     "LinearODE",
-    "Check",
-    "CertificateReport",
     "SolutionSpace",
     "PVExtension",
     "build_pv",
@@ -99,28 +98,6 @@ class LinearODE:
         return " + ".join(parts) + " = 0"
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class CertificateReport:
-    checks: list[Check] = field(default_factory=list)
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(Check(name, passed, detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
-
 @dataclass
 class SolutionSpace:
     """A constants-span of solutions inside a tower."""
@@ -139,7 +116,7 @@ class PVExtension:
     solutions: tuple[FieldElement, ...]
     companion: tuple[tuple[FieldElement, ...], ...]
     scan_bounds: tuple[int, int]
-    certificates: CertificateReport
+    certificates: Report = field(default_factory=Report)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -170,8 +147,8 @@ def _rational_const(x: FieldElement) -> Fraction | None:
     return v.re
 
 
-def _certify(pv: PVExtension) -> CertificateReport:
-    rep = CertificateReport()
+def _certify(pv: PVExtension) -> Report:
+    rep = Report("certificates")
     tower = pv.extension
     bad = [
         (i, r)
@@ -225,7 +202,7 @@ def _finish(pv: PVExtension) -> PVExtension:
     return pv
 
 
-def verify_pv(pv: PVExtension) -> CertificateReport:
+def verify_pv(pv: PVExtension) -> Report:
     """Re-run all certificates; returns the report instead of raising."""
     return _certify(pv)
 
@@ -235,9 +212,7 @@ def _build_exp(base: DiffTower, ode: LinearODE, bounds) -> PVExtension:
         raise UnsupportedEquation("EXP expects a first-order equation")
     rate = -ode.coeffs[0]
     ext = base.adjoin_exponential("e", rate)
-    return PVExtension(
-        base, ext, ode, "EXP", (ext.var("e"),), ((rate,),), bounds, CertificateReport()
-    )
+    return PVExtension(base, ext, ode, "EXP", (ext.var("e"),), ((rate,),), bounds)
 
 
 def _build_radical(
@@ -271,9 +246,7 @@ def _build_radical(
     deriv = (rate.num.in_context(ctx) * Poly.variable(ctx, "g"), rate.den.in_context(ctx))
     ext = base.adjoin_abstract(["g"], [deriv], [relation], kind=Kind.ALGEBRAIC)
     g = ext.var("g")
-    pv = PVExtension(
-        base, ext, ode, "RADICAL", (g,), ((rate,),), bounds, CertificateReport()
-    )
+    pv = PVExtension(base, ext, ode, "RADICAL", (g,), ((rate,),), bounds)
     pv.meta["radical"] = {"p": p, "q": q, "f": str(f)}
     return pv
 
@@ -292,9 +265,7 @@ def _build_circle(base: DiffTower, ode: LinearODE, bounds) -> PVExtension:
     s, c = ext.var("s"), ext.var("c")
     zero, omega = base.zero(), base.const(GaussRat(w))
     companion = ((zero, -omega), (omega, zero))
-    pv = PVExtension(
-        base, ext, ode, "CIRCLE", (s, c), companion, bounds, CertificateReport()
-    )
+    pv = PVExtension(base, ext, ode, "CIRCLE", (s, c), companion, bounds)
     pv.meta["omega"] = str(w)
     return pv
 
@@ -327,8 +298,7 @@ def _build_constcoeff2(base: DiffTower, ode: LinearODE, bounds) -> PVExtension:
                 (zero, base.const(GaussRat(l2))),
             )
         pv = PVExtension(
-            base, ext, ode, "CONSTCOEFF2", tuple(sols), companion, bounds,
-            CertificateReport(),
+            base, ext, ode, "CONSTCOEFF2", tuple(sols), companion, bounds
         )
         pv.meta["roots"] = f"distinct rational {l1}, {l2}"
         return pv
@@ -339,10 +309,7 @@ def _build_constcoeff2(base: DiffTower, ode: LinearODE, bounds) -> PVExtension:
                 raise UnsupportedEquation("Y''=0 needs the base variable t")
             sols2 = (base.one(), base.var(base.base_var))
             companion = ((zero, base.one()), (zero, zero))
-            pv = PVExtension(
-                base, base, ode, "CONSTCOEFF2", sols2, companion, bounds,
-                CertificateReport(),
-            )
+            pv = PVExtension(base, base, ode, "CONSTCOEFF2", sols2, companion, bounds)
             pv.meta["roots"] = "double root 0"
             return pv
         ext = base.adjoin_exponential("e", base.const(GaussRat(lam)))
@@ -353,10 +320,7 @@ def _build_constcoeff2(base: DiffTower, ode: LinearODE, bounds) -> PVExtension:
             (base.const(GaussRat(lam)), base.one()),
             (zero, base.const(GaussRat(lam))),
         )
-        pv = PVExtension(
-            base, ext, ode, "CONSTCOEFF2", sols3, companion, bounds,
-            CertificateReport(),
-        )
+        pv = PVExtension(base, ext, ode, "CONSTCOEFF2", sols3, companion, bounds)
         pv.meta["roots"] = f"double root {lam}"
         return pv
     if disc < 0 and is_square(-disc):
@@ -379,10 +343,7 @@ def _build_constcoeff2(base: DiffTower, ode: LinearODE, bounds) -> PVExtension:
             (base.const(GaussRat(lam)), base.const(GaussRat(mu))),
             (base.const(GaussRat(-mu)), base.const(GaussRat(lam))),
         )
-        pv = PVExtension(
-            base, tower, ode, "CONSTCOEFF2", sols4, companion, bounds,
-            CertificateReport(),
-        )
+        pv = PVExtension(base, tower, ode, "CONSTCOEFF2", sols4, companion, bounds)
         pv.meta["roots"] = f"conjugate pair {lam} +/- {mu} i"
         return pv
     raise UnsupportedEquation(
@@ -435,15 +396,6 @@ def _scaled_sum(
     return total
 
 
-def _to_base(x: FieldElement, base: DiffTower) -> FieldElement:
-    allowed = set(base.context.variables)
-    if not (set(x.num.variables()) | set(x.den.variables())) <= allowed:
-        raise StabilizationError(f"companion entry {x} left the base field")
-    return base.elem(
-        Poly(base.context, dict(x.num.terms)), Poly(base.context, dict(x.den.terms))
-    )
-
-
 def complexify_pv(pv: PVExtension) -> PVExtension:
     base = pv.base.complexify()
     ext = pv.extension.complexify() if pv.extension != pv.base else base
@@ -455,8 +407,7 @@ def complexify_pv(pv: PVExtension) -> PVExtension:
         tuple(_reread(s, ext) for s in pv.solutions),
         tuple(tuple(_reread(a, base) for a in row) for row in pv.companion),
         pv.scan_bounds,
-        CertificateReport(),
-        dict(pv.meta),
+        meta=dict(pv.meta),
     )
     return _finish(out)
 
@@ -594,9 +545,8 @@ def realify(pv: PVExtension, space: SolutionSpace | None = None) -> PVExtension:
         LinearODE(real_base, tuple(_reread(a, real_base) for a in pv.ode.coeffs)),
         pv.eq_class,
         tuple(_reread(x, real_ext) for x in normalized),
-        tuple(tuple(_to_base(a, real_base) for a in row) for row in companion),
+        tuple(tuple(real_base.restrict(a) for a in row) for row in companion),
         pv.scan_bounds,
-        CertificateReport(),
-        dict(pv.meta),
+        meta=dict(pv.meta),
     )
     return _finish(out)

@@ -31,9 +31,10 @@ from .errors import Unsupported, WitnessNotFound
 from .galois import MatrixGroup
 from .gauss import GaussRat
 from .linsolve import identity as mat_identity
-from .linsolve import inverse, mat_conj, mat_mul
+from .linsolve import inverse, is_scalar_matrix, mat_conj, mat_mul
 from .poly import Poly
 from .pv import PVExtension
+from .report import Report
 from .tower import DiffTower, FieldElement, Kind
 
 __all__ = [
@@ -75,22 +76,6 @@ def cocycle_check(group: MatrixGroup, rows) -> bool:
     return prod == mat_identity(n)
 
 
-def _is_id(rows) -> bool:
-    return all(
-        GaussRat.of(v) == GaussRat.of(1 if i == j else 0)
-        for i, row in enumerate(rows)
-        for j, v in enumerate(row)
-    )
-
-
-def _is_neg_id(rows) -> bool:
-    return all(
-        GaussRat.of(v) == GaussRat.of(-1 if i == j else 0)
-        for i, row in enumerate(rows)
-        for j, v in enumerate(row)
-    )
-
-
 # -- twisting --------------------------------------------------------------------------
 
 
@@ -102,11 +87,7 @@ class TwistResult:
     solutions: tuple[FieldElement, ...]
     note: str
     isomorphic_to_original: bool | None
-    details: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(p for _, p, _ in self.details)
+    report: Report = field(default_factory=Report)
 
 
 def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
@@ -122,16 +103,16 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
     base = pv.base
     ode = pv.ode
 
-    if _is_id(a):
+    if is_scalar_matrix(a, 1):
         co = Cocycle(a, "identity")
         res = TwistResult(
             pv, co, pv.extension, pv.solutions, "trivial cocycle, extension unchanged",
             True,
         )
-        res.details.append(("twisted solutions solve the equation", True, "unchanged"))
+        res.report.add("twisted solutions solve the equation", True, "unchanged")
         return res
 
-    if pv.eq_class == "EXP" and _is_neg_id(a):
+    if pv.eq_class == "EXP" and is_scalar_matrix(a, -1):
         # B = i satisfies B / conj(B) = -1, so the twist is isomorphic.
         co = Cocycle(a, "-1 (coboundary in GL1)")
         res = TwistResult(
@@ -142,12 +123,12 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
             "cocycle -1 splits in GL1 (B = i), twisted form isomorphic to the original",
             True,
         )
-        res.details.append(
-            ("B * conj(B)^-1 reproduces the cocycle", _i_coboundary_check(), "B = i")
+        res.report.add(
+            "B * conj(B)^-1 reproduces the cocycle", _i_coboundary_check(), "B = i"
         )
         return res
 
-    if pv.eq_class == "RADICAL" and _is_neg_id(a):
+    if pv.eq_class == "RADICAL" and is_scalar_matrix(a, -1):
         info = pv.meta.get("radical", {})
         if info.get("q") != 2:
             raise Unsupported("the -1 twist table covers square roots only")
@@ -177,23 +158,19 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
             f"square root of -({f}) in place of the square root of {f}",
             False,
         )
-        res.details.append(
-            (
-                "twisted solution solves the same equation",
-                ode.apply(h).is_zero(),
-                f"h' = ({rate})*h with h^2 = -({f})",
-            )
+        res.report.add(
+            "twisted solution solves the same equation",
+            ode.apply(h).is_zero(),
+            f"h' = ({rate})*h with h^2 = -({f})",
         )
-        res.details.append(
-            (
-                "twisted relation has the opposite sign",
-                h * h == tower.lift(-f),
-                "h^2 reduces to -f",
-            )
+        res.report.add(
+            "twisted relation has the opposite sign",
+            h * h == tower.lift(-f),
+            "h^2 reduces to -f",
         )
         return res
 
-    if pv.eq_class == "CIRCLE" and _is_neg_id(a):
+    if pv.eq_class == "CIRCLE" and is_scalar_matrix(a, -1):
         ws = pv.meta["omega"]
         tower = base.adjoin_abstract(
             ["v", "u"], [f"-({ws})*u", f"({ws})*v"], ["u^2+v^2+1"]
@@ -210,20 +187,14 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
         )
         ok_u = ode.apply(u).is_zero()
         ok_v = ode.apply(v).is_zero()
-        res.details.append(
-            (
-                "twisted pair solves the same equation",
-                ok_u and ok_v,
-                f"u'' + {ws}^2 u = 0 and likewise for v",
-            )
+        res.report.add(
+            "twisted pair solves the same equation",
+            ok_u and ok_v,
+            f"u'' + {ws}^2 u = 0 and likewise for v",
         )
         sq = u * u + v * v
-        res.details.append(
-            (
-                "sum of squares of the twisted pair is -1",
-                sq == tower.const(-1),
-                str(sq),
-            )
+        res.report.add(
+            "sum of squares of the twisted pair is -1", sq == tower.const(-1), str(sq)
         )
         return res
 
@@ -292,11 +263,7 @@ def non_reality_witness(
 class H1Report:
     group_label: str
     classes: tuple[Cocycle, ...]
-    details: list[tuple[str, bool, str]]
-
-    @property
-    def ok(self) -> bool:
-        return all(p for _, p, _ in self.details)
+    report: Report
 
 
 def coboundary_samples(kind: str) -> list[tuple[str, list[list[GaussRat]]]]:
@@ -354,17 +321,15 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
     nontrivial classes are not coboundaries.
     """
     one, zero = GaussRat.of(1), GaussRat.of(0)
-    details: list[tuple[str, bool, str]] = []
+    report = Report(f"first cohomology of {kind}")
     if kind == "GL1":
         classes = (Cocycle(((one,),), "1"),)
         samples = coboundary_samples(kind)
         hit = any(m == [[GaussRat.of(-1)]] for _, m in samples)
-        details.append(
-            (
-                "-1 is a coboundary (B = i), single class",
-                hit,
-                "B * conj(B)^-1 = -1 at B = i",
-            )
+        report.add(
+            "-1 is a coboundary (B = i), single class",
+            hit,
+            "B * conj(B)^-1 = -1 at B = i",
         )
     elif kind == "MU_2":
         classes = (
@@ -373,12 +338,10 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
         )
         samples = coboundary_samples(kind)
         never = all(m == [[one]] for _, m in samples)
-        details.append(
-            (
-                "coboundaries over the order-2 group are trivial",
-                never,
-                "conjugation fixes both elements, so B * conj(B)^-1 = 1",
-            )
+        report.add(
+            "coboundaries over the order-2 group are trivial",
+            never,
+            "conjugation fixes both elements, so B * conj(B)^-1 = 1",
         )
     elif kind == "SO2":
         eye = ((one, zero), (zero, one))
@@ -391,22 +354,17 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
             # coboundary eigenvalues are norms, hence positive rationals
             if not (lam.im == 0 and lam.re > 0):
                 ok = False
-        details.append(
-            (
-                "sampled coboundaries have positive real eigenvalue, -I does not",
-                ok and _so2_eigenvalue([[-one, zero], [zero, -one]]).re < 0,
-                f"checked {len(samples)} sampled points of the complexified group",
-            )
+        report.add(
+            "sampled coboundaries have positive real eigenvalue, -I does not",
+            ok and _so2_eigenvalue([[-one, zero], [zero, -one]]).re < 0,
+            f"checked {len(samples)} sampled points of the complexified group",
         )
     else:
         raise Unsupported(f"no class list for {kind!r}")
 
     for c in classes:
-        if not cocycle_check(group, c.matrix):
-            details.append((f"{c.label} is a cocycle", False, ""))
-        else:
-            details.append((f"{c.label} is a cocycle", True, ""))
-    return H1Report(kind, classes, details)
+        report.add(f"{c.label} is a cocycle", cocycle_check(group, c.matrix))
+    return H1Report(kind, classes, report)
 
 
 # -- the two square-root fields are not isomorphic -------------------------------------------
@@ -416,11 +374,7 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
 class RadicalPairReport:
     plus_tower: DiffTower
     minus_tower: DiffTower
-    details: list[tuple[str, bool, str]]
-
-    @property
-    def ok(self) -> bool:
-        return all(p for _, p, _ in self.details)
+    report: Report
 
 
 def radical_pair_report(pv: PVExtension, tw: TwistResult) -> RadicalPairReport:
@@ -437,44 +391,36 @@ def radical_pair_report(pv: PVExtension, tw: TwistResult) -> RadicalPairReport:
     h = twisted.lift(tw.solutions[0])
     rate_g = g.derive() / g
     rate_h = h.derive() / h
-    details: list[tuple[str, bool, str]] = []
-    details.append(
-        (
-            "both generators solve the same first-order equation",
-            _same_rate(pv, g, h),
-            f"rates {rate_g} and {rate_h}",
-        )
+    report = Report("square roots of f and -f")
+    report.add(
+        "both generators solve the same first-order equation",
+        _same_rate(pv, g, h),
+        f"rates {rate_g} and {rate_h}",
     )
 
     span = _solution_span(twisted, rate_h)
     only_h = len(span) == 1 and _spans_same_line(twisted, span[0], h)
-    details.append(
-        (
-            "solution space in the twisted field is the line through h",
-            only_h,
-            f"window solutions: {[str(x) for x in span]}",
-        )
+    report.add(
+        "solution space in the twisted field is the line through h",
+        only_h,
+        f"window solutions: {[str(x) for x in span]}",
     )
 
     g2 = g * g
     h2 = h * h
     # gamma^2 * h^2 = g^2 would need gamma^2 = g^2 / h^2 = -1
     ratio = _constant_ratio(pv, tw, g2, h2)
-    details.append(
-        (
-            "matching generators forces gamma^2 = -1 over the rational constants",
-            ratio == GaussRat.of(-1),
-            f"g^2 / h^2 re-read over the base is {ratio}",
-        )
+    report.add(
+        "matching generators forces gamma^2 = -1 over the rational constants",
+        ratio == GaussRat.of(-1),
+        f"g^2 / h^2 re-read over the base is {ratio}",
     )
-    details.append(
-        (
-            "gamma^2 = -1 has no solution in the constants of a real field",
-            True,
-            "squares of rationals are nonnegative",
-        )
+    report.add(
+        "gamma^2 = -1 has no solution in the constants of a real field",
+        True,
+        "squares of rationals are nonnegative",
     )
-    return RadicalPairReport(ext, twisted, details)
+    return RadicalPairReport(ext, twisted, report)
 
 
 def _same_rate(pv: PVExtension, g: FieldElement, h: FieldElement) -> bool:
@@ -501,9 +447,5 @@ def _spans_same_line(tower: DiffTower, x: FieldElement, h: FieldElement) -> bool
 
 def _constant_ratio(pv, tw, g2: FieldElement, h2: FieldElement):
     """g^2 and h^2 both lie in the base; their ratio is the forced gamma^2."""
-    from .correspondence import _into_base
-
-    a = _into_base(pv.base, g2)
-    b = _into_base(pv.base, h2)
-    r = a / b
+    r = pv.base.restrict(g2) / pv.base.restrict(h2)
     return r.rational_value() if r.is_rational_constant() else None

@@ -1,23 +1,31 @@
-"""Deterministic check reports for the command line and tests.
+"""Deterministic check reports for the command line, the library and tests.
 
-A report is an ordered list of PASS/FAIL/INFO lines plus a JSON-friendly
-payload.  Rendering is byte-deterministic: insertion order for text,
-sorted keys for JSON.
+A report is an ordered list of checks plus a JSON-friendly payload.  A
+check is a named PASS/FAIL line, or an INFO line when it carries no
+verdict.  Every certificate, correspondence, twist and demonstration
+reports through this one type.  Rendering is byte-deterministic:
+insertion order for text, sorted keys for JSON.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-__all__ = ["CheckLine", "Report"]
+__all__ = ["Check", "Report"]
 
 
-@dataclass(frozen=True)
-class CheckLine:
+class Check(NamedTuple):
     name: str
-    status: str  # PASS, FAIL or INFO
+    passed: bool | None  # None for an INFO line
     detail: str = ""
+
+    @property
+    def status(self) -> str:
+        if self.passed is None:
+            return "INFO"
+        return "PASS" if self.passed else "FAIL"
 
     def render(self) -> str:
         body = f"[{self.status}] {self.name}"
@@ -28,27 +36,26 @@ class CheckLine:
 
 @dataclass
 class Report:
-    title: str
-    lines: list[CheckLine] = field(default_factory=list)
+    title: str = ""
+    lines: list[Check] = field(default_factory=list)
     data: dict = field(default_factory=dict)
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.lines.append(CheckLine(name, "PASS" if passed else "FAIL", detail))
+        self.lines.append(Check(name, bool(passed), detail))
 
     def info(self, name: str, detail: str = "") -> None:
-        self.lines.append(CheckLine(name, "INFO", detail))
+        self.lines.append(Check(name, None, detail))
 
-    def extend(self, pairs) -> None:
-        """Absorb (name, passed, detail) triples from module-level reports."""
-        for name, passed, detail in pairs:
-            self.add(name, passed, detail)
+    def extend(self, other: "Report") -> None:
+        """Append the checks of another report, keeping their order."""
+        self.lines.extend(other.lines)
 
     @property
     def ok(self) -> bool:
-        return all(line.status != "FAIL" for line in self.lines)
+        return all(line.passed is not False for line in self.lines)
 
-    def failures(self) -> list[CheckLine]:
-        return [line for line in self.lines if line.status == "FAIL"]
+    def failures(self) -> list[Check]:
+        return [line for line in self.lines if line.passed is False]
 
     def to_text(self) -> str:
         out = [self.title]

@@ -10,9 +10,10 @@ ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
+from .correspondence import SUBGROUP_KINDS
 from .errors import ScenarioError
 from .pv import DEFAULT_SCAN_BOUNDS, EQUATION_CLASSES
 
@@ -23,7 +24,6 @@ _TOP_KEYS = {"base_var", "equation", "scan", "budget", "subgroup", "cocycle"}
 _EQ_KEYS = {"class", "coefficients", "radical_base"}
 _SCAN_KEYS = {"degree", "coeff_degree"}
 _SUBGROUP_KEYS = {"kind", "order", "matrices"}
-_SUBGROUP_KINDS = {"FULL", "TRIVIAL", "MU_N", "DIAGONAL", "SO2", "FINITE_LIST"}
 
 
 @dataclass
@@ -129,9 +129,9 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
             raise ScenarioError("subgroup must be an object", location=sub_loc)
         _reject_unknown(sub, _SUBGROUP_KEYS, sub_loc)
         kind = _expect_str(_need(sub, "kind", sub_loc), f"{sub_loc}.kind")
-        if kind not in _SUBGROUP_KINDS:
+        if kind not in SUBGROUP_KINDS:
             raise ScenarioError(
-                f"subgroup kind must be one of {sorted(_SUBGROUP_KINDS)}",
+                f"subgroup kind must be one of {sorted(SUBGROUP_KINDS)}",
                 location=f"{sub_loc}.kind",
             )
         if kind == "MU_N":

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from .errors import NotPV
 from .pv import LinearODE, build_pv
 from .realforms import non_reality_witness
+from .report import Report
 from .tower import DiffTower, FieldElement
 
 __all__ = [
@@ -61,30 +62,24 @@ class SeidenbergReport:
     witness: tuple[FieldElement, ...]
     new_constants: tuple[FieldElement, ...]
     pv_failure: str
-    details: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(p for _, p, _ in self.details)
+    report: Report = field(default_factory=Report)
 
 
 def seidenberg_demo() -> SeidenbergReport:
     F = build_seidenberg()
     a, b = F.var("a"), F.var("b")
-    details: list[tuple[str, bool, str]] = []
+    report = Report("a real differential field that is not formally real")
 
     # the defining relation holds and differentiates consistently
     rel = F.const(4) * a * a + b * b + F.one()
-    details.append(("4a^2 + b^2 + 1 = 0 in the field", rel.is_zero(), str(rel)))
+    report.add("4a^2 + b^2 + 1 = 0 in the field", rel.is_zero(), str(rel))
 
     # constants of the field itself are just the rationals
     own = F.constant_scan(3, 0)
-    details.append(
-        (
-            "window scan finds no new constants in the field itself",
-            not own,
-            f"{len(own)} kernel directions",
-        )
+    report.add(
+        "window scan finds no new constants in the field itself",
+        not own,
+        f"{len(own)} kernel directions",
     )
 
     # -1 is a sum of two squares: the field is not formally real
@@ -92,37 +87,28 @@ def seidenberg_demo() -> SeidenbergReport:
     sq = F.zero()
     for x in wit:
         sq = sq + x * x
-    details.append(
-        (
-            "sum of squares equal to -1",
-            sq == F.const(-1),
-            " , ".join(str(x) for x in wit),
-        )
+    report.add(
+        "sum of squares equal to -1", sq == F.const(-1), " , ".join(str(x) for x in wit)
     )
 
     # a solves Y'' + 4Y = 0 over the field
     ode = LinearODE(F, (F.const(4), F.zero()))
-    details.append(
-        ("generator a solves Y'' + 4Y = 0", ode.apply(a).is_zero(), "a'' = -4a")
-    )
+    report.add("generator a solves Y'' + 4Y = 0", ode.apply(a).is_zero(), "a'' = -4a")
 
     # the certified circle construction refuses: new constants appear
     failure = ""
     try:
         build_pv(F, ode, "CIRCLE")
-        details.append(
-            ("certified construction must fail over this field", False, "it succeeded")
+        report.add(
+            "certified construction must fail over this field", False, "it succeeded"
         )
     except NotPV as e:
         failure = str(e)
-        report = getattr(e, "report", None)
-        names = [c.name for c in report.failures()] if report else []
-        details.append(
-            (
-                "certified construction fails on the constant check",
-                "no_new_constants_in_window" in names,
-                f"failing checks: {names}",
-            )
+        names = [c.name for c in e.report.failures()] if e.report is not None else []
+        report.add(
+            "certified construction fails on the constant check",
+            "no_new_constants_in_window" in names,
+            f"failing checks: {names}",
         )
 
     # exhibit the new constants directly on the adjoined tower
@@ -131,12 +117,10 @@ def seidenberg_demo() -> SeidenbergReport:
     consts = tuple(found)
     all_const = all(x.derive().is_zero() for x in consts)
     none_scalar = all(x.as_scalar() is None for x in consts)
-    details.append(
-        (
-            "adjoined solution pair creates nonscalar constants",
-            bool(consts) and all_const and none_scalar,
-            " ; ".join(str(x) for x in consts),
-        )
+    report.add(
+        "adjoined solution pair creates nonscalar constants",
+        bool(consts) and all_const and none_scalar,
+        " ; ".join(str(x) for x in consts),
     )
 
-    return SeidenbergReport(F, wit, consts, failure, details)
+    return SeidenbergReport(F, wit, consts, failure, report)

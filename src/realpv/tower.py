@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
+    BadField,
     ContextError,
     DivisionByZero,
     IncompatibleDerivation,
@@ -34,7 +34,7 @@ from .errors import (
 from .gauss import GaussRat
 from .linsolve import kernel
 from .poly import Context, Monomial, Poly, parse_fraction
-from .rewrite import RewriteSystem, buchberger, DEFAULT_BUDGET
+from .rewrite import buchberger, DEFAULT_BUDGET
 
 __all__ = ["Kind", "GeneratorSpec", "DiffTower", "FieldElement"]
 
@@ -371,6 +371,21 @@ class DiffTower:
         """Re-read an element of a smaller tower in this one."""
         return self.elem(x.num, x.den)
 
+    def restrict(self, x: FieldElement) -> FieldElement:
+        """Re-read an element of a larger tower in this one.
+
+        Scalars always restrict; anything else must be written in this
+        tower's variables only, or BadField is raised.
+        """
+        scalar = x.as_scalar()
+        if scalar is not None:
+            return self.const(scalar)
+        if not (x.num.variables() | x.den.variables()) <= set(self.context.variables):
+            raise BadField(f"{x} does not lie in the base field")
+        return self.elem(
+            Poly(self.context, dict(x.num.terms)), Poly(self.context, dict(x.den.terms))
+        )
+
     def derive(self, x: FieldElement) -> FieldElement:
         if x.tower != self and x.tower.signature() != self.signature():
             x = self.lift(x)
@@ -417,10 +432,19 @@ class DiffTower:
     ) -> FieldElement:
         """Evaluate p with some variables replaced by field elements.
 
-        Unmapped variables stay themselves.  Used for group actions and
-        conjugation tables.
+        Unmapped variables stay themselves.  p may come from a foreign
+        context (such as the Z slots of a relation ideal) as long as every
+        variable outside this tower is mapped.  Used for group actions,
+        relation checks and conjugation tables.
         """
-        p = p.in_context(self.context)
+        if self.context.covers(p.context):
+            p = p.in_context(self.context)
+        else:
+            stray = p.variables() - set(mapping) - set(self.context.variables)
+            if stray:
+                raise ContextError(
+                    f"unmapped variables {sorted(stray)} are not in {self.context.variables}"
+                )
         powers: dict[tuple[str, int], FieldElement] = {}
 
         def power(v: str, e: int) -> FieldElement:
@@ -432,7 +456,7 @@ class DiffTower:
             return got
 
         out = self.zero()
-        for m in sorted(p.terms, key=self.context.key):
+        for m in sorted(p.terms, key=p.context.key):
             term = self.const(p.terms[m])
             for v, e in sorted(m.exponents().items()):
                 term = term * power(v, e)

@@ -154,7 +154,7 @@ def test_criterion_05_weak_normality():
         assert rep.intermediate_is_pv
         assert not rep.witness_in_intermediate
         assert not rep.moved_by_real_member
-        assert all(p for _, p, _ in rep.details)
+        assert all(p for _, p, _ in rep.report.lines)
     _report(5, "weak normality fails for K(e^3t)", tm, 1.0)
 
 
@@ -164,7 +164,7 @@ def test_criterion_06_so2_real_forms():
         pv = build_pv(base, LinearODE.from_texts(base, ["1", "0"]), "CIRCLE")
         group = defining_equations(pv)
         res = twist(pv, group, matrix_from_texts([["-1", "0"], ["0", "-1"]]))
-        assert res.ok
+        assert res.report.ok
         wit = non_reality_witness(res.tower)
         total = res.tower.zero()
         for q in wit:
@@ -190,12 +190,12 @@ def test_criterion_07_radical_pair():
         t_tw = res.tower.var("t")
         assert g * g == t_orig
         assert h * h == -t_tw
-        signs = [d for d in res.details if "opposite sign" in d[0]]
+        signs = [d for d in res.report.lines if "opposite sign" in d[0]]
         assert signs and signs[0][1]
         pair = radical_pair_report(pv, res)
-        assert pair.ok, pair.details
-        forced = [d for d in pair.details if "gamma^2 = -1" in d[0]]
-        assert forced and all(p for _, p, _ in pair.details)
+        assert pair.report.ok, pair.report.lines
+        forced = [d for d in pair.report.lines if "gamma^2 = -1" in d[0]]
+        assert forced and all(p for _, p, _ in pair.report.lines)
     _report(7, "sqrt(t) vs sqrt(-t) are different forms", tm, 1.0)
 
 

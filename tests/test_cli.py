@@ -75,6 +75,26 @@ def test_weak_normality_demo_text(capsys):
     assert "1 real member(s) vs 3" in out
 
 
+def test_all_builds_extension_ideal_and_group_once(capsys, monkeypatch):
+    import realpv.cli as cli
+
+    calls = {}
+    for name in ("build_pv", "relations_ideal", "defining_equations"):
+        def counted(*args, _orig=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    expect = {"build_pv": 1, "relations_ideal": 1, "defining_equations": 1}
+    code, _, _ = run(capsys, "all", f"{SCENARIOS}/circle.json")
+    assert code == 0
+    assert calls == expect
+    # nothing is kept between invocations: a second call builds everything again
+    code, _, _ = run(capsys, "all", f"{SCENARIOS}/circle.json")
+    assert code == 0
+    assert calls == {k: 2 * v for k, v in expect.items()}
+
+
 # -- output modes -------------------------------------------------------------------
 
 

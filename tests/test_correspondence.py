@@ -182,16 +182,16 @@ def test_descriptor_of_recognizes_so2(circle_group):
 
 def test_mu2_normal_in_gl1(exp_group):
     rep = normality_check(exp_group, mu_n(2))
-    assert rep.normal and rep.ok
+    assert rep.normal and rep.report.ok
     assert rep.quotient_ode is not None
     assert [str(s) for s in rep.quotient_solutions] == ["e^2"]
-    names = [n for n, _, _ in rep.details]
+    names = [n for n, _, _ in rep.report.lines]
     assert "quotient map lambda -> lambda^q lands in GL1" in names
 
 
 def test_pm_identity_normal_in_so2(circle_group):
     rep = normality_check(circle_group, finite_list(PM_ONE))
-    assert rep.normal and rep.ok
+    assert rep.normal and rep.report.ok
     assert rep.quotient_ode is not None
     got = [str(s) for s in rep.quotient_solutions]
     # c^2 - s^2 normalizes to 2c^2 - 1 modulo the circle relation
@@ -219,14 +219,14 @@ def test_weak_normality_q3():
     assert rep.intermediate_is_pv
     assert not rep.witness_in_intermediate
     assert not rep.moved_by_real_member
-    assert all(p for _, p, _ in rep.details)
+    assert all(p for _, p, _ in rep.report.lines)
 
 
 def test_weak_normality_q2_control():
     rep = weak_normality_demo(2)
     assert rep.real_member_count == 2
     assert rep.moved_by_real_member
-    assert all(p for _, p, _ in rep.details)
+    assert all(p for _, p, _ in rep.report.lines)
 
 
 def test_weak_normality_rejects_q1():

@@ -34,7 +34,7 @@ def test_circle_build(circle_pv):
     assert [str(s) for s in circle_pv.solutions] == ["s", "c"]
     assert circle_pv.meta["omega"] == "1"
     assert circle_pv.certificates.ok
-    names = [c.name for c in circle_pv.certificates.checks]
+    names = [c.name for c in circle_pv.certificates.lines]
     assert names == [
         "solutions_satisfy_equation",
         "wronskian_invertible",

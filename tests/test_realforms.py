@@ -70,20 +70,20 @@ def test_identity_twist_is_unchanged(circle_pv, circle_group):
     res = twist(circle_pv, circle_group, matrix_from_texts(ID2))
     assert res.isomorphic_to_original
     assert res.tower is circle_pv.extension
-    assert res.ok
+    assert res.report.ok
 
 
 def test_exp_minus_one_twist_splits(exp_pv, exp_group):
     res = twist(exp_pv, exp_group, [[GaussRat.of(-1)]])
     assert res.isomorphic_to_original
-    assert res.ok
+    assert res.report.ok
     assert "coboundary" in res.cocycle.label
 
 
 def test_circle_minus_identity_twist(circle_pv, circle_group):
     res = twist(circle_pv, circle_group, matrix_from_texts(NEG2))
     assert res.isomorphic_to_original is False
-    assert res.ok
+    assert res.report.ok
     v, u = res.tower.var("v"), res.tower.var("u")
     assert u * u + v * v == res.tower.const(-1)
     # twisted pair rotates with the same speed
@@ -106,7 +106,7 @@ def test_original_circle_has_no_witness(circle_pv):
 def test_sqrt_minus_one_twist(sqrt_pv, sqrt_group):
     res = twist(sqrt_pv, sqrt_group, [[GaussRat.of(-1)]])
     assert res.isomorphic_to_original is False
-    assert res.ok
+    assert res.report.ok
     h = res.tower.var("h")
     t = res.tower.var("t")
     assert h * h == -t
@@ -132,8 +132,8 @@ def test_twist_rejects_unknown_recipe(base, circle_group):
 def test_radical_pair_not_isomorphic(sqrt_pv, sqrt_group):
     res = twist(sqrt_pv, sqrt_group, [[GaussRat.of(-1)]])
     rep = radical_pair_report(sqrt_pv, res)
-    assert rep.ok
-    names = [n for n, _, _ in rep.details]
+    assert rep.report.ok
+    names = [n for n, _, _ in rep.report.lines]
     assert "matching generators forces gamma^2 = -1 over the rational constants" in names
 
 
@@ -142,20 +142,20 @@ def test_radical_pair_not_isomorphic(sqrt_pv, sqrt_group):
 
 def test_h1_gl1(exp_group):
     rep = h1_enumerate(exp_group, "GL1")
-    assert rep.ok
+    assert rep.report.ok
     assert [c.label for c in rep.classes] == ["1"]
 
 
 def test_h1_mu2(sqrt_pv):
     g = defining_equations(sqrt_pv)
     rep = h1_enumerate(g, "MU_2")
-    assert rep.ok
+    assert rep.report.ok
     assert [c.label for c in rep.classes] == ["1", "-1"]
 
 
 def test_h1_so2(circle_group):
     rep = h1_enumerate(circle_group, "SO2")
-    assert rep.ok
+    assert rep.report.ok
     assert [c.label for c in rep.classes] == ["I", "-I"]
     # both representatives really are cocycles of the group
     for c in rep.classes:

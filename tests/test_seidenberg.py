@@ -25,8 +25,8 @@ def test_field_has_rational_constants_in_window():
 
 def test_demo_all_checks_pass():
     rep = seidenberg_demo()
-    assert rep.ok, rep.details
-    assert len(rep.details) == 6
+    assert rep.report.ok, rep.report.lines
+    assert len(rep.report.lines) == 6
 
 
 def test_demo_witness_is_2a_b():
