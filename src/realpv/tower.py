@@ -434,17 +434,10 @@ class DiffTower:
 
         Unmapped variables stay themselves.  p may come from a foreign
         context (such as the Z slots of a relation ideal) as long as every
-        variable outside this tower is mapped.  Used for group actions,
-        relation checks and conjugation tables.
+        variable outside this tower is mapped; an unmapped one raises
+        ContextError.  Used for group actions, relation checks and
+        conjugation tables.
         """
-        if self.context.covers(p.context):
-            p = p.in_context(self.context)
-        else:
-            stray = p.variables() - set(mapping) - set(self.context.variables)
-            if stray:
-                raise ContextError(
-                    f"unmapped variables {sorted(stray)} are not in {self.context.variables}"
-                )
         powers: dict[tuple[str, int], FieldElement] = {}
 
         def power(v: str, e: int) -> FieldElement:
