@@ -1,8 +1,11 @@
 """Byte-for-byte goldens of the full JSON output of `all` and the demos.
 
 The goldens freeze every report line (names, statuses and details), not
-only the `ok` flags and data payloads.  After an intended change of the
-output, regenerate them with
+only the `ok` flags and data payloads.  Besides the shipped scenarios they
+cover the benchmark corpus scenarios that reach the sampled fixed space,
+roots of unity on algebraic and exponential generators, and the two
+scenarios that `all` refuses, whose exit code and stderr are frozen too.
+After an intended change of the output, regenerate them with
 
     PYTHONPATH=src python tests/test_golden_output.py
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -21,11 +25,32 @@ from realpv.cli import DEMO_NAMES, main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = ("circle", "constcoeff", "exp", "sqrt")
+BENCH_SCENARIOS = (
+    "circle_so2",
+    "circle_w3",
+    "cbrt_mu3",
+    "constcoeff_double",
+    "radical_t2p1",
+)
+BENCH_REFUSALS = ("constcoeff_complex", "exp_t2_mu5")
 
-CASES = [
-    (f"all_{name}", ["all", str(ROOT / "scenarios" / f"{name}.json"), "--json"])
-    for name in SCENARIOS
-] + [(f"demo_{name}", ["demo", name, "--json"]) for name in DEMO_NAMES]
+
+def _all_argv(path: Path) -> list[str]:
+    return ["all", str(path), "--json"]
+
+
+CASES = (
+    [(f"all_{name}", _all_argv(ROOT / "scenarios" / f"{name}.json")) for name in SCENARIOS]
+    + [(f"demo_{name}", ["demo", name, "--json"]) for name in DEMO_NAMES]
+    + [
+        (f"all_{name}", _all_argv(ROOT / "bench" / "scenarios" / f"{name}.json"))
+        for name in BENCH_SCENARIOS
+    ]
+)
+REFUSALS = [
+    (f"refusal_{name}", _all_argv(ROOT / "bench" / "scenarios" / f"{name}.json"))
+    for name in BENCH_REFUSALS
+]
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -35,11 +60,22 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _refusal_record(argv: list[str]) -> str:
+    code, out, err = _run(argv)
+    record = {"exit": code, "stdout": out, "stderr": err}
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("key,argv", CASES, ids=[k for k, _ in CASES])
 def test_json_output_matches_golden(key, argv):
     code, out, err = _run(argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{key}.json").read_text()
+
+
+@pytest.mark.parametrize("key,argv", REFUSALS, ids=[k for k, _ in REFUSALS])
+def test_refusal_matches_golden(key, argv):
+    assert _refusal_record(argv) == (GOLDEN / f"{key}.json").read_text()
 
 
 if __name__ == "__main__":
@@ -48,4 +84,7 @@ if __name__ == "__main__":
         if code != 0:
             sys.exit(f"{key}: exit {code}: {err}")
         (GOLDEN / f"{key}.json").write_text(out)
+        print(f"wrote {key}.json")
+    for key, argv in REFUSALS:
+        (GOLDEN / f"{key}.json").write_text(_refusal_record(argv))
         print(f"wrote {key}.json")
