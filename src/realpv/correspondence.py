@@ -240,8 +240,13 @@ def window_products(
     degree_bound: int,
     t_power_bound: int,
 ) -> list[FieldElement]:
-    """Products of generator powers (total degree bounded) times powers of
-    the base variable, the search window for field membership."""
+    """Products g1^a1 * ... * gk^ak with every exponent ai in 0..degree_bound,
+    so (degree_bound + 1)^k products, each times t^j for |j| <= t_power_bound:
+    the search window for field membership.
+
+    The products are returned as built, repeats included.  Membership
+    depends only on the span of the window, and a repeated entry only adds
+    kernel vectors whose denominator part is zero."""
     combos: list[FieldElement] = [tower.one()]
     for g in gens:
         g = tower.lift(g)
@@ -260,11 +265,7 @@ def window_products(
             for k in range(-t_power_bound, t_power_bound + 1):
                 spread.append(c * t**k)
         combos = spread
-    out: list[FieldElement] = []
-    for c in combos:
-        if not any(c == d for d in out):
-            out.append(c)
-    return out
+    return combos
 
 
 def _generator_degree(tower: DiffTower, x: FieldElement) -> int:

@@ -26,7 +26,7 @@ be written in the Z variables over the base; the group object records
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -86,11 +86,17 @@ class AlgebraicRelation:
 
 @dataclass
 class RelationIdeal:
+    """Relation generators of the solution tuple, verified to vanish on it
+    when constructed (BadIdeal otherwise)."""
+
     pv: PVExtension
     z_context: Context
     derivations: tuple[DerivationRelation, ...]
     algebraic: tuple[AlgebraicRelation, ...]
     complete: bool
+
+    def __post_init__(self) -> None:
+        _verify_ideal(self)
 
     def render(self) -> list[str]:
         return [d.render() for d in self.derivations] + [
@@ -151,9 +157,7 @@ def relations_ideal(pv: PVExtension) -> RelationIdeal:
             rel = Poly.variable(z_ctx, z_names[j]) * den - num
             algebraic.append(AlgebraicRelation(rel))
 
-    ideal = RelationIdeal(pv, z_ctx, tuple(derivations), tuple(algebraic), complete)
-    _verify_ideal(ideal)
-    return ideal
+    return RelationIdeal(pv, z_ctx, tuple(derivations), tuple(algebraic), complete)
 
 
 def _verify_ideal(ideal: RelationIdeal) -> None:
@@ -182,41 +186,26 @@ def _x_names(n: int) -> list[list[str]]:
 
 @dataclass
 class MatrixGroup:
-    """Zero set of `polys` inside GL_n, acting on the solution tuple."""
+    """Zero set of `polys` inside GL_n, acting on the solution tuple.
+
+    `param_tower` is the extension with the matrix entries X_ij adjoined as
+    constant parameters, and `sym_images` holds the symbolic images
+    sum_i X_ij eta_i of the solutions in it."""
 
     pv: PVExtension
     size: int
     xnames: tuple[tuple[str, ...], ...]
     context: Context
     polys: tuple[Poly, ...]
-    relations_complete: bool = True
-    _param_tower: DiffTower | None = field(default=None, repr=False)
-    _sym_images: tuple[FieldElement, ...] | None = field(default=None, repr=False)
+    relations_complete: bool
+    param_tower: DiffTower = field(repr=False)
+    sym_images: tuple[FieldElement, ...] = field(repr=False)
 
     def serialized(self) -> list[str]:
         return [str(p) for p in self.polys]
 
     def flat_xnames(self) -> list[str]:
         return [x for row in self.xnames for x in row]
-
-    def param_tower(self) -> DiffTower:
-        if self._param_tower is None:
-            self._param_tower = self.pv.extension.with_params(self.flat_xnames())
-        return self._param_tower
-
-    def sym_images(self) -> tuple[FieldElement, ...]:
-        """Symbolic images sum_i X_ij eta_i of the solutions."""
-        if self._sym_images is None:
-            tw = self.param_tower()
-            sols = [tw.elem(s.num, s.den) for s in self.pv.solutions]
-            imgs = []
-            for j in range(self.size):
-                acc = tw.zero()
-                for i in range(self.size):
-                    acc = acc + tw.var(self.xnames[i][j]) * sols[i]
-                imgs.append(acc)
-            self._sym_images = tuple(imgs)
-        return self._sym_images
 
     def evaluate(self, p: Poly, matrix: Sequence[Sequence[GaussRat]]) -> GaussRat:
         values = {
@@ -256,17 +245,7 @@ class MatrixGroup:
 
     def extended(self, extra: Iterable[Poly]) -> "MatrixGroup":
         polys = _normalize_polys(list(self.polys) + list(extra), self.context)
-        g = MatrixGroup(
-            self.pv,
-            self.size,
-            self.xnames,
-            self.context,
-            polys,
-            self.relations_complete,
-        )
-        g._param_tower = self._param_tower
-        g._sym_images = self._sym_images
-        return g
+        return replace(self, polys=polys)
 
 
 @dataclass(frozen=True)
@@ -328,22 +307,18 @@ def defining_equations(
     """Compute the defining polynomial set of the Galois group of pv."""
     if ideal is None:
         ideal = relations_ideal(pv)
-    else:
-        _verify_ideal(ideal)
     n = pv.order
     xnames = _x_names(n)
     flat = [x for row in xnames for x in row]
     x_ctx = Context(flat)
-    group = MatrixGroup(
-        pv,
-        n,
-        tuple(tuple(row) for row in xnames),
-        x_ctx,
-        (),
-        ideal.complete,
-    )
-    tw = group.param_tower()
-    imgs = group.sym_images()
+    tw = pv.extension.with_params(flat)
+    sols = [tw.lift(s) for s in pv.solutions]
+    imgs = []
+    for j in range(n):
+        acc = tw.zero()
+        for i in range(n):
+            acc = acc + tw.var(xnames[i][j]) * sols[i]
+        imgs.append(acc)
     xset = set(flat)
 
     collected: list[Poly] = []
@@ -358,33 +333,33 @@ def defining_equations(
         residue = tw.eval_poly(a.poly, z_map)
         collected += _collect_coefficients(residue.num, xset, x_ctx)
 
-    group.polys = _normalize_polys(collected, x_ctx)
-    return group
+    return MatrixGroup(
+        pv,
+        n,
+        tuple(tuple(row) for row in xnames),
+        x_ctx,
+        _normalize_polys(collected, x_ctx),
+        ideal.complete,
+        tw,
+        tuple(imgs),
+    )
 
 
 # -- group actions ----------------------------------------------------------------
 
 
-def _substitution_map(
-    sigma: GroupElement, target: DiffTower
+def _generator_map(
+    pv: PVExtension, images: Sequence[FieldElement]
 ) -> dict[str, FieldElement]:
-    pv = sigma.group.pv
-    ext = pv.extension
-    slot_of = _solution_slot_of_generators(pv)
+    """Send each tower generator to the image of its solution slot."""
     mapping: dict[str, FieldElement] = {}
-    for name, slot in slot_of.items():
+    for name, slot in _solution_slot_of_generators(pv).items():
         if slot is None:
             raise Unsupported(
                 f"generator {name!r} is not one of the listed solutions; "
                 "substitution action unavailable for this presentation"
             )
-        acc = target.zero()
-        for i in range(sigma.group.size):
-            c = sigma.matrix[i][slot]
-            if c:
-                s = pv.solutions[i]
-                acc = acc + target.elem(s.num, s.den).scale(c)
-        mapping[name] = acc
+        mapping[name] = images[slot]
     return mapping
 
 
@@ -395,8 +370,13 @@ def apply(sigma: GroupElement, x: FieldElement) -> FieldElement:
     target = ext
     if not sigma.is_real() and ext.mode == "real":
         target = ext.complexify()
-    mapping = _substitution_map(sigma, target)
-    x = target.elem(x.num, x.den)
+    sols = [target.lift(s) for s in pv.solutions]
+    images = [
+        target.combine([row[j] for row in sigma.matrix], sols)
+        for j in range(sigma.group.size)
+    ]
+    mapping = _generator_map(pv, images)
+    x = target.lift(x)
     num = target.eval_poly(x.num, mapping)
     den = target.eval_poly(x.den, mapping)
     if den.is_zero():
@@ -465,19 +445,9 @@ def moved_element_witness(
 
 def invariance_conditions(group: MatrixGroup, x: FieldElement) -> list[Poly]:
     """Polynomials in the X variables expressing sigma(x) = x."""
-    tw = group.param_tower()
-    imgs = group.sym_images()
-    pv = group.pv
-    slot_of = _solution_slot_of_generators(pv)
-    mapping: dict[str, FieldElement] = {}
-    for name, slot in slot_of.items():
-        if slot is None:
-            raise Unsupported(
-                f"generator {name!r} is not a listed solution; cannot form "
-                "symbolic invariance conditions"
-            )
-        mapping[name] = imgs[slot]
-    x = tw.elem(x.num, x.den)
+    tw = group.param_tower
+    mapping = _generator_map(group.pv, group.sym_images)
+    x = tw.lift(x)
     num_s = tw.eval_poly(x.num, mapping)
     den_s = tw.eval_poly(x.den, mapping)
     residue = num_s * tw.elem(x.den) - tw.elem(x.num) * den_s

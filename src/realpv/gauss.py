@@ -115,10 +115,6 @@ ONE = GaussRat(Fraction(1))
 I = GaussRat(Fraction(0), Fraction(1))
 
 
-def rat(p: int, q: int = 1) -> Fraction:
-    return Fraction(p, q)
-
-
 def is_square(x: Fraction) -> bool:
     """Whether a nonnegative rational is the square of a rational."""
     if x < 0:

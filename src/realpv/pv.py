@@ -123,9 +123,6 @@ class PVExtension:
     def order(self) -> int:
         return self.ode.order
 
-    def solution_space(self) -> SolutionSpace:
-        return SolutionSpace(self.extension, self.solutions, self.extension.mode)
-
     def describe(self) -> list[str]:
         lines = [f"class {self.eq_class}: {self.ode.describe()}"]
         lines += self.extension.describe()
@@ -382,30 +379,16 @@ def build_pv(
 # -- complexification and realification ---------------------------------------
 
 
-def _reread(x: FieldElement, tower: DiffTower) -> FieldElement:
-    return tower.elem(x.num, x.den)
-
-
-def _scaled_sum(
-    tower: DiffTower, elements: Sequence[FieldElement], scalars: Sequence[GaussRat]
-) -> FieldElement:
-    total = tower.zero()
-    for x, c in zip(elements, scalars):
-        if c:
-            total = total + x.scale(c)
-    return total
-
-
 def complexify_pv(pv: PVExtension) -> PVExtension:
     base = pv.base.complexify()
     ext = pv.extension.complexify() if pv.extension != pv.base else base
     out = PVExtension(
         base,
         ext,
-        LinearODE(base, tuple(_reread(a, base) for a in pv.ode.coeffs)),
+        LinearODE(base, tuple(base.lift(a) for a in pv.ode.coeffs)),
         pv.eq_class,
-        tuple(_reread(s, ext) for s in pv.solutions),
-        tuple(tuple(_reread(a, base) for a in row) for row in pv.companion),
+        tuple(ext.lift(s) for s in pv.solutions),
+        tuple(tuple(base.lift(a) for a in row) for row in pv.companion),
         pv.scan_bounds,
         meta=dict(pv.meta),
     )
@@ -524,14 +507,14 @@ def realify(pv: PVExtension, space: SolutionSpace | None = None) -> PVExtension:
     lifted = [[ext.lift(a) for a in row] for row in pv.companion]
     half = [
         [
-            _scaled_sum(ext, [lifted[i][k] for k in range(n)], [r[j] for r in change])
+            ext.combine([r[j] for r in change], [lifted[i][k] for k in range(n)])
             for j in range(n)
         ]
         for i in range(n)
     ]
     companion = tuple(
         tuple(
-            _scaled_sum(ext, [half[k][j] for k in range(n)], change_inv[i])
+            ext.combine(change_inv[i], [half[k][j] for k in range(n)])
             for j in range(n)
         )
         for i in range(n)
@@ -542,9 +525,9 @@ def realify(pv: PVExtension, space: SolutionSpace | None = None) -> PVExtension:
     out = PVExtension(
         real_base,
         real_ext if real_ext != real_base else real_base,
-        LinearODE(real_base, tuple(_reread(a, real_base) for a in pv.ode.coeffs)),
+        LinearODE(real_base, tuple(real_base.lift(a) for a in pv.ode.coeffs)),
         pv.eq_class,
-        tuple(_reread(x, real_ext) for x in normalized),
+        tuple(real_ext.lift(x) for x in normalized),
         tuple(tuple(real_base.restrict(a) for a in row) for row in companion),
         pv.scan_bounds,
         meta=dict(pv.meta),

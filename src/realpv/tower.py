@@ -89,9 +89,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
     def as_scalar(self) -> GaussRat | None:
         """The element's value if it is a scalar (num = v * den), else None."""
         if self.num.is_zero():
@@ -342,12 +339,6 @@ class DiffTower:
     def generator_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.specs)
 
-    def spec_of(self, name: str) -> GeneratorSpec:
-        for s in self.specs:
-            if s.name == name:
-                return s
-        raise ValueError(f"no generator {name!r}")
-
     # -- derivation ------------------------------------------------------------
 
     def derive_poly(self, p: Poly) -> FieldElement:
@@ -455,13 +446,6 @@ class DiffTower:
                 term = term * power(v, e)
             out = out + term
         return out
-
-    def eval_element(
-        self, x: FieldElement, mapping: Mapping[str, FieldElement]
-    ) -> FieldElement:
-        num = self.eval_poly(x.num, mapping)
-        den = self.eval_poly(x.den, mapping)
-        return num / den
 
     # -- tower growth ----------------------------------------------------------
 

@@ -62,14 +62,14 @@ def test_relation_ideal_radical(sqrt_pv):
 def test_corrupt_ideal_rejected(exp_pv):
     ideal = relations_ideal(exp_pv)
     z_ctx = ideal.z_context
-    bogus = RelationIdeal(
-        exp_pv,
-        z_ctx,
-        ideal.derivations,
-        tuple(list(ideal.algebraic) + [AlgebraicRelation(parse_poly("Z1 - 7", z_ctx))]),
-        True,
-    )
     with pytest.raises(BadIdeal):
+        bogus = RelationIdeal(
+            exp_pv,
+            z_ctx,
+            ideal.derivations,
+            tuple(list(ideal.algebraic) + [AlgebraicRelation(parse_poly("Z1 - 7", z_ctx))]),
+            True,
+        )
         defining_equations(exp_pv, bogus)
 
 
