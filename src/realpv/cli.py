@@ -24,7 +24,6 @@ import sys
 from functools import cached_property
 
 from .correspondence import (
-    SUBGROUP_KINDS,
     check_correspondence,
     normality_check,
     weak_normality_demo,
@@ -126,8 +125,7 @@ def _correspond_report(ses: _Session) -> Report:
     scn = ses.scn
     if scn.subgroup is None:
         raise ScenarioError("correspond needs a subgroup entry", location="scenario")
-    group = ses.group
-    desc = SUBGROUP_KINDS[scn.subgroup["kind"]](scn.subgroup)
+    group, desc = ses.group, scn.subgroup
     rep = Report(f"correspond: {desc.label()} inside the group of {scn.describe()}")
     round_trips, fixed, sub = check_correspondence(group, desc)
     rep.info("fixed field", fixed.describe())
@@ -152,8 +150,7 @@ def _twist_report(ses: _Session) -> Report:
     scn = ses.scn
     if scn.cocycle is None:
         raise ScenarioError("twist needs a cocycle entry", location="scenario")
-    pv, group = ses.pv, ses.group
-    rows = matrix_from_texts(scn.cocycle)
+    pv, group, rows = ses.pv, ses.group, scn.cocycle
     rep = Report(f"twist: {scn.describe()}")
     is_cocycle = cocycle_check(group, rows)
     rep.add("matrix is a cocycle", is_cocycle)

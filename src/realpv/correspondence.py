@@ -107,7 +107,7 @@ def finite_list(matrices: Sequence[Sequence[Sequence]]) -> SubgroupDescriptor:
 
 # Scenario subgroup entries by kind; each entry builds its descriptor from
 # the validated scenario object (with "order" for MU_N and "matrices" of
-# scalar strings for FINITE_LIST).
+# parsed scalars for FINITE_LIST).
 SUBGROUP_KINDS = {
     "FULL": lambda sub: FULL,
     "TRIVIAL": lambda sub: TRIVIAL,
@@ -118,6 +118,26 @@ SUBGROUP_KINDS = {
 }
 
 
+# Matrix size of the descriptors that only fit one group size.
+_KIND_SIZES = {"MU_N": 1, "DIAGONAL": 2, "SO2": 2}
+
+
+def _check_size(group: MatrixGroup, desc: SubgroupDescriptor) -> None:
+    """Refuse a descriptor whose matrices do not have the group's size."""
+    n = group.size
+    if desc.kind == "FINITE_LIST":
+        sizes = [(len(m), len(row)) for m in desc.elements or () for row in m]
+    else:
+        k = _KIND_SIZES.get(desc.kind, n)
+        sizes = [(k, k)]
+    for rows, cols in sizes:
+        if (rows, cols) != (n, n):
+            raise Unsupported(
+                f"{desc.label()} has {rows}x{cols} matrices, "
+                f"but the group's matrices are {n}x{n}"
+            )
+
+
 def _pm_identity(n: int) -> SubgroupDescriptor:
     eye = identity(n)
     return finite_list([eye, [[-v for v in row] for row in eye]])
@@ -126,6 +146,7 @@ def _pm_identity(n: int) -> SubgroupDescriptor:
 def descriptor_polys(group: MatrixGroup, desc: SubgroupDescriptor) -> list[Poly]:
     """Defining polynomials of the descriptor inside the ambient group's
     coordinate ring (ambient equations included)."""
+    _check_size(group, desc)
     ctx = group.context
     n = group.size
     base = list(group.polys)
@@ -140,16 +161,10 @@ def descriptor_polys(group: MatrixGroup, desc: SubgroupDescriptor) -> list[Poly]
                 extra.append(p(f"{name} - 1") if i == j else p(name))
         return base + extra
     if desc.kind == "MU_N":
-        if n != 1:
-            raise Unsupported("roots of unity are a GL1 descriptor")
         return base + [p(f"X11^{desc.order} - 1")]
     if desc.kind == "DIAGONAL":
-        if n != 2:
-            raise Unsupported("the diagonal descriptor is for 2x2 groups here")
         return base + [p("X12"), p("X21")]
     if desc.kind == "SO2":
-        if n != 2:
-            raise Unsupported("the rotation descriptor is for 2x2 groups")
         return base + [p("X11 - X22"), p("X12 + X21"), p("X11^2 + X21^2 - 1")]
     if desc.kind == "FINITE_LIST":
         elems = desc.elements or ()
@@ -177,6 +192,7 @@ def descriptor_samples(
 ) -> list[GroupElement]:
     """Deterministic members of the descriptor, as elements of the ambient
     group, for proposing fixed spaces and pointwise checks."""
+    _check_size(group, desc)
     n = group.size
     q = GaussRat.of
     mats: list[list[list[GaussRat]]] = []
@@ -376,6 +392,7 @@ def fixed_field(
     exact fixed-space intersections over sample members and the result is
     certified symbolically afterwards.
     """
+    _check_size(group, desc)
     pv = group.pv
     ext = pv.extension
     deg, tpow = window_bounds

@@ -2,19 +2,23 @@
 
 A scenario names the equation class, its coefficients as expression
 strings, and optionally a subgroup, a cocycle, scan bounds and a rewrite
-budget.  Validation is strict: unknown keys anywhere raise ScenarioError
-with the offending location, so typos fail loudly instead of being
-ignored.
+budget.  Validation is strict: unknown keys anywhere, and expression
+strings that do not parse, raise ScenarioError with the offending
+location, so typos fail loudly instead of being ignored.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
-from .correspondence import SUBGROUP_KINDS
-from .errors import ScenarioError
+from .correspondence import SUBGROUP_KINDS, SubgroupDescriptor
+from .errors import DivisionByZero, ScenarioError
+from .galois import parse_scalar
+from .gauss import GaussRat
+from .poly import Context, parse_fraction
 from .pv import DEFAULT_SCAN_BOUNDS, EQUATION_CLASSES
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
@@ -34,8 +38,8 @@ class Scenario:
     radical_base: str | None = None
     scan_bounds: tuple[int, int] = DEFAULT_SCAN_BOUNDS
     budget: int | None = None
-    subgroup: dict | None = None
-    cocycle: tuple[tuple[str, ...], ...] | None = None
+    subgroup: SubgroupDescriptor | None = None
+    cocycle: tuple[tuple[GaussRat, ...], ...] | None = None
 
     def describe(self) -> str:
         return f"{self.eq_class} equation with coefficients {list(self.coefficients)}"
@@ -65,6 +69,15 @@ def _expect_int(value: Any, loc: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScenarioError(f"expected an integer, got {type(value).__name__}", location=loc)
     return value
+
+
+def _expect_expr(value: Any, parse: Callable[[str], Any], loc: str) -> Any:
+    """parse(value) for an expression string; a malformed one is refused."""
+    text = _expect_str(value, loc)
+    try:
+        return parse(text)
+    except (ValueError, DivisionByZero) as e:
+        raise ScenarioError(str(e), location=loc) from None
 
 
 def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
@@ -99,6 +112,13 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
     base_var = "t"
     if "base_var" in raw:
         base_var = _expect_str(raw["base_var"], f"{loc}.base_var")
+
+    # the context of DiffTower(base_var), where the CLI reads the expressions
+    in_base = partial(parse_fraction, ctx=Context([base_var] if base_var else []))
+    for i, c in enumerate(coeffs):
+        _expect_expr(c, in_base, f"{eq_loc}.coefficients[{i}]")
+    if radical_base is not None:
+        _expect_expr(radical_base, in_base, f"{eq_loc}.radical_base")
 
     bounds = DEFAULT_SCAN_BOUNDS
     if "scan" in raw:
@@ -144,17 +164,17 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
             )
         if kind == "FINITE_LIST":
             mats = _need(sub, "matrices", sub_loc)
-            _validate_matrices(mats, f"{sub_loc}.matrices")
+            sub = dict(sub, matrices=_parse_matrices(mats, f"{sub_loc}.matrices"))
         elif "matrices" in sub:
             raise ScenarioError(
                 "matrices are only meaningful for FINITE_LIST",
                 location=f"{sub_loc}.matrices",
             )
-        subgroup = sub
+        subgroup = SUBGROUP_KINDS[kind](sub)
 
     cocycle = None
     if "cocycle" in raw:
-        cocycle = _validate_matrix(raw["cocycle"], f"{loc}.cocycle")
+        cocycle = _parse_matrix(raw["cocycle"], f"{loc}.cocycle")
 
     return Scenario(
         eq_class,
@@ -168,7 +188,7 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
     )
 
 
-def _validate_matrix(rows: Any, loc: str) -> tuple[tuple[str, ...], ...]:
+def _parse_matrix(rows: Any, loc: str) -> tuple[tuple[GaussRat, ...], ...]:
     if not isinstance(rows, list) or not rows:
         raise ScenarioError("expected a nonempty list of rows", location=loc)
     out = []
@@ -181,18 +201,20 @@ def _validate_matrix(rows: Any, loc: str) -> tuple[tuple[str, ...], ...]:
         elif len(row) != width:
             raise ScenarioError("ragged matrix", location=f"{loc}[{i}]")
         out.append(
-            tuple(_expect_str(v, f"{loc}[{i}][{j}]") for j, v in enumerate(row))
+            tuple(
+                _expect_expr(v, parse_scalar, f"{loc}[{i}][{j}]")
+                for j, v in enumerate(row)
+            )
         )
     if len(out) != width:
         raise ScenarioError("matrix must be square", location=loc)
     return tuple(out)
 
 
-def _validate_matrices(mats: Any, loc: str) -> None:
+def _parse_matrices(mats: Any, loc: str) -> list[tuple[tuple[GaussRat, ...], ...]]:
     if not isinstance(mats, list) or not mats:
         raise ScenarioError("expected a nonempty list of matrices", location=loc)
-    for i, m in enumerate(mats):
-        _validate_matrix(m, f"{loc}[{i}]")
+    return [_parse_matrix(m, f"{loc}[{i}]") for i, m in enumerate(mats)]
 
 
 def load_scenario(path: str) -> Scenario:

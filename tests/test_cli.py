@@ -95,6 +95,21 @@ def test_all_builds_extension_ideal_and_group_once(capsys, monkeypatch):
     assert calls == {k: 2 * v for k, v in expect.items()}
 
 
+def test_all_verifies_relation_ideal_once(capsys, monkeypatch):
+    import realpv.galois as galois
+
+    calls = []
+
+    def counted(ideal, _orig=galois._verify_ideal):
+        calls.append(ideal)
+        return _orig(ideal)
+
+    monkeypatch.setattr(galois, "_verify_ideal", counted)
+    code, _, _ = run(capsys, "all", f"{SCENARIOS}/circle.json")
+    assert code == 0
+    assert len(calls) == 1
+
+
 # -- output modes -------------------------------------------------------------------
 
 
@@ -173,6 +188,40 @@ def test_certificate_failure_prints_report(capsys, tmp_path):
     assert code == 1
     assert "certificate failure" in err
     assert "no_new_constants_in_window" in err
+
+
+MALFORMED_EXPRESSIONS = [
+    (
+        {"equation": {"class": "EXP", "coefficients": ["-1+"]}},
+        "scenario.equation.coefficients[0]",
+    ),
+    (
+        {"equation": {"class": "RADICAL", "coefficients": ["-1/2 * 1/t"],
+                      "radical_base": "t^2+"}},
+        "scenario.equation.radical_base",
+    ),
+    (
+        {"equation": {"class": "CIRCLE", "coefficients": ["1", "0"]},
+         "subgroup": {"kind": "FINITE_LIST", "matrices": [[["x", "0"], ["0", "1"]]]}},
+        "scenario.subgroup.matrices[0][0][0]",
+    ),
+    (
+        {"equation": {"class": "CIRCLE", "coefficients": ["1", "0"]},
+         "cocycle": [["1", "0"], ["0", "1/0"]]},
+        "scenario.cocycle[1][1]",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw,location", MALFORMED_EXPRESSIONS,
+                         ids=["coefficient", "radical_base", "finite_list", "cocycle"])
+def test_malformed_expression_is_usage_error(capsys, tmp_path, raw, location):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "all", str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"scenario error at {location}: " in err
 
 
 def test_correspond_without_subgroup(capsys, tmp_path):

@@ -66,8 +66,28 @@ def test_descriptor_polys_shapes(circle_group, exp_group):
 
 def test_descriptor_polys_rejects_odd_finite_list(circle_group):
     rot = finite_list([[["0", "-1"], ["1", "0"]]])
-    with pytest.raises(Unsupported):
-        descriptor_polys(circle_group, rot)
+    # the group generated by one off-axis reflection
+    refl = finite_list([[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]])
+    for odd in (rot, refl):
+        with pytest.raises(Unsupported):
+            descriptor_polys(circle_group, odd)
+
+
+@pytest.mark.parametrize(
+    "group_name,desc,sizes",
+    [
+        ("circle_group", finite_list([[["1"]], [["-1"]]]), "1x1 .* 2x2"),
+        ("circle_group", mu_n(3), "1x1 .* 2x2"),
+        ("exp_group", SO2, "2x2 .* 1x1"),
+        ("exp_group", finite_list([[["1"]], [["1", "0"], ["0", "1"]]]), "2x2 .* 1x1"),
+    ],
+    ids=["circle-1x1-list", "circle-mu3", "exp-so2", "exp-mixed-list"],
+)
+def test_descriptor_size_mismatch_refused(request, group_name, desc, sizes):
+    group = request.getfixturevalue(group_name)
+    for refuse in (fixed_field, descriptor_polys, descriptor_samples):
+        with pytest.raises(Unsupported, match=sizes):
+            refuse(group, desc)
 
 
 def test_descriptor_samples_are_members(circle_group):
@@ -134,6 +154,20 @@ def test_member_of_field_mixed_fractions(exp_group):
 # -- stabilizers and round trips -----------------------------------------------------
 
 
+@pytest.mark.parametrize("group_name", ["exp_group", "circle_group"])
+def test_member_of_field_ignores_repeated_generators(request, group_name):
+    ext = request.getfixturevalue(group_name).pv.extension
+    if group_name == "exp_group":
+        e, t = ext.var("e"), ext.var("t")
+        g, member, non_member = e**3, e**3 * t, e
+    else:
+        s, c = ext.var("s"), ext.var("c")
+        g, member, non_member = c * c, s * s, s
+    for x, expect in ((member, True), (non_member, False)):
+        assert member_of_field(ext, x, [g]) is expect
+        assert member_of_field(ext, x, [g, g]) is expect
+
+
 def test_group_over_recovers_subgroup(circle_group):
     ext = circle_group.pv.extension
     F = IntermediateField(circle_group.pv, (ext.var("c") * ext.var("c"),))
@@ -198,15 +232,6 @@ def test_pm_identity_normal_in_so2(circle_group):
     assert got == ["2*s*c", "2*c^2 - 1"]
     for y in rep.quotient_solutions:
         assert rep.quotient_ode.apply(circle_group.pv.extension.lift(y)).is_zero()
-
-
-def test_conjugation_instability_detected(circle_group):
-    # the group generated by one off-axis reflection is not conjugation stable
-    refl = finite_list([[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]])
-    with pytest.raises(Unsupported):
-        # descriptor polys for this list are unsupported, the report relies
-        # on sampled conjugation of explicit elements instead
-        descriptor_polys(circle_group, refl)
 
 
 # -- weak normality -----------------------------------------------------------------
