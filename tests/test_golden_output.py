@@ -3,8 +3,11 @@
 The goldens freeze every report line (names, statuses and details), not
 only the `ok` flags and data payloads.  Besides the shipped scenarios they
 cover the benchmark corpus scenarios that reach the sampled fixed space,
-roots of unity on algebraic and exponential generators, and the two
-scenarios that `all` refuses, whose exit code and stderr are frozen too.
+roots of unity on algebraic and exponential generators, two scenarios
+under `tests/scenarios/` whose fixed field is recognized as a different
+descriptor than the one asked for (so the field round trip computes a
+second fixed field), and the two scenarios that `all` refuses, whose exit
+code and stderr are frozen too.
 After an intended change of the output, regenerate them with
 
     PYTHONPATH=src python tests/test_golden_output.py
@@ -33,6 +36,8 @@ BENCH_SCENARIOS = (
     "radical_t2p1",
 )
 BENCH_REFUSALS = ("constcoeff_complex", "exp_t2_mu5")
+# Descriptors recognized as TRIVIAL: MU_N(1) on EXP, and the list [I] on CIRCLE.
+TEST_SCENARIOS = ("exp_mu1", "circle_identity_list")
 
 
 def _all_argv(path: Path) -> list[str]:
@@ -45,6 +50,10 @@ CASES = (
     + [
         (f"all_{name}", _all_argv(ROOT / "bench" / "scenarios" / f"{name}.json"))
         for name in BENCH_SCENARIOS
+    ]
+    + [
+        (f"all_{name}", _all_argv(ROOT / "tests" / "scenarios" / f"{name}.json"))
+        for name in TEST_SCENARIOS
     ]
 )
 REFUSALS = [
