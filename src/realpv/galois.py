@@ -189,8 +189,9 @@ class MatrixGroup:
     """Zero set of `polys` inside GL_n, acting on the solution tuple.
 
     `param_tower` is the extension with the matrix entries X_ij adjoined as
-    constant parameters, and `sym_images` holds the symbolic images
-    sum_i X_ij eta_i of the solutions in it."""
+    constant parameters, `sym_images` holds the symbolic images
+    sum_i X_ij eta_i of the solutions in it, and `slots` maps each tower
+    generator to its solution index (None when it is not a solution)."""
 
     pv: PVExtension
     size: int
@@ -200,6 +201,7 @@ class MatrixGroup:
     relations_complete: bool
     param_tower: DiffTower = field(repr=False)
     sym_images: tuple[FieldElement, ...] = field(repr=False)
+    slots: dict[str, int | None] = field(repr=False)
 
     def serialized(self) -> list[str]:
         return [str(p) for p in self.polys]
@@ -236,6 +238,17 @@ class MatrixGroup:
         if not self.is_member(rows):
             raise NotInGroup(f"matrix {rows} is not in the group's zero set")
         return GroupElement(self, rows)
+
+    def members(
+        self, matrices: Iterable[Sequence[Sequence[GaussRat]]]
+    ) -> list["GroupElement"]:
+        """The given matrices that lie in the group, each checked once."""
+        out = []
+        for m in matrices:
+            rows = tuple(tuple(GaussRat.of(v) for v in row) for row in m)
+            if self.is_member(rows):
+                out.append(GroupElement(self, rows))
+        return out
 
     def identity(self) -> "GroupElement":
         one, zero = GaussRat.of(1), GaussRat.of(0)
@@ -342,6 +355,7 @@ def defining_equations(
         ideal.complete,
         tw,
         tuple(imgs),
+        _solution_slot_of_generators(pv),
     )
 
 
@@ -349,11 +363,11 @@ def defining_equations(
 
 
 def _generator_map(
-    pv: PVExtension, images: Sequence[FieldElement]
+    group: MatrixGroup, images: Sequence[FieldElement]
 ) -> dict[str, FieldElement]:
     """Send each tower generator to the image of its solution slot."""
     mapping: dict[str, FieldElement] = {}
-    for name, slot in _solution_slot_of_generators(pv).items():
+    for name, slot in group.slots.items():
         if slot is None:
             raise Unsupported(
                 f"generator {name!r} is not one of the listed solutions; "
@@ -375,7 +389,7 @@ def apply(sigma: GroupElement, x: FieldElement) -> FieldElement:
         target.combine([row[j] for row in sigma.matrix], sols)
         for j in range(sigma.group.size)
     ]
-    mapping = _generator_map(pv, images)
+    mapping = _generator_map(sigma.group, images)
     x = target.lift(x)
     num = target.eval_poly(x.num, mapping)
     den = target.eval_poly(x.den, mapping)
@@ -416,13 +430,7 @@ def sample_members(group: MatrixGroup) -> list[GroupElement]:
             cands.append([[q(Fraction(d1)), q(0)], [q(0), q(Fraction(d2))]])
         for a, b in ((1, 1), (2, 3), (1, -2)):
             cands.append([[q(Fraction(a)), q(Fraction(b))], [q(0), q(Fraction(a))]])
-    out: list[GroupElement] = []
-    seen: list = []
-    for m in cands:
-        if group.is_member(m) and m not in seen:
-            seen.append(m)
-            out.append(group.element(m))
-    return out
+    return group.members(cands)
 
 
 def moved_element_witness(
@@ -446,14 +454,12 @@ def moved_element_witness(
 def invariance_conditions(group: MatrixGroup, x: FieldElement) -> list[Poly]:
     """Polynomials in the X variables expressing sigma(x) = x."""
     tw = group.param_tower
-    mapping = _generator_map(group.pv, group.sym_images)
+    mapping = _generator_map(group, group.sym_images)
     x = tw.lift(x)
     num_s = tw.eval_poly(x.num, mapping)
     den_s = tw.eval_poly(x.den, mapping)
     residue = num_s * tw.elem(x.den) - tw.elem(x.num) * den_s
-    flat = set(group.flat_xnames())
-    nf = tw.rewrite.normal_form(residue.num)
-    return _collect_coefficients(nf, flat, group.context)
+    return _collect_coefficients(residue.num, set(group.flat_xnames()), group.context)
 
 
 # -- ideal comparison ---------------------------------------------------------------

@@ -110,6 +110,60 @@ def test_all_verifies_relation_ideal_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+# MU_N(1) on EXP: the fixed field is recognized as TRIVIAL, not as MU_N(1).
+MU1_SCENARIO = "tests/scenarios/exp_mu1.json"
+
+
+@pytest.mark.parametrize(
+    "path,expect",
+    [(f"{SCENARIOS}/circle.json", ["FINITE_LIST[2 elements]"]),
+     (MU1_SCENARIO, ["MU_N(1)", "TRIVIAL"])],
+    ids=["recognized_as_input", "recognized_as_other"],
+)
+def test_correspond_computes_each_fixed_field_once(capsys, monkeypatch, path, expect):
+    import realpv.correspondence as corr
+
+    calls = []
+
+    def counted(group, desc, *args, _orig=corr.fixed_field, **kwargs):
+        calls.append(desc.label())
+        return _orig(group, desc, *args, **kwargs)
+
+    monkeypatch.setattr(corr, "fixed_field", counted)
+    code, _, _ = run(capsys, "correspond", path)
+    assert code == 0
+    assert calls == expect
+
+
+def test_field_round_trip_fails_on_a_different_recomputed_field(capsys, monkeypatch):
+    import realpv.correspondence as corr
+
+    def skewed(group, desc, *args, _orig=corr.fixed_field, **kwargs):
+        if desc == corr.TRIVIAL:
+            return corr.IntermediateField(group.pv, ())
+        return _orig(group, desc, *args, **kwargs)
+
+    monkeypatch.setattr(corr, "fixed_field", skewed)
+    code, out, _ = run(capsys, "correspond", MU1_SCENARIO)
+    assert code == 1
+    assert "[FAIL] field round trip: K(e) vs K\n" in out
+
+
+def test_all_maps_generators_to_solution_slots_at_most_twice(capsys, monkeypatch):
+    import realpv.galois as galois
+
+    calls = []
+
+    def counted(pv, _orig=galois._solution_slot_of_generators):
+        calls.append(pv)
+        return _orig(pv)
+
+    monkeypatch.setattr(galois, "_solution_slot_of_generators", counted)
+    code, _, _ = run(capsys, "all", f"{SCENARIOS}/circle.json")
+    assert code == 0
+    assert 1 <= len(calls) <= 2
+
+
 # -- output modes -------------------------------------------------------------------
 
 

@@ -210,6 +210,25 @@ def test_sample_members_land_in_group(circle_pv, exp_pv, sqrt_pv):
             assert g.is_member(m.matrix)
 
 
+def test_sample_members_checks_each_candidate_once(circle_pv, exp_pv, monkeypatch):
+    from realpv.galois import MatrixGroup
+
+    checked = []
+
+    def counted(self, matrix, _orig=MatrixGroup.is_member):
+        checked.append(tuple(tuple(GaussRat.of(v) for v in row) for row in matrix))
+        return _orig(self, matrix)
+
+    monkeypatch.setattr(MatrixGroup, "is_member", counted)
+    for pv in (circle_pv, exp_pv):
+        g = defining_equations(pv)
+        checked.clear()
+        members = sample_members(g)
+        assert members
+        assert len(checked) == len(set(checked))
+        assert {m.matrix for m in members} <= set(checked)
+
+
 def test_sqrt_group_sample_is_plus_minus_one(sqrt_pv):
     g = defining_equations(sqrt_pv)
     vals = sorted(str(m.matrix[0][0]) for m in sample_members(g))
