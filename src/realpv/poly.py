@@ -504,6 +504,8 @@ def _parse_atom(tk: _Tokens, ctx: Context) -> _Frac:
         if name not in ctx:
             tk.error(f"unknown variable {name!r}")
         return _Frac(Poly.variable(ctx, name), one)
+    if not ch:
+        tk.error("unexpected end of input")
     tk.error(f"unexpected character {ch!r}")
     raise AssertionError
 

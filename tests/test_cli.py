@@ -267,6 +267,17 @@ MALFORMED_EXPRESSIONS = [
 ]
 
 
+def test_truncated_expression_says_input_ended(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"equation": {"class": "EXP", "coefficients": ["-1+"]}}))
+    code, out, err = run(capsys, "all", str(bad))
+    assert (code, out) == (2, "")
+    assert err == (
+        "scenario error at scenario.equation.coefficients[0]: parse error at "
+        "column 4: unexpected end of input in '-1+'\n"
+    )
+
+
 @pytest.mark.parametrize("raw,location", MALFORMED_EXPRESSIONS,
                          ids=["coefficient", "radical_base", "finite_list", "cocycle"])
 def test_malformed_expression_is_usage_error(capsys, tmp_path, raw, location):

@@ -69,6 +69,17 @@ def test_parse_fraction(ctx):
     assert str(den) == "c + 1"
 
 
+@pytest.mark.parametrize("text", ["-1+", "2*", "(t -", "-", ""])
+def test_parse_truncated_expression(ctx, text):
+    with pytest.raises(ValueError, match="unexpected end of input"):
+        parse_fraction(text, ctx)
+
+
+def test_parse_stray_character_is_named(ctx):
+    with pytest.raises(ValueError, match="unexpected character '\\)'"):
+        parse_fraction("1 + )", ctx)
+
+
 def test_parse_negative_power(ctx):
     num, den = parse_fraction("t^-2", ctx)
     assert str(num) == "1"
