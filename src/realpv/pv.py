@@ -136,10 +136,8 @@ class PVExtension:
 
 
 def _rational_const(x: FieldElement) -> Fraction | None:
-    if not x.is_rational_constant():
-        return None
-    v = x.rational_value()
-    if v.im != 0:
+    v = x.as_scalar()
+    if v is None or v.im != 0:
         return None
     return v.re
 

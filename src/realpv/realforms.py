@@ -448,4 +448,4 @@ def _spans_same_line(tower: DiffTower, x: FieldElement, h: FieldElement) -> bool
 def _constant_ratio(pv, tw, g2: FieldElement, h2: FieldElement):
     """g^2 and h^2 both lie in the base; their ratio is the forced gamma^2."""
     r = pv.base.restrict(g2) / pv.base.restrict(h2)
-    return r.rational_value() if r.is_rational_constant() else None
+    return r.as_scalar()

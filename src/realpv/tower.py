@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadField,
@@ -54,6 +54,20 @@ class GeneratorSpec:
     deriv_num: Poly
     deriv_den: Poly
     relation: Poly | None = None
+
+
+def _specs_in(specs: Iterable[GeneratorSpec], ctx: Context) -> list[GeneratorSpec]:
+    """The specs with their polynomials re-read in a larger context."""
+    return [
+        GeneratorSpec(
+            s.name,
+            s.kind,
+            s.deriv_num.in_context(ctx),
+            s.deriv_den.in_context(ctx),
+            None if s.relation is None else s.relation.in_context(ctx),
+        )
+        for s in specs
+    ]
 
 
 class FieldElement:
@@ -97,15 +111,6 @@ class FieldElement:
         if self.num == self.den.scale(v):
             return v
         return None
-
-    def is_rational_constant(self) -> bool:
-        return self.as_scalar() is not None
-
-    def rational_value(self) -> GaussRat:
-        v = self.as_scalar()
-        if v is None:
-            raise ValueError("element is not a scalar")
-        return v
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -378,7 +383,7 @@ class DiffTower:
         )
 
     def derive(self, x: FieldElement) -> FieldElement:
-        if x.tower != self and x.tower.signature() != self.signature():
+        if x.tower != self:
             x = self.lift(x)
         dn = self.derive_poly(x.num)
         dd = self.derive_poly(x.den)
@@ -455,16 +460,7 @@ class DiffTower:
         conj_images: Mapping[str, tuple[Poly, Poly]] | None = None,
     ) -> "DiffTower":
         ctx = self.context.extend_top([s.name for s in new_specs])
-        lifted = [
-            GeneratorSpec(
-                s.name,
-                s.kind,
-                s.deriv_num.in_context(ctx),
-                s.deriv_den.in_context(ctx),
-                None if s.relation is None else s.relation.in_context(ctx),
-            )
-            for s in list(self.specs) + list(new_specs)
-        ]
+        lifted = _specs_in(list(self.specs) + list(new_specs), ctx)
         images = dict(self.conj_images)
         if conj_images:
             images.update(conj_images)
@@ -546,16 +542,7 @@ class DiffTower:
     def with_params(self, names: Sequence[str]) -> "DiffTower":
         """Same tower with constant parameter variables below everything."""
         ctx = self.context.extend_bottom(names)
-        lifted = [
-            GeneratorSpec(
-                s.name,
-                s.kind,
-                s.deriv_num.in_context(ctx),
-                s.deriv_den.in_context(ctx),
-                None if s.relation is None else s.relation.in_context(ctx),
-            )
-            for s in self.specs
-        ]
+        lifted = _specs_in(self.specs, ctx)
         images = {
             k: (n.in_context(ctx), d.in_context(ctx))
             for k, (n, d) in self.conj_images.items()
