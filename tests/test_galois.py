@@ -27,7 +27,7 @@ from realpv import (
     same_zero_set,
     sample_members,
 )
-from realpv.galois import AlgebraicRelation, RelationIdeal
+from realpv.galois import AlgebraicRelation, MatrixGroup, RelationIdeal
 
 I = GaussRat(Fraction(0), Fraction(1))
 
@@ -211,8 +211,6 @@ def test_sample_members_land_in_group(circle_pv, exp_pv, sqrt_pv):
 
 
 def test_sample_members_checks_each_candidate_once(circle_pv, exp_pv, monkeypatch):
-    from realpv.galois import MatrixGroup
-
     checked = []
 
     def counted(self, matrix, _orig=MatrixGroup.is_member):
