@@ -39,7 +39,7 @@ from .realforms import (
     twist,
 )
 from .report import Report
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, checked_budget, checked_scan_bounds, load_scenario
 from .seidenberg import seidenberg_demo
 from .tower import DiffTower
 
@@ -288,14 +288,15 @@ def _add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
+    """The scenario with the command-line bounds, checked as in the file."""
     deg, cdeg = scn.scan_bounds
     if args.scan_degree is not None:
-        deg = args.scan_degree
+        deg, cdeg = checked_scan_bounds(args.scan_degree, cdeg, "--scan-degree")
     if args.scan_coeff_degree is not None:
-        cdeg = args.scan_coeff_degree
+        deg, cdeg = checked_scan_bounds(deg, args.scan_coeff_degree, "--scan-coeff-degree")
     scn.scan_bounds = (deg, cdeg)
     if args.budget is not None:
-        scn.budget = args.budget
+        scn.budget = checked_budget(args.budget, "--budget")
     return scn
 
 

@@ -1,8 +1,9 @@
 """The group-field correspondence for certified PV extensions.
 
 Downward: a subgroup descriptor turns into the subfield of window elements
-it fixes.  Upward: an intermediate field turns into the subgroup cut out
-by symbolic invariance conditions on its generators.  Both directions are
+it fixes (the common kernel of w -> sigma(w) - w over its sample members
+sigma).  Upward: an intermediate field turns into the subgroup cut out by
+symbolic invariance conditions on its generators.  Both directions are
 exact; sampling is only ever used to propose a fixed space, which is then
 certified symbolically before it is returned.
 
@@ -37,6 +38,7 @@ from .linsolve import identity, is_scalar_matrix, mat_mul
 from .poly import Poly, parse_poly
 from .pv import LinearODE, PVExtension, build_pv
 from .report import Report
+from .rewrite import buchberger
 from .tower import DiffTower, FieldElement
 
 __all__ = [
@@ -65,6 +67,8 @@ __all__ = [
 ]
 
 DEFAULT_FIELD_BOUNDS = (4, 2)
+# Generator degree and base-variable power of a fixed-field window.
+_WINDOW_BOUNDS = (4, 0)
 
 
 # -- descriptors -----------------------------------------------------------------
@@ -338,7 +342,6 @@ def member_of_field(
 class IntermediateField:
     pv: PVExtension
     generators: tuple[FieldElement, ...]
-    bounds: tuple[int, int] = DEFAULT_FIELD_BOUNDS
 
     def describe(self) -> str:
         if not self.generators:
@@ -347,7 +350,7 @@ class IntermediateField:
         return f"K({inner})"
 
     def contains(self, x: FieldElement) -> bool:
-        return member_of_field(self.pv.extension, x, self.generators, self.bounds)
+        return member_of_field(self.pv.extension, x, self.generators)
 
     def subfield_of(self, other: "IntermediateField") -> bool:
         return all(other.contains(g) for g in self.generators)
@@ -359,25 +362,20 @@ def _weighted_exponent(tower: DiffTower, elem: FieldElement) -> int | None:
     return degs.pop() if len(degs) == 1 else None
 
 
-def fixed_field(
-    group: MatrixGroup,
-    desc: SubgroupDescriptor,
-    window_bounds: tuple[int, int] = (4, 0),
-    membership_bounds: tuple[int, int] = DEFAULT_FIELD_BOUNDS,
-) -> IntermediateField:
+def fixed_field(group: MatrixGroup, desc: SubgroupDescriptor) -> IntermediateField:
     """The subfield of the extension fixed by the descriptor's subgroup.
 
     A window of irreducible generator monomials (times bounded powers of
     the base variable) is intersected against the fixed space of the
     subgroup.  Roots of unity act by exponent weight, so their fixed
-    monomials are filtered exactly; positive-dimensional descriptors use
-    exact fixed-space intersections over sample members and the result is
-    certified symbolically afterwards.
+    monomials are filtered exactly; other descriptors keep the window
+    combinations that every sample member fixes, one common kernel of the
+    families sigma(w) - w, and the result is certified symbolically.
     """
     _check_size(group, desc)
     pv = group.pv
     ext = pv.extension
-    deg, tpow = window_bounds
+    deg, tpow = _WINDOW_BOUNDS
     if desc.kind == "MU_N" and desc.order:
         deg = max(deg, desc.order)
     window, _trivial = ext.scan_basis(deg, tpow)
@@ -395,26 +393,11 @@ def fixed_field(
         samples = descriptor_samples(group, desc)
         if not samples and desc.kind != "TRIVIAL":
             raise Unsupported(f"no sample members for {desc.label()}")
-        basis = [
-            tuple(GaussRat.of(1 if i == j else 0) for j in range(len(window)))
-            for i in range(len(window))
-        ]
-        for sigma in samples:
-            combos = [ext.combine(b, window) for b in basis]
-            diffs = []
-            for x in combos:
-                diffs.append(apply(sigma, x) - ext.lift(x))
-            ker = ext.linear_relations(diffs)
-            basis = [
-                tuple(
-                    sum((k[i] * basis[i][j] for i in range(len(basis))), GaussRat.of(0))
-                    for j in range(len(window))
-                )
-                for k in ker
-            ]
-            if not basis:
-                break
-        fixed = [ext.combine(b, window) for b in basis]
+        fixed = window
+        if samples:
+            # the window combinations every sample fixes: one common kernel
+            moved = [[apply(sigma, w) - w for w in window] for sigma in samples]
+            fixed = [ext.combine(k, window) for k in ext.linear_relations(*moved)]
 
     base_vars = {pv.base.base_var} if pv.base.base_var else set()
     candidates = []
@@ -428,11 +411,11 @@ def fixed_field(
 
     kept: list[FieldElement] = []
     for cand in candidates:
-        if kept and member_of_field(ext, cand, kept, membership_bounds):
+        if kept and member_of_field(ext, cand, kept):
             continue
         kept.append(cand)
 
-    fname = IntermediateField(pv, tuple(kept), membership_bounds)
+    fname = IntermediateField(pv, tuple(kept))
     _certify_field(group, desc, fname)
     return fname
 
@@ -445,25 +428,21 @@ def _certify_field(
     closed under the derivation."""
     ext = F.pv.extension
     try:
-        sub_polys = descriptor_polys(group, desc)
-        symbolic = True
+        # the subgroup ideal, completed once for all generators
+        system = buchberger(descriptor_polys(group, desc), group.context)
     except Unsupported:
-        sub_polys = []
-        symbolic = False
-    samples = [] if symbolic else descriptor_samples(group, desc)
+        system = None
+        samples = descriptor_samples(group, desc)
     for g in F.generators:
-        if symbolic:
-            conds = invariance_conditions(group, g)
-            if not reduces_to_zero(conds, sub_polys, group.context):
-                raise BadField(
-                    f"{g} is not fixed by {desc.label()} (symbolic check)"
-                )
+        if system is not None:
+            if not all(system.is_zero_mod(p) for p in invariance_conditions(group, g)):
+                raise BadField(f"{g} is not fixed by {desc.label()} (symbolic check)")
         else:
             for sigma in samples:
                 if apply(sigma, g) != ext.lift(g):
                     raise BadField(f"{g} moved by a sampled member of {desc.label()}")
     for g in F.generators:
-        if not member_of_field(ext, g.derive(), F.generators, F.bounds):
+        if not member_of_field(ext, g.derive(), F.generators):
             raise BadField(f"derivative of {g} escapes the candidate field")
 
 
@@ -547,8 +526,9 @@ def _conjugation_stable(
     sub = subgroup_of(group, desc)
     inner = descriptor_samples(group, desc)
     for sigma in ambient:
+        sigma_inv = sigma.inverse()
         for h in inner:
-            conj = compose(compose(sigma, h), sigma.inverse())
+            conj = compose(compose(sigma, h), sigma_inv)
             if not sub.is_member(conj.matrix):
                 return False, f"conjugate of {h.render()} by {sigma.render()} escapes"
     return True, f"checked {len(ambient)}x{len(inner)} conjugations"

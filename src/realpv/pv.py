@@ -18,9 +18,10 @@ Each construction also records the first-order companion matrix of the
 solution system over the base, which is what the Galois-group module turns
 into relation generators.
 
-Realification computes the conjugation-fixed part of a solution space over
-the complexified tower by exact linear algebra and re-reads the result over
-the real presentation.
+Realification closes a solution space over the complexified tower under
+conjugation, spans its conjugation-fixed part by the real and imaginary
+parts (b + conj b)/2 and (b - conj b)/(2i) of the closed basis, and re-reads
+the result over the real presentation.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     UnsupportedEquation,
 )
 from .gauss import GaussRat, is_square, rational_sqrt
-from .linsolve import inverse, kernel
+from .linsolve import inverse
 from .poly import Poly
 from .report import Report
 from .tower import DiffTower, FieldElement, Kind
@@ -397,8 +398,9 @@ def realify(pv: PVExtension, space: SolutionSpace | None = None) -> PVExtension:
     """Extract the real PV extension from a complexified one.
 
     Takes the conjugation-fixed part of the solution span (over the
-    complexified constants), checks it is full, and re-reads everything
-    over the real presentation of the tower.
+    complexified constants) as the span of the real and imaginary parts of
+    its conjugation-closed basis, checks it is full, and re-reads
+    everything over the real presentation of the tower.
     """
     ext = pv.extension
     if ext.mode != "complexified":
@@ -408,17 +410,14 @@ def realify(pv: PVExtension, space: SolutionSpace | None = None) -> PVExtension:
             "solution tower has conjugation-moved generators; "
             "no real presentation available in this fragment"
         )
-    basis = list(space.basis if space is not None else pv.solutions)
-    basis = [ext.lift(b) for b in basis]
+    basis = [ext.lift(b) for b in (space.basis if space is not None else pv.solutions)]
     n = pv.order
 
     # Close the span under conjugation (at most doubles, then stabilizes).
     def coords_in(x: FieldElement, fam: list[FieldElement]) -> list[GaussRat] | None:
-        rels = ext.linear_relations(list(fam) + [x])
-        for vec in rels:
+        for vec in ext.linear_relations(list(fam) + [x]):
             if vec[-1]:
-                inv = vec[-1].inverse()
-                return [-(v * inv) for v in vec[:-1]]
+                return [-(v / vec[-1]) for v in vec[:-1]]
         return None
 
     for _ in range(2):
@@ -434,57 +433,25 @@ def realify(pv: PVExtension, space: SolutionSpace | None = None) -> PVExtension:
             f"conjugation closure has dimension {len(basis)} > equation order {n}"
         )
 
-    m = len(basis)
-    cols: list[list[GaussRat]] = []
-    for b in basis:
-        co = coords_in(b.conj(), basis)
-        if co is None:
-            raise StabilizationError("conjugation matrix could not be solved")
-        cols.append(co)
-    # conj(sum x_j b_j) = sum_j conj(x_j) * cols[j]; fixed points satisfy
-    # M conj(x) = x.  Split x = a + i b into a real linear system.
-    eqs: list[dict[int, GaussRat]] = []
-    one = GaussRat.of(1)
-    for i in range(m):
-        re_eq: dict[int, GaussRat] = {}
-        im_eq: dict[int, GaussRat] = {}
-        for j in range(m):
-            mij = cols[j][i]
-            # coefficient of a_j and b_j in row i of (M conj(x) - x)
-            re_a = GaussRat(mij.re) - (one if i == j else GaussRat.of(0))
-            re_b = GaussRat(mij.im)
-            im_a = GaussRat(mij.im)
-            im_b = -GaussRat(mij.re) - (one if i == j else GaussRat.of(0))
-            if re_a:
-                re_eq[j] = re_a
-            if re_b:
-                re_eq[m + j] = re_b
-            if im_a:
-                im_eq[j] = im_a
-            if im_b:
-                im_eq[m + j] = im_b
-        eqs.append(re_eq)
-        eqs.append(im_eq)
-    fixed: list[FieldElement] = []
-    for vec in kernel(2 * m, eqs):
-        coeffs = [
-            GaussRat(vec[j].re, vec[m + j].re) for j in range(m)
-        ]
-        x = ext.combine(coeffs, basis)
-        if not x.is_zero():
-            fixed.append(x)
-    # Deduplicate linear dependencies among the fixed vectors.
-    independent: list[FieldElement] = []
-    for x in fixed:
-        if coords_in(x, independent) is None:
-            independent.append(x)
+    # The span is conjugation-stable, so the real and imaginary parts
+    # (b + conj b)/2 and (b - conj b)/(2i) of its basis span its fixed part.
+    half, half_over_i = GaussRat(Fraction(1, 2)), GaussRat(Fraction(0), Fraction(-1, 2))
+    fixed = [
+        x.scale(c)
+        for b in basis
+        for x, c in ((b + b.conj(), half), (b - b.conj(), half_over_i))
+    ]
+    # Drop each part that is a combination of earlier ones: it is the last
+    # nonzero entry of one canonical kernel vector.
+    dropped = {
+        max(j for j, v in enumerate(vec) if v) for vec in ext.linear_relations(fixed)
+    }
+    independent = [x for j, x in enumerate(fixed) if j not in dropped]
     if len(independent) != n:
         raise StabilizationError(
             f"fixed part has dimension {len(independent)}, expected {n}"
         )
-    normalized = [
-        x.scale(x.num.leading_coefficient().inverse()) for x in independent
-    ]
+    normalized = [x.scale(x.num.leading_coefficient().inverse()) for x in independent]
     normalized.sort(
         key=lambda x: ext.context.key(x.num.leading_monomial()), reverse=True
     )
@@ -492,29 +459,17 @@ def realify(pv: PVExtension, space: SolutionSpace | None = None) -> PVExtension:
     # The realified basis may differ from the recorded one by a constant
     # change of basis C; the first-order system transforms as C^-1 A C.
     orig = [ext.lift(s) for s in pv.solutions]
-    cols = []
-    for x in normalized:
-        co = coords_in(x, orig)
-        if co is None:
-            raise StabilizationError("realified basis left the solution span")
-        cols.append(co)
+    cols = [coords_in(x, orig) for x in normalized]
+    if None in cols:
+        raise StabilizationError("realified basis left the solution span")
     change = [[cols[j][i] for j in range(n)] for i in range(n)]
     change_inv = inverse(change)
     if change_inv is None:
         raise StabilizationError("realified basis is degenerate")
     lifted = [[ext.lift(a) for a in row] for row in pv.companion]
-    half = [
-        [
-            ext.combine([r[j] for r in change], [lifted[i][k] for k in range(n)])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    ac = [[ext.combine([r[j] for r in change], row) for j in range(n)] for row in lifted]
     companion = tuple(
-        tuple(
-            ext.combine(change_inv[i], [half[k][j] for k in range(n)])
-            for j in range(n)
-        )
+        tuple(ext.combine(change_inv[i], [row[j] for row in ac]) for j in range(n))
         for i in range(n)
     )
 

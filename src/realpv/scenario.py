@@ -29,6 +29,12 @@ _EQ_KEYS = {"class", "coefficients", "radical_base"}
 _SCAN_KEYS = {"degree", "coeff_degree"}
 _SUBGROUP_KEYS = {"kind", "order", "matrices"}
 
+# Variables the package adjoins to the base: generators of the equation
+# classes and their twists, group-matrix entries and solution slots.
+_ADJOINED_NAMES = {
+    "e", "e1", "e2", "u", "c", "s", "g", "h", "v", "X11", "X12", "X21", "X22", "Z1", "Z2"
+}
+
 
 @dataclass
 class Scenario:
@@ -80,6 +86,20 @@ def _expect_expr(value: Any, parse: Callable[[str], Any], loc: str) -> Any:
         raise ScenarioError(str(e), location=loc) from None
 
 
+def checked_scan_bounds(deg: int, cdeg: int, loc: str) -> tuple[int, int]:
+    """The scan bounds (deg, cdeg); out-of-range ones are refused."""
+    if deg < 1 or cdeg < 0:
+        raise ScenarioError("scan bounds out of range", location=loc)
+    return deg, cdeg
+
+
+def checked_budget(budget: int, loc: str) -> int:
+    """The completion budget; a budget below 1 is refused."""
+    if budget < 1:
+        raise ScenarioError("budget must be positive", location=loc)
+    return budget
+
+
 def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object", location=loc)
@@ -111,7 +131,17 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
 
     base_var = "t"
     if "base_var" in raw:
-        base_var = _expect_str(raw["base_var"], f"{loc}.base_var")
+        base_loc = f"{loc}.base_var"
+        base_var = _expect_str(raw["base_var"], base_loc)
+        if base_var and not (base_var.isidentifier() and base_var.isascii()):
+            raise ScenarioError(f"{base_var!r} is not a variable name", location=base_loc)
+        if base_var == "i":
+            raise ScenarioError("'i' is the imaginary unit", location=base_loc)
+        if base_var in _ADJOINED_NAMES:
+            raise ScenarioError(
+                f"{base_var!r} is a variable the package adjoins; pick another name",
+                location=base_loc,
+            )
 
     # the context of DiffTower(base_var), where the CLI reads the expressions
     in_base = partial(parse_fraction, ctx=Context([base_var] if base_var else []))
@@ -131,15 +161,11 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
         cdeg = _expect_int(
             _need(scan, "coeff_degree", scan_loc), f"{scan_loc}.coeff_degree"
         )
-        if deg < 1 or cdeg < 0:
-            raise ScenarioError("scan bounds out of range", location=scan_loc)
-        bounds = (deg, cdeg)
+        bounds = checked_scan_bounds(deg, cdeg, scan_loc)
 
     budget = None
     if "budget" in raw:
-        budget = _expect_int(raw["budget"], f"{loc}.budget")
-        if budget < 1:
-            raise ScenarioError("budget must be positive", location=f"{loc}.budget")
+        budget = checked_budget(_expect_int(raw["budget"], f"{loc}.budget"), f"{loc}.budget")
 
     subgroup = None
     if "subgroup" in raw:

@@ -289,6 +289,41 @@ def test_malformed_expression_is_usage_error(capsys, tmp_path, raw, location):
     assert f"scenario error at {location}: " in err
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--scan-degree", "-1", "scan bounds out of range"),
+     ("--scan-degree", "0", "scan bounds out of range"),
+     ("--scan-coeff-degree", "-1", "scan bounds out of range"),
+     ("--budget", "0", "budget must be positive")],
+    ids=["scan_degree_negative", "scan_degree_zero", "scan_coeff_degree", "budget"],
+)
+def test_out_of_range_flag_is_usage_error(capsys, flag, value, message):
+    code, out, err = run(capsys, "build", f"{SCENARIOS}/circle.json", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"scenario error at {flag}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [("e", "'e' is a variable the package adjoins; pick another name"),
+     ("s", "'s' is a variable the package adjoins; pick another name"),
+     ("X11", "'X11' is a variable the package adjoins; pick another name"),
+     ("i", "'i' is the imaginary unit"),
+     ("1t", "'1t' is not a variable name")],
+    ids=["e", "s", "X11", "i", "1t"],
+)
+def test_unusable_base_var_is_usage_error(capsys, tmp_path, name, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "base_var": name,
+        "equation": {"class": "CIRCLE", "coefficients": ["1", "0"]},
+        "subgroup": {"kind": "SO2"},
+    }))
+    code, out, err = run(capsys, "all", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"scenario error at scenario.base_var: {message}\n"
+
+
 def test_correspond_without_subgroup(capsys, tmp_path):
     scn = tmp_path / "plain.json"
     scn.write_text(json.dumps({

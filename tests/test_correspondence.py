@@ -23,6 +23,7 @@ from realpv import (
     member_of_field,
     mu_n,
     normality_check,
+    sample_members,
     subgroup_of,
     weak_normality_demo,
 )
@@ -232,6 +233,42 @@ def test_pm_identity_normal_in_so2(circle_group):
     assert got == ["2*s*c", "2*c^2 - 1"]
     for y in rep.quotient_solutions:
         assert rep.quotient_ode.apply(circle_group.pv.extension.lift(y)).is_zero()
+
+
+def test_conjugation_stability_inverts_each_ambient_sample_once(circle_group, monkeypatch):
+    import realpv.galois as galois
+
+    calls = []
+
+    def counted(self, _orig=galois.GroupElement.inverse):
+        calls.append(self)
+        return _orig(self)
+
+    monkeypatch.setattr(galois.GroupElement, "inverse", counted)
+    rep = normality_check(circle_group, SO2)
+    assert rep.normal
+    assert len(descriptor_samples(circle_group, SO2)) > 1
+    assert len(calls) == len(sample_members(circle_group))
+
+
+def test_certify_field_completes_the_subgroup_ideal_once(circle_group, monkeypatch):
+    import realpv.correspondence as corr
+    import realpv.galois as galois
+
+    desc = finite_list(PM_ONE)
+    F = fixed_field(circle_group, desc)
+    assert len(F.generators) == 2
+    want = descriptor_polys(circle_group, desc)
+    calls = []
+
+    def counted(polys, *args, _orig=galois.buchberger, **kwargs):
+        calls.append(list(polys) == want)
+        return _orig(polys, *args, **kwargs)
+
+    for mod in (galois, corr):
+        monkeypatch.setattr(mod, "buchberger", counted, raising=False)
+    corr._certify_field(circle_group, desc, F)
+    assert calls.count(True) == 1
 
 
 # -- weak normality -----------------------------------------------------------------

@@ -169,15 +169,25 @@ def test_realify_restores_real_presentation(circle_pv):
     assert out.extension.signature() == circle_pv.extension.signature()
 
 
-def test_realify_from_eigenbasis(circle_pv):
-    cx = complexify_pv(circle_pv)
-    ext = cx.extension
-    s, c = (ext.lift(x) for x in cx.solutions)
-    # c + i s and c - i s span the same space over complexified constants
-    plus = c + s.scale(I)
-    minus = c - s.scale(I)
-    out = realify(cx, SolutionSpace(ext, (plus, minus), "complexified"))
-    assert {str(x) for x in out.solutions} == {"s", "c"}
+@pytest.fixture(scope="module")
+def distinct_roots_pv(base):
+    # Y'' - 3Y' + 2Y = 0, roots 1 and 2, solutions e1 and e2
+    return build_pv(base, _ode(base, "2", "-3"), "CONSTCOEFF2")
+
+
+def test_realify_from_eigenbasis(circle_pv, distinct_roots_pv):
+    for pv in (circle_pv, distinct_roots_pv):
+        cx = complexify_pv(pv)
+        ext = cx.extension
+        a, b = (ext.lift(x) for x in cx.solutions)
+        # b + i a and b - i a span the same space over complexified constants
+        plus = b + a.scale(I)
+        minus = b - a.scale(I)
+        for space in (None, SolutionSpace(ext, (plus, minus), "complexified")):
+            out = realify(cx, space)
+            assert {str(x) for x in out.solutions} == {str(a), str(b)}
+            assert out.extension.signature() == pv.extension.signature()
+            assert out.certificates.ok
 
 
 def test_realify_from_skewed_basis(circle_pv):
@@ -201,9 +211,13 @@ def test_realify_requires_complexified_input(circle_pv):
 
 
 def test_realify_exp_roundtrip(exp_pv):
-    out = realify(complexify_pv(exp_pv))
-    assert [str(s) for s in out.solutions] == ["e"]
-    assert out.extension.signature() == exp_pv.extension.signature()
+    cx = complexify_pv(exp_pv)
+    # i*e has real part zero; its imaginary part e spans the fixed part
+    ie = cx.extension.lift(cx.solutions[0]).scale(I)
+    for space in (None, SolutionSpace(cx.extension, (ie,), "complexified")):
+        out = realify(cx, space)
+        assert [str(s) for s in out.solutions] == ["e"]
+        assert out.extension.signature() == exp_pv.extension.signature()
 
 
 def test_realify_radical_roundtrip(sqrt_pv):
