@@ -39,19 +39,13 @@ from .realforms import (
     twist,
 )
 from .report import Report
-from .scenario import Scenario, checked_budget, checked_scan_bounds, load_scenario
+from .scenario import Scenario, checked_scan_bounds, load_scenario
 from .seidenberg import seidenberg_demo
 from .tower import DiffTower
 
 __all__ = ["main"]
 
 DEMO_NAMES = ("weak-normality", "so2-forms", "radical-forms", "seidenberg")
-
-
-def _base_tower(scn: Scenario) -> DiffTower:
-    if scn.budget is not None:
-        return DiffTower(base_var=scn.base_var or None, budget=scn.budget)
-    return DiffTower(base_var=scn.base_var or None)
 
 
 class _Session:
@@ -65,7 +59,7 @@ class _Session:
     @cached_property
     def pv(self):
         scn = self.scn
-        base = _base_tower(scn)
+        base = DiffTower(base_var=scn.base_var or None)
         ode = LinearODE.from_texts(base, list(scn.coefficients))
         radical_base = base.parse(scn.radical_base) if scn.radical_base else None
         return build_pv(base, ode, scn.eq_class, scn.scan_bounds, radical_base)
@@ -275,16 +269,9 @@ def _emit(reports: list[Report], args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
-    if scenario:
-        p.add_argument("scenario", help="path to a scenario JSON file")
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--out", help="write the report to a file")
-    p.add_argument("--scan-degree", type=int, help="override the scan degree bound")
-    p.add_argument(
-        "--scan-coeff-degree", type=int, help="override the scan coefficient bound"
-    )
-    p.add_argument("--budget", type=int, help="override the completion budget")
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
@@ -295,8 +282,6 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
     if args.scan_coeff_degree is not None:
         deg, cdeg = checked_scan_bounds(deg, args.scan_coeff_degree, "--scan-coeff-degree")
     scn.scan_bounds = (deg, cdeg)
-    if args.budget is not None:
-        scn.budget = checked_budget(args.budget, "--budget")
     return scn
 
 
@@ -307,10 +292,16 @@ def main(argv=None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("build", "group", "correspond", "twist", "all"):
-        _add_common(subs.add_parser(name))
+        p = subs.add_parser(name)
+        p.add_argument("scenario", help="path to a scenario JSON file")
+        _add_output(p)
+        p.add_argument("--scan-degree", type=int, help="override the scan degree bound")
+        p.add_argument(
+            "--scan-coeff-degree", type=int, help="override the scan coefficient bound"
+        )
     demo = subs.add_parser("demo")
     demo.add_argument("name", choices=DEMO_NAMES)
-    _add_common(demo, scenario=False)
+    _add_output(demo)
 
     args = parser.parse_args(argv)
     try:

@@ -30,7 +30,6 @@ from .galois import (
     invariance_conditions,
     parse_scalar,
     reduces_to_zero,
-    same_zero_set,
     sample_members,
 )
 from .gauss import GaussRat
@@ -38,7 +37,6 @@ from .linsolve import identity, is_scalar_matrix, mat_mul
 from .poly import Poly, parse_poly
 from .pv import LinearODE, PVExtension, build_pv
 from .report import Report
-from .rewrite import buchberger
 from .tower import DiffTower, FieldElement
 
 __all__ = [
@@ -224,7 +222,12 @@ def descriptor_samples(
 
 
 def subgroup_of(group: MatrixGroup, desc: SubgroupDescriptor) -> MatrixGroup:
-    return group.extended(descriptor_polys(group, desc))
+    """The subgroup the descriptor cuts out of the group, built once per
+    group and descriptor."""
+    sub = group.subgroups.get(desc)
+    if sub is None:
+        sub = group.subgroups[desc] = group.extended(descriptor_polys(group, desc))
+    return sub
 
 
 def _candidate_descriptors(group: MatrixGroup) -> list[SubgroupDescriptor]:
@@ -236,14 +239,14 @@ def _candidate_descriptors(group: MatrixGroup) -> list[SubgroupDescriptor]:
 def descriptor_of(
     group: MatrixGroup, subgroup: MatrixGroup
 ) -> SubgroupDescriptor | None:
-    """Recognize a computed subgroup against the named shapes, by mutual
-    ideal reduction inside the ambient coordinate ring."""
+    """Recognize a computed subgroup against the named shapes, by equal
+    ideals (equal reduced bases) inside the ambient coordinate ring."""
     for desc in _candidate_descriptors(group):
         try:
-            polys = descriptor_polys(group, desc)
+            candidate = subgroup_of(group, desc)
         except Unsupported:
             continue
-        if same_zero_set(list(subgroup.polys), polys, group.context):
+        if candidate.basis == subgroup.basis:
             return desc
     return None
 
@@ -428,8 +431,7 @@ def _certify_field(
     closed under the derivation."""
     ext = F.pv.extension
     try:
-        # the subgroup ideal, completed once for all generators
-        system = buchberger(descriptor_polys(group, desc), group.context)
+        system = subgroup_of(group, desc).basis
     except Unsupported:
         system = None
         samples = descriptor_samples(group, desc)
@@ -465,8 +467,7 @@ def check_correspondence(
     report = Report("correspondence round trips")
     F = fixed_field(group, desc)
     sub, recognized = group_over(group, F)
-    want = descriptor_polys(group, desc)
-    back = same_zero_set(list(sub.polys), want, group.context)
+    back = sub.basis == subgroup_of(group, desc).basis
     report.add(
         "group round trip",
         back,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BadIdeal, NotInGroup, Unsupported, WitnessNotFound
@@ -36,7 +37,7 @@ from .linsolve import det as mat_det
 from .linsolve import inverse, mat_mul
 from .poly import Context, Monomial, Poly, parse_fraction
 from .pv import PVExtension
-from .rewrite import buchberger
+from .rewrite import RewriteSystem, buchberger
 from .tower import DiffTower, FieldElement
 
 __all__ = [
@@ -191,7 +192,9 @@ class MatrixGroup:
     `param_tower` is the extension with the matrix entries X_ij adjoined as
     constant parameters, `sym_images` holds the symbolic images
     sum_i X_ij eta_i of the solutions in it, and `slots` maps each tower
-    generator to its solution index (None when it is not a solution)."""
+    generator to its solution index (None when it is not a solution).
+    `subgroups` holds the subgroups cut out by descriptors, each built once
+    (see correspondence.subgroup_of)."""
 
     pv: PVExtension
     size: int
@@ -202,6 +205,14 @@ class MatrixGroup:
     param_tower: DiffTower = field(repr=False)
     sym_images: tuple[FieldElement, ...] = field(repr=False)
     slots: dict[str, int | None] = field(repr=False)
+    subgroups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def basis(self) -> RewriteSystem:
+        """The reduced Groebner basis of the defining ideal, completed once.
+        Reduced bases are unique, so two groups in one coordinate ring have
+        the same ideal exactly when their bases are equal."""
+        return buchberger(self.polys, self.context)
 
     def serialized(self) -> list[str]:
         return [str(p) for p in self.polys]
@@ -473,9 +484,9 @@ def reduces_to_zero(polys: Sequence[Poly], others: Sequence[Poly], ctx: Context)
 
 
 def same_zero_set(a: Sequence[Poly], b: Sequence[Poly], ctx: Context) -> bool:
-    """Mutual reduction: the two sets generate the same ideal up to the
-    reductions witnessed by each other's Groebner bases."""
-    return reduces_to_zero(a, b, ctx) and reduces_to_zero(b, a, ctx)
+    """Whether the two sets generate the same ideal: their reduced Groebner
+    bases, which are unique, are equal."""
+    return buchberger(a, ctx) == buchberger(b, ctx)
 
 
 # -- small parsing helpers ----------------------------------------------------------

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rat = Fraction
-
 Coeffable = Union["GaussRat", Fraction, int]
 
 

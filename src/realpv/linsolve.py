@@ -15,7 +15,6 @@ from .gauss import GaussRat
 
 __all__ = [
     "kernel",
-    "solve",
     "det",
     "inverse",
     "mat_mul",
@@ -88,29 +87,6 @@ def kernel(n_cols: int, equations: Iterable[dict[int, GaussRat]]) -> list[list[G
                 vec[pcol] = -coef
         basis.append(vec)
     return basis
-
-
-def solve(
-    n_cols: int,
-    equations: Iterable[tuple[dict[int, GaussRat], GaussRat]],
-) -> list[GaussRat] | None:
-    """One exact solution of A x = b, or None when the system is inconsistent.
-
-    Implemented by finding a kernel vector of the augmented system whose
-    last coordinate is nonzero.
-    """
-    aug = []
-    for eq, rhs in equations:
-        row = dict(eq)
-        r = GaussRat.of(rhs)
-        if r:
-            row[n_cols] = -r
-        aug.append(row)
-    for vec in kernel(n_cols + 1, aug):
-        if vec[n_cols]:
-            scale = vec[n_cols].inverse()
-            return [v * scale for v in vec[:n_cols]]
-    return None
 
 
 def det(rows: Sequence[Sequence[GaussRat]]) -> GaussRat:

@@ -34,7 +34,6 @@ from .errors import (
     ModeError,
     NotPV,
     StabilizationError,
-    Unsupported,
     UnsupportedEquation,
 )
 from .gauss import GaussRat, is_square, rational_sqrt
@@ -405,11 +404,6 @@ def realify(pv: PVExtension, space: SolutionSpace | None = None) -> PVExtension:
     ext = pv.extension
     if ext.mode != "complexified":
         raise ModeError("realify expects a complexified extension")
-    if ext.conj_images:
-        raise Unsupported(
-            "solution tower has conjugation-moved generators; "
-            "no real presentation available in this fragment"
-        )
     basis = [ext.lift(b) for b in (space.basis if space is not None else pv.solutions)]
     n = pv.order
 

@@ -1,10 +1,10 @@
 """Scenario files: a small validated JSON schema describing one problem.
 
 A scenario names the equation class, its coefficients as expression
-strings, and optionally a subgroup, a cocycle, scan bounds and a rewrite
-budget.  Validation is strict: unknown keys anywhere, and expression
-strings that do not parse, raise ScenarioError with the offending
-location, so typos fail loudly instead of being ignored.
+strings, and optionally a subgroup, a cocycle and scan bounds.
+Validation is strict: unknown keys anywhere, and expression strings that
+do not parse, raise ScenarioError with the offending location, so typos
+fail loudly instead of being ignored.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .pv import DEFAULT_SCAN_BOUNDS, EQUATION_CLASSES
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
 
 
-_TOP_KEYS = {"base_var", "equation", "scan", "budget", "subgroup", "cocycle"}
+_TOP_KEYS = {"base_var", "equation", "scan", "subgroup", "cocycle"}
 _EQ_KEYS = {"class", "coefficients", "radical_base"}
 _SCAN_KEYS = {"degree", "coeff_degree"}
 _SUBGROUP_KEYS = {"kind", "order", "matrices"}
@@ -43,7 +43,6 @@ class Scenario:
     base_var: str = "t"
     radical_base: str | None = None
     scan_bounds: tuple[int, int] = DEFAULT_SCAN_BOUNDS
-    budget: int | None = None
     subgroup: SubgroupDescriptor | None = None
     cocycle: tuple[tuple[GaussRat, ...], ...] | None = None
 
@@ -91,13 +90,6 @@ def checked_scan_bounds(deg: int, cdeg: int, loc: str) -> tuple[int, int]:
     if deg < 1 or cdeg < 0:
         raise ScenarioError("scan bounds out of range", location=loc)
     return deg, cdeg
-
-
-def checked_budget(budget: int, loc: str) -> int:
-    """The completion budget; a budget below 1 is refused."""
-    if budget < 1:
-        raise ScenarioError("budget must be positive", location=loc)
-    return budget
 
 
 def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
@@ -163,10 +155,6 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
         )
         bounds = checked_scan_bounds(deg, cdeg, scan_loc)
 
-    budget = None
-    if "budget" in raw:
-        budget = checked_budget(_expect_int(raw["budget"], f"{loc}.budget"), f"{loc}.budget")
-
     subgroup = None
     if "subgroup" in raw:
         sub = raw["subgroup"]
@@ -202,16 +190,7 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
     if "cocycle" in raw:
         cocycle = _parse_matrix(raw["cocycle"], f"{loc}.cocycle")
 
-    return Scenario(
-        eq_class,
-        coeffs,
-        base_var,
-        radical_base,
-        bounds,
-        budget,
-        subgroup,
-        cocycle,
-    )
+    return Scenario(eq_class, coeffs, base_var, radical_base, bounds, subgroup, cocycle)
 
 
 def _parse_matrix(rows: Any, loc: str) -> tuple[tuple[GaussRat, ...], ...]:

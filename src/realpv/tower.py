@@ -14,8 +14,8 @@ matrix entries, derivative zero) sit at the very bottom.
 
 The constants mode is a semantic marker: "real" towers present real fields
 (all declared data must have zero imaginary part), "complexified" towers are
-the same presentation read over Q(i), where conjugation acts on coefficients
-and, when a conjugation table is declared, on generators too.
+the same presentation read over Q(i), where conjugation acts on the
+coefficients only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
 from .gauss import GaussRat
 from .linsolve import kernel
 from .poly import Context, Monomial, Poly, parse_fraction
-from .rewrite import buchberger, DEFAULT_BUDGET
+from .rewrite import buchberger
 
 __all__ = ["Kind", "GeneratorSpec", "DiffTower", "FieldElement"]
 
@@ -199,8 +199,6 @@ class DiffTower:
         specs: Sequence[GeneratorSpec] = (),
         mode: str = "real",
         params: Sequence[str] = (),
-        conj_images: Mapping[str, tuple[Poly, Poly]] | None = None,
-        budget: int = DEFAULT_BUDGET,
     ):
         if mode not in ("real", "complexified"):
             raise ModeError(f"unknown constants mode {mode!r}")
@@ -211,11 +209,9 @@ class DiffTower:
         self.params = tuple(params)
         self.specs = tuple(specs)
         self.mode = mode
-        self.budget = budget
         self.context = Context(names)
         relations = [s.relation for s in specs if s.relation is not None]
-        self.rewrite = buchberger(relations, self.context, budget)
-        self.conj_images = dict(conj_images) if conj_images else {}
+        self.rewrite = buchberger(relations, self.context)
         self._derivation = self._build_derivation()
         self._validate()
 
@@ -246,8 +242,6 @@ class DiffTower:
                         raise ModeError(
                             f"generator {s.name!r} uses complex coefficients in a real tower"
                         )
-            if self.conj_images:
-                raise ModeError("conjugation table only makes sense when complexified")
         for s in self.specs:
             if s.relation is not None:
                 d = self.derive_poly(s.relation.in_context(self.context))
@@ -255,26 +249,11 @@ class DiffTower:
                     raise IncompatibleDerivation(
                         f"relation for {s.name!r} is not differential: d({s.relation}) = {d}"
                     )
-        for name, (cn, cd) in self.conj_images.items():
-            if name not in self.generator_names():
-                raise ValueError(f"conjugation image for unknown generator {name!r}")
-            img = FieldElement(cn.in_context(self.context), cd.in_context(self.context), self)
-            back = self.conj(img)
-            if back != self.generator(name):
-                raise ModeError(f"conjugation table is not an involution at {name!r}")
-            if self.conj(self.generator(name).derive()) != img.derive():
-                raise ModeError(f"conjugation does not commute with derivation at {name!r}")
 
     # -- identity ------------------------------------------------------------
 
     def signature(self):
-        return (
-            self.base_var,
-            self.params,
-            self.specs,
-            self.mode,
-            tuple(sorted((k, v[0], v[1]) for k, v in self.conj_images.items())),
-        )
+        return (self.base_var, self.params, self.specs, self.mode)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiffTower) and self.signature() == other.signature()
@@ -324,11 +303,6 @@ class DiffTower:
         return FieldElement(
             Poly.variable(self.context, name), Poly.const(self.context, 1), self
         )
-
-    def generator(self, name: str) -> FieldElement:
-        if name not in self.generator_names():
-            raise ValueError(f"no generator {name!r}")
-        return self.var(name)
 
     def elem(self, num: Poly, den: Poly | None = None) -> FieldElement:
         return FieldElement(
@@ -396,30 +370,17 @@ class DiffTower:
     def complexify(self) -> "DiffTower":
         if self.mode == "complexified":
             raise ModeError("tower is already complexified")
-        return DiffTower(
-            self.base_var, self.specs, "complexified", self.params, None, self.budget
-        )
+        return DiffTower(self.base_var, self.specs, "complexified", self.params)
 
     def real_part(self) -> "DiffTower":
         if self.mode == "real":
             raise ModeError("tower is already real")
-        if self.conj_images:
-            raise ModeError(
-                "tower has conjugation-moved generators; no real presentation here"
-            )
-        return DiffTower(self.base_var, self.specs, "real", self.params, None, self.budget)
+        return DiffTower(self.base_var, self.specs, "real", self.params)
 
     def conj(self, x: FieldElement) -> FieldElement:
         if self.mode != "complexified":
             raise ModeError("conjugation lives on the complexified tower")
-        if not self.conj_images:
-            return FieldElement(x.num.conj(), x.den.conj(), self)
-        mapping = {
-            name: FieldElement(n, d, self) for name, (n, d) in self.conj_images.items()
-        }
-        return self.eval_poly(x.num.conj(), mapping) / self.eval_poly(
-            x.den.conj(), mapping
-        )
+        return FieldElement(x.num.conj(), x.den.conj(), self)
 
     # -- substitution ---------------------------------------------------------
 
@@ -431,8 +392,7 @@ class DiffTower:
         Unmapped variables stay themselves.  p may come from a foreign
         context (such as the Z slots of a relation ideal) as long as every
         variable outside this tower is mapped; an unmapped one raises
-        ContextError.  Used for group actions, relation checks and
-        conjugation tables.
+        ContextError.  Used for group actions and relation checks.
         """
         powers: dict[tuple[str, int], FieldElement] = {}
 
@@ -454,19 +414,10 @@ class DiffTower:
 
     # -- tower growth ----------------------------------------------------------
 
-    def _extended(
-        self,
-        new_specs: Sequence[GeneratorSpec],
-        conj_images: Mapping[str, tuple[Poly, Poly]] | None = None,
-    ) -> "DiffTower":
+    def _extended(self, new_specs: Sequence[GeneratorSpec]) -> "DiffTower":
         ctx = self.context.extend_top([s.name for s in new_specs])
         lifted = _specs_in(list(self.specs) + list(new_specs), ctx)
-        images = dict(self.conj_images)
-        if conj_images:
-            images.update(conj_images)
-        return DiffTower(
-            self.base_var, lifted, self.mode, self.params, images or None, self.budget
-        )
+        return DiffTower(self.base_var, lifted, self.mode, self.params)
 
     def extended_context(self, names: Sequence[str]) -> Context:
         return self.context.extend_top(names)
@@ -543,18 +494,7 @@ class DiffTower:
         """Same tower with constant parameter variables below everything."""
         ctx = self.context.extend_bottom(names)
         lifted = _specs_in(self.specs, ctx)
-        images = {
-            k: (n.in_context(ctx), d.in_context(ctx))
-            for k, (n, d) in self.conj_images.items()
-        }
-        return DiffTower(
-            self.base_var,
-            lifted,
-            self.mode,
-            tuple(names) + self.params,
-            images or None,
-            self.budget,
-        )
+        return DiffTower(self.base_var, lifted, self.mode, tuple(names) + self.params)
 
     # -- monomial windows and constants --------------------------------------
 

@@ -293,14 +293,39 @@ def test_malformed_expression_is_usage_error(capsys, tmp_path, raw, location):
     "flag,value,message",
     [("--scan-degree", "-1", "scan bounds out of range"),
      ("--scan-degree", "0", "scan bounds out of range"),
-     ("--scan-coeff-degree", "-1", "scan bounds out of range"),
-     ("--budget", "0", "budget must be positive")],
-    ids=["scan_degree_negative", "scan_degree_zero", "scan_coeff_degree", "budget"],
+     ("--scan-coeff-degree", "-1", "scan bounds out of range")],
+    ids=["scan_degree_negative", "scan_degree_zero", "scan_coeff_degree"],
 )
 def test_out_of_range_flag_is_usage_error(capsys, flag, value, message):
     code, out, err = run(capsys, "build", f"{SCENARIOS}/circle.json", flag, value)
     assert (code, out) == (2, "")
     assert err == f"scenario error at {flag}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", f"{SCENARIOS}/circle.json", "--budget", "5"],
+     ["demo", "seidenberg", "--scan-degree", "3"],
+     ["demo", "seidenberg", "--scan-coeff-degree", "3"],
+     ["demo", "seidenberg", "--budget", "5"]],
+    ids=["build_budget", "demo_scan_degree", "demo_scan_coeff_degree", "demo_budget"],
+)
+def test_flag_the_command_does_not_take_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag, value = argv[-2:]
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_budget_key_is_unknown(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "equation": {"class": "EXP", "coefficients": ["-1"]}, "budget": 2000
+    }))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "scenario error at scenario: unknown key ['budget']\n"
 
 
 @pytest.mark.parametrize(

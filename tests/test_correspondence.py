@@ -23,11 +23,17 @@ from realpv import (
     member_of_field,
     mu_n,
     normality_check,
+    reduces_to_zero,
+    same_zero_set,
     sample_members,
     subgroup_of,
     weak_normality_demo,
 )
-from realpv.correspondence import descriptor_polys, descriptor_samples
+from realpv.correspondence import (
+    _candidate_descriptors,
+    descriptor_polys,
+    descriptor_samples,
+)
 
 
 @pytest.fixture(scope="module")
@@ -251,24 +257,48 @@ def test_conjugation_stability_inverts_each_ambient_sample_once(circle_group, mo
     assert len(calls) == len(sample_members(circle_group))
 
 
-def test_certify_field_completes_the_subgroup_ideal_once(circle_group, monkeypatch):
-    import realpv.correspondence as corr
+def test_certify_field_completes_the_subgroup_ideal_once(circle_pv, monkeypatch):
     import realpv.galois as galois
 
+    group = defining_equations(circle_pv)  # fresh: nothing completed yet
     desc = finite_list(PM_ONE)
-    F = fixed_field(circle_group, desc)
-    assert len(F.generators) == 2
-    want = descriptor_polys(circle_group, desc)
-    calls = []
+    inputs = []
 
     def counted(polys, *args, _orig=galois.buchberger, **kwargs):
-        calls.append(list(polys) == want)
+        inputs.append(list(polys))
         return _orig(polys, *args, **kwargs)
 
-    for mod in (galois, corr):
-        monkeypatch.setattr(mod, "buchberger", counted, raising=False)
-    corr._certify_field(circle_group, desc, F)
-    assert calls.count(True) == 1
+    monkeypatch.setattr(galois, "buchberger", counted)
+    rep, F, _ = check_correspondence(group, desc)
+    assert rep.ok and len(F.generators) == 2
+    # calls whose generators, normalized as a subgroup's are, cut out desc
+    want = subgroup_of(group, desc).polys
+    assert sum(group.extended(polys).polys == want for polys in inputs) == 1
+
+
+def _mutual_reduction(a, b, ctx):
+    """The former same_zero_set: each set reduces to zero modulo the
+    other's Groebner basis."""
+    return reduces_to_zero(a, b, ctx) and reduces_to_zero(b, a, ctx)
+
+
+@pytest.mark.parametrize("group_name", ["circle_group", "exp_group"])
+def test_same_zero_set_agrees_with_mutual_reduction(request, group_name):
+    group = request.getfixturevalue(group_name)
+    polys = []
+    for desc in _candidate_descriptors(group):
+        try:
+            polys.append(descriptor_polys(group, desc))
+        except Unsupported:
+            pass
+    assert len(polys) >= 5
+    seen = set()
+    for a in polys:
+        for b in polys:
+            got = same_zero_set(a, b, group.context)
+            assert got == _mutual_reduction(a, b, group.context)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 # -- weak normality -----------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import sympy
 
 from realpv import GaussRat
-from realpv.linsolve import det, identity, inverse, kernel, mat_conj, mat_mul, solve
+from realpv.linsolve import det, identity, inverse, kernel, mat_conj, mat_mul
 
 from helpers import rand_gauss, rng
 
@@ -70,26 +70,6 @@ def test_kernel_vectors_annihilate():
             for j, c in row.items():
                 m[i, j] = _to_sympy(c)
         assert len(basis) == n_cols - m.rank()
-
-
-def test_solve_finds_witness():
-    # x + y = 3, x - y = 1 has the unique solution (2, 1)
-    one = GaussRat.of(1)
-    eqs = [
-        ({0: one, 1: one}, GaussRat.of(3)),
-        ({0: one, 1: -one}, GaussRat.of(1)),
-    ]
-    got = solve(2, eqs)
-    assert got == [GaussRat.of(2), GaussRat.of(1)]
-
-
-def test_solve_inconsistent():
-    one = GaussRat.of(1)
-    eqs = [
-        ({0: one}, GaussRat.of(1)),
-        ({0: one}, GaussRat.of(2)),
-    ]
-    assert solve(1, eqs) is None
 
 
 def test_mat_conj():
