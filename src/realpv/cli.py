@@ -275,7 +275,7 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
-    """The scenario with the command-line bounds, checked as in the file."""
+    """The scenario with the command-line scan bounds, range-checked."""
     deg, cdeg = scn.scan_bounds
     if args.scan_degree is not None:
         deg, cdeg = checked_scan_bounds(args.scan_degree, cdeg, "--scan-degree")

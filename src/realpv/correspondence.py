@@ -1,11 +1,12 @@
 """The group-field correspondence for certified PV extensions.
 
 Downward: a subgroup descriptor turns into the subfield of window elements
-it fixes (the common kernel of w -> sigma(w) - w over its sample members
-sigma).  Upward: an intermediate field turns into the subgroup cut out by
-symbolic invariance conditions on its generators.  Both directions are
-exact; sampling is only ever used to propose a fixed space, which is then
-certified symbolically before it is returned.
+it fixes, the kernel of w -> sigma(w) - w for the generic member sigma
+taken modulo the subgroup's ideal.  Upward: an intermediate field turns
+into the subgroup cut out by symbolic invariance conditions on its
+generators.  Both directions are exact and work with the subgroup as an
+algebraic group, not with its real points; sample members only feed the
+sampled checks of the normality report.
 
 Subgroups are described by small named shapes rather than arbitrary
 ideals: the full group, the trivial group, roots of unity inside GL1,
@@ -27,9 +28,9 @@ from .galois import (
     apply,
     compose,
     defining_equations,
+    fixed_combinations,
     invariance_conditions,
     parse_scalar,
-    reduces_to_zero,
     sample_members,
 )
 from .gauss import GaussRat
@@ -194,7 +195,7 @@ def descriptor_samples(
     group: MatrixGroup, desc: SubgroupDescriptor
 ) -> list[GroupElement]:
     """Deterministic members of the descriptor, as elements of the ambient
-    group, for proposing fixed spaces and pointwise checks."""
+    group, for the sampled conjugation check of the normality report."""
     _check_size(group, desc)
     n = group.size
     q = GaussRat.of
@@ -300,7 +301,6 @@ def member_of_field(
     tower: DiffTower,
     x: FieldElement,
     gens: Sequence[FieldElement],
-    bounds: tuple[int, int] = DEFAULT_FIELD_BOUNDS,
 ) -> bool:
     """Whether x = N/D for window polynomials N, D over the generators.
 
@@ -314,10 +314,8 @@ def member_of_field(
     relevant piece.
     """
     x = tower.lift(x)
-    deg = max(
-        bounds[0], *_generator_degrees(tower, x.num), *_generator_degrees(tower, x.den)
-    )
-    tpow = bounds[1]
+    deg, tpow = DEFAULT_FIELD_BOUNDS
+    deg = max(deg, *_generator_degrees(tower, x.num), *_generator_degrees(tower, x.den))
     if tower.base_var:
         involved = set(x.num.variables()) | set(x.den.variables())
         for g in gens:
@@ -359,48 +357,20 @@ class IntermediateField:
         return all(other.contains(g) for g in self.generators)
 
 
-def _weighted_exponent(tower: DiffTower, elem: FieldElement) -> int | None:
-    """Total generator degree of a monomial element, None if mixed."""
-    degs = _generator_degrees(tower, elem.num)
-    return degs.pop() if len(degs) == 1 else None
-
-
 def fixed_field(group: MatrixGroup, desc: SubgroupDescriptor) -> IntermediateField:
     """The subfield of the extension fixed by the descriptor's subgroup.
 
-    A window of irreducible generator monomials (times bounded powers of
-    the base variable) is intersected against the fixed space of the
-    subgroup.  Roots of unity act by exponent weight, so their fixed
-    monomials are filtered exactly; other descriptors keep the window
-    combinations that every sample member fixes, one common kernel of the
-    families sigma(w) - w, and the result is certified symbolically.
+    The window combinations of irreducible generator monomials that the
+    subgroup fixes are computed exactly, modulo its ideal (see
+    galois.fixed_combinations), so every descriptor is treated as the
+    algebraic group it cuts out, not as its set of real points.
     """
-    _check_size(group, desc)
+    sub = subgroup_of(group, desc)
     pv = group.pv
     ext = pv.extension
     deg, tpow = _WINDOW_BOUNDS
-    if desc.kind == "MU_N" and desc.order:
-        deg = max(deg, desc.order)
-    window, _trivial = ext.scan_basis(deg, tpow)
-
-    if desc.kind == "FULL" and pv.eq_class == "EXP":
-        # exact shortcut: only generator weight 0 survives scaling
-        fixed = [w for w in window if _weighted_exponent(ext, w) == 0]
-    elif desc.kind == "MU_N":
-        fixed = []
-        for w in window:
-            k = _weighted_exponent(ext, w)
-            if k is not None and k % desc.order == 0:  # type: ignore[operator]
-                fixed.append(w)
-    else:
-        samples = descriptor_samples(group, desc)
-        if not samples and desc.kind != "TRIVIAL":
-            raise Unsupported(f"no sample members for {desc.label()}")
-        fixed = window
-        if samples:
-            # the window combinations every sample fixes: one common kernel
-            moved = [[apply(sigma, w) - w for w in window] for sigma in samples]
-            fixed = [ext.combine(k, window) for k in ext.linear_relations(*moved)]
+    window = ext.scan_basis(max(deg, desc.order or 0), tpow)[0]
+    fixed = [ext.combine(k, window) for k in fixed_combinations(sub, window)]
 
     base_vars = {pv.base.base_var} if pv.base.base_var else set()
     candidates = []
@@ -418,34 +388,14 @@ def fixed_field(group: MatrixGroup, desc: SubgroupDescriptor) -> IntermediateFie
             continue
         kept.append(cand)
 
-    fname = IntermediateField(pv, tuple(kept))
-    _certify_field(group, desc, fname)
-    return fname
-
-
-def _certify_field(
-    group: MatrixGroup, desc: SubgroupDescriptor, F: IntermediateField
-) -> None:
-    """Exact checks: generators are fixed by the subgroup (symbolically for
-    polynomial descriptors, pointwise for finite lists) and the field is
-    closed under the derivation."""
-    ext = F.pv.extension
-    try:
-        system = subgroup_of(group, desc).basis
-    except Unsupported:
-        system = None
-        samples = descriptor_samples(group, desc)
-    for g in F.generators:
-        if system is not None:
-            if not all(system.is_zero_mod(p) for p in invariance_conditions(group, g)):
-                raise BadField(f"{g} is not fixed by {desc.label()} (symbolic check)")
-        else:
-            for sigma in samples:
-                if apply(sigma, g) != ext.lift(g):
-                    raise BadField(f"{g} moved by a sampled member of {desc.label()}")
-    for g in F.generators:
-        if not member_of_field(ext, g.derive(), F.generators):
+    # exact re-checks: each generator is fixed modulo the subgroup's ideal,
+    # and the field is closed under the derivation
+    for g in kept:
+        if not all(sub.basis.is_zero_mod(p) for p in invariance_conditions(sub, g)):
+            raise BadField(f"{g} is not fixed by {desc.label()} (symbolic check)")
+        if not member_of_field(ext, g.derive(), kept):
             raise BadField(f"derivative of {g} escapes the candidate field")
+    return IntermediateField(pv, tuple(kept))
 
 
 def group_over(
@@ -496,11 +446,8 @@ def check_inclusion_reversal(
     fields = [fixed_field(group, d) for d in chain]
     for i in range(len(chain) - 1):
         small, big = chain[i], chain[i + 1]
-        ok_groups = reduces_to_zero(
-            descriptor_polys(group, big),
-            descriptor_polys(group, small),
-            group.context,
-        )
+        inner = subgroup_of(group, small).basis
+        ok_groups = all(inner.is_zero_mod(p) for p in subgroup_of(group, big).polys)
         ok_fields = fields[i + 1].subfield_of(fields[i])
         report.add(
             f"{small.label()} <= {big.label()}",
@@ -522,10 +469,8 @@ class NormalityReport:
 
 
 def _conjugation_stable(
-    group: MatrixGroup, desc: SubgroupDescriptor, ambient: list[GroupElement]
+    sub: MatrixGroup, inner: list[GroupElement], ambient: list[GroupElement]
 ) -> tuple[bool, str]:
-    sub = subgroup_of(group, desc)
-    inner = descriptor_samples(group, desc)
     for sigma in ambient:
         sigma_inv = sigma.inverse()
         for h in inner:
@@ -543,8 +488,12 @@ def normality_check(
     solutions, and the quotient map is checked on sample members."""
     report = Report("normality")
     samples = sample_members(group)
-    stable, note = _conjugation_stable(group, desc, samples)
-    report.add("conjugation stability (sampled)", stable, note)
+    inner = descriptor_samples(group, desc)
+    stable, note = _conjugation_stable(subgroup_of(group, desc), inner, samples)
+    if inner:
+        report.add("conjugation stability (sampled)", stable, note)
+    else:  # nothing was conjugated: no verdict
+        report.info("conjugation stability (sampled)", note)
 
     pv = group.pv
     quotient_ode = None
@@ -565,11 +514,7 @@ def normality_check(
         )
         quotient_ode = ode
         quotient_solutions = (power,)
-        hom_ok = True
-        for a in samples:
-            img = a.matrix[0][0] ** q
-            if not _scalar_in_gl1(img):
-                hom_ok = False
+        hom_ok = all(a.matrix[0][0] ** q for a in samples)
         report.add("quotient map lambda -> lambda^q lands in GL1", hom_ok, f"q = {q}")
 
     if (
@@ -627,10 +572,6 @@ def _double_angle(m) -> list[list[GaussRat]]:
     ]
 
 
-def _scalar_in_gl1(v: GaussRat) -> bool:
-    return bool(v)
-
-
 # -- weak normality ----------------------------------------------------------------------
 
 
@@ -673,7 +614,7 @@ def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
     pv_sub = build_pv(base, LinearODE.from_texts(base, [f"-{q}"]), "EXP")
     sub_ok = pv_sub.certificates.ok
 
-    in_F = member_of_field(ext, e, [eq], (max(4, q), 2))
+    in_F = member_of_field(ext, e, [eq])
 
     moved = False
     sub = subgroup_of(group, mu_n(q))

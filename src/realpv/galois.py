@@ -34,10 +34,10 @@ from typing import Iterable, Sequence
 from .errors import BadIdeal, NotInGroup, Unsupported, WitnessNotFound
 from .gauss import GaussRat
 from .linsolve import det as mat_det
-from .linsolve import inverse, mat_mul
+from .linsolve import inverse, kernel, mat_mul
 from .poly import Context, Monomial, Poly, parse_fraction
 from .pv import PVExtension
-from .rewrite import RewriteSystem, buchberger
+from .rewrite import RewriteSystem, Rule, buchberger
 from .tower import DiffTower, FieldElement
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "moved_element_witness",
     "sample_members",
     "invariance_conditions",
+    "fixed_combinations",
     "same_zero_set",
     "reduces_to_zero",
     "parse_scalar",
@@ -462,15 +463,45 @@ def moved_element_witness(
     )
 
 
-def invariance_conditions(group: MatrixGroup, x: FieldElement) -> list[Poly]:
-    """Polynomials in the X variables expressing sigma(x) = x."""
+def _moved(group: MatrixGroup, x: FieldElement) -> FieldElement:
+    """sigma(num)*den - num*sigma(den) in `param_tower` for x = num/den and
+    the generic member sigma (matrix entries X_ij as symbols); its
+    numerator vanishes exactly when sigma fixes x."""
     tw = group.param_tower
     mapping = _generator_map(group, group.sym_images)
     x = tw.lift(x)
     num_s = tw.eval_poly(x.num, mapping)
     den_s = tw.eval_poly(x.den, mapping)
-    residue = num_s * tw.elem(x.den) - tw.elem(x.num) * den_s
-    return _collect_coefficients(residue.num, set(group.flat_xnames()), group.context)
+    return num_s * tw.elem(x.den) - tw.elem(x.num) * den_s
+
+
+def invariance_conditions(group: MatrixGroup, x: FieldElement) -> list[Poly]:
+    """Polynomials in the X variables expressing sigma(x) = x."""
+    return _collect_coefficients(
+        _moved(group, x).num, set(group.flat_xnames()), group.context
+    )
+
+
+def fixed_combinations(
+    group: MatrixGroup, elems: Sequence[FieldElement]
+) -> list[list[GaussRat]]:
+    """Canonical basis of the vectors a such that sum a_k (sigma(e_k) - e_k)
+    vanishes modulo the group's ideal, for the generic member sigma.
+
+    The tower's rules and the group's basis share no variable, so their
+    union is a Groebner basis.  The map is linear only for elements and
+    moved images with constant denominators; anything else is refused."""
+    tw = group.param_tower
+    lifted = tuple(Rule(r.lhs, r.rhs.in_context(tw.context)) for r in group.basis.rules)
+    system = RewriteSystem(tw.context, tw.rewrite.rules + lifted)
+    rows: dict[Monomial, dict[int, GaussRat]] = {}
+    for k, e in enumerate(elems):
+        moved = _moved(group, e)
+        if not (e.den.is_constant() and moved.den.is_constant()):
+            raise Unsupported(f"the action on {e} is not linear in the window")
+        for m, c in system.normal_form(moved.num).terms.items():
+            rows.setdefault(m, {})[k] = c
+    return kernel(len(elems), rows.values())
 
 
 # -- ideal comparison ---------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Scenario files: a small validated JSON schema describing one problem.
 
 A scenario names the equation class, its coefficients as expression
-strings, and optionally a subgroup, a cocycle and scan bounds.
+strings, and optionally a subgroup and a cocycle.
 Validation is strict: unknown keys anywhere, and expression strings that
 do not parse, raise ScenarioError with the offending location, so typos
 fail loudly instead of being ignored.
@@ -24,9 +24,8 @@ from .pv import DEFAULT_SCAN_BOUNDS, EQUATION_CLASSES
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
 
 
-_TOP_KEYS = {"base_var", "equation", "scan", "subgroup", "cocycle"}
+_TOP_KEYS = {"base_var", "equation", "subgroup", "cocycle"}
 _EQ_KEYS = {"class", "coefficients", "radical_base"}
-_SCAN_KEYS = {"degree", "coeff_degree"}
 _SUBGROUP_KEYS = {"kind", "order", "matrices"}
 
 # Variables the package adjoins to the base: generators of the equation
@@ -142,19 +141,6 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
     if radical_base is not None:
         _expect_expr(radical_base, in_base, f"{eq_loc}.radical_base")
 
-    bounds = DEFAULT_SCAN_BOUNDS
-    if "scan" in raw:
-        scan = raw["scan"]
-        scan_loc = f"{loc}.scan"
-        if not isinstance(scan, dict):
-            raise ScenarioError("scan must be an object", location=scan_loc)
-        _reject_unknown(scan, _SCAN_KEYS, scan_loc)
-        deg = _expect_int(_need(scan, "degree", scan_loc), f"{scan_loc}.degree")
-        cdeg = _expect_int(
-            _need(scan, "coeff_degree", scan_loc), f"{scan_loc}.coeff_degree"
-        )
-        bounds = checked_scan_bounds(deg, cdeg, scan_loc)
-
     subgroup = None
     if "subgroup" in raw:
         sub = raw["subgroup"]
@@ -190,7 +176,9 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
     if "cocycle" in raw:
         cocycle = _parse_matrix(raw["cocycle"], f"{loc}.cocycle")
 
-    return Scenario(eq_class, coeffs, base_var, radical_base, bounds, subgroup, cocycle)
+    return Scenario(
+        eq_class, coeffs, base_var, radical_base, subgroup=subgroup, cocycle=cocycle
+    )
 
 
 def _parse_matrix(rows: Any, loc: str) -> tuple[tuple[GaussRat, ...], ...]:

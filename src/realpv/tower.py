@@ -548,25 +548,19 @@ class DiffTower:
                 elems.append(FieldElement(num, den, self))
         return elems, trivial
 
-    def linear_relations(self, *families: Sequence[FieldElement]) -> list[list[GaussRat]]:
-        """Common kernel of (a_k) -> sum a_k f[k] over the families f, which
-        all have one length, exactly, over GaussRat."""
-        width = len(families[0])
-        rows: list[dict[int, GaussRat]] = []
-        for elems in families:
-            if len(elems) != width:
-                raise ValueError("families of different lengths")
-            dens = list(dict.fromkeys(e.den for e in elems))
-            by_monomial: dict[Monomial, dict[int, GaussRat]] = {}
-            for k, e in enumerate(elems):
-                prod = e.num
-                for d in dens:
-                    if d != e.den:
-                        prod = prod * d
-                for m, c in self.rewrite.normal_form(prod).terms.items():
-                    by_monomial.setdefault(m, {})[k] = c
-            rows += [by_monomial[m] for m in sorted(by_monomial, key=self.context.key)]
-        return kernel(width, rows)
+    def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
+        """Kernel of (a_k) -> sum a_k elems[k], exactly, over GaussRat."""
+        dens = list(dict.fromkeys(e.den for e in elems))
+        by_monomial: dict[Monomial, dict[int, GaussRat]] = {}
+        for k, e in enumerate(elems):
+            prod = e.num
+            for d in dens:
+                if d != e.den:
+                    prod = prod * d
+            for m, c in self.rewrite.normal_form(prod).terms.items():
+                by_monomial.setdefault(m, {})[k] = c
+        rows = [by_monomial[m] for m in sorted(by_monomial, key=self.context.key)]
+        return kernel(len(elems), rows)
 
     def combine(
         self, coeffs: Sequence[GaussRat], elems: Sequence[FieldElement]

@@ -233,6 +233,19 @@ def test_unsupported_equation_is_math_failure(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_finite_list_without_ideal_is_math_failure(capsys, tmp_path):
+    bad = tmp_path / "quarter.json"
+    bad.write_text(json.dumps({
+        "equation": {"class": "CIRCLE", "coefficients": ["1", "0"]},
+        "subgroup": {"kind": "FINITE_LIST", "matrices": [
+            [["1", "0"], ["0", "1"]], [["0", "-1"], ["1", "0"]],
+            [["-1", "0"], ["0", "-1"]], [["0", "1"], ["-1", "0"]]]},
+    }))
+    code, out, err = run(capsys, "correspond", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "error: only {I}, {I, -I} finite lists have a polynomial description here\n"
+
+
 def test_certificate_failure_prints_report(capsys, tmp_path):
     bad = tmp_path / "triv.json"
     bad.write_text(json.dumps({
@@ -326,6 +339,17 @@ def test_budget_key_is_unknown(capsys, tmp_path):
     code, out, err = run(capsys, "build", str(bad))
     assert (code, out) == (2, "")
     assert err == "scenario error at scenario: unknown key ['budget']\n"
+
+
+def test_scan_key_is_unknown(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "equation": {"class": "EXP", "coefficients": ["-1"]},
+        "scan": {"degree": 4, "coeff_degree": 3},
+    }))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "scenario error at scenario: unknown key ['scan']\n"
 
 
 @pytest.mark.parametrize(

@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+import realpv.correspondence as correspondence
+import realpv.galois as galois
 from realpv import (
     DIAGONAL,
     FULL,
     SO2,
     TRIVIAL,
+    DiffTower,
     GaussRat,
     IntermediateField,
+    LinearODE,
     Unsupported,
+    apply,
+    build_pv,
     check_correspondence,
     check_inclusion_reversal,
     defining_equations,
@@ -34,6 +40,7 @@ from realpv.correspondence import (
     descriptor_polys,
     descriptor_samples,
 )
+from realpv.linsolve import kernel
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +53,25 @@ def exp_group(exp_pv):
     return defining_equations(exp_pv)
 
 
+@pytest.fixture(scope="module")
+def radical_groups(base):
+    """The groups of sqrt(t) and of the cube root of t, by radical order."""
+    return {
+        k: defining_equations(
+            build_pv(base, LinearODE.from_texts(base, [f"-1/{k} * 1/t"]), "RADICAL")
+        )
+        for k in (2, 3)
+    }
+
+
 PM_ONE = [[["1", "0"], ["0", "1"]], [["-1", "0"], ["0", "-1"]]]
+# the rotations by quarter turns: a finite group with no polynomial description here
+QUARTER_TURNS = [
+    [["1", "0"], ["0", "1"]],
+    [["0", "-1"], ["1", "0"]],
+    [["-1", "0"], ["0", "-1"]],
+    [["0", "1"], ["-1", "0"]],
+]
 
 
 # -- descriptors -----------------------------------------------------------------
@@ -148,6 +173,123 @@ def test_fixed_field_of_full_on_exp(exp_group):
     assert F.generators == ()
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("order", [2, 3])
+def test_fixed_field_of_mu_n_on_radical_groups(radical_groups, order, q):
+    # MU_N(q) cuts the group of order-th roots down to the gcd(q, order)-th
+    # roots: all of it when order divides q, the trivial group otherwise
+    rep, F, _ = check_correspondence(radical_groups[order], mu_n(q))
+    assert F.describe() == ("K" if q % order == 0 else "K(g)")
+    assert rep.ok, rep.lines
+
+
+def _weight(ext, w):
+    """Total generator degree of a monomial window element, None if mixed."""
+    names = set(ext.generator_names())
+    degs = {sum(e for v, e in m.exponents().items() if v in names) for m in w.num.terms}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def _common_kernel(n, kernels):
+    """Canonical basis of the intersection of the spans `kernels`, as the
+    annihilator of the sum of their annihilators."""
+    rows = lambda vecs: [dict(enumerate(v)) for v in vecs]
+    return kernel(n, [r for vecs in kernels for r in rows(kernel(n, rows(vecs)))])
+
+
+def _sampled_fixed_field(group, desc):
+    """The former computation of fixed_field: exponent weights for MU_N and
+    for FULL on EXP, otherwise the common kernel of w -> sigma(w) - w over
+    the descriptor's sample members; None where it refused."""
+    pv = group.pv
+    ext = pv.extension
+    window, _ = ext.scan_basis(max(4, desc.order or 0), 0)
+    if desc.kind == "MU_N" or (desc.kind == "FULL" and pv.eq_class == "EXP"):
+        q = desc.order  # None for FULL, which keeps weight 0 only
+        weights = [_weight(ext, w) for w in window]
+        fixed = [w for w, k in zip(window, weights)
+                 if k is not None and (k % q == 0 if q else k == 0)]
+    else:
+        samples = descriptor_samples(group, desc)
+        if not samples:
+            return None
+        kernels = [ext.linear_relations([apply(s, w) - w for w in window]) for s in samples]
+        fixed = [ext.combine(k, window) for k in _common_kernel(len(window), kernels)]
+    base_vars = {pv.base.base_var}
+    candidates = sorted(
+        (x.scale(x.num.leading_coefficient().inverse()) for x in fixed
+         if not x.is_zero() and not (x.num.variables() | x.den.variables()) <= base_vars),
+        key=lambda x: (x.num.total_degree(), str(x)),
+    )
+    kept = []
+    for cand in candidates:
+        if not (kept and member_of_field(ext, cand, kept)):
+            kept.append(cand)
+    return IntermediateField(pv, tuple(kept)).describe()
+
+
+@pytest.mark.parametrize("group_name", ["circle_group", "exp_group"])
+def test_fixed_field_agrees_with_the_sampled_computation(request, group_name):
+    group = request.getfixturevalue(group_name)
+    answered = 0
+    for desc in _candidate_descriptors(group):
+        old = _sampled_fixed_field(group, desc)
+        if old is not None:
+            answered += 1
+            assert fixed_field(group, desc).describe() == old, desc.label()
+    assert answered >= 4
+
+
+def test_fixed_field_makes_no_apply_call(circle_group, exp_group, monkeypatch):
+    calls = []
+
+    def counted(*args, _orig=galois.apply):
+        calls.append(args)
+        return _orig(*args)
+
+    for module in (galois, correspondence):
+        monkeypatch.setattr(module, "apply", counted)
+    for group in (circle_group, exp_group):
+        for desc in _candidate_descriptors(group):
+            fixed_field(group, desc)
+    assert calls == []
+
+
+def test_finite_list_without_ideal_is_refused_before_the_window(
+    circle_group, monkeypatch
+):
+    scans = []
+
+    def counted(self, *args, _orig=DiffTower.scan_basis):
+        scans.append(args)
+        return _orig(self, *args)
+
+    monkeypatch.setattr(DiffTower, "scan_basis", counted)
+    with pytest.raises(Unsupported, match="polynomial description"):
+        fixed_field(circle_group, finite_list(QUARTER_TURNS))
+    assert scans == []
+
+
+@pytest.mark.parametrize(
+    "eq_class,coeffs,desc,field",
+    [("CIRCLE", ["1", "0"], DIAGONAL, "K(c^2, s*c)"),
+     ("CONSTCOEFF2", ["2", "-3"], SO2, "K(e1^2, e2*e1)")],
+    ids=["circle-diagonal", "torus-so2"],
+)
+def test_subgroup_with_no_samples_gets_no_conjugation_verdict(
+    base, eq_class, coeffs, desc, field
+):
+    # both descriptors cut out {I, -I}, which no descriptor sample lies in
+    group = defining_equations(build_pv(base, LinearODE.from_texts(base, coeffs), eq_class))
+    rep, F, _ = check_correspondence(group, desc)
+    assert F.describe() == field
+    assert rep.ok, rep.lines
+    assert descriptor_samples(group, desc) == []
+    lines = normality_check(group, desc).report.lines
+    [line] = [l for l in lines if l.name == "conjugation stability (sampled)"]
+    assert line.status == "INFO"
+
+
 def test_member_of_field_mixed_fractions(exp_group):
     ext = exp_group.pv.extension
     e = ext.var("e")
@@ -201,6 +343,31 @@ def test_inclusion_reversal_exp(exp_group):
     rep = check_inclusion_reversal(exp_group, chain)
     assert rep.ok, rep.lines
     assert len(rep.lines) == 3
+
+
+def test_inclusion_reversal_reuses_the_cached_bases(exp_pv, monkeypatch):
+    group = defining_equations(exp_pv)
+    chain = (TRIVIAL, mu_n(2), mu_n(6), FULL)
+    for desc in chain:
+        subgroup_of(group, desc).basis
+    calls = {"buchberger": 0, "apply": 0}
+
+    def counting(name, orig):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(galois, "buchberger", counting("buchberger", galois.buchberger))
+    for module in (galois, correspondence):
+        monkeypatch.setattr(module, "apply", counting("apply", galois.apply))
+    rep = check_inclusion_reversal(group, chain)
+    assert calls == {"buchberger": 0, "apply": 0}
+    assert [line.render() for line in rep.lines] == [
+        "[PASS] TRIVIAL <= MU_N(2): fields K(e^2) <= K(e)",
+        "[PASS] MU_N(2) <= MU_N(6): fields K(e^6) <= K(e^2)",
+        "[PASS] MU_N(6) <= FULL: fields K <= K(e^6)",
+    ]
 
 
 def test_inclusion_reversal_circle(circle_group):

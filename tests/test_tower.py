@@ -203,48 +203,3 @@ def test_laurent_window(base):
     strs = [str(x) for x in elems]
     assert "(1)/(t^2)" in strs or any("t^2" in s and "/" in s for s in strs)
     assert strs[trivial] == "1" or "(1)/(1)" == strs[trivial]
-
-
-def _kernel_of_span(circle, basis, fam):
-    """The vectors of span(basis) that `fam` sends to zero, as the product
-    of a kernel in basis coordinates with the basis."""
-    images = [circle.combine(b, fam) for b in basis]
-    zero = GaussRat.of(0)
-    return [
-        [sum((k[i] * b[j] for i, b in enumerate(basis)), zero) for j in range(len(fam))]
-        for k in circle.linear_relations(images)
-    ]
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_linear_relations_of_families_is_the_common_kernel(circle, seed):
-    # each family takes integer combinations of a few random elements, with
-    # coefficients chosen so that one random vector lies in every kernel
-    r = rng(seed)
-    width = 6
-    common_vec = [r.randint(-2, 2) for _ in range(width - 1)] + [1]
-    families = []
-    for size in (2, 3, 3):
-        parts = [rand_element(r, circle, max_terms=2) for _ in range(size)]
-        coeffs = [[r.randint(-2, 2) for _ in parts] for _ in range(width - 1)]
-        coeffs.append([-sum(v * row[i] for v, row in zip(common_vec, coeffs))
-                       for i in range(size)])
-        families.append([
-            circle.combine([GaussRat.of(k) for k in row], parts) for row in coeffs
-        ])
-    unit = GaussRat.of(1)
-    for count in (1, 2, 3):
-        fams = families[:count]
-        common = circle.linear_relations(*fams)
-        basis = [[unit if i == j else GaussRat.of(0) for j in range(width)]
-                 for i in range(width)]
-        for fam in fams:
-            basis = _kernel_of_span(circle, basis, fam)
-        # both are the canonical (reduced echelon) basis of the intersection
-        assert common == basis
-        assert common
-        for vec in common:
-            for fam in fams:
-                assert circle.combine(vec, fam).is_zero()
-    with pytest.raises(ValueError):
-        circle.linear_relations(families[0], families[1][:-1])
