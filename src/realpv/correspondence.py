@@ -5,8 +5,10 @@ it fixes, the kernel of w -> sigma(w) - w for the generic member sigma
 taken modulo the subgroup's ideal.  Upward: an intermediate field turns
 into the subgroup cut out by symbolic invariance conditions on its
 generators.  Both directions are exact and work with the subgroup as an
-algebraic group, not with its real points; sample members only feed the
-sampled checks of the normality report.
+algebraic group, not with its real points.  So does the normality report:
+conjugation stability and the circle's double-angle quotient map are
+decided for the generic members of the group and of the subgroup, modulo
+their ideals.
 
 Subgroups are described by small named shapes rather than arbitrary
 ideals: the full group, the trivial group, roots of unity inside GL1,
@@ -18,24 +20,23 @@ classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import BadField, Unsupported
 from .galois import (
-    GroupElement,
     MatrixGroup,
     apply,
-    compose,
+    conjugation_stable,
     defining_equations,
     fixed_combinations,
+    generic_pair,
     invariance_conditions,
     parse_scalar,
-    sample_members,
 )
 from .gauss import GaussRat
 from .linsolve import identity, is_scalar_matrix, mat_mul
-from .poly import Poly, parse_poly
+from .poly import Context, Poly, parse_poly
+from .rewrite import RewriteSystem, buchberger
 from .pv import LinearODE, PVExtension, build_pv
 from .report import Report
 from .tower import DiffTower, FieldElement
@@ -51,7 +52,6 @@ __all__ = [
     "SUBGROUP_KINDS",
     "IntermediateField",
     "descriptor_polys",
-    "descriptor_samples",
     "subgroup_of",
     "descriptor_of",
     "window_products",
@@ -189,37 +189,6 @@ def descriptor_polys(group: MatrixGroup, desc: SubgroupDescriptor) -> list[Poly]
             "only {I}, {I, -I} finite lists have a polynomial description here"
         )
     raise Unsupported(f"unknown descriptor kind {desc.kind!r}")
-
-
-def descriptor_samples(
-    group: MatrixGroup, desc: SubgroupDescriptor
-) -> list[GroupElement]:
-    """Deterministic members of the descriptor, as elements of the ambient
-    group, for the sampled conjugation check of the normality report."""
-    _check_size(group, desc)
-    n = group.size
-    q = GaussRat.of
-    mats: list[list[list[GaussRat]]] = []
-    if desc.kind == "TRIVIAL":
-        mats = [[[q(1 if i == j else 0) for j in range(n)] for i in range(n)]]
-    elif desc.kind == "MU_N":
-        for lam in (1, -1):
-            if lam**desc.order == 1:  # type: ignore[operator]
-                mats.append([[q(lam)]])
-    elif desc.kind == "FINITE_LIST":
-        mats = [[list(row) for row in m] for m in desc.elements or ()]
-    elif desc.kind == "DIAGONAL":
-        for d1, d2 in ((2, 3), (Fraction(1, 2), 5), (-1, 1)):
-            mats.append([[q(Fraction(d1)), q(0)], [q(0), q(Fraction(d2))]])
-    elif desc.kind == "SO2":
-        for a, b in (
-            (Fraction(3, 5), Fraction(4, 5)),
-            (Fraction(5, 13), Fraction(12, 13)),
-        ):
-            mats.append([[q(a), q(-b)], [q(b), q(a)]])
-    elif desc.kind == "FULL":
-        return sample_members(group)
-    return group.members(mats)
 
 
 def subgroup_of(group: MatrixGroup, desc: SubgroupDescriptor) -> MatrixGroup:
@@ -468,32 +437,22 @@ class NormalityReport:
     quotient_solutions: tuple[FieldElement, ...] = ()
 
 
-def _conjugation_stable(
-    sub: MatrixGroup, inner: list[GroupElement], ambient: list[GroupElement]
-) -> tuple[bool, str]:
-    for sigma in ambient:
-        sigma_inv = sigma.inverse()
-        for h in inner:
-            conj = compose(compose(sigma, h), sigma_inv)
-            if not sub.is_member(conj.matrix):
-                return False, f"conjugate of {h.render()} by {sigma.render()} escapes"
-    return True, f"checked {len(ambient)}x{len(inner)} conjugations"
-
-
 def normality_check(
     group: MatrixGroup, desc: SubgroupDescriptor
 ) -> NormalityReport:
-    """Sampled conjugation stability plus, for the named normal cases, an
+    """Exact conjugation stability plus, for the named normal cases, an
     exhibited quotient: the fixed field is itself PV with explicit new
-    solutions, and the quotient map is checked on sample members."""
+    solutions, and on the circle the quotient map is checked for the
+    generic members of the group and of the subgroup."""
     report = Report("normality")
-    samples = sample_members(group)
-    inner = descriptor_samples(group, desc)
-    stable, note = _conjugation_stable(subgroup_of(group, desc), inner, samples)
-    if inner:
-        report.add("conjugation stability (sampled)", stable, note)
-    else:  # nothing was conjugated: no verdict
-        report.info("conjugation stability (sampled)", note)
+    sub = subgroup_of(group, desc)
+    stable = conjugation_stable(group, sub)
+    report.add(
+        "conjugation stability",
+        stable,
+        "X*Y*X^-1 for generic X in the group and Y in the subgroup, "
+        "modulo both ideals",
+    )
 
     pv = group.pv
     quotient_ode = None
@@ -502,9 +461,9 @@ def normality_check(
     if desc.kind == "MU_N" and pv.eq_class in ("EXP", "RADICAL"):
         q = desc.order or 1
         ext = pv.extension
-        gen = ext.lift(pv.solutions[0])
-        power = gen**q
-        rate = pv.base.restrict(power.derive() / power)
+        power = ext.lift(pv.solutions[0]) ** q
+        # (g^q)'/g^q = q * g'/g, and g'/g is the companion entry in K
+        rate = pv.base.const(q) * pv.companion[0][0]
         ode = LinearODE(pv.base, (-rate,))
         residue = ode.apply(power)
         report.add(
@@ -514,8 +473,7 @@ def normality_check(
         )
         quotient_ode = ode
         quotient_solutions = (power,)
-        hom_ok = all(a.matrix[0][0] ** q for a in samples)
-        report.add("quotient map lambda -> lambda^q lands in GL1", hom_ok, f"q = {q}")
+        report.info("quotient map lambda -> lambda^q lands in GL1", f"q = {q}")
 
     if (
         desc.kind == "FINITE_LIST"
@@ -542,34 +500,45 @@ def normality_check(
         )
         quotient_ode = ode
         quotient_solutions = (y1, y2)
-        hom_ok = True
-        for g in samples:
-            (a, mb), (b, a2) = g.matrix
-            if a != a2 or mb != -b:
-                continue
-            if not group.is_member(_double_angle(g.matrix)):
-                hom_ok = False
-        for g in samples:
-            for h in samples:
-                gh = compose(g, h)
-                im_g = _double_angle(g.matrix)
-                im_h = _double_angle(h.matrix)
-                im_gh = _double_angle(gh.matrix)
-                if [list(r) for r in im_gh] != mat_mul(im_g, im_h):
-                    hom_ok = False
         report.add(
-            "double-angle map is a sampled homomorphism with kernel {I, -I}", hom_ok
+            "double-angle map is a homomorphism of the group, trivial on {I, -I}",
+            _double_angle_is_quotient_map(group, sub),
+            "phi(X*Y) = phi(X)*phi(Y), phi(X) in the group, phi(Y) = I on the "
+            "subgroup, for generic X and Y",
         )
 
     return NormalityReport(stable, report, quotient_ode, quotient_solutions)
 
 
-def _double_angle(m) -> list[list[GaussRat]]:
+def _double_angle(m):
     a, b = m[0][0], m[1][0]
-    return [
-        [a * a - b * b, -(GaussRat.of(2) * a * b)],
-        [GaussRat.of(2) * a * b, a * a - b * b],
-    ]
+    two_ab = a * b + a * b
+    return [[a * a - b * b, -two_ab], [two_ab, a * a - b * b]]
+
+
+def _congruent(system: RewriteSystem, a, b) -> bool:
+    """Whether the polynomial matrices a and b agree modulo the system."""
+    return all(
+        system.is_zero_mod(u - v) for ra, rb in zip(a, b) for u, v in zip(ra, rb)
+    )
+
+
+def _double_angle_is_quotient_map(group: MatrixGroup, sub: MatrixGroup) -> bool:
+    """phi = _double_angle is multiplicative on the group, maps it into
+    itself, and sends the subgroup to I, each decided for generic members."""
+    system, x, y = generic_pair(group, group)
+    phi_x = _double_angle(x)
+    product = mat_mul(phi_x, _double_angle(y))
+    if not _congruent(system, _double_angle(mat_mul(x, y)), product):
+        return False
+    if not all(
+        system.is_zero_mod(group.evaluate(r.as_poly(), phi_x))
+        for r in group.basis.rules
+    ):
+        return False
+    system, _, y = generic_pair(group, sub)
+    eye = [[Poly.const(system.context, int(i == j)) for j in range(2)] for i in range(2)]
+    return _congruent(system, _double_angle(y), eye)
 
 
 # -- weak normality ----------------------------------------------------------------------
@@ -608,7 +577,13 @@ def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
     eq = e**q
 
     real_members = [lam for lam in (1, -1) if lam**q == 1]
-    complex_count = q  # X^q - 1 is separable over the complexified constants
+    # distinct roots of f = X^q - 1: q - deg gcd(f, f'), the gcd being the
+    # reduced basis of the ideal (f, f')
+    ctx = Context(["X"])
+    x = Poly.variable(ctx, "X")
+    f = x**q - Poly.const(ctx, 1)
+    [gcd] = buchberger([f, (x ** (q - 1)).scale(q)], ctx).rules
+    complex_count = q - gcd.lhs.degree()
 
     F = IntermediateField(pv, (eq,))
     pv_sub = build_pv(base, LinearODE.from_texts(base, [f"-{q}"]), "EXP")

@@ -27,14 +27,13 @@ be written in the Z variables over the base; the group object records
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import BadIdeal, NotInGroup, Unsupported, WitnessNotFound
+from .errors import BadIdeal, NotInGroup, Unsupported
 from .gauss import GaussRat
 from .linsolve import det as mat_det
-from .linsolve import inverse, kernel, mat_mul
+from .linsolve import adjugate, inverse, kernel, mat_mul
 from .poly import Context, Monomial, Poly, parse_fraction
 from .pv import PVExtension
 from .rewrite import RewriteSystem, Rule, buchberger
@@ -50,8 +49,8 @@ __all__ = [
     "defining_equations",
     "apply",
     "compose",
-    "moved_element_witness",
-    "sample_members",
+    "generic_pair",
+    "conjugation_stable",
     "invariance_conditions",
     "fixed_combinations",
     "same_zero_set",
@@ -106,6 +105,15 @@ class RelationIdeal:
         ]
 
 
+def _renamed(p: Poly, rename: dict[str, str], ctx: Context) -> Poly:
+    """p with the variables in `rename` renamed, read in ctx."""
+    moved: dict[Monomial, GaussRat] = {}
+    for m, c in p.terms.items():
+        new = Monomial({rename.get(v, v): e for v, e in m.exponents().items()})
+        moved[new] = moved.get(new, GaussRat.of(0)) + c
+    return Poly(ctx, moved)
+
+
 def _solution_slot_of_generators(pv: PVExtension) -> dict[str, int | None]:
     """Map tower generator name -> solution index, when the generator is a
     solution itself (the supported situation for substitution actions)."""
@@ -143,11 +151,7 @@ def relations_ideal(pv: PVExtension) -> RelationIdeal:
             complete = False
             continue
         rename = {v: z_names[slot_of[v]] for v in vars_used}  # type: ignore[index]
-        moved: dict[Monomial, GaussRat] = {}
-        for m, c in spec.relation.terms.items():
-            new = Monomial({rename.get(v, v): e for v, e in m.exponents().items()})
-            moved[new] = moved.get(new, GaussRat.of(0)) + c
-        algebraic.append(AlgebraicRelation(Poly(z_ctx, moved)))
+        algebraic.append(AlgebraicRelation(_renamed(spec.relation, rename, z_ctx)))
     # Solutions lying in the base get the relation Z_j = value.
     for j, s in enumerate(pv.solutions):
         if set(ext.lift(s).num.variables()) | set(ext.lift(s).den.variables()) <= (
@@ -182,8 +186,8 @@ def _verify_ideal(ideal: RelationIdeal) -> None:
 # -- matrix groups ---------------------------------------------------------------
 
 
-def _x_names(n: int) -> list[list[str]]:
-    return [[f"X{i + 1}{j + 1}" for j in range(n)] for i in range(n)]
+def _x_names(n: int, letter: str = "X") -> list[list[str]]:
+    return [[f"{letter}{i + 1}{j + 1}" for j in range(n)] for i in range(n)]
 
 
 @dataclass
@@ -221,19 +225,29 @@ class MatrixGroup:
     def flat_xnames(self) -> list[str]:
         return [x for row in self.xnames for x in row]
 
-    def evaluate(self, p: Poly, matrix: Sequence[Sequence[GaussRat]]) -> GaussRat:
+    def evaluate(self, p: Poly, matrix: Sequence[Sequence], scale=None):
+        """p at X = matrix, whose entries are scalars or polynomials of one
+        context.  With `scale`, the homogenisation of p at (matrix, scale):
+        scale^deg(p) * p(matrix / scale)."""
+        entry = matrix[0][0]
+        if isinstance(entry, Poly):
+            lift = lambda c: Poly.const(entry.context, c)
+        else:
+            lift = GaussRat.of
+            matrix = [[GaussRat.of(v) for v in row] for row in matrix]
         values = {
-            self.xnames[i][j]: GaussRat.of(matrix[i][j])
+            self.xnames[i][j]: matrix[i][j]
             for i in range(self.size)
             for j in range(self.size)
         }
-        total = GaussRat.of(0)
+        degree = p.total_degree()
+        total = lift(0)
         for m, c in p.terms.items():
-            term = c
+            term = lift(c)
             for v, e in m.exponents().items():
-                base = values[v]
-                for _ in range(e):
-                    term = term * base
+                term = term * values[v] ** e
+            if scale is not None:
+                term = term * scale ** (degree - m.degree())
             total = total + term
         return total
 
@@ -250,17 +264,6 @@ class MatrixGroup:
         if not self.is_member(rows):
             raise NotInGroup(f"matrix {rows} is not in the group's zero set")
         return GroupElement(self, rows)
-
-    def members(
-        self, matrices: Iterable[Sequence[Sequence[GaussRat]]]
-    ) -> list["GroupElement"]:
-        """The given matrices that lie in the group, each checked once."""
-        out = []
-        for m in matrices:
-            rows = tuple(tuple(GaussRat.of(v) for v in row) for row in m)
-            if self.is_member(rows):
-                out.append(GroupElement(self, rows))
-        return out
 
     def identity(self) -> "GroupElement":
         one, zero = GaussRat.of(1), GaussRat.of(0)
@@ -285,9 +288,6 @@ class GroupElement:
         inv = inverse(self.matrix)
         assert inv is not None  # members are invertible by construction
         return self.group.element(inv)
-
-    def render(self) -> list[list[str]]:
-        return [[str(v) for v in row] for row in self.matrix]
 
 
 def _normalize_polys(polys: Iterable[Poly], ctx: Context) -> tuple[Poly, ...]:
@@ -417,52 +417,6 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     return a.group.element(mat_mul(a.matrix, b.matrix))
 
 
-def sample_members(group: MatrixGroup) -> list[GroupElement]:
-    """A deterministic list of rational sample members, filtered by the
-    defining set.  Used for witness searches and pointwise checks."""
-    n = group.size
-    cands: list[list[list[GaussRat]]] = []
-    q = GaussRat.of
-    if n == 1:
-        for v in (2, -1, 3, Fraction(1, 3), -2, Fraction(1, 2), 5, 1):
-            cands.append([[q(Fraction(v))]])
-        cands.append([[GaussRat(Fraction(0), Fraction(1))]])  # i, for complex tests
-    elif n == 2:
-        rot = [
-            (Fraction(1), Fraction(0)),
-            (Fraction(-1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(3, 5), Fraction(4, 5)),
-            (Fraction(5, 13), Fraction(12, 13)),
-            (Fraction(-3, 5), Fraction(4, 5)),
-        ]
-        for a, b in rot:
-            cands.append([[q(a), q(-b)], [q(b), q(a)]])
-        for d1, d2 in ((2, 3), (2, 1), (1, 2), (-1, 1), (Fraction(1, 2), 5)):
-            cands.append([[q(Fraction(d1)), q(0)], [q(0), q(Fraction(d2))]])
-        for a, b in ((1, 1), (2, 3), (1, -2)):
-            cands.append([[q(Fraction(a)), q(Fraction(b))], [q(0), q(Fraction(a))]])
-    return group.members(cands)
-
-
-def moved_element_witness(
-    group: MatrixGroup,
-    a: FieldElement,
-    candidates: Sequence[GroupElement] | None = None,
-) -> GroupElement:
-    """A group element moving `a`, from a bounded deterministic search."""
-    pool = list(candidates) if candidates is not None else sample_members(group)
-    target = group.pv.extension
-    for sigma in pool:
-        image = apply(sigma, a)
-        lifted = image.tower.elem(a.num, a.den)
-        if image != lifted:
-            return sigma
-    raise WitnessNotFound(
-        f"no sampled group element moves {a} (searched {len(pool)} members)"
-    )
-
-
 def _moved(group: MatrixGroup, x: FieldElement) -> FieldElement:
     """sigma(num)*den - num*sigma(den) in `param_tower` for x = num/den and
     the generic member sigma (matrix entries X_ij as symbols); its
@@ -502,6 +456,39 @@ def fixed_combinations(
         for m, c in system.normal_form(moved.num).terms.items():
             rows.setdefault(m, {})[k] = c
     return kernel(len(elems), rows.values())
+
+
+def generic_pair(
+    group: MatrixGroup, sub: MatrixGroup
+) -> tuple[RewriteSystem, list[list[Poly]], list[list[Poly]]]:
+    """Generic members X of `group` and Y of `sub`, a subgroup in the same
+    coordinate ring, as matrices of variables, with the rewrite system of
+    both ideals: `group.basis` on the X_ij and `sub.basis` renamed to the
+    Y_ij.  The two bases share no variable, so their union is a Groebner
+    basis."""
+    ynames = _x_names(group.size, "Y")
+    rename = {
+        x: y for xs, ys in zip(group.xnames, ynames) for x, y in zip(xs, ys)
+    }
+    ctx = Context([y for row in ynames for y in row] + group.flat_xnames())
+    rules = [Rule(r.lhs, r.rhs.in_context(ctx)) for r in group.basis.rules]
+    rules += [Rule.orient(_renamed(r.as_poly(), rename, ctx)) for r in sub.basis.rules]
+    x = [[Poly.variable(ctx, v) for v in row] for row in group.xnames]
+    y = [[Poly.variable(ctx, v) for v in row] for row in ynames]
+    return RewriteSystem(ctx, rules), x, y
+
+
+def conjugation_stable(group: MatrixGroup, sub: MatrixGroup) -> bool:
+    """Whether X*Y*X^-1 lies in `sub` for the generic members X of `group`
+    and Y of `sub`: for each p of sub's basis, det(X)^deg(p) times
+    p(X*Y*adj(X)/det(X)) must reduce to zero modulo both ideals."""
+    system, x, y = generic_pair(group, sub)
+    adj, det = adjugate(x)
+    conj = mat_mul(mat_mul(x, y), adj)
+    return all(
+        system.is_zero_mod(sub.evaluate(r.as_poly(), conj, det))
+        for r in sub.basis.rules
+    )
 
 
 # -- ideal comparison ---------------------------------------------------------------

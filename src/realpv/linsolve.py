@@ -9,8 +9,11 @@ unknown, unit at the free position, fully reduced elsewhere.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
 from typing import Iterable, Sequence
 
+from .errors import Unsupported
 from .gauss import GaussRat
 
 __all__ = [
@@ -19,6 +22,7 @@ __all__ = [
     "inverse",
     "mat_mul",
     "mat_conj",
+    "adjugate",
     "identity",
     "is_scalar_matrix",
 ]
@@ -148,18 +152,22 @@ def inverse(rows: Sequence[Sequence[GaussRat]]) -> list[list[GaussRat]] | None:
     return [row[n:] for row in m]
 
 
-def mat_mul(
-    a: Sequence[Sequence[GaussRat]], b: Sequence[Sequence[GaussRat]]
-) -> list[list[GaussRat]]:
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [
-            sum((GaussRat.of(a[r][x]) * GaussRat.of(b[x][c]) for x in range(k)), _ZERO)
-            for c in range(m)
-        ]
-        for r in range(n)
-    ]
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """Matrix product over any commutative ring: scalar entries, or
+    polynomials of one context."""
+    return [[reduce(add, map(mul, row, col)) for col in zip(*b)] for row in a]
 
 
-def mat_conj(a: Sequence[Sequence[GaussRat]]) -> list[list[GaussRat]]:
-    return [[GaussRat.of(v).conj() for v in row] for row in a]
+def mat_conj(a: Sequence[Sequence]) -> list[list]:
+    return [[v.conj() for v in row] for row in a]
+
+
+def adjugate(a: Sequence[Sequence]) -> tuple[list[list], object]:
+    """The adjugate and the determinant of a matrix of size at most 2, over
+    any commutative ring, so that a * adj = det * I."""
+    if len(a) == 1:
+        return [[a[0][0] ** 0]], a[0][0]
+    if len(a) == 2:
+        (p, q), (r, s) = a
+        return [[s, -q], [-r, p]], p * s - q * r
+    raise Unsupported(f"no adjugate formula for {len(a)}x{len(a)} matrices")

@@ -15,10 +15,12 @@ groups arising here the classes are computed exactly:
     and -I represent the two classes.  The twist by -I replaces the unit
     circle by the curve u^2 + v^2 = -1.
 
-Non-cohomology of the nontrivial classes is certified by an exact norm
-argument plus sampled coboundaries; non-isomorphism of the twisted fields
-is certified by explicit obstructions (a sum of squares equal to -1, or a
-constant gamma with gamma^2 = -1 that an isomorphism would force).
+Non-cohomology of the nontrivial classes is certified exactly: for the
+rotations, the eigenvalue of a generic coboundary on (1, -i) reduces to a
+sum of real squares, which is never -1.  Non-isomorphism of the twisted
+fields is certified by explicit obstructions (a sum of squares equal to
+-1, or a constant gamma with gamma^2 = -1 that an isomorphism would
+force).
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ from itertools import combinations_with_replacement
 from .errors import Unsupported, WitnessNotFound
 from .galois import MatrixGroup
 from .gauss import GaussRat
+from .linsolve import adjugate, inverse, is_scalar_matrix, mat_conj, mat_mul
 from .linsolve import identity as mat_identity
-from .linsolve import inverse, is_scalar_matrix, mat_conj, mat_mul
-from .poly import Poly
+from .poly import Context, Poly
 from .pv import PVExtension
 from .report import Report
+from .rewrite import buchberger
 from .tower import DiffTower, FieldElement, Kind
 
 __all__ = [
@@ -45,7 +48,6 @@ __all__ = [
     "non_reality_witness",
     "H1Report",
     "h1_enumerate",
-    "coboundary_samples",
     "radical_pair_report",
     "RadicalPairReport",
 ]
@@ -266,69 +268,43 @@ class H1Report:
     report: Report
 
 
-def coboundary_samples(kind: str) -> list[tuple[str, list[list[GaussRat]]]]:
-    """Sampled values of B * conj(B)^-1 over rational points of the
-    complexified group, labelled by the sample B."""
-    i = GaussRat(Fraction(0), Fraction(1))
-    out: list[tuple[str, list[list[GaussRat]]]] = []
-    if kind == "GL1":
-        bs = [
-            ("2", [[GaussRat.of(2)]]),
-            ("i", [[i]]),
-            ("1+i", [[GaussRat(Fraction(1), Fraction(1))]]),
-            ("3-2i", [[GaussRat(Fraction(3), Fraction(-2))]]),
-        ]
-    elif kind == "MU_2":
-        bs = [("1", [[GaussRat.of(1)]]), ("-1", [[GaussRat.of(-1)]])]
-    elif kind == "SO2":
-        # rotation matrices over the complexified constants, eigenvalue
-        # lambda = p + i q with p^2 + q^2 = 1 allowed complex
-        pts = [
-            ("lambda=2", Fraction(5, 4), Fraction(3, 4)),  # p=(2+1/2)/2 etc
-            ("lambda=3", Fraction(5, 3), Fraction(4, 3)),
-            ("lambda=1/2", Fraction(5, 4), Fraction(-3, 4)),
-        ]
-        bs = []
-        for label, p_re, q_im in pts:
-            # B = [[p, -q], [q, p]] with p real, q purely imaginary gives a
-            # rotation matrix with complex entries and p^2 + q^2 = 1
-            p = GaussRat.of(p_re)
-            q = GaussRat(Fraction(0), q_im)
-            bs.append((label, [[p, -q], [q, p]]))
-        rational = [
-            ("rational rotation 3/5", Fraction(3, 5), Fraction(4, 5)),
-            ("rational rotation 5/13", Fraction(5, 13), Fraction(12, 13)),
-        ]
-        for label, a, b in rational:
-            bs.append((label, [[GaussRat.of(a), GaussRat.of(-b)], [GaussRat.of(b), GaussRat.of(a)]]))
-    else:
-        raise Unsupported(f"no coboundary samples for {kind!r}")
-    for label, b in bs:
-        inv = inverse(mat_conj(b))
-        if inv is None:
-            continue
-        out.append((label, mat_mul(b, inv)))
-    return out
+def _so2_coboundaries_avoid_minus_identity() -> bool:
+    """Every coboundary B * conj(B)^-1 of the rotation group has a sum of
+    real squares as its eigenvalue on (1, -i), where -I has -1.
 
-
-def _so2_eigenvalue(m) -> GaussRat:
-    return GaussRat.of(m[0][0]) + GaussRat(Fraction(0), Fraction(1)) * GaussRat.of(m[1][0])
+    B = [[p, -q], [q, p]] over the complexified constants, with p = a + ib
+    and q = c + id for real a, b, c, d, modulo the real and imaginary parts
+    of p^2 + q^2 - 1.  There det(conj B) reduces to 1, so conj(B)^-1 is
+    adj(conj B), and the eigenvalue of B * adj(conj B) on (1, -i) must
+    reduce to (a - d)^2 + (b + c)^2."""
+    ctx = Context(["d", "c", "b", "a"])
+    a, b, c, d = (Poly.variable(ctx, v) for v in "abcd")
+    one = Poly.const(ctx, 1)
+    i = Poly.const(ctx, GaussRat(Fraction(0), Fraction(1)))
+    p, q = a + i * b, c + i * d
+    system = buchberger((p * p + q * q - one).real_imag(), ctx)
+    rot = [[p, -q], [q, p]]
+    adj, det = adjugate(mat_conj(rot))
+    vec = [[one], [-i]]
+    image = mat_mul(mat_mul(rot, adj), vec)
+    lam = (a - d) ** 2 + (b + c) ** 2
+    return system.is_zero_mod(det - one) and all(
+        system.is_zero_mod(u - lam * w) for [u], [w] in zip(image, vec)
+    )
 
 
 def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
     """Representatives of the real-form classes for the named group kind,
-    each validated as a cocycle, with sampled evidence that the listed
+    each validated as a cocycle, with an exact argument that the listed
     nontrivial classes are not coboundaries.
     """
     one, zero = GaussRat.of(1), GaussRat.of(0)
     report = Report(f"first cohomology of {kind}")
     if kind == "GL1":
         classes = (Cocycle(((one,),), "1"),)
-        samples = coboundary_samples(kind)
-        hit = any(m == [[GaussRat.of(-1)]] for _, m in samples)
         report.add(
             "-1 is a coboundary (B = i), single class",
-            hit,
+            _i_coboundary_check(),
             "B * conj(B)^-1 = -1 at B = i",
         )
     elif kind == "MU_2":
@@ -336,8 +312,9 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
             Cocycle(((one,),), "1"),
             Cocycle(((GaussRat.of(-1),),), "-1"),
         )
-        samples = coboundary_samples(kind)
-        never = all(m == [[one]] for _, m in samples)
+        never = all(
+            mat_mul([[b]], inverse(mat_conj([[b]]))) == [[one]] for b in (one, -one)
+        )
         report.add(
             "coboundaries over the order-2 group are trivial",
             never,
@@ -347,17 +324,12 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
         eye = ((one, zero), (zero, one))
         neg = ((-one, zero), (zero, -one))
         classes = (Cocycle(eye, "I"), Cocycle(neg, "-I"))
-        samples = coboundary_samples(kind)
-        ok = True
-        for label, m in samples:
-            lam = _so2_eigenvalue(m)
-            # coboundary eigenvalues are norms, hence positive rationals
-            if not (lam.im == 0 and lam.re > 0):
-                ok = False
         report.add(
-            "sampled coboundaries have positive real eigenvalue, -I does not",
-            ok and _so2_eigenvalue([[-one, zero], [zero, -one]]).re < 0,
-            f"checked {len(samples)} sampled points of the complexified group",
+            "coboundaries have a sum of real squares as eigenvalue on (1, -i), "
+            "-I has -1",
+            _so2_coboundaries_avoid_minus_identity(),
+            "B * conj(B)^-1 has eigenvalue (a - d)^2 + (b + c)^2 for "
+            "B = [[p, -q], [q, p]], p = a + ib, q = c + id, p^2 + q^2 = 1",
         )
     else:
         raise Unsupported(f"no class list for {kind!r}")

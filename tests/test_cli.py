@@ -54,6 +54,19 @@ def test_correspond_circle(capsys):
     assert "K(c^2, s*c)" in out
 
 
+def test_correspond_sqrt_mu3_has_a_quotient_over_the_base(capsys, tmp_path):
+    # MU_N(3) meets the group {1, -1} of sqrt(t) trivially, so the fixed
+    # field is K(g) and its generator g^3 = g*t has the rate 3 * 1/(2t)
+    path = tmp_path / "sqrt_mu3.json"
+    path.write_text(json.dumps({
+        "equation": {"class": "RADICAL", "coefficients": ["-1/2 * 1/t"]},
+        "subgroup": {"kind": "MU_N", "order": 3},
+    }))
+    code, out, err = run(capsys, "correspond", str(path))
+    assert (code, err) == (0, "")
+    assert "Y' = ((3/2)/(t))*Y at g*t" in out
+
+
 def test_twist_circle(capsys):
     code, out, _ = run(capsys, "twist", f"{SCENARIOS}/circle.json")
     assert code == 0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 import realpv.correspondence as correspondence
@@ -31,16 +34,12 @@ from realpv import (
     normality_check,
     reduces_to_zero,
     same_zero_set,
-    sample_members,
     subgroup_of,
     weak_normality_demo,
 )
-from realpv.correspondence import (
-    _candidate_descriptors,
-    descriptor_polys,
-    descriptor_samples,
-)
-from realpv.linsolve import kernel
+from realpv.correspondence import _candidate_descriptors, descriptor_polys
+from realpv.galois import MatrixGroup
+from realpv.linsolve import identity, kernel
 
 
 @pytest.fixture(scope="module")
@@ -117,16 +116,9 @@ def test_descriptor_polys_rejects_odd_finite_list(circle_group):
 )
 def test_descriptor_size_mismatch_refused(request, group_name, desc, sizes):
     group = request.getfixturevalue(group_name)
-    for refuse in (fixed_field, descriptor_polys, descriptor_samples):
+    for refuse in (fixed_field, descriptor_polys, normality_check):
         with pytest.raises(Unsupported, match=sizes):
             refuse(group, desc)
-
-
-def test_descriptor_samples_are_members(circle_group):
-    for desc in (TRIVIAL, SO2, finite_list(PM_ONE)):
-        sub = subgroup_of(circle_group, desc)
-        for sigma in descriptor_samples(circle_group, desc):
-            assert sub.is_member(sigma.matrix)
 
 
 # -- fixed fields ------------------------------------------------------------------
@@ -197,6 +189,28 @@ def _common_kernel(n, kernels):
     return kernel(n, [r for vecs in kernels for r in rows(kernel(n, rows(vecs)))])
 
 
+def _former_samples(group, desc):
+    """The rational sample members the former computation drew for the
+    descriptor: fixed matrices, kept where they lie in the group."""
+    F = Fraction
+    rot = lambda a, b: [[a, -b], [b, a]]
+    diag = lambda d1, d2: [[d1, 0], [0, d2]]
+    if desc.kind == "TRIVIAL":
+        mats = [identity(group.size)]
+    elif desc.kind == "FINITE_LIST":
+        mats = list(desc.elements)
+    elif desc.kind == "DIAGONAL":
+        mats = [diag(2, 3), diag(F(1, 2), 5), diag(-1, 1)]
+    elif desc.kind == "SO2":
+        mats = [rot(F(3, 5), F(4, 5)), rot(F(5, 13), F(12, 13))]
+    else:  # FULL on a 2x2 group
+        mats = [rot(a, b) for a, b in ((1, 0), (-1, 0), (0, 1), (F(3, 5), F(4, 5)),
+                                       (F(5, 13), F(12, 13)), (F(-3, 5), F(4, 5)))]
+        mats += [diag(*d) for d in ((2, 3), (2, 1), (1, 2), (-1, 1), (F(1, 2), 5))]
+        mats += [[[a, b], [0, a]] for a, b in ((1, 1), (2, 3), (1, -2))]
+    return [group.element(m) for m in mats if group.is_member(m)]
+
+
 def _sampled_fixed_field(group, desc):
     """The former computation of fixed_field: exponent weights for MU_N and
     for FULL on EXP, otherwise the common kernel of w -> sigma(w) - w over
@@ -210,7 +224,7 @@ def _sampled_fixed_field(group, desc):
         fixed = [w for w, k in zip(window, weights)
                  if k is not None and (k % q == 0 if q else k == 0)]
     else:
-        samples = descriptor_samples(group, desc)
+        samples = _former_samples(group, desc)
         if not samples:
             return None
         kernels = [ext.linear_relations([apply(s, w) - w for w in window]) for s in samples]
@@ -276,18 +290,18 @@ def test_finite_list_without_ideal_is_refused_before_the_window(
      ("CONSTCOEFF2", ["2", "-3"], SO2, "K(e1^2, e2*e1)")],
     ids=["circle-diagonal", "torus-so2"],
 )
-def test_subgroup_with_no_samples_gets_no_conjugation_verdict(
+def test_subgroup_with_no_rational_samples_gets_a_verdict(
     base, eq_class, coeffs, desc, field
 ):
-    # both descriptors cut out {I, -I}, which no descriptor sample lies in
+    # both descriptors cut out {I, -I}, which none of the former rational
+    # samples of the descriptor lies in; the generic members decide it
     group = defining_equations(build_pv(base, LinearODE.from_texts(base, coeffs), eq_class))
     rep, F, _ = check_correspondence(group, desc)
     assert F.describe() == field
     assert rep.ok, rep.lines
-    assert descriptor_samples(group, desc) == []
     lines = normality_check(group, desc).report.lines
-    [line] = [l for l in lines if l.name == "conjugation stability (sampled)"]
-    assert line.status == "INFO"
+    [line] = [l for l in lines if l.name == "conjugation stability"]
+    assert line.status == "PASS"
 
 
 def test_member_of_field_mixed_fractions(exp_group):
@@ -393,8 +407,9 @@ def test_mu2_normal_in_gl1(exp_group):
     assert rep.normal and rep.report.ok
     assert rep.quotient_ode is not None
     assert [str(s) for s in rep.quotient_solutions] == ["e^2"]
-    names = [n for n, _, _ in rep.report.lines]
-    assert "quotient map lambda -> lambda^q lands in GL1" in names
+    status = {line.name: line.status for line in rep.report.lines}
+    assert status["conjugation stability"] == "PASS"
+    assert status["quotient map lambda -> lambda^q lands in GL1"] == "INFO"
 
 
 def test_pm_identity_normal_in_so2(circle_group):
@@ -408,25 +423,54 @@ def test_pm_identity_normal_in_so2(circle_group):
         assert rep.quotient_ode.apply(circle_group.pv.extension.lift(y)).is_zero()
 
 
-def test_conjugation_stability_inverts_each_ambient_sample_once(circle_group, monkeypatch):
-    import realpv.galois as galois
+@pytest.mark.parametrize("desc", [DIAGONAL, SO2], ids=["diagonal", "so2"])
+def test_conjugation_stability_fails_in_a_gl2_like_group(circle_group, desc):
+    gl2 = replace(circle_group, polys=())
+    rep = normality_check(gl2, desc)
+    assert not rep.normal
+    assert rep.report.lines[0].render().startswith("[FAIL] conjugation stability:")
 
+
+def test_normality_check_uses_no_group_element(circle_group, exp_group, monkeypatch):
     calls = []
 
-    def counted(self, _orig=galois.GroupElement.inverse):
-        calls.append(self)
-        return _orig(self)
+    def counted(name, orig):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(galois.GroupElement, "inverse", counted)
-    rep = normality_check(circle_group, SO2)
-    assert rep.normal
-    assert len(descriptor_samples(circle_group, SO2)) > 1
-    assert len(calls) == len(sample_members(circle_group))
+    monkeypatch.setattr(MatrixGroup, "is_member", counted("is_member", MatrixGroup.is_member))
+    for module in (galois, correspondence):
+        monkeypatch.setattr(module, "apply", counted("apply", galois.apply))
+        monkeypatch.setattr(
+            module, "compose", counted("compose", galois.compose), raising=False
+        )
+    for group, descs in (
+        (circle_group, (TRIVIAL, finite_list(PM_ONE), SO2, DIAGONAL, FULL)),
+        (exp_group, (TRIVIAL, mu_n(2), mu_n(3), FULL)),
+    ):
+        for desc in descs:
+            assert normality_check(group, desc).report.ok, desc.label()
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        lambda m: [[m[0][0] * m[0][0], -m[1][0]], [m[1][0], m[0][0] * m[0][0]]],
+        lambda m: m,  # a homomorphism, but not trivial on -I
+    ],
+    ids=["not-multiplicative", "identity"],
+)
+def test_double_angle_line_fails_for_a_wrong_quotient_map(circle_group, monkeypatch, phi):
+    monkeypatch.setattr(correspondence, "_double_angle", phi)
+    rep = normality_check(circle_group, finite_list(PM_ONE))
+    [line] = [l for l in rep.report.lines if l.name.startswith("double-angle map")]
+    assert line.status == "FAIL"
 
 
 def test_certify_field_completes_the_subgroup_ideal_once(circle_pv, monkeypatch):
-    import realpv.galois as galois
-
     group = defining_equations(circle_pv)  # fresh: nothing completed yet
     desc = finite_list(PM_ONE)
     inputs = []

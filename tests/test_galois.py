@@ -8,26 +8,25 @@ import pytest
 
 from realpv import (
     BadIdeal,
+    Context,
     GaussRat,
     LinearODE,
     NotInGroup,
+    Poly,
     Unsupported,
-    WitnessNotFound,
     apply,
     build_pv,
     compose,
     defining_equations,
     invariance_conditions,
     matrix_from_texts,
-    moved_element_witness,
     parse_poly,
     parse_scalar,
     reduces_to_zero,
     relations_ideal,
     same_zero_set,
-    sample_members,
 )
-from realpv.galois import AlgebraicRelation, MatrixGroup, RelationIdeal
+from realpv.galois import AlgebraicRelation, RelationIdeal
 
 I = GaussRat(Fraction(0), Fraction(1))
 
@@ -201,48 +200,6 @@ def test_complex_member_acts_on_complexified(exp_pv):
     assert apply(sigma, e.derive()) == img.derive()
 
 
-def test_sample_members_land_in_group(circle_pv, exp_pv, sqrt_pv):
-    for pv in (circle_pv, exp_pv, sqrt_pv):
-        g = defining_equations(pv)
-        members = sample_members(g)
-        assert members
-        for m in members:
-            assert g.is_member(m.matrix)
-
-
-def test_sample_members_checks_each_candidate_once(circle_pv, exp_pv, monkeypatch):
-    checked = []
-
-    def counted(self, matrix, _orig=MatrixGroup.is_member):
-        checked.append(tuple(tuple(GaussRat.of(v) for v in row) for row in matrix))
-        return _orig(self, matrix)
-
-    monkeypatch.setattr(MatrixGroup, "is_member", counted)
-    for pv in (circle_pv, exp_pv):
-        g = defining_equations(pv)
-        checked.clear()
-        members = sample_members(g)
-        assert members
-        assert len(checked) == len(set(checked))
-        assert {m.matrix for m in members} <= set(checked)
-
-
-def test_sqrt_group_sample_is_plus_minus_one(sqrt_pv):
-    g = defining_equations(sqrt_pv)
-    vals = sorted(str(m.matrix[0][0]) for m in sample_members(g))
-    assert vals == ["-1", "1"]
-
-
-def test_moved_element_witness(circle_pv):
-    g = defining_equations(circle_pv)
-    ext = circle_pv.extension
-    sigma = moved_element_witness(g, ext.var("s"))
-    assert apply(sigma, ext.var("s")) != ext.lift(ext.var("s"))
-    t = ext.var("t")
-    with pytest.raises(WitnessNotFound):
-        moved_element_witness(g, t * t)
-
-
 def test_invariance_conditions_cut_out_stabilizer(circle_pv):
     g = defining_equations(circle_pv)
     ext = circle_pv.extension
@@ -255,6 +212,20 @@ def test_invariance_conditions_cut_out_stabilizer(circle_pv):
     assert fixed.is_member(matrix_from_texts([["1", "0"], ["0", "1"]]))
     assert not fixed.is_member(matrix_from_texts([["0", "-1"], ["1", "0"]]))
     assert not fixed.is_member(matrix_from_texts([["-1", "0"], ["0", "-1"]]))
+
+
+def test_evaluate_homogenises_at_polynomial_entries(circle_pv):
+    g = defining_equations(circle_pv)
+    p = parse_poly("X11^2 + X21^2 - 1", g.context)
+    rot = matrix_from_texts([["3/5", "-4/5"], ["4/5", "3/5"]])
+    assert g.evaluate(p, rot) == GaussRat.of(0)
+    assert g.evaluate(p, rot, GaussRat.of(2)) == GaussRat.of(-3)  # 1 - 4
+    ctx = Context(["u", "w"])
+    u, w = Poly.variable(ctx, "u"), Poly.variable(ctx, "w")
+    zero = Poly.zero(ctx)
+    # w^2 * p(M / w) for M = [[u, 0], [w, 0]]: u^2 + w^2 - w^2
+    assert g.evaluate(p, [[u, zero], [w, zero]], w) == u * u
+    assert g.evaluate(p, [[u, zero], [w, zero]]) == u * u + w * w - Poly.const(ctx, 1)
 
 
 def test_scalar_and_matrix_parsing():

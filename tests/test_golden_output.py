@@ -2,12 +2,13 @@
 
 The goldens freeze every report line (names, statuses and details), not
 only the `ok` flags and data payloads.  Besides the shipped scenarios they
-cover the benchmark corpus scenarios that reach the sampled fixed space,
-roots of unity on algebraic and exponential generators, two scenarios
+cover the benchmark corpus scenarios that reach the fixed field of a
+subgroup ideal, roots of unity on algebraic and exponential generators
+(the exponential one with a rate t^2), two scenarios
 under `tests/scenarios/` whose fixed field is recognized as a different
 descriptor than the one asked for (so the field round trip computes a
-second fixed field), and the two scenarios that `all` refuses, whose exit
-code and stderr are frozen too.
+second fixed field), and the scenario that `all` refuses, whose exit code
+and stderr are frozen too.
 After an intended change of the output, regenerate them with
 
     PYTHONPATH=src python tests/test_golden_output.py
@@ -33,9 +34,10 @@ BENCH_SCENARIOS = (
     "circle_w3",
     "cbrt_mu3",
     "constcoeff_double",
+    "exp_t2_mu5",
     "radical_t2p1",
 )
-BENCH_REFUSALS = ("constcoeff_complex", "exp_t2_mu5")
+BENCH_REFUSALS = ("constcoeff_complex",)
 # Descriptors recognized as TRIVIAL: MU_N(1) on EXP, and the list [I] on CIRCLE.
 TEST_SCENARIOS = ("exp_mu1", "circle_identity_list")
 

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 import sympy
 
-from realpv import GaussRat
-from realpv.linsolve import det, identity, inverse, kernel, mat_conj, mat_mul
+from realpv import Context, GaussRat, Poly, Unsupported
+from realpv.linsolve import adjugate, det, identity, inverse, kernel, mat_conj, mat_mul
 
 from helpers import rand_gauss, rng
 
@@ -75,3 +76,26 @@ def test_kernel_vectors_annihilate():
 def test_mat_conj():
     i = GaussRat(Fraction(0), Fraction(1))
     assert mat_conj([[i]]) == [[-i]]
+
+
+def test_adjugate_of_small_matrices():
+    r = rng(23)
+    for n in (1, 2):
+        for _ in range(10):
+            m = _rand_matrix(r, n)
+            adj, d = adjugate(m)
+            assert d == det(m)
+            assert mat_mul(m, adj) == [[v * d for v in row] for row in identity(n)]
+    with pytest.raises(Unsupported):
+        adjugate(identity(3))
+
+
+def test_matrix_helpers_take_polynomial_entries():
+    ctx = Context(["x", "y"])
+    x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+    i = Poly.const(ctx, GaussRat(Fraction(0), Fraction(1)))
+    m = [[x, i * y], [y, x]]
+    adj, d = adjugate(m)
+    assert d == x * x - i * y * y
+    assert mat_mul(m, adj) == [[d, Poly.zero(ctx)], [Poly.zero(ctx), d]]
+    assert mat_conj(m) == [[x, -i * y], [y, x]]

@@ -162,6 +162,16 @@ def test_h1_so2(circle_group):
         assert cocycle_check(circle_group, c.matrix)
 
 
+def test_h1_so2_line_fails_without_the_inverse(circle_group, monkeypatch):
+    import realpv.realforms as realforms
+
+    # B * conj(B) in place of B * conj(B)^-1: its eigenvalue on (1, -i) is
+    # no sum of squares, so the exact check must fail
+    monkeypatch.setattr(realforms, "adjugate", lambda m: (m, m[0][0] ** 0))
+    rep = h1_enumerate(circle_group, "SO2")
+    assert [line.status for line in rep.report.lines] == ["FAIL", "PASS", "PASS"]
+
+
 def test_h1_unknown_kind(circle_group):
     with pytest.raises(Unsupported):
         h1_enumerate(circle_group, "SL7")
