@@ -285,15 +285,10 @@ def member_of_field(
     x = tower.lift(x)
     deg, tpow = DEFAULT_FIELD_BOUNDS
     deg = max(deg, *_generator_degrees(tower, x.num), *_generator_degrees(tower, x.den))
-    if tower.base_var:
-        involved = set(x.num.variables()) | set(x.den.variables())
-        for g in gens:
-            g = tower.lift(g)
-            involved |= set(g.num.variables()) | set(g.den.variables())
-        if tower.base_var not in involved:
-            # t-free data: comparing t-homogeneous components of x*D = N
-            # shows a t-free representation exists whenever any does
-            tpow = 0
+    if tower.base_var and all(tower.base_var not in y.variables() for y in [x, *gens]):
+        # t-free data: comparing t-homogeneous components of x*D = N shows a
+        # t-free representation exists whenever any does
+        tpow = 0
     window = window_products(tower, gens, deg, tpow)
     elems = [x * w for w in window] + list(window)
     half = len(window)
@@ -341,14 +336,11 @@ def fixed_field(group: MatrixGroup, desc: SubgroupDescriptor) -> IntermediateFie
     window = ext.scan_basis(max(deg, desc.order or 0), tpow)[0]
     fixed = [ext.combine(k, window) for k in fixed_combinations(sub, window)]
 
-    base_vars = {pv.base.base_var} if pv.base.base_var else set()
-    candidates = []
-    for x in fixed:
-        if x.is_zero():
-            continue
-        if set(x.num.variables()) | set(x.den.variables()) <= base_vars:
-            continue
-        candidates.append(x.scale(x.num.leading_coefficient().inverse()))
+    candidates = [
+        x.scale(x.num.leading_coefficient().inverse())
+        for x in fixed
+        if not pv.base.writes(x)
+    ]
     candidates.sort(key=lambda x: (x.num.total_degree(), str(x)))
 
     kept: list[FieldElement] = []
@@ -549,9 +541,7 @@ class WeakNormalityReport:
     q: int
     real_member_count: int
     complex_member_count: int
-    intermediate: IntermediateField
     intermediate_is_pv: bool
-    witness_element: FieldElement
     witness_in_intermediate: bool
     moved_by_real_member: bool
     report: Report
@@ -585,7 +575,6 @@ def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
     [gcd] = buchberger([f, (x ** (q - 1)).scale(q)], ctx).rules
     complex_count = q - gcd.lhs.degree()
 
-    F = IntermediateField(pv, (eq,))
     pv_sub = build_pv(base, LinearODE.from_texts(base, [f"-{q}"]), "EXP")
     sub_ok = pv_sub.certificates.ok
 
@@ -632,9 +621,7 @@ def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
         q,
         len(real_members),
         complex_count,
-        F,
         sub_ok,
-        e,
         in_F,
         moved,
         report,

@@ -33,11 +33,11 @@ from typing import Iterable, Sequence
 from .errors import BadIdeal, NotInGroup, Unsupported
 from .gauss import GaussRat
 from .linsolve import det as mat_det
-from .linsolve import adjugate, inverse, kernel, mat_mul
+from .linsolve import adjugate, inverse, mat_mul
 from .poly import Context, Monomial, Poly, parse_fraction
-from .pv import PVExtension
+from .pv import PVExtension, companion_residue
 from .rewrite import RewriteSystem, Rule, buchberger
-from .tower import DiffTower, FieldElement
+from .tower import DiffTower, FieldElement, linear_relations_mod
 
 __all__ = [
     "DerivationRelation",
@@ -107,11 +107,9 @@ class RelationIdeal:
 
 def _renamed(p: Poly, rename: dict[str, str], ctx: Context) -> Poly:
     """p with the variables in `rename` renamed, read in ctx."""
-    moved: dict[Monomial, GaussRat] = {}
-    for m, c in p.terms.items():
-        new = Monomial({rename.get(v, v): e for v, e in m.exponents().items()})
-        moved[new] = moved.get(new, GaussRat.of(0)) + c
-    return Poly(ctx, moved)
+    return p.substitute(
+        lambda v: Poly.variable(ctx, rename.get(v, v)), lambda c: Poly.const(ctx, c)
+    )
 
 
 def _solution_slot_of_generators(pv: PVExtension) -> dict[str, int | None]:
@@ -154,14 +152,10 @@ def relations_ideal(pv: PVExtension) -> RelationIdeal:
         algebraic.append(AlgebraicRelation(_renamed(spec.relation, rename, z_ctx)))
     # Solutions lying in the base get the relation Z_j = value.
     for j, s in enumerate(pv.solutions):
-        if set(ext.lift(s).num.variables()) | set(ext.lift(s).den.variables()) <= (
-            {pv.base.base_var} if pv.base.base_var else set()
-        ):
-            x = ext.lift(s)
-            num = Poly(z_ctx, dict(x.num.terms))
-            den = Poly(z_ctx, dict(x.den.terms))
-            rel = Poly.variable(z_ctx, z_names[j]) * den - num
-            algebraic.append(AlgebraicRelation(rel))
+        if pv.base.writes(s):
+            x = pv.base.restrict(s)
+            rel = Poly.variable(z_ctx, z_names[j]) * x.den.in_context(z_ctx)
+            algebraic.append(AlgebraicRelation(rel - x.num.in_context(z_ctx)))
 
     return RelationIdeal(pv, z_ctx, tuple(derivations), tuple(algebraic), complete)
 
@@ -171,11 +165,7 @@ def _verify_ideal(ideal: RelationIdeal) -> None:
     ext = pv.extension
     sols = [ext.lift(s) for s in pv.solutions]
     for d in ideal.derivations:
-        expect = ext.zero()
-        for i, a in enumerate(d.coeffs):
-            if not a.is_zero():
-                expect = expect + ext.lift(a) * sols[i]
-        if sols[d.slot].derive() != expect:
+        if not companion_residue(ext, sols, d.slot, d.coeffs).is_zero():
             raise BadIdeal(f"derivation relation fails at solutions: {d.render()}")
     z_map = {f"Z{j + 1}": sols[j] for j in range(len(sols))}
     for a in ideal.algebraic:
@@ -231,25 +221,14 @@ class MatrixGroup:
         scale^deg(p) * p(matrix / scale)."""
         entry = matrix[0][0]
         if isinstance(entry, Poly):
-            lift = lambda c: Poly.const(entry.context, c)
+            const = lambda c: Poly.const(entry.context, c)
         else:
-            lift = GaussRat.of
+            const = GaussRat.of
             matrix = [[GaussRat.of(v) for v in row] for row in matrix]
         values = {
-            self.xnames[i][j]: matrix[i][j]
-            for i in range(self.size)
-            for j in range(self.size)
+            x: v for xs, row in zip(self.xnames, matrix) for x, v in zip(xs, row)
         }
-        degree = p.total_degree()
-        total = lift(0)
-        for m, c in p.terms.items():
-            term = lift(c)
-            for v, e in m.exponents().items():
-                term = term * values[v] ** e
-            if scale is not None:
-                term = term * scale ** (degree - m.degree())
-            total = total + term
-        return total
+        return p.substitute(values.__getitem__, const, scale)
 
     def is_member(self, matrix: Sequence[Sequence[GaussRat]]) -> bool:
         rows = [[GaussRat.of(v) for v in row] for row in matrix]
@@ -348,10 +327,7 @@ def defining_equations(
 
     collected: list[Poly] = []
     for d in ideal.derivations:
-        residue = imgs[d.slot].derive()
-        for i, a in enumerate(d.coeffs):
-            if not a.is_zero():
-                residue = residue - tw.elem(a.num, a.den) * imgs[i]
+        residue = companion_residue(tw, imgs, d.slot, d.coeffs)
         collected += _collect_coefficients(residue.num, xset, x_ctx)
     z_map = {f"Z{j + 1}": imgs[j] for j in range(n)}
     for a in ideal.algebraic:
@@ -446,16 +422,13 @@ def fixed_combinations(
     union is a Groebner basis.  The map is linear only for elements and
     moved images with constant denominators; anything else is refused."""
     tw = group.param_tower
-    lifted = tuple(Rule(r.lhs, r.rhs.in_context(tw.context)) for r in group.basis.rules)
-    system = RewriteSystem(tw.context, tw.rewrite.rules + lifted)
-    rows: dict[Monomial, dict[int, GaussRat]] = {}
-    for k, e in enumerate(elems):
-        moved = _moved(group, e)
-        if not (e.den.is_constant() and moved.den.is_constant()):
+    rules = tw.rewrite.rules + group.basis.rules_for(tw.context)
+    system = RewriteSystem(tw.context, rules)
+    moved = [_moved(group, e) for e in elems]
+    for e, m in zip(elems, moved):
+        if not (e.den.is_constant() and m.den.is_constant()):
             raise Unsupported(f"the action on {e} is not linear in the window")
-        for m, c in system.normal_form(moved.num).terms.items():
-            rows.setdefault(m, {})[k] = c
-    return kernel(len(elems), rows.values())
+    return linear_relations_mod(system, moved)
 
 
 def generic_pair(
@@ -471,7 +444,7 @@ def generic_pair(
         x: y for xs, ys in zip(group.xnames, ynames) for x, y in zip(xs, ys)
     }
     ctx = Context([y for row in ynames for y in row] + group.flat_xnames())
-    rules = [Rule(r.lhs, r.rhs.in_context(ctx)) for r in group.basis.rules]
+    rules = list(group.basis.rules_for(ctx))
     rules += [Rule.orient(_renamed(r.as_poly(), rename, ctx)) for r in sub.basis.rules]
     x = [[Poly.variable(ctx, v) for v in row] for row in group.xnames]
     y = [[Poly.variable(ctx, v) for v in row] for row in ynames]

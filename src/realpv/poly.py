@@ -343,6 +343,28 @@ class Poly:
             )
         return Poly(ctx, self.terms)
 
+    def substitute(self, value, const, scale=None):
+        """p with each variable v replaced by value(v) and each coefficient
+        c by const(c), in any commutative ring.  With `scale`, the
+        homogenisation scale^deg(p) * p(value / scale).
+
+        Terms are visited in increasing monomial order and the variables of
+        each term by name; each power value(v)^e is computed once."""
+        powers: dict = {}
+        degree = self.total_degree()
+        out = const(0)
+        for m in sorted(self.terms, key=self.context.key):
+            term = const(self.terms[m])
+            for v, e in sorted(m.exponents().items()):
+                got = powers.get((v, e))
+                if got is None:
+                    got = powers[(v, e)] = value(v) ** e
+                term = term * got
+            if scale is not None:
+                term = term * scale ** (degree - m.degree())
+            out = out + term
+        return out
+
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:

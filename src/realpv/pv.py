@@ -40,7 +40,7 @@ from .gauss import GaussRat, is_square, rational_sqrt
 from .linsolve import inverse
 from .poly import Poly
 from .report import Report
-from .tower import DiffTower, FieldElement, Kind
+from .tower import DiffTower, FieldElement
 from .wronskian import wronskian_det, wronskian_matrix
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "SolutionSpace",
     "PVExtension",
     "build_pv",
+    "companion_residue",
     "verify_pv",
     "complexify_pv",
     "realify",
@@ -142,14 +143,27 @@ def _rational_const(x: FieldElement) -> Fraction | None:
     return v.re
 
 
+def companion_residue(
+    tower: DiffTower,
+    ys: Sequence[FieldElement],
+    j: int,
+    column: Sequence[FieldElement],
+) -> FieldElement:
+    """ys[j]' - sum_i column[i] * ys[i] in `tower`, for ys in the tower and a
+    coefficient column over the base: zero exactly when ys[j] satisfies its
+    row of the first-order system."""
+    out = ys[j].derive()
+    for a, y in zip(column, ys):
+        if not a.is_zero():
+            out = out - tower.lift(a) * y
+    return out
+
+
 def _certify(pv: PVExtension) -> Report:
     rep = Report("certificates")
     tower = pv.extension
-    bad = [
-        (i, r)
-        for i, s in enumerate(pv.solutions)
-        if not (r := pv.ode.apply(tower.lift(s))).is_zero()
-    ]
+    sols = [tower.lift(s) for s in pv.solutions]
+    bad = [(i, r) for i, s in enumerate(sols) if not (r := pv.ode.apply(s)).is_zero()]
     rep.add(
         "solutions_satisfy_equation",
         not bad,
@@ -170,19 +184,12 @@ def _certify(pv: PVExtension) -> Report:
         f"scan bounds {pv.scan_bounds}: "
         + ("no new constants" if not news else "found " + ", ".join(str(x) for x in news)),
     )
-    companion_ok = True
-    for j, s in enumerate(pv.solutions):
-        expect = tower.zero()
-        for i, row in enumerate(pv.companion):
-            a = row[j]
-            if not a.is_zero():
-                expect = expect + tower.lift(a) * tower.lift(pv.solutions[i])
-        if tower.lift(s).derive() != expect:
-            companion_ok = False
-            break
     rep.add(
         "companion_matrix_consistent",
-        companion_ok,
+        all(
+            companion_residue(tower, sols, j, [row[j] for row in pv.companion]).is_zero()
+            for j in range(len(sols))
+        ),
         "solution derivatives match the recorded first-order system",
     )
     return rep
@@ -239,7 +246,7 @@ def _build_radical(
     relation = f.den.in_context(ctx) ** p * gq - f.num.in_context(ctx) ** p
     rate = -ode.coeffs[0]
     deriv = (rate.num.in_context(ctx) * Poly.variable(ctx, "g"), rate.den.in_context(ctx))
-    ext = base.adjoin_abstract(["g"], [deriv], [relation], kind=Kind.ALGEBRAIC)
+    ext = base.adjoin_algebraic("g", relation, deriv)
     g = ext.var("g")
     pv = PVExtension(base, ext, ode, "RADICAL", (g,), ((rate,),), bounds)
     pv.meta["radical"] = {"p": p, "q": q, "f": str(f)}

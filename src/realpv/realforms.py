@@ -38,7 +38,7 @@ from .poly import Context, Poly
 from .pv import PVExtension
 from .report import Report
 from .rewrite import buchberger
-from .tower import DiffTower, FieldElement, Kind
+from .tower import DiffTower, FieldElement
 
 __all__ = [
     "Cocycle",
@@ -111,7 +111,11 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
             pv, co, pv.extension, pv.solutions, "trivial cocycle, extension unchanged",
             True,
         )
-        res.report.add("twisted solutions solve the equation", True, "unchanged")
+        res.report.add(
+            "twisted solutions solve the equation",
+            all(ode.apply(y).is_zero() for y in pv.solutions),
+            "unchanged",
+        )
         return res
 
     if pv.eq_class == "EXP" and is_scalar_matrix(a, -1):
@@ -149,7 +153,7 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
             rate.num.in_context(ctx) * Poly.variable(ctx, "h"),
             rate.den.in_context(ctx),
         )
-        tower = base.adjoin_abstract(["h"], [deriv], [relation], kind=Kind.ALGEBRAIC)
+        tower = base.adjoin_algebraic("h", relation, deriv)
         h = tower.var("h")
         co = Cocycle(a, "-1")
         res = TwistResult(
@@ -235,12 +239,8 @@ def non_reality_witness(
     window holds no witness (which is not a proof of reality).
     """
     minus_one = tower.const(-1)
-    monomials = tower.irreducible_monomials(degree_bound)
-    elems = []
-    for m in monomials:
-        if m.is_one():
-            continue
-        elems.append(tower.elem(Poly(tower.context, {m: GaussRat.of(1)})))
+    window, one = tower.scan_basis(degree_bound, 0)
+    elems = [x for k, x in enumerate(window) if k != one]
     for x in elems:
         for c in _WITNESS_COEFFS:
             y = x.scale(GaussRat(c))
@@ -263,7 +263,6 @@ def non_reality_witness(
 
 @dataclass
 class H1Report:
-    group_label: str
     classes: tuple[Cocycle, ...]
     report: Report
 
@@ -336,7 +335,7 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
 
     for c in classes:
         report.add(f"{c.label} is a cocycle", cocycle_check(group, c.matrix))
-    return H1Report(kind, classes, report)
+    return H1Report(classes, report)
 
 
 # -- the two square-root fields are not isomorphic -------------------------------------------
@@ -344,8 +343,6 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
 
 @dataclass
 class RadicalPairReport:
-    plus_tower: DiffTower
-    minus_tower: DiffTower
     report: Report
 
 
@@ -357,31 +354,31 @@ def radical_pair_report(pv: PVExtension, tw: TwistResult) -> RadicalPairReport:
     squares of matched generators forces a rational constant gamma with
     gamma^2 = -1, which does not exist.
     """
-    ext = pv.extension
     twisted = tw.tower
-    g = ext.lift(pv.solutions[0])
+    g = pv.extension.lift(pv.solutions[0])
     h = twisted.lift(tw.solutions[0])
     rate_g = g.derive() / g
     rate_h = h.derive() / h
     report = Report("square roots of f and -f")
     report.add(
         "both generators solve the same first-order equation",
-        _same_rate(pv, g, h),
+        pv.ode.apply(g).is_zero()
+        and pv.ode.apply(h).is_zero()
+        and not pv.ode.coeffs[0].is_zero(),
         f"rates {rate_g} and {rate_h}",
     )
 
     span = _solution_span(twisted, rate_h)
-    only_h = len(span) == 1 and _spans_same_line(twisted, span[0], h)
+    only_h = len(span) == 1 and (span[0] / h).as_scalar() is not None
     report.add(
         "solution space in the twisted field is the line through h",
         only_h,
         f"window solutions: {[str(x) for x in span]}",
     )
 
-    g2 = g * g
-    h2 = h * h
-    # gamma^2 * h^2 = g^2 would need gamma^2 = g^2 / h^2 = -1
-    ratio = _constant_ratio(pv, tw, g2, h2)
+    # g^2 and h^2 both lie in the base; gamma^2 * h^2 = g^2 would need
+    # gamma^2 = g^2 / h^2, which is -1
+    ratio = (pv.base.restrict(g * g) / pv.base.restrict(h * h)).as_scalar()
     report.add(
         "matching generators forces gamma^2 = -1 over the rational constants",
         ratio == GaussRat.of(-1),
@@ -389,15 +386,10 @@ def radical_pair_report(pv: PVExtension, tw: TwistResult) -> RadicalPairReport:
     )
     report.add(
         "gamma^2 = -1 has no solution in the constants of a real field",
-        True,
+        ratio is not None and ratio.im == 0 and ratio.re < 0,
         "squares of rationals are nonnegative",
     )
-    return RadicalPairReport(ext, twisted, report)
-
-
-def _same_rate(pv: PVExtension, g: FieldElement, h: FieldElement) -> bool:
-    a0 = pv.ode.coeffs[0]
-    return pv.ode.apply(g).is_zero() and pv.ode.apply(h).is_zero() and not a0.is_zero()
+    return RadicalPairReport(report)
 
 
 def _solution_span(tower: DiffTower, rate: FieldElement) -> list[FieldElement]:
@@ -412,12 +404,3 @@ def _solution_span(tower: DiffTower, rate: FieldElement) -> list[FieldElement]:
             sols.append(x)
     return sols
 
-
-def _spans_same_line(tower: DiffTower, x: FieldElement, h: FieldElement) -> bool:
-    return (x / h).as_scalar() is not None
-
-
-def _constant_ratio(pv, tw, g2: FieldElement, h2: FieldElement):
-    """g^2 and h^2 both lie in the base; their ratio is the forced gamma^2."""
-    r = pv.base.restrict(g2) / pv.base.restrict(h2)
-    return r.as_scalar()

@@ -70,7 +70,8 @@ class RewriteSystem:
         )
         self._lifted: dict[Context, tuple[Rule, ...]] = {}
 
-    def _rules_for(self, ctx: Context) -> tuple[Rule, ...]:
+    def rules_for(self, ctx: Context) -> tuple[Rule, ...]:
+        """The rules read in `ctx`, a context that covers this one."""
         if ctx == self.context:
             return self.rules
         cached = self._lifted.get(ctx)
@@ -86,7 +87,7 @@ class RewriteSystem:
             raise ContextError(
                 f"cannot rewrite {ctx.variables} modulo rules over {self.context.variables}"
             )
-        rules = self._rules_for(ctx)
+        rules = self.rules_for(ctx)
         if not rules:
             return p
         key = ctx.key

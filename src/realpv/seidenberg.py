@@ -61,7 +61,6 @@ class SeidenbergReport:
     tower: DiffTower
     witness: tuple[FieldElement, ...]
     new_constants: tuple[FieldElement, ...]
-    pv_failure: str
     report: Report = field(default_factory=Report)
 
 
@@ -84,9 +83,7 @@ def seidenberg_demo() -> SeidenbergReport:
 
     # -1 is a sum of two squares: the field is not formally real
     wit = non_reality_witness(F)
-    sq = F.zero()
-    for x in wit:
-        sq = sq + x * x
+    sq = sum((x * x for x in wit), F.zero())
     report.add(
         "sum of squares equal to -1", sq == F.const(-1), " , ".join(str(x) for x in wit)
     )
@@ -96,14 +93,12 @@ def seidenberg_demo() -> SeidenbergReport:
     report.add("generator a solves Y'' + 4Y = 0", ode.apply(a).is_zero(), "a'' = -4a")
 
     # the certified circle construction refuses: new constants appear
-    failure = ""
     try:
         build_pv(F, ode, "CIRCLE")
         report.add(
             "certified construction must fail over this field", False, "it succeeded"
         )
     except NotPV as e:
-        failure = str(e)
         names = [c.name for c in e.report.failures()] if e.report is not None else []
         report.add(
             "certified construction fails on the constant check",
@@ -123,4 +118,4 @@ def seidenberg_demo() -> SeidenbergReport:
         " ; ".join(str(x) for x in consts),
     )
 
-    return SeidenbergReport(F, wit, consts, failure, report)
+    return SeidenbergReport(F, wit, consts, report)

@@ -34,9 +34,9 @@ from .errors import (
 from .gauss import GaussRat
 from .linsolve import kernel
 from .poly import Context, Monomial, Poly, parse_fraction
-from .rewrite import buchberger
+from .rewrite import RewriteSystem, buchberger
 
-__all__ = ["Kind", "GeneratorSpec", "DiffTower", "FieldElement"]
+__all__ = ["Kind", "GeneratorSpec", "DiffTower", "FieldElement", "linear_relations_mod"]
 
 
 class Kind(Enum):
@@ -68,6 +68,25 @@ def _specs_in(specs: Iterable[GeneratorSpec], ctx: Context) -> list[GeneratorSpe
         )
         for s in specs
     ]
+
+
+def linear_relations_mod(
+    system: RewriteSystem, elems: Sequence["FieldElement"]
+) -> list[list[GaussRat]]:
+    """Kernel of (a_k) -> sum a_k elems[k] modulo `system`, whose context
+    the elements live in: the numerators over a common denominator are
+    normal-formed and compared monomial by monomial."""
+    dens = list(dict.fromkeys(e.den for e in elems))
+    by_monomial: dict[Monomial, dict[int, GaussRat]] = {}
+    for k, e in enumerate(elems):
+        prod = e.num
+        for d in dens:
+            if d != e.den:
+                prod = prod * d
+        for m, c in system.normal_form(prod).terms.items():
+            by_monomial.setdefault(m, {})[k] = c
+    rows = [by_monomial[m] for m in sorted(by_monomial, key=system.context.key)]
+    return kernel(len(elems), rows)
 
 
 class FieldElement:
@@ -102,6 +121,10 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def variables(self) -> set[str]:
+        """The variables the element is written in."""
+        return self.num.variables() | self.den.variables()
 
     def as_scalar(self) -> GaussRat | None:
         """The element's value if it is a scalar (num = v * den), else None."""
@@ -341,6 +364,10 @@ class DiffTower:
         """Re-read an element of a smaller tower in this one."""
         return self.elem(x.num, x.den)
 
+    def writes(self, x: FieldElement) -> bool:
+        """Whether x is written in this tower's variables alone."""
+        return x.variables() <= set(self.context.variables)
+
     def restrict(self, x: FieldElement) -> FieldElement:
         """Re-read an element of a larger tower in this one.
 
@@ -350,7 +377,7 @@ class DiffTower:
         scalar = x.as_scalar()
         if scalar is not None:
             return self.const(scalar)
-        if not (x.num.variables() | x.den.variables()) <= set(self.context.variables):
+        if not self.writes(x):
             raise BadField(f"{x} does not lie in the base field")
         return self.elem(
             Poly(self.context, dict(x.num.terms)), Poly(self.context, dict(x.den.terms))
@@ -394,23 +421,9 @@ class DiffTower:
         variable outside this tower is mapped; an unmapped one raises
         ContextError.  Used for group actions and relation checks.
         """
-        powers: dict[tuple[str, int], FieldElement] = {}
-
-        def power(v: str, e: int) -> FieldElement:
-            got = powers.get((v, e))
-            if got is None:
-                base = mapping.get(v)
-                got = self.var(v) ** e if base is None else base**e
-                powers[(v, e)] = got
-            return got
-
-        out = self.zero()
-        for m in sorted(p.terms, key=p.context.key):
-            term = self.const(p.terms[m])
-            for v, e in sorted(m.exponents().items()):
-                term = term * power(v, e)
-            out = out + term
-        return out
+        return p.substitute(
+            lambda v: mapping[v] if v in mapping else self.var(v), self.const
+        )
 
     # -- tower growth ----------------------------------------------------------
 
@@ -485,10 +498,7 @@ class DiffTower:
         """Adjoin one generator with a polynomial relation; the relation must
         be stable under the declared derivation or IncompatibleDerivation is
         raised."""
-        tower = self.adjoin_abstract(
-            [name], [derivative], [relation], kind=Kind.ALGEBRAIC
-        )
-        return tower
+        return self.adjoin_abstract([name], [derivative], [relation], kind=Kind.ALGEBRAIC)
 
     def with_params(self, names: Sequence[str]) -> "DiffTower":
         """Same tower with constant parameter variables below everything."""
@@ -550,17 +560,7 @@ class DiffTower:
 
     def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
         """Kernel of (a_k) -> sum a_k elems[k], exactly, over GaussRat."""
-        dens = list(dict.fromkeys(e.den for e in elems))
-        by_monomial: dict[Monomial, dict[int, GaussRat]] = {}
-        for k, e in enumerate(elems):
-            prod = e.num
-            for d in dens:
-                if d != e.den:
-                    prod = prod * d
-            for m, c in self.rewrite.normal_form(prod).terms.items():
-                by_monomial.setdefault(m, {})[k] = c
-        rows = [by_monomial[m] for m in sorted(by_monomial, key=self.context.key)]
-        return kernel(len(elems), rows)
+        return linear_relations_mod(self.rewrite, elems)
 
     def combine(
         self, coeffs: Sequence[GaussRat], elems: Sequence[FieldElement]

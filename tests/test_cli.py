@@ -83,6 +83,20 @@ def test_demos_pass(capsys, name):
     assert "FAIL" not in out
 
 
+def test_so2_forms_checks_the_witness(capsys, monkeypatch):
+    import realpv.cli as cli
+
+    found = cli.non_reality_witness
+    # doubled witnesses have squares summing to -4
+    monkeypatch.setattr(
+        cli, "non_reality_witness", lambda tw: tuple(x.scale(2) for x in found(tw))
+    )
+    code, out, _ = run(capsys, "demo", "so2-forms")
+    assert code == 1
+    assert "[FAIL] twisted field is not formally real" in out
+    assert "[PASS] original field has no such witness" in out
+
+
 def test_weak_normality_demo_text(capsys):
     _, out, _ = run(capsys, "demo", "weak-normality")
     assert "1 real member(s) vs 3" in out

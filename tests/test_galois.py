@@ -26,7 +26,7 @@ from realpv import (
     relations_ideal,
     same_zero_set,
 )
-from realpv.galois import AlgebraicRelation, RelationIdeal
+from realpv.galois import AlgebraicRelation, DerivationRelation, RelationIdeal
 
 I = GaussRat(Fraction(0), Fraction(1))
 
@@ -70,6 +70,17 @@ def test_corrupt_ideal_rejected(exp_pv):
             True,
         )
         defining_equations(exp_pv, bogus)
+
+
+def test_wrong_derivation_coefficient_rejected(circle_pv):
+    # the relation's own coefficients are checked, not the recorded companion
+    ideal = relations_ideal(circle_pv)
+    first, second = ideal.derivations
+    doubled = DerivationRelation(first.slot, tuple(a.scale(2) for a in first.coeffs))
+    with pytest.raises(BadIdeal, match="derivation relation fails"):
+        RelationIdeal(
+            circle_pv, ideal.z_context, (doubled, second), ideal.algebraic, True
+        )
 
 
 # -- frozen defining sets --------------------------------------------------------

@@ -149,3 +149,64 @@ def test_power_matches_repeated_multiplication(ctx):
         for k in range(4):
             assert p**k == acc
             acc = acc * p
+
+
+# -- substitution ------------------------------------------------------------------
+
+
+def test_substitute_over_gaussian_rationals(ctx):
+    p = parse_poly("2*s^2*c - t + 3", ctx)
+    values = {
+        "t": GaussRat.of(5),
+        "c": GaussRat(Fraction(0), Fraction(1)),
+        "s": GaussRat.of(Fraction(1, 2)),
+    }
+    # 2 * (1/4) * i - 5 + 3
+    expect = GaussRat(Fraction(-2), Fraction(1, 2))
+    assert p.substitute(values.__getitem__, GaussRat.of) == expect
+
+
+def test_substitute_into_polynomials_is_a_ring_morphism(ctx):
+    out = Context(["u", "v"])
+    values = {
+        "t": parse_poly("u + v", out),
+        "c": parse_poly("u*v", out),
+        "s": parse_poly("v - 1", out),
+    }
+
+    def sub(p):
+        return p.substitute(values.__getitem__, lambda c: Poly.const(out, c))
+
+    assert sub(parse_poly("s^2 - t", ctx)) == parse_poly("v^2 - 3*v + 1 - u", out)
+    r = rng(21)
+    for _ in range(40):
+        p, q = rand_poly(r, ctx), rand_poly(r, ctx)
+        assert sub(p * q) == sub(p) * sub(q)
+        assert sub(p + q) == sub(p) + sub(q)
+
+
+def test_substitute_homogenises_with_scale(ctx):
+    p = parse_poly("s^2 + 3*t - 1", ctx)
+    values = {"s": GaussRat.of(1), "t": GaussRat.of(3)}
+    # 2^2 * p(values / 2) = 1 + 3*3*2 - 4
+    assert p.substitute(values.__getitem__, GaussRat.of, GaussRat.of(2)) == GaussRat.of(15)
+    out = Context(["u", "w"])
+    u, w = Poly.variable(out, "u"), Poly.variable(out, "w")
+    homog = p.substitute({"s": u, "t": u}.__getitem__, lambda c: Poly.const(out, c), w)
+    assert homog == u * u + (u * w).scale(3) - w * w
+    # the zero polynomial has degree 0 and stays zero
+    zero = Poly.zero(ctx).substitute(values.__getitem__, GaussRat.of, GaussRat.of(2))
+    assert zero == GaussRat.of(0)
+
+
+def test_substitute_computes_each_power_once(ctx):
+    asked = []
+
+    def value(v):
+        asked.append(v)
+        return GaussRat.of(2)
+
+    p = parse_poly("s^2*c + s^2*t + s*c + c", ctx)
+    assert p.substitute(value, GaussRat.of) == GaussRat.of(8 + 8 + 4 + 2)
+    # one call per (variable, exponent) pair: s^2, c, t and s
+    assert sorted(asked) == ["c", "s", "s", "t"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,15 @@ def test_circle_build(circle_pv):
         "no_new_constants_in_window",
         "companion_matrix_consistent",
     ]
+
+
+def test_perturbed_companion_fails_its_certificate(circle_pv):
+    base = circle_pv.base
+    rows = ((base.zero(), base.const(-2)), (base.one(), base.zero()))
+    rep = verify_pv(replace(circle_pv, companion=rows))
+    status = {c.name: c.status for c in rep.lines}
+    assert status["companion_matrix_consistent"] == "FAIL"
+    assert status["solutions_satisfy_equation"] == "PASS"
 
 
 def test_exp_build(exp_pv):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,14 @@ def test_identity_twist_is_unchanged(circle_pv, circle_group):
     assert res.report.ok
 
 
+def test_identity_twist_checks_the_solutions(circle_pv, circle_group):
+    s, c = circle_pv.solutions
+    wrong = replace(circle_pv, solutions=(s * s, c))
+    res = twist(wrong, circle_group, matrix_from_texts(ID2))
+    status = {line.name: line.status for line in res.report.lines}
+    assert status == {"twisted solutions solve the equation": "FAIL"}
+
+
 def test_exp_minus_one_twist_splits(exp_pv, exp_group):
     res = twist(exp_pv, exp_group, [[GaussRat.of(-1)]])
     assert res.isomorphic_to_original
@@ -135,6 +144,17 @@ def test_radical_pair_not_isomorphic(sqrt_pv, sqrt_group):
     assert rep.report.ok
     names = [n for n, _, _ in rep.report.lines]
     assert "matching generators forces gamma^2 = -1 over the rational constants" in names
+
+
+def test_radical_pair_lines_fail_for_the_trivial_twist(sqrt_pv, sqrt_group):
+    # twisting by 1 keeps g, so g^2 / h^2 = 1 and no contradiction is forced
+    res = twist(sqrt_pv, sqrt_group, [[GaussRat.of(1)]])
+    rep = radical_pair_report(sqrt_pv, res)
+    failed = [line.name for line in rep.report.failures()]
+    assert failed == [
+        "matching generators forces gamma^2 = -1 over the rational constants",
+        "gamma^2 = -1 has no solution in the constants of a real field",
+    ]
 
 
 # -- cohomology class lists -----------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from realpv import DiffTower, GaussRat, Poly
+from realpv import Context, DiffTower, GaussRat, Poly, parse_poly
 from realpv.errors import ContextError, IncompatibleDerivation, ModeError
 
 from helpers import rand_element, rng
@@ -110,6 +110,15 @@ def test_eval_poly_substitution(circle):
     p = circle.parse("s^2 + 2*c").num
     image = circle.eval_poly(p, {"s": c, "c": s})
     assert image == c * c + circle.const(2) * s
+
+
+def test_eval_poly_maps_foreign_variables_and_refuses_unmapped_ones(circle):
+    z_ctx = Context(["t", "Z1", "Z2"])
+    p = parse_poly("Z1^2 + Z2^2 - t", z_ctx)
+    s, c, t = circle.var("s"), circle.var("c"), circle.var("t")
+    assert circle.eval_poly(p, {"Z1": s, "Z2": c}) == circle.one() - t
+    with pytest.raises(ContextError):
+        circle.eval_poly(p, {"Z1": s})
 
 
 def test_constant_scan_circle_empty(circle):
