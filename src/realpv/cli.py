@@ -98,7 +98,7 @@ def _group_report(ses: _Session) -> Report:
     ideal = ses.ideal
     for line in ideal.render():
         rep.info("relation", line)
-    rep.add("relations vanish on the solutions", True, "verified on construction")
+    rep.info("relations vanish on the solutions", "verified on construction")
     rep.info(
         "relation list complete",
         "yes" if ideal.complete else "no (a generator relation is not expressible "
@@ -216,13 +216,14 @@ def _demo_report(name: str) -> Report:
         )
         try:
             non_reality_witness(pv.extension)
-            rep.add("original field has no such witness", False, "witness found")
+            found = True
         except WitnessNotFound:
-            rep.add(
-                "original field has no such witness",
-                True,
-                "bounded search is empty",
-            )
+            found = False
+        rep.add(
+            "original field has no such witness",
+            not found,
+            "witness found" if found else "bounded search is empty",
+        )
         rep.data["classes"] = [c.label for c in h1.classes]
         return rep
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContextError, DivisionByZero
-from .gauss import GaussRat, Coeffable
+from .gauss import ONE, GaussRat, Coeffable
 
 __all__ = [
     "Context",
@@ -154,6 +154,10 @@ class Monomial:
         for v, e in other._exps.items():
             d[v] = max(d.get(v, 0), e)
         return Monomial(d)
+
+    def gcd(self, other: "Monomial") -> "Monomial":
+        oe = other._exps
+        return Monomial({v: min(e, oe[v]) for v, e in self._exps.items() if v in oe})
 
     def coprime(self, other: "Monomial") -> bool:
         return not (self.variables() & other.variables())
@@ -296,7 +300,10 @@ class Poly:
 
     def mul_monomial(self, m: Monomial, c: Coeffable = 1) -> "Poly":
         g = GaussRat.of(c)
-        return Poly(self.context, {mm * m: cc * g for mm, cc in self.terms.items()})
+        unit = g == ONE
+        return Poly(
+            self.context, {mm * m: cc if unit else cc * g for mm, cc in self.terms.items()}
+        )
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

@@ -74,19 +74,42 @@ def linear_relations_mod(
     system: RewriteSystem, elems: Sequence["FieldElement"]
 ) -> list[list[GaussRat]]:
     """Kernel of (a_k) -> sum a_k elems[k] modulo `system`, whose context
-    the elements live in: the numerators over a common denominator are
-    normal-formed and compared monomial by monomial."""
-    dens = list(dict.fromkeys(e.den for e in elems))
+    the elements live in.
+
+    Each denominator is split as a monomial times the rest (the gcd of its
+    terms' monomials, and the quotient).  The common denominator L is the
+    least common multiple of the monomial parts times every distinct rest;
+    each numerator is multiplied by L/den, normal-formed and compared
+    monomial by monomial.  Scaling the family by the one nonzero L leaves
+    the kernel, and so its canonical basis, unchanged.
+    """
+    split = {e.den: _monomial_part(e.den) for e in elems}
+    rests = list(dict.fromkeys(rest for _, rest in split.values()))
+    mono = Monomial()
+    for m, _ in split.values():
+        mono = mono.lcm(m)
     by_monomial: dict[Monomial, dict[int, GaussRat]] = {}
     for k, e in enumerate(elems):
-        prod = e.num
-        for d in dens:
-            if d != e.den:
-                prod = prod * d
-        for m, c in system.normal_form(prod).terms.items():
-            by_monomial.setdefault(m, {})[k] = c
-    rows = [by_monomial[m] for m in sorted(by_monomial, key=system.context.key)]
+        m, rest = split[e.den]
+        prod = e.num.mul_monomial(mono / m)
+        for r in rests:
+            if r != rest:
+                prod = prod * r
+        for mm, c in system.normal_form(prod).terms.items():
+            by_monomial.setdefault(mm, {})[k] = c
+    rows = [by_monomial[mm] for mm in sorted(by_monomial, key=system.context.key)]
     return kernel(len(elems), rows)
+
+
+def _monomial_part(p: Poly) -> tuple[Monomial, Poly]:
+    """p as m * rest with m the gcd of p's monomials."""
+    mons = iter(p.terms)
+    m = next(mons)
+    for mm in mons:
+        m = m.gcd(mm)
+    if m.is_one():
+        return m, p
+    return m, Poly(p.context, {mm / m: c for mm, c in p.terms.items()})
 
 
 class FieldElement:
@@ -361,7 +384,10 @@ class DiffTower:
         return out
 
     def lift(self, x: FieldElement) -> FieldElement:
-        """Re-read an element of a smaller tower in this one."""
+        """Re-read an element of a smaller tower in this one; an element of
+        this tower is returned as it is."""
+        if x.tower == self:
+            return x
         return self.elem(x.num, x.den)
 
     def writes(self, x: FieldElement) -> bool:
@@ -384,8 +410,7 @@ class DiffTower:
         )
 
     def derive(self, x: FieldElement) -> FieldElement:
-        if x.tower != self:
-            x = self.lift(x)
+        x = self.lift(x)
         dn = self.derive_poly(x.num)
         dd = self.derive_poly(x.den)
         n = self.elem(x.num)
@@ -530,33 +555,67 @@ class DiffTower:
         out.sort(key=self.context.key)
         return out
 
+    def _window(
+        self, degree_bound: int, coeff_degree_bound: int
+    ) -> list[tuple[Monomial, int]]:
+        """The scan window as pairs (m, j) standing for m * t^j: generator
+        monomials m of degree <= degree_bound, and Laurent powers j of the
+        base variable up to coeff_degree_bound (only j = 0 without one)."""
+        tpowers = (
+            range(-coeff_degree_bound, coeff_degree_bound + 1)
+            if self.base_var
+            else range(0, 1)
+        )
+        return [(m, j) for m in self.irreducible_monomials(degree_bound) for j in tpowers]
+
     def scan_basis(
         self, degree_bound: int, coeff_degree_bound: int
     ) -> tuple[list[FieldElement], int]:
         """Finite scan window: generator monomials of degree <= degree_bound
         with Laurent powers of the base variable up to coeff_degree_bound.
         Returns the elements and the index of the constant element 1."""
-        mons = self.irreducible_monomials(degree_bound)
-        tpowers = (
-            range(-coeff_degree_bound, coeff_degree_bound + 1)
-            if self.base_var
-            else range(0, 1)
-        )
         elems: list[FieldElement] = []
         trivial = -1
         one = Poly.const(self.context, 1)
-        for m in mons:
-            for j in tpowers:
-                num = Poly(self.context, {m: GaussRat.of(1)})
-                den = one
-                if j > 0:
-                    num = num.mul_monomial(Monomial.var(self.base_var, j))
-                elif j < 0:
-                    den = Poly.variable(self.context, self.base_var, -j)
-                if m.is_one() and j == 0:
-                    trivial = len(elems)
-                elems.append(FieldElement(num, den, self))
+        for m, j in self._window(degree_bound, coeff_degree_bound):
+            num = Poly(self.context, {m: GaussRat.of(1)})
+            den = one
+            if j > 0:
+                num = num.mul_monomial(Monomial.var(self.base_var, j))
+            elif j < 0:
+                den = Poly.variable(self.context, self.base_var, -j)
+            if m.is_one() and j == 0:
+                trivial = len(elems)
+            elems.append(FieldElement(num, den, self))
         return elems, trivial
+
+    def scan_derivatives(
+        self, degree_bound: int, coeff_degree_bound: int
+    ) -> list[FieldElement]:
+        """The derivatives of the scan_basis elements, in the same order.
+
+        With D(m) = N/E from derive_poly, once per generator monomial m,
+        D(m * t^j) = t^(j-1) * (t*N + j*m*E) / E; for j = 0 it is D(m)
+        itself, which is also the whole window without a base variable.
+        """
+        t = self.base_var
+        dm: dict[Monomial, FieldElement] = {}
+        out: list[FieldElement] = []
+        for m, j in self._window(degree_bound, coeff_degree_bound):
+            d = dm.get(m)
+            if d is None:
+                d = dm[m] = self.derive_poly(Poly(self.context, {m: GaussRat.of(1)}))
+            if j == 0:
+                out.append(d)
+                continue
+            num = d.num.mul_monomial(Monomial.var(t)) + d.den.mul_monomial(m, j)
+            den = d.den
+            if j > 1:
+                num = num.mul_monomial(Monomial.var(t, j - 1))
+            elif j < 0:
+                den = den.mul_monomial(Monomial.var(t, 1 - j))
+            out.append(FieldElement(num, den, self))
+        return out
 
     def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
         """Kernel of (a_k) -> sum a_k elems[k], exactly, over GaussRat."""
@@ -576,13 +635,14 @@ class DiffTower:
     ) -> list[FieldElement]:
         """New constants in the scan window, excluding the scalars.
 
-        Solves d(sum a_k b_k) = 0 exactly over the window basis b_k; kernel
-        vectors are projected off the scalar direction, so an empty result
-        certifies that the window contains no constant outside the base
-        constants.
+        Solves d(sum a_k b_k) = 0 exactly over the window basis b_k, a
+        linear system in the derivatives from scan_derivatives (one
+        derive_poly call per generator monomial); kernel vectors are
+        projected off the scalar direction, so an empty result certifies
+        that the window contains no constant outside the base constants.
         """
         basis, trivial = self.scan_basis(degree_bound, coeff_degree_bound)
-        derivs = [b.derive() for b in basis]
+        derivs = self.scan_derivatives(degree_bound, coeff_degree_bound)
         found: list[FieldElement] = []
         for vec in self.linear_relations(derivs):
             coeffs = list(vec)

@@ -41,7 +41,17 @@ def test_monomial_operations():
     assert n.divides(m)
     assert not m.divides(n)
     assert m.lcm(Monomial({"y": 3})).exponents() == {"x": 2, "y": 3}
+    assert m.gcd(Monomial({"x": 5, "z": 1})).exponents() == {"x": 2}
+    assert m.gcd(Monomial({"z": 1})).is_one()
     assert Monomial({}).is_one()
+
+
+def test_mul_monomial_scales_only_when_asked(ctx):
+    p = parse_poly("s + 2*c", ctx)
+    m = Monomial({"s": 1})
+    assert p.mul_monomial(m) == parse_poly("s^2 + 2*s*c", ctx)
+    assert p.mul_monomial(m, GaussRat.of(1)) == p.mul_monomial(m)
+    assert p.mul_monomial(m, -3) == parse_poly("-3*s^2 - 6*s*c", ctx)
 
 
 def test_poly_arithmetic(ctx):

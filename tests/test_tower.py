@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from realpv import Context, DiffTower, GaussRat, Poly, parse_poly
+from realpv import Context, DiffTower, GaussRat, LinearODE, Poly, build_pv, parse_poly
 from realpv.errors import ContextError, IncompatibleDerivation, ModeError
+from realpv.linsolve import kernel
+from realpv.seidenberg import build_seidenberg
+from realpv.tower import linear_relations_mod
 
 from helpers import rand_element, rng
 
@@ -212,3 +215,110 @@ def test_laurent_window(base):
     strs = [str(x) for x in elems]
     assert "(1)/(t^2)" in strs or any("t^2" in s and "/" in s for s in strs)
     assert strs[trivial] == "1" or "(1)/(1)" == strs[trivial]
+
+
+def test_lift_returns_own_elements_and_rereads_base_ones(base, circle):
+    x = circle.parse("s/t + c")
+    assert circle.lift(x) is x
+    y = base.parse("1/(t^2+1)")
+    lifted = circle.lift(y)
+    assert lifted is not y
+    assert lifted.tower == circle
+    assert lifted.num.context == circle.context == lifted.den.context
+    assert lifted + circle.var("s") == circle.parse("1/(t^2+1) + s")
+
+
+@pytest.fixture(scope="module")
+def scan_towers(base, circle_pv, sqrt_pv, exp_pv):
+    t2p1 = build_pv(
+        base,
+        LinearODE.from_texts(base, ["-t/(t^2+1)"]),
+        "RADICAL",
+        radical_base=base.parse("t^2+1"),
+    )
+    constcoeff = build_pv(base, LinearODE.from_texts(base, ["2", "-3"]), "CONSTCOEFF2")
+    return {
+        "circle": circle_pv.extension,
+        "sqrt": sqrt_pv.extension,
+        "radical_t2p1": t2p1.extension,
+        "exp": exp_pv.extension,
+        "constcoeff": constcoeff.extension,
+        "seidenberg": build_seidenberg(),
+    }
+
+
+_r = rng(41)
+# default and wide scan bounds, then seeded random ones
+SCAN_BOUNDS = [(4, 3), (6, 5)] + [(_r.randint(0, 4), _r.randint(1, 5)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("bounds", SCAN_BOUNDS, ids=str)
+@pytest.mark.parametrize(
+    "name", ["circle", "sqrt", "radical_t2p1", "exp", "constcoeff", "seidenberg"]
+)
+def test_scan_derivatives_match_derive(scan_towers, name, bounds):
+    tower = scan_towers[name]
+    basis, _ = tower.scan_basis(*bounds)
+    derivs = tower.scan_derivatives(*bounds)
+    assert len(derivs) == len(basis)
+    if tower.base_var:
+        assert any(b.den.degree_in("t") > 0 for b in basis)  # negative powers of t
+    for b, d in zip(basis, derivs):
+        assert d.tower is tower
+        assert d == b.derive(), str(b)
+
+
+def _pairwise_cleared_kernel(system, elems):
+    """The kernel with each numerator times every other distinct denominator."""
+    dens = list(dict.fromkeys(e.den for e in elems))
+    by_monomial = {}
+    for k, e in enumerate(elems):
+        prod = e.num
+        for d in dens:
+            if d != e.den:
+                prod = prod * d
+        for m, c in system.normal_form(prod).terms.items():
+            by_monomial.setdefault(m, {})[k] = c
+    rows = [by_monomial[m] for m in sorted(by_monomial, key=system.context.key)]
+    return kernel(len(elems), rows)
+
+
+def test_linear_relations_clear_by_the_lcm(circle):
+    texts = [
+        "1", "1/t", "1/t^3", "t/(t^2+1)", "1/(t^3*(t^2+1))", "1/(t^2+1)",
+        "t^2/(t^2+1)", "s^2/t^2", "c^2/t^2", "1/t^2", "s*c/(t^3*(t^2+1))",
+    ]
+    elems = [circle.parse(x) for x in texts]
+    system = circle.rewrite
+    old = _pairwise_cleared_kernel(system, elems)
+
+    cleared = []
+
+    class Recording:
+        """The rewrite system, recording each row it normal-forms."""
+
+        context = system.context
+
+        def normal_form(self, p):
+            cleared.append(p)
+            return system.normal_form(p)
+
+    new = linear_relations_mod(Recording(), elems)
+
+    assert new == old
+    # 1/(t^3 (t^2+1)) = 1/t^3 - 1/t + t/(t^2+1), 1/(t^2+1) + t^2/(t^2+1) = 1
+    # and s^2/t^2 + c^2/t^2 = 1/t^2
+    assert len(new) == 3
+    for vec in new:
+        assert circle.combine(vec, elems).is_zero()
+
+    t = sympy.Symbol("t")
+    lcm = sympy.lcm_list([sympy.sympify(str(e.den).replace("^", "**")) for e in elems])
+    lcm_degree = sympy.degree(lcm, t)
+    assert lcm_degree == 5
+    assert len(cleared) == len(elems)
+    for e, row in zip(elems, cleared):
+        assert row.degree_in("t") <= e.num.degree_in("t") + lcm_degree
+    # the pairwise product overshoots that bound
+    pairwise = sum(d.degree_in("t") for d in dict.fromkeys(e.den for e in elems))
+    assert pairwise > lcm_degree
