@@ -200,10 +200,21 @@ def subgroup_of(group: MatrixGroup, desc: SubgroupDescriptor) -> MatrixGroup:
     return sub
 
 
-def _candidate_descriptors(group: MatrixGroup) -> list[SubgroupDescriptor]:
-    if group.size == 1:
-        return [TRIVIAL, *(mu_n(k) for k in range(2, 9)), FULL]
-    return [TRIVIAL, _pm_identity(group.size), SO2, DIAGONAL, FULL]
+def _candidate_descriptors(
+    group: MatrixGroup, subgroup: MatrixGroup
+) -> list[SubgroupDescriptor]:
+    """The named shapes that may describe `subgroup`.  In a 1x1 group the
+    shape is read off the subgroup's reduced basis: an empty basis is FULL,
+    and {X11^q - 1} is MU_N(q), or TRIVIAL when q = 1."""
+    if group.size != 1:
+        return [TRIVIAL, _pm_identity(group.size), SO2, DIAGONAL, FULL]
+    rules = subgroup.basis.rules
+    if not rules:
+        return [FULL]
+    if len(rules) == 1 and rules[0].rhs == Poly.const(group.context, 1):
+        q = rules[0].lhs.degree()
+        return [TRIVIAL if q == 1 else mu_n(q)]
+    return []
 
 
 def descriptor_of(
@@ -211,7 +222,7 @@ def descriptor_of(
 ) -> SubgroupDescriptor | None:
     """Recognize a computed subgroup against the named shapes, by equal
     ideals (equal reduced bases) inside the ambient coordinate ring."""
-    for desc in _candidate_descriptors(group):
+    for desc in _candidate_descriptors(group, subgroup):
         try:
             candidate = subgroup_of(group, desc)
         except Unsupported:

@@ -4,6 +4,12 @@ Real and imaginary parts are `fractions.Fraction`, so every invariant of
 reduced fractions (gcd 1, positive denominator) comes from the standard
 library. Conjugation is the only extra structure the rest of the package
 needs: it is the ring involution fixing Q and sending i to -i.
+
+Almost every coefficient the package computes with is real, so sums,
+differences, products and inverses of real operands take a real path: one
+`Fraction` operation on the real parts, with the imaginary part kept as
+`Fraction(0)`.  The general Q(i) formulas handle everything else; both
+paths give equal (and equally hashed) results.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ from fractions import Fraction
 from typing import Union
 
 Coeffable = Union["GaussRat", Fraction, int]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -45,12 +54,16 @@ class GaussRat:
         return self.re * self.re + self.im * self.im
 
     def __add__(self, other: Coeffable) -> "GaussRat":
-        o = GaussRat.of(other)
+        o = other if other.__class__ is GaussRat else GaussRat.of(other)
+        if not self.im and not o.im:
+            return GaussRat(self.re + o.re, _ZERO)
         return GaussRat(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussRat":
+        if not self.im:
+            return GaussRat(-self.re, _ZERO)
         return GaussRat(-self.re, -self.im)
 
     def __sub__(self, other: Coeffable) -> "GaussRat":
@@ -60,7 +73,9 @@ class GaussRat:
         return GaussRat.of(other) + (-self)
 
     def __mul__(self, other: Coeffable) -> "GaussRat":
-        o = GaussRat.of(other)
+        o = other if other.__class__ is GaussRat else GaussRat.of(other)
+        if not self.im and not o.im:
+            return GaussRat(self.re * o.re, _ZERO)
         return GaussRat(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -69,9 +84,11 @@ class GaussRat:
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussRat":
+        if not self.im:
+            if not self.re:
+                raise ZeroDivisionError("inverse of zero GaussRat")
+            return GaussRat(_ONE / self.re, _ZERO)
         n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero GaussRat")
         return GaussRat(self.re / n, -self.im / n)
 
     def __truediv__(self, other: Coeffable) -> "GaussRat":

@@ -11,6 +11,13 @@ nonzero `GaussRat` coefficients.  Mixing polynomials from different contexts
 raises `ContextError`; widening into a larger context is explicit via
 `in_context`.
 
+Validation happens only at the public constructors: `Poly(ctx, terms)`
+coerces every coefficient to `GaussRat` and checks every variable against
+the context, and `Monomial(exps)` rejects negative exponents.  Results of
+arithmetic on valid polynomials and monomials are valid by construction, so
+they are built by `Poly._build` and `Monomial._build`, which only drop zero
+coefficients and zero exponents.
+
 The canonical text form writes terms in decreasing monomial order with
 coefficients rendered as "a/b" or "a/b+c/d*i"; `parse_fraction` reads that
 form back (and general +,-,*,/,^ expressions) bit-exactly.
@@ -36,13 +43,14 @@ __all__ = [
 class Context:
     """Ordered variable set.  Variables are listed from lowest to highest rank."""
 
-    __slots__ = ("variables", "_rank")
+    __slots__ = ("variables", "_rank", "_desc")
 
     def __init__(self, variables: Sequence[str]):
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable in context: {variables}")
         self.variables: tuple[str, ...] = tuple(variables)
         self._rank = {v: k for k, v in enumerate(self.variables)}
+        self._desc = self.variables[::-1]
 
     def rank(self, name: str) -> int:
         try:
@@ -79,7 +87,7 @@ class Context:
     def key(self, m: "Monomial"):
         """Graded-lex sort key: bigger key means bigger monomial."""
         e = m._exps
-        return (m.degree(), tuple(e.get(v, 0) for v in reversed(self.variables)))
+        return (m._deg, tuple([e.get(v, 0) for v in self._desc]))
 
 
 class Monomial:
@@ -94,10 +102,20 @@ class Monomial:
                 del d[v]
             elif e < 0:
                 raise ValueError(f"negative exponent for {v}")
-        self._exps = d
-        self._key = tuple(sorted(d.items()))
-        self._deg = sum(d.values())
+        self._fill(d, sum(d.values()))
+
+    def _fill(self, exps: dict[str, int], degree: int) -> None:
+        self._exps = exps
+        self._key = tuple(sorted(exps.items()))
+        self._deg = degree
         self._hash = hash(self._key)
+
+    @classmethod
+    def _build(cls, exps: dict[str, int], degree: int) -> "Monomial":
+        """Monomial from positive exponents that sum to `degree`, unchecked."""
+        m = cls.__new__(cls)
+        m._fill(exps, degree)
+        return m
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Monomial":
@@ -128,7 +146,7 @@ class Monomial:
         d = dict(self._exps)
         for v, e in other._exps.items():
             d[v] = d.get(v, 0) + e
-        return Monomial(d)
+        return Monomial._build(d, self._deg + other._deg)
 
     def __pow__(self, n: int) -> "Monomial":
         if n < 0:
@@ -144,10 +162,13 @@ class Monomial:
         d = dict(self._exps)
         for v, e in other._exps.items():
             r = d.get(v, 0) - e
-            if r < 0:
+            if r > 0:
+                d[v] = r
+            elif r == 0:
+                del d[v]
+            else:
                 raise ValueError(f"{other} does not divide {self}")
-            d[v] = r
-        return Monomial(d)
+        return Monomial._build(d, self._deg - other._deg)
 
     def lcm(self, other: "Monomial") -> "Monomial":
         d = dict(self._exps)
@@ -188,18 +209,25 @@ class Poly:
     __slots__ = ("context", "terms")
 
     def __init__(self, context: Context, terms: Mapping[Monomial, Coeffable] = ()):
+        self._fill(context, {m: GaussRat.of(c) for m, c in dict(terms).items()})
+        for m in self.terms:
+            for v in m._exps:
+                if v not in context:
+                    raise ContextError(
+                        f"monomial uses {v!r}, absent from {context.variables}"
+                    )
+
+    def _fill(self, context: Context, terms: Mapping[Monomial, GaussRat]) -> None:
         self.context = context
-        clean: dict[Monomial, GaussRat] = {}
-        for m, c in dict(terms).items():
-            g = GaussRat.of(c)
-            if g:
-                for v in m.variables():
-                    if v not in context:
-                        raise ContextError(
-                            f"monomial uses {v!r}, absent from {context.variables}"
-                        )
-                clean[m] = g
-        self.terms = clean
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    @classmethod
+    def _build(cls, context: Context, terms: Mapping[Monomial, GaussRat]) -> "Poly":
+        """Polynomial from GaussRat coefficients on monomials of `context`,
+        unchecked; zero coefficients are dropped."""
+        p = cls.__new__(cls)
+        p._fill(context, terms)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -209,12 +237,12 @@ class Poly:
 
     @staticmethod
     def const(ctx: Context, c: Coeffable) -> "Poly":
-        return Poly(ctx, {ONE_MONOMIAL: GaussRat.of(c)})
+        return Poly._build(ctx, {ONE_MONOMIAL: GaussRat.of(c)})
 
     @staticmethod
     def variable(ctx: Context, name: str, exp: int = 1) -> "Poly":
         ctx.rank(name)
-        return Poly(ctx, {Monomial.var(name, exp): GaussRat.of(1)})
+        return Poly._build(ctx, {Monomial.var(name, exp): ONE})
 
     # -- predicates and views ----------------------------------------------
 
@@ -273,10 +301,10 @@ class Poly:
         for m, c in other.terms.items():
             s = d.get(m)
             d[m] = c if s is None else s + c
-        return Poly(self.context, d)
+        return Poly._build(self.context, d)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.context, {m: -c for m, c in self.terms.items()})
+        return Poly._build(self.context, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -290,18 +318,18 @@ class Poly:
                 c = c1 * c2
                 s = d.get(m)
                 d[m] = c if s is None else s + c
-        return Poly(self.context, d)
+        return Poly._build(self.context, d)
 
     def scale(self, c: Coeffable) -> "Poly":
         g = GaussRat.of(c)
         if not g:
             return Poly.zero(self.context)
-        return Poly(self.context, {m: v * g for m, v in self.terms.items()})
+        return Poly._build(self.context, {m: v * g for m, v in self.terms.items()})
 
     def mul_monomial(self, m: Monomial, c: Coeffable = 1) -> "Poly":
         g = GaussRat.of(c)
         unit = g == ONE
-        return Poly(
+        return Poly._build(
             self.context, {mm * m: cc if unit else cc * g for mm, cc in self.terms.items()}
         )
 
@@ -323,12 +351,12 @@ class Poly:
         return self.scale(self.leading_coefficient().inverse())
 
     def conj(self) -> "Poly":
-        return Poly(self.context, {m: c.conj() for m, c in self.terms.items()})
+        return Poly._build(self.context, {m: c.conj() for m, c in self.terms.items()})
 
     def real_imag(self) -> tuple["Poly", "Poly"]:
         re = {m: GaussRat(c.re) for m, c in self.terms.items()}
         im = {m: GaussRat(c.im) for m, c in self.terms.items()}
-        return Poly(self.context, re), Poly(self.context, im)
+        return Poly._build(self.context, re), Poly._build(self.context, im)
 
     def __eq__(self, other) -> bool:
         return (
@@ -348,7 +376,7 @@ class Poly:
             raise ContextError(
                 f"{ctx.variables} does not cover {self.context.variables}"
             )
-        return Poly(ctx, self.terms)
+        return Poly._build(ctx, self.terms)
 
     def substitute(self, value, const, scale=None):
         """p with each variable v replaced by value(v) and each coefficient

@@ -5,7 +5,10 @@ graded-lex order (Buchberger's algorithm with a step budget), then oriented
 into rules  leading monomial -> tail.  Normal forms are computed by total
 multivariate division: always reduce the largest remaining term with the
 first applicable rule, so the result is canonical and the map is
-GaussRat-linear and idempotent.
+GaussRat-linear and idempotent.  The remaining terms sit in a heap ordered
+by the context's key, computed once per monomial when it enters the work
+set; a term that cancels keeps its heap entry, which is skipped when it
+surfaces.
 
 Rules may be applied to polynomials living in a wider context (extra
 variables of lower or higher rank), which stays confluent because a rule's
@@ -15,6 +18,7 @@ ranks, and no new critical pairs appear between rules and fresh variables.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, ContextError
@@ -42,7 +46,7 @@ class Rule:
             raise ValueError("cannot orient the zero relation")
         p = p.monic()
         lm = p.leading_monomial()
-        tail = Poly(p.context, {m: -c for m, c in p.terms.items() if m != lm})
+        tail = Poly._build(p.context, {m: -c for m, c in p.terms.items() if m != lm})
         return Rule(lm, tail)
 
     def as_poly(self) -> Poly:
@@ -91,11 +95,19 @@ class RewriteSystem:
         if not rules:
             return p
         key = ctx.key
-        work = dict(p.terms)
+        # Every monomial in `work` has exactly one heap entry, made when it
+        # first entered.  A term that cancels stays in `work` as None until
+        # its entry surfaces; keys are unique per monomial, so entries never
+        # compare their monomials.
+        work: dict[Monomial, GaussRat | None] = dict(p.terms)
+        heap = [_desc_entry(key(m), m) for m in work]
+        heapify(heap)
         done: dict[Monomial, GaussRat] = {}
-        while work:
-            m = max(work, key=key)
+        while heap:
+            m = heappop(heap)[2]
             c = work.pop(m)
+            if c is None:
+                continue
             hit = None
             for r in rules:
                 if r.lhs.divides(m):
@@ -107,13 +119,14 @@ class RewriteSystem:
             quot = m / hit.lhs
             for rm, rc in hit.rhs.terms.items():
                 k = rm * quot
-                cur = work.get(k)
+                if k not in work:
+                    work[k] = c * rc
+                    heappush(heap, _desc_entry(key(k), k))
+                    continue
+                cur = work[k]
                 val = c * rc if cur is None else cur + c * rc
-                if val:
-                    work[k] = val
-                elif cur is not None:
-                    del work[k]
-        return Poly(ctx, done)
+                work[k] = val if val else None
+        return Poly._build(ctx, done)
 
     def is_zero_mod(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
@@ -133,6 +146,12 @@ class RewriteSystem:
             f"{r.lhs.render(self.context)} -> {r.rhs}" for r in self.rules
         )
         return f"RewriteSystem[{body}]"
+
+
+def _desc_entry(key: tuple, m: Monomial) -> tuple:
+    """Heap entry that pops the monomial with the largest `key` first."""
+    degree, exps = key
+    return (-degree, tuple([-e for e in exps]), m)
 
 
 def _spoly(f: Poly, g: Poly) -> Poly:

@@ -67,6 +67,21 @@ def test_correspond_sqrt_mu3_has_a_quotient_over_the_base(capsys, tmp_path):
     assert "Y' = ((3/2)/(t))*Y at g*t" in out
 
 
+@pytest.mark.parametrize("q", [9, 12, 60])
+def test_correspond_exp_recognizes_every_mu_n(capsys, tmp_path, q):
+    path = tmp_path / f"exp_mu{q}.json"
+    path.write_text(json.dumps({
+        "base_var": "t",
+        "equation": {"class": "EXP", "coefficients": ["-1"]},
+        "subgroup": {"kind": "MU_N", "order": q},
+    }))
+    code, out, err = run(capsys, "correspond", str(path))
+    assert (code, err) == (0, "")
+    assert f"MU_N({q}) -> K(e^{q}) -> MU_N({q})" in out
+    assert "FAIL" not in out
+    assert out.splitlines()[-1] == "result: ok"
+
+
 def test_twist_circle(capsys):
     code, out, _ = run(capsys, "twist", f"{SCENARIOS}/circle.json")
     assert code == 0

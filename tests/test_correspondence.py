@@ -32,12 +32,13 @@ from realpv import (
     member_of_field,
     mu_n,
     normality_check,
+    parse_poly,
     reduces_to_zero,
     same_zero_set,
     subgroup_of,
     weak_normality_demo,
 )
-from realpv.correspondence import _candidate_descriptors, descriptor_polys
+from realpv.correspondence import descriptor_polys
 from realpv.galois import MatrixGroup
 from realpv.linsolve import identity, kernel
 
@@ -71,6 +72,12 @@ QUARTER_TURNS = [
     [["-1", "0"], ["0", "-1"]],
     [["0", "1"], ["-1", "0"]],
 ]
+
+# named subgroup shapes tried on each group, by matrix size
+SHAPES = {
+    1: [TRIVIAL, *(mu_n(k) for k in range(2, 9)), FULL],
+    2: [TRIVIAL, finite_list(PM_ONE), SO2, DIAGONAL, FULL],
+}
 
 
 # -- descriptors -----------------------------------------------------------------
@@ -246,7 +253,7 @@ def _sampled_fixed_field(group, desc):
 def test_fixed_field_agrees_with_the_sampled_computation(request, group_name):
     group = request.getfixturevalue(group_name)
     answered = 0
-    for desc in _candidate_descriptors(group):
+    for desc in SHAPES[group.size]:
         old = _sampled_fixed_field(group, desc)
         if old is not None:
             answered += 1
@@ -264,7 +271,7 @@ def test_fixed_field_makes_no_apply_call(circle_group, exp_group, monkeypatch):
     for module in (galois, correspondence):
         monkeypatch.setattr(module, "apply", counted)
     for group in (circle_group, exp_group):
-        for desc in _candidate_descriptors(group):
+        for desc in SHAPES[group.size]:
             fixed_field(group, desc)
     assert calls == []
 
@@ -399,6 +406,34 @@ def test_descriptor_of_recognizes_so2(circle_group):
     assert desc is not None and desc.kind == "SO2"
 
 
+@pytest.mark.parametrize("q", [1, 2, 8, 9, 12, 60])
+def test_descriptor_of_reads_every_root_of_unity_order(exp_group, q):
+    desc = TRIVIAL if q == 1 else mu_n(q)
+    assert descriptor_of(exp_group, subgroup_of(exp_group, desc)) == desc
+
+
+def test_descriptor_of_full_and_unnamed_subgroups_of_gl1(exp_group):
+    assert descriptor_of(exp_group, subgroup_of(exp_group, FULL)) == FULL
+    # X11^2 = X11 + 2 cuts out {-1, 2}, which is no group of roots of unity
+    odd = exp_group.extended([parse_poly("X11^2 - X11 - 2", exp_group.context)])
+    assert descriptor_of(exp_group, odd) is None
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_descriptor_of_on_radical_groups_reads_the_gcd(radical_groups, order):
+    group = radical_groups[order]
+    assert descriptor_of(group, subgroup_of(group, FULL)) == mu_n(order)
+    assert descriptor_of(group, subgroup_of(group, mu_n(6 * order))) == mu_n(order)
+    assert descriptor_of(group, subgroup_of(group, mu_n(5))) == TRIVIAL
+
+
+@pytest.mark.parametrize("q", [9, 12, 60])
+def test_round_trips_exp_beyond_order_eight(exp_group, q):
+    rep, F, sub = check_correspondence(exp_group, mu_n(q))
+    assert rep.ok, [line.render() for line in rep.lines]
+    assert F.describe() == f"K(e^{q})"
+
+
 # -- normality ---------------------------------------------------------------------
 
 
@@ -497,7 +532,7 @@ def _mutual_reduction(a, b, ctx):
 def test_same_zero_set_agrees_with_mutual_reduction(request, group_name):
     group = request.getfixturevalue(group_name)
     polys = []
-    for desc in _candidate_descriptors(group):
+    for desc in SHAPES[group.size]:
         try:
             polys.append(descriptor_polys(group, desc))
         except Unsupported:

@@ -85,3 +85,70 @@ def test_square_detection():
     assert not is_square(Fraction(-1))
     with pytest.raises(ValueError):
         rational_sqrt(Fraction(2))
+
+
+# -- the real path against the general Q(i) formulas -------------------------------
+
+mixed = st.one_of(
+    st.builds(GaussRat, fractions),
+    st.builds(GaussRat, fractions, fractions),
+    st.just(ZERO),
+)
+operands = st.one_of(mixed, fractions, st.integers(-9, 9))
+
+
+def general_mul(a, b):
+    return GaussRat(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def general_add(a, b):
+    return GaussRat(a.re + b.re, a.im + b.im)
+
+
+def general_inverse(a):
+    n = a.re * a.re + a.im * a.im
+    return GaussRat(a.re / n, -a.im / n)
+
+
+def assert_exact(got, expected):
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+@given(mixed, operands)
+def test_products_sums_and_differences_match_the_general_formulas(a, other):
+    b = GaussRat.of(other)
+    assert_exact(a * other, general_mul(a, b))
+    assert_exact(other * a, general_mul(a, b))
+    assert_exact(a + other, general_add(a, b))
+    assert_exact(other + a, general_add(a, b))
+    assert_exact(a - other, general_add(a, -b))
+    assert_exact(other - a, general_add(b, -a))
+    assert_exact(-a, GaussRat(-a.re, -a.im))
+
+
+@given(nonzero_gauss)
+def test_inverse_matches_the_general_formula(a):
+    assert_exact(a.inverse(), general_inverse(a))
+    real = GaussRat(a.re)
+    if real:
+        assert_exact(real.inverse(), general_inverse(real))
+
+
+@given(fractions, fractions)
+def test_real_results_equal_and_hash_as_real_numbers(x, y):
+    a, b = GaussRat(x), GaussRat(y)
+    for got, value in [(a * b, x * y), (a + b, x + y), (a - b, x - y), (-a, -x)]:
+        assert_exact(got, GaussRat(value))
+        assert got.is_real() and got.im == 0
+        assert got.re.numerator == value.numerator
+    if x:
+        assert_exact(a.inverse(), GaussRat(1 / x))
+
+
+def test_real_zero_has_no_inverse():
+    with pytest.raises(ZeroDivisionError):
+        GaussRat(Fraction(0)).inverse()
+    with pytest.raises(ZeroDivisionError):
+        GaussRat.of(3) / GaussRat(Fraction(0), Fraction(0))

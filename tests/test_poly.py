@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from realpv import Context, GaussRat, Monomial, Poly, parse_fraction, parse_poly
+from realpv import (
+    Context, GaussRat, Monomial, Poly, buchberger, parse_fraction, parse_poly,
+)
 from realpv.errors import ContextError
 
 from helpers import rand_poly, rng
@@ -71,6 +73,58 @@ def test_zero_coefficients_dropped(ctx):
 def test_unknown_variable_rejected(ctx):
     with pytest.raises(ContextError):
         Poly.variable(ctx, "nope")
+
+
+def test_public_constructor_coerces_and_checks(ctx):
+    m = Monomial({"s": 1})
+    p = Poly(ctx, {m: 3, Monomial(): Fraction(1, 2), Monomial({"c": 1}): 0})
+    assert p.terms == {m: GaussRat.of(3), Monomial(): GaussRat(Fraction(1, 2))}
+    assert all(type(c) is GaussRat for c in p.terms.values())
+    with pytest.raises(ContextError):
+        Poly(ctx, {Monomial({"x": 1}): 1})
+    with pytest.raises(ContextError):
+        Poly(ctx, {m: 1, Monomial({"s": 1, "x": 2}): GaussRat.of(-1)})
+    # a zero term is dropped before its variables are looked at
+    assert Poly(ctx, {Monomial({"x": 1}): 0}).is_zero()
+
+
+def _valid(p):
+    assert all(type(c) is GaussRat and c for c in p.terms.values())
+    assert all(v in p.context for m in p.terms for v in m.variables())
+    assert all(e > 0 for m in p.terms for e in m.exponents().values())
+    return p
+
+
+def test_no_result_holds_a_zero_coefficient(ctx):
+    system = buchberger([parse_poly("s^2 + c^2 - 1", ctx)], ctx)
+    r = rng(17)
+    for _ in range(150):
+        p = rand_poly(r, ctx)
+        q = rand_poly(r, ctx)
+        m = next(iter(rand_poly(r, ctx, max_terms=1).terms), Monomial())
+        for got in (
+            p + q, p + (-p), p - q, p - p, p * q, (p + q) * (p - q), -p,
+            p.scale(0), p.scale(Fraction(-2, 3)), p.scale(GaussRat(Fraction(0), Fraction(1))),
+            p.mul_monomial(m), p.mul_monomial(m, 0), p.mul_monomial(m, -1),
+            system.normal_form(p), system.normal_form(p * parse_poly("s^2 + c^2 - 1", ctx)),
+        ):
+            _valid(got)
+        assert (p - p).terms == {} and p.scale(0).terms == {}
+
+
+def test_monomial_products_and_quotients_are_canonical():
+    m = Monomial({"x": 2, "y": 1})
+    n = Monomial({"y": 3, "z": 1})
+    prod = m * n
+    assert prod == Monomial({"x": 2, "y": 4, "z": 1})
+    assert hash(prod) == hash(Monomial({"z": 1, "y": 4, "x": 2}))
+    assert prod.degree() == 7
+    q = prod / Monomial({"x": 2, "z": 1})
+    assert q.exponents() == {"y": 4} and q.degree() == 4
+    assert q == Monomial({"y": 4}) and hash(q) == hash(Monomial({"y": 4}))
+    assert (m / m).is_one() and (m / m) == Monomial() and (m / m).degree() == 0
+    with pytest.raises(ValueError):
+        m / n
 
 
 def test_parse_fraction(ctx):

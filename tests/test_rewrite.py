@@ -1,9 +1,15 @@
 """Completion and normal forms: worked examples plus confluence shuffles."""
 
-import pytest
+from fractions import Fraction
 
-from realpv import Context, buchberger, parse_poly
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from realpv import (
+    Context, GaussRat, Monomial, Poly, RewriteSystem, Rule, buchberger, parse_poly,
+)
 from realpv.errors import BudgetExceeded
+from realpv.seidenberg import build_seidenberg
 
 from helpers import rand_poly, rng
 
@@ -86,3 +92,140 @@ def test_rules_lift_to_wider_context():
     wide = Context(["u", "t", "g"])
     p = parse_poly("g^2*u - t*u", wide)
     assert system.normal_form(p).is_zero()
+
+
+# -- heap-ordered normal forms against the plain division loop ---------------------
+
+
+def reference_normal_form(system, p, reappeared=None):
+    """Total division that finds the largest remaining term by scanning all
+    of them on every step.  Monomials that cancel and later come back are
+    appended to `reappeared`."""
+    ctx = p.context
+    rules = system.rules_for(ctx)
+    work = dict(p.terms)
+    done = {}
+    gone = set()
+    while work:
+        m = max(work, key=ctx.key)
+        c = work.pop(m)
+        hit = next((r for r in rules if r.lhs.divides(m)), None)
+        if hit is None:
+            done[m] = c
+            continue
+        quot = m / hit.lhs
+        for rm, rc in hit.rhs.terms.items():
+            k = rm * quot
+            cur = work.get(k)
+            if cur is None and k in gone and reappeared is not None:
+                reappeared.append(k)
+            val = c * rc if cur is None else cur + c * rc
+            if val:
+                work[k] = val
+            elif cur is not None:
+                del work[k]
+                gone.add(k)
+    return Poly(ctx, done)
+
+
+class RecordingMonomial(Monomial):
+    """A rule's left-hand side that logs every monomial tested against it,
+    which is the order in which a normal form visits the terms."""
+
+    def __init__(self, m, log):
+        super().__init__(m.exponents())
+        self.log = log
+
+    def divides(self, other):
+        self.log.append((self, other))
+        return super().divides(other)
+
+
+def recording(system, log):
+    rules = [Rule(RecordingMonomial(r.lhs, log), r.rhs) for r in system.rules]
+    return RewriteSystem(system.context, rules)
+
+
+def _system(variables, relations):
+    ctx = Context(variables)
+    return buchberger([parse_poly(r, ctx) for r in relations], ctx)
+
+
+SYSTEMS = {
+    "circle": _system(["t", "c", "s"], ["s^2 + c^2 - 1"]),
+    "radical": _system(["t", "g"], ["g^3 - t"]),
+    "seidenberg": build_seidenberg().rewrite,
+    "two_generators": _system(["z", "y", "x"], ["x^2 - y", "y^2 - z"]),
+}
+# contexts with a new variable on each side, where rules are read by rules_for
+WIDE = {
+    "circle": Context(["u", "t", "c", "s", "w"]),
+    "radical": Context(["u", "t", "g", "w"]),
+}
+
+CASES = [(name, False) for name in sorted(SYSTEMS)] + [(name, True) for name in WIDE]
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+coefficients = st.builds(
+    GaussRat, small_fractions, st.one_of(st.just(Fraction(0)), small_fractions)
+)
+
+
+def polys(ctx, max_exp):
+    n = len(ctx.variables)
+    exps = st.lists(st.integers(0, max_exp), min_size=n, max_size=n)
+    return st.dictionaries(exps.map(tuple), coefficients, max_size=5).map(
+        lambda terms: Poly(
+            ctx, {Monomial(zip(ctx.variables, e)): c for e, c in terms.items()}
+        )
+    )
+
+
+@st.composite
+def inputs(draw):
+    """A system and a polynomial a + b*g + c*lm(g) for a rule g of the
+    system: reducing b*g cancels terms, and reducing c*lm(g) can bring them
+    back."""
+    name, wide = draw(st.sampled_from(CASES))
+    system = SYSTEMS[name]
+    ctx = WIDE[name] if wide else system.context
+    rule = draw(st.sampled_from(system.rules_for(ctx)))
+    a, b, c = (draw(polys(ctx, 2)) for _ in range(3))
+    return system, a + b * rule.as_poly() + c.mul_monomial(rule.lhs)
+
+
+def assert_same_normal_form(system, p):
+    ref_log, new_log = [], []
+    expected = reference_normal_form(recording(system, ref_log), p)
+    got = recording(system, new_log).normal_form(p)
+    assert got == expected
+    assert list(got.terms) == list(expected.terms)
+    assert got == system.normal_form(p)
+    # same terms reduced in the same order, by the same rules
+    assert new_log == ref_log
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs())
+def test_heap_normal_form_matches_the_division_loop(case):
+    assert_same_normal_form(*case)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("circle", "s^2*c^2 + s^2 - c^2"),
+        ("circle", "s^3*c^2 + s^3 - s*c^2 + t"),
+        ("circle", "(2 + i)*s^4*c^2 + (2 + i)*s^4 - (2 + i)*s^2*c^2 + s"),
+        ("seidenberg", "a^2*b^2 + 4*a^4 + a^2 + b^2"),
+        ("circle_wide", "u*s^2*c^2 + u*s^2 - u*c^2 + w"),
+    ],
+)
+def test_heap_normal_form_when_a_cancelled_term_reappears(name, text):
+    system = SYSTEMS[name.removesuffix("_wide")]
+    ctx = WIDE["circle"] if name.endswith("_wide") else system.context
+    p = parse_poly(text, ctx)
+    reappeared = []
+    reference_normal_form(system, p, reappeared)
+    assert reappeared, "the input should cancel a term that later comes back"
+    assert_same_normal_form(system, p)
