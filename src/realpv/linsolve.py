@@ -2,14 +2,18 @@
 
 The solvers work on sparse equations (dicts mapping unknown index to
 coefficient) because the matrices produced by constant scans and invariant
-computations are large but very sparse.  Elimination keeps rows in reduced
-row-echelon form, so kernel bases come out canonical: one vector per free
-unknown, unit at the free position, fully reduced elsewhere.
+computations are large but very sparse.  `kernel` eliminates forward only
+and back-substitutes once per free unknown.  Its basis is canonical: one
+vector per free unknown (a column that is no row's leftmost entry in
+echelon form), unit at that position and zero at the other free ones.
+Such a basis is unique, so it depends neither on the order of the
+equations nor on how they were eliminated.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -31,64 +35,74 @@ _ZERO = GaussRat.of(0)
 _ONE = GaussRat.of(1)
 
 
-def _reduce(eq: dict[int, GaussRat], pivots: dict[int, dict[int, GaussRat]]) -> None:
-    for col in sorted(eq):
-        row = pivots.get(col)
-        if row is None:
-            continue
-        factor = eq.pop(col, None)
-        if factor is None or not factor:
-            continue
-        for c, v in row.items():
-            if c == col:
-                continue
-            cur = eq.get(c, _ZERO) - factor * v
-            if cur:
-                eq[c] = cur
-            else:
-                eq.pop(c, None)
+def kernel(n_cols: int, equations: Iterable[dict[int, GaussRat]]) -> list[list[GaussRat]]:
+    """Canonical basis of the solution space of a homogeneous sparse system.
 
-
-def _echelonize(equations: Iterable[dict[int, GaussRat]]) -> dict[int, dict[int, GaussRat]]:
-    pivots: dict[int, dict[int, GaussRat]] = {}
+    Forward elimination: each equation is reduced against the pivot rows
+    found so far and, if anything is left, becomes a new pivot row at its
+    smallest column.  A pivot row is kept as it was left, with the inverse
+    of its pivot entry; its other entries lie right of the pivot, and
+    earlier rows are not reduced against later pivots.  Back-substitution
+    then solves for the pivot unknowns once per free column, over the
+    pivots in decreasing order.
+    """
+    pivots: dict[int, tuple[dict[int, GaussRat], GaussRat]] = {}
     for raw in equations:
-        eq = {c: GaussRat.of(v) for c, v in raw.items() if GaussRat.of(v)}
-        _reduce(eq, pivots)
+        eq = {c: g for c, v in raw.items() if (g := GaussRat.of(v))}
+        # Subtracting the row at `col` only adds columns right of `col`, so
+        # the pivot columns to clear are visited from a heap in increasing
+        # order.  A column that cancels and comes back has two entries; the
+        # second finds it gone.
+        todo = [c for c in eq if c in pivots]
+        heapify(todo)
+        while todo:
+            col = heappop(todo)
+            f = eq.pop(col, None)
+            if f is None:
+                continue
+            row, inv = pivots[col]
+            f = f * inv
+            for c, v in row.items():
+                if c == col:
+                    continue
+                cur = eq.get(c)
+                if cur is None:
+                    eq[c] = -(f * v)
+                    if c in pivots:
+                        heappush(todo, c)
+                    continue
+                val = cur - f * v
+                if val:
+                    eq[c] = val
+                else:
+                    del eq[c]
         if not eq:
             continue
         col = min(eq)
-        inv = eq[col].inverse()
-        row = {c: v * inv for c, v in eq.items()}
-        for pcol, prow in pivots.items():
-            f = prow.get(col)
-            if f is None:
-                continue
-            for c, v in row.items():
-                if c == col:
-                    prow.pop(col, None)
-                    continue
-                cur = prow.get(c, _ZERO) - f * v
-                if cur:
-                    prow[c] = cur
-                else:
-                    prow.pop(c, None)
-        pivots[col] = row
-    return pivots
-
-
-def kernel(n_cols: int, equations: Iterable[dict[int, GaussRat]]) -> list[list[GaussRat]]:
-    """Canonical basis of the solution space of a homogeneous sparse system."""
-    pivots = _echelonize(equations)
+        pivots[col] = (eq, eq[col].inverse())
+    # A pivot right of the free column solves to zero, as its row holds only
+    # columns further right, whose unknowns are zero too.  Each pivot left
+    # of it is solved after every pivot its row refers to.
+    order = sorted(pivots, reverse=True)
     basis: list[list[GaussRat]] = []
     for free in range(n_cols):
         if free in pivots:
             continue
+        x = {free: _ONE}
+        for p in order:
+            if p > free:
+                continue
+            row, inv = pivots[p]
+            acc = _ZERO
+            for c, v in row.items():
+                xc = x.get(c)
+                if xc is not None:
+                    acc = acc - v * xc
+            if acc:
+                x[p] = acc * inv
         vec = [_ZERO] * n_cols
-        vec[free] = _ONE
-        for pcol, row in pivots.items():
-            coef = row.get(free)
-            if coef:
-                vec[pcol] = -coef
+        for c, v in x.items():
+            vec[c] = v
         basis.append(vec)
     return basis
 

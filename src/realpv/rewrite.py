@@ -5,7 +5,8 @@ graded-lex order (Buchberger's algorithm with a step budget), then oriented
 into rules  leading monomial -> tail.  Normal forms are computed by total
 multivariate division: always reduce the largest remaining term with the
 first applicable rule, so the result is canonical and the map is
-GaussRat-linear and idempotent.  The remaining terms sit in a heap ordered
+GaussRat-linear and idempotent.  An input with no reducible term is
+returned as it is.  Otherwise the remaining terms sit in a heap ordered
 by the context's key, computed once per monomial when it enters the work
 set; a term that cancels keeps its heap entry, which is skipped when it
 surfaces.
@@ -92,7 +93,9 @@ class RewriteSystem:
                 f"cannot rewrite {ctx.variables} modulo rules over {self.context.variables}"
             )
         rules = self.rules_for(ctx)
-        if not rules:
+        # Most inputs are already reduced; those are returned as they are,
+        # with their terms in their own order.
+        if not any(r.lhs.divides(m) for m in p.terms for r in rules):
             return p
         key = ctx.key
         # Every monomial in `work` has exactly one heap entry, made when it

@@ -76,29 +76,62 @@ def linear_relations_mod(
     """Kernel of (a_k) -> sum a_k elems[k] modulo `system`, whose context
     the elements live in.
 
-    Each denominator is split as a monomial times the rest (the gcd of its
-    terms' monomials, and the quotient).  The common denominator L is the
-    least common multiple of the monomial parts times every distinct rest;
-    each numerator is multiplied by L/den, normal-formed and compared
-    monomial by monomial.  Scaling the family by the one nonzero L leaves
-    the kernel, and so its canonical basis, unchanged.
+    Each numerator is multiplied by L/den for the common denominator L of
+    `_clearing_factors`, normal-formed and compared monomial by monomial.
+    Scaling the family by the one nonzero L leaves the kernel, and so its
+    canonical basis, unchanged.
     """
-    split = {e.den: _monomial_part(e.den) for e in elems}
-    rests = list(dict.fromkeys(rest for _, rest in split.values()))
+    _, cofactor = _clearing_factors(system.context, [e.den for e in elems])
+    nf = system.normal_form
+    return _kernel_by_monomial(
+        system.context, [nf(_times(e.num, cofactor[e.den])) for e in elems]
+    )
+
+
+def _kernel_by_monomial(ctx: Context, polys: Sequence[Poly]) -> list[list[GaussRat]]:
+    """Kernel of (a_k) -> sum a_k polys[k], one equation per monomial."""
+    by_monomial: dict[Monomial, dict[int, GaussRat]] = {}
+    for k, p in enumerate(polys):
+        for mm, c in p.terms.items():
+            by_monomial.setdefault(mm, {})[k] = c
+    rows = [by_monomial[mm] for mm in sorted(by_monomial, key=ctx.key)]
+    return kernel(len(polys), rows)
+
+
+def _clearing_factors(
+    ctx: Context, dens: Iterable[Poly]
+) -> tuple[Poly, dict[Poly, tuple[Monomial, Poly | None]]]:
+    """A common multiple L of `dens` and the cofactor L/den of each, as a
+    monomial times the product of the other rests (None when there is
+    none); `_times` applies it.
+
+    Each denominator is split as a monomial times the rest (the gcd of its
+    terms' monomials, and the quotient).  L is the least common multiple of
+    the monomial parts times every distinct rest other than 1.
+    """
+    split = {d: _monomial_part(d) for d in dens}
+    one = Poly.const(ctx, 1)
+    rests = [r for r in dict.fromkeys(rest for _, rest in split.values()) if r != one]
     mono = Monomial()
     for m, _ in split.values():
         mono = mono.lcm(m)
-    by_monomial: dict[Monomial, dict[int, GaussRat]] = {}
-    for k, e in enumerate(elems):
-        m, rest = split[e.den]
-        prod = e.num.mul_monomial(mono / m)
+    cofactor: dict[Poly, tuple[Monomial, Poly | None]] = {}
+    for d, (m, rest) in split.items():
+        others = None
         for r in rests:
             if r != rest:
-                prod = prod * r
-        for mm, c in system.normal_form(prod).terms.items():
-            by_monomial.setdefault(mm, {})[k] = c
-    rows = [by_monomial[mm] for mm in sorted(by_monomial, key=system.context.key)]
-    return kernel(len(elems), rows)
+                others = r if others is None else others * r
+        cofactor[d] = (mono / m, others)
+    common = Poly._build(ctx, {mono: GaussRat.of(1)})
+    for r in rests:
+        common = common * r
+    return common, cofactor
+
+
+def _times(p: Poly, cofactor: tuple[Monomial, Poly | None]) -> Poly:
+    m, others = cofactor
+    p = p.mul_monomial(m)
+    return p if others is None else p * others
 
 
 def _monomial_part(p: Poly) -> tuple[Monomial, Poly]:
@@ -110,6 +143,12 @@ def _monomial_part(p: Poly) -> tuple[Monomial, Poly]:
     if m.is_one():
         return m, p
     return m, Poly(p.context, {mm / m: c for mm, c in p.terms.items()})
+
+
+def _index_of_one(window: Sequence[tuple[Monomial, int]]) -> int:
+    """Position of the element 1 = (1, 0) in a scan window, or -1."""
+    one = (Monomial(), 0)
+    return window.index(one) if one in window else -1
 
 
 class FieldElement:
@@ -568,53 +607,70 @@ class DiffTower:
         )
         return [(m, j) for m in self.irreducible_monomials(degree_bound) for j in tpowers]
 
+    def _window_element(self, m: Monomial, j: int) -> FieldElement:
+        """The window element m * t^j."""
+        num = Poly(self.context, {m: GaussRat.of(1)})
+        den = Poly.const(self.context, 1)
+        if j > 0:
+            num = num.mul_monomial(Monomial.var(self.base_var, j))
+        elif j < 0:
+            den = Poly.variable(self.context, self.base_var, -j)
+        return FieldElement(num, den, self)
+
     def scan_basis(
         self, degree_bound: int, coeff_degree_bound: int
     ) -> tuple[list[FieldElement], int]:
         """Finite scan window: generator monomials of degree <= degree_bound
         with Laurent powers of the base variable up to coeff_degree_bound.
         Returns the elements and the index of the constant element 1."""
-        elems: list[FieldElement] = []
-        trivial = -1
-        one = Poly.const(self.context, 1)
-        for m, j in self._window(degree_bound, coeff_degree_bound):
-            num = Poly(self.context, {m: GaussRat.of(1)})
-            den = one
-            if j > 0:
-                num = num.mul_monomial(Monomial.var(self.base_var, j))
-            elif j < 0:
-                den = Poly.variable(self.context, self.base_var, -j)
-            if m.is_one() and j == 0:
-                trivial = len(elems)
-            elems.append(FieldElement(num, den, self))
-        return elems, trivial
+        window = self._window(degree_bound, coeff_degree_bound)
+        elems = [self._window_element(m, j) for m, j in window]
+        return elems, _index_of_one(window)
 
-    def scan_derivatives(
-        self, degree_bound: int, coeff_degree_bound: int
-    ) -> list[FieldElement]:
-        """The derivatives of the scan_basis elements, in the same order.
+    def _cleared_derivatives(
+        self, window: Sequence[tuple[Monomial, int]], coeff_degree_bound: int
+    ) -> list[Poly]:
+        """For each window element b = m * t^j, the normal form of
+        D(b) * E * t^K, which vanishes exactly when D(b) does.
 
-        With D(m) = N/E from derive_poly, once per generator monomial m,
-        D(m * t^j) = t^(j-1) * (t*N + j*m*E) / E; for j = 0 it is D(m)
-        itself, which is also the whole window without a base variable.
+        E is the common denominator of the generators' derivatives N_v/E_v
+        (`_clearing_factors`), so D(m) = M_m / E with
+        M_m = sum_v e_v * (m/v) * N_v * (E/E_v) for m = prod_v v^e_v, and
+        D(m * t^j) * E * t^K = t^(j-1+K) * (t * M_m + j * m * E) with
+        K = coeff_degree_bound + 1, a polynomial for every j in the window.
+        Without a base variable it is M_m.  Since t^s * (x - nf(x)) lies in
+        the ideal, the polynomials of one m start from the normal forms of
+        t * M_m and m * E, computed once.
         """
+        nf = self.rewrite.normal_form
+        derivs = {s.name: self._derivation[s.name] for s in self.specs}
+        common, cofactor = _clearing_factors(
+            self.context, [d.den for d in derivs.values()]
+        )
+        cleared = {v: _times(d.num, cofactor[d.den]) for v, d in derivs.items()}
+
+        def numerator(m: Monomial) -> Poly:
+            out = Poly.zero(self.context)
+            for v, e in m.exponents().items():
+                out = out + cleared[v].mul_monomial(m / Monomial.var(v), e)
+            return out
+
         t = self.base_var
-        dm: dict[Monomial, FieldElement] = {}
-        out: list[FieldElement] = []
-        for m, j in self._window(degree_bound, coeff_degree_bound):
-            d = dm.get(m)
-            if d is None:
-                d = dm[m] = self.derive_poly(Poly(self.context, {m: GaussRat.of(1)}))
-            if j == 0:
-                out.append(d)
-                continue
-            num = d.num.mul_monomial(Monomial.var(t)) + d.den.mul_monomial(m, j)
-            den = d.den
-            if j > 1:
-                num = num.mul_monomial(Monomial.var(t, j - 1))
-            elif j < 0:
-                den = den.mul_monomial(Monomial.var(t, 1 - j))
-            out.append(FieldElement(num, den, self))
+        if t is None:
+            return [nf(numerator(m)) for m, _ in window]
+        shift = coeff_degree_bound + 1
+        parts: dict[Monomial, tuple[Poly, Poly]] = {}
+        out: list[Poly] = []
+        for m, j in window:
+            got = parts.get(m)
+            if got is None:
+                got = parts[m] = (
+                    nf(numerator(m).mul_monomial(Monomial.var(t))),
+                    nf(common.mul_monomial(m)),
+                )
+            tn, me = got
+            p = tn + me.scale(j) if j else tn
+            out.append(nf(p.mul_monomial(Monomial.var(t, j - 1 + shift))))
         return out
 
     def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
@@ -635,21 +691,26 @@ class DiffTower:
     ) -> list[FieldElement]:
         """New constants in the scan window, excluding the scalars.
 
-        Solves d(sum a_k b_k) = 0 exactly over the window basis b_k, a
-        linear system in the derivatives from scan_derivatives (one
-        derive_poly call per generator monomial); kernel vectors are
-        projected off the scalar direction, so an empty result certifies
+        Solves d(sum a_k b_k) = 0 exactly over the window elements b_k,
+        with one equation per monomial of the `_cleared_derivatives`.  Its
+        kernel is the canonical one that `linear_relations` gives on the
+        derivatives of the `scan_basis` elements.  Each kernel vector is
+        projected off the scalar direction and combined from the window
+        elements it uses, which are built only then.  A combination that is
+        a scalar is no new constant: the window can write 1 in more than
+        one way, as g^2/t^3 when g^2 = t^3.  So an empty result certifies
         that the window contains no constant outside the base constants.
         """
-        basis, trivial = self.scan_basis(degree_bound, coeff_degree_bound)
-        derivs = self.scan_derivatives(degree_bound, coeff_degree_bound)
+        window = self._window(degree_bound, coeff_degree_bound)
+        cleared = self._cleared_derivatives(window, coeff_degree_bound)
+        trivial = _index_of_one(window)
         found: list[FieldElement] = []
-        for vec in self.linear_relations(derivs):
-            coeffs = list(vec)
-            if trivial >= 0:
-                coeffs[trivial] = GaussRat.of(0)
-            x = self.combine(coeffs, basis)
-            if x.is_zero():
+        for vec in _kernel_by_monomial(self.context, cleared):
+            used = [k for k, c in enumerate(vec) if c and k != trivial]
+            x = self.combine(
+                [vec[k] for k in used], [self._window_element(*window[k]) for k in used]
+            )
+            if x.as_scalar() is not None:
                 continue
             lead = x.num.leading_coefficient()
             found.append(x.scale(lead.inverse()))

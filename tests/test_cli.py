@@ -67,6 +67,26 @@ def test_correspond_sqrt_mu3_has_a_quotient_over_the_base(capsys, tmp_path):
     assert "Y' = ((3/2)/(t))*Y at g*t" in out
 
 
+@pytest.mark.parametrize(
+    "coefficient, flags",
+    [
+        ("-3/2 * 1/t", ()),
+        ("-5/2 * 1/t", ("--scan-degree", "6", "--scan-coeff-degree", "5")),
+    ],
+)
+def test_build_radical_whose_window_writes_one_twice(capsys, tmp_path, coefficient, flags):
+    # g^2 = t^3 (or t^5) is a PV extension; its window holds g^2/t^3 (or
+    # g^2/t^5), which is 1 again: a scalar, not a new constant
+    path = tmp_path / "radical.json"
+    path.write_text(json.dumps({
+        "base_var": "t",
+        "equation": {"class": "RADICAL", "coefficients": [coefficient]},
+    }))
+    code, out, err = run(capsys, "build", str(path), *flags)
+    assert (code, err) == (0, "")
+    assert "[PASS] no_new_constants_in_window" in out
+
+
 @pytest.mark.parametrize("q", [9, 12, 60])
 def test_correspond_exp_recognizes_every_mu_n(capsys, tmp_path, q):
     path = tmp_path / f"exp_mu{q}.json"

@@ -73,6 +73,138 @@ def test_kernel_vectors_annihilate():
         assert len(basis) == n_cols - m.rank()
 
 
+def _gauss_jordan_kernel(n_cols, equations):
+    """The former kernel, kept as a reference: every new pivot row is
+    back-substituted into all earlier ones, so the rows stay in reduced
+    row-echelon form throughout."""
+    zero, one = GaussRat.of(0), GaussRat.of(1)
+    pivots = {}
+    for raw in equations:
+        eq = {c: GaussRat.of(v) for c, v in raw.items() if GaussRat.of(v)}
+        for col in sorted(eq):
+            row = pivots.get(col)
+            factor = eq.get(col)
+            if row is None or factor is None:
+                continue
+            del eq[col]
+            for c, v in row.items():
+                if c != col:
+                    cur = eq.get(c, zero) - factor * v
+                    if cur:
+                        eq[c] = cur
+                    else:
+                        eq.pop(c, None)
+        if not eq:
+            continue
+        col = min(eq)
+        inv = eq[col].inverse()
+        row = {c: v * inv for c, v in eq.items()}
+        for prow in pivots.values():
+            f = prow.pop(col, None)
+            if f is None:
+                continue
+            for c, v in row.items():
+                if c != col:
+                    cur = prow.get(c, zero) - f * v
+                    if cur:
+                        prow[c] = cur
+                    else:
+                        prow.pop(c, None)
+        pivots[col] = row
+    basis = []
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        vec = [zero] * n_cols
+        vec[free] = one
+        for pcol, row in pivots.items():
+            if row.get(free):
+                vec[pcol] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def _from_sympy(x) -> GaussRat:
+    re, im = sympy.expand_complex(x).as_real_imag()
+    return GaussRat(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def _sympy_kernel(n_cols, equations):
+    """sympy's nullspace brought to the canonical basis: unit at each free
+    column of the reduced row-echelon form, zero at the other free ones."""
+    m = sympy.zeros(max(len(equations), 1), n_cols)
+    for i, row in enumerate(equations):
+        for j, c in row.items():
+            m[i, j] = _to_sympy(c)
+    _, pivots = m.rref()
+    free = [c for c in range(n_cols) if c not in pivots]
+    vectors = m.nullspace()
+    if not vectors:
+        return []
+    b = sympy.Matrix.hstack(*vectors).T
+    canon = b[:, free].inv() * b
+    return [[_from_sympy(canon[i, j]) for j in range(n_cols)] for i in range(len(free))]
+
+
+def _random_system(r):
+    """A sparse system over Q(i) with some columns never used, and with
+    empty rows, repeated rows and combinations of earlier rows mixed in."""
+    n_cols = r.randint(1, 8)
+    used = [j for j in range(n_cols) if r.random() < 0.85]
+    eqs = []
+    for _ in range(r.randint(0, n_cols + 2)):
+        roll = r.random()
+        if roll < 0.1:
+            eqs.append({})
+        elif roll < 0.2 and eqs:
+            eqs.append(dict(r.choice(eqs)))
+        elif roll < 0.35 and len(eqs) >= 2:
+            a, b = r.sample(eqs, 2)
+            ca, cb = rand_gauss(r), rand_gauss(r)
+            row = {}
+            for j in set(a) | set(b):
+                v = ca * a.get(j, GaussRat.of(0)) + cb * b.get(j, GaussRat.of(0))
+                if v:
+                    row[j] = v
+            eqs.append(row)
+        else:
+            row = {}
+            for j in used:
+                if r.random() < 0.5:
+                    c = rand_gauss(r)
+                    if c:
+                        row[j] = c
+            eqs.append(row)
+    return n_cols, eqs
+
+
+def test_kernel_is_the_canonical_basis():
+    """kernel against the former Gauss-Jordan routine, and on every fifth
+    system against sympy."""
+    r = rng(24)
+    seen = {"full rank": 0, "dimension >= 2": 0, "pivot left of free": 0,
+            "zero column": 0, "empty row": 0, "repeated row": 0, "complex": 0}
+    for k in range(200):
+        n_cols, eqs = _random_system(r)
+        basis = kernel(n_cols, eqs)
+        assert basis == _gauss_jordan_kernel(n_cols, eqs)
+        if k % 5 == 0:
+            assert basis == _sympy_kernel(n_cols, eqs)
+        seen["full rank"] += not basis
+        seen["dimension >= 2"] += len(basis) >= 2
+        # a vector's free column is its last nonzero entry, so one with two
+        # nonzero entries has a nonzero pivot left of its free column, which
+        # a back-substitution stopping at the free column would miss
+        seen["pivot left of free"] += len(basis) >= 2 and any(
+            sum(map(bool, vec)) >= 2 for vec in basis
+        )
+        seen["zero column"] += any(all(j not in row for row in eqs) for j in range(n_cols))
+        seen["empty row"] += {} in eqs
+        seen["repeated row"] += any(row and eqs.count(row) > 1 for row in eqs)
+        seen["complex"] += any(c.im for row in eqs for c in row.values())
+    assert all(seen.values()), seen
+
+
 def test_mat_conj():
     i = GaussRat(Fraction(0), Fraction(1))
     assert mat_conj([[i]]) == [[-i]]

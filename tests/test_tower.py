@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from realpv import Context, DiffTower, GaussRat, LinearODE, Poly, build_pv, parse_poly
+import realpv.tower
+from realpv import (
+    Context, DiffTower, GaussRat, LinearODE, Monomial, Poly, build_pv, parse_poly
+)
 from realpv.errors import ContextError, IncompatibleDerivation, ModeError
 from realpv.linsolve import kernel
 from realpv.seidenberg import build_seidenberg
@@ -237,13 +240,22 @@ def scan_towers(base, circle_pv, sqrt_pv, exp_pv):
         radical_base=base.parse("t^2+1"),
     )
     constcoeff = build_pv(base, LinearODE.from_texts(base, ["2", "-3"]), "CONSTCOEFF2")
+    seidenberg = build_seidenberg()
+    # g^2 = t^3 is oriented as the rule t^3 -> g^2: t is on its left side
+    radical_t3 = base.adjoin_algebraic("g", "g^2 - t^3", "3*g/(2*t)")
+    assert [r.lhs for r in radical_t3.rewrite.rules] == [Monomial.var("t", 3)]
     return {
         "circle": circle_pv.extension,
         "sqrt": sqrt_pv.extension,
         "radical_t2p1": t2p1.extension,
         "exp": exp_pv.extension,
         "constcoeff": constcoeff.extension,
-        "seidenberg": build_seidenberg(),
+        "seidenberg": seidenberg,
+        # the Seidenberg demo's extension, whose window holds new constants
+        "seidenberg_circle": seidenberg.adjoin_abstract(
+            ["c", "s"], ["-2*s", "2*c"], ["s^2+c^2-1"]
+        ),
+        "radical_t3": radical_t3,
     }
 
 
@@ -254,18 +266,28 @@ SCAN_BOUNDS = [(4, 3), (6, 5)] + [(_r.randint(0, 4), _r.randint(1, 5)) for _ in 
 
 @pytest.mark.parametrize("bounds", SCAN_BOUNDS, ids=str)
 @pytest.mark.parametrize(
-    "name", ["circle", "sqrt", "radical_t2p1", "exp", "constcoeff", "seidenberg"]
+    "name",
+    [
+        "circle", "sqrt", "radical_t2p1", "exp", "constcoeff", "seidenberg",
+        "seidenberg_circle", "radical_t3",
+    ],
 )
-def test_scan_derivatives_match_derive(scan_towers, name, bounds):
+def test_scan_derivatives_match_derive(scan_towers, monkeypatch, name, bounds):
+    """The derivatives the scan clears and normal-forms have the kernel of
+    the window elements' derivatives, each computed by derive: the kernel
+    constant_scan solves for is the reference one."""
     tower = scan_towers[name]
     basis, _ = tower.scan_basis(*bounds)
-    derivs = tower.scan_derivatives(*bounds)
-    assert len(derivs) == len(basis)
-    if tower.base_var:
-        assert any(b.den.degree_in("t") > 0 for b in basis)  # negative powers of t
-    for b, d in zip(basis, derivs):
-        assert d.tower is tower
-        assert d == b.derive(), str(b)
+    expected = tower.linear_relations([b.derive() for b in basis])
+    kernels = []
+
+    def recording(n_cols, equations):
+        kernels.append(kernel(n_cols, equations))
+        return kernels[-1]
+
+    monkeypatch.setattr(realpv.tower, "kernel", recording)
+    tower.constant_scan(*bounds)
+    assert kernels == [expected]
 
 
 def _pairwise_cleared_kernel(system, elems):
