@@ -19,7 +19,7 @@ classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import BadField, Unsupported
@@ -39,7 +39,7 @@ from .poly import Context, Poly, parse_poly
 from .rewrite import RewriteSystem, buchberger
 from .pv import LinearODE, PVExtension, build_pv
 from .report import Report
-from .tower import DiffTower, FieldElement
+from .tower import DiffTower, FieldElement, cleared_numerators, kernel_by_monomial
 
 __all__ = [
     "SubgroupDescriptor",
@@ -281,17 +281,26 @@ def member_of_field(
     tower: DiffTower,
     x: FieldElement,
     gens: Sequence[FieldElement],
+    windows: dict[tuple[int, int], list[Poly]] | None = None,
 ) -> bool:
     """Whether x = N/D for window polynomials N, D over the generators.
 
-    The test is a single exact kernel computation: unknown coefficients of
-    D multiply x, unknown coefficients of N enter negated, and any kernel
-    vector with a nonzero D part exhibits the representation.  The window
-    degree grows with the queried element so that plain monomial relations
-    always fit.  A False answer means no representation within the window
-    bounds, so callers treat False as 'not found', not as a proof of
-    non-membership, except where the window provably spans the subfield's
-    relevant piece.
+    The test is a single exact kernel computation.  The window elements
+    w_k are cleared of their denominators once, as W_k = nf(w_k * L) for a
+    common multiple L of the denominators.  For x = a/b, the unknown
+    coefficients d_k of D multiply the rows nf(a * W_k) and those of N the
+    rows nf(b * W_k), which are the W_k themselves when b = 1: the
+    relation x * D = -N times b * L.  A kernel vector whose D part gives a
+    nonzero sum d_k W_k exhibits the representation, since multiplying by
+    the nonzero b * L is injective in the field.  The window degree grows
+    with the queried element so that plain monomial relations always fit.
+    A False answer means no representation within the window bounds, so
+    callers treat False as 'not found', not as a proof of non-membership,
+    except where the window provably spans the subfield's relevant piece.
+
+    `windows` holds the cleared windows of these generators already built,
+    keyed by (degree, t-power) bound; a caller that asks about several
+    elements over the same generators passes one dict to share them.
     """
     x = tower.lift(x)
     deg, tpow = DEFAULT_FIELD_BOUNDS
@@ -300,14 +309,24 @@ def member_of_field(
         # t-free data: comparing t-homogeneous components of x*D = N shows a
         # t-free representation exists whenever any does
         tpow = 0
-    window = window_products(tower, gens, deg, tpow)
-    elems = [x * w for w in window] + list(window)
-    half = len(window)
-    for vec in tower.linear_relations(elems):
-        if any(vec[:half]):
-            d = tower.combine(vec[:half], window)
-            if not d.is_zero():
-                return True
+    if windows is None:
+        windows = {}
+    cleared = windows.get((deg, tpow))
+    if cleared is None:
+        cleared = windows[deg, tpow] = cleared_numerators(
+            tower.rewrite, window_products(tower, gens, deg, tpow)
+        )
+    nf = tower.rewrite.normal_form
+    rows = [nf(x.num * w) for w in cleared]
+    rows += cleared if x.den.is_constant() else [nf(x.den * w) for w in cleared]
+    half = len(cleared)
+    for vec in kernel_by_monomial(tower.context, rows):
+        d = Poly.zero(tower.context)
+        for c, w in zip(vec[:half], cleared):
+            if c:
+                d = d + w.scale(c)
+        if not d.is_zero():
+            return True
     return False
 
 
@@ -318,6 +337,10 @@ def member_of_field(
 class IntermediateField:
     pv: PVExtension
     generators: tuple[FieldElement, ...]
+    # cleared membership windows of the generators, built on first use
+    windows: dict[tuple[int, int], list[Poly]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def describe(self) -> str:
         if not self.generators:
@@ -326,7 +349,7 @@ class IntermediateField:
         return f"K({inner})"
 
     def contains(self, x: FieldElement) -> bool:
-        return member_of_field(self.pv.extension, x, self.generators)
+        return member_of_field(self.pv.extension, x, self.generators, self.windows)
 
     def subfield_of(self, other: "IntermediateField") -> bool:
         return all(other.contains(g) for g in self.generators)
@@ -354,20 +377,21 @@ def fixed_field(group: MatrixGroup, desc: SubgroupDescriptor) -> IntermediateFie
     ]
     candidates.sort(key=lambda x: (x.num.total_degree(), str(x)))
 
-    kept: list[FieldElement] = []
+    # each field shares its membership windows between the queries over it
+    F = IntermediateField(pv, ())
     for cand in candidates:
-        if kept and member_of_field(ext, cand, kept):
+        if F.generators and F.contains(cand):
             continue
-        kept.append(cand)
+        F = IntermediateField(pv, (*F.generators, cand))
 
     # exact re-checks: each generator is fixed modulo the subgroup's ideal,
     # and the field is closed under the derivation
-    for g in kept:
+    for g in F.generators:
         if not all(sub.basis.is_zero_mod(p) for p in invariance_conditions(sub, g)):
             raise BadField(f"{g} is not fixed by {desc.label()} (symbolic check)")
-        if not member_of_field(ext, g.derive(), kept):
+        if not F.contains(g.derive()):
             raise BadField(f"derivative of {g} escapes the candidate field")
-    return IntermediateField(pv, tuple(kept))
+    return F
 
 
 def group_over(

@@ -165,7 +165,7 @@ def _verify_ideal(ideal: RelationIdeal) -> None:
     ext = pv.extension
     sols = [ext.lift(s) for s in pv.solutions]
     for d in ideal.derivations:
-        if not companion_residue(ext, sols, d.slot, d.coeffs).is_zero():
+        if not companion_residue(ext, sols, sols[d.slot].derive(), d.coeffs).is_zero():
             raise BadIdeal(f"derivation relation fails at solutions: {d.render()}")
     z_map = {f"Z{j + 1}": sols[j] for j in range(len(sols))}
     for a in ideal.algebraic:
@@ -327,7 +327,7 @@ def defining_equations(
 
     collected: list[Poly] = []
     for d in ideal.derivations:
-        residue = companion_residue(tw, imgs, d.slot, d.coeffs)
+        residue = companion_residue(tw, imgs, imgs[d.slot].derive(), d.coeffs)
         collected += _collect_coefficients(residue.num, xset, x_ctx)
     z_map = {f"Z{j + 1}": imgs[j] for j in range(n)}
     for a in ideal.algebraic:

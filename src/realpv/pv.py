@@ -41,7 +41,7 @@ from .linsolve import inverse
 from .poly import Poly
 from .report import Report
 from .tower import DiffTower, FieldElement
-from .wronskian import wronskian_det, wronskian_matrix
+from .wronskian import WrMatrix, derivatives, wronskian_det
 
 __all__ = [
     "LinearODE",
@@ -78,13 +78,15 @@ class LinearODE:
 
     def apply(self, y: FieldElement) -> FieldElement:
         """Evaluate the differential operator at y (in y's tower)."""
-        tower = y.tower
-        derivs = [y]
-        for _ in range(self.order):
-            derivs.append(derivs[-1].derive())
-        acc = derivs[self.order]
+        return self.evaluate(derivatives(y, self.order))
+
+    def evaluate(self, ladder: Sequence[FieldElement]) -> FieldElement:
+        """The operator at y, from the ladder y, y', ..., y^(n) of y (in
+        y's tower); entries past y^(n) are ignored."""
+        tower = ladder[0].tower
+        acc = ladder[self.order]
         for k, a in enumerate(self.coeffs):
-            acc = acc + tower.lift(a) * derivs[k]
+            acc = acc + tower.lift(a) * ladder[k]
         return acc
 
     def describe(self) -> str:
@@ -146,13 +148,14 @@ def _rational_const(x: FieldElement) -> Fraction | None:
 def companion_residue(
     tower: DiffTower,
     ys: Sequence[FieldElement],
-    j: int,
+    dy: FieldElement,
     column: Sequence[FieldElement],
 ) -> FieldElement:
-    """ys[j]' - sum_i column[i] * ys[i] in `tower`, for ys in the tower and a
-    coefficient column over the base: zero exactly when ys[j] satisfies its
-    row of the first-order system."""
-    out = ys[j].derive()
+    """dy - sum_i column[i] * ys[i] in `tower`, for ys in the tower, the
+    derivative dy of one of them and a coefficient column over the base:
+    zero exactly when that solution satisfies its row of the first-order
+    system."""
+    out = dy
     for a, y in zip(column, ys):
         if not a.is_zero():
             out = out - tower.lift(a) * y
@@ -163,7 +166,13 @@ def _certify(pv: PVExtension) -> Report:
     rep = Report("certificates")
     tower = pv.extension
     sols = [tower.lift(s) for s in pv.solutions]
-    bad = [(i, r) for i, s in enumerate(sols) if not (r := pv.ode.apply(s)).is_zero()]
+    # each solution is derived once, up to the order the equation and the
+    # wronskian need; all three derivative checks read these ladders
+    depth = max(pv.order, len(sols) - 1)
+    ladders = [derivatives(y, depth) for y in sols]
+    bad = [
+        (i, r) for i, l in enumerate(ladders) if not (r := pv.ode.evaluate(l)).is_zero()
+    ]
     rep.add(
         "solutions_satisfy_equation",
         not bad,
@@ -171,7 +180,7 @@ def _certify(pv: PVExtension) -> Report:
         if not bad
         else f"solution {bad[0][0] + 1} leaves residue {bad[0][1]}",
     )
-    det = wronskian_det(wronskian_matrix(tower, pv.solutions))
+    det = wronskian_det(WrMatrix(tower, zip(*(l[: len(sols)] for l in ladders))))
     rep.add(
         "wronskian_invertible",
         not det.is_zero(),
@@ -187,7 +196,9 @@ def _certify(pv: PVExtension) -> Report:
     rep.add(
         "companion_matrix_consistent",
         all(
-            companion_residue(tower, sols, j, [row[j] for row in pv.companion]).is_zero()
+            companion_residue(
+                tower, sols, ladders[j][1], [row[j] for row in pv.companion]
+            ).is_zero()
             for j in range(len(sols))
         ),
         "solution derivatives match the recorded first-order system",

@@ -235,27 +235,47 @@ def non_reality_witness(
     """Elements whose squares sum to -1, certifying the field is not real.
 
     Bounded deterministic search over single generator monomials and pairs
-    with small rational coefficients.  Raises WitnessNotFound when the
-    window holds no witness (which is not a proof of reality).
+    with small rational coefficients.  Each monomial x is squared once: c*x
+    is a witness exactly when x^2 is the scalar -1/c^2, and a pair c1*x1,
+    c2*x2 exactly when (c1^2, c2^2, 1) is a relation of (x1^2, x2^2, 1),
+    that is, lies in the span of their canonical kernel.  Raises
+    WitnessNotFound when the window holds no witness (which is not a proof
+    of reality).
     """
-    minus_one = tower.const(-1)
+    minus_one, unit = GaussRat.of(-1), GaussRat.of(1)
     window, one = tower.scan_basis(degree_bound, 0)
     elems = [x for k, x in enumerate(window) if k != one]
-    for x in elems:
-        for c in _WITNESS_COEFFS:
-            y = x.scale(GaussRat(c))
-            if y * y == minus_one:
-                return (y,)
-    for x1, x2 in combinations_with_replacement(elems, 2):
-        for c1 in _WITNESS_COEFFS:
-            for c2 in _WITNESS_COEFFS:
-                y1, y2 = x1.scale(GaussRat(c1)), x2.scale(GaussRat(c2))
-                if y1 * y1 + y2 * y2 == minus_one:
-                    return (y1, y2)
+    squares = [x * x for x in elems]
+    coeffs = [(GaussRat(c), GaussRat(c * c)) for c in _WITNESS_COEFFS]
+    for x, sq in zip(elems, squares):
+        v = sq.as_scalar()
+        if v is not None:
+            for c, c2 in coeffs:
+                if c2 * v == minus_one:
+                    return (x.scale(c),)
+    one_elem = tower.one()
+    for (x1, sq1), (x2, sq2) in combinations_with_replacement(zip(elems, squares), 2):
+        relations = tower.linear_relations([sq1, sq2, one_elem])
+        for c1, q1 in coeffs:
+            for c2, q2 in coeffs:
+                if _in_span([q1, q2, unit], relations):
+                    return (x1.scale(c1), x2.scale(c2))
     raise WitnessNotFound(
         f"no sum of at most two squares equals -1 in the search window "
         f"(degree bound {degree_bound})"
     )
+
+
+def _in_span(v: list[GaussRat], basis: list[list[GaussRat]]) -> bool:
+    """Whether v is a combination of a canonical kernel basis.  Each basis
+    vector ends in a unit at its own free column, where the others are
+    zero, so v[f] is its coefficient there."""
+    rest = list(v)
+    for b in basis:
+        f = max(j for j, c in enumerate(b) if c)
+        if v[f]:
+            rest = [r - v[f] * c for r, c in zip(rest, b)]
+    return not any(rest)
 
 
 # -- cohomology classes ---------------------------------------------------------------------

@@ -36,7 +36,15 @@ from .linsolve import kernel
 from .poly import Context, Monomial, Poly, parse_fraction
 from .rewrite import RewriteSystem, buchberger
 
-__all__ = ["Kind", "GeneratorSpec", "DiffTower", "FieldElement", "linear_relations_mod"]
+__all__ = [
+    "Kind",
+    "GeneratorSpec",
+    "DiffTower",
+    "FieldElement",
+    "cleared_numerators",
+    "kernel_by_monomial",
+    "linear_relations_mod",
+]
 
 
 class Kind(Enum):
@@ -81,14 +89,20 @@ def linear_relations_mod(
     Scaling the family by the one nonzero L leaves the kernel, and so its
     canonical basis, unchanged.
     """
+    return kernel_by_monomial(system.context, cleared_numerators(system, elems))
+
+
+def cleared_numerators(
+    system: RewriteSystem, elems: Sequence["FieldElement"]
+) -> list[Poly]:
+    """The normal forms of num * L/den for the elements num/den, with one
+    common multiple L of their denominators (`_clearing_factors`)."""
     _, cofactor = _clearing_factors(system.context, [e.den for e in elems])
     nf = system.normal_form
-    return _kernel_by_monomial(
-        system.context, [nf(_times(e.num, cofactor[e.den])) for e in elems]
-    )
+    return [nf(_times(e.num, cofactor[e.den])) for e in elems]
 
 
-def _kernel_by_monomial(ctx: Context, polys: Sequence[Poly]) -> list[list[GaussRat]]:
+def kernel_by_monomial(ctx: Context, polys: Sequence[Poly]) -> list[list[GaussRat]]:
     """Kernel of (a_k) -> sum a_k polys[k], one equation per monomial."""
     by_monomial: dict[Monomial, dict[int, GaussRat]] = {}
     for k, p in enumerate(polys):
@@ -705,7 +719,7 @@ class DiffTower:
         cleared = self._cleared_derivatives(window, coeff_degree_bound)
         trivial = _index_of_one(window)
         found: list[FieldElement] = []
-        for vec in _kernel_by_monomial(self.context, cleared):
+        for vec in kernel_by_monomial(self.context, cleared):
             used = [k for k, c in enumerate(vec) if c and k != trivial]
             x = self.combine(
                 [vec[k] for k in used], [self._window_element(*window[k]) for k in used]

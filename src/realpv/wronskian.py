@@ -14,7 +14,13 @@ from typing import Sequence
 from .errors import EmptyInput
 from .tower import DiffTower, FieldElement
 
-__all__ = ["WrMatrix", "wronskian_matrix", "wronskian_det", "independent_over_constants"]
+__all__ = [
+    "WrMatrix",
+    "derivatives",
+    "wronskian_matrix",
+    "wronskian_det",
+    "independent_over_constants",
+]
 
 
 class WrMatrix:
@@ -33,15 +39,19 @@ class WrMatrix:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.rows) + "]"
 
 
+def derivatives(y: FieldElement, n: int) -> list[FieldElement]:
+    """The ladder y, y', ..., y^(n)."""
+    out = [y]
+    for _ in range(n):
+        out.append(out[-1].derive())
+    return out
+
+
 def wronskian_matrix(tower: DiffTower, elements: Sequence[FieldElement]) -> WrMatrix:
     if not elements:
         raise EmptyInput("wronskian of an empty family")
-    row = [tower.lift(x) for x in elements]
-    rows = [row]
-    for _ in range(len(elements) - 1):
-        row = [x.derive() for x in row]
-        rows.append(row)
-    return WrMatrix(tower, rows)
+    n = len(elements)
+    return WrMatrix(tower, zip(*(derivatives(tower.lift(x), n - 1) for x in elements)))
 
 
 def _bareiss(tower: DiffTower, matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:

@@ -42,6 +42,8 @@ from realpv.correspondence import descriptor_polys
 from realpv.galois import MatrixGroup
 from realpv.linsolve import identity, kernel
 
+from helpers import rand_fraction, rng
+
 
 @pytest.fixture(scope="module")
 def circle_group(circle_pv):
@@ -319,6 +321,91 @@ def test_member_of_field_mixed_fractions(exp_group):
     assert member_of_field(ext, (e3 + t) / e3, [e3])
     assert member_of_field(ext, e**6 * t, [e3])
     assert not member_of_field(ext, e, [e3])
+
+
+def _member_by_field_elements(tower, x, gens):
+    """The former membership test: the products x*w and the window elements
+    w as field elements, their linear relations, and each D part combined."""
+    x = tower.lift(x)
+    deg, tpow = correspondence.DEFAULT_FIELD_BOUNDS
+    degrees = correspondence._generator_degrees
+    deg = max(deg, *degrees(tower, x.num), *degrees(tower, x.den))
+    if tower.base_var and all(tower.base_var not in y.variables() for y in [x, *gens]):
+        tpow = 0
+    window = correspondence.window_products(tower, gens, deg, tpow)
+    elems = [x * w for w in window] + list(window)
+    half = len(window)
+    for vec in tower.linear_relations(elems):
+        if any(vec[:half]) and not tower.combine(vec[:half], window).is_zero():
+            return True
+    return False
+
+
+def _seeded_fractions(ext, inside, outside, seed, count):
+    """Nonzero quotients of short random sums of words times t^j, |j| <= 1,
+    each word drawn from `inside` or, one time in four, from `outside`;
+    about half of the denominators are 1."""
+    r = rng(seed)
+    t = ext.var("t")
+
+    def sum_of_words():
+        acc = ext.zero()
+        for _ in range(r.randint(1, 2)):
+            w = r.choice(outside if r.random() < 0.25 else inside)
+            w = w * t ** r.choice([0, 0, 1, -1])
+            acc = acc + w.scale(GaussRat(rand_fraction(r, 3) or 1))
+        return acc
+
+    out = []
+    while len(out) < count:
+        num = sum_of_words()
+        den = sum_of_words() if r.random() < 0.5 else ext.one()
+        if not (num.is_zero() or den.is_zero()):
+            out.append(num / den)
+    return out
+
+
+def _membership_cases(name, ext):
+    """Generator families (repeats included) of one field, and words outside
+    some of the generated subfields."""
+    v = ext.var
+    t = v("t")
+    if name == "exp":
+        e = v("e")
+        return [[e**3], [e**3, e**3], [e * e * t]], [e, e**2]
+    if name == "circle":
+        s, c = v("s"), v("c")
+        return [[c * c], [c * c, s * c], [s * c, s * c]], [c, s]
+    if name == "constcoeff":
+        e1, e2 = v("e1"), v("e2")
+        return [[e1 * e2], [e1 * e1, e2], [e1 * e2, e1 * e2]], [e1, e2]
+    g = v("g")
+    return [[], [g * t], [g, g]], [g]
+
+
+@pytest.mark.parametrize("name", ["exp", "circle", "constcoeff", "sqrt"])
+def test_member_of_field_agrees_with_the_field_element_test(
+    base, exp_pv, circle_pv, sqrt_pv, name
+):
+    pvs = {"exp": exp_pv, "circle": circle_pv, "sqrt": sqrt_pv}
+    pv = pvs.get(name) or build_pv(
+        base, LinearODE.from_texts(base, ["2", "-3"]), "CONSTCOEFF2"
+    )
+    ext = pv.extension
+    families, outside = _membership_cases(name, ext)
+    answers = []
+    for k, gens in enumerate(families):
+        inside = [ext.one(), *gens, *(g * h for g in gens for h in gens)]
+        windows = {}  # shared by the queries over one family
+        for x in _seeded_fractions(ext, inside, outside, seed=k, count=4):
+            got = member_of_field(ext, x, gens, windows)
+            assert got is _member_by_field_elements(ext, x, gens), (x, gens)
+            # x in t over t-free generators: the window spreads over t-powers
+            t_path = "t" in x.variables() and all("t" not in g.variables() for g in gens)
+            answers.append((got, not x.den.is_constant(), t_path))
+    assert {got for got, _, _ in answers} == {True, False}
+    assert (True, True) in {(got, den) for got, den, _ in answers}
+    assert any(t_path for _, _, t_path in answers)
 
 
 # -- stabilizers and round trips -----------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from realpv import (
+    DiffTower,
     GaussRat,
     LinearODE,
     ModeError,
@@ -51,6 +52,27 @@ def test_perturbed_companion_fails_its_certificate(circle_pv):
     status = {c.name: c.status for c in rep.lines}
     assert status["companion_matrix_consistent"] == "FAIL"
     assert status["solutions_satisfy_equation"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "eq_class,coeffs,derives",
+    [("CIRCLE", ["1", "0"], 4), ("CONSTCOEFF2", ["2", "-3"], 4), ("EXP", ["-1"], 1)],
+)
+def test_certificates_derive_each_solution_once_per_order(
+    base, monkeypatch, eq_class, coeffs, derives
+):
+    # the equation, the wronskian and the companion check all read one
+    # ladder y, y', ..., y^(n) per solution
+    ode = _ode(base, *coeffs)
+    calls = []
+
+    def counted(self, x, _orig=DiffTower.derive):
+        calls.append(x)
+        return _orig(self, x)
+
+    monkeypatch.setattr(DiffTower, "derive", counted)
+    build_pv(base, ode, eq_class)
+    assert len(calls) == derives
 
 
 def test_exp_build(exp_pv):
