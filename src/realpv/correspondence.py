@@ -515,7 +515,7 @@ def normality_check(
         two = ext.const(2)
         y1 = two * s * c
         y2 = c * c - s * s
-        omega = pv.base.parse(pv.meta["omega"])
+        omega = pv.companion[1][0]
         coeff = pv.base.const(4) * omega * omega
         ode = LinearODE(pv.base, (coeff, pv.base.zero()))
         ok1 = ode.apply(y1).is_zero()

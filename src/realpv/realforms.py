@@ -1,44 +1,43 @@
 """Real forms of PV extensions and their classification by cocycles.
 
-A cocycle is a group matrix A with A * conj(A) = I.  Twisting a certified
-extension by A produces another real differential field with the same
-complexification; cohomologous cocycles give isomorphic twists.  For the
-groups arising here the classes are computed exactly:
+A cocycle is a group matrix A with A * conj(A) = I.  The twist of a
+certified extension by A is the field fixed by the semilinear involution
+A o conj (Galois descent; Serre, Galois Cohomology, ch. III, sec. 1).  It has
+the same complexification, and cohomologous cocycles give isomorphic
+twists.  `twist` writes A = B * conj(B)^-1 with B diagonal over Q(i) and
+presents the twist on the generators x / b, re-read from the extension's
+own presentation.  For the groups arising here the classes are exact:
 
-  * GL1: every cocycle is a coboundary (solve B / conj(B) = A with B = i
-    when A = -1), so there is one real form.
-  * roots of unity of order 2: conjugation acts trivially, no nontrivial
-    coboundaries exist, so {1} and {-1} are distinct classes.  The twist
-    of the square root of f by -1 is the square root of -f.
-  * rotations: cocycles correspond to nonzero real numbers under the
-    eigenvalue parameterization, coboundaries to the positive ones, so I
-    and -I represent the two classes.  The twist by -I replaces the unit
-    circle by the curve u^2 + v^2 = -1.
+  * GL1: -1 = i / conj(i), so there is one real form.
+  * roots of unity of order 2: conjugation fixes both elements, so {1} and
+    {-1} are distinct classes.  The twist of the square root of f by -1
+    is the square root of -f.
+  * rotations: the eigenvalue of a generic coboundary on (1, -i) reduces
+    to a sum of real squares, never -1, so I and -I are distinct classes.
+    The twist by -I replaces the unit circle by the curve u^2 + v^2 = -1.
 
-Non-cohomology of the nontrivial classes is certified exactly: for the
-rotations, the eigenvalue of a generic coboundary on (1, -i) reduces to a
-sum of real squares, which is never -1.  Non-isomorphism of the twisted
-fields is certified by explicit obstructions (a sum of squares equal to
--1, or a constant gamma with gamma^2 = -1 that an isomorphism would
-force).
+Non-isomorphism of the twisted fields is certified by explicit
+obstructions (a sum of squares equal to -1, or a constant gamma with
+gamma^2 = -1 that an isomorphism would force).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 
 from .errors import Unsupported, WitnessNotFound
 from .galois import MatrixGroup
 from .gauss import GaussRat
-from .linsolve import adjugate, inverse, is_scalar_matrix, mat_conj, mat_mul
+from .linsolve import adjugate, inverse, mat_conj, mat_mul
 from .linsolve import identity as mat_identity
-from .poly import Context, Poly
+from .poly import Context, Monomial, Poly
 from .pv import PVExtension
 from .report import Report
 from .rewrite import buchberger
-from .tower import DiffTower, FieldElement
+from .tower import DiffTower, FieldElement, GeneratorSpec
 
 __all__ = [
     "Cocycle",
@@ -69,13 +68,7 @@ def _as_matrix(rows) -> tuple[tuple[GaussRat, ...], ...]:
 def cocycle_check(group: MatrixGroup, rows) -> bool:
     """A * conj(A) = I inside the group's zero set."""
     a = _as_matrix(rows)
-    n = group.size
-    if len(a) != n or any(len(r) != n for r in a):
-        return False
-    if not group.is_member(a):
-        return False
-    prod = mat_mul(a, mat_conj(a))
-    return prod == mat_identity(n)
+    return group.is_member(a) and mat_mul(a, mat_conj(a)) == mat_identity(group.size)
 
 
 # -- twisting --------------------------------------------------------------------------
@@ -92,23 +85,55 @@ class TwistResult:
     report: Report = field(default_factory=Report)
 
 
-def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
-    """Twist a certified extension by a cocycle, from the per-class table.
+_ZERO, _ONE, _I = GaussRat.of(0), GaussRat.of(1), GaussRat(Fraction(0), Fraction(1))
+# one name for each twisted generator x~ = x / i, whatever the tower
+_TWISTED_NAME = {"g": "h", "c": "v", "s": "u"}
 
-    The result carries the twisted tower, solutions of the same equation
-    inside it, and exact checks.  Unsupported combinations raise rather
-    than guess.
+
+def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
+    """Twist a certified extension by a real cocycle A, by Galois descent.
+
+    In every group of the fragment a real cocycle has A^2 = I, so A is
+    diag(a_j) with signs a_j, and B = diag(b_j), b_j = i where a_j = -1 and
+    1 elsewhere, has B * conj(B)^-1 = A.  The twist is the field fixed by
+    A o conj, generated by x~ = x / b_j for the generator x in solution
+    slot j and presented by the derivatives and relations re-read at
+    x = b_j * x~.
+
+    If no relation changes, the twist is the original extension, and the
+    report checks that B lies in the group.  A changed relation means a
+    nontrivial class within the fragment: only RADICAL and CIRCLE carry
+    relations; in mu_q, -1 = b / conj(b) for some b in mu_q(C) exactly when
+    4 divides q, and then b = i leaves g^q unchanged; for SO2,
+    `h1_enumerate` certifies the -I class.  Then the relations are negated,
+    so g^2 = f becomes h^2 = -f, and the generators renamed by
+    `_TWISTED_NAME`.  Complex and non-diagonal cocycles, a sign on a
+    generator outside the solution slots and data that re-read as not real
+    raise Unsupported.
     """
     a = _as_matrix(rows)
     if not cocycle_check(group, a):
         raise Unsupported("matrix is not a cocycle of this group")
-    base = pv.base
-    ode = pv.ode
-
-    if is_scalar_matrix(a, 1):
-        co = Cocycle(a, "identity")
+    signs = [a[j][j] for j in range(len(a))]
+    if a != _diagonal(signs) or any(v not in (_ONE, -_ONE) for v in signs):
+        raise Unsupported(
+            f"descent needs a real cocycle diag(+-1), not {Cocycle(a, '?').render()}"
+        )
+    b = [_I if v == -_ONE else _ONE for v in signs]
+    if _I in b and None in group.slots.values():
+        raise Unsupported("descent needs each generator in a solution slot")
+    negated = [x for x, j in group.slots.items() if j is not None and b[j] == _I]
+    ext, ode = pv.extension, pv.ode
+    relations = [s.relation for s in ext.specs if s.relation is not None]
+    label = f"diag({', '.join(map(str, signs))})"
+    if all(_reread(negated, ext.context, {}, r) == r for r in relations):
+        split = f"B = diag({', '.join(map(str, b))})"
         res = TwistResult(
-            pv, co, pv.extension, pv.solutions, "trivial cocycle, extension unchanged",
+            pv,
+            Cocycle(a, f"{label} (coboundary of {split})"),
+            ext,
+            pv.solutions,
+            f"{split} splits the cocycle, twisted form isomorphic to the original",
             True,
         )
         res.report.add(
@@ -116,104 +141,82 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
             all(ode.apply(y).is_zero() for y in pv.solutions),
             "unchanged",
         )
-        return res
-
-    if pv.eq_class == "EXP" and is_scalar_matrix(a, -1):
-        # B = i satisfies B / conj(B) = -1, so the twist is isomorphic.
-        co = Cocycle(a, "-1 (coboundary in GL1)")
-        res = TwistResult(
-            pv,
-            co,
-            pv.extension,
-            pv.solutions,
-            "cocycle -1 splits in GL1 (B = i), twisted form isomorphic to the original",
-            True,
-        )
         res.report.add(
-            "B * conj(B)^-1 reproduces the cocycle", _i_coboundary_check(), "B = i"
+            "B lies in the group and B * conj(B)^-1 = A", _splits(group, b, a), split
         )
         return res
 
-    if pv.eq_class == "RADICAL" and is_scalar_matrix(a, -1):
-        info = pv.meta.get("radical", {})
-        if info.get("q") != 2:
-            raise Unsupported("the -1 twist table covers square roots only")
-        f = base.parse(info["f"])
-        ctx = base.extended_context(["h"])
-        relation = (
-            f.den.in_context(ctx) * Poly.variable(ctx, "h", 2)
-            + f.num.in_context(ctx) ** info["p"]
-            if info.get("p", 1) == 1
-            else None
+    rename = {x: _TWISTED_NAME.get(x, x) for x in ext.generator_names()}
+    ctx = Context([rename.get(v, v) for v in ext.context.variables])
+    reread = partial(_reread, negated, ctx, rename)
+    specs = [
+        GeneratorSpec(
+            rename[s.name],
+            s.kind,
+            reread(s.deriv_num, -_I if s.name in negated else _ONE),
+            reread(s.deriv_den),
+            None if s.relation is None else reread(s.relation, -_ONE),
         )
-        if relation is None:
-            raise Unsupported("the -1 twist table covers h^2 = -f only")
-        rate = -ode.coeffs[0]
-        deriv = (
-            rate.num.in_context(ctx) * Poly.variable(ctx, "h"),
-            rate.den.in_context(ctx),
-        )
-        tower = base.adjoin_algebraic("h", relation, deriv)
-        h = tower.var("h")
-        co = Cocycle(a, "-1")
-        res = TwistResult(
-            pv,
-            co,
-            tower,
-            (h,),
-            f"square root of -({f}) in place of the square root of {f}",
-            False,
-        )
-        res.report.add(
-            "twisted solution solves the same equation",
-            ode.apply(h).is_zero(),
-            f"h' = ({rate})*h with h^2 = -({f})",
-        )
-        res.report.add(
-            "twisted relation has the opposite sign",
-            h * h == tower.lift(-f),
-            "h^2 reduces to -f",
-        )
-        return res
+        for s in ext.specs
+    ]
+    tower = DiffTower(ext.base_var, specs, ext.mode, ext.params)
+    sols = tuple(
+        tower.elem(reread(y.num, b[j].inverse()), reread(y.den))
+        for j, y in enumerate(map(ext.lift, pv.solutions))
+    )
+    res = TwistResult(
+        pv,
+        Cocycle(a, label),
+        tower,
+        sols,
+        "fixed field of A o conj, generated by "
+        + ", ".join(f"{rename[x]} = {x}/i" for x in negated),
+        False,
+    )
+    res.report.add(
+        "twisted solutions solve the equation",
+        all(ode.apply(y).is_zero() for y in sols),
+        f"{ode.describe()} at " + ", ".join(str(y) for y in sols),
+    )
+    # the descent map x -> b * y~, for the twisted solution y~ in x's slot,
+    # must respect the original relations
+    at = {x: sols[j].scale(b[j]) for x, j in group.slots.items()}
+    subst = ", ".join(f"{x} = i*{rename[x]}" for x in negated)
+    res.report.add(
+        "original relations at b*x~ are the twisted relations with the opposite sign",
+        all(tower.eval_poly(r, at).is_zero() for r in relations),
+        "; ".join(f"{r} at {subst} is {reread(r)}" for r in relations),
+    )
+    return res
 
-    if pv.eq_class == "CIRCLE" and is_scalar_matrix(a, -1):
-        ws = pv.meta["omega"]
-        tower = base.adjoin_abstract(
-            ["v", "u"], [f"-({ws})*u", f"({ws})*v"], ["u^2+v^2+1"]
-        )
-        u, v = tower.var("u"), tower.var("v")
-        co = Cocycle(a, "-I")
-        res = TwistResult(
-            pv,
-            co,
-            tower,
-            (u, v),
-            "unit circle replaced by the curve u^2 + v^2 = -1",
-            False,
-        )
-        ok_u = ode.apply(u).is_zero()
-        ok_v = ode.apply(v).is_zero()
-        res.report.add(
-            "twisted pair solves the same equation",
-            ok_u and ok_v,
-            f"u'' + {ws}^2 u = 0 and likewise for v",
-        )
-        sq = u * u + v * v
-        res.report.add(
-            "sum of squares of the twisted pair is -1", sq == tower.const(-1), str(sq)
-        )
-        return res
 
-    raise Unsupported(
-        f"no twist recipe for class {pv.eq_class} and cocycle {Cocycle(a, '?').render()}"
+def _reread(negated, ctx: Context, rename, p: Poly, factor=_ONE) -> Poly:
+    """factor * p at x = i * x~ for each variable x in `negated`, read in
+    ctx, where x~ is named rename[x] and every other variable keeps its
+    name.  A result that is not real raises Unsupported."""
+    terms = {}
+    for m, c in p.terms.items():
+        exps = m.exponents()
+        k = sum(e for v, e in exps.items() if v in negated) % 4
+        c = c * _I**k * factor
+        if c.im:
+            raise Unsupported(f"the twist re-reads {p} with a coefficient {c}, not real")
+        terms[Monomial({rename.get(v, v): e for v, e in exps.items()})] = c
+    return Poly(ctx, terms)
+
+
+def _diagonal(entries) -> tuple[tuple[GaussRat, ...], ...]:
+    n = len(entries)
+    return tuple(
+        tuple(v if i == j else _ZERO for j in range(n)) for i, v in enumerate(entries)
     )
 
 
-def _i_coboundary_check() -> bool:
-    i = GaussRat(Fraction(0), Fraction(1))
-    inv = inverse(mat_conj([[i]]))
-    assert inv is not None
-    return mat_mul([[i]], inv) == [[GaussRat.of(-1)]]
+def _splits(group: MatrixGroup, b, a) -> bool:
+    """Whether B = diag(b) lies in the group and B * conj(B)^-1 = A."""
+    bm = _diagonal(b)
+    inv = inverse(mat_conj(bm))
+    return group.is_member(bm) and mat_mul(bm, inv) == [list(r) for r in a]
 
 
 # -- non-reality witnesses ----------------------------------------------------------------
@@ -323,20 +326,14 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
         classes = (Cocycle(((one,),), "1"),)
         report.add(
             "-1 is a coboundary (B = i), single class",
-            _i_coboundary_check(),
+            _splits(group, [_I], [[-one]]),
             "B * conj(B)^-1 = -1 at B = i",
         )
     elif kind == "MU_2":
-        classes = (
-            Cocycle(((one,),), "1"),
-            Cocycle(((GaussRat.of(-1),),), "-1"),
-        )
-        never = all(
-            mat_mul([[b]], inverse(mat_conj([[b]]))) == [[one]] for b in (one, -one)
-        )
+        classes = (Cocycle(((one,),), "1"), Cocycle(((-one,),), "-1"))
         report.add(
             "coboundaries over the order-2 group are trivial",
-            never,
+            all(_splits(group, [b], [[one]]) for b in (one, -one)),
             "conjugation fixes both elements, so B * conj(B)^-1 = 1",
         )
     elif kind == "SO2":

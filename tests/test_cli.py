@@ -109,6 +109,14 @@ def test_twist_circle(capsys):
     assert "squares sum to -1" in out
 
 
+def test_twist_fourth_root_by_minus_one_is_isomorphic(capsys):
+    # g^4 = t: the cocycle -1 is the coboundary of B = i, which lies in mu_4
+    code, out, err = run(capsys, "twist", "tests/scenarios/radical_q4_twist.json")
+    assert (code, err) == (0, "")
+    assert "isomorphic to the original extension" in out
+    assert "[PASS] B lies in the group and B * conj(B)^-1 = A: B = diag(i)" in out
+
+
 @pytest.mark.parametrize(
     "name", ["weak-normality", "so2-forms", "radical-forms", "seidenberg"]
 )

@@ -24,6 +24,8 @@ from realpv import (
     radical_pair_report,
     twist,
 )
+from realpv.linsolve import is_scalar_matrix
+from realpv.poly import Poly
 from realpv.realforms import _WITNESS_COEFFS
 
 I = GaussRat(Fraction(0), Fraction(1))
@@ -85,7 +87,10 @@ def test_identity_twist_checks_the_solutions(circle_pv, circle_group):
     wrong = replace(circle_pv, solutions=(s * s, c))
     res = twist(wrong, circle_group, matrix_from_texts(ID2))
     status = {line.name: line.status for line in res.report.lines}
-    assert status == {"twisted solutions solve the equation": "FAIL"}
+    assert status == {
+        "twisted solutions solve the equation": "FAIL",
+        "B lies in the group and B * conj(B)^-1 = A": "PASS",
+    }
 
 
 def test_exp_minus_one_twist_splits(exp_pv, exp_group):
@@ -209,6 +214,130 @@ def test_twist_rejects_unknown_recipe(base, circle_group):
     g = defining_equations(pv)
     with pytest.raises(Unsupported):
         twist(pv, g, matrix_from_texts(NEG2))
+
+
+# -- descent against the former per-class recipes ------------------------------------
+
+
+def _recipe_twist(pv, rows):
+    """The twisted tower and solutions from the per-class recipes that the
+    descent replaced: identity, EXP with -1, RADICAL g^2 = f with -1 and
+    CIRCLE with -I."""
+    if is_scalar_matrix(matrix_from_texts(rows), 1) or pv.eq_class == "EXP":
+        return pv.extension, pv.solutions
+    base, ode = pv.base, pv.ode
+    if pv.eq_class == "RADICAL":
+        f = base.parse(pv.meta["radical"]["f"])
+        ctx = base.extended_context(["h"])
+        h = Poly.variable(ctx, "h")
+        relation = f.den.in_context(ctx) * h * h + f.num.in_context(ctx)
+        rate = -ode.coeffs[0]
+        deriv = (rate.num.in_context(ctx) * h, rate.den.in_context(ctx))
+        tower = base.adjoin_algebraic("h", relation, deriv)
+        return tower, (tower.var("h"),)
+    ws = pv.meta["omega"]
+    tower = base.adjoin_abstract(
+        ["v", "u"], [f"-({ws})*u", f"({ws})*v"], ["u^2+v^2+1"]
+    )
+    return tower, (tower.var("u"), tower.var("v"))
+
+
+def _radical_pv(base, f_text, exponent):
+    f = base.parse(f_text)
+    ode = LinearODE(base, (-(f.derive() / f).scale(GaussRat.of(exponent)),))
+    return build_pv(base, ode, "RADICAL", radical_base=f)
+
+
+RECIPE_CASES = [
+    "circle w=1",
+    "circle w=3",
+    "circle identity",
+    "sqrt(t)",
+    "sqrt(t^2+1)",
+    "exp -1",
+    "exp identity",
+]
+
+
+@pytest.mark.parametrize("case", RECIPE_CASES)
+def test_descent_reproduces_the_recipes(base, case):
+    def circle(w2):
+        return build_pv(base, LinearODE.from_texts(base, [w2, "0"]), "CIRCLE")
+
+    exp = build_pv(base, LinearODE.from_texts(base, ["-1"]), "EXP")
+    pv, rows = {
+        "circle w=1": (circle("1"), NEG2),
+        "circle w=3": (circle("9"), NEG2),
+        "circle identity": (circle("1"), ID2),
+        "sqrt(t)": (_radical_pv(base, "t", Fraction(1, 2)), [["-1"]]),
+        "sqrt(t^2+1)": (_radical_pv(base, "t^2 + 1", Fraction(1, 2)), [["-1"]]),
+        "exp -1": (exp, [["-1"]]),
+        "exp identity": (exp, [["1"]]),
+    }[case]
+    res = twist(pv, defining_equations(pv), matrix_from_texts(rows))
+    tower, sols = _recipe_twist(pv, rows)
+    assert res.report.ok, res.report.lines
+    assert res.tower.signature() == tower.signature()
+    assert [str(y) for y in res.solutions] == [str(y) for y in sols]
+    assert res.isomorphic_to_original == (tower is pv.extension)
+
+
+def test_fourth_root_minus_one_twist_is_a_coboundary(base):
+    # g^4 = t: B = i lies in mu_4 and i / conj(i) = -1
+    pv = _radical_pv(base, "t", Fraction(1, 4))
+    res = twist(pv, defining_equations(pv), [[GaussRat.of(-1)]])
+    assert res.isomorphic_to_original
+    assert res.tower is pv.extension
+    assert res.report.ok
+    assert "B = diag(i)" in res.cocycle.label
+
+
+def test_root_of_t_cubed_minus_one_twist(base):
+    # g^2 = t^3 twists to h^2 = -t^3
+    pv = _radical_pv(base, "t", Fraction(3, 2))
+    res = twist(pv, defining_equations(pv), [[GaussRat.of(-1)]])
+    assert res.isomorphic_to_original is False
+    assert res.report.ok
+    h, t = res.tower.var("h"), res.tower.var("t")
+    assert h * h == -(t ** 3)
+    assert [str(y) for y in res.solutions] == ["h"]
+
+
+def test_twist_refuses_a_complex_cocycle(exp_pv, exp_group):
+    a = [[GaussRat(Fraction(3, 5), Fraction(4, 5))]]
+    assert cocycle_check(exp_group, a)
+    with pytest.raises(Unsupported):
+        twist(exp_pv, exp_group, a)
+
+
+def _status(res):
+    return {line.name: line.status for line in res.report.lines}
+
+
+def test_coboundary_line_fails_outside_the_group(base):
+    # the same g^4 = t, with the group cut down to mu_2, which holds -1 but
+    # not i
+    pv = _radical_pv(base, "t", Fraction(1, 4))
+    group = defining_equations(pv)
+    ctx = group.context
+    mu2 = group.extended([Poly.variable(ctx, "X11", 2) - Poly.const(ctx, 1)])
+    res = twist(pv, mu2, [[GaussRat.of(-1)]])
+    assert _status(res)["B lies in the group and B * conj(B)^-1 = A"] == "FAIL"
+    gl1 = h1_enumerate(mu2, "GL1")
+    assert gl1.report.lines[0].status == "FAIL"
+
+
+def test_descended_solutions_line_fails_for_another_equation(base, circle_pv, circle_group):
+    other = LinearODE.from_texts(base, ["9", "0"])
+    res = twist(replace(circle_pv, ode=other), circle_group, matrix_from_texts(NEG2))
+    assert _status(res)["twisted solutions solve the equation"] == "FAIL"
+
+
+def test_relations_line_fails_for_a_wrong_solution(sqrt_pv, sqrt_group):
+    g, t = sqrt_pv.extension.var("g"), sqrt_pv.extension.var("t")
+    res = twist(replace(sqrt_pv, solutions=(g * t,)), sqrt_group, [[GaussRat.of(-1)]])
+    name = "original relations at b*x~ are the twisted relations with the opposite sign"
+    assert _status(res)[name] == "FAIL"
 
 
 # -- radical pair ------------------------------------------------------------------
