@@ -18,7 +18,6 @@ from .errors import (
     DivisionByZero,
     EmptyInput,
     IncompatibleDerivation,
-    ModeError,
     NotInGroup,
     NotPV,
     ScenarioError,
@@ -36,9 +35,7 @@ from .pv import (
     EQUATION_CLASSES,
     LinearODE,
     PVExtension,
-    SolutionSpace,
     build_pv,
-    complexify_pv,
     realify,
     verify_pv,
 )
@@ -98,7 +95,6 @@ __all__ = [
     "DivisionByZero",
     "EmptyInput",
     "IncompatibleDerivation",
-    "ModeError",
     "NotInGroup",
     "NotPV",
     "ScenarioError",
@@ -125,9 +121,7 @@ __all__ = [
     "EQUATION_CLASSES",
     "LinearODE",
     "PVExtension",
-    "SolutionSpace",
     "build_pv",
-    "complexify_pv",
     "realify",
     "verify_pv",
     "GroupElement",

@@ -167,7 +167,7 @@ def _twist_report(ses: _Session) -> Report:
         except WitnessNotFound as e:
             rep.info("non-reality witness", f"none found: {e}")
         if pv.eq_class == "RADICAL":
-            rep.extend(radical_pair_report(pv, result).report)
+            rep.extend(radical_pair_report(pv, result))
     rep.data["twisted_solutions"] = [str(x) for x in result.solutions]
     return rep
 
@@ -237,7 +237,7 @@ def _demo_report(name: str) -> Report:
         rep.extend(h1.report)
         result = twist(pv, group, matrix_from_texts([["-1"]]))
         rep.extend(result.report)
-        rep.extend(radical_pair_report(pv, result).report)
+        rep.extend(radical_pair_report(pv, result))
         rep.data["classes"] = [c.label for c in h1.classes]
         return rep
 

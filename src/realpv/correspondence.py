@@ -420,15 +420,14 @@ def check_correspondence(
         f"{desc.label()} -> {F.describe()} -> {recognized.label() if recognized else 'unrecognized'}",
     )
     # fixed_field is a function of the group and the descriptor, so a
-    # recognized input descriptor gives back F itself
+    # recognized input descriptor gives back F itself: nothing to check
     if recognized == desc:
-        F2 = F
-    else:
-        F2 = fixed_field(group, recognized) if recognized else None
+        report.info("field round trip", f"{F.describe()} vs {F.describe()}")
+        return report, F, sub
+    F2 = fixed_field(group, recognized) if recognized else None
     report.add(
         "field round trip",
-        F2 is F
-        or (F2 is not None and F.subfield_of(F2) and F2.subfield_of(F)),
+        F2 is not None and F.subfield_of(F2) and F2.subfield_of(F),
         f"{F.describe()} vs {F2.describe() if F2 else '?'}",
     )
     return report, F, sub

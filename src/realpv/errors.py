@@ -26,10 +26,6 @@ class IncompatibleDerivation(AlgebraError):
     """A declared relation is not stable under the declared derivation."""
 
 
-class ModeError(AlgebraError):
-    """Operation requires the other constants mode (real vs complexified)."""
-
-
 class EmptyInput(AlgebraError):
     """An operation received an empty list where at least one item is needed."""
 

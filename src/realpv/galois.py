@@ -260,9 +260,6 @@ class GroupElement:
     group: MatrixGroup
     matrix: tuple[tuple[GaussRat, ...], ...]
 
-    def is_real(self) -> bool:
-        return all(v.im == 0 for row in self.matrix for v in row)
-
     def inverse(self) -> "GroupElement":
         inv = inverse(self.matrix)
         assert inv is not None  # members are invertible by construction
@@ -369,18 +366,15 @@ def apply(sigma: GroupElement, x: FieldElement) -> FieldElement:
     """Apply the differential morphism induced by sigma to a tower element."""
     pv = sigma.group.pv
     ext = pv.extension
-    target = ext
-    if not sigma.is_real() and ext.mode == "real":
-        target = ext.complexify()
-    sols = [target.lift(s) for s in pv.solutions]
+    sols = [ext.lift(s) for s in pv.solutions]
     images = [
-        target.combine([row[j] for row in sigma.matrix], sols)
+        ext.combine([row[j] for row in sigma.matrix], sols)
         for j in range(sigma.group.size)
     ]
     mapping = _generator_map(sigma.group, images)
-    x = target.lift(x)
-    num = target.eval_poly(x.num, mapping)
-    den = target.eval_poly(x.den, mapping)
+    x = ext.lift(x)
+    num = ext.eval_poly(x.num, mapping)
+    den = ext.eval_poly(x.den, mapping)
     if den.is_zero():
         raise NotInGroup("substitution sends a denominator to zero")
     return num / den

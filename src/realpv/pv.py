@@ -18,10 +18,10 @@ Each construction also records the first-order companion matrix of the
 solution system over the base, which is what the Galois-group module turns
 into relation generators.
 
-Realification closes a solution space over the complexified tower under
-conjugation, spans its conjugation-fixed part by the real and imaginary
-parts (b + conj b)/2 and (b - conj b)/(2i) of the closed basis, and re-reads
-the result over the real presentation.
+Realification is the route back from K(i), whose elements every tower
+reads with Q(i) coefficients: it closes a span of solutions under
+conjugation and spans its conjugation-fixed part by the real and imaginary
+parts (b + conj b)/2 and (b - conj b)/(2i) of the closed basis.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    ModeError,
-    NotPV,
-    StabilizationError,
-    UnsupportedEquation,
-)
+from .errors import NotPV, StabilizationError, UnsupportedEquation
 from .gauss import GaussRat, is_square, rational_sqrt
 from .linsolve import inverse
 from .poly import Poly
@@ -45,12 +40,10 @@ from .wronskian import WrMatrix, derivatives, wronskian_det
 
 __all__ = [
     "LinearODE",
-    "SolutionSpace",
     "PVExtension",
     "build_pv",
     "companion_residue",
     "verify_pv",
-    "complexify_pv",
     "realify",
     "EQUATION_CLASSES",
 ]
@@ -99,15 +92,6 @@ class LinearODE:
             dk = "Y" + ("'" * k if k <= 2 else f"^({k})")
             parts.append(f"({a})*{dk}")
         return " + ".join(parts) + " = 0"
-
-
-@dataclass
-class SolutionSpace:
-    """A constants-span of solutions inside a tower."""
-
-    tower: DiffTower
-    basis: tuple[FieldElement, ...]
-    constants: str  # "real" or "complexified"
 
 
 @dataclass
@@ -392,37 +376,21 @@ def build_pv(
     return _finish(pv)
 
 
-# -- complexification and realification ---------------------------------------
+# -- realification -------------------------------------------------------------
 
 
-def complexify_pv(pv: PVExtension) -> PVExtension:
-    base = pv.base.complexify()
-    ext = pv.extension.complexify() if pv.extension != pv.base else base
-    out = PVExtension(
-        base,
-        ext,
-        LinearODE(base, tuple(base.lift(a) for a in pv.ode.coeffs)),
-        pv.eq_class,
-        tuple(ext.lift(s) for s in pv.solutions),
-        tuple(tuple(base.lift(a) for a in row) for row in pv.companion),
-        pv.scan_bounds,
-        meta=dict(pv.meta),
-    )
-    return _finish(out)
+def realify(
+    pv: PVExtension, basis: Sequence[FieldElement] | None = None
+) -> PVExtension:
+    """The real PV extension read back from its complexification.
 
-
-def realify(pv: PVExtension, space: SolutionSpace | None = None) -> PVExtension:
-    """Extract the real PV extension from a complexified one.
-
-    Takes the conjugation-fixed part of the solution span (over the
-    complexified constants) as the span of the real and imaginary parts of
-    its conjugation-closed basis, checks it is full, and re-reads
-    everything over the real presentation of the tower.
+    Takes the conjugation-fixed part of the span of `basis` (the solutions
+    by default; it may carry Q(i) coefficients) as the span of the real and
+    imaginary parts of its conjugation-closed basis, checks it is full, and
+    certifies the extension on that real basis.
     """
     ext = pv.extension
-    if ext.mode != "complexified":
-        raise ModeError("realify expects a complexified extension")
-    basis = [ext.lift(b) for b in (space.basis if space is not None else pv.solutions)]
+    basis = [ext.lift(b) for b in (basis if basis is not None else pv.solutions)]
     n = pv.order
 
     # Close the span under conjugation (at most doubles, then stabilizes).
@@ -485,15 +453,13 @@ def realify(pv: PVExtension, space: SolutionSpace | None = None) -> PVExtension:
         for i in range(n)
     )
 
-    real_ext = ext.real_part()
-    real_base = pv.base.real_part() if pv.base.mode == "complexified" else pv.base
     out = PVExtension(
-        real_base,
-        real_ext if real_ext != real_base else real_base,
-        LinearODE(real_base, tuple(real_base.lift(a) for a in pv.ode.coeffs)),
+        pv.base,
+        ext,
+        pv.ode,
         pv.eq_class,
-        tuple(real_ext.lift(x) for x in normalized),
-        tuple(tuple(real_base.restrict(a) for a in row) for row in companion),
+        tuple(normalized),
+        tuple(tuple(pv.base.restrict(a) for a in row) for row in companion),
         pv.scan_bounds,
         meta=dict(pv.meta),
     )

@@ -48,7 +48,6 @@ __all__ = [
     "H1Report",
     "h1_enumerate",
     "radical_pair_report",
-    "RadicalPairReport",
 ]
 
 
@@ -159,7 +158,7 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
         )
         for s in ext.specs
     ]
-    tower = DiffTower(ext.base_var, specs, ext.mode, ext.params)
+    tower = DiffTower(ext.base_var, specs, ext.params)
     sols = tuple(
         tower.elem(reread(y.num, b[j].inverse()), reread(y.den))
         for j, y in enumerate(map(ext.lift, pv.solutions))
@@ -358,18 +357,14 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
 # -- the two square-root fields are not isomorphic -------------------------------------------
 
 
-@dataclass
-class RadicalPairReport:
-    report: Report
-
-
-def radical_pair_report(pv: PVExtension, tw: TwistResult) -> RadicalPairReport:
-    """Why the square roots of f and -f generate non-isomorphic fields.
+def radical_pair_report(pv: PVExtension, tw: TwistResult) -> Report:
+    """Why the q-th roots of f and -f generate non-isomorphic fields.
 
     Any differential isomorphism over the base matches solution spaces of
     Y' = a Y, which are one-dimensional over the constants; comparing the
-    squares of matched generators forces a rational constant gamma with
-    gamma^2 = -1, which does not exist.
+    q-th powers of matched generators, which lie in the base, forces a
+    rational constant gamma with gamma^q = -1.  A twist changes the relation
+    only for q = 2 mod 4, so q is even and no such gamma exists.
     """
     twisted = tw.tower
     g = pv.extension.lift(pv.solutions[0])
@@ -393,20 +388,34 @@ def radical_pair_report(pv: PVExtension, tw: TwistResult) -> RadicalPairReport:
         f"window solutions: {[str(x) for x in span]}",
     )
 
-    # g^2 and h^2 both lie in the base; gamma^2 * h^2 = g^2 would need
-    # gamma^2 = g^2 / h^2, which is -1
-    ratio = (pv.base.restrict(g * g) / pv.base.restrict(h * h)).as_scalar()
+    # g^q and h^q both lie in the base; gamma^q * h^q = g^q would need
+    # gamma^q = g^q / h^q, which is -1
+    q, gq = _power_in_base(pv.base, g)
+    _, hq = _power_in_base(pv.base, h)
+    ratio = (gq / hq).as_scalar()
     report.add(
-        "matching generators forces gamma^2 = -1 over the rational constants",
+        f"matching generators forces gamma^{q} = -1 over the rational constants",
         ratio == GaussRat.of(-1),
-        f"g^2 / h^2 re-read over the base is {ratio}",
+        f"g^{q} / h^{q} re-read over the base is {ratio}",
     )
     report.add(
-        "gamma^2 = -1 has no solution in the constants of a real field",
-        ratio is not None and ratio.im == 0 and ratio.re < 0,
+        f"gamma^{q} = -1 has no solution in the constants of a real field",
+        ratio is not None and ratio.im == 0 and ratio.re < 0 and q % 2 == 0,
         "squares of rationals are nonnegative",
     )
-    return RadicalPairReport(report)
+    return report
+
+
+def _power_in_base(base: DiffTower, x: FieldElement) -> tuple[int, FieldElement]:
+    """(q, x^q) for a generator x with relation A * x^q - B, A and B over the
+    base: x^q = B / A, built in the base.  The rewrite order cannot be asked
+    instead: g^2 = t^3 writes t^3 as g^2."""
+    (name,) = x.variables()
+    (rel,) = (s.relation for s in x.tower.specs if s.name == name)
+    q = max(m.degree_in(name) for m in rel.terms)
+    top = {m / Monomial.var(name, q): c for m, c in rel.terms.items() if m.degree_in(name)}
+    rest = {m: -c for m, c in rel.terms.items() if not m.degree_in(name)}
+    return q, base.elem(Poly(base.context, rest)) / base.elem(Poly(base.context, top))
 
 
 def _solution_span(tower: DiffTower, rate: FieldElement) -> list[FieldElement]:

@@ -12,10 +12,10 @@ Variable ranks: generators adjoined later sit above earlier ones, the base
 variable sits below all generators, and parameter variables (used for group
 matrix entries, derivative zero) sit at the very bottom.
 
-The constants mode is a semantic marker: "real" towers present real fields
-(all declared data must have zero imaginary part), "complexified" towers are
-the same presentation read over Q(i), where conjugation acts on the
-coefficients only.
+A tower presents a real field: its declared derivatives and relations
+must have real coefficients.  Its elements may carry Q(i) coefficients, so
+the same presentation also reads the complexification K(i), where
+conjugation acts on the coefficients only.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     ContextError,
     DivisionByZero,
     IncompatibleDerivation,
-    ModeError,
+    Unsupported,
 )
 from .gauss import GaussRat
 from .linsolve import kernel
@@ -296,18 +296,14 @@ class DiffTower:
         self,
         base_var: str | None = "t",
         specs: Sequence[GeneratorSpec] = (),
-        mode: str = "real",
         params: Sequence[str] = (),
     ):
-        if mode not in ("real", "complexified"):
-            raise ModeError(f"unknown constants mode {mode!r}")
         names = list(params) + ([base_var] if base_var else []) + [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"variable name clash in tower: {names}")
         self.base_var = base_var
         self.params = tuple(params)
         self.specs = tuple(specs)
-        self.mode = mode
         self.context = Context(names)
         relations = [s.relation for s in specs if s.relation is not None]
         self.rewrite = buchberger(relations, self.context)
@@ -331,16 +327,12 @@ class DiffTower:
         return table
 
     def _validate(self) -> None:
-        if self.mode == "real":
-            for s in self.specs:
-                data = [s.deriv_num, s.deriv_den] + (
-                    [s.relation] if s.relation is not None else []
+        for s in self.specs:
+            data = (s.deriv_num, s.deriv_den, s.relation)
+            if any(c.im for p in data if p is not None for c in p.terms.values()):
+                raise Unsupported(
+                    f"generator {s.name!r} uses complex coefficients in a real tower"
                 )
-                for p in data:
-                    if any(c.im != 0 for c in p.terms.values()):
-                        raise ModeError(
-                            f"generator {s.name!r} uses complex coefficients in a real tower"
-                        )
         for s in self.specs:
             if s.relation is not None:
                 d = self.derive_poly(s.relation.in_context(self.context))
@@ -352,7 +344,7 @@ class DiffTower:
     # -- identity ------------------------------------------------------------
 
     def signature(self):
-        return (self.base_var, self.params, self.specs, self.mode)
+        return (self.base_var, self.params, self.specs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiffTower) and self.signature() == other.signature()
@@ -365,17 +357,16 @@ class DiffTower:
             return self
         if self.context != other.context or self.rewrite != other.rewrite:
             raise ContextError("elements belong to structurally different towers")
-        # Same presentation, different mode: the complexified one absorbs.
-        return self if self.mode == "complexified" else other
+        return other
 
     def __repr__(self) -> str:
         gens = ",".join(s.name for s in self.specs)
         base = self.base_var or "Q"
-        return f"DiffTower({base}; {gens}; {self.mode})"
+        return f"DiffTower({base}; {gens})"
 
     def describe(self) -> list[str]:
         """Stable human-readable summary lines for reports."""
-        out = [f"base: {self.base_var or 'constants'} ({self.mode})"]
+        out = [f"base: {self.base_var or 'constants'} (real)"]
         for s in self.specs:
             d = FieldElement(s.deriv_num, s.deriv_den, self)
             line = f"generator {s.name} [{s.kind.value}]: {s.name}' = {d}"
@@ -470,21 +461,10 @@ class DiffTower:
         d = self.elem(x.den)
         return (dn * d - n * dd) / (d * d)
 
-    # -- conjugation and modes ---------------------------------------------------
-
-    def complexify(self) -> "DiffTower":
-        if self.mode == "complexified":
-            raise ModeError("tower is already complexified")
-        return DiffTower(self.base_var, self.specs, "complexified", self.params)
-
-    def real_part(self) -> "DiffTower":
-        if self.mode == "real":
-            raise ModeError("tower is already real")
-        return DiffTower(self.base_var, self.specs, "real", self.params)
+    # -- conjugation -------------------------------------------------------------
 
     def conj(self, x: FieldElement) -> FieldElement:
-        if self.mode != "complexified":
-            raise ModeError("conjugation lives on the complexified tower")
+        """Conjugate the coefficients (the declared data is real)."""
         return FieldElement(x.num.conj(), x.den.conj(), self)
 
     # -- substitution ---------------------------------------------------------
@@ -508,7 +488,7 @@ class DiffTower:
     def _extended(self, new_specs: Sequence[GeneratorSpec]) -> "DiffTower":
         ctx = self.context.extend_top([s.name for s in new_specs])
         lifted = _specs_in(list(self.specs) + list(new_specs), ctx)
-        return DiffTower(self.base_var, lifted, self.mode, self.params)
+        return DiffTower(self.base_var, lifted, self.params)
 
     def extended_context(self, names: Sequence[str]) -> Context:
         return self.context.extend_top(names)
@@ -582,7 +562,7 @@ class DiffTower:
         """Same tower with constant parameter variables below everything."""
         ctx = self.context.extend_bottom(names)
         lifted = _specs_in(self.specs, ctx)
-        return DiffTower(self.base_var, lifted, self.mode, tuple(names) + self.params)
+        return DiffTower(self.base_var, lifted, tuple(names) + self.params)
 
     # -- monomial windows and constants --------------------------------------
 

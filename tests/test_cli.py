@@ -118,6 +118,30 @@ def test_twist_fourth_root_by_minus_one_is_isomorphic(capsys):
 
 
 @pytest.mark.parametrize(
+    "coefficient, q, relation",
+    [("-3/2 * 1/t", 2, "-t^3 - h^2"), ("-1/6 * 1/t", 6, "-h^6 - t")],
+)
+def test_twist_radical_reads_the_power_from_the_relation(
+    capsys, tmp_path, coefficient, q, relation
+):
+    # g^2 = t^3, whose rewrite order writes t^3 as g^2, and g^6 = t: the
+    # twist by -1 is h^2 = -t^3 (h^6 = -t), and the pair report reads g^q
+    # and h^q over the base from the two relations
+    path = tmp_path / "radical.json"
+    path.write_text(json.dumps({
+        "base_var": "t",
+        "equation": {"class": "RADICAL", "coefficients": [coefficient]},
+        "cocycle": [["-1"]],
+    }))
+    code, out, err = run(capsys, "twist", str(path))
+    assert (code, err) == (0, "")
+    assert f"at g = i*h is {relation}\n" in out
+    assert f"[PASS] matching generators forces gamma^{q} = -1" in out
+    assert f"g^{q} / h^{q} re-read over the base is -1\n" in out
+    assert out.splitlines()[-1] == "result: ok"
+
+
+@pytest.mark.parametrize(
     "name", ["weak-normality", "so2-forms", "radical-forms", "seidenberg"]
 )
 def test_demos_pass(capsys, name):
@@ -291,6 +315,24 @@ def test_bad_class_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "build", str(bad))
     assert code == 2
     assert "scenario.equation.class" in err
+
+
+@pytest.mark.parametrize(
+    "equation, name",
+    [
+        ({"class": "EXP", "coefficients": ["i"]}, "e"),
+        (
+            {"class": "RADICAL", "coefficients": ["-1/2 * 1/t"], "radical_base": "i*t"},
+            "g",
+        ),
+    ],
+)
+def test_complex_declared_data_is_refused(capsys, tmp_path, equation, name):
+    bad = tmp_path / "complex.json"
+    bad.write_text(json.dumps({"base_var": "t", "equation": equation}))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: generator {name!r} uses complex coefficients in a real tower\n"
 
 
 def test_unsupported_equation_is_math_failure(capsys, tmp_path):

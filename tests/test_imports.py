@@ -5,11 +5,14 @@ No linter ships with the project, so this reads each module of
 the standard library's `ast` and reports imported names that are never
 referenced: not as a name, not in a string annotation and not in
 `__all__`.  `from __future__` imports are not names and are skipped.
+It also checks the exports: `from realpv import *` succeeds and every name
+in the `__all__` of each module that has one resolves, so a deleted name cannot stay listed.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -81,3 +84,17 @@ def test_guard_sees_unused_names_and_skips_used_ones():
         "    return len(x)\n"
     )
     assert unused_imports(source) == [("os", 2), ("Mapping", 3), ("P", 4)]
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from realpv import *", namespace)
+    assert set(importlib.import_module("realpv").__all__) <= namespace.keys()
+
+
+@pytest.mark.parametrize(
+    "module", ["realpv"] + [f"realpv.{p.stem}" for p in MODULES]
+)
+def test_every_name_in_all_resolves(module):
+    mod = importlib.import_module(module)
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []

@@ -11,12 +11,9 @@ from realpv import (
     DiffTower,
     GaussRat,
     LinearODE,
-    ModeError,
     NotPV,
-    SolutionSpace,
     UnsupportedEquation,
     build_pv,
-    complexify_pv,
     realify,
     verify_pv,
 )
@@ -182,21 +179,11 @@ def test_foreign_base_rejected(base, circle_pv):
         build_pv(base, ode, "CIRCLE")
 
 
-# -- complexification and realification ----------------------------------------
-
-
-def test_complexify_circle(circle_pv):
-    cx = complexify_pv(circle_pv)
-    assert cx.extension.mode == "complexified"
-    assert cx.certificates.ok
-    # the original solutions reread verbatim
-    assert [str(s) for s in cx.solutions] == ["s", "c"]
+# -- realification ----------------------------------------------------------------
 
 
 def test_realify_restores_real_presentation(circle_pv):
-    cx = complexify_pv(circle_pv)
-    out = realify(cx)
-    assert out.extension.mode == "real"
+    out = realify(circle_pv)
     assert {str(s) for s in out.solutions} == {"s", "c"}
     assert out.extension.signature() == circle_pv.extension.signature()
 
@@ -209,25 +196,23 @@ def distinct_roots_pv(base):
 
 def test_realify_from_eigenbasis(circle_pv, distinct_roots_pv):
     for pv in (circle_pv, distinct_roots_pv):
-        cx = complexify_pv(pv)
-        ext = cx.extension
-        a, b = (ext.lift(x) for x in cx.solutions)
+        ext = pv.extension
+        a, b = (ext.lift(x) for x in pv.solutions)
         # b + i a and b - i a span the same space over complexified constants
         plus = b + a.scale(I)
         minus = b - a.scale(I)
-        for space in (None, SolutionSpace(ext, (plus, minus), "complexified")):
-            out = realify(cx, space)
+        for basis in (None, (plus, minus)):
+            out = realify(pv, basis)
             assert {str(x) for x in out.solutions} == {str(a), str(b)}
             assert out.extension.signature() == pv.extension.signature()
             assert out.certificates.ok
 
 
 def test_realify_from_skewed_basis(circle_pv):
-    cx = complexify_pv(circle_pv)
-    ext = cx.extension
-    s, c = (ext.lift(x) for x in cx.solutions)
+    ext = circle_pv.extension
+    s, c = (ext.lift(x) for x in circle_pv.solutions)
     skew = (s.scale(GaussRat.of(2)), s + c.scale(GaussRat.of(3)))
-    out = realify(cx, SolutionSpace(ext, skew, "complexified"))
+    out = realify(circle_pv, skew)
     # the fixed part is the same span, presented monic; certificates hold,
     # including consistency of the recomputed first-order system
     assert {str(x) for x in out.solutions} == {"s", "s + 3*c"}
@@ -237,21 +222,15 @@ def test_realify_from_skewed_basis(circle_pv):
     assert any(v[-1] for v in rels)
 
 
-def test_realify_requires_complexified_input(circle_pv):
-    with pytest.raises(ModeError):
-        realify(circle_pv)
-
-
 def test_realify_exp_roundtrip(exp_pv):
-    cx = complexify_pv(exp_pv)
     # i*e has real part zero; its imaginary part e spans the fixed part
-    ie = cx.extension.lift(cx.solutions[0]).scale(I)
-    for space in (None, SolutionSpace(cx.extension, (ie,), "complexified")):
-        out = realify(cx, space)
+    ie = exp_pv.extension.lift(exp_pv.solutions[0]).scale(I)
+    for basis in (None, (ie,)):
+        out = realify(exp_pv, basis)
         assert [str(s) for s in out.solutions] == ["e"]
         assert out.extension.signature() == exp_pv.extension.signature()
 
 
 def test_realify_radical_roundtrip(sqrt_pv):
-    out = realify(complexify_pv(sqrt_pv))
+    out = realify(sqrt_pv)
     assert [str(s) for s in out.solutions] == ["g"]

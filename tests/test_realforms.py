@@ -346,8 +346,8 @@ def test_relations_line_fails_for_a_wrong_solution(sqrt_pv, sqrt_group):
 def test_radical_pair_not_isomorphic(sqrt_pv, sqrt_group):
     res = twist(sqrt_pv, sqrt_group, [[GaussRat.of(-1)]])
     rep = radical_pair_report(sqrt_pv, res)
-    assert rep.report.ok
-    names = [n for n, _, _ in rep.report.lines]
+    assert rep.ok
+    names = [n for n, _, _ in rep.lines]
     assert "matching generators forces gamma^2 = -1 over the rational constants" in names
 
 
@@ -355,7 +355,7 @@ def test_radical_pair_lines_fail_for_the_trivial_twist(sqrt_pv, sqrt_group):
     # twisting by 1 keeps g, so g^2 / h^2 = 1 and no contradiction is forced
     res = twist(sqrt_pv, sqrt_group, [[GaussRat.of(1)]])
     rep = radical_pair_report(sqrt_pv, res)
-    failed = [line.name for line in rep.report.failures()]
+    failed = [line.name for line in rep.failures()]
     assert failed == [
         "matching generators forces gamma^2 = -1 over the rational constants",
         "gamma^2 = -1 has no solution in the constants of a real field",

@@ -9,7 +9,7 @@ import realpv.tower
 from realpv import (
     Context, DiffTower, GaussRat, LinearODE, Monomial, Poly, build_pv, parse_poly
 )
-from realpv.errors import ContextError, IncompatibleDerivation, ModeError
+from realpv.errors import ContextError, IncompatibleDerivation
 from realpv.linsolve import kernel
 from realpv.seidenberg import build_seidenberg
 from realpv.tower import linear_relations_mod
@@ -83,31 +83,18 @@ def test_as_scalar(circle):
     assert circle.zero().as_scalar() == GaussRat.of(0)
 
 
-def test_conjugation_gates(circle):
-    with pytest.raises(ModeError):
-        circle.conj(circle.var("s"))
-    cx = circle.complexify()
-    assert cx.mode == "complexified"
-    with pytest.raises(ModeError):
-        cx.complexify()
-    back = cx.real_part()
-    assert back.mode == "real"
-
-
 def test_conj_involution_randomized(circle):
-    cx = circle.complexify()
     r = rng(33)
     for _ in range(60):
-        x = rand_element(r, cx)
-        assert cx.conj(cx.conj(x)) == x
+        x = rand_element(r, circle)
+        assert circle.conj(circle.conj(x)) == x
 
 
 def test_derivation_commutes_with_conjugation(circle):
-    cx = circle.complexify()
     r = rng(34)
     for _ in range(60):
-        x = rand_element(r, cx)
-        assert cx.conj(x.derive()) == cx.conj(x).derive()
+        x = rand_element(r, circle)
+        assert circle.conj(x.derive()) == circle.conj(x).derive()
 
 
 def test_eval_poly_substitution(circle):
