@@ -85,8 +85,6 @@ def _build_report(ses: _Session) -> Report:
             "[" + ", ".join(str(v) for v in row) + "]" for row in pv.companion
         ),
     )
-    for key in sorted(pv.meta):
-        rep.info(f"meta {key}", str(pv.meta[key]))
     rep.extend(pv.certificates)
     rep.data["solutions"] = [str(s) for s in pv.solutions]
     rep.data["class"] = pv.eq_class

@@ -87,17 +87,14 @@ class AlgebraicRelation:
 
 @dataclass
 class RelationIdeal:
-    """Relation generators of the solution tuple, verified to vanish on it
-    when constructed (BadIdeal otherwise)."""
+    """Relation generators of the solution tuple.  `defining_equations`
+    checks that each vanishes on the solutions (BadIdeal otherwise)."""
 
     pv: PVExtension
     z_context: Context
     derivations: tuple[DerivationRelation, ...]
     algebraic: tuple[AlgebraicRelation, ...]
     complete: bool
-
-    def __post_init__(self) -> None:
-        _verify_ideal(self)
 
     def render(self) -> list[str]:
         return [d.render() for d in self.derivations] + [
@@ -127,7 +124,8 @@ def _solution_slot_of_generators(pv: PVExtension) -> dict[str, int | None]:
 
 
 def relations_ideal(pv: PVExtension) -> RelationIdeal:
-    """Relation generators of the solution tuple, verified to vanish on it."""
+    """Relation generators of the solution tuple, read from the companion
+    matrix and the tower relations; `defining_equations` checks them."""
     ext = pv.extension
     n = pv.order
     z_names = [f"Z{j + 1}" for j in range(n)]
@@ -158,19 +156,6 @@ def relations_ideal(pv: PVExtension) -> RelationIdeal:
             algebraic.append(AlgebraicRelation(rel - x.num.in_context(z_ctx)))
 
     return RelationIdeal(pv, z_ctx, tuple(derivations), tuple(algebraic), complete)
-
-
-def _verify_ideal(ideal: RelationIdeal) -> None:
-    pv = ideal.pv
-    ext = pv.extension
-    sols = [ext.lift(s) for s in pv.solutions]
-    for d in ideal.derivations:
-        if not companion_residue(ext, sols, sols[d.slot].derive(), d.coeffs).is_zero():
-            raise BadIdeal(f"derivation relation fails at solutions: {d.render()}")
-    z_map = {f"Z{j + 1}": sols[j] for j in range(len(sols))}
-    for a in ideal.algebraic:
-        if not ext.eval_poly(a.poly, z_map).is_zero():
-            raise BadIdeal(f"algebraic relation fails at solutions: {a.render()}")
 
 
 # -- matrix groups ---------------------------------------------------------------
@@ -305,7 +290,12 @@ def _collect_coefficients(
 def defining_equations(
     pv: PVExtension, ideal: RelationIdeal | None = None
 ) -> MatrixGroup:
-    """Compute the defining polynomial set of the Galois group of pv."""
+    """Compute the defining polynomial set of the Galois group of pv.
+
+    At X = I the symbolic images are the solutions, and a residue's numerator
+    is sum_k P_k(X) m_k over distinct irreducible tower monomials m_k, so a
+    relation vanishes on the solutions exactly when every P_k(I) is zero
+    (BadIdeal otherwise)."""
     if ideal is None:
         ideal = relations_ideal(pv)
     n = pv.order
@@ -322,14 +312,20 @@ def defining_equations(
         imgs.append(acc)
     xset = set(flat)
 
-    collected: list[Poly] = []
-    for d in ideal.derivations:
-        residue = companion_residue(tw, imgs, imgs[d.slot].derive(), d.coeffs)
-        collected += _collect_coefficients(residue.num, xset, x_ctx)
     z_map = {f"Z{j + 1}": imgs[j] for j in range(n)}
-    for a in ideal.algebraic:
-        residue = tw.eval_poly(a.poly, z_map)
-        collected += _collect_coefficients(residue.num, xset, x_ctx)
+    residues = [
+        ("derivation", d, companion_residue(tw, imgs, imgs[d.slot].derive(), d.coeffs))
+        for d in ideal.derivations
+    ] + [("algebraic", a, tw.eval_poly(a.poly, z_map)) for a in ideal.algebraic]
+    identity = {
+        x: GaussRat.of(int(i == j)) for i, row in enumerate(xnames) for j, x in enumerate(row)
+    }
+    collected: list[Poly] = []
+    for kind, rel, residue in residues:
+        polys = _collect_coefficients(residue.num, xset, x_ctx)
+        if any(p.substitute(identity.__getitem__, GaussRat.of) for p in polys):
+            raise BadIdeal(f"{kind} relation fails at solutions: {rel.render()}")
+        collected += polys
 
     return MatrixGroup(
         pv,

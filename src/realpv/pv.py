@@ -14,9 +14,10 @@ The supported construction classes:
   CIRCLE      Y'' + w^2 Y = 0     sine/cosine pair, s^2 + c^2 = 1
   CONSTCOEFF2 Y'' + aY' + bY = 0  rational constants; split by root type
 
-Each construction also records the first-order companion matrix of the
-solution system over the base, which is what the Galois-group module turns
-into relation generators.
+Each class builder returns a presentation: the tower, the solutions and
+the first-order companion matrix of the solutions over the base, which the
+Galois-group module turns into relation generators.  `build_pv` makes the
+one `PVExtension` of it and certifies it.
 
 Realification is the route back from K(i), whose elements every tower
 reads with Q(i) coefficients: it closes a span of solutions under
@@ -104,7 +105,6 @@ class PVExtension:
     companion: tuple[tuple[FieldElement, ...], ...]
     scan_bounds: tuple[int, int]
     certificates: Report = field(default_factory=Report)
-    meta: dict = field(default_factory=dict)
 
     @property
     def order(self) -> int:
@@ -204,17 +204,15 @@ def verify_pv(pv: PVExtension) -> Report:
     return _certify(pv)
 
 
-def _build_exp(base: DiffTower, ode: LinearODE, bounds) -> PVExtension:
+def _build_exp(base: DiffTower, ode: LinearODE):
     if ode.order != 1:
         raise UnsupportedEquation("EXP expects a first-order equation")
     rate = -ode.coeffs[0]
     ext = base.adjoin_exponential("e", rate)
-    return PVExtension(base, ext, ode, "EXP", (ext.var("e"),), ((rate,),), bounds)
+    return ext, (ext.var("e"),), ((rate,),)
 
 
-def _build_radical(
-    base: DiffTower, ode: LinearODE, bounds, radical_base: FieldElement | None
-) -> PVExtension:
+def _build_radical(base: DiffTower, ode: LinearODE, radical_base: FieldElement | None):
     if ode.order != 1:
         raise UnsupportedEquation("RADICAL expects a first-order equation")
     f = radical_base if radical_base is not None else (
@@ -242,32 +240,22 @@ def _build_radical(
     rate = -ode.coeffs[0]
     deriv = (rate.num.in_context(ctx) * Poly.variable(ctx, "g"), rate.den.in_context(ctx))
     ext = base.adjoin_algebraic("g", relation, deriv)
-    g = ext.var("g")
-    pv = PVExtension(base, ext, ode, "RADICAL", (g,), ((rate,),), bounds)
-    pv.meta["radical"] = {"p": p, "q": q, "f": str(f)}
-    return pv
+    return ext, (ext.var("g"),), ((rate,),)
 
 
-def _build_circle(base: DiffTower, ode: LinearODE, bounds) -> PVExtension:
+def _build_circle(base: DiffTower, ode: LinearODE):
     if ode.order != 2 or not ode.coeffs[1].is_zero():
         raise UnsupportedEquation("CIRCLE expects Y'' + w^2 Y = 0")
     a0 = _rational_const(ode.coeffs[0])
     if a0 is None or a0 <= 0 or not is_square(a0):
         raise UnsupportedEquation("CIRCLE needs a0 = w^2 with w rational nonzero")
-    w = rational_sqrt(a0)
-    ws = str(GaussRat(w))
-    ext = base.adjoin_abstract(
-        ["c", "s"], [f"-({ws})*s", f"({ws})*c"], ["s^2+c^2-1"]
-    )
-    s, c = ext.var("s"), ext.var("c")
-    zero, omega = base.zero(), base.const(GaussRat(w))
-    companion = ((zero, -omega), (omega, zero))
-    pv = PVExtension(base, ext, ode, "CIRCLE", (s, c), companion, bounds)
-    pv.meta["omega"] = str(w)
-    return pv
+    # the conjugate pair +/- wi of CONSTCOEFF2, with the solutions listed as
+    # (s, c): the companion matrix is conjugated by the swap
+    tower, (c, s), ((a, b), (d, e)) = _build_constcoeff2(base, ode)
+    return tower, (s, c), ((e, d), (b, a))
 
 
-def _build_constcoeff2(base: DiffTower, ode: LinearODE, bounds) -> PVExtension:
+def _build_constcoeff2(base: DiffTower, ode: LinearODE):
     if ode.order != 2:
         raise UnsupportedEquation("CONSTCOEFF2 expects a second-order equation")
     b = _rational_const(ode.coeffs[0])
@@ -281,48 +269,34 @@ def _build_constcoeff2(base: DiffTower, ode: LinearODE, bounds) -> PVExtension:
         l1, l2 = (-a + root) / 2, (-a - root) / 2
         if l2 == 0:
             l1, l2 = l2, l1  # put the zero root first for a stable layout
-        sols: list[FieldElement]
         if l1 == 0:
             ext = base.adjoin_exponential("e", base.const(GaussRat(l2)))
-            sols = [ext.one(), ext.var("e")]
             companion = ((zero, zero), (zero, base.const(GaussRat(l2))))
-        else:
-            ext = base.adjoin_exponential("e1", base.const(GaussRat(l1)))
-            ext = ext.adjoin_exponential("e2", ext.const(GaussRat(l2)))
-            sols = [ext.var("e1"), ext.var("e2")]
-            companion = (
-                (base.const(GaussRat(l1)), zero),
-                (zero, base.const(GaussRat(l2))),
-            )
-        pv = PVExtension(
-            base, ext, ode, "CONSTCOEFF2", tuple(sols), companion, bounds
+            return ext, (ext.one(), ext.var("e")), companion
+        ext = base.adjoin_exponential("e1", base.const(GaussRat(l1)))
+        ext = ext.adjoin_exponential("e2", ext.const(GaussRat(l2)))
+        companion = (
+            (base.const(GaussRat(l1)), zero),
+            (zero, base.const(GaussRat(l2))),
         )
-        pv.meta["roots"] = f"distinct rational {l1}, {l2}"
-        return pv
+        return ext, (ext.var("e1"), ext.var("e2")), companion
     if disc == 0:
         lam = Fraction(-a, 2)
         if lam == 0:
             if not base.base_var:
                 raise UnsupportedEquation("Y''=0 needs the base variable t")
-            sols2 = (base.one(), base.var(base.base_var))
             companion = ((zero, base.one()), (zero, zero))
-            pv = PVExtension(base, base, ode, "CONSTCOEFF2", sols2, companion, bounds)
-            pv.meta["roots"] = "double root 0"
-            return pv
+            return base, (base.one(), base.var(base.base_var)), companion
         ext = base.adjoin_exponential("e", base.const(GaussRat(lam)))
         ls = str(GaussRat(lam))
         ext = ext.adjoin_abstract(["u"], [f"({ls})*u + e"], [])
-        sols3 = (ext.var("e"), ext.var("u"))
         companion = (
             (base.const(GaussRat(lam)), base.one()),
             (zero, base.const(GaussRat(lam))),
         )
-        pv = PVExtension(base, ext, ode, "CONSTCOEFF2", sols3, companion, bounds)
-        pv.meta["roots"] = f"double root {lam}"
-        return pv
+        return ext, (ext.var("e"), ext.var("u")), companion
     if disc < 0 and is_square(-disc):
-        lam = Fraction(-a, 2)
-        mu = rational_sqrt(-disc) / 2
+        lam, mu = Fraction(-a, 2), rational_sqrt(-disc) / 2
         ms = str(GaussRat(mu))
         tower = base
         if lam != 0:
@@ -330,19 +304,12 @@ def _build_constcoeff2(base: DiffTower, ode: LinearODE, bounds) -> PVExtension:
         tower = tower.adjoin_abstract(
             ["c", "s"], [f"-({ms})*s", f"({ms})*c"], ["s^2+c^2-1"]
         )
-        c, s = tower.var("c"), tower.var("s")
-        if lam != 0:
-            e = tower.var("e")
-            sols4 = (e * c, e * s)
-        else:
-            sols4 = (c, s)
+        e = tower.one() if lam == 0 else tower.var("e")
         companion = (
             (base.const(GaussRat(lam)), base.const(GaussRat(mu))),
             (base.const(GaussRat(-mu)), base.const(GaussRat(lam))),
         )
-        pv = PVExtension(base, tower, ode, "CONSTCOEFF2", sols4, companion, bounds)
-        pv.meta["roots"] = f"conjugate pair {lam} +/- {mu} i"
-        return pv
+        return tower, (e * tower.var("c"), e * tower.var("s")), companion
     raise UnsupportedEquation(
         f"characteristic roots are irrational (discriminant {disc})"
     )
@@ -366,14 +333,14 @@ def build_pv(
     if ode.base != base:
         raise UnsupportedEquation("equation coefficients live over a different base")
     if eq_class == "EXP":
-        pv = _build_exp(base, ode, scan_bounds)
+        tower, sols, companion = _build_exp(base, ode)
     elif eq_class == "RADICAL":
-        pv = _build_radical(base, ode, scan_bounds, radical_base)
+        tower, sols, companion = _build_radical(base, ode, radical_base)
     elif eq_class == "CIRCLE":
-        pv = _build_circle(base, ode, scan_bounds)
+        tower, sols, companion = _build_circle(base, ode)
     else:
-        pv = _build_constcoeff2(base, ode, scan_bounds)
-    return _finish(pv)
+        tower, sols, companion = _build_constcoeff2(base, ode)
+    return _finish(PVExtension(base, tower, ode, eq_class, sols, companion, scan_bounds))
 
 
 # -- realification -------------------------------------------------------------
@@ -393,21 +360,15 @@ def realify(
     basis = [ext.lift(b) for b in (basis if basis is not None else pv.solutions)]
     n = pv.order
 
-    # Close the span under conjugation (at most doubles, then stabilizes).
     def coords_in(x: FieldElement, fam: list[FieldElement]) -> list[GaussRat] | None:
         for vec in ext.linear_relations(list(fam) + [x]):
             if vec[-1]:
                 return [-(v / vec[-1]) for v in vec[:-1]]
         return None
 
-    for _ in range(2):
-        images = [b.conj() for b in basis]
-        missing = [im for im in images if coords_in(im, basis) is None]
-        if not missing:
-            break
-        basis.extend(missing)
-    else:
-        raise StabilizationError("span not conjugation-stable after one closure step")
+    # Conjugation is an involution, so adding the conjugates missing from the
+    # span closes it in one step.
+    basis += [im for im in (b.conj() for b in basis) if coords_in(im, basis) is None]
     if len(basis) > n:
         raise StabilizationError(
             f"conjugation closure has dimension {len(basis)} > equation order {n}"
@@ -461,6 +422,5 @@ def realify(
         tuple(normalized),
         tuple(tuple(pv.base.restrict(a) for a in row) for row in companion),
         pv.scan_bounds,
-        meta=dict(pv.meta),
     )
     return _finish(out)

@@ -189,21 +189,6 @@ def test_all_builds_extension_ideal_and_group_once(capsys, monkeypatch):
     assert calls == {k: 2 * v for k, v in expect.items()}
 
 
-def test_all_verifies_relation_ideal_once(capsys, monkeypatch):
-    import realpv.galois as galois
-
-    calls = []
-
-    def counted(ideal, _orig=galois._verify_ideal):
-        calls.append(ideal)
-        return _orig(ideal)
-
-    monkeypatch.setattr(galois, "_verify_ideal", counted)
-    code, _, _ = run(capsys, "all", f"{SCENARIOS}/circle.json")
-    assert code == 0
-    assert len(calls) == 1
-
-
 # MU_N(1) on EXP: the fixed field is recognized as TRIVIAL, not as MU_N(1).
 MU1_SCENARIO = "tests/scenarios/exp_mu1.json"
 

@@ -9,6 +9,7 @@ import pytest
 from realpv import (
     BadIdeal,
     Context,
+    DiffTower,
     GaussRat,
     LinearODE,
     NotInGroup,
@@ -77,10 +78,25 @@ def test_wrong_derivation_coefficient_rejected(circle_pv):
     ideal = relations_ideal(circle_pv)
     first, second = ideal.derivations
     doubled = DerivationRelation(first.slot, tuple(a.scale(2) for a in first.coeffs))
+    bad = RelationIdeal(
+        circle_pv, ideal.z_context, (doubled, second), ideal.algebraic, True
+    )
     with pytest.raises(BadIdeal, match="derivation relation fails"):
-        RelationIdeal(
-            circle_pv, ideal.z_context, (doubled, second), ideal.algebraic, True
-        )
+        defining_equations(circle_pv, bad)
+
+
+def test_relations_ideal_derives_nothing(circle_pv, monkeypatch):
+    # the relations are read from the companion matrix and the tower; they
+    # are checked where defining_equations expands them
+    calls = []
+
+    def counted(self, x, _orig=DiffTower.derive):
+        calls.append(x)
+        return _orig(self, x)
+
+    monkeypatch.setattr(DiffTower, "derive", counted)
+    relations_ideal(circle_pv)
+    assert calls == []
 
 
 # -- frozen defining sets --------------------------------------------------------

@@ -25,13 +25,21 @@ def _ode(base, *texts):
     return LinearODE.from_texts(base, list(texts))
 
 
+def _companion(pv):
+    return [[str(a) for a in row] for row in pv.companion]
+
+
+def _relation(pv):
+    return str(pv.extension.specs[-1].relation)
+
+
 # -- the four classes certify --------------------------------------------------
 
 
 def test_circle_build(circle_pv):
     assert circle_pv.eq_class == "CIRCLE"
     assert [str(s) for s in circle_pv.solutions] == ["s", "c"]
-    assert circle_pv.meta["omega"] == "1"
+    assert _companion(circle_pv) == [["0", "-1"], ["1", "0"]]
     assert circle_pv.certificates.ok
     names = [c.name for c in circle_pv.certificates.lines]
     assert names == [
@@ -83,14 +91,14 @@ def test_radical_build(sqrt_pv):
     g = sqrt_pv.extension.var("g")
     t = sqrt_pv.extension.var("t")
     assert (g * g) == t
-    assert sqrt_pv.meta["radical"] == {"p": 1, "q": 2, "f": "t"}
+    assert _relation(sqrt_pv) == "g^2 - t"
     assert verify_pv(sqrt_pv).ok
 
 
 def test_radical_cube_of_square(base):
     # Y' = (2/3)(1/t) Y encodes g^3 = t^2
     pv = build_pv(base, _ode(base, "-2/3 * 1/t"), "RADICAL")
-    assert pv.meta["radical"] == {"p": 2, "q": 3, "f": "t"}
+    assert _relation(pv) == "g^3 - t^2"
     g = pv.extension.var("g")
     t = pv.extension.var("t")
     assert g ** 3 == t * t
@@ -98,7 +106,7 @@ def test_radical_cube_of_square(base):
 
 def test_constcoeff2_distinct_roots(base):
     pv = build_pv(base, _ode(base, "2", "-3"), "CONSTCOEFF2")
-    assert pv.meta["roots"] == "distinct rational 2, 1"
+    assert _companion(pv) == [["2", "0"], ["0", "1"]]
     assert [str(s) for s in pv.solutions] == ["e1", "e2"]
     e1, e2 = pv.solutions
     assert e1.derive() == e1 + e1
@@ -107,30 +115,43 @@ def test_constcoeff2_distinct_roots(base):
 
 def test_constcoeff2_zero_root(base):
     pv = build_pv(base, _ode(base, "0", "-1"), "CONSTCOEFF2")
-    assert pv.meta["roots"] == "distinct rational 0, 1"
+    assert _companion(pv) == [["0", "0"], ["0", "1"]]
     assert [str(s) for s in pv.solutions] == ["1", "e"]
 
 
 def test_constcoeff2_double_root(base):
     pv = build_pv(base, _ode(base, "1", "-2"), "CONSTCOEFF2")
-    assert pv.meta["roots"] == "double root 1"
+    assert _companion(pv) == [["1", "1"], ["0", "1"]]
     e, u = pv.solutions
     assert u.derive() == u + e
 
 
 def test_constcoeff2_t_solutions(base):
     pv = build_pv(base, _ode(base, "0", "0"), "CONSTCOEFF2")
-    assert pv.meta["roots"] == "double root 0"
+    assert _companion(pv) == [["0", "1"], ["0", "0"]]
     assert pv.extension is pv.base
     assert [str(s) for s in pv.solutions] == ["1", "t"]
 
 
 def test_constcoeff2_conjugate_pair(base):
     pv = build_pv(base, _ode(base, "2", "2"), "CONSTCOEFF2")
-    assert pv.meta["roots"] == "conjugate pair -1 +/- 1 i"
+    assert _companion(pv) == [["-1", "1"], ["-1", "-1"]]
     assert [str(s) for s in pv.solutions] == ["c*e", "s*e"]
     for s in pv.solutions:
         assert pv.ode.apply(pv.extension.lift(s)).is_zero()
+
+
+@pytest.mark.parametrize("w", [1, 3])
+def test_circle_is_the_conjugate_pair_branch(base, w):
+    # CIRCLE [w^2, 0] is CONSTCOEFF2 [w^2, 0] with its solutions (c, s) listed
+    # as (s, c): one tower, and the companion conjugated by the swap
+    ode = _ode(base, str(w * w), "0")
+    circle = build_pv(base, ode, "CIRCLE")
+    pair = build_pv(base, ode, "CONSTCOEFF2")
+    assert circle.extension == pair.extension
+    assert circle.solutions == pair.solutions[::-1]
+    swapped = [[pair.companion[1 - i][1 - j] for j in range(2)] for i in range(2)]
+    assert [list(row) for row in circle.companion] == swapped
 
 
 # -- refusals are honest -------------------------------------------------------

@@ -219,15 +219,15 @@ def test_twist_rejects_unknown_recipe(base, circle_group):
 # -- descent against the former per-class recipes ------------------------------------
 
 
-def _recipe_twist(pv, rows):
+def _recipe_twist(pv, rows, f_text=None):
     """The twisted tower and solutions from the per-class recipes that the
-    descent replaced: identity, EXP with -1, RADICAL g^2 = f with -1 and
-    CIRCLE with -I."""
+    descent replaced: identity, EXP with -1, RADICAL g^2 = f with -1 (f given
+    as `f_text`) and CIRCLE with -I."""
     if is_scalar_matrix(matrix_from_texts(rows), 1) or pv.eq_class == "EXP":
         return pv.extension, pv.solutions
     base, ode = pv.base, pv.ode
     if pv.eq_class == "RADICAL":
-        f = base.parse(pv.meta["radical"]["f"])
+        f = base.parse(f_text)
         ctx = base.extended_context(["h"])
         h = Poly.variable(ctx, "h")
         relation = f.den.in_context(ctx) * h * h + f.num.in_context(ctx)
@@ -235,7 +235,7 @@ def _recipe_twist(pv, rows):
         deriv = (rate.num.in_context(ctx) * h, rate.den.in_context(ctx))
         tower = base.adjoin_algebraic("h", relation, deriv)
         return tower, (tower.var("h"),)
-    ws = pv.meta["omega"]
+    ws = str(pv.companion[1][0])  # s' = w c
     tower = base.adjoin_abstract(
         ["v", "u"], [f"-({ws})*u", f"({ws})*v"], ["u^2+v^2+1"]
     )
@@ -265,17 +265,17 @@ def test_descent_reproduces_the_recipes(base, case):
         return build_pv(base, LinearODE.from_texts(base, [w2, "0"]), "CIRCLE")
 
     exp = build_pv(base, LinearODE.from_texts(base, ["-1"]), "EXP")
-    pv, rows = {
-        "circle w=1": (circle("1"), NEG2),
-        "circle w=3": (circle("9"), NEG2),
-        "circle identity": (circle("1"), ID2),
-        "sqrt(t)": (_radical_pv(base, "t", Fraction(1, 2)), [["-1"]]),
-        "sqrt(t^2+1)": (_radical_pv(base, "t^2 + 1", Fraction(1, 2)), [["-1"]]),
-        "exp -1": (exp, [["-1"]]),
-        "exp identity": (exp, [["1"]]),
+    pv, rows, f_text = {
+        "circle w=1": (circle("1"), NEG2, None),
+        "circle w=3": (circle("9"), NEG2, None),
+        "circle identity": (circle("1"), ID2, None),
+        "sqrt(t)": (_radical_pv(base, "t", Fraction(1, 2)), [["-1"]], "t"),
+        "sqrt(t^2+1)": (_radical_pv(base, "t^2 + 1", Fraction(1, 2)), [["-1"]], "t^2 + 1"),
+        "exp -1": (exp, [["-1"]], None),
+        "exp identity": (exp, [["1"]], None),
     }[case]
     res = twist(pv, defining_equations(pv), matrix_from_texts(rows))
-    tower, sols = _recipe_twist(pv, rows)
+    tower, sols = _recipe_twist(pv, rows, f_text)
     assert res.report.ok, res.report.lines
     assert res.tower.signature() == tower.signature()
     assert [str(y) for y in res.solutions] == [str(y) for y in sols]

@@ -191,6 +191,17 @@ def test_merge_requires_same_signature(base, circle):
     assert str(total) == "s + t"
 
 
+def test_towers_with_different_derivations_do_not_mix(base):
+    # K(e) with e' = e and K(e) with e' = 2e share a context and a rewrite
+    # system, yet they are different differential fields
+    e1 = base.adjoin_exponential("e", base.one()).var("e")
+    e2 = base.adjoin_exponential("e", base.const(2)).var("e")
+    with pytest.raises(ContextError):
+        (e1 + e2.tower.zero()).derive()
+    with pytest.raises(ContextError):
+        e1 == e2
+
+
 def test_irreducible_monomials(circle):
     mons = circle.irreducible_monomials(2)
     rendered = sorted(str(Poly(circle.context, {m: GaussRat.of(1)})) for m in mons)
