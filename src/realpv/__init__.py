@@ -42,7 +42,6 @@ from .pv import (
 from .galois import (
     GroupElement,
     MatrixGroup,
-    RelationIdeal,
     apply,
     compose,
     defining_equations,
@@ -50,7 +49,6 @@ from .galois import (
     matrix_from_texts,
     parse_scalar,
     reduces_to_zero,
-    relations_ideal,
     same_zero_set,
 )
 from .correspondence import (
@@ -126,7 +124,6 @@ __all__ = [
     "verify_pv",
     "GroupElement",
     "MatrixGroup",
-    "RelationIdeal",
     "apply",
     "compose",
     "defining_equations",
@@ -134,7 +131,6 @@ __all__ = [
     "matrix_from_texts",
     "parse_scalar",
     "reduces_to_zero",
-    "relations_ideal",
     "same_zero_set",
     "DIAGONAL",
     "FULL",

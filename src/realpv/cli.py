@@ -4,7 +4,7 @@ Subcommands take a scenario file (see scenario.py for the schema) and
 print a deterministic report, as text or JSON:
 
     realpv build scenario.json        construct and certify the extension
-    realpv group scenario.json        relation ideal and defining equations
+    realpv group scenario.json        solution relations and defining equations
     realpv correspond scenario.json   fixed field and round trips (needs subgroup)
     realpv twist scenario.json        twist by a cocycle (needs cocycle)
     realpv all scenario.json          everything the scenario supports
@@ -29,7 +29,7 @@ from .correspondence import (
     weak_normality_demo,
 )
 from .errors import AlgebraError, NotPV, ScenarioError, WitnessNotFound
-from .galois import defining_equations, matrix_from_texts, relations_ideal
+from .galois import defining_equations, matrix_from_texts
 from .pv import LinearODE, build_pv
 from .realforms import (
     cocycle_check,
@@ -49,9 +49,9 @@ DEMO_NAMES = ("weak-normality", "so2-forms", "radical-forms", "seidenberg")
 
 
 class _Session:
-    """One invocation's pipeline: the certified extension, its relation
-    ideal and its Galois group, each built once, on first use.  A session
-    lives for a single `main` call; nothing is kept between calls."""
+    """One invocation's pipeline: the certified extension and its Galois
+    group, each built once, on first use.  A session lives for a single
+    `main` call; nothing is kept between calls."""
 
     def __init__(self, scn: Scenario):
         self.scn = scn
@@ -65,12 +65,8 @@ class _Session:
         return build_pv(base, ode, scn.eq_class, scn.scan_bounds, radical_base)
 
     @cached_property
-    def ideal(self):
-        return relations_ideal(self.pv)
-
-    @cached_property
     def group(self):
-        return defining_equations(self.pv, self.ideal)
+        return defining_equations(self.pv)
 
 
 def _build_report(ses: _Session) -> Report:
@@ -93,16 +89,15 @@ def _build_report(ses: _Session) -> Report:
 
 def _group_report(ses: _Session) -> Report:
     rep = Report(f"group: {ses.scn.describe()}")
-    ideal = ses.ideal
-    for line in ideal.render():
+    group = ses.group
+    for line in group.relations:
         rep.info("relation", line)
     rep.info("relations vanish on the solutions", "verified on construction")
     rep.info(
         "relation list complete",
-        "yes" if ideal.complete else "no (a generator relation is not expressible "
-        "in the solutions; defining set may be larger than the true group)",
+        "yes" if group.relations_complete else "no (a generator relation is not "
+        "expressible in the solutions; defining set may be larger than the true group)",
     )
-    group = ses.group
     if group.polys:
         for p in group.polys:
             rep.info("defining equation", str(p))

@@ -59,6 +59,7 @@ __all__ = [
     "fixed_field",
     "group_over",
     "check_correspondence",
+    "check_inclusion_reversal",
     "NormalityReport",
     "normality_check",
     "weak_normality_demo",
@@ -484,7 +485,8 @@ def normality_check(
     quotient_ode = None
     quotient_solutions: tuple[FieldElement, ...] = ()
 
-    if desc.kind == "MU_N" and pv.eq_class in ("EXP", "RADICAL"):
+    # subgroup_of refuses MU_N on groups that are not 1x1, so pv is first order
+    if desc.kind == "MU_N":
         q = desc.order or 1
         ext = pv.extension
         power = ext.lift(pv.solutions[0]) ** q

@@ -1,19 +1,24 @@
 """Differential Galois groups as polynomially-defined matrix groups.
 
 The group of a certified PV extension acts on the solution system by
-constant matrices.  Its defining polynomial set is computed from a
-relation list with two kinds of generators:
+constant matrices.  `defining_equations` computes its defining polynomial
+set in one pass over the extension, from two kinds of relations of the
+solutions over the base:
 
-  * derivation relations  Z_j' = sum_i d_ij Z_i  (the recorded first-order
-    companion system of the solutions over the base), and
-  * algebraic relations: each tower relation rewritten in the Z variables,
-    plus Z_j = b for solutions that already lie in the base.
+  * derivation relations  Z_j' = sum_i d_ij Z_i, read from the companion
+    matrix (the first-order system of the solutions over the base), and
+  * algebraic relations: each tower relation whose generators are all
+    solutions, rewritten in the Z variables, plus Z_j = b for solutions
+    that already lie in the base.
 
 Substituting Z_j -> sum_i X_ij eta_i with constant indeterminates X_ij,
 taking normal forms, and collecting coefficients of the resulting
 expansion over the tower's monomial-by-t-power basis yields polynomials in
 the X_ij alone; real and imaginary parts are collected separately, so the
-defining set always has real coefficients.
+defining set always has real coefficients.  At X = I the coefficients
+must vanish, which checks each relation on the solutions as it is used.
+The group keeps the rendered relations (`MatrixGroup.relations`) for the
+report.
 
 Completeness of the relation list is documented per class: for EXP,
 RADICAL and CIRCLE the listed relations generate all algebraic relations
@@ -40,12 +45,8 @@ from .rewrite import RewriteSystem, Rule, buchberger
 from .tower import DiffTower, FieldElement, linear_relations_mod
 
 __all__ = [
-    "DerivationRelation",
-    "AlgebraicRelation",
-    "RelationIdeal",
     "MatrixGroup",
     "GroupElement",
-    "relations_ideal",
     "defining_equations",
     "apply",
     "compose",
@@ -60,46 +61,7 @@ __all__ = [
 ]
 
 
-# -- relation ideal -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DerivationRelation:
-    """Z_slot' = sum_i coeffs[i] * Z_i with coefficients over the base."""
-
-    slot: int
-    coeffs: tuple[FieldElement, ...]
-
-    def render(self) -> str:
-        rhs = [f"({a})*Z{i + 1}" for i, a in enumerate(self.coeffs) if not a.is_zero()]
-        return f"Z{self.slot + 1}' = " + (" + ".join(rhs) if rhs else "0")
-
-
-@dataclass(frozen=True)
-class AlgebraicRelation:
-    """A polynomial in Z1..Zn and base variables vanishing on the solutions."""
-
-    poly: Poly
-
-    def render(self) -> str:
-        return str(self.poly)
-
-
-@dataclass
-class RelationIdeal:
-    """Relation generators of the solution tuple.  `defining_equations`
-    checks that each vanishes on the solutions (BadIdeal otherwise)."""
-
-    pv: PVExtension
-    z_context: Context
-    derivations: tuple[DerivationRelation, ...]
-    algebraic: tuple[AlgebraicRelation, ...]
-    complete: bool
-
-    def render(self) -> list[str]:
-        return [d.render() for d in self.derivations] + [
-            a.render() + " = 0" for a in self.algebraic
-        ]
+# -- matrix groups ---------------------------------------------------------------
 
 
 def _renamed(p: Poly, rename: dict[str, str], ctx: Context) -> Poly:
@@ -123,44 +85,6 @@ def _solution_slot_of_generators(pv: PVExtension) -> dict[str, int | None]:
     return out
 
 
-def relations_ideal(pv: PVExtension) -> RelationIdeal:
-    """Relation generators of the solution tuple, read from the companion
-    matrix and the tower relations; `defining_equations` checks them."""
-    ext = pv.extension
-    n = pv.order
-    z_names = [f"Z{j + 1}" for j in range(n)]
-    z_ctx = pv.base.context.extend_top(z_names)
-
-    derivations = []
-    for j in range(n):
-        col = tuple(pv.companion[i][j] for i in range(n))
-        derivations.append(DerivationRelation(j, col))
-
-    slot_of = _solution_slot_of_generators(pv)
-    algebraic: list[AlgebraicRelation] = []
-    complete = True
-    for spec in ext.specs:
-        if spec.relation is None:
-            continue
-        vars_used = spec.relation.variables() & set(ext.generator_names())
-        if any(slot_of.get(v) is None for v in vars_used):
-            complete = False
-            continue
-        rename = {v: z_names[slot_of[v]] for v in vars_used}  # type: ignore[index]
-        algebraic.append(AlgebraicRelation(_renamed(spec.relation, rename, z_ctx)))
-    # Solutions lying in the base get the relation Z_j = value.
-    for j, s in enumerate(pv.solutions):
-        if pv.base.writes(s):
-            x = pv.base.restrict(s)
-            rel = Poly.variable(z_ctx, z_names[j]) * x.den.in_context(z_ctx)
-            algebraic.append(AlgebraicRelation(rel - x.num.in_context(z_ctx)))
-
-    return RelationIdeal(pv, z_ctx, tuple(derivations), tuple(algebraic), complete)
-
-
-# -- matrix groups ---------------------------------------------------------------
-
-
 def _x_names(n: int, letter: str = "X") -> list[list[str]]:
     return [[f"{letter}{i + 1}{j + 1}" for j in range(n)] for i in range(n)]
 
@@ -173,14 +97,17 @@ class MatrixGroup:
     constant parameters, `sym_images` holds the symbolic images
     sum_i X_ij eta_i of the solutions in it, and `slots` maps each tower
     generator to its solution index (None when it is not a solution).
-    `subgroups` holds the subgroups cut out by descriptors, each built once
-    (see correspondence.subgroup_of)."""
+    `relations` holds the relations of the solutions the defining set was
+    computed from, rendered in the Z variables.  `subgroups` holds the
+    subgroups cut out by descriptors, each built once (see
+    correspondence.subgroup_of)."""
 
     pv: PVExtension
     size: int
     xnames: tuple[tuple[str, ...], ...]
     context: Context
     polys: tuple[Poly, ...]
+    relations: tuple[str, ...]
     relations_complete: bool
     param_tower: DiffTower = field(repr=False)
     sym_images: tuple[FieldElement, ...] = field(repr=False)
@@ -287,22 +214,22 @@ def _collect_coefficients(
     return out
 
 
-def defining_equations(
-    pv: PVExtension, ideal: RelationIdeal | None = None
-) -> MatrixGroup:
+def defining_equations(pv: PVExtension) -> MatrixGroup:
     """Compute the defining polynomial set of the Galois group of pv.
 
-    At X = I the symbolic images are the solutions, and a residue's numerator
-    is sum_k P_k(X) m_k over distinct irreducible tower monomials m_k, so a
-    relation vanishes on the solutions exactly when every P_k(I) is zero
-    (BadIdeal otherwise)."""
-    if ideal is None:
-        ideal = relations_ideal(pv)
+    The relations are read from the extension: the companion column of each
+    solution, the tower relations whose generators are all solutions, and
+    Z_j = b for each solution b in the base.  Each is evaluated at the
+    symbolic images.  At X = I those are the solutions, and a residue's
+    numerator is sum_k P_k(X) m_k over distinct irreducible tower monomials
+    m_k, so a relation vanishes on the solutions exactly when every P_k(I)
+    is zero (BadIdeal otherwise)."""
     n = pv.order
     xnames = _x_names(n)
     flat = [x for row in xnames for x in row]
     x_ctx = Context(flat)
-    tw = pv.extension.with_params(flat)
+    ext = pv.extension
+    tw = ext.with_params(flat)
     sols = [tw.lift(s) for s in pv.solutions]
     imgs = []
     for j in range(n):
@@ -312,19 +239,45 @@ def defining_equations(
         imgs.append(acc)
     xset = set(flat)
 
-    z_map = {f"Z{j + 1}": imgs[j] for j in range(n)}
-    residues = [
-        ("derivation", d, companion_residue(tw, imgs, imgs[d.slot].derive(), d.coeffs))
-        for d in ideal.derivations
-    ] + [("algebraic", a, tw.eval_poly(a.poly, z_map)) for a in ideal.algebraic]
+    # The Z context only renders the relations; Z_j stands for solution j.
+    z_names = [f"Z{j + 1}" for j in range(n)]
+    z_ctx = pv.base.context.extend_top(z_names)
+    z_map = dict(zip(z_names, imgs))
+    residues = []
+    for j in range(n):
+        col = [row[j] for row in pv.companion]
+        rhs = [f"({a})*Z{i + 1}" for i, a in enumerate(col) if not a.is_zero()]
+        line = f"Z{j + 1}' = " + (" + ".join(rhs) if rhs else "0")
+        residues.append(
+            ("derivation", line, companion_residue(tw, imgs, imgs[j].derive(), col))
+        )
+    algebraic = []
+    slots = _solution_slot_of_generators(pv)
+    complete = True
+    for spec in ext.specs:
+        if spec.relation is None:
+            continue
+        vars_used = spec.relation.variables() & set(ext.generator_names())
+        if any(slots.get(v) is None for v in vars_used):
+            complete = False
+            continue
+        rename = {v: z_names[slots[v]] for v in vars_used}  # type: ignore[index]
+        algebraic.append(_renamed(spec.relation, rename, z_ctx))
+    for j, s in enumerate(pv.solutions):
+        if pv.base.writes(s):
+            x = pv.base.restrict(s)
+            rel = Poly.variable(z_ctx, z_names[j]) * x.den.in_context(z_ctx)
+            algebraic.append(rel - x.num.in_context(z_ctx))
+    residues += [("algebraic", str(a), tw.eval_poly(a, z_map)) for a in algebraic]
+
     identity = {
         x: GaussRat.of(int(i == j)) for i, row in enumerate(xnames) for j, x in enumerate(row)
     }
     collected: list[Poly] = []
-    for kind, rel, residue in residues:
+    for kind, text, residue in residues:
         polys = _collect_coefficients(residue.num, xset, x_ctx)
         if any(p.substitute(identity.__getitem__, GaussRat.of) for p in polys):
-            raise BadIdeal(f"{kind} relation fails at solutions: {rel.render()}")
+            raise BadIdeal(f"{kind} relation fails at solutions: {text}")
         collected += polys
 
     return MatrixGroup(
@@ -333,10 +286,11 @@ def defining_equations(
         tuple(tuple(row) for row in xnames),
         x_ctx,
         _normalize_polys(collected, x_ctx),
-        ideal.complete,
+        tuple(t if k == "derivation" else t + " = 0" for k, t, _ in residues),
+        complete,
         tw,
         tuple(imgs),
-        _solution_slot_of_generators(pv),
+        slots,
     )
 
 

@@ -1,11 +1,15 @@
 """Picard-Vessiot extensions for a closed list of equation classes.
 
 A PV extension of the base field is presented as a tower carrying a full
-system of solutions of a monic linear ODE, certified by three exact checks:
+system of solutions of a monic linear ODE, certified by four checks, three
+exact and one bounded:
 
   * every listed solution satisfies the equation (normal form zero),
   * the wronskian of the solution system is invertible,
-  * a bounded constant scan of the tower finds no new constants.
+  * a constant scan of the tower up to the scan bounds finds no new
+    constants (bounded: constants beyond the bounds are not seen),
+  * the solution derivatives match the recorded first-order companion
+    matrix (normal form zero).
 
 The supported construction classes:
 
@@ -15,9 +19,9 @@ The supported construction classes:
   CONSTCOEFF2 Y'' + aY' + bY = 0  rational constants; split by root type
 
 Each class builder returns a presentation: the tower, the solutions and
-the first-order companion matrix of the solutions over the base, which the
-Galois-group module turns into relation generators.  `build_pv` makes the
-one `PVExtension` of it and certifies it.
+the first-order companion matrix of the solutions over the base, from
+which the Galois-group module reads the relations of the solutions.
+`build_pv` makes the one `PVExtension` of it and certifies it.
 
 Realification is the route back from K(i), whose elements every tower
 reads with Q(i) coefficients: it closes a span of solutions under

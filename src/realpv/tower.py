@@ -473,7 +473,7 @@ class DiffTower:
         """Evaluate p with some variables replaced by field elements.
 
         Unmapped variables stay themselves.  p may come from a foreign
-        context (such as the Z slots of a relation ideal) as long as every
+        context (such as the Z slots of a solution relation) as long as every
         variable outside this tower is mapped; an unmapped one raises
         ContextError.  Used for group actions and relation checks.
         """

@@ -173,13 +173,13 @@ def test_all_builds_extension_ideal_and_group_once(capsys, monkeypatch):
     import realpv.cli as cli
 
     calls = {}
-    for name in ("build_pv", "relations_ideal", "defining_equations"):
+    for name in ("build_pv", "defining_equations"):
         def counted(*args, _orig=getattr(cli, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counted)
-    expect = {"build_pv": 1, "relations_ideal": 1, "defining_equations": 1}
+    expect = {"build_pv": 1, "defining_equations": 1}
     code, _, _ = run(capsys, "all", f"{SCENARIOS}/circle.json")
     assert code == 0
     assert calls == expect
@@ -228,7 +228,7 @@ def test_field_round_trip_fails_on_a_different_recomputed_field(capsys, monkeypa
     assert "[FAIL] field round trip: K(e) vs K\n" in out
 
 
-def test_all_maps_generators_to_solution_slots_at_most_twice(capsys, monkeypatch):
+def test_all_maps_generators_to_solution_slots_once(capsys, monkeypatch):
     import realpv.galois as galois
 
     calls = []
@@ -240,7 +240,7 @@ def test_all_maps_generators_to_solution_slots_at_most_twice(capsys, monkeypatch
     monkeypatch.setattr(galois, "_solution_slot_of_generators", counted)
     code, _, _ = run(capsys, "all", f"{SCENARIOS}/circle.json")
     assert code == 0
-    assert 1 <= len(calls) <= 2
+    assert len(calls) == 1
 
 
 # -- output modes -------------------------------------------------------------------

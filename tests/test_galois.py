@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from realpv import (
     BadIdeal,
     Context,
-    DiffTower,
     GaussRat,
     LinearODE,
     NotInGroup,
@@ -24,10 +24,8 @@ from realpv import (
     parse_poly,
     parse_scalar,
     reduces_to_zero,
-    relations_ideal,
     same_zero_set,
 )
-from realpv.galois import AlgebraicRelation, DerivationRelation, RelationIdeal
 
 I = GaussRat(Fraction(0), Fraction(1))
 
@@ -36,67 +34,32 @@ def _strs(group):
     return [str(p) for p in group.polys]
 
 
-# -- relation ideals -----------------------------------------------------------
+# -- relations of the solutions ------------------------------------------------
 
 
 def test_relation_ideal_exp(exp_pv):
-    ideal = relations_ideal(exp_pv)
-    assert len(ideal.derivations) == 1
-    assert not ideal.algebraic
-    assert ideal.complete
-    assert ideal.render() == ["Z1' = (1)*Z1"]
+    g = defining_equations(exp_pv)
+    assert g.relations == ("Z1' = (1)*Z1",)
+    assert g.relations_complete
 
 
 def test_relation_ideal_circle(circle_pv):
-    ideal = relations_ideal(circle_pv)
-    assert len(ideal.derivations) == 2
-    assert [str(a.poly) for a in ideal.algebraic] == ["Z2^2 + Z1^2 - 1"]
+    g = defining_equations(circle_pv)
+    assert len(g.relations) == 3
+    assert g.relations[2] == "Z2^2 + Z1^2 - 1 = 0"
 
 
 def test_relation_ideal_radical(sqrt_pv):
-    ideal = relations_ideal(sqrt_pv)
     # g^2 = t turns into Z1^2 - t
-    assert [str(a.poly) for a in ideal.algebraic] == ["Z1^2 - t"]
-
-
-def test_corrupt_ideal_rejected(exp_pv):
-    ideal = relations_ideal(exp_pv)
-    z_ctx = ideal.z_context
-    with pytest.raises(BadIdeal):
-        bogus = RelationIdeal(
-            exp_pv,
-            z_ctx,
-            ideal.derivations,
-            tuple(list(ideal.algebraic) + [AlgebraicRelation(parse_poly("Z1 - 7", z_ctx))]),
-            True,
-        )
-        defining_equations(exp_pv, bogus)
+    assert defining_equations(sqrt_pv).relations[1:] == ("Z1^2 - t = 0",)
 
 
 def test_wrong_derivation_coefficient_rejected(circle_pv):
-    # the relation's own coefficients are checked, not the recorded companion
-    ideal = relations_ideal(circle_pv)
-    first, second = ideal.derivations
-    doubled = DerivationRelation(first.slot, tuple(a.scale(2) for a in first.coeffs))
-    bad = RelationIdeal(
-        circle_pv, ideal.z_context, (doubled, second), ideal.algebraic, True
-    )
+    # the relation's own coefficients are checked, not the certificates
+    doubled = tuple((row[0].scale(2), row[1]) for row in circle_pv.companion)
+    bad = dataclasses.replace(circle_pv, companion=doubled)
     with pytest.raises(BadIdeal, match="derivation relation fails"):
-        defining_equations(circle_pv, bad)
-
-
-def test_relations_ideal_derives_nothing(circle_pv, monkeypatch):
-    # the relations are read from the companion matrix and the tower; they
-    # are checked where defining_equations expands them
-    calls = []
-
-    def counted(self, x, _orig=DiffTower.derive):
-        calls.append(x)
-        return _orig(self, x)
-
-    monkeypatch.setattr(DiffTower, "derive", counted)
-    relations_ideal(circle_pv)
-    assert calls == []
+        defining_equations(bad)
 
 
 # -- frozen defining sets --------------------------------------------------------

@@ -6,7 +6,9 @@ the standard library's `ast` and reports imported names that are never
 referenced: not as a name, not in a string annotation and not in
 `__all__`.  `from __future__` imports are not names and are skipped.
 It also checks the exports: `from realpv import *` succeeds and every name
-in the `__all__` of each module that has one resolves, so a deleted name cannot stay listed.
+in the `__all__` of each module that has one resolves, so a deleted name cannot stay listed,
+and every name the package exports is listed in the `__all__` of the module it
+is imported from, when that module has one.
 """
 
 from __future__ import annotations
@@ -98,3 +100,27 @@ def test_star_import_binds_every_exported_name():
 def test_every_name_in_all_resolves(module):
     mod = importlib.import_module(module)
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+def _reexported_from() -> dict[str, str]:
+    """Name -> module, for each `from .module import name` in the package
+    `__init__`."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name: f"realpv.{node.module}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def test_package_exports_are_listed_by_their_modules():
+    source = _reexported_from()
+    unlisted = []
+    for name in importlib.import_module("realpv").__all__:
+        if name not in source:  # defined in the package itself
+            continue
+        mod = importlib.import_module(source[name])
+        if hasattr(mod, "__all__") and name not in mod.__all__:
+            unlisted.append(f"{mod.__name__}.{name}")
+    assert unlisted == []

@@ -23,8 +23,9 @@ tr = layertrace.Tracer()
 layertrace.install(tr)
 code = tr.op(lambda: realpv.cli.main(["correspond", "scenarios/exp.json", "--json"]))
 assert code == 0, code
-for name in ("cli.main", "correspondence.fixed_field", "galois.invariance_conditions",
-             "tower.DiffTower.derive", "rewrite.normal_form"):
+for name in ("cli.main", "correspondence.fixed_field", "galois.defining_equations",
+             "galois.invariance_conditions", "tower.DiffTower.derive",
+             "rewrite.normal_form"):
     assert tr.calls[name] > 0, name
 print("traced", len(tr.calls))
 """
