@@ -30,7 +30,7 @@ from .correspondence import (
 )
 from .errors import AlgebraError, NotPV, ScenarioError, WitnessNotFound
 from .galois import defining_equations, matrix_from_texts
-from .pv import LinearODE, build_pv
+from .pv import DEFAULT_SCAN_BOUNDS, LinearODE, build_pv
 from .realforms import (
     cocycle_check,
     h1_enumerate,
@@ -39,7 +39,7 @@ from .realforms import (
     twist,
 )
 from .report import Report
-from .scenario import Scenario, checked_scan_bounds, load_scenario
+from .scenario import Scenario, load_scenario
 from .seidenberg import seidenberg_demo
 from .tower import DiffTower
 
@@ -53,8 +53,9 @@ class _Session:
     group, each built once, on first use.  A session lives for a single
     `main` call; nothing is kept between calls."""
 
-    def __init__(self, scn: Scenario):
+    def __init__(self, scn: Scenario, scan_bounds: tuple[int, int]):
         self.scn = scn
+        self.scan_bounds = scan_bounds
 
     @cached_property
     def pv(self):
@@ -62,7 +63,7 @@ class _Session:
         base = DiffTower(base_var=scn.base_var or None)
         ode = LinearODE.from_texts(base, list(scn.coefficients))
         radical_base = base.parse(scn.radical_base) if scn.radical_base else None
-        return build_pv(base, ode, scn.eq_class, scn.scan_bounds, radical_base)
+        return build_pv(base, ode, scn.eq_class, self.scan_bounds, radical_base)
 
     @cached_property
     def group(self):
@@ -215,7 +216,7 @@ def _demo_report(name: str) -> Report:
         rep.add(
             "original field has no such witness",
             not found,
-            "witness found" if found else "bounded search is empty",
+            "witness found" if found else "no relation writes -1 as a sum of squares",
         )
         rep.data["classes"] = [c.label for c in h1.classes]
         return rep
@@ -269,15 +270,13 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report to a file")
 
 
-def _apply_overrides(scn: Scenario, args) -> Scenario:
-    """The scenario with the command-line scan bounds, range-checked."""
-    deg, cdeg = scn.scan_bounds
-    if args.scan_degree is not None:
-        deg, cdeg = checked_scan_bounds(args.scan_degree, cdeg, "--scan-degree")
-    if args.scan_coeff_degree is not None:
-        deg, cdeg = checked_scan_bounds(deg, args.scan_coeff_degree, "--scan-coeff-degree")
-    scn.scan_bounds = (deg, cdeg)
-    return scn
+def _scan_bounds(args) -> tuple[int, int]:
+    """The command-line scan bounds; out-of-range ones are refused."""
+    if args.scan_degree < 1:
+        raise ScenarioError("scan bounds out of range", location="--scan-degree")
+    if args.scan_coeff_degree < 0:
+        raise ScenarioError("scan bounds out of range", location="--scan-coeff-degree")
+    return args.scan_degree, args.scan_coeff_degree
 
 
 def main(argv=None) -> int:
@@ -286,13 +285,17 @@ def main(argv=None) -> int:
         description="exact real Picard-Vessiot computations on certified towers",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    deg, cdeg = DEFAULT_SCAN_BOUNDS
     for name in ("build", "group", "correspond", "twist", "all"):
         p = subs.add_parser(name)
         p.add_argument("scenario", help="path to a scenario JSON file")
         _add_output(p)
-        p.add_argument("--scan-degree", type=int, help="override the scan degree bound")
+        p.add_argument("--scan-degree", type=int, default=deg, help="override the scan degree bound")
         p.add_argument(
-            "--scan-coeff-degree", type=int, help="override the scan coefficient bound"
+            "--scan-coeff-degree",
+            type=int,
+            default=cdeg,
+            help="override the scan coefficient bound",
         )
     demo = subs.add_parser("demo")
     demo.add_argument("name", choices=DEMO_NAMES)
@@ -303,8 +306,8 @@ def main(argv=None) -> int:
         if args.command == "demo":
             reports = [_demo_report(args.name)]
         else:
-            scn = _apply_overrides(load_scenario(args.scenario), args)
-            ses = _Session(scn)
+            scn = load_scenario(args.scenario)
+            ses = _Session(scn, _scan_bounds(args))
             if args.command == "all":
                 reports = [_build_report(ses), _group_report(ses)]
                 if scn.subgroup is not None:

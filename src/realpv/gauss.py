@@ -43,9 +43,6 @@ class GaussRat:
     def is_zero(self) -> bool:
         return not self
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def conj(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)
 

@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement
 
 from .errors import Unsupported, WitnessNotFound
 from .galois import MatrixGroup
-from .gauss import GaussRat
+from .gauss import GaussRat, is_square, rational_sqrt
 from .linsolve import adjugate, inverse, mat_conj, mat_mul
 from .linsolve import identity as mat_identity
 from .poly import Context, Monomial, Poly
@@ -221,63 +220,43 @@ def _splits(group: MatrixGroup, b, a) -> bool:
 # -- non-reality witnesses ----------------------------------------------------------------
 
 
-_WITNESS_COEFFS = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-)
-
-
-def non_reality_witness(
-    tower: DiffTower, degree_bound: int = 2
-) -> tuple[FieldElement, ...]:
+def non_reality_witness(tower: DiffTower) -> tuple[FieldElement, ...]:
     """Elements whose squares sum to -1, certifying the field is not real.
 
-    Bounded deterministic search over single generator monomials and pairs
-    with small rational coefficients.  Each monomial x is squared once: c*x
-    is a witness exactly when x^2 is the scalar -1/c^2, and a pair c1*x1,
-    c2*x2 exactly when (c1^2, c2^2, 1) is a relation of (x1^2, x2^2, 1),
-    that is, lies in the span of their canonical kernel.  Raises
-    WitnessNotFound when the window holds no witness (which is not a proof
-    of reality).
+    Read from a relation c0 + sum_k c_k * m_k^2 = 0 of the tower in which
+    every monomial other than 1 has only even exponents (the base variable
+    counts too) and every ratio c_k / c0 is the square r_k^2 of a positive
+    rational: the r_k * sqrt(m_k) then have squares summing to -1.  The
+    twisted circle u^2 + v^2 + 1 gives (v, u) and Seidenberg's
+    4a^2 + b^2 + 1 gives (2a, b); entries follow the tower's variable
+    order.  Raises WitnessNotFound when no relation has this shape (which
+    is not a proof of reality).
     """
-    minus_one, unit = GaussRat.of(-1), GaussRat.of(1)
-    window, one = tower.scan_basis(degree_bound, 0)
-    elems = [x for k, x in enumerate(window) if k != one]
-    squares = [x * x for x in elems]
-    coeffs = [(GaussRat(c), GaussRat(c * c)) for c in _WITNESS_COEFFS]
-    for x, sq in zip(elems, squares):
-        v = sq.as_scalar()
-        if v is not None:
-            for c, c2 in coeffs:
-                if c2 * v == minus_one:
-                    return (x.scale(c),)
-    one_elem = tower.one()
-    for (x1, sq1), (x2, sq2) in combinations_with_replacement(zip(elems, squares), 2):
-        relations = tower.linear_relations([sq1, sq2, one_elem])
-        for c1, q1 in coeffs:
-            for c2, q2 in coeffs:
-                if _in_span([q1, q2, unit], relations):
-                    return (x1.scale(c1), x2.scale(c2))
-    raise WitnessNotFound(
-        f"no sum of at most two squares equals -1 in the search window "
-        f"(degree bound {degree_bound})"
-    )
+    ctx = tower.context
+    for rel in (s.relation for s in tower.specs if s.relation is not None):
+        roots = _square_roots_of_minus_one(rel)
+        if roots:
+            order = sorted(roots, key=lambda m: [-m.degree_in(v) for v in ctx.variables])
+            return tuple(tower.elem(Poly(ctx, {m: roots[m]})) for m in order)
+    raise WitnessNotFound("no relation of the tower writes -1 as a sum of squares")
 
 
-def _in_span(v: list[GaussRat], basis: list[list[GaussRat]]) -> bool:
-    """Whether v is a combination of a canonical kernel basis.  Each basis
-    vector ends in a unit at its own free column, where the others are
-    zero, so v[f] is its coefficient there."""
-    rest = list(v)
-    for b in basis:
-        f = max(j for j, c in enumerate(b) if c)
-        if v[f]:
-            rest = [r - v[f] * c for r, c in zip(rest, b)]
-    return not any(rest)
+def _square_roots_of_minus_one(rel: Poly) -> dict[Monomial, Fraction] | None:
+    """{sqrt(m_k): r_k} when rel = c0 * (1 + sum_k r_k^2 * m_k) with each m_k
+    a square monomial and each r_k a positive rational, else None.
+    Relations are real (`DiffTower._validate`)."""
+    c0 = rel.coeff(Monomial()).re
+    if not c0:
+        return None
+    roots = {}
+    for m, c in rel.terms.items():
+        if m.is_one():
+            continue
+        exps, ratio = m.exponents(), c.re / c0
+        if any(e % 2 for e in exps.values()) or not is_square(ratio):
+            return None
+        roots[Monomial({v: e // 2 for v, e in exps.items()})] = rational_sqrt(ratio)
+    return roots
 
 
 # -- cohomology classes ---------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .errors import DivisionByZero, ScenarioError
 from .galois import parse_scalar
 from .gauss import GaussRat
 from .poly import Context, parse_fraction
-from .pv import DEFAULT_SCAN_BOUNDS, EQUATION_CLASSES
+from .pv import EQUATION_CLASSES
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
 
@@ -41,7 +41,6 @@ class Scenario:
     coefficients: tuple[str, ...]
     base_var: str = "t"
     radical_base: str | None = None
-    scan_bounds: tuple[int, int] = DEFAULT_SCAN_BOUNDS
     subgroup: SubgroupDescriptor | None = None
     cocycle: tuple[tuple[GaussRat, ...], ...] | None = None
 
@@ -82,13 +81,6 @@ def _expect_expr(value: Any, parse: Callable[[str], Any], loc: str) -> Any:
         return parse(text)
     except (ValueError, DivisionByZero) as e:
         raise ScenarioError(str(e), location=loc) from None
-
-
-def checked_scan_bounds(deg: int, cdeg: int, loc: str) -> tuple[int, int]:
-    """The scan bounds (deg, cdeg); out-of-range ones are refused."""
-    if deg < 1 or cdeg < 0:
-        raise ScenarioError("scan bounds out of range", location=loc)
-    return deg, cdeg
 
 
 def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:

@@ -21,11 +21,12 @@ import realpv.cli
 
 tr = layertrace.Tracer()
 layertrace.install(tr)
-code = tr.op(lambda: realpv.cli.main(["correspond", "scenarios/exp.json", "--json"]))
-assert code == 0, code
+for argv in (["correspond", "scenarios/exp.json"], ["twist", "scenarios/sqrt.json"]):
+    code = tr.op(lambda: realpv.cli.main(argv + ["--json"]))
+    assert code == 0, (argv, code)
 for name in ("cli.main", "correspondence.fixed_field", "galois.defining_equations",
              "galois.invariance_conditions", "tower.DiffTower.derive",
-             "rewrite.normal_form"):
+             "rewrite.normal_form", "realforms.twist", "realforms.non_reality_witness"):
     assert tr.calls[name] > 0, name
 print("traced", len(tr.calls))
 """

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -26,7 +25,6 @@ from realpv import (
 )
 from realpv.linsolve import is_scalar_matrix
 from realpv.poly import Poly
-from realpv.realforms import _WITNESS_COEFFS
 
 I = GaussRat(Fraction(0), Fraction(1))
 ID2 = [["1", "0"], ["0", "1"]]
@@ -123,74 +121,55 @@ def test_original_circle_has_no_witness(circle_pv):
         non_reality_witness(circle_pv.extension)
 
 
-def _witness_by_trials(tower, degree_bound=2):
-    """The former search: each coefficient trial squared and compared with -1."""
-    minus_one = tower.const(-1)
-    window, one = tower.scan_basis(degree_bound, 0)
-    elems = [x for k, x in enumerate(window) if k != one]
-    for x in elems:
-        for c in _WITNESS_COEFFS:
-            y = x.scale(GaussRat(c))
-            if y * y == minus_one:
-                return (y,)
-    for x1, x2 in combinations_with_replacement(elems, 2):
-        for c1 in _WITNESS_COEFFS:
-            for c2 in _WITNESS_COEFFS:
-                y1, y2 = x1.scale(GaussRat(c1)), x2.scale(GaussRat(c2))
-                if y1 * y1 + y2 * y2 == minus_one:
-                    return (y1, y2)
-    raise WitnessNotFound(
-        f"no sum of at most two squares equals -1 in the search window "
-        f"(degree bound {degree_bound})"
-    )
+def _minus_one_twist(pv):
+    return twist(pv, defining_equations(pv), [[GaussRat.of(-1)]]).tower
 
 
-def _witness_outcome(search, tower, degree_bound):
-    try:
-        return tuple(str(y) for y in search(tower, degree_bound))
-    except WitnessNotFound as exc:
-        return f"not found: {exc}"
+def test_radical_towers_over_minus_t2_minus_1_are_not_real(base):
+    """h^2 + t^2 + 1 = 0 writes -1 = h^2 + t^2, whether it comes from the
+    twist of the root of t^2 + 1 or from the root of -(t^2 + 1) itself."""
+    for tower in (
+        _minus_one_twist(_radical_pv(base, "t^2 + 1", Fraction(1, 2))),
+        _radical_pv(base, "-(t^2 + 1)", Fraction(1, 2)).extension,
+    ):
+        wit = non_reality_witness(tower)
+        assert len(wit) == 2 and str(wit[0]) == "t"
+        assert sum((w * w for w in wit), tower.zero()) == tower.const(-1)
 
 
-def test_witness_agrees_with_the_coefficient_trials(
-    base, circle_pv, circle_group, sqrt_pv, sqrt_group
-):
-    f = base.parse("t^2 + 1")
-    ode = LinearODE(base, (-(f.derive() / f).scale(GaussRat.of(Fraction(1, 2))),))
-    hyp_pv = build_pv(base, ode, "RADICAL", radical_base=f)
-    minus_one = [[GaussRat.of(-1)]]
+def test_witness_outcomes_on_the_shipped_towers(base, circle_pv, circle_group, sqrt_pv):
     towers = {
         "twisted circle": twist(circle_pv, circle_group, matrix_from_texts(NEG2)).tower,
         "seidenberg": build_seidenberg(),
-        "sqrt(t) twist": twist(sqrt_pv, sqrt_group, minus_one).tower,
-        "sqrt(t^2+1) twist": twist(
-            hyp_pv, defining_equations(hyp_pv), minus_one
-        ).tower,
+        "sqrt(t) twist": _minus_one_twist(sqrt_pv),
+        "sqrt(t^2+1) twist": _minus_one_twist(_radical_pv(base, "t^2 + 1", Fraction(1, 2))),
         "circle": circle_pv.extension,
     }
-    # constant roots u of k*u^2 + 1 = 0: the single 2u for k = 4, the pair
-    # u, 2u for k = 5, and none for k = 9
+    # constant roots u of k*u^2 + 1 = 0: a witness exactly when k is a
+    # rational square
     for k in (4, 5, 9):
         towers[f"u^2 = -1/{k}"] = DiffTower(base_var=None).adjoin_abstract(
             ["u"], ["0"], [f"{k}*u^2 + 1"]
         )
-    found = set()
+    expected = {
+        "twisted circle": ("v", "u"),
+        "seidenberg": ("2*a", "b"),
+        "sqrt(t) twist": None,
+        "sqrt(t^2+1) twist": ("t", "h"),
+        "circle": None,
+        "u^2 = -1/4": ("2*u",),
+        "u^2 = -1/5": None,
+        "u^2 = -1/9": ("3*u",),
+    }
     for name, tower in towers.items():
-        for degree_bound in (1, 2, 3):
-            new = _witness_outcome(non_reality_witness, tower, degree_bound)
-            assert new == _witness_outcome(_witness_by_trials, tower, degree_bound), (
-                name,
-                degree_bound,
-            )
-            if isinstance(new, tuple):
-                found.add((name, len(new)))
-    assert {
-        ("twisted circle", 2),
-        ("seidenberg", 2),
-        ("u^2 = -1/4", 1),
-        ("u^2 = -1/5", 2),
-    } <= found
-    assert not any(name in ("circle", "u^2 = -1/9") for name, _ in found)
+        try:
+            wit = non_reality_witness(tower)
+        except WitnessNotFound as exc:
+            assert str(exc) == "no relation of the tower writes -1 as a sum of squares"
+            assert expected[name] is None, name
+            continue
+        assert tuple(map(str, wit)) == expected[name], name
+        assert sum((w * w for w in wit), tower.zero()) == tower.const(-1), name
 
 
 def test_sqrt_minus_one_twist(sqrt_pv, sqrt_group):
