@@ -143,10 +143,19 @@ class Monomial:
         return self._hash
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        if not other._exps:
+            return self
+        if not self._exps:
+            return other
         d = dict(self._exps)
         for v, e in other._exps.items():
             d[v] = d.get(v, 0) + e
-        return Monomial._build(d, self._deg + other._deg)
+        m = Monomial.__new__(Monomial)
+        m._exps = d
+        m._key = key = tuple(sorted(d.items()))
+        m._deg = self._deg + other._deg
+        m._hash = hash(key)
+        return m
 
     def __pow__(self, n: int) -> "Monomial":
         if n < 0:
@@ -154,8 +163,13 @@ class Monomial:
         return Monomial({v: e * n for v, e in self._exps.items()})
 
     def divides(self, other: "Monomial") -> bool:
+        if self._deg > other._deg:
+            return False
         oe = other._exps
-        return all(oe.get(v, 0) >= e for v, e in self._exps.items())
+        for v, e in self._exps.items():
+            if oe.get(v, 0) < e:
+                return False
+        return True
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         """Exact quotient; caller must ensure `other` divides `self`."""
@@ -174,11 +188,12 @@ class Monomial:
         d = dict(self._exps)
         for v, e in other._exps.items():
             d[v] = max(d.get(v, 0), e)
-        return Monomial(d)
+        return Monomial._build(d, sum(d.values()))
 
     def gcd(self, other: "Monomial") -> "Monomial":
         oe = other._exps
-        return Monomial({v: min(e, oe[v]) for v, e in self._exps.items() if v in oe})
+        d = {v: min(e, oe[v]) for v, e in self._exps.items() if v in oe}
+        return Monomial._build(d, sum(d.values()))
 
     def coprime(self, other: "Monomial") -> bool:
         return not (self.variables() & other.variables())

@@ -31,7 +31,7 @@ from .errors import (
     IncompatibleDerivation,
     Unsupported,
 )
-from .gauss import GaussRat
+from .gauss import ONE, GaussRat
 from .linsolve import kernel
 from .poly import Context, Monomial, Poly, parse_fraction
 from .rewrite import RewriteSystem, buchberger
@@ -185,7 +185,7 @@ class FieldElement:
             den = Poly.const(tower.context, 1)
         else:
             lc = den.leading_coefficient()
-            if not (lc.re == 1 and lc.im == 0):
+            if lc != ONE:
                 inv = lc.inverse()
                 num = num.scale(inv)
                 den = den.scale(inv)

@@ -1,6 +1,7 @@
 """Gaussian rational arithmetic: exact field operations."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -152,3 +153,111 @@ def test_real_zero_has_no_inverse():
         GaussRat(Fraction(0)).inverse()
     with pytest.raises(ZeroDivisionError):
         GaussRat.of(3) / GaussRat(Fraction(0), Fraction(0))
+
+
+# -- the (a + b*i)/d representation against a model on pairs of Fractions ----------
+
+
+class Pair(NamedTuple):
+    """Reference model: a Gaussian rational as its two Fraction parts."""
+
+    re: Fraction
+    im: Fraction
+
+
+def pair_neg(p):
+    return Pair(-p.re, -p.im)
+
+
+def pair_pow(p, e):
+    out, base = Pair(Fraction(1), Fraction(0)), p if e >= 0 else general_inverse(p)
+    for _ in range(abs(e)):
+        out = general_mul(out, base)
+    return GaussRat(out.re, out.im)
+
+
+def pair_str(p):
+    if p.im == 0:
+        return str(p.re)
+    im = {1: "i", -1: "-i"}.get(p.im, f"{p.im}*i")
+    if p.re == 0:
+        return im
+    return f"{p.re}{'-' if p.im < 0 else '+'}{im.lstrip('-')}"
+
+
+pairs = st.builds(Pair, fractions, fractions)
+scalars = st.one_of(st.integers(-9, 9), fractions)
+
+
+@given(pairs, pairs, scalars)
+def test_every_operation_matches_the_pair_model(p, q, s):
+    a, b = GaussRat(p.re, p.im), GaussRat(q.re, q.im)
+    ps = Pair(Fraction(s), Fraction(0))
+    checks = [
+        (a + b, general_add(p, q)),
+        (a - b, general_add(p, pair_neg(q))),
+        (a * b, general_mul(p, q)),
+        (a + s, general_add(p, ps)),
+        (s + a, general_add(ps, p)),
+        (a - s, general_add(p, pair_neg(ps))),
+        (s - a, general_add(ps, pair_neg(p))),
+        (a * s, general_mul(p, ps)),
+        (s * a, general_mul(ps, p)),
+        (-a, GaussRat(-p.re, -p.im)),
+        (a.conj(), GaussRat(p.re, -p.im)),
+    ]
+    if q.re or q.im:
+        checks += [
+            (b.inverse(), general_inverse(q)),
+            (a / b, general_mul(p, general_inverse(q))),
+            (s / b, general_mul(ps, general_inverse(q))),
+        ]
+    if s:
+        checks.append((a / s, general_mul(p, general_inverse(ps))))
+    for e in range(-3, 4):
+        if e >= 0 or a:
+            checks.append((a**e, pair_pow(p, e)))
+    for got, want in checks:
+        assert_exact(got, want)
+    product = a * b
+    assert product.re == p.re * q.re - p.im * q.im
+    assert product.im == p.re * q.im + p.im * q.re
+    assert a.norm() == p.re**2 + p.im**2 and type(a.norm()) is Fraction
+    assert str(a) == pair_str(p)
+    assert (a == b) == (p == q)
+    if p == q:
+        assert hash(a) == hash(b)
+
+
+def test_one_value_has_one_canonical_form():
+    half = GaussRat.of(Fraction(1, 2))
+    forms = [
+        GaussRat(Fraction(2, 4), Fraction(1, 2)),
+        half + I * half,
+        (ONE + I) / GaussRat.of(2),
+    ]
+    for x in forms:
+        assert_exact(x, forms[0])
+        assert x.re == x.im == Fraction(1, 2)
+    assert len(set(forms)) == 1
+
+
+def test_constructor_rejects_floats_and_other_types():
+    for bad in (0.1, 1.5j, "1", None):
+        with pytest.raises(TypeError, match="cannot coerce .* to GaussRat"):
+            GaussRat(bad)
+        with pytest.raises(TypeError, match="cannot coerce .* to GaussRat"):
+            GaussRat(Fraction(1), bad)
+        with pytest.raises(TypeError, match="cannot coerce .* to GaussRat"):
+            GaussRat.of(bad)
+
+
+def test_parts_of_integer_arguments_are_fractions():
+    for x in (GaussRat(1), GaussRat(1, -2), GaussRat.of(3), GaussRat(Fraction(1, 3), 2)):
+        assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+def test_equals_no_other_type():
+    assert GaussRat.of(1) != 1
+    assert GaussRat.of(Fraction(1, 2)) != Fraction(1, 2)
+    assert ZERO != 0 and ONE != 1.0

@@ -1,7 +1,9 @@
 """The benchmark's layer tracer still finds every layer it patches.
 
 `bench/layertrace.py` wraps named functions and methods of `realpv` from
-the outside; a renamed or deleted layer makes `install` fail.  The tracer
+the outside; a renamed or deleted layer makes `install` fail, and a counted
+operator that moves out of its class body (where the tracer looks it up)
+would read 0.  The tracer
 runs in a fresh interpreter so that its patches do not leak into the other
 tests.
 """
@@ -26,7 +28,9 @@ for argv in (["correspond", "scenarios/exp.json"], ["twist", "scenarios/sqrt.jso
     assert code == 0, (argv, code)
 for name in ("cli.main", "correspondence.fixed_field", "galois.defining_equations",
              "galois.invariance_conditions", "tower.DiffTower.derive",
-             "rewrite.normal_form", "realforms.twist", "realforms.non_reality_witness"):
+             "rewrite.normal_form", "realforms.twist", "realforms.non_reality_witness",
+             "gauss.GaussRat.mul", "gauss.GaussRat.add", "gauss.GaussRat.inverse",
+             "poly.Poly.mul", "poly.Context.key"):
     assert tr.calls[name] > 0, name
 print("traced", len(tr.calls))
 """

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from realpv import (
     Context, GaussRat, Monomial, Poly, buchberger, parse_fraction, parse_poly,
@@ -125,6 +126,35 @@ def test_monomial_products_and_quotients_are_canonical():
     assert (m / m).is_one() and (m / m) == Monomial() and (m / m).degree() == 0
     with pytest.raises(ValueError):
         m / n
+
+
+exponent_dicts = st.dictionaries(st.sampled_from("xyzw"), st.integers(0, 3), max_size=4)
+
+
+def divides_by_exponents(m_exps, n_exps):
+    return all(n_exps.get(v, 0) >= e for v, e in m_exps.items())
+
+
+@given(exponent_dicts, exponent_dicts)
+def test_monomial_product_unit_quotient_and_divides(me, ne):
+    m, n = Monomial(me), Monomial(ne)
+    for prod in (m * Monomial(), Monomial() * m):
+        assert prod == m and hash(prod) == hash(m) and prod.degree() == m.degree()
+    mn = m * n
+    assert mn / n == m and hash(mn / n) == hash(m)
+    assert m.divides(n) == divides_by_exponents(me, ne)
+    assert n.divides(m) == divides_by_exponents(ne, me)
+    assert m.divides(mn) and n.divides(mn)
+
+
+def test_divides_on_equal_and_larger_degree():
+    x2, xy = Monomial({"x": 2}), Monomial({"x": 1, "y": 1})
+    assert not x2.divides(xy) and not xy.divides(x2)
+    assert x2.divides(x2)
+    # a monomial of higher degree never divides one of lower degree
+    assert not Monomial({"x": 1, "y": 2}).divides(Monomial({"x": 5}))
+    assert not Monomial({"x": 3}).divides(Monomial({"x": 2}))
+    assert Monomial().divides(xy) and not xy.divides(Monomial())
 
 
 def test_parse_fraction(ctx):
