@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 from .correspondence import (
     check_correspondence,
@@ -279,7 +279,9 @@ def _scan_bounds(args) -> tuple[int, int]:
     return args.scan_degree, args.scan_coeff_degree
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="realpv",
         description="exact real Picard-Vessiot computations on certified towers",
@@ -300,8 +302,11 @@ def main(argv=None) -> int:
     demo = subs.add_parser("demo")
     demo.add_argument("name", choices=DEMO_NAMES)
     _add_output(demo)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "demo":
             reports = [_demo_report(args.name)]

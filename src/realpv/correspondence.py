@@ -213,7 +213,7 @@ def _candidate_descriptors(
     if not rules:
         return [FULL]
     if len(rules) == 1 and rules[0].rhs == Poly.const(group.context, 1):
-        q = rules[0].lhs.degree()
+        q = rules[0].as_poly().total_degree()
         return [TRIVIAL if q == 1 else mu_n(q)]
     return []
 
@@ -609,7 +609,7 @@ def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
     x = Poly.variable(ctx, "X")
     f = x**q - Poly.const(ctx, 1)
     [gcd] = buchberger([f, (x ** (q - 1)).scale(q)], ctx).rules
-    complex_count = q - gcd.lhs.degree()
+    complex_count = q - gcd.as_poly().total_degree()
 
     pv_sub = build_pv(base, LinearODE.from_texts(base, [f"-{q}"]), "EXP")
     sub_ok = pv_sub.certificates.ok

@@ -204,7 +204,7 @@ def _collect_coefficients(
         bucket = groups.setdefault(rest, {})
         bucket[xpart] = bucket.get(xpart, GaussRat.of(0)) + c
     out: list[Poly] = []
-    for rest in sorted(groups, key=lambda m: sorted(m._key)):
+    for rest in sorted(groups, key=lambda m: sorted(m.exponents().items())):
         p = Poly(x_ctx, groups[rest])
         re, im = p.real_imag()
         if not re.is_zero():

@@ -6,17 +6,30 @@ rank (total degree first, then the exponent of the highest-ranked variable,
 and so on down).  Because the order is total, orientation of rewrite rules
 is never ambiguous.
 
-Polynomials are immutable-by-convention dictionaries mapping `Monomial` to
-nonzero `GaussRat` coefficients.  Mixing polynomials from different contexts
-raises `ContextError`; widening into a larger context is explicit via
-`in_context`.
+A polynomial keeps its terms in `Poly.by_key`, a dict from monomial keys to
+nonzero `GaussRat` coefficients.  A key is a plain tuple of ints
+(degree, e_top, ..., e_bottom): the total degree, then the exponent of each
+variable of the context from the highest-ranked down.  Python compares
+tuples slot by slot, so tuple order is exactly the graded-lex order: the
+leading monomial is `max(by_key)` and sorting needs no key function.
+Hashing, equality and comparison of keys run in C, and so do the slot-wise
+product, quotient and divisibility test (`mono_mul`, `mono_div`,
+`mono_divides`; `mono_lcm` and `mono_gcd` recompute the degree slot).
+
+Only this module knows the layout.  Other modules go through the key
+functions and through `Context`, which packs a context-free `Monomial` into
+a key, unpacks a key, renders it, and re-reads keys between contexts
+(`Context.reader`, used by `Poly.in_context`).  Mixing polynomials from
+different contexts raises `ContextError`.
 
 Validation happens only at the public constructors: `Poly(ctx, terms)`
-coerces every coefficient to `GaussRat` and checks every variable against
-the context, and `Monomial(exps)` rejects negative exponents.  Results of
-arithmetic on valid polynomials and monomials are valid by construction, so
-they are built by `Poly._build` and `Monomial._build`, which only drop zero
-coefficients and zero exponents.
+takes terms keyed by `Monomial`, coerces every coefficient to `GaussRat`,
+drops zero ones and checks every variable against the context, and
+`Monomial(exps)` rejects negative exponents.  `Poly.terms` gives the terms
+back keyed by `Monomial`.  Results of arithmetic on valid polynomials are
+valid by construction and built by `Poly._build` with no second pass: only
+operations where two terms meet (`+`, `-`, `*` and `real_imag`) can produce
+a zero coefficient, and they drop it where it arises.
 
 The canonical text form writes terms in decreasing monomial order with
 coefficients rendered as "a/b" or "a/b+c/d*i"; `parse_fraction` reads that
@@ -25,25 +38,81 @@ form back (and general +,-,*,/,^ expressions) bit-exactly.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import comb
+from operator import add, le, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ContextError, DivisionByZero
-from .gauss import ONE, GaussRat, Coeffable
+from .gauss import ONE, ZERO, GaussRat, Coeffable
 
 __all__ = [
     "Context",
     "Monomial",
     "Poly",
+    "mono_mul",
+    "mono_div",
+    "mono_divides",
+    "mono_lcm",
+    "mono_gcd",
     "parse_poly",
     "parse_fraction",
 ]
+
+Key = tuple  # (degree, e_top, ..., e_bottom) in one context
+
+
+class Monomial:
+    """A monomial spelled by variable names, independent of any context: the
+    form `Poly(ctx, terms)` takes and `Poly.terms` gives back.  Arithmetic
+    on monomials works on keys."""
+
+    __slots__ = ("_exps",)
+
+    def __init__(self, exps: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
+        d = {}
+        for v, e in dict(exps).items():
+            if e < 0:
+                raise ValueError(f"negative exponent for {v}")
+            if e:
+                d[v] = e
+        self._exps = d
+
+    @staticmethod
+    def var(name: str, exp: int = 1) -> "Monomial":
+        return Monomial({name: exp})
+
+    def degree(self) -> int:
+        return sum(self._exps.values())
+
+    def degree_in(self, name: str) -> int:
+        return self._exps.get(name, 0)
+
+    def variables(self) -> set[str]:
+        return set(self._exps)
+
+    def exponents(self) -> dict[str, int]:
+        return dict(self._exps)
+
+    def is_one(self) -> bool:
+        return not self._exps
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Monomial) and self._exps == other._exps
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._exps.items()))
+
+    def __repr__(self) -> str:
+        inner = "*".join(f"{v}^{e}" for v, e in sorted(self._exps.items())) or "1"
+        return f"Monomial({inner})"
 
 
 class Context:
     """Ordered variable set.  Variables are listed from lowest to highest rank."""
 
-    __slots__ = ("variables", "_rank", "_desc")
+    __slots__ = ("variables", "_rank", "_desc", "_slot", "one")
 
     def __init__(self, variables: Sequence[str]):
         if len(set(variables)) != len(variables):
@@ -51,6 +120,9 @@ class Context:
         self.variables: tuple[str, ...] = tuple(variables)
         self._rank = {v: k for k, v in enumerate(self.variables)}
         self._desc = self.variables[::-1]
+        # position of each variable's exponent in a key
+        self._slot = {v: i for i, v in enumerate(self._desc, 1)}
+        self.one: Key = (0,) * (len(self.variables) + 1)
 
     def rank(self, name: str) -> int:
         try:
@@ -84,226 +156,187 @@ class Context:
         mine = [v for v in self.variables if v in other._rank]
         return tuple(mine) == other.variables
 
-    def key(self, m: "Monomial"):
-        """Graded-lex sort key: bigger key means bigger monomial."""
-        e = m._exps
-        return (m._deg, tuple([e.get(v, 0) for v in self._desc]))
-
-
-class Monomial:
-    """Exponent vector, stored sparsely, independent of any context."""
-
-    __slots__ = ("_exps", "_key", "_deg", "_hash")
-
-    def __init__(self, exps: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
-        d = dict(exps)
-        for v, e in list(d.items()):
-            if e == 0:
-                del d[v]
-            elif e < 0:
-                raise ValueError(f"negative exponent for {v}")
-        self._fill(d, sum(d.values()))
-
-    def _fill(self, exps: dict[str, int], degree: int) -> None:
-        self._exps = exps
-        self._key = tuple(sorted(exps.items()))
-        self._deg = degree
-        self._hash = hash(self._key)
-
-    @classmethod
-    def _build(cls, exps: dict[str, int], degree: int) -> "Monomial":
-        """Monomial from positive exponents that sum to `degree`, unchecked."""
-        m = cls.__new__(cls)
-        m._fill(exps, degree)
+    def key(self, m: Key) -> Key:
+        """Graded-lex sort key: bigger key means bigger monomial.  Keys are
+        laid out so that tuple order is this order, so it is the key itself."""
         return m
 
-    @staticmethod
-    def var(name: str, exp: int = 1) -> "Monomial":
-        return Monomial({name: exp})
+    def pack(self, m: Monomial) -> Key:
+        """The key of a context-free monomial; a variable outside the
+        context raises ContextError."""
+        exps = [0] * len(self._desc)
+        slot = self._slot
+        for v, e in m._exps.items():
+            i = slot.get(v)
+            if i is None:
+                raise ContextError(f"monomial uses {v!r}, absent from {self.variables}")
+            exps[i - 1] = e
+        return (sum(exps), *exps)
 
-    def degree(self) -> int:
-        return self._deg
+    def unpack(self, m: Key) -> Monomial:
+        """The context-free monomial of a key."""
+        return Monomial(zip(self._desc, m[1:]))
 
-    def degree_in(self, name: str) -> int:
-        return self._exps.get(name, 0)
+    def render(self, m: Key) -> str:
+        """The text of a key, as `Poly.__str__` writes it."""
+        parts = [v if e == 1 else f"{v}^{e}" for v, e in zip(self._desc, m[1:]) if e]
+        return "*".join(parts) or "1"
 
-    def variables(self) -> set[str]:
-        return set(self._exps)
+    def reader(self, other: "Context") -> Callable[[Key], Key]:
+        """A function that re-reads keys of `other` as keys of this context.
+        A key with a positive exponent on a variable this context lacks
+        raises ContextError."""
+        slots = other._slot
+        pad = len(slots) + 1  # reads the 0 appended below
+        take = [0] + [slots.get(v, pad) for v in self._desc]
+        lost = [(i, v) for v, i in slots.items() if v not in self._slot]
 
-    def exponents(self) -> dict[str, int]:
-        return dict(self._exps)
+        def read(m: Key) -> Key:
+            for i, v in lost:
+                if m[i]:
+                    raise ContextError(
+                        f"{self.variables} does not cover {v!r}, used in {other.variables}"
+                    )
+            return tuple(map((m + (0,)).__getitem__, take))
 
-    def is_one(self) -> bool:
-        return not self._exps
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if not other._exps:
-            return self
-        if not self._exps:
-            return other
-        d = dict(self._exps)
-        for v, e in other._exps.items():
-            d[v] = d.get(v, 0) + e
-        m = Monomial.__new__(Monomial)
-        m._exps = d
-        m._key = key = tuple(sorted(d.items()))
-        m._deg = self._deg + other._deg
-        m._hash = hash(key)
-        return m
-
-    def __pow__(self, n: int) -> "Monomial":
-        if n < 0:
-            raise ValueError("negative monomial power")
-        return Monomial({v: e * n for v, e in self._exps.items()})
-
-    def divides(self, other: "Monomial") -> bool:
-        if self._deg > other._deg:
-            return False
-        oe = other._exps
-        for v, e in self._exps.items():
-            if oe.get(v, 0) < e:
-                return False
-        return True
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        """Exact quotient; caller must ensure `other` divides `self`."""
-        d = dict(self._exps)
-        for v, e in other._exps.items():
-            r = d.get(v, 0) - e
-            if r > 0:
-                d[v] = r
-            elif r == 0:
-                del d[v]
-            else:
-                raise ValueError(f"{other} does not divide {self}")
-        return Monomial._build(d, self._deg - other._deg)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        d = dict(self._exps)
-        for v, e in other._exps.items():
-            d[v] = max(d.get(v, 0), e)
-        return Monomial._build(d, sum(d.values()))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        oe = other._exps
-        d = {v: min(e, oe[v]) for v, e in self._exps.items() if v in oe}
-        return Monomial._build(d, sum(d.values()))
-
-    def coprime(self, other: "Monomial") -> bool:
-        return not (self.variables() & other.variables())
-
-    def render(self, ctx: Context) -> str:
-        if not self._exps:
-            return "1"
-        parts = []
-        for v in reversed(ctx.variables):
-            e = self._exps.get(v, 0)
-            if e == 1:
-                parts.append(v)
-            elif e > 1:
-                parts.append(f"{v}^{e}")
-        return "*".join(parts)
-
-    def __repr__(self) -> str:
-        inner = "*".join(f"{v}^{e}" for v, e in self._key) or "1"
-        return f"Monomial({inner})"
+        return read
 
 
-ONE_MONOMIAL = Monomial()
+def mono_mul(a: Key, b: Key) -> Key:
+    """The product of two keys of one context."""
+    return tuple(map(add, a, b))
+
+
+def mono_div(a: Key, b: Key) -> Key:
+    """The exact quotient a / b; ValueError when b does not divide a."""
+    q = tuple(map(sub, a, b))
+    if min(q) < 0:
+        raise ValueError("monomial quotient is not exact")
+    return q
+
+
+def mono_divides(a: Key, b: Key) -> bool:
+    """Whether a divides b."""
+    return all(map(le, a, b))
+
+
+def mono_lcm(a: Key, b: Key) -> Key:
+    e = tuple(map(max, a[1:], b[1:]))
+    return (sum(e), *e)
+
+
+def mono_gcd(a: Key, b: Key) -> Key:
+    e = tuple(map(min, a[1:], b[1:]))
+    return (sum(e), *e)
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms keyed by `Monomial`."""
+
+    __slots__ = ("_context", "_by_key")
+
+    def __init__(self, context: Context, by_key: dict[Key, GaussRat]):
+        self._context = context
+        self._by_key = by_key
+
+    def __getitem__(self, m: Monomial) -> GaussRat:
+        try:
+            return self._by_key[self._context.pack(m)]
+        except ContextError:
+            raise KeyError(m) from None
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return map(self._context.unpack, self._by_key)
+
+    def __len__(self) -> int:
+        return len(self._by_key)
 
 
 class Poly:
     """Polynomial: a finite GaussRat-linear combination of monomials."""
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context", "by_key")
 
     def __init__(self, context: Context, terms: Mapping[Monomial, Coeffable] = ()):
-        self._fill(context, {m: GaussRat.of(c) for m, c in dict(terms).items()})
-        for m in self.terms:
-            for v in m._exps:
-                if v not in context:
-                    raise ContextError(
-                        f"monomial uses {v!r}, absent from {context.variables}"
-                    )
-
-    def _fill(self, context: Context, terms: Mapping[Monomial, GaussRat]) -> None:
+        by_key = {}
+        for m, c in dict(terms).items():
+            g = GaussRat.of(c)
+            if g:
+                by_key[context.pack(m)] = g
         self.context = context
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.by_key = by_key
 
     @classmethod
-    def _build(cls, context: Context, terms: Mapping[Monomial, GaussRat]) -> "Poly":
-        """Polynomial from GaussRat coefficients on monomials of `context`,
-        unchecked; zero coefficients are dropped."""
+    def _build(cls, context: Context, by_key: dict[Key, GaussRat]) -> "Poly":
+        """Polynomial from nonzero GaussRat coefficients on keys of
+        `context`, unchecked; the dict is taken over."""
         p = cls.__new__(cls)
-        p._fill(context, terms)
+        p.context = context
+        p.by_key = by_key
         return p
+
+    @property
+    def terms(self) -> Mapping[Monomial, GaussRat]:
+        """The terms keyed by context-free `Monomial`s (a read-only view)."""
+        return _Terms(self.context, self.by_key)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(ctx: Context) -> "Poly":
-        return Poly(ctx)
+        return Poly._build(ctx, {})
 
     @staticmethod
     def const(ctx: Context, c: Coeffable) -> "Poly":
-        return Poly._build(ctx, {ONE_MONOMIAL: GaussRat.of(c)})
+        g = GaussRat.of(c)
+        return Poly._build(ctx, {ctx.one: g} if g else {})
 
     @staticmethod
     def variable(ctx: Context, name: str, exp: int = 1) -> "Poly":
         ctx.rank(name)
-        return Poly._build(ctx, {Monomial.var(name, exp): ONE})
+        return Poly._build(ctx, {ctx.pack(Monomial.var(name, exp)): ONE})
 
     # -- predicates and views ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.by_key
 
     def is_constant(self) -> bool:
-        return all(m.is_one() for m in self.terms)
+        return self.by_key.keys() <= {self.context.one}
 
     def constant_value(self) -> GaussRat:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(ONE_MONOMIAL, GaussRat.of(0))
+        return self.by_key.get(self.context.one, ZERO)
 
     def total_degree(self) -> int:
-        return max((m.degree() for m in self.terms), default=0)
+        # the largest key has the largest degree
+        return max(self.by_key)[0] if self.by_key else 0
 
     def degree_in(self, name: str) -> int:
-        return max((m.degree_in(name) for m in self.terms), default=0)
+        i = self.context._slot.get(name)
+        if i is None:
+            return 0
+        return max((m[i] for m in self.by_key), default=0)
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for m in self.terms:
-            out |= m.variables()
-        return out
+        slots = zip(*self.by_key)
+        next(slots, None)  # the degree
+        return {v for v, col in zip(self.context._desc, slots) if any(col)}
 
     def coeff(self, m: Monomial) -> GaussRat:
-        return self.terms.get(m, GaussRat.of(0))
+        return self.terms.get(m, ZERO)
 
-    def monomials_desc(self) -> list[Monomial]:
-        return sorted(self.terms, key=self.context.key, reverse=True)
-
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
+    def leading_monomial(self) -> Key:
+        if not self.by_key:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=self.context.key)
+        return max(self.by_key)
 
     def leading_coefficient(self) -> GaussRat:
-        return self.terms[self.leading_monomial()]
-
-    def iter_sorted(self) -> Iterator[tuple[Monomial, GaussRat]]:
-        for m in self.monomials_desc():
-            yield m, self.terms[m]
+        return self.by_key[self.leading_monomial()]
 
     def _check(self, other: "Poly") -> None:
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise ContextError(
                 f"context mismatch: {self.context.variables} vs {other.context.variables}"
             )
@@ -312,41 +345,90 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        d = dict(self.terms)
-        for m, c in other.terms.items():
+        d = dict(self.by_key)
+        for m, c in other.by_key.items():
             s = d.get(m)
-            d[m] = c if s is None else s + c
+            if s is None:
+                d[m] = c
+            else:
+                s = s + c
+                if s:
+                    d[m] = s
+                else:
+                    del d[m]
         return Poly._build(self.context, d)
 
     def __neg__(self) -> "Poly":
-        return Poly._build(self.context, {m: -c for m, c in self.terms.items()})
+        return Poly._build(self.context, {m: -c for m, c in self.by_key.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        d = dict(self.by_key)
+        for m, c in other.by_key.items():
+            s = d.get(m)
+            if s is None:
+                d[m] = -c
+            else:
+                s = s - c
+                if s:
+                    d[m] = s
+                else:
+                    del d[m]
+        return Poly._build(self.context, d)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        d: dict[Monomial, GaussRat] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                c = c1 * c2
+        # a single term cannot make two terms meet
+        if len(other.by_key) == 1:
+            [(m, c)] = other.by_key.items()
+            return self.mul_monomial(m, c)
+        if len(self.by_key) == 1:
+            [(m, c)] = self.by_key.items()
+            return other.mul_monomial(m, c)
+        d: dict[Key, GaussRat] = {}
+        for m1, c1 in self.by_key.items():
+            for m2, c2 in other.by_key.items():
+                m = tuple(map(add, m1, m2))
                 s = d.get(m)
-                d[m] = c if s is None else s + c
+                if s is None:
+                    d[m] = c1 * c2
+                else:
+                    s = s + c1 * c2
+                    if s:
+                        d[m] = s
+                    else:
+                        del d[m]
         return Poly._build(self.context, d)
 
     def scale(self, c: Coeffable) -> "Poly":
         g = GaussRat.of(c)
         if not g:
             return Poly.zero(self.context)
-        return Poly._build(self.context, {m: v * g for m, v in self.terms.items()})
+        return Poly._build(self.context, {m: v * g for m, v in self.by_key.items()})
 
-    def mul_monomial(self, m: Monomial, c: Coeffable = 1) -> "Poly":
+    def mul_monomial(self, m: Key, c: Coeffable = ONE) -> "Poly":
+        """This polynomial times c times the monomial with key m."""
         g = GaussRat.of(c)
-        unit = g == ONE
+        if not g:
+            return Poly.zero(self.context)
+        unit = g is ONE or g == ONE
+        if unit and m == self.context.one:
+            return self
         return Poly._build(
-            self.context, {mm * m: cc if unit else cc * g for mm, cc in self.terms.items()}
+            self.context,
+            {tuple(map(add, mm, m)): cc if unit else cc * g for mm, cc in self.by_key.items()},
         )
+
+    def partial(self, name: str) -> "Poly":
+        """The formal partial derivative in the variable `name`."""
+        i = self.context._slot.get(name)
+        d = {}
+        if i is not None:
+            for m, c in self.by_key.items():
+                e = m[i]
+                if e:
+                    d[(m[0] - 1, *m[1:i], e - 1, *m[i + 1 :])] = c * e
+        return Poly._build(self.context, d)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -366,32 +448,36 @@ class Poly:
         return self.scale(self.leading_coefficient().inverse())
 
     def conj(self) -> "Poly":
-        return Poly._build(self.context, {m: c.conj() for m, c in self.terms.items()})
+        return Poly._build(self.context, {m: c.conj() for m, c in self.by_key.items()})
 
     def real_imag(self) -> tuple["Poly", "Poly"]:
-        re = {m: GaussRat(c.re) for m, c in self.terms.items()}
-        im = {m: GaussRat(c.im) for m, c in self.terms.items()}
+        re: dict[Key, GaussRat] = {}
+        im: dict[Key, GaussRat] = {}
+        for m, c in self.by_key.items():
+            a, b = c.re, c.im
+            if a:
+                re[m] = GaussRat(a)
+            if b:
+                im[m] = GaussRat(b)
         return Poly._build(self.context, re), Poly._build(self.context, im)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
-            and self.context == other.context
-            and self.terms == other.terms
+            and (self.context is other.context or self.context == other.context)
+            and self.by_key == other.by_key
         )
 
     def __hash__(self) -> int:
-        return hash((self.context, frozenset(self.terms.items())))
+        return hash((self.context, frozenset(self.by_key.items())))
 
     def in_context(self, ctx: Context) -> "Poly":
-        """Reinterpret in a wider context with the same relative ranks."""
-        if ctx == self.context:
+        """Re-read in `ctx`, a wider or narrower context; a variable p uses
+        that `ctx` lacks raises ContextError."""
+        if ctx is self.context or ctx == self.context:
             return self
-        if not ctx.covers(self.context):
-            raise ContextError(
-                f"{ctx.variables} does not cover {self.context.variables}"
-            )
-        return Poly._build(ctx, self.terms)
+        read = ctx.reader(self.context)
+        return Poly._build(ctx, {read(m): c for m, c in self.by_key.items()})
 
     def substitute(self, value, const, scale=None):
         """p with each variable v replaced by value(v) and each coefficient
@@ -402,27 +488,32 @@ class Poly:
         each term by name; each power value(v)^e is computed once."""
         powers: dict = {}
         degree = self.total_degree()
+        by_name = sorted(self.context._slot.items())
         out = const(0)
-        for m in sorted(self.terms, key=self.context.key):
-            term = const(self.terms[m])
-            for v, e in sorted(m.exponents().items()):
+        for m in sorted(self.by_key):
+            term = const(self.by_key[m])
+            for v, i in by_name:
+                e = m[i]
+                if not e:
+                    continue
                 got = powers.get((v, e))
                 if got is None:
                     got = powers[(v, e)] = value(v) ** e
                 term = term * got
             if scale is not None:
-                term = term * scale ** (degree - m.degree())
+                term = term * scale ** (degree - m[0])
             out = out + term
         return out
 
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.by_key:
             return "0"
-        chunks: list[str] = []
-        for m, c in self.iter_sorted():
-            chunks.append(_render_term(m, c, self.context))
+        chunks = [
+            _render_term(m, self.by_key[m], self.context)
+            for m in sorted(self.by_key, reverse=True)
+        ]
         out = chunks[0]
         for chunk in chunks[1:]:
             if chunk.startswith("-"):
@@ -435,6 +526,9 @@ class Poly:
         return f"Poly({self})"
 
 
+_MINUS_ONE = -ONE
+
+
 def _render_coeff(c: GaussRat) -> str:
     s = str(c)
     if c.re != 0 and c.im != 0:
@@ -442,18 +536,23 @@ def _render_coeff(c: GaussRat) -> str:
     return s
 
 
-def _render_term(m: Monomial, c: GaussRat, ctx: Context) -> str:
-    if m.is_one():
+def _render_term(m: Key, c: GaussRat, ctx: Context) -> str:
+    if not m[0]:
         return _render_coeff(c)
-    ms = m.render(ctx)
-    if c.re == 1 and c.im == 0:
+    ms = ctx.render(m)
+    if c == ONE:
         return ms
-    if c.re == -1 and c.im == 0:
+    if c == _MINUS_ONE:
         return "-" + ms
     return f"{_render_coeff(c)}*{ms}"
 
 
 # -- parsing ------------------------------------------------------------------
+
+
+# The largest expansion a `^` in an expression may ask for.  A power of a
+# monomial is one term whatever its exponent; (t+1)^n has n + 1 terms.
+MAX_POWER_TERMS = 256
 
 
 class _Tokens:
@@ -511,6 +610,12 @@ class _Frac:
             raise DivisionByZero("division by zero in expression")
         return _Frac(self.num * o.den, self.den * o.num)
 
+    def power_terms(self, n: int) -> int:
+        """A bound on the number of terms of num^n and den^n: a polynomial
+        with k terms has at most C(n + k - 1, k - 1) in its n-th power."""
+        k = max(len(self.num.by_key), len(self.den.by_key))
+        return comb(n + k - 1, k - 1) if k > 1 else 1
+
     def __pow__(self, n: int) -> "_Frac":
         if n >= 0:
             return _Frac(self.num**n, self.den**n)
@@ -547,12 +652,16 @@ def _parse_factor(tk: _Tokens, ctx: Context) -> _Frac:
         tk.pos += 1
     value = _parse_atom(tk, ctx)
     if tk.peek() == "^":
+        caret = tk.pos
         tk.pos += 1
         neg = False
         if tk.peek() == "-":
             neg = True
             tk.pos += 1
         exp = tk.take_int()
+        if value.power_terms(exp) > MAX_POWER_TERMS:
+            tk.pos = caret
+            tk.error(f"the power expands to more than {MAX_POWER_TERMS} terms")
         value = value ** (-exp if neg else exp)
     return -value if sign < 0 else value
 

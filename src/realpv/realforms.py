@@ -391,8 +391,12 @@ def _power_in_base(base: DiffTower, x: FieldElement) -> tuple[int, FieldElement]
     instead: g^2 = t^3 writes t^3 as g^2."""
     (name,) = x.variables()
     (rel,) = (s.relation for s in x.tower.specs if s.name == name)
-    q = max(m.degree_in(name) for m in rel.terms)
-    top = {m / Monomial.var(name, q): c for m, c in rel.terms.items() if m.degree_in(name)}
+    q = rel.degree_in(name)
+    top = {
+        Monomial({**m.exponents(), name: 0}): c
+        for m, c in rel.terms.items()
+        if m.degree_in(name)
+    }
     rest = {m: -c for m, c in rel.terms.items() if not m.degree_in(name)}
     return q, base.elem(Poly(base.context, rest)) / base.elem(Poly(base.context, top))
 

@@ -6,10 +6,11 @@ into rules  leading monomial -> tail.  Normal forms are computed by total
 multivariate division: always reduce the largest remaining term with the
 first applicable rule, so the result is canonical and the map is
 GaussRat-linear and idempotent.  An input with no reducible term is
-returned as it is.  Otherwise the remaining terms sit in a heap ordered
-by the context's key, computed once per monomial when it enters the work
-set; a term that cancels keeps its heap entry, which is skipped when it
-surfaces.
+returned as it is.  Otherwise the remaining monomials sit in a list kept
+in increasing order, so that the largest is popped from its end: monomial
+keys compare in the graded-lex order as they are (see `poly`), so the
+list needs no sort key.  A term that cancels keeps its list entry, which
+is skipped when it surfaces.
 
 Rules may be applied to polynomials living in a wider context (extra
 variables of lower or higher rank), which stays confluent because a rule's
@@ -19,12 +20,14 @@ ranks, and no new critical pairs appear between rules and fresh variables.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from bisect import insort
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, ContextError
-from .gauss import GaussRat
-from .poly import Context, Monomial, Poly
+from .gauss import ONE, GaussRat
+from .poly import (
+    Context, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul,
+)
 
 __all__ = ["Rule", "RewriteSystem", "buchberger"]
 
@@ -32,11 +35,12 @@ DEFAULT_BUDGET = 10_000
 
 
 class Rule:
-    """Oriented relation lhs -> rhs with every rhs monomial below lhs."""
+    """Oriented relation lhs -> rhs with every rhs monomial below lhs; lhs
+    is a monomial key of the context of rhs."""
 
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: Monomial, rhs: Poly):
+    def __init__(self, lhs: tuple, rhs: Poly):
         self.lhs = lhs
         self.rhs = rhs
 
@@ -47,11 +51,11 @@ class Rule:
             raise ValueError("cannot orient the zero relation")
         p = p.monic()
         lm = p.leading_monomial()
-        tail = Poly._build(p.context, {m: -c for m, c in p.terms.items() if m != lm})
+        tail = Poly._build(p.context, {m: -c for m, c in p.by_key.items() if m != lm})
         return Rule(lm, tail)
 
     def as_poly(self) -> Poly:
-        return Poly(self.rhs.context, {self.lhs: GaussRat.of(1)}) - self.rhs
+        return Poly._build(self.rhs.context, {self.lhs: ONE}) - self.rhs
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rule) and self.lhs == other.lhs and self.rhs == other.rhs
@@ -60,7 +64,7 @@ class Rule:
         return hash((self.lhs, self.rhs))
 
     def __repr__(self) -> str:
-        return f"Rule({self.lhs.render(self.rhs.context)} -> {self.rhs})"
+        return f"Rule({self.rhs.context.render(self.lhs)} -> {self.rhs})"
 
 
 class RewriteSystem:
@@ -77,54 +81,53 @@ class RewriteSystem:
 
     def rules_for(self, ctx: Context) -> tuple[Rule, ...]:
         """The rules read in `ctx`, a context that covers this one."""
-        if ctx == self.context:
+        if ctx is self.context or ctx == self.context:
             return self.rules
         cached = self._lifted.get(ctx)
         if cached is None:
-            cached = tuple(Rule(r.lhs, r.rhs.in_context(ctx)) for r in self.rules)
+            read = ctx.reader(self.context)
+            cached = tuple(Rule(read(r.lhs), r.rhs.in_context(ctx)) for r in self.rules)
             self._lifted[ctx] = cached
         return cached
 
     def normal_form(self, p: Poly) -> Poly:
         """Canonical representative of p modulo the rules."""
         ctx = p.context
-        if ctx != self.context and not ctx.covers(self.context):
+        if ctx is not self.context and ctx != self.context and not ctx.covers(self.context):
             raise ContextError(
                 f"cannot rewrite {ctx.variables} modulo rules over {self.context.variables}"
             )
         rules = self.rules_for(ctx)
+        divides = mono_divides
         # Most inputs are already reduced; those are returned as they are,
         # with their terms in their own order.
-        if not any(r.lhs.divides(m) for m in p.terms for r in rules):
+        if not rules or not any(divides(r.lhs, m) for m in p.by_key for r in rules):
             return p
-        key = ctx.key
-        # Every monomial in `work` has exactly one heap entry, made when it
-        # first entered.  A term that cancels stays in `work` as None until
-        # its entry surfaces; keys are unique per monomial, so entries never
-        # compare their monomials.
-        work: dict[Monomial, GaussRat | None] = dict(p.terms)
-        heap = [_desc_entry(key(m), m) for m in work]
-        heapify(heap)
-        done: dict[Monomial, GaussRat] = {}
-        while heap:
-            m = heappop(heap)[2]
+        # Every monomial in `work` has exactly one entry in `order`, made
+        # when it first entered.  A term that cancels stays in `work` as
+        # None until its entry surfaces.
+        work: dict[tuple, GaussRat | None] = dict(p.by_key)
+        order = sorted(work)
+        done: dict[tuple, GaussRat] = {}
+        while order:
+            m = order.pop()
             c = work.pop(m)
             if c is None:
                 continue
             hit = None
             for r in rules:
-                if r.lhs.divides(m):
+                if divides(r.lhs, m):
                     hit = r
                     break
             if hit is None:
                 done[m] = c
                 continue
-            quot = m / hit.lhs
-            for rm, rc in hit.rhs.terms.items():
-                k = rm * quot
+            quot = mono_div(m, hit.lhs)
+            for rm, rc in hit.rhs.by_key.items():
+                k = mono_mul(rm, quot)
                 if k not in work:
                     work[k] = c * rc
-                    heappush(heap, _desc_entry(key(k), k))
+                    insort(order, k)
                     continue
                 cur = work[k]
                 val = c * rc if cur is None else cur + c * rc
@@ -146,22 +149,16 @@ class RewriteSystem:
 
     def __repr__(self) -> str:
         body = "; ".join(
-            f"{r.lhs.render(self.context)} -> {r.rhs}" for r in self.rules
+            f"{self.context.render(r.lhs)} -> {r.rhs}" for r in self.rules
         )
         return f"RewriteSystem[{body}]"
 
 
-def _desc_entry(key: tuple, m: Monomial) -> tuple:
-    """Heap entry that pops the monomial with the largest `key` first."""
-    degree, exps = key
-    return (-degree, tuple([-e for e in exps]), m)
-
-
 def _spoly(f: Poly, g: Poly) -> Poly:
     lf, lg = f.leading_monomial(), g.leading_monomial()
-    l = lf.lcm(lg)
-    a = f.mul_monomial(l / lf, f.leading_coefficient().inverse())
-    b = g.mul_monomial(l / lg, g.leading_coefficient().inverse())
+    l = mono_lcm(lf, lg)
+    a = f.mul_monomial(mono_div(l, lf), f.leading_coefficient().inverse())
+    b = g.mul_monomial(mono_div(l, lg), g.leading_coefficient().inverse())
     return a - b
 
 
@@ -195,7 +192,8 @@ def buchberger(
     while pairs:
         i, j = pairs.pop(0)
         f, g = basis[i], basis[j]
-        if f.leading_monomial().coprime(g.leading_monomial()):
+        # coprime leading monomials: the S-polynomial reduces to zero
+        if mono_gcd(f.leading_monomial(), g.leading_monomial()) == context.one:
             continue
         steps += 1
         if steps > budget:

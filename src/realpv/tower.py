@@ -33,7 +33,9 @@ from .errors import (
 )
 from .gauss import ONE, GaussRat
 from .linsolve import kernel
-from .poly import Context, Monomial, Poly, parse_fraction
+from .poly import (
+    Context, Monomial, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, parse_fraction,
+)
 from .rewrite import RewriteSystem, buchberger
 
 __all__ = [
@@ -104,9 +106,9 @@ def cleared_numerators(
 
 def kernel_by_monomial(ctx: Context, polys: Sequence[Poly]) -> list[list[GaussRat]]:
     """Kernel of (a_k) -> sum a_k polys[k], one equation per monomial."""
-    by_monomial: dict[Monomial, dict[int, GaussRat]] = {}
+    by_monomial: dict[tuple, dict[int, GaussRat]] = {}
     for k, p in enumerate(polys):
-        for mm, c in p.terms.items():
+        for mm, c in p.by_key.items():
             by_monomial.setdefault(mm, {})[k] = c
     rows = [by_monomial[mm] for mm in sorted(by_monomial, key=ctx.key)]
     return kernel(len(polys), rows)
@@ -114,7 +116,7 @@ def kernel_by_monomial(ctx: Context, polys: Sequence[Poly]) -> list[list[GaussRa
 
 def _clearing_factors(
     ctx: Context, dens: Iterable[Poly]
-) -> tuple[Poly, dict[Poly, tuple[Monomial, Poly | None]]]:
+) -> tuple[Poly, dict[Poly, tuple[tuple, Poly | None]]]:
     """A common multiple L of `dens` and the cofactor L/den of each, as a
     monomial times the product of the other rests (None when there is
     none); `_times` applies it.
@@ -126,42 +128,42 @@ def _clearing_factors(
     split = {d: _monomial_part(d) for d in dens}
     one = Poly.const(ctx, 1)
     rests = [r for r in dict.fromkeys(rest for _, rest in split.values()) if r != one]
-    mono = Monomial()
+    mono = ctx.one
     for m, _ in split.values():
-        mono = mono.lcm(m)
-    cofactor: dict[Poly, tuple[Monomial, Poly | None]] = {}
+        mono = mono_lcm(mono, m)
+    cofactor: dict[Poly, tuple[tuple, Poly | None]] = {}
     for d, (m, rest) in split.items():
         others = None
         for r in rests:
             if r != rest:
                 others = r if others is None else others * r
-        cofactor[d] = (mono / m, others)
-    common = Poly._build(ctx, {mono: GaussRat.of(1)})
+        cofactor[d] = (mono_div(mono, m), others)
+    common = Poly._build(ctx, {mono: ONE})
     for r in rests:
         common = common * r
     return common, cofactor
 
 
-def _times(p: Poly, cofactor: tuple[Monomial, Poly | None]) -> Poly:
+def _times(p: Poly, cofactor: tuple[tuple, Poly | None]) -> Poly:
     m, others = cofactor
     p = p.mul_monomial(m)
     return p if others is None else p * others
 
 
-def _monomial_part(p: Poly) -> tuple[Monomial, Poly]:
+def _monomial_part(p: Poly) -> tuple[tuple, Poly]:
     """p as m * rest with m the gcd of p's monomials."""
-    mons = iter(p.terms)
+    mons = iter(p.by_key)
     m = next(mons)
     for mm in mons:
-        m = m.gcd(mm)
-    if m.is_one():
+        m = mono_gcd(m, mm)
+    if m == p.context.one:
         return m, p
-    return m, Poly(p.context, {mm / m: c for mm, c in p.terms.items()})
+    return m, Poly._build(p.context, {mono_div(mm, m): c for mm, c in p.by_key.items()})
 
 
-def _index_of_one(window: Sequence[tuple[Monomial, int]]) -> int:
+def _index_of_one(window: Sequence[tuple[tuple, int]], ctx: Context) -> int:
     """Position of the element 1 = (1, 0) in a scan window, or -1."""
-    one = (Monomial(), 0)
+    one = (ctx.one, 0)
     return window.index(one) if one in window else -1
 
 
@@ -329,7 +331,7 @@ class DiffTower:
     def _validate(self) -> None:
         for s in self.specs:
             data = (s.deriv_num, s.deriv_den, s.relation)
-            if any(c.im for p in data if p is not None for c in p.terms.values()):
+            if any(c.im for p in data if p is not None for c in p.by_key.values()):
                 raise Unsupported(
                     f"generator {s.name!r} uses complex coefficients in a real tower"
                 )
@@ -416,13 +418,7 @@ class DiffTower:
             dv = self._derivation.get(v)
             if dv is None or dv.is_zero():
                 continue  # parameters differentiate to zero
-            partial: dict[Monomial, GaussRat] = {}
-            unit = Monomial.var(v)
-            for m, c in p.terms.items():
-                e = m.degree_in(v)
-                if e:
-                    partial[m / unit] = c * GaussRat.of(e)
-            out = out + self.elem(Poly(self.context, partial)) * dv
+            out = out + self.elem(p.partial(v)) * dv
         return out
 
     def lift(self, x: FieldElement) -> FieldElement:
@@ -447,9 +443,7 @@ class DiffTower:
             return self.const(scalar)
         if not self.writes(x):
             raise BadField(f"{x} does not lie in the base field")
-        return self.elem(
-            Poly(self.context, dict(x.num.terms)), Poly(self.context, dict(x.den.terms))
-        )
+        return self.elem(x.num.in_context(self.context), x.den.in_context(self.context))
 
     def derive(self, x: FieldElement) -> FieldElement:
         x = self.lift(x)
@@ -564,16 +558,17 @@ class DiffTower:
 
     # -- monomial windows and constants --------------------------------------
 
-    def irreducible_monomials(self, max_degree: int) -> list[Monomial]:
-        """Generator monomials of bounded degree in rewrite normal form."""
+    def irreducible_monomials(self, max_degree: int) -> list[tuple]:
+        """Keys of the generator monomials of bounded degree in rewrite
+        normal form."""
         gens = self.generator_names()
         lhss = [r.lhs for r in self.rewrite.rules]
-        out: list[Monomial] = []
+        out: list[tuple] = []
 
         def rec(idx: int, budget: int, acc: dict[str, int]):
             if idx == len(gens):
-                m = Monomial(acc)
-                if not any(l.divides(m) for l in lhss):
+                m = self.context.pack(Monomial(acc))
+                if not any(mono_divides(l, m) for l in lhss):
                     out.append(m)
                 return
             for e in range(budget + 1):
@@ -588,7 +583,7 @@ class DiffTower:
 
     def _window(
         self, degree_bound: int, coeff_degree_bound: int
-    ) -> list[tuple[Monomial, int]]:
+    ) -> list[tuple[tuple, int]]:
         """The scan window as pairs (m, j) standing for m * t^j: generator
         monomials m of degree <= degree_bound, and Laurent powers j of the
         base variable up to coeff_degree_bound (only j = 0 without one)."""
@@ -599,12 +594,12 @@ class DiffTower:
         )
         return [(m, j) for m in self.irreducible_monomials(degree_bound) for j in tpowers]
 
-    def _window_element(self, m: Monomial, j: int) -> FieldElement:
+    def _window_element(self, m: tuple, j: int) -> FieldElement:
         """The window element m * t^j."""
-        num = Poly(self.context, {m: GaussRat.of(1)})
+        num = Poly._build(self.context, {m: ONE})
         den = Poly.const(self.context, 1)
         if j > 0:
-            num = num.mul_monomial(Monomial.var(self.base_var, j))
+            num = Poly.variable(self.context, self.base_var, j).mul_monomial(m)
         elif j < 0:
             den = Poly.variable(self.context, self.base_var, -j)
         return FieldElement(num, den, self)
@@ -617,10 +612,10 @@ class DiffTower:
         Returns the elements and the index of the constant element 1."""
         window = self._window(degree_bound, coeff_degree_bound)
         elems = [self._window_element(m, j) for m, j in window]
-        return elems, _index_of_one(window)
+        return elems, _index_of_one(window, self.context)
 
     def _cleared_derivatives(
-        self, window: Sequence[tuple[Monomial, int]], coeff_degree_bound: int
+        self, window: Sequence[tuple[tuple, int]], coeff_degree_bound: int
     ) -> list[Poly]:
         """For each window element b = m * t^j, the normal form of
         D(b) * E * t^K, which vanishes exactly when D(b) does.
@@ -634,35 +629,37 @@ class DiffTower:
         the ideal, the polynomials of one m start from the normal forms of
         t * M_m and m * E, computed once.
         """
+        ctx = self.context
         nf = self.rewrite.normal_form
         derivs = {s.name: self._derivation[s.name] for s in self.specs}
-        common, cofactor = _clearing_factors(
-            self.context, [d.den for d in derivs.values()]
-        )
+        common, cofactor = _clearing_factors(ctx, [d.den for d in derivs.values()])
         cleared = {v: _times(d.num, cofactor[d.den]) for v, d in derivs.items()}
+        unit = {v: ctx.pack(Monomial.var(v)) for v in cleared}
 
-        def numerator(m: Monomial) -> Poly:
-            out = Poly.zero(self.context)
-            for v, e in m.exponents().items():
-                out = out + cleared[v].mul_monomial(m / Monomial.var(v), e)
+        def numerator(m: tuple) -> Poly:
+            out = Poly.zero(ctx)
+            for v, e in ctx.unpack(m).exponents().items():
+                out = out + cleared[v].mul_monomial(mono_div(m, unit[v]), e)
             return out
 
         t = self.base_var
         if t is None:
             return [nf(numerator(m)) for m, _ in window]
         shift = coeff_degree_bound + 1
-        parts: dict[Monomial, tuple[Poly, Poly]] = {}
+        t_unit = ctx.pack(Monomial.var(t))
+        t_shift = {j: ctx.pack(Monomial.var(t, j - 1 + shift)) for j in {j for _, j in window}}
+        parts: dict[tuple, tuple[Poly, Poly]] = {}
         out: list[Poly] = []
         for m, j in window:
             got = parts.get(m)
             if got is None:
                 got = parts[m] = (
-                    nf(numerator(m).mul_monomial(Monomial.var(t))),
+                    nf(numerator(m).mul_monomial(t_unit)),
                     nf(common.mul_monomial(m)),
                 )
             tn, me = got
             p = tn + me.scale(j) if j else tn
-            out.append(nf(p.mul_monomial(Monomial.var(t, j - 1 + shift))))
+            out.append(nf(p.mul_monomial(t_shift[j])))
         return out
 
     def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
@@ -695,7 +692,7 @@ class DiffTower:
         """
         window = self._window(degree_bound, coeff_degree_bound)
         cleared = self._cleared_derivatives(window, coeff_degree_bound)
-        trivial = _index_of_one(window)
+        trivial = _index_of_one(window, self.context)
         found: list[FieldElement] = []
         for vec in kernel_by_monomial(self.context, cleared):
             used = [k for k, c in enumerate(vec) if c and k != trivial]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -385,6 +386,20 @@ def test_truncated_expression_says_input_ended(capsys, tmp_path):
     assert err == (
         "scenario error at scenario.equation.coefficients[0]: parse error at "
         "column 4: unexpected end of input in '-1+'\n"
+    )
+
+
+def test_power_that_expands_too_far_is_refused_quickly(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    raw = {"equation": {"class": "EXP", "coefficients": ["(t+1)^3000"]}}
+    bad.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build", str(bad))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == (
+        "scenario error at scenario.equation.coefficients[0]: parse error at "
+        "column 6: the power expands to more than 256 terms in '(t+1)^3000'\n"
     )
 
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from realpv import (
-    Context, GaussRat, Monomial, Poly, buchberger, parse_fraction, parse_poly,
+    Context, DiffTower, GaussRat, Monomial, Poly, buchberger, parse_fraction, parse_poly,
 )
 from realpv.errors import ContextError
+from realpv.poly import mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul
 
-from helpers import rand_poly, rng
+from helpers import rand_element, rand_poly, rng
 
 
 @pytest.fixture
@@ -26,32 +27,40 @@ def test_context_ranks(ctx):
 def test_graded_lex_order(ctx):
     # total degree decides first
     p = parse_poly("t^3 + s*c + s^2 + t", ctx)
-    assert p.leading_monomial().exponents() == {"t": 3}
+    assert ctx.unpack(p.leading_monomial()).exponents() == {"t": 3}
     # on equal degree the higher-ranked variable wins
     q = parse_poly("s*c + s^2 + c^2", ctx)
-    assert q.leading_monomial().exponents() == {"s": 2}
-    assert parse_poly("s*c + c^2", ctx).leading_monomial().exponents() == {
+    assert ctx.unpack(q.leading_monomial()).exponents() == {"s": 2}
+    assert ctx.unpack(parse_poly("s*c + c^2", ctx).leading_monomial()).exponents() == {
         "s": 1,
         "c": 1,
     }
 
 
+XYZ = Context(["x", "y", "z"])
+
+
+def key(**exps):
+    """The key of a monomial in x, y, z."""
+    return XYZ.pack(Monomial(exps))
+
+
 def test_monomial_operations():
-    m = Monomial({"x": 2, "y": 1})
-    n = Monomial({"x": 1})
-    assert (m / n).exponents() == {"x": 1, "y": 1}
-    assert m.degree() == 3
-    assert n.divides(m)
-    assert not m.divides(n)
-    assert m.lcm(Monomial({"y": 3})).exponents() == {"x": 2, "y": 3}
-    assert m.gcd(Monomial({"x": 5, "z": 1})).exponents() == {"x": 2}
-    assert m.gcd(Monomial({"z": 1})).is_one()
+    m = key(x=2, y=1)
+    n = key(x=1)
+    assert XYZ.unpack(mono_div(m, n)).exponents() == {"x": 1, "y": 1}
+    assert XYZ.unpack(m).degree() == 3
+    assert mono_divides(n, m)
+    assert not mono_divides(m, n)
+    assert XYZ.unpack(mono_lcm(m, key(y=3))).exponents() == {"x": 2, "y": 3}
+    assert XYZ.unpack(mono_gcd(m, key(x=5, z=1))).exponents() == {"x": 2}
+    assert XYZ.unpack(mono_gcd(m, key(z=1))).is_one()
     assert Monomial({}).is_one()
 
 
 def test_mul_monomial_scales_only_when_asked(ctx):
     p = parse_poly("s + 2*c", ctx)
-    m = Monomial({"s": 1})
+    m = ctx.pack(Monomial({"s": 1}))
     assert p.mul_monomial(m) == parse_poly("s^2 + 2*s*c", ctx)
     assert p.mul_monomial(m, GaussRat.of(1)) == p.mul_monomial(m)
     assert p.mul_monomial(m, -3) == parse_poly("-3*s^2 - 6*s*c", ctx)
@@ -90,6 +99,7 @@ def test_public_constructor_coerces_and_checks(ctx):
 
 
 def _valid(p):
+    assert all(type(c) is GaussRat and c for c in p.by_key.values())
     assert all(type(c) is GaussRat and c for c in p.terms.values())
     assert all(v in p.context for m in p.terms for v in m.variables())
     assert all(e > 0 for m in p.terms for e in m.exponents().values())
@@ -102,7 +112,7 @@ def test_no_result_holds_a_zero_coefficient(ctx):
     for _ in range(150):
         p = rand_poly(r, ctx)
         q = rand_poly(r, ctx)
-        m = next(iter(rand_poly(r, ctx, max_terms=1).terms), Monomial())
+        m = next(iter(rand_poly(r, ctx, max_terms=1).by_key), ctx.one)
         for got in (
             p + q, p + (-p), p - q, p - p, p * q, (p + q) * (p - q), -p,
             p.scale(0), p.scale(Fraction(-2, 3)), p.scale(GaussRat(Fraction(0), Fraction(1))),
@@ -114,21 +124,25 @@ def test_no_result_holds_a_zero_coefficient(ctx):
 
 
 def test_monomial_products_and_quotients_are_canonical():
-    m = Monomial({"x": 2, "y": 1})
-    n = Monomial({"y": 3, "z": 1})
-    prod = m * n
-    assert prod == Monomial({"x": 2, "y": 4, "z": 1})
-    assert hash(prod) == hash(Monomial({"z": 1, "y": 4, "x": 2}))
-    assert prod.degree() == 7
-    q = prod / Monomial({"x": 2, "z": 1})
-    assert q.exponents() == {"y": 4} and q.degree() == 4
-    assert q == Monomial({"y": 4}) and hash(q) == hash(Monomial({"y": 4}))
-    assert (m / m).is_one() and (m / m) == Monomial() and (m / m).degree() == 0
+    m = key(x=2, y=1)
+    n = key(y=3, z=1)
+    prod = mono_mul(m, n)
+    assert prod == key(x=2, y=4, z=1)
+    assert hash(prod) == hash(XYZ.pack(Monomial({"z": 1, "y": 4, "x": 2})))
+    assert Monomial({"x": 2, "y": 4, "z": 1}) == Monomial({"z": 1, "y": 4, "x": 2})
+    assert hash(Monomial({"x": 2, "y": 4})) == hash(Monomial({"y": 4, "x": 2, "z": 0}))
+    assert XYZ.unpack(prod).degree() == 7
+    q = mono_div(prod, key(x=2, z=1))
+    assert XYZ.unpack(q).exponents() == {"y": 4} and XYZ.unpack(q).degree() == 4
+    assert q == key(y=4) and hash(q) == hash(key(y=4))
+    one = mono_div(m, m)
+    assert XYZ.unpack(one).is_one() and one == XYZ.one and XYZ.unpack(one).degree() == 0
     with pytest.raises(ValueError):
-        m / n
+        mono_div(m, n)
 
 
 exponent_dicts = st.dictionaries(st.sampled_from("xyzw"), st.integers(0, 3), max_size=4)
+XYZW = Context(["x", "y", "z", "w"])
 
 
 def divides_by_exponents(m_exps, n_exps):
@@ -137,24 +151,105 @@ def divides_by_exponents(m_exps, n_exps):
 
 @given(exponent_dicts, exponent_dicts)
 def test_monomial_product_unit_quotient_and_divides(me, ne):
-    m, n = Monomial(me), Monomial(ne)
-    for prod in (m * Monomial(), Monomial() * m):
-        assert prod == m and hash(prod) == hash(m) and prod.degree() == m.degree()
-    mn = m * n
-    assert mn / n == m and hash(mn / n) == hash(m)
-    assert m.divides(n) == divides_by_exponents(me, ne)
-    assert n.divides(m) == divides_by_exponents(ne, me)
-    assert m.divides(mn) and n.divides(mn)
+    m, n = XYZW.pack(Monomial(me)), XYZW.pack(Monomial(ne))
+    for prod in (mono_mul(m, XYZW.one), mono_mul(XYZW.one, m)):
+        assert prod == m and hash(prod) == hash(m)
+        assert XYZW.unpack(prod).degree() == XYZW.unpack(m).degree()
+    mn = mono_mul(m, n)
+    assert mono_div(mn, n) == m and hash(mono_div(mn, n)) == hash(m)
+    assert mono_divides(m, n) == divides_by_exponents(me, ne)
+    assert mono_divides(n, m) == divides_by_exponents(ne, me)
+    assert mono_divides(m, mn) and mono_divides(n, mn)
 
 
 def test_divides_on_equal_and_larger_degree():
-    x2, xy = Monomial({"x": 2}), Monomial({"x": 1, "y": 1})
-    assert not x2.divides(xy) and not xy.divides(x2)
-    assert x2.divides(x2)
+    x2, xy = key(x=2), key(x=1, y=1)
+    assert not mono_divides(x2, xy) and not mono_divides(xy, x2)
+    assert mono_divides(x2, x2)
     # a monomial of higher degree never divides one of lower degree
-    assert not Monomial({"x": 1, "y": 2}).divides(Monomial({"x": 5}))
-    assert not Monomial({"x": 3}).divides(Monomial({"x": 2}))
-    assert Monomial().divides(xy) and not xy.divides(Monomial())
+    assert not mono_divides(key(x=1, y=2), key(x=5))
+    assert not mono_divides(key(x=3), key(x=2))
+    assert mono_divides(XYZ.one, xy) and not mono_divides(xy, XYZ.one)
+
+
+# -- dense keys against exponent dicts -----------------------------------------------
+
+NAMES = [f"v{k}" for k in range(8)]
+
+
+@st.composite
+def monomials_in_a_context(draw):
+    """A context of 1 to 8 variables in a random rank order, and two
+    exponent dicts over its variables."""
+    n = draw(st.integers(1, 8))
+    names = draw(st.permutations(NAMES))[:n]
+    exps = st.dictionaries(st.sampled_from(names), st.integers(0, 4), max_size=n)
+    return Context(names), draw(exps), draw(exps)
+
+
+def reference_key(ctx, exps):
+    """The graded-lex key as (degree, exponents from the top variable down)."""
+    return (sum(exps.values()), tuple(exps.get(v, 0) for v in reversed(ctx.variables)))
+
+
+def positive(exps):
+    return {v: e for v, e in exps.items() if e}
+
+
+@given(monomials_in_a_context())
+def test_dense_keys_agree_with_exponent_dicts(case):
+    ctx, me, ne = case
+    m, n = ctx.pack(Monomial(me)), ctx.pack(Monomial(ne))
+    assert ctx.unpack(m) == Monomial(me) and ctx.unpack(n) == Monomial(ne)
+    names = ctx.variables
+    prod = {v: me.get(v, 0) + ne.get(v, 0) for v in names}
+    assert ctx.unpack(mono_mul(m, n)).exponents() == positive(prod)
+    assert mono_div(mono_mul(m, n), n) == m
+    assert mono_divides(m, n) == divides_by_exponents(me, ne)
+    if mono_divides(n, m):
+        quot = {v: me.get(v, 0) - ne.get(v, 0) for v in names}
+        assert ctx.unpack(mono_div(m, n)).exponents() == positive(quot)
+    else:
+        with pytest.raises(ValueError):
+            mono_div(m, n)
+    lcm = {v: max(me.get(v, 0), ne.get(v, 0)) for v in names}
+    gcd = {v: min(me.get(v, 0), ne.get(v, 0)) for v in names}
+    assert mono_lcm(m, n) == ctx.pack(Monomial(lcm))
+    assert mono_gcd(m, n) == ctx.pack(Monomial(gcd))
+    # degree
+    assert ctx.unpack(m).degree() == sum(me.values())
+    assert Poly(ctx, {Monomial(me): 1}).total_degree() == sum(me.values())
+    # order: tuple order of the keys is the reference graded-lex order
+    ref_m, ref_n = reference_key(ctx, me), reference_key(ctx, ne)
+    assert (m < n) == (ref_m < ref_n) and (m == n) == (ref_m == ref_n)
+    assert sorted([m, n], key=ctx.key) == sorted([m, n])
+    p = Poly(ctx, {Monomial(me): 1, Monomial(ne): 2})
+    lead = max([me, ne], key=lambda e: reference_key(ctx, e))
+    assert ctx.unpack(p.leading_monomial()) == Monomial(lead)
+
+
+def test_in_context_and_restrict_round_trip():
+    base = DiffTower("t")
+    circle = base.adjoin_abstract(["c", "s"], ["-s", "c"], ["s^2+c^2-1"])
+    above = circle.adjoin_exponential("e", circle.var("s"))  # extend_top
+    below = circle.with_params(["a", "b"])  # extend_bottom
+    assert above.context == circle.context.extend_top(["e"])
+    assert below.context == circle.context.extend_bottom(["a", "b"])
+    r = rng(23)
+    for _ in range(40):
+        x = rand_element(r, circle)
+        for wide in (above, below):
+            for p in (x.num, x.den):
+                q = p.in_context(wide.context)
+                assert q.context == wide.context and str(q) == str(p)
+                back = q.in_context(circle.context)
+                assert back == p and str(back) == str(p)
+            y = circle.restrict(wide.lift(x))
+            assert y.num == x.num and y.den == x.den
+            assert str(y.num) == str(x.num) and str(y.den) == str(x.den)
+    # a variable the narrower context lacks is refused
+    with pytest.raises(ContextError):
+        above.var("e").num.in_context(circle.context)
 
 
 def test_parse_fraction(ctx):
@@ -178,6 +273,19 @@ def test_parse_negative_power(ctx):
     num, den = parse_fraction("t^-2", ctx)
     assert str(num) == "1"
     assert str(den) == "t^2"
+
+
+def test_parse_bounds_the_expansion_of_powers(ctx):
+    # a power of a monomial is one term, whatever the exponent
+    assert str(parse_poly("t^12", ctx)) == "t^12"
+    assert str(parse_poly("(2*s*c)^40", ctx)) == f"{2**40}*s^40*c^40"
+    # (t+1)^255 has 256 terms, one more is refused at the caret
+    assert len(parse_poly("(t+1)^255", ctx).terms) == 256
+    for text in ("(t+1)^256", "(s+c+t)^30", "1/(t+1)^-300"):
+        with pytest.raises(ValueError, match="parse error at column .*: the power expands"):
+            parse_fraction(text, ctx)
+    with pytest.raises(ValueError, match="column 10: the power expands to more than 256 terms"):
+        parse_fraction("s + (c-t)^300", ctx)
 
 
 def test_parse_coefficients(ctx):
