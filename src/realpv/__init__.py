@@ -21,7 +21,6 @@ from .errors import (
     NotInGroup,
     NotPV,
     ScenarioError,
-    StabilizationError,
     Unsupported,
     UnsupportedEquation,
     WitnessNotFound,
@@ -36,20 +35,16 @@ from .pv import (
     LinearODE,
     PVExtension,
     build_pv,
-    realify,
-    verify_pv,
 )
 from .galois import (
     GroupElement,
     MatrixGroup,
     apply,
-    compose,
     defining_equations,
     invariance_conditions,
     matrix_from_texts,
     parse_scalar,
     reduces_to_zero,
-    same_zero_set,
 )
 from .correspondence import (
     DIAGONAL,
@@ -96,7 +91,6 @@ __all__ = [
     "NotInGroup",
     "NotPV",
     "ScenarioError",
-    "StabilizationError",
     "Unsupported",
     "UnsupportedEquation",
     "WitnessNotFound",
@@ -120,18 +114,14 @@ __all__ = [
     "LinearODE",
     "PVExtension",
     "build_pv",
-    "realify",
-    "verify_pv",
     "GroupElement",
     "MatrixGroup",
     "apply",
-    "compose",
     "defining_equations",
     "invariance_conditions",
     "matrix_from_texts",
     "parse_scalar",
     "reduces_to_zero",
-    "same_zero_set",
     "DIAGONAL",
     "FULL",
     "SO2",

@@ -93,7 +93,6 @@ def _group_report(ses: _Session) -> Report:
     group = ses.group
     for line in group.relations:
         rep.info("relation", line)
-    rep.info("relations vanish on the solutions", "verified on construction")
     rep.info(
         "relation list complete",
         "yes" if group.relations_complete else "no (a generator relation is not "

@@ -42,10 +42,6 @@ class NotPV(AlgebraError):
         self.report = report
 
 
-class StabilizationError(AlgebraError):
-    """A solution space could not be closed under conjugation."""
-
-
 class BadIdeal(AlgebraError):
     """A claimed relation does not vanish on the solution tuple."""
 

@@ -18,7 +18,9 @@ the X_ij alone; real and imaginary parts are collected separately, so the
 defining set always has real coefficients.  At X = I the coefficients
 must vanish, which checks each relation on the solutions as it is used.
 The group keeps the rendered relations (`MatrixGroup.relations`) for the
-report.
+report.  Two groups in one coordinate ring are compared by their reduced
+Groebner bases (`MatrixGroup.basis`), and a member acts on the tower through
+`apply`.
 
 Completeness of the relation list is documented per class: for EXP,
 RADICAL and CIRCLE the listed relations generate all algebraic relations
@@ -38,7 +40,7 @@ from typing import Iterable, Sequence
 from .errors import BadIdeal, NotInGroup, Unsupported
 from .gauss import GaussRat
 from .linsolve import det as mat_det
-from .linsolve import adjugate, inverse, mat_mul
+from .linsolve import adjugate, mat_mul
 from .poly import Context, Monomial, Poly, parse_fraction
 from .pv import PVExtension, companion_residue
 from .rewrite import RewriteSystem, Rule, buchberger
@@ -49,12 +51,10 @@ __all__ = [
     "GroupElement",
     "defining_equations",
     "apply",
-    "compose",
     "generic_pair",
     "conjugation_stable",
     "invariance_conditions",
     "fixed_combinations",
-    "same_zero_set",
     "reduces_to_zero",
     "parse_scalar",
     "matrix_from_texts",
@@ -156,12 +156,6 @@ class MatrixGroup:
             raise NotInGroup(f"matrix {rows} is not in the group's zero set")
         return GroupElement(self, rows)
 
-    def identity(self) -> "GroupElement":
-        one, zero = GaussRat.of(1), GaussRat.of(0)
-        return self.element(
-            [[one if i == j else zero for j in range(self.size)] for i in range(self.size)]
-        )
-
     def extended(self, extra: Iterable[Poly]) -> "MatrixGroup":
         polys = _normalize_polys(list(self.polys) + list(extra), self.context)
         return replace(self, polys=polys)
@@ -171,11 +165,6 @@ class MatrixGroup:
 class GroupElement:
     group: MatrixGroup
     matrix: tuple[tuple[GaussRat, ...], ...]
-
-    def inverse(self) -> "GroupElement":
-        inv = inverse(self.matrix)
-        assert inv is not None  # members are invertible by construction
-        return self.group.element(inv)
 
 
 def _normalize_polys(polys: Iterable[Poly], ctx: Context) -> tuple[Poly, ...]:
@@ -330,13 +319,6 @@ def apply(sigma: GroupElement, x: FieldElement) -> FieldElement:
     return num / den
 
 
-def compose(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group element acting as 'first b, then a' on the tower."""
-    if a.group is not b.group and a.group.polys != b.group.polys:
-        raise NotInGroup("elements of different groups")
-    return a.group.element(mat_mul(a.matrix, b.matrix))
-
-
 def _moved(group: MatrixGroup, x: FieldElement) -> FieldElement:
     """sigma(num)*den - num*sigma(den) in `param_tower` for x = num/den and
     the generic member sigma (matrix entries X_ij as symbols); its
@@ -416,12 +398,6 @@ def reduces_to_zero(polys: Sequence[Poly], others: Sequence[Poly], ctx: Context)
     generated by `others` (sufficient condition for zero-set inclusion)."""
     system = buchberger(others, ctx)
     return all(system.is_zero_mod(p.in_context(ctx)) for p in polys)
-
-
-def same_zero_set(a: Sequence[Poly], b: Sequence[Poly], ctx: Context) -> bool:
-    """Whether the two sets generate the same ideal: their reduced Groebner
-    bases, which are unique, are equal."""
-    return buchberger(a, ctx) == buchberger(b, ctx)
 
 
 # -- small parsing helpers ----------------------------------------------------------

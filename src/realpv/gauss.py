@@ -83,10 +83,19 @@ class GaussRat:
     def conj(self) -> "GaussRat":
         return _new(self._a, -self._b, self._d)
 
-    def norm(self) -> Fraction:
-        """Field norm re^2 + im^2; zero only for the zero element."""
+    def height_bits(self) -> int:
+        """floor(log2(H^2)) for the absolute height H of the value: zero
+        exactly on 0 and the roots of unity 1, i, -1, -i.  H^2 is the
+        larger of the outer coefficients of the primitive integer minimal
+        polynomial, and H(c^n) = H(c)^n, so `max_int` of c^n has at least
+        (n * height_bits - 1) / 2 bits."""
         a, b, d = self._a, self._b, self._d
-        return Fraction(a * a + b * b, d * d)
+        n = a * a + b * b
+        return (max(n, d * d) // gcd(n, 2 * a * d, d * d)).bit_length() - 1
+
+    def max_int(self) -> int:
+        """The largest of |a|, |b| and d."""
+        return max(abs(self._a), abs(self._b), self._d)
 
     def __add__(self, other: Coeffable) -> "GaussRat":
         o = other if other.__class__ is GaussRat else GaussRat.of(other)

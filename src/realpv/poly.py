@@ -553,6 +553,10 @@ def _render_term(m: Key, c: GaussRat, ctx: Context) -> str:
 # The largest expansion a `^` in an expression may ask for.  A power of a
 # monomial is one term whatever its exponent; (t+1)^n has n + 1 terms.
 MAX_POWER_TERMS = 256
+# The most decimal digits of an integer in a parsed expression: a literal,
+# a `^` (refused before it is computed) or the result.  No check builds a str.
+MAX_INT_DIGITS = 1000
+_INT_BOUND = 10**MAX_INT_DIGITS
 
 
 class _Tokens:
@@ -582,6 +586,9 @@ class _Tokens:
             self.pos += 1
         if start == self.pos:
             self.error("expected integer")
+        if self.pos - start > MAX_INT_DIGITS:
+            self.pos = start
+            self.error(f"an integer literal has more than {MAX_INT_DIGITS} digits")
         return int(self.text[start : self.pos])
 
 
@@ -662,6 +669,12 @@ def _parse_factor(tk: _Tokens, ctx: Context) -> _Frac:
         if value.power_terms(exp) > MAX_POWER_TERMS:
             tk.pos = caret
             tk.error(f"the power expands to more than {MAX_POWER_TERMS} terms")
+        # p^n leads with c^n for the leading coefficient c of p, and
+        # (c^n).max_int() has at least (n * c.height_bits() - 1) / 2 bits
+        lead = [p.leading_coefficient() for p in (value.num, value.den) if not p.is_zero()]
+        if exp * max(c.height_bits() for c in lead) > 2 * _INT_BOUND.bit_length():
+            tk.pos = caret
+            tk.error(f"the power has an integer of more than {MAX_INT_DIGITS} digits")
         value = value ** (-exp if neg else exp)
     return -value if sign < 0 else value
 
@@ -697,6 +710,9 @@ def parse_fraction(text: str, ctx: Context) -> tuple[Poly, Poly]:
     value = _parse_expr(tk, ctx)
     if tk.peek() != "":
         tk.error("trailing input")
+    coeffs = [*value.num.by_key.values(), *value.den.by_key.values()]
+    if any(c.max_int() >= _INT_BOUND for c in coeffs):
+        tk.error(f"the expression has an integer of more than {MAX_INT_DIGITS} digits")
     return value.num, value.den
 
 

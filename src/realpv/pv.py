@@ -21,12 +21,8 @@ The supported construction classes:
 Each class builder returns a presentation: the tower, the solutions and
 the first-order companion matrix of the solutions over the base, from
 which the Galois-group module reads the relations of the solutions.
-`build_pv` makes the one `PVExtension` of it and certifies it.
-
-Realification is the route back from K(i), whose elements every tower
-reads with Q(i) coefficients: it closes a span of solutions under
-conjugation and spans its conjugation-fixed part by the real and imaginary
-parts (b + conj b)/2 and (b - conj b)/(2i) of the closed basis.
+`build_pv` makes the one `PVExtension` of it and certifies it.  Each
+builder reads the real presentation directly over the base field.
 """
 
 from __future__ import annotations
@@ -35,9 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotPV, StabilizationError, UnsupportedEquation
+from .errors import NotPV, UnsupportedEquation
 from .gauss import GaussRat, is_square, rational_sqrt
-from .linsolve import inverse
 from .poly import Poly
 from .report import Report
 from .tower import DiffTower, FieldElement
@@ -48,8 +43,6 @@ __all__ = [
     "PVExtension",
     "build_pv",
     "companion_residue",
-    "verify_pv",
-    "realify",
     "EQUATION_CLASSES",
 ]
 
@@ -203,11 +196,6 @@ def _finish(pv: PVExtension) -> PVExtension:
     return pv
 
 
-def verify_pv(pv: PVExtension) -> Report:
-    """Re-run all certificates; returns the report instead of raising."""
-    return _certify(pv)
-
-
 def _build_exp(base: DiffTower, ode: LinearODE):
     if ode.order != 1:
         raise UnsupportedEquation("EXP expects a first-order equation")
@@ -346,85 +334,3 @@ def build_pv(
         tower, sols, companion = _build_constcoeff2(base, ode)
     return _finish(PVExtension(base, tower, ode, eq_class, sols, companion, scan_bounds))
 
-
-# -- realification -------------------------------------------------------------
-
-
-def realify(
-    pv: PVExtension, basis: Sequence[FieldElement] | None = None
-) -> PVExtension:
-    """The real PV extension read back from its complexification.
-
-    Takes the conjugation-fixed part of the span of `basis` (the solutions
-    by default; it may carry Q(i) coefficients) as the span of the real and
-    imaginary parts of its conjugation-closed basis, checks it is full, and
-    certifies the extension on that real basis.
-    """
-    ext = pv.extension
-    basis = [ext.lift(b) for b in (basis if basis is not None else pv.solutions)]
-    n = pv.order
-
-    def coords_in(x: FieldElement, fam: list[FieldElement]) -> list[GaussRat] | None:
-        for vec in ext.linear_relations(list(fam) + [x]):
-            if vec[-1]:
-                return [-(v / vec[-1]) for v in vec[:-1]]
-        return None
-
-    # Conjugation is an involution, so adding the conjugates missing from the
-    # span closes it in one step.
-    basis += [im for im in (b.conj() for b in basis) if coords_in(im, basis) is None]
-    if len(basis) > n:
-        raise StabilizationError(
-            f"conjugation closure has dimension {len(basis)} > equation order {n}"
-        )
-
-    # The span is conjugation-stable, so the real and imaginary parts
-    # (b + conj b)/2 and (b - conj b)/(2i) of its basis span its fixed part.
-    half, half_over_i = GaussRat(Fraction(1, 2)), GaussRat(Fraction(0), Fraction(-1, 2))
-    fixed = [
-        x.scale(c)
-        for b in basis
-        for x, c in ((b + b.conj(), half), (b - b.conj(), half_over_i))
-    ]
-    # Drop each part that is a combination of earlier ones: it is the last
-    # nonzero entry of one canonical kernel vector.
-    dropped = {
-        max(j for j, v in enumerate(vec) if v) for vec in ext.linear_relations(fixed)
-    }
-    independent = [x for j, x in enumerate(fixed) if j not in dropped]
-    if len(independent) != n:
-        raise StabilizationError(
-            f"fixed part has dimension {len(independent)}, expected {n}"
-        )
-    normalized = [x.scale(x.num.leading_coefficient().inverse()) for x in independent]
-    normalized.sort(
-        key=lambda x: ext.context.key(x.num.leading_monomial()), reverse=True
-    )
-
-    # The realified basis may differ from the recorded one by a constant
-    # change of basis C; the first-order system transforms as C^-1 A C.
-    orig = [ext.lift(s) for s in pv.solutions]
-    cols = [coords_in(x, orig) for x in normalized]
-    if None in cols:
-        raise StabilizationError("realified basis left the solution span")
-    change = [[cols[j][i] for j in range(n)] for i in range(n)]
-    change_inv = inverse(change)
-    if change_inv is None:
-        raise StabilizationError("realified basis is degenerate")
-    lifted = [[ext.lift(a) for a in row] for row in pv.companion]
-    ac = [[ext.combine([r[j] for r in change], row) for j in range(n)] for row in lifted]
-    companion = tuple(
-        tuple(ext.combine(change_inv[i], [row[j] for row in ac]) for j in range(n))
-        for i in range(n)
-    )
-
-    out = PVExtension(
-        pv.base,
-        ext,
-        pv.ode,
-        pv.eq_class,
-        tuple(normalized),
-        tuple(tuple(pv.base.restrict(a) for a in row) for row in companion),
-        pv.scan_bounds,
-    )
-    return _finish(out)

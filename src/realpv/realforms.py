@@ -192,15 +192,15 @@ def _reread(negated, ctx: Context, rename, p: Poly, factor=_ONE) -> Poly:
     """factor * p at x = i * x~ for each variable x in `negated`, read in
     ctx, where x~ is named rename[x] and every other variable keeps its
     name.  A result that is not real raises Unsupported."""
-    terms = {}
-    for m, c in p.terms.items():
-        exps = m.exponents()
-        k = sum(e for v, e in exps.items() if v in negated) % 4
-        c = c * _I**k * factor
-        if c.im:
-            raise Unsupported(f"the twist re-reads {p} with a coefficient {c}, not real")
-        terms[Monomial({rename.get(v, v): e for v, e in exps.items()})] = c
-    return Poly(ctx, terms)
+
+    def value(v: str) -> Poly:
+        x = Poly.variable(ctx, rename.get(v, v))
+        return x.scale(_I) if v in negated else x
+
+    out = p.substitute(value, lambda c: Poly.const(ctx, c)).scale(factor)
+    if not out.real_imag()[1].is_zero():
+        raise Unsupported(f"the twist re-reads {p} as {out}, not real")
+    return out
 
 
 def _diagonal(entries) -> tuple[tuple[GaussRat, ...], ...]:

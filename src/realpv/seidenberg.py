@@ -28,24 +28,7 @@ __all__ = [
     "build_seidenberg",
     "SeidenbergReport",
     "seidenberg_demo",
-    "new_constant_demo",
 ]
-
-
-def new_constant_demo() -> tuple[DiffTower, list[FieldElement]]:
-    """Adjoin two abstract solution pairs of Y' = Z, Z' = -Y and scan.
-
-    With no algebraic relations imposed, the window scan must discover the
-    circle first integrals y_i^2 + z_i^2 and the cross determinant
-    y1*z2 - y2*z1 as new constants.  This is why the certified circle
-    construction fixes the relation s^2 + c^2 = 1 up front: the free
-    adjunction is never constant-free.
-    """
-    base = DiffTower(base_var=None)
-    ext = base.adjoin_abstract(
-        ["y1", "z1", "y2", "z2"], ["z1", "-y1", "z2", "-y2"]
-    )
-    return ext, ext.constant_scan(2, 0)
 
 
 def build_seidenberg() -> DiffTower:

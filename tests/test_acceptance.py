@@ -18,16 +18,14 @@ from realpv import (
     TRIVIAL,
     WitnessNotFound,
     apply,
+    buchberger,
     build_pv,
-    compose,
     defining_equations,
     matrix_from_texts,
     mu_n,
     parse_poly,
     radical_pair_report,
-    realify,
     reduces_to_zero,
-    same_zero_set,
     twist,
     weak_normality_demo,
     wronskian_det,
@@ -35,9 +33,10 @@ from realpv import (
 )
 from realpv.cli import main as cli_main
 from realpv.correspondence import check_correspondence, descriptor_polys
+from realpv.linsolve import identity, mat_mul
 from realpv.poly import Poly
 from realpv.realforms import non_reality_witness
-from realpv.seidenberg import build_seidenberg, new_constant_demo
+from realpv.seidenberg import build_seidenberg
 
 from helpers import rand_element, rand_poly, rng
 
@@ -68,7 +67,7 @@ def test_criterion_01_so2_group_recovery():
             for s in ("X11 - X22", "X12 + X21", "X11^2 + X21^2 - 1")
         ]
         assert group.polys, "defining set must be nonempty"
-        assert same_zero_set(list(group.polys), ref, group.context)
+        assert group.basis == buchberger(ref, group.context)
     _report(1, "SO(2) recovery on Y'' + Y = 0", tm, 5.0)
 
 
@@ -78,14 +77,15 @@ def test_criterion_02_mu2_group_recovery():
         pv = build_pv(base, LinearODE.from_texts(base, ["-1/2 * 1/t"]), "RADICAL")
         group = defining_equations(pv)
         ref = [parse_poly("X11^2 - 1", group.context)]
-        assert same_zero_set(list(group.polys), ref, group.context)
+        assert group.basis == buchberger(ref, group.context)
         g = pv.extension.var("g")
-        one = group.identity()
+        one = group.element(identity(1))
         neg = group.element([[GaussRat.of(-1)]])
         assert apply(one, g) == g
         assert apply(neg, g) == -g
-        assert compose(neg, neg).matrix == one.matrix
-        assert apply(compose(neg, neg), g) == apply(neg, apply(neg, g))
+        square = group.element(mat_mul(neg.matrix, neg.matrix))
+        assert square.matrix == one.matrix
+        assert apply(square, g) == apply(neg, apply(neg, g))
     _report(2, "mu_2 recovery on Y' = Y/(2t)", tm, 1.0)
 
 
@@ -208,7 +208,12 @@ def test_criterion_08_seidenberg():
         assert total.is_zero()
         assert total.num == Poly.zero(total.num.context)
 
-        ext, found = new_constant_demo()
+        # two free solution pairs of Y' = Z, Z' = -Y: the scan finds the
+        # constants that the circle relation s^2 + c^2 = 1 rules out
+        ext = DiffTower(base_var=None).adjoin_abstract(
+            ["y1", "z1", "y2", "z2"], ["z1", "-y1", "z2", "-y2"]
+        )
+        found = ext.constant_scan(2, 0)
         y1, z1, y2, z2 = (ext.var(v) for v in ("y1", "z1", "y2", "z2"))
         targets = (y1 * y1 + z1 * z1, y2 * y2 + z2 * z2, y1 * z2 - y2 * z1)
         for x in targets:
@@ -297,11 +302,19 @@ def test_criterion_11_realification():
     with Timer() as tm:
         base = DiffTower(base_var="t")
         pv = build_pv(base, LinearODE.from_texts(base, ["1", "0"]), "CIRCLE")
-        out = realify(pv)
-        assert [str(x) for x in out.solutions] == ["s", "c"]
-        assert [str(x) for x in out.solutions] == [str(x) for x in pv.solutions]
-        assert out.extension.signature() == pv.extension.signature()
-    _report(11, "realify recovers the (s, c) form", tm, 1.0)
+        # the builder reads the real form directly: real solutions, tower
+        # data and companion matrix, certified with no complexification
+        assert [str(x) for x in pv.solutions] == ["s", "c"]
+        data = [
+            p
+            for spec in pv.extension.specs
+            for p in (spec.deriv_num, spec.deriv_den, spec.relation)
+            if p is not None
+        ]
+        assert data and all(p.conj() == p for p in data)
+        assert all(a.conj() == a for row in pv.companion for a in row)
+        assert [c.status for c in pv.certificates.lines] == ["PASS"] * 4
+    _report(11, "CIRCLE builds the real (s, c) form", tm, 1.0)
 
 
 def test_criterion_12_deterministic_reports(tmp_path, capsys):

@@ -403,6 +403,24 @@ def test_power_that_expands_too_far_is_refused_quickly(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "text,column,where",
+    [("3^10000", 2, "the power"), ("3^1500*3^1500", 14, "the expression")],
+    ids=["power", "product"],
+)
+def test_coefficient_with_too_many_digits_is_refused(capsys, tmp_path, text, column, where):
+    # 3^10000 has 4772 digits: it used to build and then crash printing it
+    bad = tmp_path / "bad.json"
+    raw = {"equation": {"class": "EXP", "coefficients": [text]}}
+    bad.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (2, "")
+    assert err == (
+        "scenario error at scenario.equation.coefficients[0]: parse error at "
+        f"column {column}: {where} has an integer of more than 1000 digits in {text!r}\n"
+    )
+
+
 @pytest.mark.parametrize("raw,location", MALFORMED_EXPRESSIONS,
                          ids=["coefficient", "radical_base", "finite_list", "cocycle"])
 def test_malformed_expression_is_usage_error(capsys, tmp_path, raw, location):

@@ -288,6 +288,24 @@ def test_parse_bounds_the_expansion_of_powers(ctx):
         parse_fraction("s + (c-t)^300", ctx)
 
 
+def test_parse_bounds_the_digits_of_integers(ctx):
+    big = "9" * 1000
+    assert parse_poly(big, ctx) == Poly.const(ctx, int(big))
+    assert parse_poly(f"1/{big}", ctx) == Poly.const(ctx, Fraction(1, int(big)))
+    with pytest.raises(ValueError, match="column 3: an integer literal has more than 1000"):
+        parse_fraction(f"t+{big}9", ctx)
+    # the power is refused from the height of its base, before it is
+    # computed: c^n for c not 0 or a root of unity grows without bound
+    for text in ("3^10000", "(3/5 + 4/5*i)^100000", "((1+i)/2)^20000", "(1/7*t)^-5000"):
+        with pytest.raises(ValueError, match="the power has an integer of more than 1000"):
+            parse_fraction(text, ctx)
+    assert parse_poly("i^100000 * t^100000 * (3^1500 + s)", ctx).total_degree() == 100001
+    # what each power allows, the product may still exceed
+    for text in ("3^1500*3^1500", "(1/3)^-2000 * 3^100", f"{big}*{big}"):
+        with pytest.raises(ValueError, match="the expression has an integer of more than 1000"):
+            parse_fraction(text, ctx)
+
+
 def test_parse_coefficients(ctx):
     p = parse_poly("3/4*s - 2*c + 1/2", ctx)
     assert p.coeff(Monomial({"s": 1})) == GaussRat.of(Fraction(3, 4))

@@ -3,22 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
 from realpv import (
     DiffTower,
-    GaussRat,
     LinearODE,
     NotPV,
     UnsupportedEquation,
     build_pv,
-    realify,
-    verify_pv,
 )
-
-I = GaussRat(Fraction(0), Fraction(1))
+from realpv.pv import _certify
 
 
 def _ode(base, *texts):
@@ -53,7 +48,7 @@ def test_circle_build(circle_pv):
 def test_perturbed_companion_fails_its_certificate(circle_pv):
     base = circle_pv.base
     rows = ((base.zero(), base.const(-2)), (base.one(), base.zero()))
-    rep = verify_pv(replace(circle_pv, companion=rows))
+    rep = _certify(replace(circle_pv, companion=rows))
     status = {c.name: c.status for c in rep.lines}
     assert status["companion_matrix_consistent"] == "FAIL"
     assert status["solutions_satisfy_equation"] == "PASS"
@@ -84,7 +79,7 @@ def test_exp_build(exp_pv):
     e = exp_pv.extension.var("e")
     assert e.derive() == e
     assert exp_pv.companion == ((exp_pv.base.one(),),)
-    assert verify_pv(exp_pv).ok
+    assert exp_pv.certificates.ok
 
 
 def test_radical_build(sqrt_pv):
@@ -92,7 +87,7 @@ def test_radical_build(sqrt_pv):
     t = sqrt_pv.extension.var("t")
     assert (g * g) == t
     assert _relation(sqrt_pv) == "g^2 - t"
-    assert verify_pv(sqrt_pv).ok
+    assert sqrt_pv.certificates.ok
 
 
 def test_radical_cube_of_square(base):
@@ -199,59 +194,3 @@ def test_foreign_base_rejected(base, circle_pv):
     with pytest.raises(UnsupportedEquation):
         build_pv(base, ode, "CIRCLE")
 
-
-# -- realification ----------------------------------------------------------------
-
-
-def test_realify_restores_real_presentation(circle_pv):
-    out = realify(circle_pv)
-    assert {str(s) for s in out.solutions} == {"s", "c"}
-    assert out.extension.signature() == circle_pv.extension.signature()
-
-
-@pytest.fixture(scope="module")
-def distinct_roots_pv(base):
-    # Y'' - 3Y' + 2Y = 0, roots 1 and 2, solutions e1 and e2
-    return build_pv(base, _ode(base, "2", "-3"), "CONSTCOEFF2")
-
-
-def test_realify_from_eigenbasis(circle_pv, distinct_roots_pv):
-    for pv in (circle_pv, distinct_roots_pv):
-        ext = pv.extension
-        a, b = (ext.lift(x) for x in pv.solutions)
-        # b + i a and b - i a span the same space over complexified constants
-        plus = b + a.scale(I)
-        minus = b - a.scale(I)
-        for basis in (None, (plus, minus)):
-            out = realify(pv, basis)
-            assert {str(x) for x in out.solutions} == {str(a), str(b)}
-            assert out.extension.signature() == pv.extension.signature()
-            assert out.certificates.ok
-
-
-def test_realify_from_skewed_basis(circle_pv):
-    ext = circle_pv.extension
-    s, c = (ext.lift(x) for x in circle_pv.solutions)
-    skew = (s.scale(GaussRat.of(2)), s + c.scale(GaussRat.of(3)))
-    out = realify(circle_pv, skew)
-    # the fixed part is the same span, presented monic; certificates hold,
-    # including consistency of the recomputed first-order system
-    assert {str(x) for x in out.solutions} == {"s", "s + 3*c"}
-    assert out.certificates.ok
-    real_c = out.extension.var("c")
-    rels = out.extension.linear_relations(list(out.solutions) + [real_c])
-    assert any(v[-1] for v in rels)
-
-
-def test_realify_exp_roundtrip(exp_pv):
-    # i*e has real part zero; its imaginary part e spans the fixed part
-    ie = exp_pv.extension.lift(exp_pv.solutions[0]).scale(I)
-    for basis in (None, (ie,)):
-        out = realify(exp_pv, basis)
-        assert [str(s) for s in out.solutions] == ["e"]
-        assert out.extension.signature() == exp_pv.extension.signature()
-
-
-def test_realify_radical_roundtrip(sqrt_pv):
-    out = realify(sqrt_pv)
-    assert [str(s) for s in out.solutions] == ["g"]

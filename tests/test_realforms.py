@@ -24,7 +24,8 @@ from realpv import (
     twist,
 )
 from realpv.linsolve import is_scalar_matrix
-from realpv.poly import Poly
+from realpv.poly import Context, Poly, parse_poly
+from realpv.realforms import _reread
 
 I = GaussRat(Fraction(0), Fraction(1))
 ID2 = [["1", "0"], ["0", "1"]]
@@ -280,6 +281,13 @@ def test_root_of_t_cubed_minus_one_twist(base):
     h, t = res.tower.var("h"), res.tower.var("t")
     assert h * h == -(t ** 3)
     assert [str(y) for y in res.solutions] == ["h"]
+
+
+def test_reread_refuses_data_that_is_not_real():
+    # g^3 - t at g = i*h is -i*h^3 - t, which has no real reading
+    src, ctx = Context(["t", "g"]), Context(["t", "h"])
+    with pytest.raises(Unsupported, match="not real"):
+        _reread(["g"], ctx, {"g": "h"}, parse_poly("g^3 - t", src))
 
 
 def test_twist_refuses_a_complex_cocycle(exp_pv, exp_group):

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from realpv import NotPV, build_pv, build_seidenberg, seidenberg_demo
+from realpv import DiffTower, NotPV, build_pv, build_seidenberg, seidenberg_demo
 from realpv.pv import LinearODE
-from realpv.seidenberg import new_constant_demo
 
 
 def test_field_relations():
@@ -59,7 +58,13 @@ def test_demo_exhibits_new_constants():
 
 
 def test_new_constant_demo_spans_the_four_invariants():
-    ext, found = new_constant_demo()
+    # two solution pairs of Y' = Z, Z' = -Y adjoined with no relation: the
+    # scan finds the circle first integrals and the cross determinant, which
+    # is why the certified circle construction imposes s^2 + c^2 = 1
+    ext = DiffTower(base_var=None).adjoin_abstract(
+        ["y1", "z1", "y2", "z2"], ["z1", "-y1", "z2", "-y2"]
+    )
+    found = ext.constant_scan(2, 0)
     assert len(found) == 4
     for x in found:
         assert x.derive().is_zero()
