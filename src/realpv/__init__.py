@@ -70,8 +70,11 @@ from .realforms import (
     cocycle_check,
     h1_enumerate,
     non_reality_witness,
+    radical_forms_demo,
     radical_pair_report,
+    so2_forms_demo,
     twist,
+    twist_report,
 )
 from .seidenberg import build_seidenberg, seidenberg_demo
 from .scenario import Scenario, load_scenario, scenario_from_dict
@@ -145,6 +148,9 @@ __all__ = [
     "non_reality_witness",
     "radical_pair_report",
     "twist",
+    "twist_report",
+    "so2_forms_demo",
+    "radical_forms_demo",
     "build_seidenberg",
     "seidenberg_demo",
     "Scenario",

@@ -8,7 +8,8 @@ generators.  Both directions are exact and work with the subgroup as an
 algebraic group, not with its real points.  So does the normality report:
 conjugation stability and the circle's double-angle quotient map are
 decided for the generic members of the group and of the subgroup, modulo
-their ideals.
+their ideals.  `normality_check` and `weak_normality_demo` return their
+`Report` whole, quotient equation, member counts and data included.
 
 Subgroups are described by small named shapes rather than arbitrary
 ideals: the full group, the trivial group, roots of unity inside GL1,
@@ -60,7 +61,6 @@ __all__ = [
     "group_over",
     "check_correspondence",
     "check_inclusion_reversal",
-    "NormalityReport",
     "normality_check",
     "weak_normality_demo",
     "DEFAULT_FIELD_BOUNDS",
@@ -456,34 +456,23 @@ def check_inclusion_reversal(
 # -- normality -------------------------------------------------------------------------
 
 
-@dataclass
-class NormalityReport:
-    normal: bool
-    report: Report
-    quotient_ode: LinearODE | None = None
-    quotient_solutions: tuple[FieldElement, ...] = ()
-
-
-def normality_check(
-    group: MatrixGroup, desc: SubgroupDescriptor
-) -> NormalityReport:
+def normality_check(group: MatrixGroup, desc: SubgroupDescriptor) -> Report:
     """Exact conjugation stability plus, for the named normal cases, an
     exhibited quotient: the fixed field is itself PV with explicit new
     solutions, and on the circle the quotient map is checked for the
-    generic members of the group and of the subgroup."""
+    generic members of the group and of the subgroup.  The report ends with
+    the quotient equation and its solutions when there is one."""
     report = Report("normality")
     sub = subgroup_of(group, desc)
-    stable = conjugation_stable(group, sub)
     report.add(
         "conjugation stability",
-        stable,
+        conjugation_stable(group, sub),
         "X*Y*X^-1 for generic X in the group and Y in the subgroup, "
         "modulo both ideals",
     )
 
     pv = group.pv
-    quotient_ode = None
-    quotient_solutions: tuple[FieldElement, ...] = ()
+    quotient = None
 
     # subgroup_of refuses MU_N on groups that are not 1x1, so pv is first order
     if desc.kind == "MU_N":
@@ -499,8 +488,7 @@ def normality_check(
             residue.is_zero(),
             f"Y' = ({rate})*Y at {power}",
         )
-        quotient_ode = ode
-        quotient_solutions = (power,)
+        quotient = ode, (power,)
         report.info("quotient map lambda -> lambda^q lands in GL1", f"q = {q}")
 
     if (
@@ -526,8 +514,7 @@ def normality_check(
             ok1 and ok2,
             f"solutions {y1} and {y2}",
         )
-        quotient_ode = ode
-        quotient_solutions = (y1, y2)
+        quotient = ode, (y1, y2)
         report.add(
             "double-angle map is a homomorphism of the group, trivial on {I, -I}",
             _double_angle_is_quotient_map(group, sub),
@@ -535,7 +522,11 @@ def normality_check(
             "subgroup, for generic X and Y",
         )
 
-    return NormalityReport(stable, report, quotient_ode, quotient_solutions)
+    if quotient is not None:
+        ode, solutions = quotient
+        report.info("quotient equation", ode.describe())
+        report.info("quotient solutions", ", ".join(str(x) for x in solutions))
+    return report
 
 
 def _double_angle(m):
@@ -572,19 +563,9 @@ def _double_angle_is_quotient_map(group: MatrixGroup, sub: MatrixGroup) -> bool:
 # -- weak normality ----------------------------------------------------------------------
 
 
-@dataclass
-class WeakNormalityReport:
-    q: int
-    real_member_count: int
-    complex_member_count: int
-    intermediate_is_pv: bool
-    witness_in_intermediate: bool
-    moved_by_real_member: bool
-    report: Report
-
-
-def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
-    """The classical failure K(exp) over K with intermediate K(exp^q).
+def weak_normality_demo() -> Report:
+    """The classical failure K(exp) over K with intermediate K(exp^q), for
+    q = 3 and, as a control, q = 2.
 
     The intermediate field is PV over the base (it satisfies Y' = qY), and
     the subgroup fixing it consists of the q-th roots of unity.  Over the
@@ -592,41 +573,55 @@ def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
     element moves the generator even though it lies outside the
     intermediate field: the downward correspondence cannot see the field.
     """
-    if q < 2:
-        raise ValueError("the demonstration needs q >= 2")
     base = DiffTower(base_var="t")
-    ode = LinearODE.from_texts(base, ["-1"])
-    pv = build_pv(base, ode, "EXP")
+    pv = build_pv(base, LinearODE.from_texts(base, ["-1"]), "EXP")
     group = defining_equations(pv)
+    odd, real_count, complex_count = _weak_normality(group, 3)
+    control, _, _ = _weak_normality(group, 2)
+    rep = Report("demo: weak normality fails for K(e^3) inside K(e)")
+    rep.info(
+        "subgroup sizes",
+        f"{real_count} real member(s) vs {complex_count} over the complexified constants",
+    )
+    rep.extend(odd)
+    rep.info("control case", "q = 2, where a real member does move e")
+    rep.extend(control)
+    rep.data["q3_real_members"] = real_count
+    rep.data["q3_complex_members"] = complex_count
+    return rep
+
+
+def _weak_normality(group: MatrixGroup, q: int) -> tuple[Report, int, int | None]:
+    """The checks for one q >= 2, with the counts of real members and of
+    members over the complexified constants, both read from the ideal of
+    MU_N(q) in the group (None when that ideal is not one polynomial)."""
+    pv = group.pv
     ext = pv.extension
     e = ext.lift(pv.solutions[0])
-    eq = e**q
-
-    real_members = [lam for lam in (1, -1) if lam**q == 1]
-    # distinct roots of f = X^q - 1: q - deg gcd(f, f'), the gcd being the
-    # reduced basis of the ideal (f, f')
-    ctx = Context(["X"])
-    x = Poly.variable(ctx, "X")
-    f = x**q - Poly.const(ctx, 1)
-    [gcd] = buchberger([f, (x ** (q - 1)).scale(q)], ctx).rules
-    complex_count = q - gcd.as_poly().total_degree()
-
-    pv_sub = build_pv(base, LinearODE.from_texts(base, [f"-{q}"]), "EXP")
-    sub_ok = pv_sub.certificates.ok
-
-    in_F = member_of_field(ext, e, [eq])
-
-    moved = False
     sub = subgroup_of(group, mu_n(q))
-    for lam in real_members:
-        sigma = sub.element([[GaussRat.of(lam)]])
-        if apply(sigma, e) != e:
-            moved = True
+
+    real_members = [lam for lam in (1, -1) if sub.is_member([[GaussRat.of(lam)]])]
+    rules = sub.basis.rules
+    complex_count = None
+    roots_detail = "the ideal of the subgroup is not cut out by one polynomial"
+    if len(rules) == 1:
+        # distinct roots of f: deg f - deg gcd(f, f'), the gcd being the
+        # reduced basis of the ideal (f, f'), with f read in X
+        ctx = Context(["X"])
+        x = Poly.variable(ctx, "X")
+        f = rules[0].as_poly().substitute(lambda v: x, lambda c: Poly.const(ctx, c))
+        [gcd] = buchberger([f, f.partial("X")], ctx).rules
+        complex_count = f.total_degree() - gcd.as_poly().total_degree()
+        roots_detail = f"{f} has {complex_count} roots over the complexified constants"
+
+    pv_sub = build_pv(pv.base, LinearODE.from_texts(pv.base, [f"-{q}"]), "EXP")
+    in_F = member_of_field(ext, e, [e**q])
+    moved = any(apply(sub.element([[GaussRat.of(lam)]]), e) != e for lam in real_members)
 
     report = Report(f"weak normality, q = {q}")
     report.add(
         f"intermediate field K(e^{q}) is PV over K",
-        sub_ok,
+        pv_sub.certificates.ok,
         f"Y' = {q}*Y with solution e^{q}",
     )
     report.add(
@@ -640,11 +635,7 @@ def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
         len(real_members) == (1 if q % 2 else 2),
         f"{real_members}",
     )
-    report.add(
-        "complexified member count equals q",
-        complex_count == q,
-        f"X^{q} - 1 has {q} roots over the complexified constants",
-    )
+    report.add("complexified member count equals q", complex_count == q, roots_detail)
     report.add(
         "no real subgroup member moves e" if q % 2 else "a real member moves e",
         (not moved) if q % 2 else moved,
@@ -653,12 +644,4 @@ def weak_normality_demo(q: int = 3) -> WeakNormalityReport:
         if q % 2
         else "",
     )
-    return WeakNormalityReport(
-        q,
-        len(real_members),
-        complex_count,
-        sub_ok,
-        in_F,
-        moved,
-        report,
-    )
+    return report, len(real_members), complex_count

@@ -557,6 +557,9 @@ MAX_POWER_TERMS = 256
 # a `^` (refused before it is computed) or the result.  No check builds a str.
 MAX_INT_DIGITS = 1000
 _INT_BOUND = 10**MAX_INT_DIGITS
+# The most characters of the input that a parse error echoes: a longer
+# input is echoed as a window of this many around the column.
+ECHO_CHARS = 60
 
 
 class _Tokens:
@@ -565,7 +568,12 @@ class _Tokens:
         self.pos = 0
 
     def error(self, msg: str):
-        raise ValueError(f"parse error at column {self.pos + 1}: {msg} in {self.text!r}")
+        text = self.text
+        if len(text) > ECHO_CHARS:
+            start = min(max(self.pos - ECHO_CHARS // 2, 0), len(text) - ECHO_CHARS)
+            end = start + ECHO_CHARS
+            text = "..." * (start > 0) + text[start:end] + "..." * (end < len(text))
+        raise ValueError(f"parse error at column {self.pos + 1}: {msg} in {text!r}")
 
     def peek(self) -> str:
         while self.pos < len(self.text) and self.text[self.pos].isspace():

@@ -107,14 +107,6 @@ class PVExtension:
     def order(self) -> int:
         return self.ode.order
 
-    def describe(self) -> list[str]:
-        lines = [f"class {self.eq_class}: {self.ode.describe()}"]
-        lines += self.extension.describe()
-        lines.append(
-            "solutions: " + ", ".join(str(s) for s in self.solutions)
-        )
-        return lines
-
 
 # -- construction -------------------------------------------------------------
 

@@ -18,7 +18,8 @@ own presentation.  For the groups arising here the classes are exact:
 
 Non-isomorphism of the twisted fields is certified by explicit
 obstructions (a sum of squares equal to -1, or a constant gamma with
-gamma^2 = -1 that an isomorphism would force).
+gamma^2 = -1 that an isomorphism would force).  `twist_report` holds all
+of it, for the `twist` command and both real-form demos.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import Unsupported, WitnessNotFound
-from .galois import MatrixGroup
+from .galois import MatrixGroup, defining_equations, matrix_from_texts
 from .gauss import GaussRat, is_square, rational_sqrt
 from .linsolve import adjugate, inverse, mat_conj, mat_mul
 from .linsolve import identity as mat_identity
 from .poly import Context, Monomial, Poly
-from .pv import PVExtension
+from .pv import LinearODE, PVExtension, build_pv
 from .report import Report
 from .rewrite import buchberger
 from .tower import DiffTower, FieldElement, GeneratorSpec
@@ -44,9 +45,11 @@ __all__ = [
     "TwistResult",
     "twist",
     "non_reality_witness",
-    "H1Report",
     "h1_enumerate",
     "radical_pair_report",
+    "twist_report",
+    "so2_forms_demo",
+    "radical_forms_demo",
 ]
 
 
@@ -74,7 +77,6 @@ def cocycle_check(group: MatrixGroup, rows) -> bool:
 
 @dataclass
 class TwistResult:
-    pv: PVExtension
     cocycle: Cocycle
     tower: DiffTower
     solutions: tuple[FieldElement, ...]
@@ -127,7 +129,6 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
     if all(_reread(negated, ext.context, {}, r) == r for r in relations):
         split = f"B = diag({', '.join(map(str, b))})"
         res = TwistResult(
-            pv,
             Cocycle(a, f"{label} (coboundary of {split})"),
             ext,
             pv.solutions,
@@ -163,7 +164,6 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
         for j, y in enumerate(map(ext.lift, pv.solutions))
     )
     res = TwistResult(
-        pv,
         Cocycle(a, label),
         tower,
         sols,
@@ -262,12 +262,6 @@ def _square_roots_of_minus_one(rel: Poly) -> dict[Monomial, Fraction] | None:
 # -- cohomology classes ---------------------------------------------------------------------
 
 
-@dataclass
-class H1Report:
-    classes: tuple[Cocycle, ...]
-    report: Report
-
-
 def _so2_coboundaries_avoid_minus_identity() -> bool:
     """Every coboundary B * conj(B)^-1 of the rotation group has a sum of
     real squares as its eigenvalue on (1, -i), where -I has -1.
@@ -293,23 +287,23 @@ def _so2_coboundaries_avoid_minus_identity() -> bool:
     )
 
 
-def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
+def h1_enumerate(group: MatrixGroup, kind: str) -> Report:
     """Representatives of the real-form classes for the named group kind,
     each validated as a cocycle, with an exact argument that the listed
-    nontrivial classes are not coboundaries.
+    nontrivial classes are not coboundaries.  The report opens with the
+    class labels, which its data holds under "classes".
     """
     one, zero = GaussRat.of(1), GaussRat.of(0)
-    report = Report(f"first cohomology of {kind}")
     if kind == "GL1":
         classes = (Cocycle(((one,),), "1"),)
-        report.add(
+        coboundaries = (
             "-1 is a coboundary (B = i), single class",
             _splits(group, [_I], [[-one]]),
             "B * conj(B)^-1 = -1 at B = i",
         )
     elif kind == "MU_2":
         classes = (Cocycle(((one,),), "1"), Cocycle(((-one,),), "-1"))
-        report.add(
+        coboundaries = (
             "coboundaries over the order-2 group are trivial",
             all(_splits(group, [b], [[one]]) for b in (one, -one)),
             "conjugation fixes both elements, so B * conj(B)^-1 = 1",
@@ -318,7 +312,7 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
         eye = ((one, zero), (zero, one))
         neg = ((-one, zero), (zero, -one))
         classes = (Cocycle(eye, "I"), Cocycle(neg, "-I"))
-        report.add(
+        coboundaries = (
             "coboundaries have a sum of real squares as eigenvalue on (1, -i), "
             "-I has -1",
             _so2_coboundaries_avoid_minus_identity(),
@@ -328,9 +322,13 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> H1Report:
     else:
         raise Unsupported(f"no class list for {kind!r}")
 
+    labels = [c.label for c in classes]
+    report = Report(f"first cohomology of {kind}", data={"classes": labels})
+    report.info("classes", ", ".join(labels))
+    report.add(*coboundaries)
     for c in classes:
         report.add(f"{c.label} is a cocycle", cocycle_check(group, c.matrix))
-    return H1Report(classes, report)
+    return report
 
 
 # -- the two square-root fields are not isomorphic -------------------------------------------
@@ -413,3 +411,84 @@ def _solution_span(tower: DiffTower, rate: FieldElement) -> list[FieldElement]:
             sols.append(x)
     return sols
 
+
+
+# -- reports ---------------------------------------------------------------------------------
+
+
+def twist_report(pv: PVExtension, group: MatrixGroup, rows) -> Report:
+    """The twist of a certified extension by the matrix `rows`: the cocycle
+    check, the checks of `twist`, and for a genuinely different real form a
+    sum of squares equal to -1 in the twisted field when a relation gives
+    one, plus `radical_pair_report` on RADICAL.  The data holds the twisted
+    solutions."""
+    rep = Report("twist")
+    is_cocycle = cocycle_check(group, rows)
+    rep.add("matrix is a cocycle", is_cocycle)
+    if not is_cocycle:
+        return rep
+    result = twist(pv, group, rows)
+    rep.info("cocycle", str(result.cocycle.render()))
+    rep.info("twist", result.note)
+    rep.extend(result.report)
+    if result.isomorphic_to_original:
+        rep.info("real form", "isomorphic to the original extension")
+    else:
+        rep.info("real form", "a genuinely different real form")
+        try:
+            wit = non_reality_witness(result.tower)
+        except WitnessNotFound as e:
+            rep.info("non-reality witness", f"none found: {e}")
+        else:
+            squares = sum((x * x for x in wit), result.tower.zero())
+            rep.add(
+                "twisted field is not formally real",
+                squares == result.tower.const(-1),
+                " , ".join(str(x) for x in wit) + f"  squares sum to {squares}",
+            )
+        if pv.eq_class == "RADICAL":
+            rep.extend(radical_pair_report(pv, result))
+    rep.data["twisted_solutions"] = [str(x) for x in result.solutions]
+    return rep
+
+
+def _forms_demo(
+    title: str, coeffs: list[str], eq_class: str, kind: str, cocycle: list[list[str]]
+) -> tuple[Report, PVExtension]:
+    """The certified extension of the equation over Q(t), and a report of
+    the real-form classes of its group followed by the twist by `cocycle`."""
+    base = DiffTower(base_var="t")
+    pv = build_pv(base, LinearODE.from_texts(base, coeffs), eq_class)
+    group = defining_equations(pv)
+    rep = h1_enumerate(group, kind)
+    rep.title = title
+    rep.extend(twist_report(pv, group, matrix_from_texts(cocycle)))
+    return rep, pv
+
+
+def so2_forms_demo() -> Report:
+    """The circle extension and its twist by -I, whose field is not formally
+    real although the original field has no such witness."""
+    rep, pv = _forms_demo(
+        "demo: the two real forms of the circle extension",
+        ["1", "0"], "CIRCLE", "SO2", [["-1", "0"], ["0", "-1"]],
+    )
+    try:
+        non_reality_witness(pv.extension)
+        found = True
+    except WitnessNotFound:
+        found = False
+    rep.add(
+        "original field has no such witness",
+        not found,
+        "witness found" if found else "no relation writes -1 as a sum of squares",
+    )
+    return rep
+
+
+def radical_forms_demo() -> Report:
+    """The square root of t and its twist by -1, the square root of -t."""
+    return _forms_demo(
+        "demo: square roots of t and of -t are different real forms",
+        ["-1/2 * 1/t"], "RADICAL", "MU_2", [["-1"]],
+    )[0]

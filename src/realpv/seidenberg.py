@@ -11,22 +11,20 @@ same equation inevitably creates new constants, so the equation admits no
 PV extension of this field without constant growth.  Both phenomena are
 exhibited exactly: the witness by normal-form arithmetic, the obstruction
 by running the usual certified construction and capturing its failure,
-together with the explicit new constants the scan finds.
+together with the explicit new constants the scan finds.  `seidenberg_demo`
+returns all of it as one report.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import NotPV
 from .pv import LinearODE, build_pv
 from .realforms import non_reality_witness
 from .report import Report
-from .tower import DiffTower, FieldElement
+from .tower import DiffTower
 
 __all__ = [
     "build_seidenberg",
-    "SeidenbergReport",
     "seidenberg_demo",
 ]
 
@@ -39,18 +37,12 @@ def build_seidenberg() -> DiffTower:
     )
 
 
-@dataclass
-class SeidenbergReport:
-    tower: DiffTower
-    witness: tuple[FieldElement, ...]
-    new_constants: tuple[FieldElement, ...]
-    report: Report = field(default_factory=Report)
-
-
-def seidenberg_demo() -> SeidenbergReport:
+def seidenberg_demo() -> Report:
+    """The checks on the field and on the adjoined pair, then the witness
+    and the new constants as INFO lines and in the data."""
     F = build_seidenberg()
     a, b = F.var("a"), F.var("b")
-    report = Report("a real differential field that is not formally real")
+    report = Report("demo: a differential field with real constants that is not real")
 
     # the defining relation holds and differentiates consistently
     rel = F.const(4) * a * a + b * b + F.one()
@@ -92,13 +84,16 @@ def seidenberg_demo() -> SeidenbergReport:
     # exhibit the new constants directly on the adjoined tower
     ext = F.adjoin_abstract(["c", "s"], ["-2*s", "2*c"], ["s^2+c^2-1"])
     found = ext.constant_scan(2, 0)
-    consts = tuple(found)
-    all_const = all(x.derive().is_zero() for x in consts)
-    none_scalar = all(x.as_scalar() is None for x in consts)
+    all_const = all(x.derive().is_zero() for x in found)
+    none_scalar = all(x.as_scalar() is None for x in found)
     report.add(
         "adjoined solution pair creates nonscalar constants",
-        bool(consts) and all_const and none_scalar,
-        " ; ".join(str(x) for x in consts),
+        bool(found) and all_const and none_scalar,
+        " ; ".join(str(x) for x in found),
     )
 
-    return SeidenbergReport(F, wit, consts, report)
+    report.info("witness", ", ".join(str(x) for x in wit))
+    report.info("new constants", " ; ".join(str(x) for x in found))
+    report.data["witness"] = [str(x) for x in wit]
+    report.data["new_constants"] = [str(x) for x in found]
+    return report

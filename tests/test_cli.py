@@ -106,8 +106,8 @@ def test_correspond_exp_recognizes_every_mu_n(capsys, tmp_path, q):
 def test_twist_circle(capsys):
     code, out, _ = run(capsys, "twist", f"{SCENARIOS}/circle.json")
     assert code == 0
-    assert "non-reality witness" in out
-    assert "squares sum to -1" in out
+    assert "[PASS] twisted field is not formally real: v , u  squares sum to -1" in out
+    assert "non-reality witness" not in out
 
 
 def test_twist_fourth_root_by_minus_one_is_isomorphic(capsys):
@@ -151,18 +151,25 @@ def test_demos_pass(capsys, name):
     assert "FAIL" not in out
 
 
-def test_so2_forms_checks_the_witness(capsys, monkeypatch):
-    import realpv.cli as cli
+@pytest.mark.parametrize(
+    "argv",
+    [("demo", "so2-forms"), ("twist", f"{SCENARIOS}/circle.json")],
+    ids=["so2-forms", "twist"],
+)
+def test_so2_forms_checks_the_witness(capsys, monkeypatch, argv):
+    import realpv.realforms as realforms
 
-    found = cli.non_reality_witness
+    found = realforms.non_reality_witness
     # doubled witnesses have squares summing to -4
     monkeypatch.setattr(
-        cli, "non_reality_witness", lambda tw: tuple(x.scale(2) for x in found(tw))
+        realforms,
+        "non_reality_witness",
+        lambda tw: tuple(x.scale(2) for x in found(tw)),
     )
-    code, out, _ = run(capsys, "demo", "so2-forms")
+    code, out, _ = run(capsys, *argv)
     assert code == 1
-    assert "[FAIL] twisted field is not formally real" in out
-    assert "[PASS] original field has no such witness" in out
+    assert "[FAIL] twisted field is not formally real: 2*v , 2*u  squares sum to -4" in out
+    assert ("[PASS] original field has no such witness" in out) == (argv[0] == "demo")
 
 
 def test_weak_normality_demo_text(capsys):

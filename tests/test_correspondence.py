@@ -308,7 +308,7 @@ def test_subgroup_with_no_rational_samples_gets_a_verdict(
     rep, F, _ = check_correspondence(group, desc)
     assert F.describe() == field
     assert rep.ok, rep.lines
-    lines = normality_check(group, desc).report.lines
+    lines = normality_check(group, desc).lines
     [line] = [l for l in lines if l.name == "conjugation stability"]
     assert line.status == "PASS"
 
@@ -524,33 +524,44 @@ def test_round_trips_exp_beyond_order_eight(exp_group, q):
 # -- normality ---------------------------------------------------------------------
 
 
+def _lines(rep):
+    return {line.name: line for line in rep.lines}
+
+
 def test_mu2_normal_in_gl1(exp_group):
     rep = normality_check(exp_group, mu_n(2))
-    assert rep.normal and rep.report.ok
-    assert rep.quotient_ode is not None
-    assert [str(s) for s in rep.quotient_solutions] == ["e^2"]
-    status = {line.name: line.status for line in rep.report.lines}
-    assert status["conjugation stability"] == "PASS"
-    assert status["quotient map lambda -> lambda^q lands in GL1"] == "INFO"
+    assert rep.ok
+    lines = _lines(rep)
+    assert lines["conjugation stability"].status == "PASS"
+    assert lines["quotient map lambda -> lambda^q lands in GL1"].status == "INFO"
+    # the report ends with the quotient equation and its solutions
+    assert [line.render() for line in rep.lines[-2:]] == [
+        "[INFO] quotient equation: Y' + (-2)*Y = 0",
+        "[INFO] quotient solutions: e^2",
+    ]
 
 
 def test_pm_identity_normal_in_so2(circle_group):
     rep = normality_check(circle_group, finite_list(PM_ONE))
-    assert rep.normal and rep.report.ok
-    assert rep.quotient_ode is not None
-    got = [str(s) for s in rep.quotient_solutions]
+    assert rep.ok
+    lines = _lines(rep)
+    assert lines["conjugation stability"].status == "PASS"
+    assert lines["quotient equation"].detail == "Y'' + (4)*Y = 0"
     # c^2 - s^2 normalizes to 2c^2 - 1 modulo the circle relation
-    assert got == ["2*s*c", "2*c^2 - 1"]
-    for y in rep.quotient_solutions:
-        assert rep.quotient_ode.apply(circle_group.pv.extension.lift(y)).is_zero()
+    assert lines["quotient solutions"].detail == "2*s*c, 2*c^2 - 1"
+    ext = circle_group.pv.extension
+    s, c = ext.var("s"), ext.var("c")
+    ode = LinearODE.from_texts(circle_group.pv.base, ["4", "0"])
+    for y in (ext.const(2) * s * c, c * c - s * s):
+        assert ode.apply(y).is_zero()
 
 
 @pytest.mark.parametrize("desc", [DIAGONAL, SO2], ids=["diagonal", "so2"])
 def test_conjugation_stability_fails_in_a_gl2_like_group(circle_group, desc):
     gl2 = replace(circle_group, polys=())
     rep = normality_check(gl2, desc)
-    assert not rep.normal
-    assert rep.report.lines[0].render().startswith("[FAIL] conjugation stability:")
+    assert not rep.ok
+    assert rep.lines[0].render().startswith("[FAIL] conjugation stability:")
 
 
 def test_normality_check_uses_no_group_element(circle_group, exp_group, monkeypatch):
@@ -570,7 +581,7 @@ def test_normality_check_uses_no_group_element(circle_group, exp_group, monkeypa
         (exp_group, (TRIVIAL, mu_n(2), mu_n(3), FULL)),
     ):
         for desc in descs:
-            assert normality_check(group, desc).report.ok, desc.label()
+            assert normality_check(group, desc).ok, desc.label()
     assert calls == []
 
 
@@ -585,7 +596,7 @@ def test_normality_check_uses_no_group_element(circle_group, exp_group, monkeypa
 def test_double_angle_line_fails_for_a_wrong_quotient_map(circle_group, monkeypatch, phi):
     monkeypatch.setattr(correspondence, "_double_angle", phi)
     rep = normality_check(circle_group, finite_list(PM_ONE))
-    [line] = [l for l in rep.report.lines if l.name.startswith("double-angle map")]
+    [line] = [l for l in rep.lines if l.name.startswith("double-angle map")]
     assert line.status == "FAIL"
 
 
@@ -634,23 +645,48 @@ def test_same_zero_set_agrees_with_mutual_reduction(request, group_name):
 # -- weak normality -----------------------------------------------------------------
 
 
-def test_weak_normality_q3():
-    rep = weak_normality_demo(3)
-    assert rep.real_member_count == 1
-    assert rep.complex_member_count == 3
-    assert rep.intermediate_is_pv
-    assert not rep.witness_in_intermediate
-    assert not rep.moved_by_real_member
-    assert all(p for _, p, _ in rep.report.lines)
+@pytest.fixture(scope="module")
+def weak_normality():
+    """The demo's lines for q = 3 and for the control q = 2, and its data."""
+    rep = weak_normality_demo()
+    assert rep.ok, [line.render() for line in rep.lines]
+    lines = [line.render() for line in rep.lines]
+    control = lines.index("[INFO] control case: q = 2, where a real member does move e")
+    return lines[:control], lines[control + 1 :], rep.data
 
 
-def test_weak_normality_q2_control():
-    rep = weak_normality_demo(2)
-    assert rep.real_member_count == 2
-    assert rep.moved_by_real_member
-    assert all(p for _, p, _ in rep.report.lines)
+def test_weak_normality_q3(weak_normality):
+    odd, _, data = weak_normality
+    assert data == {"q3_real_members": 1, "q3_complex_members": 3}
+    assert odd[0] == (
+        "[INFO] subgroup sizes: 1 real member(s) vs 3 over the complexified constants"
+    )
+    assert odd[1].startswith("[PASS] intermediate field K(e^3) is PV over K")
+    assert odd[2].startswith("[PASS] generator e lies outside the intermediate field")
+    assert odd[3:5] == [
+        "[PASS] real members of MU_N(3): [1]",
+        "[PASS] complexified member count equals q: "
+        "X^3 - 1 has 3 roots over the complexified constants",
+    ]
+    assert odd[5].startswith("[PASS] no real subgroup member moves e")
 
 
-def test_weak_normality_rejects_q1():
-    with pytest.raises(ValueError):
-        weak_normality_demo(1)
+def test_weak_normality_q2_control(weak_normality):
+    _, even, _ = weak_normality
+    assert even[2:] == [
+        "[PASS] real members of MU_N(2): [1, -1]",
+        "[PASS] complexified member count equals q: "
+        "X^2 - 1 has 2 roots over the complexified constants",
+        "[PASS] a real member moves e",
+    ]
+
+
+def test_weak_normality_member_lines_read_the_subgroup_ideal(monkeypatch):
+    # with all of GL1 in place of the roots of unity, -1 is a real member
+    # for q = 3 and the ideal has no polynomial to count roots of
+    monkeypatch.setattr(correspondence, "subgroup_of", lambda group, desc: group)
+    status = {}
+    for line in weak_normality_demo().lines:
+        status.setdefault(line.name, line.status)
+    assert status["real members of MU_N(3)"] == "FAIL"
+    assert status["complexified member count equals q"] == "FAIL"

@@ -306,6 +306,23 @@ def test_parse_bounds_the_digits_of_integers(ctx):
             parse_fraction(text, ctx)
 
 
+def test_parse_error_echoes_a_window_of_a_long_input(ctx):
+    # a 1001-digit literal and an error at column 6001 once echoed the whole
+    # input; a long input is now echoed as 60 characters around the column
+    for text, column in (("1" * 1001, 1), ("t+" * 3000, 6001), ("t+" * 40 + ")", 81)):
+        with pytest.raises(ValueError) as exc:
+            parse_fraction(text, ctx)
+        message = str(exc.value)
+        assert message.startswith(f"parse error at column {column}: ")
+        assert len(message) < 200
+        echo = message.split(" in ", 1)[1]
+        assert len(echo.strip("'").strip(".")) <= 60
+        assert echo.startswith("'...") == (column > 30)
+    # a short input is echoed whole
+    with pytest.raises(ValueError, match=r"column 4: unexpected end of input in '-1\+'$"):
+        parse_fraction("-1+", ctx)
+
+
 def test_parse_coefficients(ctx):
     p = parse_poly("3/4*s - 2*c + 1/2", ctx)
     assert p.coeff(Monomial({"s": 1})) == GaussRat.of(Fraction(3, 4))

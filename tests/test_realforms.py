@@ -311,7 +311,7 @@ def test_coboundary_line_fails_outside_the_group(base):
     res = twist(pv, mu2, [[GaussRat.of(-1)]])
     assert _status(res)["B lies in the group and B * conj(B)^-1 = A"] == "FAIL"
     gl1 = h1_enumerate(mu2, "GL1")
-    assert gl1.report.lines[0].status == "FAIL"
+    assert gl1.lines[1].render().startswith("[FAIL] -1 is a coboundary")
 
 
 def test_descended_solutions_line_fails_for_another_equation(base, circle_pv, circle_group):
@@ -354,24 +354,28 @@ def test_radical_pair_lines_fail_for_the_trivial_twist(sqrt_pv, sqrt_group):
 
 def test_h1_gl1(exp_group):
     rep = h1_enumerate(exp_group, "GL1")
-    assert rep.report.ok
-    assert [c.label for c in rep.classes] == ["1"]
+    assert rep.ok
+    assert rep.data["classes"] == ["1"]
+    assert rep.lines[0].render() == "[INFO] classes: 1"
 
 
 def test_h1_mu2(sqrt_pv):
     g = defining_equations(sqrt_pv)
     rep = h1_enumerate(g, "MU_2")
-    assert rep.report.ok
-    assert [c.label for c in rep.classes] == ["1", "-1"]
+    assert rep.ok
+    assert rep.data["classes"] == ["1", "-1"]
+    assert rep.lines[0].render() == "[INFO] classes: 1, -1"
 
 
 def test_h1_so2(circle_group):
     rep = h1_enumerate(circle_group, "SO2")
-    assert rep.report.ok
-    assert [c.label for c in rep.classes] == ["I", "-I"]
+    assert rep.ok
+    assert rep.data["classes"] == ["I", "-I"]
     # both representatives really are cocycles of the group
-    for c in rep.classes:
-        assert cocycle_check(circle_group, c.matrix)
+    status = {line.name: line.status for line in rep.lines}
+    assert status["I is a cocycle"] == status["-I is a cocycle"] == "PASS"
+    assert cocycle_check(circle_group, matrix_from_texts(ID2))
+    assert cocycle_check(circle_group, matrix_from_texts(NEG2))
 
 
 def test_h1_so2_line_fails_without_the_inverse(circle_group, monkeypatch):
@@ -381,7 +385,7 @@ def test_h1_so2_line_fails_without_the_inverse(circle_group, monkeypatch):
     # no sum of squares, so the exact check must fail
     monkeypatch.setattr(realforms, "adjugate", lambda m: (m, m[0][0] ** 0))
     rep = h1_enumerate(circle_group, "SO2")
-    assert [line.status for line in rep.report.lines] == ["FAIL", "PASS", "PASS"]
+    assert [line.status for line in rep.lines] == ["INFO", "FAIL", "PASS", "PASS"]
 
 
 def test_h1_unknown_kind(circle_group):

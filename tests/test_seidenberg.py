@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from realpv import DiffTower, NotPV, build_pv, build_seidenberg, seidenberg_demo
+from realpv import (
+    DiffTower,
+    NotPV,
+    build_pv,
+    build_seidenberg,
+    non_reality_witness,
+    seidenberg_demo,
+)
 from realpv.pv import LinearODE
 
 
@@ -24,17 +31,21 @@ def test_field_has_rational_constants_in_window():
 
 def test_demo_all_checks_pass():
     rep = seidenberg_demo()
-    assert rep.report.ok, rep.report.lines
-    assert len(rep.report.lines) == 6
+    assert rep.ok, rep.lines
+    assert [line.status for line in rep.lines] == ["PASS"] * 6 + ["INFO"] * 2
 
 
 def test_demo_witness_is_2a_b():
     rep = seidenberg_demo()
-    assert sorted(str(w) for w in rep.witness) == ["2*a", "b"]
-    total = rep.tower.zero()
-    for w in rep.witness:
+    assert rep.data["witness"] == ["2*a", "b"]
+    assert rep.lines[-2].render() == "[INFO] witness: 2*a, b"
+    F = build_seidenberg()
+    wit = non_reality_witness(F)
+    assert [str(w) for w in wit] == rep.data["witness"]
+    total = F.zero()
+    for w in wit:
         total = total + w * w
-    assert total == rep.tower.const(-1)
+    assert total == F.const(-1)
 
 
 def test_circle_over_seidenberg_raises_notpv():
@@ -48,12 +59,17 @@ def test_circle_over_seidenberg_raises_notpv():
 
 def test_demo_exhibits_new_constants():
     rep = seidenberg_demo()
-    assert rep.new_constants
-    for x in rep.new_constants:
+    assert rep.data["new_constants"]
+    assert rep.lines[-1].detail == " ; ".join(rep.data["new_constants"])
+    # the demo's scan, on the pair adjoined over the field
+    ext = build_seidenberg().adjoin_abstract(["c", "s"], ["-2*s", "2*c"], ["s^2+c^2-1"])
+    found = ext.constant_scan(2, 0)
+    assert [str(x) for x in found] == rep.data["new_constants"]
+    for x in found:
         assert x.derive().is_zero()
         assert x.as_scalar() is None
     # the classic combination s*a + (1/2)*c*b appears in the scan's span
-    rendered = " ; ".join(str(x) for x in rep.new_constants)
+    rendered = " ; ".join(rep.data["new_constants"])
     assert "s*a" in rendered or "a*s" in rendered
 
 
