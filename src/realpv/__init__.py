@@ -66,7 +66,6 @@ from .correspondence import (
     weak_normality_demo,
 )
 from .realforms import (
-    Cocycle,
     cocycle_check,
     h1_enumerate,
     non_reality_witness,
@@ -142,7 +141,6 @@ __all__ = [
     "normality_check",
     "subgroup_of",
     "weak_normality_demo",
-    "Cocycle",
     "cocycle_check",
     "h1_enumerate",
     "non_reality_witness",

@@ -11,8 +11,9 @@ print a deterministic report, as text or JSON:
     realpv demo NAME                  weak-normality, so2-forms,
                                       radical-forms or seidenberg
 
-Every report comes whole from the library; this module only picks the
-reports for a command, titles the scenario ones and prints them.
+The twist and demo reports come whole from the library; this module
+assembles the build, group and correspond reports from library results,
+titles the scenario reports and prints them.
 
 Exit status: 0 when every check passes, 1 when a check fails or the
 mathematics refuses (certificate failure, unsupported fragment), 2 for

@@ -77,8 +77,6 @@ def _solution_slot_of_generators(pv: PVExtension) -> dict[str, int | None]:
     out: dict[str, int | None] = {}
     ext = pv.extension
     for name in ext.generator_names():
-        if pv.base.base_var and name == pv.base.base_var:
-            continue
         g = ext.var(name)
         slot = next((j for j, s in enumerate(pv.solutions) if ext.lift(s) == g), None)
         out[name] = slot

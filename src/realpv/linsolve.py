@@ -23,12 +23,10 @@ from .gauss import GaussRat
 __all__ = [
     "kernel",
     "det",
-    "inverse",
     "mat_mul",
     "mat_conj",
     "adjugate",
     "identity",
-    "is_scalar_matrix",
 ]
 
 _ZERO = GaussRat.of(0)
@@ -133,37 +131,6 @@ def det(rows: Sequence[Sequence[GaussRat]]) -> GaussRat:
 
 def identity(n: int) -> list[list[GaussRat]]:
     return [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
-
-
-def is_scalar_matrix(rows: Sequence[Sequence], c) -> bool:
-    """Whether the square matrix `rows` equals c times the identity."""
-    c = GaussRat.of(c)
-    return all(
-        GaussRat.of(v) == (c if r == k else _ZERO)
-        for r, row in enumerate(rows)
-        for k, v in enumerate(row)
-    )
-
-
-def inverse(rows: Sequence[Sequence[GaussRat]]) -> list[list[GaussRat]] | None:
-    n = len(rows)
-    m = [[GaussRat.of(v) for v in row] + identity(n)[r] for r, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return None
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = m[r][col]
-            if not f:
-                continue
-            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:

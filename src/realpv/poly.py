@@ -557,6 +557,9 @@ MAX_POWER_TERMS = 256
 # a `^` (refused before it is computed) or the result.  No check builds a str.
 MAX_INT_DIGITS = 1000
 _INT_BOUND = 10**MAX_INT_DIGITS
+# The deepest nesting of parentheses in an expression.  The parser recurses
+# four frames per level, far below the interpreter's recursion limit.
+MAX_NESTING = 100
 # The most characters of the input that a parse error echoes: a longer
 # input is echoed as a window of this many around the column.
 ECHO_CHARS = 60
@@ -566,6 +569,7 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg: str):
         text = self.text
@@ -691,11 +695,15 @@ def _parse_atom(tk: _Tokens, ctx: Context) -> _Frac:
     ch = tk.peek()
     one = Poly.const(ctx, 1)
     if ch == "(":
+        if tk.depth == MAX_NESTING:
+            tk.error(f"parentheses nest more than {MAX_NESTING} deep")
         tk.pos += 1
+        tk.depth += 1
         inner = _parse_expr(tk, ctx)
         if tk.peek() != ")":
             tk.error("expected ')'")
         tk.pos += 1
+        tk.depth -= 1
         return inner
     if ch.isdigit():
         return _Frac(Poly.const(ctx, tk.take_int()), one)

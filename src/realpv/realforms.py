@@ -18,21 +18,23 @@ own presentation.  For the groups arising here the classes are exact:
 
 Non-isomorphism of the twisted fields is certified by explicit
 obstructions (a sum of squares equal to -1, or a constant gamma with
-gamma^2 = -1 that an isomorphism would force).  `twist_report` holds all
-of it, for the `twist` command and both real-form demos.
+gamma^2 = -1 that an isomorphism would force).  `twist` returns the
+twisted tower and solutions with a report that holds all of it;
+`twist_report` puts the cocycle check in front, for the `twist` command
+and both real-form demos.  Cocycles are plain matrices: `h1_enumerate`
+lists each class as a label and a representative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .errors import Unsupported, WitnessNotFound
 from .galois import MatrixGroup, defining_equations, matrix_from_texts
-from .gauss import GaussRat, is_square, rational_sqrt
-from .linsolve import adjugate, inverse, mat_conj, mat_mul
-from .linsolve import identity as mat_identity
+from .gauss import I, ONE, ZERO, GaussRat, is_square, rational_sqrt
+from .linsolve import adjugate, identity, mat_conj, mat_mul
 from .poly import Context, Monomial, Poly
 from .pv import LinearODE, PVExtension, build_pv
 from .report import Report
@@ -40,7 +42,6 @@ from .rewrite import buchberger
 from .tower import DiffTower, FieldElement, GeneratorSpec
 
 __all__ = [
-    "Cocycle",
     "cocycle_check",
     "TwistResult",
     "twist",
@@ -53,23 +54,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    matrix: tuple[tuple[GaussRat, ...], ...]
-    label: str
-
-    def render(self) -> list[list[str]]:
-        return [[str(v) for v in row] for row in self.matrix]
-
-
 def _as_matrix(rows) -> tuple[tuple[GaussRat, ...], ...]:
     return tuple(tuple(GaussRat.of(v) for v in row) for row in rows)
+
+
+def _render(a) -> str:
+    return str([[str(v) for v in row] for row in a])
 
 
 def cocycle_check(group: MatrixGroup, rows) -> bool:
     """A * conj(A) = I inside the group's zero set."""
     a = _as_matrix(rows)
-    return group.is_member(a) and mat_mul(a, mat_conj(a)) == mat_identity(group.size)
+    return group.is_member(a) and mat_mul(a, mat_conj(a)) == identity(group.size)
 
 
 # -- twisting --------------------------------------------------------------------------
@@ -77,15 +73,11 @@ def cocycle_check(group: MatrixGroup, rows) -> bool:
 
 @dataclass
 class TwistResult:
-    cocycle: Cocycle
     tower: DiffTower
     solutions: tuple[FieldElement, ...]
-    note: str
-    isomorphic_to_original: bool | None
-    report: Report = field(default_factory=Report)
+    report: Report
 
 
-_ZERO, _ONE, _I = GaussRat.of(0), GaussRat.of(1), GaussRat(Fraction(0), Fraction(1))
 # one name for each twisted generator x~ = x / i, whatever the tower
 _TWISTED_NAME = {"g": "h", "c": "v", "s": "u"}
 
@@ -100,50 +92,50 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
     slot j and presented by the derivatives and relations re-read at
     x = b_j * x~.
 
-    If no relation changes, the twist is the original extension, and the
-    report checks that B lies in the group.  A changed relation means a
-    nontrivial class within the fragment: only RADICAL and CIRCLE carry
-    relations; in mu_q, -1 = b / conj(b) for some b in mu_q(C) exactly when
-    4 divides q, and then b = i leaves g^q unchanged; for SO2,
-    `h1_enumerate` certifies the -I class.  Then the relations are negated,
-    so g^2 = f becomes h^2 = -f, and the generators renamed by
-    `_TWISTED_NAME`.  Complex and non-diagonal cocycles, a sign on a
-    generator outside the solution slots and data that re-read as not real
-    raise Unsupported.
+    If no relation changes, the twist is the original extension (the
+    result's tower is `pv.extension`), and the report checks that B lies
+    in the group.  A changed relation means a nontrivial class within the
+    fragment: only RADICAL and CIRCLE carry relations; in mu_q,
+    -1 = b / conj(b) for some b in mu_q(C) exactly when 4 divides q, and
+    then b = i leaves g^q unchanged; for SO2, `h1_enumerate` certifies the
+    -I class.  Then the relations are negated, so g^2 = f becomes
+    h^2 = -f, and the generators renamed by `_TWISTED_NAME`; the report
+    goes on with a sum of squares equal to -1 in the twisted field when a
+    relation gives one, and `radical_pair_report` on RADICAL.  The
+    report's data holds the twisted solutions.  Non-cocycles, complex and
+    non-diagonal cocycles, a sign on a generator outside the solution
+    slots and data that re-read as not real raise Unsupported.
     """
     a = _as_matrix(rows)
     if not cocycle_check(group, a):
         raise Unsupported("matrix is not a cocycle of this group")
     signs = [a[j][j] for j in range(len(a))]
-    if a != _diagonal(signs) or any(v not in (_ONE, -_ONE) for v in signs):
-        raise Unsupported(
-            f"descent needs a real cocycle diag(+-1), not {Cocycle(a, '?').render()}"
-        )
-    b = [_I if v == -_ONE else _ONE for v in signs]
-    if _I in b and None in group.slots.values():
+    if a != _diagonal(signs) or any(v not in (ONE, -ONE) for v in signs):
+        raise Unsupported(f"descent needs a real cocycle diag(+-1), not {_render(a)}")
+    b = [I if v == -ONE else ONE for v in signs]
+    if I in b and None in group.slots.values():
         raise Unsupported("descent needs each generator in a solution slot")
-    negated = [x for x, j in group.slots.items() if j is not None and b[j] == _I]
+    negated = [x for x, j in group.slots.items() if j is not None and b[j] == I]
     ext, ode = pv.extension, pv.ode
     relations = [s.relation for s in ext.specs if s.relation is not None]
-    label = f"diag({', '.join(map(str, signs))})"
+    report = Report("twist")
+    report.info("cocycle", _render(a))
     if all(_reread(negated, ext.context, {}, r) == r for r in relations):
         split = f"B = diag({', '.join(map(str, b))})"
-        res = TwistResult(
-            Cocycle(a, f"{label} (coboundary of {split})"),
-            ext,
-            pv.solutions,
-            f"{split} splits the cocycle, twisted form isomorphic to the original",
-            True,
+        report.info(
+            "twist", f"{split} splits the cocycle, twisted form isomorphic to the original"
         )
-        res.report.add(
+        report.add(
             "twisted solutions solve the equation",
             all(ode.apply(y).is_zero() for y in pv.solutions),
             "unchanged",
         )
-        res.report.add(
+        report.add(
             "B lies in the group and B * conj(B)^-1 = A", _splits(group, b, a), split
         )
-        return res
+        report.info("real form", "isomorphic to the original extension")
+        report.data["twisted_solutions"] = [str(x) for x in pv.solutions]
+        return TwistResult(ext, pv.solutions, report)
 
     rename = {x: _TWISTED_NAME.get(x, x) for x in ext.generator_names()}
     ctx = Context([rename.get(v, v) for v in ext.context.variables])
@@ -152,9 +144,9 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
         GeneratorSpec(
             rename[s.name],
             s.kind,
-            reread(s.deriv_num, -_I if s.name in negated else _ONE),
+            reread(s.deriv_num, -I if s.name in negated else ONE),
             reread(s.deriv_den),
-            None if s.relation is None else reread(s.relation, -_ONE),
+            None if s.relation is None else reread(s.relation, -ONE),
         )
         for s in ext.specs
     ]
@@ -163,15 +155,9 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
         tower.elem(reread(y.num, b[j].inverse()), reread(y.den))
         for j, y in enumerate(map(ext.lift, pv.solutions))
     )
-    res = TwistResult(
-        Cocycle(a, label),
-        tower,
-        sols,
-        "fixed field of A o conj, generated by "
-        + ", ".join(f"{rename[x]} = {x}/i" for x in negated),
-        False,
-    )
-    res.report.add(
+    generated = ", ".join(f"{rename[x]} = {x}/i" for x in negated)
+    report.info("twist", f"fixed field of A o conj, generated by {generated}")
+    report.add(
         "twisted solutions solve the equation",
         all(ode.apply(y).is_zero() for y in sols),
         f"{ode.describe()} at " + ", ".join(str(y) for y in sols),
@@ -180,22 +166,38 @@ def twist(pv: PVExtension, group: MatrixGroup, rows) -> TwistResult:
     # must respect the original relations
     at = {x: sols[j].scale(b[j]) for x, j in group.slots.items()}
     subst = ", ".join(f"{x} = i*{rename[x]}" for x in negated)
-    res.report.add(
+    report.add(
         "original relations at b*x~ are the twisted relations with the opposite sign",
         all(tower.eval_poly(r, at).is_zero() for r in relations),
         "; ".join(f"{r} at {subst} is {reread(r)}" for r in relations),
     )
-    return res
+    report.info("real form", "a genuinely different real form")
+    try:
+        wit = non_reality_witness(tower)
+    except WitnessNotFound as e:
+        report.info("non-reality witness", f"none found: {e}")
+    else:
+        squares = sum((x * x for x in wit), tower.zero())
+        report.add(
+            "twisted field is not formally real",
+            squares == tower.const(-1),
+            " , ".join(str(x) for x in wit) + f"  squares sum to {squares}",
+        )
+    if pv.eq_class == "RADICAL":
+        (x,) = negated
+        report.extend(radical_pair_report(pv, tower.var(rename[x])))
+    report.data["twisted_solutions"] = [str(x) for x in sols]
+    return TwistResult(tower, sols, report)
 
 
-def _reread(negated, ctx: Context, rename, p: Poly, factor=_ONE) -> Poly:
+def _reread(negated, ctx: Context, rename, p: Poly, factor=ONE) -> Poly:
     """factor * p at x = i * x~ for each variable x in `negated`, read in
     ctx, where x~ is named rename[x] and every other variable keeps its
     name.  A result that is not real raises Unsupported."""
 
     def value(v: str) -> Poly:
         x = Poly.variable(ctx, rename.get(v, v))
-        return x.scale(_I) if v in negated else x
+        return x.scale(I) if v in negated else x
 
     out = p.substitute(value, lambda c: Poly.const(ctx, c)).scale(factor)
     if not out.real_imag()[1].is_zero():
@@ -206,15 +208,15 @@ def _reread(negated, ctx: Context, rename, p: Poly, factor=_ONE) -> Poly:
 def _diagonal(entries) -> tuple[tuple[GaussRat, ...], ...]:
     n = len(entries)
     return tuple(
-        tuple(v if i == j else _ZERO for j in range(n)) for i, v in enumerate(entries)
+        tuple(v if i == j else ZERO for j in range(n)) for i, v in enumerate(entries)
     )
 
 
 def _splits(group: MatrixGroup, b, a) -> bool:
-    """Whether B = diag(b) lies in the group and B * conj(B)^-1 = A."""
-    bm = _diagonal(b)
-    inv = inverse(mat_conj(bm))
-    return group.is_member(bm) and mat_mul(bm, inv) == [list(r) for r in a]
+    """Whether B = diag(b) lies in the group and B * conj(B)^-1, which is
+    diag(b_j / conj(b_j)), equals A."""
+    quotient = _diagonal([x / x.conj() for x in b])
+    return group.is_member(_diagonal(b)) and quotient == _as_matrix(a)
 
 
 # -- non-reality witnesses ----------------------------------------------------------------
@@ -274,7 +276,7 @@ def _so2_coboundaries_avoid_minus_identity() -> bool:
     ctx = Context(["d", "c", "b", "a"])
     a, b, c, d = (Poly.variable(ctx, v) for v in "abcd")
     one = Poly.const(ctx, 1)
-    i = Poly.const(ctx, GaussRat(Fraction(0), Fraction(1)))
+    i = Poly.const(ctx, I)
     p, q = a + i * b, c + i * d
     system = buchberger((p * p + q * q - one).real_imag(), ctx)
     rot = [[p, -q], [q, p]]
@@ -293,25 +295,22 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> Report:
     nontrivial classes are not coboundaries.  The report opens with the
     class labels, which its data holds under "classes".
     """
-    one, zero = GaussRat.of(1), GaussRat.of(0)
     if kind == "GL1":
-        classes = (Cocycle(((one,),), "1"),)
+        classes = (("1", [[ONE]]),)
         coboundaries = (
             "-1 is a coboundary (B = i), single class",
-            _splits(group, [_I], [[-one]]),
+            _splits(group, [I], [[-ONE]]),
             "B * conj(B)^-1 = -1 at B = i",
         )
     elif kind == "MU_2":
-        classes = (Cocycle(((one,),), "1"), Cocycle(((-one,),), "-1"))
+        classes = (("1", [[ONE]]), ("-1", [[-ONE]]))
         coboundaries = (
             "coboundaries over the order-2 group are trivial",
-            all(_splits(group, [b], [[one]]) for b in (one, -one)),
+            all(_splits(group, [b], [[ONE]]) for b in (ONE, -ONE)),
             "conjugation fixes both elements, so B * conj(B)^-1 = 1",
         )
     elif kind == "SO2":
-        eye = ((one, zero), (zero, one))
-        neg = ((-one, zero), (zero, -one))
-        classes = (Cocycle(eye, "I"), Cocycle(neg, "-I"))
+        classes = (("I", _diagonal([ONE, ONE])), ("-I", _diagonal([-ONE, -ONE])))
         coboundaries = (
             "coboundaries have a sum of real squares as eigenvalue on (1, -i), "
             "-I has -1",
@@ -322,20 +321,22 @@ def h1_enumerate(group: MatrixGroup, kind: str) -> Report:
     else:
         raise Unsupported(f"no class list for {kind!r}")
 
-    labels = [c.label for c in classes]
+    labels = [label for label, _ in classes]
     report = Report(f"first cohomology of {kind}", data={"classes": labels})
     report.info("classes", ", ".join(labels))
     report.add(*coboundaries)
-    for c in classes:
-        report.add(f"{c.label} is a cocycle", cocycle_check(group, c.matrix))
+    for label, matrix in classes:
+        report.add(f"{label} is a cocycle", cocycle_check(group, matrix))
     return report
 
 
 # -- the two square-root fields are not isomorphic -------------------------------------------
 
 
-def radical_pair_report(pv: PVExtension, tw: TwistResult) -> Report:
-    """Why the q-th roots of f and -f generate non-isomorphic fields.
+def radical_pair_report(pv: PVExtension, h: FieldElement) -> Report:
+    """Why the q-th roots of f and -f generate non-isomorphic fields: the
+    generator g of the extension and the generator h of the twisted tower
+    `h.tower`.
 
     Any differential isomorphism over the base matches solution spaces of
     Y' = a Y, which are one-dimensional over the constants; comparing the
@@ -343,9 +344,9 @@ def radical_pair_report(pv: PVExtension, tw: TwistResult) -> Report:
     rational constant gamma with gamma^q = -1.  A twist changes the relation
     only for q = 2 mod 4, so q is even and no such gamma exists.
     """
-    twisted = tw.tower
-    g = pv.extension.lift(pv.solutions[0])
-    h = twisted.lift(tw.solutions[0])
+    twisted = h.tower
+    (name,) = pv.extension.generator_names()
+    g = pv.extension.var(name)
     rate_g = g.derive() / g
     rate_h = h.derive() / h
     report = Report("square roots of f and -f")
@@ -412,43 +413,18 @@ def _solution_span(tower: DiffTower, rate: FieldElement) -> list[FieldElement]:
     return sols
 
 
-
 # -- reports ---------------------------------------------------------------------------------
 
 
 def twist_report(pv: PVExtension, group: MatrixGroup, rows) -> Report:
     """The twist of a certified extension by the matrix `rows`: the cocycle
-    check, the checks of `twist`, and for a genuinely different real form a
-    sum of squares equal to -1 in the twisted field when a relation gives
-    one, plus `radical_pair_report` on RADICAL.  The data holds the twisted
-    solutions."""
+    check, then for a cocycle the report of `twist`, data included."""
     rep = Report("twist")
-    is_cocycle = cocycle_check(group, rows)
-    rep.add("matrix is a cocycle", is_cocycle)
-    if not is_cocycle:
-        return rep
-    result = twist(pv, group, rows)
-    rep.info("cocycle", str(result.cocycle.render()))
-    rep.info("twist", result.note)
-    rep.extend(result.report)
-    if result.isomorphic_to_original:
-        rep.info("real form", "isomorphic to the original extension")
-    else:
-        rep.info("real form", "a genuinely different real form")
-        try:
-            wit = non_reality_witness(result.tower)
-        except WitnessNotFound as e:
-            rep.info("non-reality witness", f"none found: {e}")
-        else:
-            squares = sum((x * x for x in wit), result.tower.zero())
-            rep.add(
-                "twisted field is not formally real",
-                squares == result.tower.const(-1),
-                " , ".join(str(x) for x in wit) + f"  squares sum to {squares}",
-            )
-        if pv.eq_class == "RADICAL":
-            rep.extend(radical_pair_report(pv, result))
-    rep.data["twisted_solutions"] = [str(x) for x in result.solutions]
+    rep.add("matrix is a cocycle", cocycle_check(group, rows))
+    if rep.ok:
+        twisted = twist(pv, group, rows).report
+        rep.extend(twisted)
+        rep.data.update(twisted.data)
     return rep
 
 

@@ -147,9 +147,7 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
                 location=f"{sub_loc}.kind",
             )
         if kind == "MU_N":
-            order = _expect_int(_need(sub, "order", sub_loc), f"{sub_loc}.order")
-            if order < 1:
-                raise ScenarioError("order must be positive", location=f"{sub_loc}.order")
+            _expect_int(_need(sub, "order", sub_loc), f"{sub_loc}.order")
         elif "order" in sub:
             raise ScenarioError(
                 "order is only meaningful for MU_N", location=f"{sub_loc}.order"
@@ -162,7 +160,10 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
                 "matrices are only meaningful for FINITE_LIST",
                 location=f"{sub_loc}.matrices",
             )
-        subgroup = SUBGROUP_KINDS[kind](sub)
+        try:
+            subgroup = SUBGROUP_KINDS[kind](sub)
+        except ValueError as e:  # mu_n refuses an order out of range
+            raise ScenarioError(str(e), location=f"{sub_loc}.order") from None
 
     cocycle = None
     if "cocycle" in raw:

@@ -194,7 +194,7 @@ def test_criterion_07_radical_pair():
         assert h * h == -t_tw
         signs = [d for d in res.report.lines if "opposite sign" in d[0]]
         assert signs and signs[0][1]
-        pair = radical_pair_report(pv, res)
+        pair = radical_pair_report(pv, h)
         assert pair.ok, pair.lines
         forced = [d for d in pair.lines if "gamma^2 = -1" in d[0]]
         assert forced and all(p for _, p, _ in pair.lines)

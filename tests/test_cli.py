@@ -510,6 +510,126 @@ def test_unusable_base_var_is_usage_error(capsys, tmp_path, name, message):
     assert err == f"scenario error at scenario.base_var: {message}\n"
 
 
+def test_deeply_nested_coefficient_is_refused(capsys, tmp_path):
+    # 300 levels (606 characters) used to end in a RecursionError traceback
+    bad = tmp_path / "bad.json"
+    raw = {"equation": {"class": "EXP", "coefficients": ["(" * 300 + "-1" + ")" * 300]}}
+    bad.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "scenario error at scenario.equation.coefficients[0]: parse error at "
+        "column 101: parentheses nest more than 100 deep in '...((("
+    )
+
+
+def test_finite_list_does_not_depend_on_the_order_of_its_matrices(capsys, tmp_path):
+    # {-I, I} was refused as no polynomial description, while {I, -I} was
+    # answered
+    raw = json.loads(open(f"{SCENARIOS}/circle.json").read())
+    raw["subgroup"]["matrices"].reverse()
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "all", str(swapped))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "all", f"{SCENARIOS}/circle.json")[1]
+
+
+# Each invalid scenario with the location and the message of its refusal.
+SCENARIO_REFUSALS = {
+    "not-an-object": ([], "scenario", "scenario must be a JSON object"),
+    "missing-key": ({"equation": {"class": "EXP"}}, "scenario.equation",
+                    "missing required key 'coefficients'"),
+    "equation-not-an-object": ({"equation": ["EXP"]}, "scenario.equation",
+                               "equation must be an object"),
+    "non-string-class": ({"equation": {"class": 3, "coefficients": ["-1"]}},
+                         "scenario.equation.class", "expected a string, got int"),
+    "empty-coefficients": ({"equation": {"class": "EXP", "coefficients": []}},
+                           "scenario.equation.coefficients",
+                           "coefficients must be a nonempty list of expression strings"),
+    "non-string-coefficient": ({"equation": {"class": "EXP", "coefficients": [-1]}},
+                               "scenario.equation.coefficients[0]",
+                               "expected a string, got int"),
+    "subgroup-not-an-object": (
+        {"equation": {"class": "EXP", "coefficients": ["-1"]}, "subgroup": "MU_N"},
+        "scenario.subgroup", "subgroup must be an object"),
+    "unknown-kind": (
+        {"equation": {"class": "EXP", "coefficients": ["-1"]}, "subgroup": {"kind": "SL2"}},
+        "scenario.subgroup.kind",
+        "subgroup kind must be one of ['DIAGONAL', 'FINITE_LIST', 'FULL', 'MU_N', "
+        "'SO2', 'TRIVIAL']"),
+    "non-integer-order": (
+        {"equation": {"class": "EXP", "coefficients": ["-1"]},
+         "subgroup": {"kind": "MU_N", "order": "3"}},
+        "scenario.subgroup.order", "expected an integer, got str"),
+    "order-zero": (
+        {"equation": {"class": "EXP", "coefficients": ["-1"]},
+         "subgroup": {"kind": "MU_N", "order": 0}},
+        "scenario.subgroup.order", "root-of-unity order must be between 1 and 1000"),
+    "order-outside-mu-n": (
+        {"equation": {"class": "EXP", "coefficients": ["-1"]},
+         "subgroup": {"kind": "FULL", "order": 2}},
+        "scenario.subgroup.order", "order is only meaningful for MU_N"),
+    "matrices-outside-finite-list": (
+        {"equation": {"class": "EXP", "coefficients": ["-1"]},
+         "subgroup": {"kind": "FULL", "matrices": [[["1"]]]}},
+        "scenario.subgroup.matrices", "matrices are only meaningful for FINITE_LIST"),
+    "empty-matrix-list": (
+        {"equation": {"class": "EXP", "coefficients": ["-1"]},
+         "subgroup": {"kind": "FINITE_LIST", "matrices": []}},
+        "scenario.subgroup.matrices", "expected a nonempty list of matrices"),
+    "empty-matrix": (
+        {"equation": {"class": "EXP", "coefficients": ["-1"]}, "cocycle": []},
+        "scenario.cocycle", "expected a nonempty list of rows"),
+    "bad-row": (
+        {"equation": {"class": "EXP", "coefficients": ["-1"]}, "cocycle": ["-1"]},
+        "scenario.cocycle[0]", "row must be a nonempty list"),
+    "non-square": (
+        {"equation": {"class": "CIRCLE", "coefficients": ["1", "0"]},
+         "cocycle": [["-1", "0"]]},
+        "scenario.cocycle", "matrix must be square"),
+}
+
+
+@pytest.mark.parametrize("raw,location,message", SCENARIO_REFUSALS.values(),
+                         ids=SCENARIO_REFUSALS.keys())
+def test_invalid_scenario_exits_2_at_its_location(capsys, tmp_path, raw, location, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "all", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"scenario error at {location}: {message}\n"
+
+
+def test_invalid_json_exits_2_at_the_path(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"equation": ')
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"scenario error at {bad}: invalid JSON: ")
+
+
+def test_twist_without_cocycle(capsys):
+    code, out, err = run(capsys, "twist", f"{SCENARIOS}/exp.json")
+    assert (code, out) == (2, "")
+    assert err == "scenario error at scenario: twist needs a cocycle entry\n"
+
+
+def test_twist_by_a_non_cocycle_prints_fail(capsys, tmp_path):
+    # 2 lies in GL1, but 2 * conj(2) is not 1
+    scn = tmp_path / "double.json"
+    scn.write_text(json.dumps({
+        "equation": {"class": "EXP", "coefficients": ["-1"]}, "cocycle": [["2"]]
+    }))
+    code, out, err = run(capsys, "twist", str(scn))
+    assert (code, err) == (1, "")
+    assert out == (
+        "twist: EXP equation with coefficients ['-1']\n"
+        "  [FAIL] matrix is a cocycle\n"
+        "result: FAILED\n"
+    )
+
+
 def test_correspond_without_subgroup(capsys, tmp_path):
     scn = tmp_path / "plain.json"
     scn.write_text(json.dumps({
@@ -545,6 +665,19 @@ def test_schema_rejects_order_outside_mu_n():
             "subgroup": {"kind": "FULL", "order": 2},
         })
     assert exc.value.location == "scenario.subgroup.order"
+
+
+@pytest.mark.parametrize("order", [1001, 5000])
+def test_schema_bounds_the_mu_n_order(order):
+    # the fixed field of MU_N(q) has a window of degree q, so a large order
+    # ran for seconds before it was refused
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict({
+            "equation": {"class": "EXP", "coefficients": ["-1"]},
+            "subgroup": {"kind": "MU_N", "order": order},
+        })
+    assert exc.value.location == "scenario.subgroup.order"
+    assert str(exc.value) == "root-of-unity order must be between 1 and 1000"
 
 
 def test_schema_defaults():

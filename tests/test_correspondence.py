@@ -14,6 +14,7 @@ from realpv import (
     FULL,
     SO2,
     TRIVIAL,
+    BadField,
     DiffTower,
     GaussRat,
     IntermediateField,
@@ -104,6 +105,23 @@ def test_descriptor_polys_shapes(circle_group, exp_group):
     assert "X11^2 - 1" in got and "X22 - X11" in got
 
 
+def test_mu_n_bounds_the_order():
+    limit = correspondence.MAX_ROOT_ORDER
+    assert mu_n(limit).order == limit
+    for q in (0, -3, limit + 1, 5000):
+        with pytest.raises(ValueError, match=f"must be between 1 and {limit}$"):
+            mu_n(q)
+
+
+def test_finite_list_is_a_set_of_matrices(circle_group):
+    # {-I, I} was refused while {I, -I} had a polynomial description
+    pm, mp = finite_list(PM_ONE), finite_list(PM_ONE[::-1])
+    assert pm == mp and hash(pm) == hash(mp)
+    assert descriptor_polys(circle_group, mp) == descriptor_polys(circle_group, pm)
+    eye = finite_list(PM_ONE[:1])
+    assert descriptor_polys(circle_group, eye) == descriptor_polys(circle_group, TRIVIAL)
+
+
 def test_descriptor_polys_rejects_odd_finite_list(circle_group):
     rot = finite_list([[["0", "-1"], ["1", "0"]]])
     # the group generated by one off-axis reflection
@@ -167,6 +185,27 @@ def test_fixed_field_of_mu3_on_exp(exp_group):
     assert F.contains(e**6)
     assert not F.contains(e)
     assert not F.contains(e * e)
+
+
+def test_fixed_field_refuses_a_generator_that_is_not_fixed(exp_group, monkeypatch):
+    # an invariance condition that does not reduce to zero modulo MU_N(3)
+    monkeypatch.setattr(
+        correspondence,
+        "invariance_conditions",
+        lambda sub, g: [parse_poly("1", sub.context)],
+    )
+    with pytest.raises(BadField, match=r"^e\^3 is not fixed by MU_N\(3\) \(symbolic check\)$"):
+        fixed_field(exp_group, mu_n(3))
+
+
+def test_fixed_field_refuses_a_field_not_closed_under_the_derivation(
+    exp_group, monkeypatch
+):
+    # K(e^3) is built without a membership query; a membership test that
+    # finds nothing leaves (e^3)' = 3*e^3 outside it
+    monkeypatch.setattr(correspondence, "member_of_field", lambda *args: False)
+    with pytest.raises(BadField, match=r"^derivative of e\^3 escapes the candidate field$"):
+        fixed_field(exp_group, mu_n(3))
 
 
 def test_fixed_field_of_full_on_exp(exp_group):
@@ -679,6 +718,15 @@ def test_weak_normality_q2_control(weak_normality):
         "X^2 - 1 has 2 roots over the complexified constants",
         "[PASS] a real member moves e",
     ]
+
+
+def test_weak_normality_pv_line_fails_when_the_power_solves_another_equation(base):
+    # over e' = 2e the power e^3 solves Y' = 6Y, not the Y' = 3Y of q = 3
+    pv = build_pv(base, LinearODE.from_texts(base, ["-2"]), "EXP")
+    rep, _, _ = correspondence._weak_normality(defining_equations(pv), 3)
+    line = rep.lines[0]
+    assert line.name == "intermediate field K(e^3) is PV over K"
+    assert line.status == "FAIL"
 
 
 def test_weak_normality_member_lines_read_the_subgroup_ideal(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from realpv import (
     Context, DiffTower, GaussRat, Monomial, Poly, buchberger, parse_fraction, parse_poly,
 )
+from realpv import poly
 from realpv.errors import ContextError
 from realpv.poly import mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul
 
@@ -304,6 +305,21 @@ def test_parse_bounds_the_digits_of_integers(ctx):
     for text in ("3^1500*3^1500", "(1/3)^-2000 * 3^100", f"{big}*{big}"):
         with pytest.raises(ValueError, match="the expression has an integer of more than 1000"):
             parse_fraction(text, ctx)
+
+
+def test_parse_bounds_the_nesting_of_parentheses(ctx):
+    # 300 levels once ended in a RecursionError; the limit parses, and one
+    # more level is refused at the column of its opening parenthesis
+    limit = poly.MAX_NESTING
+    t = Poly.variable(ctx, "t")
+    assert parse_poly("(" * limit + "t" + ")" * limit, ctx) == t
+    for depth in (limit + 1, 300, 5000):
+        with pytest.raises(ValueError, match=(
+            f"column {limit + 1}: parentheses nest more than {limit} deep"
+        )):
+            parse_fraction("(" * depth + "t" + ")" * depth, ctx)
+    # the depth counts the parentheses that are open, not all of them
+    assert parse_poly("+".join(["((t))"] * 300), ctx) == t.scale(GaussRat.of(300))
 
 
 def test_parse_error_echoes_a_window_of_a_long_input(ctx):

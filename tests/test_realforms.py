@@ -23,7 +23,7 @@ from realpv import (
     radical_pair_report,
     twist,
 )
-from realpv.linsolve import is_scalar_matrix
+from realpv.linsolve import identity
 from realpv.poly import Context, Poly, parse_poly
 from realpv.realforms import _reread
 
@@ -74,19 +74,29 @@ def test_cocycle_check_gl1(exp_group):
 # -- twists -----------------------------------------------------------------------
 
 
+def _lines(res, status=None):
+    """The report lines of a twist, rendered, optionally of one status."""
+    return [l.render() for l in res.report.lines if status in (None, l.status)]
+
+
+def _verdicts(res):
+    """{name: status} of the PASS/FAIL lines of a twist's report."""
+    return {l.name: l.status for l in res.report.lines if l.passed is not None}
+
+
 def test_identity_twist_is_unchanged(circle_pv, circle_group):
     res = twist(circle_pv, circle_group, matrix_from_texts(ID2))
-    assert res.isomorphic_to_original
     assert res.tower is circle_pv.extension
     assert res.report.ok
+    assert "[INFO] real form: isomorphic to the original extension" in _lines(res)
+    assert res.report.data == {"twisted_solutions": ["s", "c"]}
 
 
 def test_identity_twist_checks_the_solutions(circle_pv, circle_group):
     s, c = circle_pv.solutions
     wrong = replace(circle_pv, solutions=(s * s, c))
     res = twist(wrong, circle_group, matrix_from_texts(ID2))
-    status = {line.name: line.status for line in res.report.lines}
-    assert status == {
+    assert _verdicts(res) == {
         "twisted solutions solve the equation": "FAIL",
         "B lies in the group and B * conj(B)^-1 = A": "PASS",
     }
@@ -94,15 +104,21 @@ def test_identity_twist_checks_the_solutions(circle_pv, circle_group):
 
 def test_exp_minus_one_twist_splits(exp_pv, exp_group):
     res = twist(exp_pv, exp_group, [[GaussRat.of(-1)]])
-    assert res.isomorphic_to_original
+    assert res.tower is exp_pv.extension
     assert res.report.ok
-    assert "coboundary" in res.cocycle.label
+    assert _lines(res, "INFO")[:2] == [
+        "[INFO] cocycle: [['-1']]",
+        "[INFO] twist: B = diag(i) splits the cocycle, twisted form isomorphic to "
+        "the original",
+    ]
 
 
 def test_circle_minus_identity_twist(circle_pv, circle_group):
     res = twist(circle_pv, circle_group, matrix_from_texts(NEG2))
-    assert res.isomorphic_to_original is False
+    assert res.tower is not circle_pv.extension
     assert res.report.ok
+    assert "[INFO] real form: a genuinely different real form" in _lines(res)
+    assert _verdicts(res)["twisted field is not formally real"] == "PASS"
     v, u = res.tower.var("v"), res.tower.var("u")
     assert u * u + v * v == res.tower.const(-1)
     # twisted pair rotates with the same speed
@@ -175,8 +191,9 @@ def test_witness_outcomes_on_the_shipped_towers(base, circle_pv, circle_group, s
 
 def test_sqrt_minus_one_twist(sqrt_pv, sqrt_group):
     res = twist(sqrt_pv, sqrt_group, [[GaussRat.of(-1)]])
-    assert res.isomorphic_to_original is False
+    assert res.tower is not sqrt_pv.extension
     assert res.report.ok
+    assert res.report.data == {"twisted_solutions": ["h"]}
     h = res.tower.var("h")
     t = res.tower.var("t")
     assert h * h == -t
@@ -203,7 +220,7 @@ def _recipe_twist(pv, rows, f_text=None):
     """The twisted tower and solutions from the per-class recipes that the
     descent replaced: identity, EXP with -1, RADICAL g^2 = f with -1 (f given
     as `f_text`) and CIRCLE with -I."""
-    if is_scalar_matrix(matrix_from_texts(rows), 1) or pv.eq_class == "EXP":
+    if matrix_from_texts(rows) == identity(len(rows)) or pv.eq_class == "EXP":
         return pv.extension, pv.solutions
     base, ode = pv.base, pv.ode
     if pv.eq_class == "RADICAL":
@@ -259,24 +276,25 @@ def test_descent_reproduces_the_recipes(base, case):
     assert res.report.ok, res.report.lines
     assert res.tower.signature() == tower.signature()
     assert [str(y) for y in res.solutions] == [str(y) for y in sols]
-    assert res.isomorphic_to_original == (tower is pv.extension)
+    assert (res.tower is pv.extension) == (tower is pv.extension)
+    isomorphic = "[INFO] real form: isomorphic to the original extension"
+    assert (isomorphic in _lines(res)) == (tower is pv.extension)
 
 
 def test_fourth_root_minus_one_twist_is_a_coboundary(base):
     # g^4 = t: B = i lies in mu_4 and i / conj(i) = -1
     pv = _radical_pv(base, "t", Fraction(1, 4))
     res = twist(pv, defining_equations(pv), [[GaussRat.of(-1)]])
-    assert res.isomorphic_to_original
     assert res.tower is pv.extension
     assert res.report.ok
-    assert "B = diag(i)" in res.cocycle.label
+    assert _lines(res, "INFO")[1].startswith("[INFO] twist: B = diag(i) splits")
 
 
 def test_root_of_t_cubed_minus_one_twist(base):
     # g^2 = t^3 twists to h^2 = -t^3
     pv = _radical_pv(base, "t", Fraction(3, 2))
     res = twist(pv, defining_equations(pv), [[GaussRat.of(-1)]])
-    assert res.isomorphic_to_original is False
+    assert res.tower is not pv.extension
     assert res.report.ok
     h, t = res.tower.var("h"), res.tower.var("t")
     assert h * h == -(t ** 3)
@@ -297,10 +315,6 @@ def test_twist_refuses_a_complex_cocycle(exp_pv, exp_group):
         twist(exp_pv, exp_group, a)
 
 
-def _status(res):
-    return {line.name: line.status for line in res.report.lines}
-
-
 def test_coboundary_line_fails_outside_the_group(base):
     # the same g^4 = t, with the group cut down to mu_2, which holds -1 but
     # not i
@@ -309,7 +323,7 @@ def test_coboundary_line_fails_outside_the_group(base):
     ctx = group.context
     mu2 = group.extended([Poly.variable(ctx, "X11", 2) - Poly.const(ctx, 1)])
     res = twist(pv, mu2, [[GaussRat.of(-1)]])
-    assert _status(res)["B lies in the group and B * conj(B)^-1 = A"] == "FAIL"
+    assert _verdicts(res)["B lies in the group and B * conj(B)^-1 = A"] == "FAIL"
     gl1 = h1_enumerate(mu2, "GL1")
     assert gl1.lines[1].render().startswith("[FAIL] -1 is a coboundary")
 
@@ -317,14 +331,16 @@ def test_coboundary_line_fails_outside_the_group(base):
 def test_descended_solutions_line_fails_for_another_equation(base, circle_pv, circle_group):
     other = LinearODE.from_texts(base, ["9", "0"])
     res = twist(replace(circle_pv, ode=other), circle_group, matrix_from_texts(NEG2))
-    assert _status(res)["twisted solutions solve the equation"] == "FAIL"
+    assert _verdicts(res)["twisted solutions solve the equation"] == "FAIL"
 
 
 def test_relations_line_fails_for_a_wrong_solution(sqrt_pv, sqrt_group):
     g, t = sqrt_pv.extension.var("g"), sqrt_pv.extension.var("t")
     res = twist(replace(sqrt_pv, solutions=(g * t,)), sqrt_group, [[GaussRat.of(-1)]])
     name = "original relations at b*x~ are the twisted relations with the opposite sign"
-    assert _status(res)[name] == "FAIL"
+    assert _verdicts(res)[name] == "FAIL"
+    # the radical pair lines read the generators g and h, not the solution
+    assert _verdicts(res)["both generators solve the same first-order equation"] == "PASS"
 
 
 # -- radical pair ------------------------------------------------------------------
@@ -332,16 +348,18 @@ def test_relations_line_fails_for_a_wrong_solution(sqrt_pv, sqrt_group):
 
 def test_radical_pair_not_isomorphic(sqrt_pv, sqrt_group):
     res = twist(sqrt_pv, sqrt_group, [[GaussRat.of(-1)]])
-    rep = radical_pair_report(sqrt_pv, res)
+    rep = radical_pair_report(sqrt_pv, res.tower.var("h"))
     assert rep.ok
     names = [n for n, _, _ in rep.lines]
     assert "matching generators forces gamma^2 = -1 over the rational constants" in names
+    # the twist's own report ends with the same lines
+    assert res.report.lines[-len(rep.lines):] == rep.lines
 
 
 def test_radical_pair_lines_fail_for_the_trivial_twist(sqrt_pv, sqrt_group):
     # twisting by 1 keeps g, so g^2 / h^2 = 1 and no contradiction is forced
     res = twist(sqrt_pv, sqrt_group, [[GaussRat.of(1)]])
-    rep = radical_pair_report(sqrt_pv, res)
+    rep = radical_pair_report(sqrt_pv, res.tower.var("g"))
     failed = [line.name for line in rep.failures()]
     assert failed == [
         "matching generators forces gamma^2 = -1 over the rational constants",
