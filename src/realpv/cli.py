@@ -30,7 +30,7 @@ from functools import cache, cached_property
 from .correspondence import check_correspondence, normality_check, weak_normality_demo
 from .errors import AlgebraError, NotPV, ScenarioError
 from .galois import defining_equations
-from .pv import DEFAULT_SCAN_BOUNDS, LinearODE, build_pv
+from .pv import DEFAULT_SCAN_BOUNDS, MAX_SCAN_BOUNDS, LinearODE, build_pv
 from .realforms import radical_forms_demo, so2_forms_demo, twist_report
 from .report import Report
 from .scenario import Scenario, load_scenario
@@ -169,11 +169,14 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 def _scan_bounds(args) -> tuple[int, int]:
     """The command-line scan bounds; out-of-range ones are refused."""
-    if args.scan_degree < 1:
-        raise ScenarioError("scan bounds out of range", location="--scan-degree")
-    if args.scan_coeff_degree < 0:
-        raise ScenarioError("scan bounds out of range", location="--scan-coeff-degree")
-    return args.scan_degree, args.scan_coeff_degree
+    bounds = args.scan_degree, args.scan_coeff_degree
+    flags = ("--scan-degree", "--scan-coeff-degree")
+    for flag, value, low, high in zip(flags, bounds, (1, 0), MAX_SCAN_BOUNDS):
+        if value < low:
+            raise ScenarioError("scan bounds out of range", location=flag)
+        if value > high:
+            raise ScenarioError(f"scan bound above the limit of {high}", location=flag)
+    return bounds
 
 
 @cache

@@ -18,8 +18,9 @@ product, quotient and divisibility test (`mono_mul`, `mono_div`,
 
 Only this module knows the layout.  Other modules go through the key
 functions and through `Context`, which packs a context-free `Monomial` into
-a key, unpacks a key, renders it, and re-reads keys between contexts
-(`Context.reader`, used by `Poly.in_context`).  Mixing polynomials from
+a key, unpacks a key, renders it, re-reads keys between contexts
+(`Context.reader`, used by `Poly.in_context`) and multiplies keys by a
+power of one variable (`Context.shifter`).  Mixing polynomials from
 different contexts raises `ContextError`.
 
 Validation happens only at the public constructors: `Poly(ctx, terms)`
@@ -58,6 +59,8 @@ __all__ = [
     "mono_gcd",
     "parse_poly",
     "parse_fraction",
+    "power_overrun",
+    "too_many_digits",
 ]
 
 Key = tuple  # (degree, e_top, ..., e_bottom) in one context
@@ -200,6 +203,21 @@ class Context:
             return tuple(map((m + (0,)).__getitem__, take))
 
         return read
+
+    def shifter(self, name: str) -> Callable[[Key, int], Key]:
+        """A function that multiplies a key by name^s: shift(m, s) is the
+        key of m * name^s.  A variable outside the context raises
+        ContextError."""
+        self.rank(name)
+        i = self._slot[name]
+
+        def shift(m: Key, s: int) -> Key:
+            k = list(m)
+            k[0] += s
+            k[i] += s
+            return tuple(k)
+
+        return shift
 
 
 def mono_mul(a: Key, b: Key) -> Key:
@@ -565,6 +583,32 @@ MAX_NESTING = 100
 ECHO_CHARS = 60
 
 
+def power_overrun(polys: Iterable[Poly], n: int) -> str | None:
+    """Why the n-th powers of `polys` would be over the budgets of `^`, or
+    None; decided before any power is computed.
+
+    A polynomial with k terms has at most C(n + k - 1, k - 1) terms in its
+    n-th power, and MAX_POWER_TERMS is the most allowed.  p^n leads with c^n
+    for the leading coefficient c of p, and (c^n).max_int() has at least
+    (n * c.height_bits() - 1) / 2 bits, which must stay within
+    MAX_INT_DIGITS digits.
+    """
+    polys = [p for p in polys if not p.is_zero()]
+    k = max((len(p.by_key) for p in polys), default=0)
+    if k > 1 and comb(n + k - 1, k - 1) > MAX_POWER_TERMS:
+        return f"the power expands to more than {MAX_POWER_TERMS} terms"
+    height = max((p.leading_coefficient().height_bits() for p in polys), default=0)
+    if n * height > 2 * _INT_BOUND.bit_length():
+        return f"the power has an integer of more than {MAX_INT_DIGITS} digits"
+    return None
+
+
+def too_many_digits(polys: Iterable[Poly]) -> bool:
+    """Whether a coefficient of `polys` has an integer of more than
+    MAX_INT_DIGITS digits."""
+    return any(c.max_int() >= _INT_BOUND for p in polys for c in p.by_key.values())
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
@@ -629,12 +673,6 @@ class _Frac:
             raise DivisionByZero("division by zero in expression")
         return _Frac(self.num * o.den, self.den * o.num)
 
-    def power_terms(self, n: int) -> int:
-        """A bound on the number of terms of num^n and den^n: a polynomial
-        with k terms has at most C(n + k - 1, k - 1) in its n-th power."""
-        k = max(len(self.num.by_key), len(self.den.by_key))
-        return comb(n + k - 1, k - 1) if k > 1 else 1
-
     def __pow__(self, n: int) -> "_Frac":
         if n >= 0:
             return _Frac(self.num**n, self.den**n)
@@ -678,15 +716,10 @@ def _parse_factor(tk: _Tokens, ctx: Context) -> _Frac:
             neg = True
             tk.pos += 1
         exp = tk.take_int()
-        if value.power_terms(exp) > MAX_POWER_TERMS:
+        why = power_overrun((value.num, value.den), exp)
+        if why:
             tk.pos = caret
-            tk.error(f"the power expands to more than {MAX_POWER_TERMS} terms")
-        # p^n leads with c^n for the leading coefficient c of p, and
-        # (c^n).max_int() has at least (n * c.height_bits() - 1) / 2 bits
-        lead = [p.leading_coefficient() for p in (value.num, value.den) if not p.is_zero()]
-        if exp * max(c.height_bits() for c in lead) > 2 * _INT_BOUND.bit_length():
-            tk.pos = caret
-            tk.error(f"the power has an integer of more than {MAX_INT_DIGITS} digits")
+            tk.error(why)
         value = value ** (-exp if neg else exp)
     return -value if sign < 0 else value
 
@@ -726,8 +759,7 @@ def parse_fraction(text: str, ctx: Context) -> tuple[Poly, Poly]:
     value = _parse_expr(tk, ctx)
     if tk.peek() != "":
         tk.error("trailing input")
-    coeffs = [*value.num.by_key.values(), *value.den.by_key.values()]
-    if any(c.max_int() >= _INT_BOUND for c in coeffs):
+    if too_many_digits((value.num, value.den)):
         tk.error(f"the expression has an integer of more than {MAX_INT_DIGITS} digits")
     return value.num, value.den
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import NotPV, UnsupportedEquation
 from .gauss import GaussRat, is_square, rational_sqrt
-from .poly import Poly
+from .poly import MAX_INT_DIGITS, Poly, power_overrun, too_many_digits
 from .report import Report
 from .tower import DiffTower, FieldElement
 from .wronskian import WrMatrix, derivatives, wronskian_det
@@ -49,6 +49,11 @@ __all__ = [
 EQUATION_CLASSES = ("EXP", "RADICAL", "CIRCLE", "CONSTCOEFF2")
 
 DEFAULT_SCAN_BOUNDS = (4, 3)
+# The largest scan bounds the command line takes.  The window has one
+# element per generator monomial and Laurent power of t, so it grows with
+# both; a cold `build` of bench/scenarios/constcoeff_complex.json at
+# (20, 20) takes under a second.
+MAX_SCAN_BOUNDS = (20, 20)
 
 
 @dataclass(frozen=True)
@@ -218,9 +223,16 @@ def _build_radical(base: DiffTower, ode: LinearODE, radical_base: FieldElement |
         raise UnsupportedEquation(
             f"radical exponent {r} not supported (need p/q with p >= 1)"
         )
+    why = power_overrun((f.num, f.den), p)
+    if not why:
+        num, den = f.num**p, f.den**p
+        if too_many_digits((num, den)):
+            why = f"the power has an integer of more than {MAX_INT_DIGITS} digits"
+    if why:
+        raise UnsupportedEquation(f"radical power f^{p} not supported: {why}")
     ctx = base.extended_context(["g"])
     gq = Poly.variable(ctx, "g", q)
-    relation = f.den.in_context(ctx) ** p * gq - f.num.in_context(ctx) ** p
+    relation = den.in_context(ctx) * gq - num.in_context(ctx)
     rate = -ode.coeffs[0]
     deriv = (rate.num.in_context(ctx) * Poly.variable(ctx, "g"), rate.den.in_context(ctx))
     ext = base.adjoin_algebraic("g", relation, deriv)

@@ -614,20 +614,25 @@ class DiffTower:
         elems = [self._window_element(m, j) for m, j in window]
         return elems, _index_of_one(window, self.context)
 
-    def _cleared_derivatives(
+    def _scan_rows(
         self, window: Sequence[tuple[tuple, int]], coeff_degree_bound: int
-    ) -> list[Poly]:
-        """For each window element b = m * t^j, the normal form of
-        D(b) * E * t^K, which vanishes exactly when D(b) does.
+    ) -> list[dict[int, GaussRat]]:
+        """The scan's linear system, one row {column: coefficient} per
+        monomial in increasing order.  Column k is the normal form of
+        D(b) * E * t^K for the window element b = window[k], which vanishes
+        exactly when D(b) does.
 
         E is the common denominator of the generators' derivatives N_v/E_v
         (`_clearing_factors`), so D(m) = M_m / E with
         M_m = sum_v e_v * (m/v) * N_v * (E/E_v) for m = prod_v v^e_v, and
         D(m * t^j) * E * t^K = t^(j-1+K) * (t * M_m + j * m * E) with
         K = coeff_degree_bound + 1, a polynomial for every j in the window.
-        Without a base variable it is M_m.  Since t^s * (x - nf(x)) lies in
-        the ideal, the polynomials of one m start from the normal forms of
-        t * M_m and m * E, computed once.
+        The normal forms T_m of t * M_m and ME_m of m * E are computed once
+        per m.  A column merges T_m + j * ME_m, itself a normal form, and
+        writes each term times t^(j-1+K) into its row.  That product stays
+        irreducible unless some rule's leading monomial has t (t^3 -> g^2
+        when g^2 = t^3); only then is the column normal-formed again.
+        Without a base variable column k is the normal form of M_m.
         """
         ctx = self.context
         nf = self.rewrite.normal_form
@@ -643,24 +648,49 @@ class DiffTower:
             return out
 
         t = self.base_var
-        if t is None:
-            return [nf(numerator(m)) for m, _ in window]
-        shift = coeff_degree_bound + 1
-        t_unit = ctx.pack(Monomial.var(t))
-        t_shift = {j: ctx.pack(Monomial.var(t, j - 1 + shift)) for j in {j for _, j in window}}
-        parts: dict[tuple, tuple[Poly, Poly]] = {}
-        out: list[Poly] = []
-        for m, j in window:
+        if t:
+            t_unit = ctx.pack(Monomial.var(t))
+            shift = ctx.shifter(t)
+            reducible = any(ctx.unpack(r.lhs).degree_in(t) for r in self.rewrite.rules)
+
+        def normal_forms(m: tuple) -> tuple[dict, dict]:
+            """The terms of T_m and ME_m; of M_m and none without t."""
+            if not t:
+                return nf(numerator(m)).by_key, {}
+            tn = nf(numerator(m).mul_monomial(t_unit))
+            return tn.by_key, nf(common.mul_monomial(m)).by_key
+
+        parts: dict[tuple, tuple[dict, dict]] = {}
+        rows: dict[tuple, dict[int, GaussRat]] = {}
+        for k, (m, j) in enumerate(window):
             got = parts.get(m)
             if got is None:
-                got = parts[m] = (
-                    nf(numerator(m).mul_monomial(t_unit)),
-                    nf(common.mul_monomial(m)),
-                )
+                got = parts[m] = normal_forms(m)
             tn, me = got
-            p = tn + me.scale(j) if j else tn
-            out.append(nf(p.mul_monomial(t_shift[j])))
-        return out
+            col = tn
+            if t:
+                s, g = j + coeff_degree_bound, GaussRat.of(j)
+                if not j:
+                    me = {}
+                col = {}
+                for key, c in tn.items():
+                    if key in me:
+                        c = c + me[key] * g
+                        if not c:
+                            continue
+                    col[shift(key, s)] = c
+                for key, c in me.items():
+                    if key not in tn:
+                        col[shift(key, s)] = c * g
+                if reducible:
+                    col = nf(Poly._build(ctx, col)).by_key
+            for key, c in col.items():
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {k: c}
+                else:
+                    row[k] = c
+        return [rows[key] for key in sorted(rows, key=ctx.key)]
 
     def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
         """Kernel of (a_k) -> sum a_k elems[k], exactly, over GaussRat."""
@@ -680,10 +710,12 @@ class DiffTower:
     ) -> list[FieldElement]:
         """New constants in the scan window, excluding the scalars.
 
-        Solves d(sum a_k b_k) = 0 exactly over the window elements b_k,
-        with one equation per monomial of the `_cleared_derivatives`.  Its
-        kernel is the canonical one that `linear_relations` gives on the
-        derivatives of the `scan_basis` elements.  Each kernel vector is
+        Solves d(sum a_k b_k) = 0 exactly over the window elements b_k.
+        `_scan_rows` writes the system in one pass, one equation per
+        monomial, from two normal forms per generator monomial and none per
+        window element; `kernel` is called on it once.  Its kernel is the
+        canonical one that `linear_relations` gives on the derivatives of
+        the `scan_basis` elements.  Each kernel vector is
         projected off the scalar direction and combined from the window
         elements it uses, which are built only then.  A combination that is
         a scalar is no new constant: the window can write 1 in more than
@@ -691,10 +723,10 @@ class DiffTower:
         that the window contains no constant outside the base constants.
         """
         window = self._window(degree_bound, coeff_degree_bound)
-        cleared = self._cleared_derivatives(window, coeff_degree_bound)
+        rows = self._scan_rows(window, coeff_degree_bound)
         trivial = _index_of_one(window, self.context)
         found: list[FieldElement] = []
-        for vec in kernel_by_monomial(self.context, cleared):
+        for vec in kernel(len(window), rows):
             used = [k for k, c in enumerate(vec) if c and k != trivial]
             x = self.combine(
                 [vec[k] for k in used], [self._window_element(*window[k]) for k in used]

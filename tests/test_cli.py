@@ -328,6 +328,30 @@ def test_complex_declared_data_is_refused(capsys, tmp_path, equation, name):
     assert err == f"error: generator {name!r} uses complex coefficients in a real tower\n"
 
 
+@pytest.mark.parametrize(
+    "coefficient, radical_base, power, why",
+    [
+        ("-10000/t", "3*t", 10000, "has an integer of more than 1000 digits"),
+        ("-256*2*t/(t^2+1)", "t^2+1", 256, "expands to more than 256 terms"),
+        ("-60/(t+10^20)", "t+10^20", 60, "has an integer of more than 1000 digits"),
+    ],
+    ids=["leading_height", "terms", "computed_digits"],
+)
+def test_radical_power_over_the_budget_is_refused(
+    capsys, tmp_path, coefficient, radical_base, power, why
+):
+    """The relation g^q = f^p stays within the budgets of `^`: the term and
+    leading-height bounds refuse f^p before it is computed, and a power with
+    a wider integer further down is refused once computed."""
+    bad = tmp_path / "radical.json"
+    bad.write_text(json.dumps({"base_var": "t", "equation": {
+        "class": "RADICAL", "coefficients": [coefficient], "radical_base": radical_base,
+    }}))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: radical power f^{power} not supported: the power {why}\n"
+
+
 def test_unsupported_equation_is_math_failure(capsys, tmp_path):
     bad = tmp_path / "irr.json"
     bad.write_text(json.dumps({
@@ -443,8 +467,12 @@ def test_malformed_expression_is_usage_error(capsys, tmp_path, raw, location):
     "flag,value,message",
     [("--scan-degree", "-1", "scan bounds out of range"),
      ("--scan-degree", "0", "scan bounds out of range"),
-     ("--scan-coeff-degree", "-1", "scan bounds out of range")],
-    ids=["scan_degree_negative", "scan_degree_zero", "scan_coeff_degree"],
+     ("--scan-coeff-degree", "-1", "scan bounds out of range"),
+     ("--scan-degree", "21", "scan bound above the limit of 20"),
+     ("--scan-coeff-degree", "21", "scan bound above the limit of 20"),
+     ("--scan-coeff-degree", "10000", "scan bound above the limit of 20")],
+    ids=["scan_degree_negative", "scan_degree_zero", "scan_coeff_degree",
+         "scan_degree_over_limit", "scan_coeff_degree_over_limit", "scan_coeff_degree_huge"],
 )
 def test_out_of_range_flag_is_usage_error(capsys, flag, value, message):
     code, out, err = run(capsys, "build", f"{SCENARIOS}/circle.json", flag, value)

@@ -67,6 +67,17 @@ def test_mul_monomial_scales_only_when_asked(ctx):
     assert p.mul_monomial(m, -3) == parse_poly("-3*s^2 - 6*s*c", ctx)
 
 
+def test_shifter_multiplies_keys_by_a_power_of_one_variable(ctx):
+    p = parse_poly("s^2*c + 3*t - 1", ctx)
+    for name in ("t", "c", "s"):
+        shift = ctx.shifter(name)
+        for s in (0, 1, 4):
+            power = ctx.pack(Monomial.var(name, s))
+            assert {shift(m, s): c for m, c in p.by_key.items()} == p.mul_monomial(power).by_key
+    with pytest.raises(ContextError):
+        ctx.shifter("x")
+
+
 def test_poly_arithmetic(ctx):
     p = parse_poly("s + c", ctx)
     q = parse_poly("s - c", ctx)

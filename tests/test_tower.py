@@ -11,6 +11,7 @@ from realpv import (
 )
 from realpv.errors import ContextError, IncompatibleDerivation
 from realpv.linsolve import kernel
+from realpv.rewrite import RewriteSystem
 from realpv.seidenberg import build_seidenberg
 from realpv.tower import linear_relations_mod
 
@@ -243,6 +244,8 @@ def scan_towers(base, circle_pv, sqrt_pv, exp_pv):
     radical_t3 = base.adjoin_algebraic("g", "g^2 - t^3", "3*g/(2*t)")
     rules = radical_t3.rewrite.rules
     assert [radical_t3.context.unpack(r.lhs) for r in rules] == [Monomial.var("t", 3)]
+    # K(g, e) with e' = -3e/(2t) over it: g*e is a new constant
+    radical_t3_exp = radical_t3.adjoin_exponential("e", radical_t3.parse("-3/(2*t)"))
     return {
         "circle": circle_pv.extension,
         "sqrt": sqrt_pv.extension,
@@ -255,6 +258,7 @@ def scan_towers(base, circle_pv, sqrt_pv, exp_pv):
             ["c", "s"], ["-2*s", "2*c"], ["s^2+c^2-1"]
         ),
         "radical_t3": radical_t3,
+        "radical_t3_exp": radical_t3_exp,
     }
 
 
@@ -268,7 +272,7 @@ SCAN_BOUNDS = [(4, 3), (6, 5)] + [(_r.randint(0, 4), _r.randint(1, 5)) for _ in 
     "name",
     [
         "circle", "sqrt", "radical_t2p1", "exp", "constcoeff", "seidenberg",
-        "seidenberg_circle", "radical_t3",
+        "seidenberg_circle", "radical_t3", "radical_t3_exp",
     ],
 )
 def test_scan_derivatives_match_derive(scan_towers, monkeypatch, name, bounds):
@@ -287,6 +291,37 @@ def test_scan_derivatives_match_derive(scan_towers, monkeypatch, name, bounds):
     monkeypatch.setattr(realpv.tower, "kernel", recording)
     tower.constant_scan(*bounds)
     assert kernels == [expected]
+
+
+@pytest.mark.parametrize("bounds", [(2, 0), (4, 3), (6, 5)], ids=str)
+def test_constant_scan_finds_the_constant_of_a_t_rule_tower(scan_towers, bounds):
+    """With the rule t^3 -> g^2, shifting a column by a power of t can make
+    it reducible; the scan still finds the new constant g*e."""
+    tower = scan_towers["radical_t3_exp"]
+    found = tower.constant_scan(*bounds)
+    assert str(found[0]) == "e*g"
+    assert all(x.derive().is_zero() and x.as_scalar() is None for x in found)
+
+
+def test_constant_scan_normal_forms_per_monomial_not_per_window_element(
+    circle, monkeypatch
+):
+    """The scan normal-forms two polynomials per generator monomial and
+    writes each window element's column from them with no normal form."""
+    calls = []
+    normal_form = RewriteSystem.normal_form
+
+    def counting(self, p):
+        calls.append(p)
+        return normal_form(self, p)
+
+    monkeypatch.setattr(RewriteSystem, "normal_form", counting)
+    assert circle.constant_scan(6, 5) == []
+    monomials = circle.irreducible_monomials(6)
+    window = len(monomials) * len(range(-5, 6))
+    # two per generator monomial, and two for the zero that the kernel
+    # vector of the scalar 1 combines to
+    assert len(calls) == 2 * len(monomials) + 2 < window
 
 
 def _pairwise_cleared_kernel(system, elems):
