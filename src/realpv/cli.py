@@ -17,7 +17,7 @@ titles the scenario reports and prints them.
 
 Exit status: 0 when every check passes, 1 when a check fails or the
 mathematics refuses (certificate failure, unsupported fragment), 2 for
-bad usage or an invalid scenario.
+bad usage, an invalid scenario or an `--out` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -155,8 +155,12 @@ def _emit(reports: list[Report], args) -> int:
     else:
         text = "\n".join(r.to_text() for r in reports)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if all(r.ok for r in reports) else 1

@@ -44,7 +44,7 @@ from .linsolve import adjugate, mat_mul
 from .poly import Context, Monomial, Poly, parse_fraction
 from .pv import PVExtension, companion_residue
 from .rewrite import RewriteSystem, Rule, buchberger
-from .tower import DiffTower, FieldElement, linear_relations_mod
+from .tower import DiffTower, FieldElement, cleared_numerators, kernel_by_monomial
 
 __all__ = [
     "MatrixGroup",
@@ -352,7 +352,7 @@ def fixed_combinations(
     for e, m in zip(elems, moved):
         if not (e.den.is_constant() and m.den.is_constant()):
             raise Unsupported(f"the action on {e} is not linear in the window")
-    return linear_relations_mod(system, moved)
+    return kernel_by_monomial(tw.context, cleared_numerators(system, moved))
 
 
 def generic_pair(

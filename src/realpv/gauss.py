@@ -149,14 +149,7 @@ class GaussRat:
     def __pow__(self, e: int) -> "GaussRat":
         if e < 0:
             return self.inverse() ** (-e)
-        out = ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, ONE)
 
     def __str__(self) -> str:
         re, im = self.re, self.im
@@ -173,6 +166,19 @@ class GaussRat:
         sign = "-" if im < 0 else "+"
         mag = ims.lstrip("-")
         return f"{re}{sign}{mag}"
+
+
+def power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply from `one`, for any type
+    whose product is `*`; the last square, which nothing reads, is skipped."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 _alloc = object.__new__

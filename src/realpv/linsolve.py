@@ -1,8 +1,9 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra: `kernel` over the Gaussian rationals, `det` over
+any exact field, Q(i) or a tower's, the other helpers over any ring.
 
-The solvers work on sparse equations (dicts mapping unknown index to
+`kernel` works on sparse equations (dicts mapping unknown index to
 coefficient) because the matrices produced by constant scans and invariant
-computations are large but very sparse.  `kernel` eliminates forward only
+computations are large but very sparse.  It eliminates forward only
 and back-substitutes once per free unknown.  Its basis is canonical: one
 vector per free unknown (a column that is no row's leftmost entry in
 echelon form), unit at that position and zero at the other free ones.
@@ -105,28 +106,29 @@ def kernel(n_cols: int, equations: Iterable[dict[int, GaussRat]]) -> list[list[G
     return basis
 
 
-def det(rows: Sequence[Sequence[GaussRat]]) -> GaussRat:
+def det(rows: Sequence[Sequence]):
+    """The determinant by the fraction-free Bareiss recurrence, over any
+    field whose elements have `is_zero`, `*`, `-` and `/`."""
     n = len(rows)
-    m = [[GaussRat.of(v) for v in row] for row in rows]
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    out = _ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return _ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            out = -out
-        out = out * m[col][col]
-        inv = m[col][col].inverse()
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if not f:
-                continue
-            for c in range(col, n):
-                m[r][c] = m[r][c] - f * m[col][c]
-    return out
+    if not n or any(len(row) != n for row in rows):
+        raise ValueError("determinant of an empty or non-square matrix")
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = rows[0][0] ** 0
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            swap = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+            if swap is None:
+                return m[k][k]
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        # Column k below the pivot is left as it is: no later step reads it.
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    out = m[n - 1][n - 1]
+    return -out if sign < 0 else out
 
 
 def identity(n: int) -> list[list[GaussRat]]:

@@ -46,7 +46,7 @@ from operator import add, le, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ContextError, DivisionByZero
-from .gauss import ONE, ZERO, GaussRat, Coeffable
+from .gauss import ONE, ZERO, GaussRat, Coeffable, power
 
 __all__ = [
     "Context",
@@ -451,14 +451,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.const(self.context, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, Poly.const(self.context, 1))
 
     def monic(self) -> "Poly":
         if self.is_zero():

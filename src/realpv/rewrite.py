@@ -1,16 +1,16 @@
 """Confluent rewriting modulo polynomial relations.
 
 Relations are completed to a reduced Groebner basis under the context's
-graded-lex order (Buchberger's algorithm with a step budget), then oriented
-into rules  leading monomial -> tail.  Normal forms are computed by total
-multivariate division: always reduce the largest remaining term with the
-first applicable rule, so the result is canonical and the map is
-GaussRat-linear and idempotent.  An input with no reducible term is
-returned as it is.  Otherwise the remaining monomials sit in a list kept
-in increasing order, so that the largest is popped from its end: monomial
-keys compare in the graded-lex order as they are (see `poly`), so the
-list needs no sort key.  A term that cancels keeps its list entry, which
-is skipped when it surfaces.
+graded-lex order (Buchberger's algorithm, stopped after `DEFAULT_BUDGET`
+S-polynomial reductions), then oriented into rules  leading monomial ->
+tail.  Normal forms are computed by total multivariate division: always
+reduce the largest remaining term with the first applicable rule, so the
+result is canonical and the map is GaussRat-linear and idempotent.  An
+input with no reducible term is returned as it is.  Otherwise the
+remaining monomials sit in a list kept in increasing order, so that the
+largest is popped from its end: monomial keys compare in the graded-lex
+order as they are (see `poly`), so the list needs no sort key.  A term
+that cancels keeps its list entry, which is skipped when it surfaces.
 
 Rules may be applied to polynomials living in a wider context (extra
 variables of lower or higher rank), which stays confluent because a rule's
@@ -162,15 +162,11 @@ def _spoly(f: Poly, g: Poly) -> Poly:
     return a - b
 
 
-def buchberger(
-    relations: Iterable[Poly],
-    context: Context,
-    budget: int = DEFAULT_BUDGET,
-) -> RewriteSystem:
+def buchberger(relations: Iterable[Poly], context: Context) -> RewriteSystem:
     """Complete `relations` to the reduced Groebner basis and orient it.
 
-    `budget` bounds the number of S-polynomial reductions; exceeding it
-    raises BudgetExceeded rather than looping on a hostile input.
+    `DEFAULT_BUDGET`, read at each call, bounds the S-polynomial reductions;
+    exceeding it raises BudgetExceeded rather than looping on hostile input.
     """
     basis: list[Poly] = []
     pending = sorted(
@@ -196,9 +192,9 @@ def buchberger(
         if mono_gcd(f.leading_monomial(), g.leading_monomial()) == context.one:
             continue
         steps += 1
-        if steps > budget:
+        if steps > DEFAULT_BUDGET:
             raise BudgetExceeded(
-                f"completion exceeded {budget} S-polynomial reductions"
+                f"completion exceeded {DEFAULT_BUDGET} S-polynomial reductions"
             )
         r = reduce_by(_spoly(f, g), basis)
         if not r.is_zero():

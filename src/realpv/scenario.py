@@ -205,10 +205,10 @@ def _parse_matrices(mats: Any, loc: str) -> list[tuple[tuple[GaussRat, ...], ...
 
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario file: {e}", location=path)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ScenarioError(f"invalid JSON: {e}", location=path)
     return scenario_from_dict(raw)

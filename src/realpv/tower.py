@@ -31,7 +31,7 @@ from .errors import (
     IncompatibleDerivation,
     Unsupported,
 )
-from .gauss import ONE, GaussRat
+from .gauss import ONE, GaussRat, power
 from .linsolve import kernel
 from .poly import (
     Context, Monomial, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, parse_fraction,
@@ -45,7 +45,6 @@ __all__ = [
     "FieldElement",
     "cleared_numerators",
     "kernel_by_monomial",
-    "linear_relations_mod",
 ]
 
 
@@ -78,20 +77,6 @@ def _specs_in(specs: Iterable[GeneratorSpec], ctx: Context) -> list[GeneratorSpe
         )
         for s in specs
     ]
-
-
-def linear_relations_mod(
-    system: RewriteSystem, elems: Sequence["FieldElement"]
-) -> list[list[GaussRat]]:
-    """Kernel of (a_k) -> sum a_k elems[k] modulo `system`, whose context
-    the elements live in.
-
-    Each numerator is multiplied by L/den for the common denominator L of
-    `_clearing_factors`, normal-formed and compared monomial by monomial.
-    Scaling the family by the one nonzero L leaves the kernel, and so its
-    canonical basis, unchanged.
-    """
-    return kernel_by_monomial(system.context, cleared_numerators(system, elems))
 
 
 def cleared_numerators(
@@ -247,15 +232,8 @@ class FieldElement:
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return out
+        # Squares are normal-formed; num^n / den^n would swell under relations.
+        return power(self, n, self.tower.one())
 
     def scale(self, c) -> "FieldElement":
         return FieldElement(self.num.scale(c), self.den, self.tower)
@@ -693,8 +671,14 @@ class DiffTower:
         return [rows[key] for key in sorted(rows, key=ctx.key)]
 
     def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
-        """Kernel of (a_k) -> sum a_k elems[k], exactly, over GaussRat."""
-        return linear_relations_mod(self.rewrite, elems)
+        """Kernel of (a_k) -> sum a_k elems[k], exactly, over GaussRat.
+
+        Each numerator is multiplied by L/den for the common denominator L
+        of `_clearing_factors`, normal-formed and compared monomial by
+        monomial.  Scaling the family by the one nonzero L leaves the
+        kernel, and so its canonical basis, unchanged.
+        """
+        return kernel_by_monomial(self.context, cleared_numerators(self.rewrite, elems))
 
     def combine(
         self, coeffs: Sequence[GaussRat], elems: Sequence[FieldElement]
@@ -706,7 +690,7 @@ class DiffTower:
         return out
 
     def constant_scan(
-        self, degree_bound: int = 4, coeff_degree_bound: int = 3
+        self, degree_bound: int, coeff_degree_bound: int
     ) -> list[FieldElement]:
         """New constants in the scan window, excluding the scalars.
 
@@ -721,6 +705,9 @@ class DiffTower:
         a scalar is no new constant: the window can write 1 in more than
         one way, as g^2/t^3 when g^2 = t^3.  So an empty result certifies
         that the window contains no constant outside the base constants.
+        Two kernel vectors can likewise give one constant (e*g, e*g^3/g^2):
+        a combination, scaled to leading coefficient 1, that equals one
+        already found is dropped.
         """
         window = self._window(degree_bound, coeff_degree_bound)
         rows = self._scan_rows(window, coeff_degree_bound)
@@ -733,6 +720,7 @@ class DiffTower:
             )
             if x.as_scalar() is not None:
                 continue
-            lead = x.num.leading_coefficient()
-            found.append(x.scale(lead.inverse()))
+            x = x.scale(x.num.leading_coefficient().inverse())
+            if not any(x == y for y in found):
+                found.append(x)
         return found

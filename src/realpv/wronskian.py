@@ -3,8 +3,9 @@
 The wronskian of elements y_1..y_n stacks the rows (y_1..y_n),
 (y_1'..y_n'), ...: nonvanishing of its determinant is the classical
 criterion for linear independence over the constants.  The determinant is
-computed by the fraction-free Bareiss recurrence, reducing to normal form
-after every elimination step, so entries stay canonical the whole way.
+`linsolve.det`, the fraction-free Bareiss recurrence; every step builds a
+tower element, reduced to normal form, so entries stay canonical the whole
+way.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import EmptyInput
+from .linsolve import det
 from .tower import DiffTower, FieldElement
 
 __all__ = [
@@ -54,29 +56,8 @@ def wronskian_matrix(tower: DiffTower, elements: Sequence[FieldElement]) -> WrMa
     return WrMatrix(tower, zip(*(derivatives(tower.lift(x), n - 1) for x in elements)))
 
 
-def _bareiss(tower: DiffTower, matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:
-    n = len(matrix)
-    m = [list(r) for r in matrix]
-    sign = 1
-    prev = tower.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
-            if swap is None:
-                return tower.zero()
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = tower.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
 def wronskian_det(w: WrMatrix) -> FieldElement:
-    return _bareiss(w.tower, w.rows)
+    return det(w.rows)
 
 
 def independent_over_constants(

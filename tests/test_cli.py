@@ -272,6 +272,13 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert payload["data"]["class"] == "EXP"
 
 
+def test_out_flag_to_an_unwritable_path_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "build", f"{SCENARIOS}/circle.json", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_scan_override_can_fail_honestly(capsys):
     # widening the scan window cannot invent constants for a sound extension
     code, out, _ = run(
@@ -631,10 +638,12 @@ def test_invalid_scenario_exits_2_at_its_location(capsys, tmp_path, raw, locatio
 
 def test_invalid_json_exits_2_at_the_path(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"equation": ')
-    code, out, err = run(capsys, "build", str(bad))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"scenario error at {bad}: invalid JSON: ")
+    # truncated JSON, then bytes that are not UTF-8
+    for content in (b'{"equation": ', b'{"equation": "\xff"}'):
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "build", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"scenario error at {bad}: invalid JSON: ")
 
 
 def test_twist_without_cocycle(capsys):

@@ -29,6 +29,22 @@ def test_det_against_sympy():
                 [[_to_sympy(v) for v in row] for row in m]
             ).det()
             assert sympy.simplify(_to_sympy(mine) - oracle) == 0
+    # Singular matrices that leave a column with no pivot: a zero first
+    # column, and a second column that is a multiple of the first.
+    for _ in range(5):
+        flat = _rand_matrix(r, 2)
+        for row in flat:
+            row[0] = GaussRat.of(0)
+        q = rand_gauss(r)
+        dependent = _rand_matrix(r, 3)
+        for row in dependent:
+            row[1] = q * row[0]
+        for m in (flat, dependent):
+            assert det(m) == GaussRat.of(0)
+            assert sympy.Matrix([[_to_sympy(v) for v in row] for row in m]).det() == 0
+    for bad in ([], [[GaussRat.of(1), GaussRat.of(2)]]):
+        with pytest.raises(ValueError):
+            det(bad)
 
 
 def test_kernel_vectors_annihilate():

@@ -74,8 +74,9 @@ def test_ideal_membership_two_generators():
     assert not system.is_zero_mod(parse_poly("x - z", ctx))
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     # a tiny budget must trip deterministically on a system that needs pairs
+    monkeypatch.setattr(rewrite, "DEFAULT_BUDGET", 1)
     ctx = Context(["z", "y", "x"])
     gens = [
         parse_poly("x^2*y - z", ctx),
@@ -83,7 +84,7 @@ def test_budget_guard():
         parse_poly("y^3 - x", ctx),
     ]
     with pytest.raises(BudgetExceeded):
-        buchberger(gens, ctx, budget=1)
+        buchberger(gens, ctx)
 
 
 def test_rules_lift_to_wider_context():

@@ -13,7 +13,6 @@ from realpv.errors import ContextError, IncompatibleDerivation
 from realpv.linsolve import kernel
 from realpv.rewrite import RewriteSystem
 from realpv.seidenberg import build_seidenberg
-from realpv.tower import linear_relations_mod
 
 from helpers import rand_element, rng
 
@@ -303,6 +302,16 @@ def test_constant_scan_finds_the_constant_of_a_t_rule_tower(scan_towers, bounds)
     assert all(x.derive().is_zero() and x.as_scalar() is None for x in found)
 
 
+@pytest.mark.parametrize("bounds", [(4, 3), (6, 5)], ids=str)
+def test_constant_scan_reports_each_constant_once(scan_towers, bounds):
+    """The window writes e*g also as e*g^3/g^2; the scan keeps one of them,
+    so its constants and 1 are independent over the scalars."""
+    tower = scan_towers["radical_t3_exp"]
+    found = tower.constant_scan(*bounds)
+    assert not any(x == y for i, x in enumerate(found) for y in found[:i])
+    assert tower.linear_relations(found + [tower.one()]) == []
+
+
 def test_constant_scan_normal_forms_per_monomial_not_per_window_element(
     circle, monkeypatch
 ):
@@ -339,27 +348,24 @@ def _pairwise_cleared_kernel(system, elems):
     return kernel(len(elems), rows)
 
 
-def test_linear_relations_clear_by_the_lcm(circle):
+def test_linear_relations_clear_by_the_lcm(circle, monkeypatch):
     texts = [
         "1", "1/t", "1/t^3", "t/(t^2+1)", "1/(t^3*(t^2+1))", "1/(t^2+1)",
         "t^2/(t^2+1)", "s^2/t^2", "c^2/t^2", "1/t^2", "s*c/(t^3*(t^2+1))",
     ]
     elems = [circle.parse(x) for x in texts]
-    system = circle.rewrite
-    old = _pairwise_cleared_kernel(system, elems)
+    old = _pairwise_cleared_kernel(circle.rewrite, elems)
 
     cleared = []
+    normal_form = RewriteSystem.normal_form
 
-    class Recording:
-        """The rewrite system, recording each row it normal-forms."""
+    def recording(self, p):
+        cleared.append(p)
+        return normal_form(self, p)
 
-        context = system.context
-
-        def normal_form(self, p):
-            cleared.append(p)
-            return system.normal_form(p)
-
-    new = linear_relations_mod(Recording(), elems)
+    monkeypatch.setattr(RewriteSystem, "normal_form", recording)
+    new = circle.linear_relations(elems)
+    monkeypatch.undo()
 
     assert new == old
     # 1/(t^3 (t^2+1)) = 1/t^3 - 1/t + t/(t^2+1), 1/(t^2+1) + t^2/(t^2+1) = 1
