@@ -35,12 +35,12 @@ from .galois import (
     parse_scalar,
 )
 from .gauss import GaussRat
-from .linsolve import identity, mat_mul
+from .linsolve import Echelon, identity, mat_mul
 from .poly import Context, Poly, parse_poly
 from .rewrite import RewriteSystem, buchberger
 from .pv import LinearODE, PVExtension, build_pv
 from .report import Report
-from .tower import DiffTower, FieldElement, cleared_numerators, kernel_by_monomial
+from .tower import DiffTower, FieldElement, cleared_numerators
 
 __all__ = [
     "SubgroupDescriptor",
@@ -249,8 +249,8 @@ def window_products(
     the search window for field membership.
 
     The products are returned as built, repeats included.  Membership
-    depends only on the span of the window, and a repeated entry only adds
-    kernel vectors whose denominator part is zero."""
+    depends only on the span of the window, and `member_of_field` keeps a
+    basis of it, which a repeated entry does not join."""
     combos: list[FieldElement] = [tower.one()]
     for g in gens:
         g = tower.lift(g)
@@ -284,26 +284,37 @@ def member_of_field(
     tower: DiffTower,
     x: FieldElement,
     gens: Sequence[FieldElement],
-    windows: dict[tuple[int, int], list[Poly]] | None = None,
+    windows: dict[tuple[int, int], tuple[list[Poly], Echelon]] | None = None,
 ) -> bool:
     """Whether x = N/D for window polynomials N, D over the generators.
 
-    The test is a single exact kernel computation.  The window elements
-    w_k are cleared of their denominators once, as W_k = nf(w_k * L) for a
-    common multiple L of the denominators.  For x = a/b, the unknown
-    coefficients d_k of D multiply the rows nf(a * W_k) and those of N the
-    rows nf(b * W_k), which are the W_k themselves when b = 1: the
-    relation x * D = -N times b * L.  A kernel vector whose D part gives a
-    nonzero sum d_k W_k exhibits the representation, since multiplying by
-    the nonzero b * L is injective in the field.  The window degree grows
-    with the queried element so that plain monomial relations always fit.
-    A False answer means no representation within the window bounds, so
-    callers treat False as 'not found', not as a proof of non-membership,
-    except where the window provably spans the subfield's relevant piece.
+    The window elements w_k are cleared of their denominators once, as
+    W_k = nf(w_k * L) for a common multiple L of the denominators, and
+    added in window order to an echelon form; those it reports independent
+    form a basis B of span(W), kept with their echelon.  For x = a/b the
+    test starts from the span of the nf(b * B_k), the echelon of B itself
+    (copied) when b is a constant, and adds nf(a * B_k) for k = 1, 2, ...
+    in turn.  x is a member exactly when one of these additions is not
+    independent.  The window degree grows with the queried element so that
+    plain monomial relations always fit.  A False answer means no
+    representation within the window bounds, so callers treat False as
+    'not found', not as a proof of non-membership, except where the window
+    provably spans the subfield's relevant piece.
 
-    `windows` holds the cleared windows of these generators already built,
-    keyed by (degree, t-power) bound; a caller that asks about several
-    elements over the same generators passes one dict to share them.
+    Why: x = N/D with N, D in span(W) and D nonzero means a * D = b * N,
+    so that nf(a * D) lies in span(nf(b * B)), and back, as multiplying by
+    b is injective in the field.  Write D = sum c_i B_i with c_j its last
+    nonzero coefficient.  Then nf(a * B_j) lies in span(nf(b * B)) +
+    span(nf(a * B_i) : i < j), so addition j is not independent.
+    Conversely, a dependent addition j writes nf(a * B_j) in that span,
+    with coefficients f_i on the nf(a * B_i), and D = B_j - sum f_i B_i is
+    nonzero because B is independent.  This step uses only the linearity
+    of nf, not that the coordinate ring is a domain.
+
+    `windows` holds the bases and echelons of these generators' windows
+    already built, keyed by (degree, t-power) bound; a caller that asks
+    about several elements over the same generators passes one dict to
+    share them.  Queries add to copies, never to a stored echelon.
     """
     x = tower.lift(x)
     deg, tpow = DEFAULT_FIELD_BOUNDS
@@ -314,23 +325,23 @@ def member_of_field(
         tpow = 0
     if windows is None:
         windows = {}
-    cleared = windows.get((deg, tpow))
-    if cleared is None:
-        cleared = windows[deg, tpow] = cleared_numerators(
-            tower.rewrite, window_products(tower, gens, deg, tpow)
-        )
+    window = windows.get((deg, tpow))
+    if window is None:
+        span = Echelon()
+        cleared = cleared_numerators(tower.rewrite, window_products(tower, gens, deg, tpow))
+        basis = [w for w in cleared if span.add(dict(w.by_key))]
+        window = windows[deg, tpow] = (basis, span)
+    basis, span = window
     nf = tower.rewrite.normal_form
-    rows = [nf(x.num * w) for w in cleared]
-    rows += cleared if x.den.is_constant() else [nf(x.den * w) for w in cleared]
-    half = len(cleared)
-    for vec in kernel_by_monomial(tower.context, rows):
-        d = Poly.zero(tower.context)
-        for c, w in zip(vec[:half], cleared):
-            if c:
-                d = d + w.scale(c)
-        if not d.is_zero():
-            return True
-    return False
+    # `add` takes its dict over, and a product by 1 or its normal form can
+    # be the window polynomial itself: each addition gets a copy
+    if x.den.is_constant():
+        echelon = span.copy()
+    else:
+        echelon = Echelon()
+        for w in basis:
+            echelon.add(dict(nf(x.den * w).by_key))
+    return any(not echelon.add(dict(nf(x.num * w).by_key)) for w in basis)
 
 
 # -- fixed fields ---------------------------------------------------------------------
@@ -340,8 +351,9 @@ def member_of_field(
 class IntermediateField:
     pv: PVExtension
     generators: tuple[FieldElement, ...]
-    # cleared membership windows of the generators, built on first use
-    windows: dict[tuple[int, int], list[Poly]] = field(
+    # membership windows of the generators, each a basis of its cleared
+    # elements with their echelon form, built on first use
+    windows: dict[tuple[int, int], tuple[list[Poly], Echelon]] = field(
         default_factory=dict, repr=False, compare=False
     )
 

@@ -1,13 +1,17 @@
-"""Exact linear algebra: `kernel` over the Gaussian rationals, `det` over
-any exact field, Q(i) or a tower's, the other helpers over any ring.
+"""Exact linear algebra: `Echelon` and `kernel` over the Gaussian
+rationals, `det` over any exact field, Q(i) or a tower's, the other helpers
+over any ring.
 
-`kernel` works on sparse equations (dicts mapping unknown index to
-coefficient) because the matrices produced by constant scans and invariant
-computations are large but very sparse.  It eliminates forward only
-and back-substitutes once per free unknown.  Its basis is canonical: one
-vector per free unknown (a column that is no row's leftmost entry in
-echelon form), unit at that position and zero at the other free ones.
-Such a basis is unique, so it depends neither on the order of the
+`Echelon` and `kernel` work on sparse vectors (dicts mapping a column label
+to a coefficient) because the matrices produced by constant scans,
+invariant computations and membership tests are large but very sparse.
+`Echelon.add` is the one forward elimination: it reduces a vector against
+the rows kept so far and keeps what is left, which answers whether the
+vector was independent of them.  `kernel` adds its equations to an
+`Echelon` and then back-substitutes once per free unknown.  Its basis is
+canonical: one vector per free unknown (a column that is no row's leftmost
+entry in echelon form), unit at that position and zero at the other free
+ones.  Such a basis is unique, so it depends neither on the order of the
 equations nor on how they were eliminated.
 """
 
@@ -16,12 +20,13 @@ from __future__ import annotations
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import Unsupported
 from .gauss import GaussRat
 
 __all__ = [
+    "Echelon",
     "kernel",
     "det",
     "mat_mul",
@@ -34,20 +39,34 @@ _ZERO = GaussRat.of(0)
 _ONE = GaussRat.of(1)
 
 
-def kernel(n_cols: int, equations: Iterable[dict[int, GaussRat]]) -> list[list[GaussRat]]:
-    """Canonical basis of the solution space of a homogeneous sparse system.
+class Echelon:
+    """Sparse rows in echelon form, under column labels of any one totally
+    ordered type: ints for `kernel`, `Poly.by_key` keys for field
+    membership.
 
-    Forward elimination: each equation is reduced against the pivot rows
-    found so far and, if anything is left, becomes a new pivot row at its
-    smallest column.  A pivot row is kept as it was left, with the inverse
-    of its pivot entry; its other entries lie right of the pivot, and
-    earlier rows are not reduced against later pivots.  Back-substitution
-    then solves for the pivot unknowns once per free column, over the
-    pivots in decreasing order.
+    `pivots` maps each row's pivot column, its smallest, to the row and the
+    inverse of its pivot entry.  A row's other entries lie right of its
+    pivot, and earlier rows are not reduced against later pivots.  Rows
+    are never changed once kept, so a copy shares them.
     """
-    pivots: dict[int, tuple[dict[int, GaussRat], GaussRat]] = {}
-    for raw in equations:
-        eq = {c: g for c, v in raw.items() if (g := GaussRat.of(v))}
+
+    __slots__ = ("pivots",)
+
+    def __init__(self) -> None:
+        self.pivots: dict[Hashable, tuple[dict[Hashable, GaussRat], GaussRat]] = {}
+
+    def copy(self) -> "Echelon":
+        out = Echelon()
+        out.pivots = dict(self.pivots)
+        return out
+
+    def add(self, eq: dict[Hashable, GaussRat]) -> bool:
+        """Reduce eq, whose entries are nonzero, against the rows and keep
+        what is left as a new row at its smallest column.  Returns whether
+        anything was left: whether eq was independent of the rows.  The
+        dict is taken over: it is reduced in place and may become the row.
+        """
+        pivots = self.pivots
         # Subtracting the row at `col` only adds columns right of `col`, so
         # the pivot columns to clear are visited from a heap in increasing
         # order.  A column that cancels and comes back has two entries; the
@@ -76,9 +95,24 @@ def kernel(n_cols: int, equations: Iterable[dict[int, GaussRat]]) -> list[list[G
                 else:
                     del eq[c]
         if not eq:
-            continue
+            return False
         col = min(eq)
         pivots[col] = (eq, eq[col].inverse())
+        return True
+
+
+def kernel(n_cols: int, equations: Iterable[dict[int, GaussRat]]) -> list[list[GaussRat]]:
+    """Canonical basis of the solution space of a homogeneous sparse system.
+
+    Forward elimination adds each equation to an `Echelon`.
+    Back-substitution then solves for the pivot unknowns once per free
+    column, over the pivots in decreasing order.
+    """
+    echelon = Echelon()
+    add, of = echelon.add, GaussRat.of
+    for raw in equations:
+        add({c: g for c, v in raw.items() if (g := of(v))})
+    pivots = echelon.pivots
     # A pivot right of the free column solves to zero, as its row holds only
     # columns further right, whose unknowns are zero too.  Each pivot left
     # of it is solved after every pivot its row refers to.

@@ -4,21 +4,26 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import realpv.cli as cli
 import realpv.correspondence as correspondence
 import realpv.galois as galois
+import realpv.tower as tower_module
 from realpv import (
     DIAGONAL,
     FULL,
     SO2,
     TRIVIAL,
+    AlgebraError,
     BadField,
     DiffTower,
     GaussRat,
     IntermediateField,
     LinearODE,
+    Poly,
     Unsupported,
     apply,
     buchberger,
@@ -30,6 +35,7 @@ from realpv import (
     finite_list,
     fixed_field,
     group_over,
+    load_scenario,
     matrix_from_texts,
     member_of_field,
     mu_n,
@@ -42,8 +48,14 @@ from realpv import (
 from realpv.correspondence import descriptor_polys
 from realpv.galois import MatrixGroup
 from realpv.linsolve import identity, kernel
+from realpv.pv import DEFAULT_SCAN_BOUNDS
+from realpv.tower import cleared_numerators, kernel_by_monomial
 
 from helpers import rand_fraction, rng
+
+ROOT = Path(__file__).resolve().parent.parent
+# the scenarios of the CLI and of the benchmark
+CORPUS = sorted([*ROOT.glob("scenarios/*.json"), *ROOT.glob("bench/scenarios/*.json")])
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +474,138 @@ def test_member_of_field_ignores_repeated_generators(request, group_name):
     for x, expect in ((member, True), (non_member, False)):
         assert member_of_field(ext, x, [g]) is expect
         assert member_of_field(ext, x, [g, g]) is expect
+
+
+def _member_by_kernel(tower, x, gens):
+    """The former member_of_field, kept as a reference: one canonical
+    kernel of the rows nf(a * W_k), nf(b * W_k) over the whole cleared
+    window W, and True when some kernel vector's D part sum d_k W_k is
+    nonzero."""
+    x = tower.lift(x)
+    deg, tpow = correspondence.DEFAULT_FIELD_BOUNDS
+    degrees = correspondence._generator_degrees
+    deg = max(deg, *degrees(tower, x.num), *degrees(tower, x.den))
+    if tower.base_var and all(tower.base_var not in y.variables() for y in [x, *gens]):
+        tpow = 0
+    cleared = cleared_numerators(
+        tower.rewrite, correspondence.window_products(tower, gens, deg, tpow)
+    )
+    nf = tower.rewrite.normal_form
+    rows = [nf(x.num * w) for w in cleared]
+    rows += cleared if x.den.is_constant() else [nf(x.den * w) for w in cleared]
+    half = len(cleared)
+    for vec in kernel_by_monomial(tower.context, rows):
+        d = Poly.zero(tower.context)
+        for c, w in zip(vec[:half], cleared):
+            if c:
+                d = d + w.scale(c)
+        if not d.is_zero():
+            return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def corpus_towers():
+    """The extension of each scenario of the corpus that builds, by path."""
+    out = {}
+    for path in CORPUS:
+        scn = load_scenario(str(path))
+        base = DiffTower(base_var=scn.base_var)
+        ode = LinearODE.from_texts(base, list(scn.coefficients))
+        radical_base = base.parse(scn.radical_base) if scn.radical_base else None
+        try:
+            pv = build_pv(base, ode, scn.eq_class, DEFAULT_SCAN_BOUNDS, radical_base)
+        except AlgebraError:
+            continue
+        out[str(path.relative_to(ROOT))] = pv.extension
+    return out
+
+
+def _generator_word(r, tower, degree):
+    """A random monomial of the given degree in the tower's generators."""
+    names = tower.generator_names()
+    word = tower.one()
+    for _ in range(degree):
+        word = word * tower.var(r.choice(names))
+    return word
+
+
+def test_member_of_field_agrees_with_the_kernel_reference(corpus_towers):
+    """Seeded queries over every corpus tower: quotients of sums of words
+    times t^j, over one or two random generator monomials of degree 2, each
+    word a generator or, two times in five, a single generator outside
+    them; each query is answered by the echelon test and by the reference."""
+    r = rng(2600)
+    assert len(corpus_towers) >= 12
+    seen = {"queries": 0, "denominator": 0, "False": 0, "True": 0, "t": 0}
+    for name in sorted(corpus_towers):
+        tower = corpus_towers[name]
+        t = tower.var(tower.base_var)
+
+        def word():
+            w = _generator_word(r, tower, 1) if r.random() < 0.4 else r.choice(gens)
+            scale = GaussRat(rand_fraction(r, 3) or 1)
+            return w.scale(scale) * t ** r.choice([0, 0, 1, -1])
+
+        for _ in range(2):
+            gens = [_generator_word(r, tower, 2) for _ in range(r.randint(1, 2))]
+            windows = {}  # shared by the queries over one family
+            for _ in range(3):
+                num = word() + (word() if r.random() < 0.5 else tower.zero())
+                den = word() if r.random() < 0.5 else tower.one()
+                if num.is_zero():
+                    continue
+                x = num / den
+                got = member_of_field(tower, x, gens, windows)
+                assert got is _member_by_kernel(tower, x, gens), (name, x, gens)
+                seen["queries"] += 1
+                seen["denominator"] += not x.den.is_constant()
+                seen[str(got)] += 1
+                seen["t"] += "t" in x.variables()
+    assert seen["queries"] >= 60, seen
+    assert seen["denominator"] >= 20, seen
+    assert seen["False"] >= 20 and seen["True"] >= 20, seen
+    assert seen["t"] >= 10, seen
+
+
+def test_contains_never_changes_the_cached_span(exp_group):
+    """One field answers member, non-member, member, rational non-member
+    through its one shared window as fresh calls do, and the stored basis
+    and echelon stay as the first query left them."""
+    ext = exp_group.pv.extension
+    e, t = ext.var("e"), ext.var("t")
+    F = IntermediateField(exp_group.pv, (e**3,))
+    queries = [(e**3 * t, True), (e * t, False), ((e**3 + t) / e**3, True),
+               ((e**3 + t) / e, False)]
+
+    def state():
+        [(basis, span)] = F.windows.values()
+        return [str(w) for w in basis], {
+            c: (dict(row), inv) for c, (row, inv) in span.pivots.items()
+        }
+
+    first = None
+    for x, expect in queries:
+        assert F.contains(x) is expect
+        assert member_of_field(ext, x, F.generators) is expect
+        first = first or state()
+        assert state() == first
+
+
+@pytest.mark.parametrize("name", ["constcoeff", "circle"])
+def test_all_makes_no_kernel_call_for_membership(name, monkeypatch, capsys):
+    """`all` computes two kernels, the constant scan's and the fixed
+    combinations'; field membership adds none."""
+    calls = []
+
+    def counted(*args, _orig=tower_module.kernel):
+        calls.append(args[0])
+        return _orig(*args)
+
+    monkeypatch.setattr(tower_module, "kernel", counted)
+    assert cli.main(["all", str(ROOT / "scenarios" / f"{name}.json")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
 
 
 def test_group_over_recovers_subgroup(circle_group):

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from realpv import Context, GaussRat, Poly, Unsupported
-from realpv.linsolve import adjugate, det, identity, kernel, mat_conj, mat_mul
+from realpv.linsolve import Echelon, adjugate, det, identity, kernel, mat_conj, mat_mul
 
 from helpers import rand_gauss, rng
 
@@ -204,6 +204,54 @@ def test_kernel_is_the_canonical_basis():
         seen["empty row"] += {} in eqs
         seen["repeated row"] += any(row and eqs.count(row) > 1 for row in eqs)
         seen["complex"] += any(c.im for row in eqs for c in row.values())
+    assert all(seen.values()), seen
+
+
+def _echelon_state(echelon):
+    return {c: (dict(row), inv) for c, (row, inv) in echelon.pivots.items()}
+
+
+@pytest.mark.parametrize("labels", ["int", "tuple"])
+def test_echelon_add_tracks_the_rank(labels):
+    """add answers whether sympy's rank grows, under int column labels and
+    under monomial-key tuples in shuffled order; adding to a copy leaves the
+    original's rows and answers as they were."""
+    r = rng(26)
+    seen = {"independent": 0, "dependent": 0, "complex": 0, "copy grew": 0}
+    for _ in range(60):
+        n_cols, eqs = _random_system(r)
+        if labels == "tuple":
+            keys = [(d, d - j, j) for d in range(4) for j in range(d + 1)][:n_cols]
+            r.shuffle(keys)
+            eqs = [{keys[j]: c for j, c in row.items()} for row in eqs]
+        else:
+            keys = list(range(n_cols))
+        column = {k: j for j, k in enumerate(keys)}
+        echelon = Echelon()
+        m = sympy.zeros(0, n_cols)
+        rank = 0
+        for vec in eqs:
+            line = sympy.zeros(1, n_cols)
+            for k, c in vec.items():
+                line[0, column[k]] = _to_sympy(c)
+            m = m.col_join(line)
+            grew = m.rank() > rank
+            rank += grew
+            assert echelon.add(dict(vec)) is grew
+            seen["independent" if grew else "dependent"] += 1
+            seen["complex"] += any(c.im for c in vec.values())
+        before = _echelon_state(echelon)
+        extra = [
+            {k: c for k in keys if r.random() < 0.5 and (c := rand_gauss(r))}
+            for _ in range(3)
+        ]
+        answers = [echelon.copy().add(dict(vec)) for vec in extra]
+        other = echelon.copy()
+        for vec in extra:
+            other.add(dict(vec))
+        assert _echelon_state(echelon) == before
+        assert [echelon.copy().add(dict(vec)) for vec in extra] == answers
+        seen["copy grew"] += len(other.pivots) > len(echelon.pivots)
     assert all(seen.values()), seen
 
 
