@@ -542,7 +542,7 @@ def test_member_of_field_agrees_with_the_kernel_reference(corpus_towers):
         tower = corpus_towers[name]
         t = tower.var(tower.base_var)
 
-        def word():
+        def word(gens):
             w = _generator_word(r, tower, 1) if r.random() < 0.4 else r.choice(gens)
             scale = GaussRat(rand_fraction(r, 3) or 1)
             return w.scale(scale) * t ** r.choice([0, 0, 1, -1])
@@ -551,8 +551,8 @@ def test_member_of_field_agrees_with_the_kernel_reference(corpus_towers):
             gens = [_generator_word(r, tower, 2) for _ in range(r.randint(1, 2))]
             windows = {}  # shared by the queries over one family
             for _ in range(3):
-                num = word() + (word() if r.random() < 0.5 else tower.zero())
-                den = word() if r.random() < 0.5 else tower.one()
+                num = word(gens) + (word(gens) if r.random() < 0.5 else tower.zero())
+                den = word(gens) if r.random() < 0.5 else tower.one()
                 if num.is_zero():
                     continue
                 x = num / den
