@@ -70,8 +70,8 @@ DEFAULT_FIELD_BOUNDS = (4, 2)
 # Generator degree and base-variable power of a fixed-field window.
 _WINDOW_BOUNDS = (4, 0)
 # The largest order q of MU_N(q), whose fixed field has a window of degree
-# q.  One cold `correspond` on EXP (2-core x86-64) takes 0.6-1.3 s at
-# q = 1000 and 3.9 s at q = 2000.
+# q.  One cold `correspond` on EXP (2-core x86-64) takes 0.24 s at q = 200
+# and 0.29 s at q = 1000 (medians of 3, run together).
 MAX_ROOT_ORDER = 1000
 
 

@@ -19,8 +19,10 @@ defining set always has real coefficients.  At X = I the coefficients
 must vanish, which checks each relation on the solutions as it is used.
 The group keeps the rendered relations (`MatrixGroup.relations`) for the
 report.  Two groups in one coordinate ring are compared by their reduced
-Groebner bases (`MatrixGroup.basis`), and a member acts on the tower through
-`apply`.
+Groebner bases (`MatrixGroup.basis`).  A member acts on the tower through
+`apply`; the generic member, whose matrix entries are symbols, acts through
+one table of monomial images (`_action`), which `invariance_conditions` and
+`fixed_combinations` read.
 
 Completeness of the relation list is documented per class: for EXP,
 RADICAL and CIRCLE the listed relations generate all algebraic relations
@@ -35,16 +37,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BadIdeal, NotInGroup, Unsupported
 from .gauss import GaussRat
 from .linsolve import det as mat_det
 from .linsolve import adjugate, mat_mul
-from .poly import Context, Monomial, Poly, parse_fraction
+from .poly import Context, Monomial, Poly, mono_div, mono_divides, parse_fraction
 from .pv import PVExtension, companion_residue
 from .rewrite import RewriteSystem, Rule, buchberger
-from .tower import DiffTower, FieldElement, cleared_numerators, kernel_by_monomial
+from .tower import DiffTower, FieldElement, kernel_by_monomial
 
 __all__ = [
     "MatrixGroup",
@@ -98,7 +100,9 @@ class MatrixGroup:
     `relations` holds the relations of the solutions the defining set was
     computed from, rendered in the Z variables.  `subgroups` holds the
     subgroups cut out by descriptors, each built once (see
-    correspondence.subgroup_of)."""
+    correspondence.subgroup_of).  `images` is the generic member's table of
+    monomial images (see `_action`), filled on first use and shared with
+    the subgroups, whose generic members act alike."""
 
     pv: PVExtension
     size: int
@@ -111,6 +115,7 @@ class MatrixGroup:
     sym_images: tuple[FieldElement, ...] = field(repr=False)
     slots: dict[str, int | None] = field(repr=False)
     subgroups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def basis(self) -> RewriteSystem:
@@ -156,7 +161,9 @@ class MatrixGroup:
 
     def extended(self, extra: Iterable[Poly]) -> "MatrixGroup":
         polys = _normalize_polys(list(self.polys) + list(extra), self.context)
-        return replace(self, polys=polys)
+        sub = replace(self, polys=polys)
+        sub.images = self.images
+        return sub
 
 
 @dataclass(frozen=True)
@@ -317,22 +324,70 @@ def apply(sigma: GroupElement, x: FieldElement) -> FieldElement:
     return num / den
 
 
-def _moved(group: MatrixGroup, x: FieldElement) -> FieldElement:
-    """sigma(num)*den - num*sigma(den) in `param_tower` for x = num/den and
-    the generic member sigma (matrix entries X_ij as symbols); its
-    numerator vanishes exactly when sigma fixes x."""
+def _action(group: MatrixGroup) -> Callable[[Poly], Poly]:
+    """The generic member sigma (matrix entries X_ij as symbols) on the
+    polynomials of `param_tower`, read through one table of monomial images.
+
+    The table, `group.images`, maps the key of each generator monomial m to
+    sigma(m), a normal form modulo the tower's rules.  It starts from 1 and
+    the generators' images, and each further entry is added as
+    nf(sigma(m / g) * sigma(g)) for a generator g dividing m: one product
+    and one normal form.  Missing divisors are filled in a loop, so a cold
+    table reaches e^1000 without recursion.  A term c * m * r, with r a
+    monomial in t and the parameters, which sigma fixes, goes to
+    c * r * sigma(m).  So the table holds polynomials only, and a generator
+    whose image has a non-constant denominator is refused."""
     tw = group.param_tower
+    ctx = tw.context
     mapping = _generator_map(group, group.sym_images)
-    x = tw.lift(x)
-    num_s = tw.eval_poly(x.num, mapping)
-    den_s = tw.eval_poly(x.den, mapping)
-    return num_s * tw.elem(x.den) - tw.elem(x.num) * den_s
+    for name, img in mapping.items():
+        if not img.den.is_constant():
+            raise Unsupported(
+                f"the action on {name} is not polynomial: its image {img} "
+                "has a non-constant denominator"
+            )
+    units = [(ctx.pack(Monomial.var(name)), img.num) for name, img in mapping.items()]
+    table = group.images
+    if not table:
+        table[ctx.one] = Poly.const(ctx, 1)
+        table.update(units)
+    nf = tw.rewrite.normal_form
+    split = ctx.splitter(mapping)
+
+    def image(m: tuple) -> Poly:
+        chain = []
+        while m not in table:
+            unit, g = next(u for u in units if mono_divides(u[0], m))
+            chain.append((m, g))
+            m = mono_div(m, unit)
+        out = table[m]
+        for m, g in reversed(chain):
+            out = table[m] = nf(out * g)
+        return out
+
+    def act(p: Poly) -> Poly:
+        out = Poly.zero(ctx)
+        for key, c in p.by_key.items():
+            m, rest = split(key)
+            out = out + image(m).mul_monomial(rest, c)
+        return out
+
+    return act
 
 
 def invariance_conditions(group: MatrixGroup, x: FieldElement) -> list[Poly]:
-    """Polynomials in the X variables expressing sigma(x) = x."""
+    """Polynomials in the X variables expressing sigma(x) = x for the
+    generic member sigma: the coefficients of sigma(num)*den - num*sigma(den)
+    for x = num/den, modulo the tower's rules (`_action`)."""
+    tw = group.param_tower
+    act = _action(group)
+    x = tw.lift(x)
+    if x.den.is_constant():  # a constant denominator is 1, fixed by sigma
+        moved = act(x.num) - x.num
+    else:
+        moved = act(x.num) * x.den - x.num * act(x.den)
     return _collect_coefficients(
-        _moved(group, x).num, set(group.flat_xnames()), group.context
+        tw.rewrite.normal_form(moved), set(group.flat_xnames()), group.context
     )
 
 
@@ -342,17 +397,26 @@ def fixed_combinations(
     """Canonical basis of the vectors a such that sum a_k (sigma(e_k) - e_k)
     vanishes modulo the group's ideal, for the generic member sigma.
 
-    The tower's rules and the group's basis share no variable, so their
-    union is a Groebner basis.  The map is linear only for elements and
-    moved images with constant denominators; anything else is refused."""
+    Each sigma(e_k) - e_k is read from the table of monomial images
+    (`_action`) and reduced modulo the union of the tower's rules and the
+    group's basis, which share no variable, so their union is a Groebner
+    basis.  The map is linear only for elements with constant denominators;
+    anything else is refused, and so is a generator whose image has a
+    non-constant denominator."""
     tw = group.param_tower
-    rules = tw.rewrite.rules + group.basis.rules_for(tw.context)
-    system = RewriteSystem(tw.context, rules)
-    moved = [_moved(group, e) for e in elems]
-    for e, m in zip(elems, moved):
-        if not (e.den.is_constant() and m.den.is_constant()):
+    ctx = tw.context
+    rules = tw.rewrite.rules + group.basis.rules_for(ctx)
+    nf = RewriteSystem(ctx, rules).normal_form
+    act = _action(group)
+    moved = []
+    for e in elems:
+        if not e.den.is_constant():
             raise Unsupported(f"the action on {e} is not linear in the window")
-    return kernel_by_monomial(tw.context, cleared_numerators(system, moved))
+        # sigma keeps the tower's ideal only modulo the group's, so it acts
+        # on the normal form, as on every element of `param_tower`
+        num = tw.rewrite.normal_form(e.num.in_context(ctx))
+        moved.append(nf(act(num) - num))
+    return kernel_by_monomial(ctx, moved)
 
 
 def generic_pair(

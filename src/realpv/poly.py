@@ -19,8 +19,9 @@ product, quotient and divisibility test (`mono_mul`, `mono_div`,
 Only this module knows the layout.  Other modules go through the key
 functions and through `Context`, which packs a context-free `Monomial` into
 a key, unpacks a key, renders it, re-reads keys between contexts
-(`Context.reader`, used by `Poly.in_context`) and multiplies keys by a
-power of one variable (`Context.shifter`).  Mixing polynomials from
+(`Context.reader`, used by `Poly.in_context`), multiplies keys by a
+power of one variable (`Context.shifter`) and splits a key into its parts
+over two sets of variables (`Context.splitter`).  Mixing polynomials from
 different contexts raises `ContextError`.
 
 Validation happens only at the public constructors: `Poly(ctx, terms)`
@@ -218,6 +219,23 @@ class Context:
             return tuple(k)
 
         return shift
+
+    def splitter(self, names: Iterable[str]) -> Callable[[Key], tuple[Key, Key]]:
+        """A function that splits a key m as (a, b) with m = a * b, a over
+        the variables `names` and b over the others.  A name outside the
+        context raises ContextError."""
+        picked = set()
+        for v in names:
+            self.rank(v)
+            picked.add(self._slot[v])
+        mask = [i in picked for i in range(1, len(self._desc) + 1)]
+
+        def split(m: Key) -> tuple[Key, Key]:
+            a = [e if k else 0 for e, k in zip(m[1:], mask)]
+            b = [0 if k else e for e, k in zip(m[1:], mask)]
+            return (sum(a), *a), (sum(b), *b)
+
+        return split
 
 
 def mono_mul(a: Key, b: Key) -> Key:

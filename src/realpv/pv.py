@@ -158,7 +158,7 @@ def _certify(pv: PVExtension) -> Report:
         if not bad
         else f"solution {bad[0][0] + 1} leaves residue {bad[0][1]}",
     )
-    det = wronskian_det(WrMatrix(tower, zip(*(l[: len(sols)] for l in ladders))))
+    det = wronskian_det(WrMatrix(zip(*(l[: len(sols)] for l in ladders))))
     rep.add(
         "wronskian_invertible",
         not det.is_zero(),

@@ -28,10 +28,9 @@ __all__ = [
 class WrMatrix:
     """Square matrix of tower elements, rows of successive derivatives."""
 
-    __slots__ = ("tower", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, tower: DiffTower, rows: Sequence[Sequence[FieldElement]]):
-        self.tower = tower
+    def __init__(self, rows: Sequence[Sequence[FieldElement]]):
         self.rows = [list(r) for r in rows]
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
@@ -53,7 +52,7 @@ def wronskian_matrix(tower: DiffTower, elements: Sequence[FieldElement]) -> WrMa
     if not elements:
         raise EmptyInput("wronskian of an empty family")
     n = len(elements)
-    return WrMatrix(tower, zip(*(derivatives(tower.lift(x), n - 1) for x in elements)))
+    return WrMatrix(zip(*(derivatives(tower.lift(x), n - 1) for x in elements)))
 
 
 def wronskian_det(w: WrMatrix) -> FieldElement:

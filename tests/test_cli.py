@@ -8,6 +8,7 @@ import time
 import pytest
 
 from realpv.cli import main
+from realpv.correspondence import MAX_ROOT_ORDER
 from realpv.errors import ScenarioError
 from realpv.scenario import scenario_from_dict
 
@@ -66,6 +67,21 @@ def test_correspond_sqrt_mu3_has_a_quotient_over_the_base(capsys, tmp_path):
     code, out, err = run(capsys, "correspond", str(path))
     assert (code, err) == (0, "")
     assert "Y' = ((3/2)/(t))*Y at g*t" in out
+
+
+def test_correspond_exp_at_the_largest_root_order(capsys, tmp_path):
+    # the fixed field's window has degree q, so the generic member's table
+    # of monomial images reaches e^q
+    q = MAX_ROOT_ORDER
+    path = tmp_path / "exp_mu_max.json"
+    path.write_text(json.dumps({
+        "equation": {"class": "EXP", "coefficients": ["-1"]},
+        "subgroup": {"kind": "MU_N", "order": q},
+    }))
+    code, out, err = run(capsys, "correspond", str(path))
+    assert (code, err) == (0, "")
+    assert f"[INFO] fixed field: K(e^{q})" in out
+    assert out.endswith("result: ok\n")
 
 
 @pytest.mark.parametrize(

@@ -4,30 +4,55 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import realpv.correspondence as correspondence
+import realpv.galois as galois
 from realpv import (
+    DIAGONAL,
+    FULL,
+    SO2,
+    TRIVIAL,
+    AlgebraError,
     BadIdeal,
     Context,
+    DiffTower,
     GaussRat,
     LinearODE,
     NotInGroup,
     Poly,
+    RewriteSystem,
     Unsupported,
     apply,
     buchberger,
     build_pv,
     defining_equations,
+    finite_list,
+    fixed_field,
     invariance_conditions,
+    load_scenario,
     matrix_from_texts,
+    mu_n,
     parse_poly,
     parse_scalar,
     reduces_to_zero,
+    subgroup_of,
 )
+from realpv.galois import fixed_combinations
 from realpv.linsolve import adjugate, identity, mat_mul
+from realpv.pv import DEFAULT_SCAN_BOUNDS
+from realpv.tower import cleared_numerators, kernel_by_monomial
 
 I = GaussRat(Fraction(0), Fraction(1))
+ROOT = Path(__file__).resolve().parent.parent
+# every scenario: of the CLI, of the benchmark and of the tests
+CORPUS = sorted(
+    [*ROOT.glob("scenarios/*.json"), *ROOT.glob("bench/scenarios/*.json"),
+     *ROOT.glob("tests/scenarios/*.json")]
+)
+PM_ONE = [[["1", "0"], ["0", "1"]], [["-1", "0"], ["0", "-1"]]]
 
 
 def _strs(group):
@@ -229,3 +254,167 @@ def test_scalar_and_matrix_parsing():
     assert parse_scalar("-2 + i") == GaussRat(Fraction(-2), Fraction(1))
     m = matrix_from_texts([["1", "0"], ["0", "1"]])
     assert m[0][0] == GaussRat.of(1)
+
+
+# -- the generic member's table of monomial images ------------------------------
+
+
+def _moved_by_substitution(group, x):
+    """The former route, kept as a reference: sigma(num)*den - num*sigma(den)
+    for x = num/den, with the generators' images substituted into num and den
+    by `DiffTower.eval_poly` and combined as field elements."""
+    tw = group.param_tower
+    mapping = galois._generator_map(group, group.sym_images)
+    x = tw.lift(x)
+    num_s = tw.eval_poly(x.num, mapping)
+    den_s = tw.eval_poly(x.den, mapping)
+    return num_s * tw.elem(x.den) - tw.elem(x.num) * den_s
+
+
+def _fixed_by_substitution(group, elems):
+    """The former fixed_combinations: the moved elements, cleared of their
+    (constant) denominators and reduced modulo the tower's rules and the
+    group's basis, one kernel equation per monomial."""
+    tw = group.param_tower
+    system = RewriteSystem(tw.context, tw.rewrite.rules + group.basis.rules_for(tw.context))
+    moved = [_moved_by_substitution(group, e) for e in elems]
+    assert all(m.den.is_constant() for m in moved)
+    return kernel_by_monomial(tw.context, cleared_numerators(system, moved))
+
+
+def _conditions_by_substitution(group, x):
+    return galois._collect_coefficients(
+        _moved_by_substitution(group, x).num, set(group.flat_xnames()), group.context
+    )
+
+
+def _outcome(f, *args):
+    """f's value, or the type and text of the refusal it raises."""
+    try:
+        return f(*args)
+    except Unsupported as e:
+        return ("Unsupported", str(e))
+
+
+@pytest.fixture(scope="module")
+def corpus_groups():
+    """The group and the scenario's own descriptor of each scenario of the
+    corpus that builds, by path."""
+    out = {}
+    for path in CORPUS:
+        scn = load_scenario(str(path))
+        base = DiffTower(base_var=scn.base_var)
+        ode = LinearODE.from_texts(base, list(scn.coefficients))
+        radical_base = base.parse(scn.radical_base) if scn.radical_base else None
+        try:
+            pv = build_pv(base, ode, scn.eq_class, DEFAULT_SCAN_BOUNDS, radical_base)
+        except AlgebraError:
+            continue
+        out[str(path.relative_to(ROOT))] = (defining_equations(pv), scn.subgroup)
+    return out
+
+
+def test_the_table_agrees_with_substitution(corpus_groups):
+    """On every corpus group and every descriptor that `subgroup_of`
+    accepts: the kernel basis of `fixed_combinations` over the window of
+    `fixed_field`, and `invariance_conditions` on the window elements and
+    on quotients with t and with non-constant denominators, equal the
+    former route's."""
+    assert len(corpus_groups) >= 15
+    seen = {"kernels": 0, "conditions": 0, "refused": 0, "denominators": 0}
+    for name, (group, own) in sorted(corpus_groups.items()):
+        descs = [FULL, TRIVIAL, DIAGONAL, SO2, mu_n(2), mu_n(3),
+                 finite_list(PM_ONE), finite_list(PM_ONE[:1])]
+        if own is not None and own not in descs:
+            descs.append(own)
+        ext = group.pv.extension
+        t = ext.var(ext.base_var)
+        for desc in descs:
+            try:
+                sub = subgroup_of(group, desc)
+            except Unsupported:
+                continue
+            window = ext.scan_basis(max(4, desc.order or 0), 0)[0]
+            got = _outcome(fixed_combinations, sub, window)
+            assert got == _outcome(_fixed_by_substitution, sub, window), (name, desc)
+            if isinstance(got, tuple):
+                seen["refused"] += 1
+                continue
+            seen["kernels"] += 1
+            head = window[:6]
+            elems = head + [w * t + v for v, w in zip(head, head[1:])]
+            elems += [v / (w + t) for v, w in zip(head, head[1:])]
+            for x in elems:
+                got = invariance_conditions(sub, x)
+                assert got == _conditions_by_substitution(sub, x), (name, desc, x)
+                seen["conditions"] += 1
+                seen["denominators"] += not x.den.is_constant()
+    assert min(seen.values()) > 0, seen
+
+
+def test_fixed_field_acts_through_the_table(exp_pv, circle_pv, monkeypatch):
+    """A fixed_field call substitutes nothing (no `DiffTower.eval_poly`),
+    and the group action inside it (`fixed_combinations` and
+    `invariance_conditions`) makes at most one `Poly` product per window
+    monomial: one per new table entry."""
+    counts = {"eval_poly": 0, "products": 0, "acting": 0}
+    eval_poly, mul = DiffTower.eval_poly, Poly.__mul__
+
+    def counted_eval_poly(*args):
+        counts["eval_poly"] += 1
+        return eval_poly(*args)
+
+    def counted_mul(a, b):
+        counts["products"] += counts["acting"] > 0
+        return mul(a, b)
+
+    def acting(f):
+        def run(*args):
+            counts["acting"] += 1
+            try:
+                return f(*args)
+            finally:
+                counts["acting"] -= 1
+
+        return run
+
+    monkeypatch.setattr(DiffTower, "eval_poly", counted_eval_poly)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    for f in ("fixed_combinations", "invariance_conditions"):
+        monkeypatch.setattr(correspondence, f, acting(getattr(correspondence, f)))
+    cases = [(exp_pv, mu_n(3), "K(e^3)"), (exp_pv, mu_n(50), "K(e^50)"),
+             (circle_pv, finite_list(PM_ONE), "K(c^2, s*c)"), (circle_pv, SO2, "K")]
+    for pv, desc, field in cases:
+        group = defining_equations(pv)  # a cold table
+        window = pv.extension.scan_basis(max(4, desc.order or 0), 0)[0]
+        subgroup_of(group, desc).basis  # the subgroup's Groebner basis, outside the count
+        counts.update(eval_poly=0, products=0)
+        assert fixed_field(group, desc).describe() == field
+        assert counts["eval_poly"] == 0, desc
+        assert 0 < counts["products"] <= len(window), (desc, counts)
+
+
+def test_invariance_conditions_fill_a_cold_table_without_recursion(exp_pv):
+    group = defining_equations(exp_pv)
+    e = exp_pv.extension.var("e")
+    got = invariance_conditions(group, e**5000)
+    assert got == [parse_poly("X11^5000 - 1", group.context)]
+
+
+def test_an_image_with_a_denominator_is_refused(exp_pv):
+    """A group whose generator image is not a polynomial, X11*e/t for e."""
+    group = defining_equations(exp_pv)
+    tw = group.param_tower
+    doctored = dataclasses.replace(
+        group, sym_images=(tw.var("X11") * tw.var("e") / tw.var("t"),)
+    )
+    why = (
+        r"^the action on e is not polynomial: its image \(e\*X11\)/\(t\) "
+        r"has a non-constant denominator$"
+    )
+    with pytest.raises(Unsupported, match=why):
+        fixed_field(doctored, mu_n(3))
+    with pytest.raises(Unsupported, match=why):
+        invariance_conditions(doctored, exp_pv.extension.var("e"))
+    # the group it was made from still acts
+    assert fixed_field(group, mu_n(3)).describe() == "K(e^3)"

@@ -78,6 +78,21 @@ def test_shifter_multiplies_keys_by_a_power_of_one_variable(ctx):
         ctx.shifter("x")
 
 
+def test_splitter_splits_keys_by_variables(ctx):
+    p = parse_poly("s^2*c*t^3 + 3*t - 1 + s*c", ctx)
+    for names in ((), ("s",), ("c", "s"), ("t", "c", "s")):
+        split = ctx.splitter(names)
+        for m in p.by_key:
+            a, b = split(m)
+            assert mono_mul(a, b) == m
+            assert ctx.unpack(a).variables() <= set(names)
+            assert not ctx.unpack(b).variables() & set(names)
+    pack = lambda **exps: ctx.pack(Monomial(exps))
+    assert ctx.splitter(["s", "c"])(pack(s=2, c=1, t=3)) == (pack(s=2, c=1), pack(t=3))
+    with pytest.raises(ContextError):
+        ctx.splitter(["s", "x"])
+
+
 def test_poly_arithmetic(ctx):
     p = parse_poly("s + c", ctx)
     q = parse_poly("s - c", ctx)

@@ -63,7 +63,7 @@ def test_bareiss_matches_permutation_expansion(circle):
     for n in (2, 3):
         for _ in range(8):
             rows = [[rand_element(r, circle, max_terms=2) for _ in range(n)] for _ in range(n)]
-            fast = wronskian_det(WrMatrix(circle, rows))
+            fast = wronskian_det(WrMatrix(rows))
             slow = _permanent_style_det(circle, rows)
             assert fast == slow
 
@@ -121,4 +121,4 @@ def test_repeated_entry_vanishes(circle):
 def test_matrix_shape_guard(circle):
     s = circle.var("s")
     with pytest.raises(ValueError):
-        WrMatrix(circle, [[s, s], [s]])
+        WrMatrix([[s, s], [s]])
