@@ -36,7 +36,7 @@ from .galois import (
 )
 from .gauss import GaussRat
 from .linsolve import Echelon, identity, mat_mul
-from .poly import Context, Poly, parse_poly
+from .poly import Context, Poly, mono_div, mono_gcd, parse_poly
 from .rewrite import RewriteSystem, buchberger
 from .pv import LinearODE, PVExtension, build_pv
 from .report import Report
@@ -208,7 +208,8 @@ def _candidate_descriptors(
 ) -> list[SubgroupDescriptor]:
     """The named shapes that may describe `subgroup`.  In a 1x1 group the
     shape is read off the subgroup's reduced basis: an empty basis is FULL,
-    and {X11^q - 1} is MU_N(q), or TRIVIAL when q = 1."""
+    and {X11^q - 1} is MU_N(q), or TRIVIAL when q = 1.  An order q above
+    MAX_ROOT_ORDER raises Unsupported."""
     if group.size != 1:
         return [TRIVIAL, _pm_identity(group.size), SO2, DIAGONAL, FULL]
     rules = subgroup.basis.rules
@@ -216,6 +217,11 @@ def _candidate_descriptors(
         return [FULL]
     if len(rules) == 1 and rules[0].rhs == Poly.const(group.context, 1):
         q = rules[0].as_poly().total_degree()
+        if q > MAX_ROOT_ORDER:
+            raise Unsupported(
+                f"root-of-unity order {q} of the subgroup is above the limit "
+                f"of {MAX_ROOT_ORDER}"
+            )
         return [TRIVIAL if q == 1 else mu_n(q)]
     return []
 
@@ -400,13 +406,29 @@ def fixed_field(group: MatrixGroup, desc: SubgroupDescriptor) -> IntermediateFie
         F = IntermediateField(pv, (*F.generators, cand))
 
     # exact re-checks: each generator is fixed modulo the subgroup's ideal,
-    # and the field is closed under the derivation
+    # and the field is closed under the derivation: g' = (g'/g) * g lies in
+    # F when g'/g lies in K, and the membership window decides otherwise
     for g in F.generators:
         if not all(sub.basis.is_zero_mod(p) for p in invariance_conditions(sub, g)):
             raise BadField(f"{g} is not fixed by {desc.label()} (symbolic check)")
-        if not F.contains(g.derive()):
+        dg = g.derive()
+        if not (_written_over(pv.base, dg / g) or F.contains(dg)):
             raise BadField(f"derivative of {g} escapes the candidate field")
     return F
+
+
+def _written_over(base: DiffTower, x: FieldElement) -> bool:
+    """Whether x = a/b is written in the variables of `base` once a and b
+    are divided by the monomial that divides all their terms: then x lies
+    in the base.  On EXP, (1000*e^1000)/(e^1000) is 1000.  False may still
+    be an element of the base, written otherwise."""
+    keys = [*x.num.by_key, *x.den.by_key]
+    m = keys[0]
+    for k in keys[1:]:
+        m = mono_gcd(m, k)
+    ctx = x.tower.context
+    names = set().union(*(ctx.unpack(mono_div(k, m)).variables() for k in keys))
+    return names <= set(base.context.variables)
 
 
 def group_over(

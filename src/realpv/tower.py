@@ -287,24 +287,24 @@ class DiffTower:
         self.context = Context(names)
         relations = [s.relation for s in specs if s.relation is not None]
         self.rewrite = buchberger(relations, self.context)
-        self._derivation = self._build_derivation()
+        self._common, self._cleared = self._cleared_derivation()
         self._validate()
 
     # -- construction internals ----------------------------------------------
 
-    def _build_derivation(self) -> dict[str, FieldElement]:
-        table: dict[str, FieldElement] = {}
-        if self.base_var:
-            table[self.base_var] = FieldElement(
-                Poly.const(self.context, 1), Poly.const(self.context, 1), self
-            )
-        for s in self.specs:
-            table[s.name] = FieldElement(
-                s.deriv_num.in_context(self.context),
-                s.deriv_den.in_context(self.context),
-                self,
-            )
-        return table
+    def _cleared_derivation(self) -> tuple[Poly, dict[str, Poly]]:
+        """The derivation over one denominator: the common multiple E of the
+        denominators of the derivatives v' = N_v/E_v (`_clearing_factors`,
+        t' = 1 included) and the normal form of C_v = N_v * E/E_v for each
+        v with v' != 0, so that v' = C_v/E.  Parameters have no entry."""
+        derivs = {self.base_var: self.one()} if self.base_var else {}
+        derivs.update((s.name, self.elem(s.deriv_num, s.deriv_den)) for s in self.specs)
+        common, cofactor = _clearing_factors(self.context, [d.den for d in derivs.values()])
+        nf = self.rewrite.normal_form
+        cleared = {
+            v: nf(_times(d.num, cofactor[d.den])) for v, d in derivs.items() if not d.is_zero()
+        }
+        return nf(common), cleared
 
     def _validate(self) -> None:
         for s in self.specs:
@@ -388,16 +388,21 @@ class DiffTower:
 
     # -- derivation ------------------------------------------------------------
 
-    def derive_poly(self, p: Poly) -> FieldElement:
-        """Derivative of a polynomial, via linearity and the Leibniz rule."""
-        p = p.in_context(self.context)
-        out = self.zero()
-        for v in sorted(p.variables(), key=self.context.rank):
-            dv = self._derivation.get(v)
-            if dv is None or dv.is_zero():
-                continue  # parameters differentiate to zero
-            out = out + self.elem(p.partial(v)) * dv
+    def _cleared_derivative(self, p: Poly) -> Poly:
+        """P_p = sum_v dp/dv * C_v, the numerator of p' = P_p/E over the
+        tower's one denominator (`_cleared_derivation`); not normal-formed."""
+        out = Poly.zero(self.context)
+        for v, cv in self._cleared.items():
+            dp = p.partial(v)
+            if dp.by_key:
+                out = out + dp * cv
         return out
+
+    def derive_poly(self, p: Poly) -> FieldElement:
+        """Derivative of a polynomial: P_p/E, one `FieldElement` built from
+        the cleared derivation with no intermediate element."""
+        p = self._cleared_derivative(p.in_context(self.context))
+        return FieldElement(p, self._common, self)
 
     def lift(self, x: FieldElement) -> FieldElement:
         """Re-read an element of a smaller tower in this one; an element of
@@ -424,12 +429,16 @@ class DiffTower:
         return self.elem(x.num.in_context(self.context), x.den.in_context(self.context))
 
     def derive(self, x: FieldElement) -> FieldElement:
+        """The derivative of n/d: (P_n*d - n*P_d)/(E*d^2) by the quotient
+        rule over the cleared derivation, or P_n/E when d is 1.  One
+        `FieldElement` is built (two normal forms), none in between."""
         x = self.lift(x)
-        dn = self.derive_poly(x.num)
-        dd = self.derive_poly(x.den)
-        n = self.elem(x.num)
-        d = self.elem(x.den)
-        return (dn * d - n * dd) / (d * d)
+        n, d = x.num, x.den
+        dn = self._cleared_derivative(n)
+        if d.is_constant():  # a canonical constant denominator is 1
+            return FieldElement(dn, self._common, self)
+        dd = self._cleared_derivative(d)
+        return FieldElement(dn * d - n * dd, self._common * (d * d), self)
 
     # -- conjugation -------------------------------------------------------------
 
@@ -600,9 +609,9 @@ class DiffTower:
         D(b) * E * t^K for the window element b = window[k], which vanishes
         exactly when D(b) does.
 
-        E is the common denominator of the generators' derivatives N_v/E_v
-        (`_clearing_factors`), so D(m) = M_m / E with
-        M_m = sum_v e_v * (m/v) * N_v * (E/E_v) for m = prod_v v^e_v, and
+        E is the tower's common denominator and D(m) = M_m / E, with
+        M_m = sum_v e_v * (m/v) * C_v for m = prod_v v^e_v, read from the
+        cleared derivation (`_cleared_derivation`).  So
         D(m * t^j) * E * t^K = t^(j-1+K) * (t * M_m + j * m * E) with
         K = coeff_degree_bound + 1, a polynomial for every j in the window.
         The normal forms T_m of t * M_m and ME_m of m * E are computed once
@@ -614,17 +623,6 @@ class DiffTower:
         """
         ctx = self.context
         nf = self.rewrite.normal_form
-        derivs = {s.name: self._derivation[s.name] for s in self.specs}
-        common, cofactor = _clearing_factors(ctx, [d.den for d in derivs.values()])
-        cleared = {v: _times(d.num, cofactor[d.den]) for v, d in derivs.items()}
-        unit = {v: ctx.pack(Monomial.var(v)) for v in cleared}
-
-        def numerator(m: tuple) -> Poly:
-            out = Poly.zero(ctx)
-            for v, e in ctx.unpack(m).exponents().items():
-                out = out + cleared[v].mul_monomial(mono_div(m, unit[v]), e)
-            return out
-
         t = self.base_var
         if t:
             t_unit = ctx.pack(Monomial.var(t))
@@ -633,10 +631,11 @@ class DiffTower:
 
         def normal_forms(m: tuple) -> tuple[dict, dict]:
             """The terms of T_m and ME_m; of M_m and none without t."""
+            mm = self._cleared_derivative(Poly._build(ctx, {m: ONE}))
             if not t:
-                return nf(numerator(m)).by_key, {}
-            tn = nf(numerator(m).mul_monomial(t_unit))
-            return tn.by_key, nf(common.mul_monomial(m)).by_key
+                return nf(mm).by_key, {}
+            tn = nf(mm.mul_monomial(t_unit))
+            return tn.by_key, nf(self._common.mul_monomial(m)).by_key
 
         parts: dict[tuple, tuple[dict, dict]] = {}
         rows: dict[tuple, dict[int, GaussRat]] = {}

@@ -1,6 +1,13 @@
+from pathlib import Path
+
 import pytest
 
-from realpv import DiffTower, LinearODE, build_pv
+from realpv import AlgebraError, DiffTower, LinearODE, build_pv, load_scenario
+from realpv.pv import DEFAULT_SCAN_BOUNDS
+
+ROOT = Path(__file__).resolve().parent.parent
+# the scenarios of the CLI and of the benchmark
+CORPUS = sorted([*ROOT.glob("scenarios/*.json"), *ROOT.glob("bench/scenarios/*.json")])
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +43,20 @@ def circle(circle_pv):
 @pytest.fixture(scope="session")
 def exp_tower(exp_pv):
     return exp_pv.extension
+
+
+@pytest.fixture(scope="session")
+def corpus_towers():
+    """The extension of each scenario of the corpus that builds, by path."""
+    out = {}
+    for path in CORPUS:
+        scn = load_scenario(str(path))
+        base = DiffTower(base_var=scn.base_var)
+        ode = LinearODE.from_texts(base, list(scn.coefficients))
+        radical_base = base.parse(scn.radical_base) if scn.radical_base else None
+        try:
+            pv = build_pv(base, ode, scn.eq_class, DEFAULT_SCAN_BOUNDS, radical_base)
+        except AlgebraError:
+            continue
+        out[str(path.relative_to(ROOT))] = pv.extension
+    return out

@@ -59,3 +59,28 @@ def rand_element(r: random.Random, tower: DiffTower, max_terms: int = 3):
     while den.is_zero():
         den = rand_poly(r, tower.context, max_terms=2, max_degree=2, complex_ok=False)
     return tower.elem(num, den)
+
+
+def leibniz_derive(tower: DiffTower, x):
+    """The former `DiffTower.derive`, kept as a reference: each variable's
+    derivative as a field element (t' = 1, parameters 0), the derivative
+    of a polynomial by linearity and the Leibniz rule, one element per
+    variable, and the quotient rule in field element arithmetic."""
+    x = tower.lift(x)
+    ctx = tower.context
+    derivs = {}
+    if tower.base_var:
+        derivs[tower.base_var] = tower.one()
+    for s in tower.specs:
+        derivs[s.name] = tower.elem(s.deriv_num, s.deriv_den)
+
+    def derive_poly(p):
+        out = tower.zero()
+        for v in sorted(p.variables(), key=ctx.rank):
+            dv = derivs.get(v)
+            if dv is not None and not dv.is_zero():
+                out = out + tower.elem(p.partial(v)) * dv
+        return out
+
+    n, d = tower.elem(x.num), tower.elem(x.den)
+    return (derive_poly(x.num) * d - n * derive_poly(x.den)) / (d * d)

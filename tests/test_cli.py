@@ -84,6 +84,24 @@ def test_correspond_exp_at_the_largest_root_order(capsys, tmp_path):
     assert out.endswith("result: ok\n")
 
 
+@pytest.mark.parametrize("command", ["all", "correspond"])
+def test_radical_index_above_the_root_order_limit_is_refused(capsys, tmp_path, command):
+    # g^1000000 = t has the group MU_N(1000000), whose order is past the
+    # limit of the named descriptors: refused, not a traceback
+    path = tmp_path / "radical_big.json"
+    path.write_text(json.dumps({
+        "base_var": "t",
+        "equation": {"class": "RADICAL", "coefficients": ["-1/1000000 * 1/t"]},
+        "subgroup": {"kind": "FULL"},
+    }))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: root-of-unity order 1000000 of the subgroup is above the limit "
+        f"of {MAX_ROOT_ORDER}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "coefficient, flags",
     [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,6 @@ from realpv import (
     FULL,
     SO2,
     TRIVIAL,
-    AlgebraError,
     BadField,
     DiffTower,
     GaussRat,
@@ -35,7 +35,6 @@ from realpv import (
     finite_list,
     fixed_field,
     group_over,
-    load_scenario,
     matrix_from_texts,
     member_of_field,
     mu_n,
@@ -48,14 +47,11 @@ from realpv import (
 from realpv.correspondence import descriptor_polys
 from realpv.galois import MatrixGroup
 from realpv.linsolve import identity, kernel
-from realpv.pv import DEFAULT_SCAN_BOUNDS
 from realpv.tower import cleared_numerators, kernel_by_monomial
 
 from helpers import rand_fraction, rng
 
 ROOT = Path(__file__).resolve().parent.parent
-# the scenarios of the CLI and of the benchmark
-CORPUS = sorted([*ROOT.glob("scenarios/*.json"), *ROOT.glob("bench/scenarios/*.json")])
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +209,10 @@ def test_fixed_field_refuses_a_generator_that_is_not_fixed(exp_group, monkeypatc
 def test_fixed_field_refuses_a_field_not_closed_under_the_derivation(
     exp_group, monkeypatch
 ):
-    # K(e^3) is built without a membership query; a membership test that
-    # finds nothing leaves (e^3)' = 3*e^3 outside it
+    # K(e^3) is built without a membership query; with the rate 3 of e^3
+    # unread and a membership test that finds nothing, (e^3)' = 3*e^3 is
+    # left outside it
+    monkeypatch.setattr(correspondence, "_written_over", lambda *args: False)
     monkeypatch.setattr(correspondence, "member_of_field", lambda *args: False)
     with pytest.raises(BadField, match=r"^derivative of e\^3 escapes the candidate field$"):
         fixed_field(exp_group, mu_n(3))
@@ -504,23 +502,6 @@ def _member_by_kernel(tower, x, gens):
     return False
 
 
-@pytest.fixture(scope="module")
-def corpus_towers():
-    """The extension of each scenario of the corpus that builds, by path."""
-    out = {}
-    for path in CORPUS:
-        scn = load_scenario(str(path))
-        base = DiffTower(base_var=scn.base_var)
-        ode = LinearODE.from_texts(base, list(scn.coefficients))
-        radical_base = base.parse(scn.radical_base) if scn.radical_base else None
-        try:
-            pv = build_pv(base, ode, scn.eq_class, DEFAULT_SCAN_BOUNDS, radical_base)
-        except AlgebraError:
-            continue
-        out[str(path.relative_to(ROOT))] = pv.extension
-    return out
-
-
 def _generator_word(r, tower, degree):
     """A random monomial of the given degree in the tower's generators."""
     names = tower.generator_names()
@@ -627,6 +608,44 @@ def test_round_trips_exp(exp_group):
     for desc in (TRIVIAL, mu_n(2), mu_n(3), mu_n(6), FULL):
         rep, F, sub = check_correspondence(exp_group, desc)
         assert rep.ok, rep.lines
+
+
+def test_closure_reads_the_rate_at_the_largest_root_order(capsys, tmp_path, monkeypatch):
+    """On EXP with MU_N(1000), (e^1000)' = 1000*e^1000 lies in K(e^1000)
+    because its rate 1000 lies in K: no membership window is built, and the
+    report is the one the window gives."""
+    path = tmp_path / "exp_mu_max.json"
+    path.write_text(json.dumps({
+        "equation": {"class": "EXP", "coefficients": ["-1"]},
+        "subgroup": {"kind": "MU_N", "order": correspondence.MAX_ROOT_ORDER},
+    }))
+    calls = []
+    products = correspondence.window_products
+
+    def counting(*args):
+        calls.append(args)
+        return products(*args)
+
+    monkeypatch.setattr(correspondence, "window_products", counting)
+    assert cli.main(["correspond", str(path), "--json"]) == 0
+    exact = capsys.readouterr()
+    assert calls == []
+    monkeypatch.setattr(correspondence, "_written_over", lambda *args: False)
+    assert cli.main(["correspond", str(path), "--json"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr() == exact
+
+
+def test_written_over_cancels_the_common_monomial(exp_tower, sqrt_pv):
+    e, t = exp_tower.var("e"), exp_tower.var("t")
+    base = DiffTower(base_var="t")
+    assert correspondence._written_over(base, (e**3).derive() / e**3)
+    assert correspondence._written_over(base, (e * t) / (e * t**2))
+    assert not correspondence._written_over(base, (e + t) / e)
+    ext = sqrt_pv.extension
+    g = ext.var("g") * ext.var("t")
+    assert correspondence._written_over(sqrt_pv.base, g.derive() / g)
+    assert not correspondence._written_over(sqrt_pv.base, ext.var("g"))
 
 
 def test_inclusion_reversal_exp(exp_group):

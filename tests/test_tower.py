@@ -1,20 +1,24 @@
 """Differential towers: derivation, conjugation, scans, substitution."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
 import realpv.tower
 from realpv import (
-    Context, DiffTower, GaussRat, LinearODE, Monomial, build_pv, parse_poly
+    Context, DiffTower, FieldElement, GaussRat, LinearODE, Monomial, build_pv, parse_poly
 )
 from realpv.errors import ContextError, IncompatibleDerivation
 from realpv.linsolve import kernel
 from realpv.rewrite import RewriteSystem
 from realpv.seidenberg import build_seidenberg
 
-from helpers import rand_element, rng
+from helpers import leibniz_derive, rand_element, rand_poly, rng
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -276,11 +280,11 @@ SCAN_BOUNDS = [(4, 3), (6, 5)] + [(_r.randint(0, 4), _r.randint(1, 5)) for _ in 
 )
 def test_scan_derivatives_match_derive(scan_towers, monkeypatch, name, bounds):
     """The derivatives the scan clears and normal-forms have the kernel of
-    the window elements' derivatives, each computed by derive: the kernel
-    constant_scan solves for is the reference one."""
+    the window elements' derivatives, each computed by the Leibniz-chain
+    reference: the kernel constant_scan solves for is the reference one."""
     tower = scan_towers[name]
     basis, _ = tower.scan_basis(*bounds)
-    expected = tower.linear_relations([b.derive() for b in basis])
+    expected = tower.linear_relations([leibniz_derive(tower, b) for b in basis])
     kernels = []
 
     def recording(n_cols, equations):
@@ -384,3 +388,135 @@ def test_linear_relations_clear_by_the_lcm(circle, monkeypatch):
     # the pairwise product overshoots that bound
     pairwise = sum(d.degree_in("t") for d in dict.fromkeys(e.den for e in elems))
     assert pairwise > lcm_degree
+
+
+# -- the cleared derivation -------------------------------------------------------
+
+
+def _bench_towers():
+    """The four towers of the benchmark's `algebra` workload."""
+    path = ROOT / "bench" / "algebra.py"
+    spec = importlib.util.spec_from_file_location("bench_algebra", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.towers()
+
+
+def _agrees_with_the_reference(tower, r, count=4):
+    """derive and the Leibniz-chain reference on seeded elements of the
+    tower, with denominators and without; returns how many had one."""
+    with_den = 0
+    for _ in range(count):
+        x = rand_element(r, tower)
+        p = tower.elem(rand_poly(r, tower.context, complex_ok=False))
+        for y in (x, p):
+            assert y.derive() == leibniz_derive(tower, y), (tower, y)
+            with_den += not y.den.is_constant()
+    return with_den
+
+
+def test_derive_agrees_with_the_reference_on_the_corpus(corpus_towers):
+    r = rng(2800)
+    assert len(corpus_towers) >= 12
+    with_den = [_agrees_with_the_reference(corpus_towers[n], r) for n in sorted(corpus_towers)]
+    assert sum(with_den)
+
+
+@pytest.mark.parametrize("name", ["circle", "radical", "exponential", "seidenberg"])
+def test_derive_agrees_with_the_reference_on_the_bench_towers(name):
+    assert _agrees_with_the_reference(_bench_towers()[name], rng(2801), count=8)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "circle", "sqrt", "radical_t2p1", "exp", "constcoeff", "seidenberg",
+        "seidenberg_circle", "radical_t3", "radical_t3_exp",
+    ],
+)
+def test_derive_agrees_with_the_reference_on_the_scan_towers(scan_towers, name):
+    # the Seidenberg towers have no base variable
+    assert _agrees_with_the_reference(scan_towers[name], rng(2802), count=8)
+
+
+def test_derive_agrees_with_the_reference_with_parameters(scan_towers):
+    # parameters differentiate to zero; the rate -3/(2t) gives E = t
+    tower = scan_towers["radical_t3_exp"].with_params(["X11", "X12"])
+    assert _agrees_with_the_reference(tower, rng(2803), count=8)
+    x = tower.parse("X11*e/t + X12")
+    assert x.derive() == tower.parse("X11*(-5/2)*e/t^2")
+
+
+@pytest.mark.parametrize("name", ["circle", "radical_t3_exp", "seidenberg", "radical_t2p1"])
+def test_derive_builds_one_field_element(scan_towers, monkeypatch, name):
+    """One derive builds one element: the derivative, with no element in
+    between.  An element of a smaller tower is re-read first, one more."""
+    tower = scan_towers[name]
+    r = rng(2805)
+    xs = [rand_element(r, tower) for _ in range(6)]
+    xs += [tower.elem(rand_poly(r, tower.context, complex_ok=False)) for _ in range(6)]
+    built = []
+    init = FieldElement.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    for x in xs:
+        built.clear()
+        x.derive()
+        assert len(built) <= 1, x
+    if tower.base_var:
+        below = DiffTower(base_var=tower.base_var).parse("1/(t^2+1)")
+        built.clear()
+        tower.derive(below)
+        assert len(built) <= 2
+
+
+def test_derivatives_share_one_denominator():
+    """g' = g/(3t) clears to E = t: the derivative of g/(g+1) is written
+    over t*(g+1)^2, not over t^2*(g+1)^2 as the Leibniz chain wrote it."""
+    tower = _bench_towers()["radical"]
+    x = tower.parse("g/(g+1)")
+    dx = x.derive()
+    assert dx == leibniz_derive(tower, x)
+    assert dx.den == tower.parse("t*(g+1)^2").num.monic()
+    assert leibniz_derive(tower, x).den.degree_in("t") == 2
+
+
+# the analytic functions the generators of three towers stand for
+_MODELS = {
+    "circle": lambda t: {"c": sympy.cos(t), "s": sympy.sin(t)},
+    "radical": lambda t: {"g": t ** sympy.Rational(1, 3)},
+    "exponential": lambda t: {"e": sympy.exp(t**2 / 2)},
+}
+
+
+def _sympy_of(x, model):
+    def poly(p):
+        out = sympy.Integer(0)
+        for m, c in p.terms.items():
+            term = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+            for v, e in m.exponents().items():
+                term *= model[v] ** e
+            out += term
+        return out
+
+    return poly(x.num) / poly(x.den)
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
+def test_derive_agrees_with_sympy_on_the_models(name):
+    """sympy differentiates the model of each seeded element; both sides
+    agree to 40 digits at two rational points."""
+    tower = _bench_towers()[name]
+    t = sympy.Symbol("t")
+    model = {"t": t, **_MODELS[name](t)}
+    r = rng(2806)
+    for _ in range(6):
+        x = rand_element(r, tower)
+        gap = _sympy_of(x.derive(), model) - sympy.diff(_sympy_of(x, model), t)
+        for point in ("7391/10000", "13177/10000"):
+            value = gap.evalf(60, subs={t: sympy.Rational(point)})
+            assert abs(complex(value)) < 1e-40, (x, point)
