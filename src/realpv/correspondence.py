@@ -1,8 +1,9 @@
 """The group-field correspondence for certified PV extensions.
 
-Downward: a subgroup descriptor turns into the subfield of window elements
-it fixes, the kernel of w -> sigma(w) - w for the generic member sigma
-taken modulo the subgroup's ideal.  Upward: an intermediate field turns
+Downward: a subgroup descriptor turns into the subfield of window
+combinations it fixes, the kernel of m -> sigma(m) - m over the keys of
+the window's generator monomials, for the generic member sigma taken
+modulo the subgroup's ideal.  Upward: an intermediate field turns
 into the subgroup cut out by symbolic invariance conditions on its
 generators.  Both directions are exact and work with the subgroup as an
 algebraic group, not with its real points.  So does the normality report:
@@ -67,8 +68,8 @@ __all__ = [
 ]
 
 DEFAULT_FIELD_BOUNDS = (4, 2)
-# Generator degree and base-variable power of a fixed-field window.
-_WINDOW_BOUNDS = (4, 0)
+# Generator degree of a fixed-field window (no powers of t), q for MU_N(q) > 4.
+_WINDOW_DEGREE = 4
 # The largest order q of MU_N(q), whose fixed field has a window of degree
 # q.  One cold `correspond` on EXP (2-core x86-64) takes 0.24 s at q = 200
 # and 0.29 s at q = 1000 (medians of 3, run together).
@@ -379,17 +380,18 @@ class IntermediateField:
 def fixed_field(group: MatrixGroup, desc: SubgroupDescriptor) -> IntermediateField:
     """The subfield of the extension fixed by the descriptor's subgroup.
 
-    The window combinations of irreducible generator monomials that the
-    subgroup fixes are computed exactly, modulo its ideal (see
-    galois.fixed_combinations), so every descriptor is treated as the
-    algebraic group it cuts out, not as its set of real points.
+    The combinations of the window's keys, the irreducible generator
+    monomials, that the subgroup fixes are computed exactly, modulo its
+    ideal (see galois.fixed_combinations), so every descriptor is treated
+    as the algebraic group it cuts out, not as its set of real points.
+    Each is built as one field element; no window element is built.
     """
     sub = subgroup_of(group, desc)
     pv = group.pv
     ext = pv.extension
-    deg, tpow = _WINDOW_BOUNDS
-    window = ext.scan_basis(max(deg, desc.order or 0), tpow)[0]
-    fixed = [ext.combine(k, window) for k in fixed_combinations(sub, window)]
+    monomials = ext.irreducible_monomials(max(_WINDOW_DEGREE, desc.order or 0))
+    fixed = [ext.elem(Poly._build(ext.context, {m: c for m, c in zip(monomials, k) if c}))
+             for k in fixed_combinations(sub, monomials)]
 
     candidates = [
         x.scale(x.num.leading_coefficient().inverse())

@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import BadIdeal, NotInGroup, Unsupported
-from .gauss import GaussRat
+from .gauss import ONE, GaussRat
 from .linsolve import det as mat_det
 from .linsolve import adjugate, mat_mul
 from .poly import Context, Monomial, Poly, mono_div, mono_divides, parse_fraction
@@ -184,23 +184,21 @@ def _normalize_polys(polys: Iterable[Poly], ctx: Context) -> tuple[Poly, ...]:
     return tuple(seen)
 
 
-def _collect_coefficients(
-    num: Poly, xvars: set[str], x_ctx: Context
-) -> list[Poly]:
+def _collect_coefficients(num: Poly, x_ctx: Context) -> list[Poly]:
     """Split a polynomial in (X, tower) variables into its X-coefficient
     polynomials along the tower-monomial basis, real and imaginary parts
-    collected separately."""
-    groups: dict[Monomial, dict[Monomial, GaussRat]] = {}
-    for m, c in num.terms.items():
-        exps = m.exponents()
-        xpart = Monomial({v: e for v, e in exps.items() if v in xvars})
-        rest = Monomial({v: e for v, e in exps.items() if v not in xvars})
-        bucket = groups.setdefault(rest, {})
-        bucket[xpart] = bucket.get(xpart, GaussRat.of(0)) + c
+    collected separately.  Each key splits as its X part, read in x_ctx,
+    times the rest (`Context.splitter`); the split is injective, so every
+    term lands on its own term of one coefficient polynomial."""
+    split = num.context.splitter(x_ctx.variables)
+    read = x_ctx.reader(num.context)
+    groups: dict[tuple, dict[tuple, GaussRat]] = {}
+    for key, c in num.by_key.items():
+        xpart, rest = split(key)
+        groups.setdefault(rest, {})[read(xpart)] = c
     out: list[Poly] = []
-    for rest in sorted(groups, key=lambda m: sorted(m.exponents().items())):
-        p = Poly(x_ctx, groups[rest])
-        re, im = p.real_imag()
+    for rest in sorted(groups):
+        re, im = Poly._build(x_ctx, groups[rest]).real_imag()
         if not re.is_zero():
             out.append(re)
         if not im.is_zero():
@@ -231,7 +229,6 @@ def defining_equations(pv: PVExtension) -> MatrixGroup:
         for i in range(n):
             acc = acc + tw.var(xnames[i][j]) * sols[i]
         imgs.append(acc)
-    xset = set(flat)
 
     # The Z context only renders the relations; Z_j stands for solution j.
     z_names = [f"Z{j + 1}" for j in range(n)]
@@ -269,7 +266,7 @@ def defining_equations(pv: PVExtension) -> MatrixGroup:
     }
     collected: list[Poly] = []
     for kind, text, residue in residues:
-        polys = _collect_coefficients(residue.num, xset, x_ctx)
+        polys = _collect_coefficients(residue.num, x_ctx)
         if any(p.substitute(identity.__getitem__, GaussRat.of) for p in polys):
             raise BadIdeal(f"{kind} relation fails at solutions: {text}")
         collected += polys
@@ -386,37 +383,30 @@ def invariance_conditions(group: MatrixGroup, x: FieldElement) -> list[Poly]:
         moved = act(x.num) - x.num
     else:
         moved = act(x.num) * x.den - x.num * act(x.den)
-    return _collect_coefficients(
-        tw.rewrite.normal_form(moved), set(group.flat_xnames()), group.context
-    )
+    return _collect_coefficients(tw.rewrite.normal_form(moved), group.context)
 
 
 def fixed_combinations(
-    group: MatrixGroup, elems: Sequence[FieldElement]
+    group: MatrixGroup, monomials: Sequence[tuple]
 ) -> list[list[GaussRat]]:
-    """Canonical basis of the vectors a such that sum a_k (sigma(e_k) - e_k)
-    vanishes modulo the group's ideal, for the generic member sigma.
+    """Canonical basis of the vectors a such that sum a_k (sigma(m_k) - m_k)
+    vanishes modulo the group's ideal, for the generic member sigma and the
+    keys m_k of irreducible generator monomials of the extension's context
+    (`DiffTower.irreducible_monomials`).
 
-    Each sigma(e_k) - e_k is read from the table of monomial images
-    (`_action`) and reduced modulo the union of the tower's rules and the
-    group's basis, which share no variable, so their union is a Groebner
-    basis.  The map is linear only for elements with constant denominators;
-    anything else is refused, and so is a generator whose image has a
-    non-constant denominator."""
+    Each key is re-read in `param_tower`, where it stays irreducible, and
+    sigma(m_k) - m_k, read from the table of monomial images (`_action`),
+    is reduced modulo the union of the tower's rules and the group's basis,
+    which share no variable, so their union is a Groebner basis.  A
+    generator whose image has a non-constant denominator is refused."""
     tw = group.param_tower
     ctx = tw.context
     rules = tw.rewrite.rules + group.basis.rules_for(ctx)
     nf = RewriteSystem(ctx, rules).normal_form
     act = _action(group)
-    moved = []
-    for e in elems:
-        if not e.den.is_constant():
-            raise Unsupported(f"the action on {e} is not linear in the window")
-        # sigma keeps the tower's ideal only modulo the group's, so it acts
-        # on the normal form, as on every element of `param_tower`
-        num = tw.rewrite.normal_form(e.num.in_context(ctx))
-        moved.append(nf(act(num) - num))
-    return kernel_by_monomial(ctx, moved)
+    read = ctx.reader(group.pv.extension.context)
+    window = [Poly._build(ctx, {read(m): ONE}) for m in monomials]
+    return kernel_by_monomial(ctx, [nf(act(w) - w) for w in window])
 
 
 def generic_pair(

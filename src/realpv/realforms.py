@@ -358,7 +358,7 @@ def radical_pair_report(pv: PVExtension, h: FieldElement) -> Report:
         f"rates {rate_g} and {rate_h}",
     )
 
-    span = _solution_span(twisted, rate_h)
+    span = twisted.solution_scan(pv.companion[0][0], 2, 2)  # Y' = -a0 * Y
     only_h = len(span) == 1 and (span[0] / h).as_scalar() is not None
     report.add(
         "solution space in the twisted field is the line through h",
@@ -398,19 +398,6 @@ def _power_in_base(base: DiffTower, x: FieldElement) -> tuple[int, FieldElement]
     }
     rest = {m: -c for m, c in rel.terms.items() if not m.degree_in(name)}
     return q, base.elem(Poly(base.context, rest)) / base.elem(Poly(base.context, top))
-
-
-def _solution_span(tower: DiffTower, rate: FieldElement) -> list[FieldElement]:
-    """Window elements solving Y' = rate * Y, up to scaling, via one exact
-    kernel computation."""
-    window, _ = tower.scan_basis(2, 2)
-    derivs = [x.derive() - rate * x for x in window]
-    sols = []
-    for vec in tower.linear_relations(derivs):
-        x = tower.combine(vec, window)
-        if not x.is_zero():
-            sols.append(x)
-    return sols
 
 
 # -- reports ---------------------------------------------------------------------------------

@@ -6,7 +6,7 @@ rational function of the tower so far, possibly involving the generator
 itself or others adjoined in the same batch) and optionally a polynomial
 relation.  The relations are completed into a confluent rewrite system, so
 every element has a canonical (numerator, denominator) normal form and
-equality, derivation and conjugation are all decidable exactly.
+equality and derivation are decidable exactly.
 
 Variable ranks: generators adjoined later sit above earlier ones, the base
 variable sits below all generators, and parameter variables (used for group
@@ -15,14 +15,14 @@ matrix entries, derivative zero) sit at the very bottom.
 A tower presents a real field: its declared derivatives and relations
 must have real coefficients.  Its elements may carry Q(i) coefficients, so
 the same presentation also reads the complexification K(i), where
-conjugation acts on the coefficients only.
+conjugation acts on the coefficients only (`Poly.conj`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadField,
@@ -252,12 +252,6 @@ class FieldElement:
     def derive(self) -> "FieldElement":
         return self.tower.derive(self)
 
-    def conj(self) -> "FieldElement":
-        return self.tower.conj(self)
-
-    def is_constant(self) -> bool:
-        return self.derive().is_zero()
-
     # -- text ----------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -440,12 +434,6 @@ class DiffTower:
         dd = self._cleared_derivative(d)
         return FieldElement(dn * d - n * dd, self._common * (d * d), self)
 
-    # -- conjugation -------------------------------------------------------------
-
-    def conj(self, x: FieldElement) -> FieldElement:
-        """Conjugate the coefficients (the declared data is real)."""
-        return FieldElement(x.num.conj(), x.den.conj(), self)
-
     # -- substitution ---------------------------------------------------------
 
     def eval_poly(
@@ -602,12 +590,17 @@ class DiffTower:
         return elems, _index_of_one(window, self.context)
 
     def _scan_rows(
-        self, window: Sequence[tuple[tuple, int]], coeff_degree_bound: int
+        self,
+        window: Sequence[tuple[tuple, int]],
+        coeff_degree_bound: int,
+        rate: FieldElement | None = None,
     ) -> list[dict[int, GaussRat]]:
         """The scan's linear system, one row {column: coefficient} per
         monomial in increasing order.  Column k is the normal form of
         D(b) * E * t^K for the window element b = window[k], which vanishes
-        exactly when D(b) does.
+        exactly when D(b) does; with a rate r = num/den of this tower that
+        lies in the base, of (D(b) - r * b) * E * den * t^K, which vanishes
+        exactly when D(b) = r * b.
 
         E is the tower's common denominator and D(m) = M_m / E, with
         M_m = sum_v e_v * (m/v) * C_v for m = prod_v v^e_v, read from the
@@ -615,11 +608,13 @@ class DiffTower:
         D(m * t^j) * E * t^K = t^(j-1+K) * (t * M_m + j * m * E) with
         K = coeff_degree_bound + 1, a polynomial for every j in the window.
         The normal forms T_m of t * M_m and ME_m of m * E are computed once
-        per m.  A column merges T_m + j * ME_m, itself a normal form, and
-        writes each term times t^(j-1+K) into its row.  That product stays
-        irreducible unless some rule's leading monomial has t (t^3 -> g^2
-        when g^2 = t^3); only then is the column normal-formed again.
-        Without a base variable column k is the normal form of M_m.
+        per m; a rate makes them nf(t * (den * M_m - num * m * E)) and
+        nf(den * m * E), and changes nothing else.  A column merges
+        T_m + j * ME_m, itself a normal form, and writes each term times
+        t^(j-1+K) into its row.  That product stays irreducible unless some
+        rule's leading monomial has t (t^3 -> g^2 when g^2 = t^3); only then
+        is the column normal-formed again.  Without a base variable column
+        k is the normal form of M_m (den * M_m - num * m * E with a rate).
         """
         ctx = self.context
         nf = self.rewrite.normal_form
@@ -632,10 +627,13 @@ class DiffTower:
         def normal_forms(m: tuple) -> tuple[dict, dict]:
             """The terms of T_m and ME_m; of M_m and none without t."""
             mm = self._cleared_derivative(Poly._build(ctx, {m: ONE}))
+            me = self._common.mul_monomial(m) if t or rate is not None else None
+            if rate is not None:
+                mm = rate.den * mm - rate.num * me
+                me = rate.den * me
             if not t:
                 return nf(mm).by_key, {}
-            tn = nf(mm.mul_monomial(t_unit))
-            return tn.by_key, nf(self._common.mul_monomial(m)).by_key
+            return nf(mm.mul_monomial(t_unit)).by_key, nf(me).by_key
 
         parts: dict[tuple, tuple[dict, dict]] = {}
         rows: dict[tuple, dict[int, GaussRat]] = {}
@@ -688,38 +686,54 @@ class DiffTower:
                 out = out + e.scale(c)
         return out
 
+    def _window_combinations(
+        self, degree_bound: int, coeff_degree_bound: int, rate: FieldElement | None = None
+    ) -> Iterator[FieldElement]:
+        """One window combination per vector of the kernel basis of
+        `_scan_rows`, the canonical one of D(b) - r * b over the `scan_basis`
+        elements b (r the rate or 0), as each column is that element times
+        one common factor.  Without a rate the scalar direction is projected
+        off.  Window elements are built only for the combinations."""
+        window = self._window(degree_bound, coeff_degree_bound)
+        rows = self._scan_rows(window, coeff_degree_bound, rate)
+        skip = _index_of_one(window, self.context) if rate is None else -1
+        for vec in kernel(len(window), rows):
+            used = [k for k, c in enumerate(vec) if c and k != skip]
+            yield self.combine(
+                [vec[k] for k in used], [self._window_element(*window[k]) for k in used]
+            )
+
     def constant_scan(
         self, degree_bound: int, coeff_degree_bound: int
     ) -> list[FieldElement]:
         """New constants in the scan window, excluding the scalars.
 
-        Solves d(sum a_k b_k) = 0 exactly over the window elements b_k.
-        `_scan_rows` writes the system in one pass, one equation per
-        monomial, from two normal forms per generator monomial and none per
-        window element; `kernel` is called on it once.  Its kernel is the
-        canonical one that `linear_relations` gives on the derivatives of
-        the `scan_basis` elements.  Each kernel vector is
-        projected off the scalar direction and combined from the window
-        elements it uses, which are built only then.  A combination that is
-        a scalar is no new constant: the window can write 1 in more than
+        Solves d(sum a_k b_k) = 0 exactly over the window elements b_k
+        (`_window_combinations`): `_scan_rows` writes the system in one
+        pass, one equation per monomial, from two normal forms per
+        generator monomial and none per window element.  A combination that
+        is a scalar is no new constant: the window can write 1 in more than
         one way, as g^2/t^3 when g^2 = t^3.  So an empty result certifies
         that the window contains no constant outside the base constants.
         Two kernel vectors can likewise give one constant (e*g, e*g^3/g^2):
         a combination, scaled to leading coefficient 1, that equals one
         already found is dropped.
         """
-        window = self._window(degree_bound, coeff_degree_bound)
-        rows = self._scan_rows(window, coeff_degree_bound)
-        trivial = _index_of_one(window, self.context)
         found: list[FieldElement] = []
-        for vec in kernel(len(window), rows):
-            used = [k for k, c in enumerate(vec) if c and k != trivial]
-            x = self.combine(
-                [vec[k] for k in used], [self._window_element(*window[k]) for k in used]
-            )
+        for x in self._window_combinations(degree_bound, coeff_degree_bound):
             if x.as_scalar() is not None:
                 continue
             x = x.scale(x.num.leading_coefficient().inverse())
             if not any(x == y for y in found):
                 found.append(x)
         return found
+
+    def solution_scan(
+        self, rate: FieldElement, degree_bound: int, coeff_degree_bound: int
+    ) -> list[FieldElement]:
+        """The window's solutions of y' = rate * y for a rate in the base:
+        the combinations (`_window_combinations`) that are not zero, as one
+        can be where the window writes an element twice (g^2/t^3 and 1 when
+        g^2 = t^3).  The rate changes two normal forms per monomial only."""
+        scan = self._window_combinations(degree_bound, coeff_degree_bound, self.lift(rate))
+        return [y for y in scan if not y.is_zero()]

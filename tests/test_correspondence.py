@@ -20,6 +20,7 @@ from realpv import (
     TRIVIAL,
     BadField,
     DiffTower,
+    FieldElement,
     GaussRat,
     IntermediateField,
     LinearODE,
@@ -332,11 +333,15 @@ def test_finite_list_without_ideal_is_refused_before_the_window(
 ):
     scans = []
 
-    def counted(self, *args, _orig=DiffTower.scan_basis):
+    def counted(self, *args, _orig=DiffTower.irreducible_monomials):
         scans.append(args)
         return _orig(self, *args)
 
-    monkeypatch.setattr(DiffTower, "scan_basis", counted)
+    monkeypatch.setattr(DiffTower, "irreducible_monomials", counted)
+    # the window is read as keys, so a refusal after it would be counted
+    fixed_field(circle_group, finite_list(PM_ONE))
+    assert scans == [(4,)]
+    scans.clear()
     with pytest.raises(Unsupported, match="polynomial description"):
         fixed_field(circle_group, finite_list(QUARTER_TURNS))
     assert scans == []
@@ -634,6 +639,25 @@ def test_closure_reads_the_rate_at_the_largest_root_order(capsys, tmp_path, monk
     assert cli.main(["correspond", str(path), "--json"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr() == exact
+
+
+def test_fixed_field_builds_field_elements_for_its_combinations_only(base, monkeypatch):
+    """On EXP with MU_N(1000) the window has 1001 monomials, read as keys:
+    fixed_field builds field elements for the fixed combinations 1 and
+    e^1000 and its checks on e^1000, not one per window monomial."""
+    group = defining_equations(build_pv(base, LinearODE.from_texts(base, ["-1"]), "EXP"))
+    desc = mu_n(correspondence.MAX_ROOT_ORDER)
+    subgroup_of(group, desc).basis  # the subgroup's Groebner basis, outside the count
+    built = []
+    init = FieldElement.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    assert fixed_field(group, desc).describe() == "K(e^1000)"
+    assert 0 < len(built) <= 10
 
 
 def test_written_over_cancels_the_common_monomial(exp_tower, sqrt_pv):

@@ -283,9 +283,7 @@ def _fixed_by_substitution(group, elems):
 
 
 def _conditions_by_substitution(group, x):
-    return galois._collect_coefficients(
-        _moved_by_substitution(group, x).num, set(group.flat_xnames()), group.context
-    )
+    return galois._collect_coefficients(_moved_by_substitution(group, x).num, group.context)
 
 
 def _outcome(f, *args):
@@ -316,10 +314,10 @@ def corpus_groups():
 
 def test_the_table_agrees_with_substitution(corpus_groups):
     """On every corpus group and every descriptor that `subgroup_of`
-    accepts: the kernel basis of `fixed_combinations` over the window of
-    `fixed_field`, and `invariance_conditions` on the window elements and
-    on quotients with t and with non-constant denominators, equal the
-    former route's."""
+    accepts: the kernel basis of `fixed_combinations` over the keys of the
+    window of `fixed_field` equals the former route's over the window's
+    field elements, and so does `invariance_conditions` on the window
+    elements and on quotients with t and with non-constant denominators."""
     assert len(corpus_groups) >= 15
     seen = {"kernels": 0, "conditions": 0, "refused": 0, "denominators": 0}
     for name, (group, own) in sorted(corpus_groups.items()):
@@ -334,8 +332,14 @@ def test_the_table_agrees_with_substitution(corpus_groups):
                 sub = subgroup_of(group, desc)
             except Unsupported:
                 continue
-            window = ext.scan_basis(max(4, desc.order or 0), 0)[0]
-            got = _outcome(fixed_combinations, sub, window)
+            degree = max(4, desc.order or 0)
+            window = ext.scan_basis(degree, 0)[0]
+            keys = ext.irreducible_monomials(degree)
+            # the same window, element k being the monomial with key k
+            assert [(w.num.by_key, w.den) for w in window] == [
+                ({m: GaussRat.of(1)}, ext.one().den) for m in keys
+            ]
+            got = _outcome(fixed_combinations, sub, keys)
             assert got == _outcome(_fixed_by_substitution, sub, window), (name, desc)
             if isinstance(got, tuple):
                 seen["refused"] += 1
@@ -356,7 +360,7 @@ def test_fixed_field_acts_through_the_table(exp_pv, circle_pv, monkeypatch):
     """A fixed_field call substitutes nothing (no `DiffTower.eval_poly`),
     and the group action inside it (`fixed_combinations` and
     `invariance_conditions`) makes at most one `Poly` product per window
-    monomial: one per new table entry."""
+    key: one per new table entry."""
     counts = {"eval_poly": 0, "products": 0, "acting": 0}
     eval_poly, mul = DiffTower.eval_poly, Poly.__mul__
 
@@ -386,12 +390,12 @@ def test_fixed_field_acts_through_the_table(exp_pv, circle_pv, monkeypatch):
              (circle_pv, finite_list(PM_ONE), "K(c^2, s*c)"), (circle_pv, SO2, "K")]
     for pv, desc, field in cases:
         group = defining_equations(pv)  # a cold table
-        window = pv.extension.scan_basis(max(4, desc.order or 0), 0)[0]
+        keys = pv.extension.irreducible_monomials(max(4, desc.order or 0))
         subgroup_of(group, desc).basis  # the subgroup's Groebner basis, outside the count
         counts.update(eval_poly=0, products=0)
         assert fixed_field(group, desc).describe() == field
         assert counts["eval_poly"] == 0, desc
-        assert 0 < counts["products"] <= len(window), (desc, counts)
+        assert 0 < counts["products"] <= len(keys), (desc, counts)
 
 
 def test_invariance_conditions_fill_a_cold_table_without_recursion(exp_pv):

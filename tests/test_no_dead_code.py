@@ -1,13 +1,19 @@
-"""Every module-level function and class of the package has a caller.
+"""Every function, class and method of the package has a caller.
 
 Code with no caller is deleted, not kept for tests alone.  This reads each
 module of `src/realpv` and each script of `bench/` with the standard
-library's `ast` and reports the package's module-level `def`s and `class`es
-that nothing there references.  A reference is a name, an attribute, or a
-string constant equal to the name (the bench tracer patches functions by
-name).  These do not count: the definition itself and anything inside it,
-the strings of an `__all__` list, and the package `__init__`, which only
-re-exports.  Tests do not count either.
+library's `ast` and reports the package's module-level `def`s and `class`es,
+and the methods in each class body, that nothing there references.  A
+reference is a name, an attribute, or a string constant equal to the name
+(the bench tracer patches functions by name).  These do not count: a
+definition's own name anywhere inside it, the strings of an `__all__`
+list, and the package `__init__`, which only re-exports.  Tests do not
+count either.  Dunder methods are not checked: Python calls them.  Names
+are matched by themselves, so a method counts as called when any method or
+function of that name is.
+
+Names that only `bench/` references are listed in BENCH_ONLY with the
+ROADMAP item that releases them; the list must match exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +32,14 @@ ALLOWED = {
     ),
 }
 
+# name -> the ROADMAP item that releases it from `bench/`, which alone calls it
+BENCH_ONLY = {
+    "reduces_to_zero": "item 8: bench/layertrace.py patches it by name",
+    "independent_over_constants": "item 8, step 6: an op of the algebra workload",
+    "DiffTower.scan_basis": "item 8: bench/layertrace.py patches it by name",
+    "DiffTower.linear_relations": "item 8: bench/layertrace.py patches it by name",
+}
+
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -35,48 +49,79 @@ def _is_all(node: ast.stmt) -> bool:
     )
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _references(node: ast.AST) -> set[str]:
+    """The names node references; inside a definition, not its own."""
     out = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            if n.value.isidentifier():
-                out.add(n.value)
+    for child in ast.iter_child_nodes(node):
+        out |= _references(child)
+    if isinstance(node, DEFINITIONS):
+        out.discard(node.name)
+    elif isinstance(node, ast.Name):
+        out.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        out.add(node.attr)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def _definitions(node: ast.stmt, owner: str = "") -> list[str]:
+    """The qualified name of a def or class and, for a class, of each of its
+    methods but the dunders."""
+    name = owner + node.name
+    out = [name]
+    if isinstance(node, ast.ClassDef):
+        for item in node.body:
+            if isinstance(item, DEFINITIONS) and not _is_dunder(item.name):
+                out += _definitions(item, name + ".")
     return out
 
 
 def unreferenced(package: dict[str, str], others: dict[str, str]) -> list[str]:
-    """`module.name` of each module-level def or class in the `package`
-    sources that no source of `package` or `others` references outside its
-    own definition."""
-    defined: dict[str, str] = {}
+    """`module.name` of each module-level def or class, and `module.Class.name`
+    of each method, in the `package` sources that no source of `package` or
+    `others` references outside its own definition."""
+    defined: list[str] = []
     used: set[str] = set()
     for module, source in [*package.items(), *others.items()]:
         for node in ast.parse(source).body:
             if _is_all(node):
                 continue
-            refs = _references(node)
+            used |= _references(node)
             if module in package and isinstance(node, DEFINITIONS):
-                defined[node.name] = module
-                refs.discard(node.name)
-            used |= refs
-    return sorted(f"{m}.{name}" for name, m in defined.items() if name not in used)
+                defined += [f"{module}.{q}" for q in _definitions(node)]
+    return sorted(q for q in defined if q.rsplit(".", 1)[1] not in used)
 
 
 def _sources(paths) -> dict[str, str]:
     return {p.stem: p.read_text() for p in paths}
 
 
-def test_every_package_name_has_a_caller():
+def _dead(with_bench: bool) -> dict[str, str]:
+    """Each unreferenced name, without its module, to its `unreferenced` entry."""
     package = _sources(p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py")
-    bench = _sources(sorted((ROOT / "bench").rglob("*.py")))
-    dead = {q.rsplit(".", 1)[1]: q for q in unreferenced(package, bench)}
+    bench = _sources(sorted((ROOT / "bench").rglob("*.py"))) if with_bench else {}
+    return {q.split(".", 1)[1]: q for q in unreferenced(package, bench)}
+
+
+def test_every_package_name_has_a_caller():
+    dead = _dead(with_bench=True)
     assert sorted(q for name, q in dead.items() if name not in ALLOWED) == []
     # an allowed name that gained a caller, or is gone, leaves the list
     assert sorted(set(ALLOWED) - set(dead)) == []
+
+
+def test_bench_only_names_are_listed():
+    """The names that `bench/` alone references are BENCH_ONLY: one that
+    gains a caller in the package, or is gone, leaves the list, and a new
+    one joins it with the item that releases it."""
+    bench_only = set(_dead(with_bench=False)) - set(_dead(with_bench=True))
+    assert sorted(bench_only) == sorted(BENCH_ONLY)
 
 
 def test_guard_sees_uncalled_names_and_skips_called_ones():
@@ -88,8 +133,17 @@ def test_guard_sees_uncalled_names_and_skips_called_ones():
             "class Lonely:\n"
             "    def make(self) -> 'Lonely':\n"
             "        return Lonely()\n"
+            "class Used:\n"
+            "    def __init__(self):\n"
+            "        self.value = self.helped()\n"
+            "    def helped(self):\n"
+            "        return 1\n"
+            "    def spin(self):\n"
+            "        return self.spin()\n"
+            "    def by_script(self):\n"
+            "        return 0\n"
             "def called():\n"
-            "    return 1\n"
+            "    return Used()\n"
             "def by_attribute():\n"
             "    return 2\n"
             "def by_string():\n"
@@ -104,9 +158,16 @@ def test_guard_sees_uncalled_names_and_skips_called_ones():
             "mod.by_attribute()\n"
             "for f in ('by_string',):\n"
             "    pass\n"
-            "mod.helper()\n"
+            "mod.helper().by_script()\n"
             "# unused is mentioned in a comment only\n"
             "'''unused in a docstring'''\n"
         ),
     }
-    assert unreferenced(package, others) == ["mod.Lonely", "mod.unused"]
+    assert unreferenced(package, others) == [
+        "mod.Lonely", "mod.Lonely.make", "mod.Used.spin", "mod.unused"
+    ]
+    # without the script, what only it calls has no caller
+    assert unreferenced(package, {}) == [
+        "mod.Lonely", "mod.Lonely.make", "mod.Used.by_script", "mod.Used.spin",
+        "mod.by_attribute", "mod.by_string", "mod.helper", "mod.unused",
+    ]

@@ -87,18 +87,23 @@ def test_as_scalar(circle):
     assert circle.zero().as_scalar() == GaussRat.of(0)
 
 
+def _conj(x):
+    """Conjugation of K(i), on the coefficients of numerator and denominator."""
+    return x.tower.elem(x.num.conj(), x.den.conj())
+
+
 def test_conj_involution_randomized(circle):
     r = rng(33)
     for _ in range(60):
         x = rand_element(r, circle)
-        assert circle.conj(circle.conj(x)) == x
+        assert _conj(_conj(x)) == x
 
 
 def test_derivation_commutes_with_conjugation(circle):
     r = rng(34)
     for _ in range(60):
         x = rand_element(r, circle)
-        assert circle.conj(x.derive()) == circle.conj(x).derive()
+        assert _conj(x.derive()) == _conj(x).derive()
 
 
 def test_eval_poly_substitution(circle):
@@ -294,6 +299,37 @@ def test_scan_derivatives_match_derive(scan_towers, monkeypatch, name, bounds):
     monkeypatch.setattr(realpv.tower, "kernel", recording)
     tower.constant_scan(*bounds)
     assert kernels == [expected]
+
+
+RATES = ["0", "3", "-1/(2*t)", "t/(t^2+1)"]
+
+
+def test_solution_scan_matches_the_field_element_route(scan_towers, corpus_towers):
+    """On the corpus and the scan towers, Seidenberg's among them, the
+    window solutions of y' = r*y are the combinations, not zero, that the
+    former route gives: `linear_relations` on D(b) - r*b for the
+    `scan_basis` elements b.  Rates with t are taken only over t."""
+    towers = {**corpus_towers, **scan_towers}
+    assert len(towers) >= 20
+    seen = {"no t": 0, "found": 0, "zero combination": 0}
+    for name, tower in sorted(towers.items()):
+        rates = RATES if tower.base_var else RATES[:2]
+        seen["no t"] += not tower.base_var
+        for text, bounds in [(r, b) for r in rates for b in [(2, 2), (3, 1)]]:
+            rate = tower.parse(text)
+            basis, _ = tower.scan_basis(*bounds)
+            expected = []
+            for vec in tower.linear_relations([b.derive() - rate * b for b in basis]):
+                y = tower.combine(vec, basis)
+                if y.is_zero():
+                    seen["zero combination"] += 1
+                else:
+                    expected.append(str(y))
+            got = tower.solution_scan(rate, *bounds)
+            assert [str(y) for y in got] == expected, (name, text, bounds)
+            assert all(y.derive() == rate * y for y in got)
+            seen["found"] += len(got)
+    assert min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("bounds", [(2, 0), (4, 3), (6, 5)], ids=str)
