@@ -1,6 +1,5 @@
 """Exact linear algebra: `Echelon` and `kernel` over the Gaussian
-rationals, `det` over any exact field, Q(i) or a tower's, the other helpers
-over any ring.
+rationals, `det` and the other helpers over any commutative ring.
 
 `Echelon` and `kernel` work on sparse vectors (dicts mapping a column label
 to a coefficient) because the matrices produced by constant scans,
@@ -20,7 +19,7 @@ from __future__ import annotations
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import add, mul
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import Unsupported
 from .gauss import GaussRat
@@ -140,29 +139,46 @@ def kernel(n_cols: int, equations: Iterable[dict[int, GaussRat]]) -> list[list[G
     return basis
 
 
-def det(rows: Sequence[Sequence]):
-    """The determinant by the fraction-free Bareiss recurrence, over any
-    field whose elements have `is_zero`, `*`, `-` and `/`."""
+def det(rows: Sequence[Sequence], normal_form: Callable | None = None):
+    """The determinant over any commutative ring whose elements have
+    `is_zero`, `+`, `-` and `*`, with no division: GaussRat matrices for
+    group membership, cleared polynomial numerators for Wronskians.
+
+    Laplace expansion along the first row, memoized over column sets: the
+    minor on the last k rows and a set S of k columns is computed once,
+    from the row above it and the minors one size smaller.  That is at most
+    n * 2^(n-1) products, and zero entries and zero minors are skipped.
+    `normal_form`, when given, is applied once to each minor of size two
+    and more, so that polynomial minors stay reduced modulo a tower's
+    relations; the entries are read as they are.
+    """
     n = len(rows)
     if not n or any(len(row) != n for row in rows):
         raise ValueError("determinant of an empty or non-square matrix")
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = rows[0][0] ** 0
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
-            if swap is None:
-                return m[k][k]
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        # Column k below the pivot is left as it is: no later step reads it.
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
-    out = m[n - 1][n - 1]
-    return -out if sign < 0 else out
+    # minors of the last rows by their column set, as a bit mask
+    minors = {1 << c: v for c, v in enumerate(rows[-1]) if not v.is_zero()}
+    for row in reversed(rows[:-1]):
+        grown: dict[int, object] = {}
+        for mask, minor in minors.items():
+            for c, v in enumerate(row):
+                if mask >> c & 1 or v.is_zero():
+                    continue
+                term = v * minor
+                # c's place in the grown set is the number of its columns below c
+                odd = (mask & ((1 << c) - 1)).bit_count() & 1
+                key = mask | 1 << c
+                acc = grown.get(key)
+                if acc is None:
+                    grown[key] = -term if odd else term
+                else:
+                    grown[key] = acc - term if odd else acc + term
+        if normal_form is not None:
+            grown = {m: normal_form(v) for m, v in grown.items()}
+        minors = {m: v for m, v in grown.items() if not v.is_zero()}
+    if not minors:
+        z = rows[0][0]
+        return z - z
+    return minors[(1 << n) - 1]
 
 
 def identity(n: int) -> list[list[GaussRat]]:

@@ -36,7 +36,7 @@ from .gauss import GaussRat, is_square, rational_sqrt
 from .poly import MAX_INT_DIGITS, Poly, power_overrun, too_many_digits
 from .report import Report
 from .tower import DiffTower, FieldElement
-from .wronskian import WrMatrix, derivatives, wronskian_det
+from .wronskian import Ladder, WrMatrix, wronskian_det
 
 __all__ = [
     "LinearODE",
@@ -74,7 +74,7 @@ class LinearODE:
 
     def apply(self, y: FieldElement) -> FieldElement:
         """Evaluate the differential operator at y (in y's tower)."""
-        return self.evaluate(derivatives(y, self.order))
+        return self.evaluate(Ladder(y, self.order))
 
     def evaluate(self, ladder: Sequence[FieldElement]) -> FieldElement:
         """The operator at y, from the ladder y, y', ..., y^(n) of y (in
@@ -147,7 +147,7 @@ def _certify(pv: PVExtension) -> Report:
     # each solution is derived once, up to the order the equation and the
     # wronskian need; all three derivative checks read these ladders
     depth = max(pv.order, len(sols) - 1)
-    ladders = [derivatives(y, depth) for y in sols]
+    ladders = [Ladder(y, depth) for y in sols]
     bad = [
         (i, r) for i, l in enumerate(ladders) if not (r := pv.ode.evaluate(l)).is_zero()
     ]
@@ -158,7 +158,7 @@ def _certify(pv: PVExtension) -> Report:
         if not bad
         else f"solution {bad[0][0] + 1} leaves residue {bad[0][1]}",
     )
-    det = wronskian_det(WrMatrix(zip(*(l[: len(sols)] for l in ladders))))
+    det = wronskian_det(WrMatrix(ladders))
     rep.add(
         "wronskian_invertible",
         not det.is_zero(),

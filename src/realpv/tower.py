@@ -282,6 +282,10 @@ class DiffTower:
         relations = [s.relation for s in specs if s.relation is not None]
         self.rewrite = buchberger(relations, self.context)
         self._common, self._cleared = self._cleared_derivation()
+        # P_E, zero exactly when E' = 0 (`ladder`)
+        self._common_derivative = self.rewrite.normal_form(
+            self._cleared_derivative(self._common)
+        )
         self._validate()
 
     # -- construction internals ----------------------------------------------
@@ -382,6 +386,11 @@ class DiffTower:
 
     # -- derivation ------------------------------------------------------------
 
+    @property
+    def common_denominator(self) -> Poly:
+        """E, the one denominator of the cleared derivation."""
+        return self._common
+
     def _cleared_derivative(self, p: Poly) -> Poly:
         """P_p = sum_v dp/dv * C_v, the numerator of p' = P_p/E over the
         tower's one denominator (`_cleared_derivation`); not normal-formed."""
@@ -433,6 +442,44 @@ class DiffTower:
             return FieldElement(dn, self._common, self)
         dd = self._cleared_derivative(d)
         return FieldElement(dn * d - n * dd, self._common * (d * d), self)
+
+    def ladder(self, x: FieldElement, depth: int) -> tuple[list[Poly], list[int]]:
+        """x, x', ..., x^(depth) over known denominators: the normal forms
+        N_k and the powers a_k with x^(k) = N_k / (E^a_k * d^(k+1)) for
+        x = n/d, E the common denominator.  No `FieldElement` is built.
+
+        The quotient rule over the cleared derivation (p' = P_p/E) takes
+        x^(k) = N/(E^a * d^(k+1)) to
+            (P_N*E*d - N*(a*P_E*d + (k+1)*E*P_d)) / (E^(a+2) * d^(k+2)),
+        where E divides the numerator when a = 0 or P_E = 0 (E' = 0):
+            (P_N*d - (k+1)*N*P_d) / (E^(a+1) * d^(k+2)).
+        So a_k = 0 when E is 1, a_k = k when E' = 0 and a_k = 2k - 1
+        otherwise, against E^3 * d^4 for x'' by `derive` twice.  Each step
+        is one `_cleared_derivative` pass and one normal form, with no
+        product by d or E when it is 1 and no P_d term when d is.
+        """
+        x = self.lift(x)
+        nf = self.rewrite.normal_form
+        e, pe, d = self._common, self._common_derivative, x.den
+        const_d = d.is_constant()  # a canonical constant denominator is 1
+        pd = None if const_d else nf(self._cleared_derivative(d))
+        rise = 0 if e.is_constant() else 1  # no power of E to count when E is 1
+        grows = not pe.is_zero()
+        if grows:
+            ed, ped = (e, pe) if const_d else (e * d, pe * d)
+            epd = None if const_d else e * pd
+        nums, powers = [x.num], [0]
+        for k in range(depth):
+            num, a = nums[-1], powers[-1]
+            dn = self._cleared_derivative(num)
+            if a and grows:
+                low = ped.scale(a) if const_d else ped.scale(a) + epd.scale(k + 1)
+                out = dn * ed - num * low
+            else:
+                out = dn if const_d else dn * d - num * pd.scale(k + 1)
+            powers.append(a + 2 if a and grows else a + rise)
+            nums.append(nf(out))
+        return nums, powers
 
     # -- substitution ---------------------------------------------------------
 

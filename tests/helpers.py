@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from realpv import Context, DiffTower, GaussRat, Monomial, Poly
+
+
+def bench_algebra():
+    """The benchmark's `algebra` workload module, bench/algebra.py: its
+    four towers (`towers()`) and its element generator (`rand_element`)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "algebra.py"
+    spec = importlib.util.spec_from_file_location("bench_algebra", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rng(seed: int = 0) -> random.Random:

@@ -29,6 +29,13 @@ def test_det_against_sympy():
                 [[_to_sympy(v) for v in row] for row in m]
             ).det()
             assert sympy.simplify(_to_sympy(mine) - oracle) == 0
+    # A zero top-left entry, where elimination would have to swap rows.
+    for n in (2, 3, 4):
+        for _ in range(5):
+            m = _rand_matrix(r, n)
+            m[0][0] = GaussRat.of(0)
+            oracle = sympy.Matrix([[_to_sympy(v) for v in row] for row in m]).det()
+            assert sympy.simplify(_to_sympy(det(m)) - oracle) == 0
     # Singular matrices that leave a column with no pivot: a zero first
     # column, and a second column that is a multiple of the first.
     for _ in range(5):

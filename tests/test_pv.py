@@ -62,17 +62,24 @@ def test_certificates_derive_each_solution_once_per_order(
     base, monkeypatch, eq_class, coeffs, derives
 ):
     # the equation, the wronskian and the companion check all read one
-    # ladder y, y', ..., y^(n) per solution
+    # ladder y, y', ..., y^(n) per solution, derived once by the cleared
+    # recurrence and never again by `derive`
     ode = _ode(base, *coeffs)
-    calls = []
+    steps, calls = [], []
+
+    def counted_ladder(self, x, depth, _orig=DiffTower.ladder):
+        steps.append(depth)
+        return _orig(self, x, depth)
 
     def counted(self, x, _orig=DiffTower.derive):
         calls.append(x)
         return _orig(self, x)
 
+    monkeypatch.setattr(DiffTower, "ladder", counted_ladder)
     monkeypatch.setattr(DiffTower, "derive", counted)
     build_pv(base, ode, eq_class)
-    assert len(calls) == derives
+    assert sum(steps) == derives
+    assert not calls
 
 
 def test_exp_build(exp_pv):

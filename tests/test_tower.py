@@ -1,8 +1,6 @@
 """Differential towers: derivation, conjugation, scans, substitution."""
 
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy
@@ -16,9 +14,7 @@ from realpv.linsolve import kernel
 from realpv.rewrite import RewriteSystem
 from realpv.seidenberg import build_seidenberg
 
-from helpers import leibniz_derive, rand_element, rand_poly, rng
-
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import bench_algebra, leibniz_derive, rand_element, rand_poly, rng
 
 
 @pytest.fixture(scope="module")
@@ -431,11 +427,7 @@ def test_linear_relations_clear_by_the_lcm(circle, monkeypatch):
 
 def _bench_towers():
     """The four towers of the benchmark's `algebra` workload."""
-    path = ROOT / "bench" / "algebra.py"
-    spec = importlib.util.spec_from_file_location("bench_algebra", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.towers()
+    return bench_algebra().towers()
 
 
 def _agrees_with_the_reference(tower, r, count=4):
