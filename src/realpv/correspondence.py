@@ -336,19 +336,17 @@ def member_of_field(
     if window is None:
         span = Echelon()
         cleared = cleared_numerators(tower.rewrite, window_products(tower, gens, deg, tpow))
-        basis = [w for w in cleared if span.add(dict(w.by_key))]
+        basis = [w for w in cleared if span.add(w.by_key)]
         window = windows[deg, tpow] = (basis, span)
     basis, span = window
     nf = tower.rewrite.normal_form
-    # `add` takes its dict over, and a product by 1 or its normal form can
-    # be the window polynomial itself: each addition gets a copy
     if x.den.is_constant():
         echelon = span.copy()
     else:
         echelon = Echelon()
         for w in basis:
-            echelon.add(dict(nf(x.den * w).by_key))
-    return any(not echelon.add(dict(nf(x.num * w).by_key)) for w in basis)
+            echelon.add(nf(x.den * w).by_key)
+    return any(not echelon.add(nf(x.num * w).by_key) for w in basis)
 
 
 # -- fixed fields ---------------------------------------------------------------------

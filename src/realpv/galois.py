@@ -406,7 +406,7 @@ def fixed_combinations(
     act = _action(group)
     read = ctx.reader(group.pv.extension.context)
     window = [Poly._build(ctx, {read(m): ONE}) for m in monomials]
-    return kernel_by_monomial(ctx, [nf(act(w) - w) for w in window])
+    return kernel_by_monomial([nf(act(w) - w) for w in window])
 
 
 def generic_pair(

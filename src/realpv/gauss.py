@@ -169,16 +169,17 @@ class GaussRat:
 
 
 def power(base, n: int, one):
-    """base^n for n >= 0 by square-and-multiply from `one`, for any type
-    whose product is `*`; the last square, which nothing reads, is skipped."""
-    out = one
+    """base^n for n >= 0 by square-and-multiply, for any type whose product
+    is `*`: `one` when n is 0, else no product by one and no square that
+    nothing reads."""
+    out = None
     while n:
         if n & 1:
-            out = out * base
+            out = base if out is None else out * base
         n >>= 1
         if n:
             base = base * base
-    return out
+    return one if out is None else out
 
 
 _alloc = object.__new__

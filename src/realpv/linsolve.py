@@ -1,23 +1,23 @@
-"""Exact linear algebra: `Echelon` and `kernel` over the Gaussian
+"""Exact linear algebra: `Echelon` and `relations` over the Gaussian
 rationals, `det` and the other helpers over any commutative ring.
 
-`Echelon` and `kernel` work on sparse vectors (dicts mapping a column label
-to a coefficient) because the matrices produced by constant scans,
-invariant computations and membership tests are large but very sparse.
-`Echelon.add` is the one forward elimination: it reduces a vector against
-the rows kept so far and keeps what is left, which answers whether the
-vector was independent of them.  `kernel` adds its equations to an
-`Echelon` and then back-substitutes once per free unknown.  Its basis is
-canonical: one vector per free unknown (a column that is no row's leftmost
-entry in echelon form), unit at that position and zero at the other free
-ones.  Such a basis is unique, so it depends neither on the order of the
-equations nor on how they were eliminated.
+`Echelon` and `relations` work on sparse vectors (dicts mapping a label to
+a coefficient): the constant scans, invariant computations and membership
+tests make long but very sparse ones.  `Echelon.reduce` is the one
+elimination.  It subtracts kept vectors from a vector only at its leading
+label (its largest), until that label is new and the vector is kept
+there, or nothing is left.  Vectors with pairwise distinct leading labels
+are independent, so kept ones need no other elimination (Faugere's F4).
+`relations` adds its vectors in order: v_k reduces to nothing exactly when
+it lies in the span of the earlier ones, and then the reduction writes it
+in the kept ones, which are independent.  That gives the canonical basis:
+one vector per such k, 1 at k and zero at every other such index.  It is
+unique, so it depends neither on the labels' order nor on the elimination.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from heapq import heapify, heappop, heappush
 from operator import add, mul
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -26,6 +26,7 @@ from .gauss import GaussRat
 
 __all__ = [
     "Echelon",
+    "relations",
     "kernel",
     "det",
     "mat_mul",
@@ -37,106 +38,108 @@ __all__ = [
 _ZERO = GaussRat.of(0)
 _ONE = GaussRat.of(1)
 
+Vector = dict[Hashable, GaussRat]
+
 
 class Echelon:
-    """Sparse rows in echelon form, under column labels of any one totally
-    ordered type: ints for `kernel`, `Poly.by_key` keys for field
-    membership.
+    """Sparse vectors with pairwise distinct leading labels, under labels
+    of any one totally ordered type: ints for `kernel`, `Poly.by_key` keys
+    for `relations` over polynomials and for field membership.
 
-    `pivots` maps each row's pivot column, its smallest, to the row and the
-    inverse of its pivot entry.  A row's other entries lie right of its
-    pivot, and earlier rows are not reduced against later pivots.  Rows
-    are never changed once kept, so a copy shares them.
+    `pivots` maps each kept vector's leading label to the vector, the
+    inverse of its leading entry (None until a vector is first reduced by
+    it) and, for a vector added with an index, the combination of the
+    indexed vectors added so far that it equals (else None).  Kept vectors
+    are never changed, and a vector is kept as given when its leading label
+    is new, so a copy shares them and they may be live `Poly.by_key` dicts.
     """
 
     __slots__ = ("pivots",)
 
     def __init__(self) -> None:
-        self.pivots: dict[Hashable, tuple[dict[Hashable, GaussRat], GaussRat]] = {}
+        self.pivots: dict[Hashable, tuple[Vector, GaussRat | None, Vector | None]] = {}
 
     def copy(self) -> "Echelon":
         out = Echelon()
         out.pivots = dict(self.pivots)
         return out
 
-    def add(self, eq: dict[Hashable, GaussRat]) -> bool:
-        """Reduce eq, whose entries are nonzero, against the rows and keep
-        what is left as a new row at its smallest column.  Returns whether
-        anything was left: whether eq was independent of the rows.  The
-        dict is taken over: it is reduced in place and may become the row.
+    def reduce(self, vec: Vector, index: int | None = None) -> Vector | None:
+        """Top-reduce vec, whose entries are nonzero, and keep what is left
+        at its leading label.  Returns None when something was left, that
+        is when vec was independent of the kept vectors.  Otherwise returns
+        the combination {index: coefficient} of the vectors added with an
+        index that vanishes: 1 at `index`, the others the kept vectors'
+        indices ({} without an index).  vec itself is never changed.  One
+        echelon takes either indexed vectors only or unindexed ones only.
         """
         pivots = self.pivots
-        # Subtracting the row at `col` only adds columns right of `col`, so
-        # the pivot columns to clear are visited from a heap in increasing
-        # order.  A column that cancels and comes back has two entries; the
-        # second finds it gone.
-        todo = [c for c in eq if c in pivots]
-        heapify(todo)
-        while todo:
-            col = heappop(todo)
-            f = eq.pop(col, None)
-            if f is None:
-                continue
-            row, inv = pivots[col]
-            f = f * inv
+        comb = None if index is None else {index: _ONE}
+        eq = vec
+        while eq:
+            lead = max(eq)
+            hit = pivots.get(lead)
+            if hit is None:
+                pivots[lead] = (eq, None, comb)
+                return None
+            if eq is vec:
+                eq = dict(vec)
+            row, inv, used = hit
+            if inv is None:
+                inv = row[lead].inverse()
+                pivots[lead] = (row, inv, used)
+            f = eq.pop(lead) * inv
             for c, v in row.items():
-                if c == col:
+                if c == lead:
                     continue
                 cur = eq.get(c)
                 if cur is None:
                     eq[c] = -(f * v)
-                    if c in pivots:
-                        heappush(todo, c)
                     continue
                 val = cur - f * v
                 if val:
                     eq[c] = val
                 else:
                     del eq[c]
-        if not eq:
-            return False
-        col = min(eq)
-        pivots[col] = (eq, eq[col].inverse())
-        return True
+            if comb is not None:
+                for i, a in used.items():
+                    val = comb.get(i, _ZERO) - f * a
+                    if val:
+                        comb[i] = val
+                    else:
+                        del comb[i]
+        return {} if comb is None else comb
+
+    def add(self, vec: Vector) -> bool:
+        """Whether vec was independent of the kept vectors; it is kept if so."""
+        return self.reduce(vec) is None
 
 
-def kernel(n_cols: int, equations: Iterable[dict[int, GaussRat]]) -> list[list[GaussRat]]:
-    """Canonical basis of the solution space of a homogeneous sparse system.
-
-    Forward elimination adds each equation to an `Echelon`.
-    Back-substitution then solves for the pivot unknowns once per free
-    column, over the pivots in decreasing order.
-    """
+def relations(vectors: Sequence[Vector]) -> list[list[GaussRat]]:
+    """Canonical basis of the vectors a with sum a_k vectors[k] = 0: one per
+    k whose vector lies in the span of the earlier ones, with 1 at k and
+    zero at every other such index (module docstring).  The dicts, whose
+    entries are nonzero, are not changed."""
     echelon = Echelon()
-    add, of = echelon.add, GaussRat.of
-    for raw in equations:
-        add({c: g for c, v in raw.items() if (g := of(v))})
-    pivots = echelon.pivots
-    # A pivot right of the free column solves to zero, as its row holds only
-    # columns further right, whose unknowns are zero too.  Each pivot left
-    # of it is solved after every pivot its row refers to.
-    order = sorted(pivots, reverse=True)
+    n = len(vectors)
     basis: list[list[GaussRat]] = []
-    for free in range(n_cols):
-        if free in pivots:
-            continue
-        x = {free: _ONE}
-        for p in order:
-            if p > free:
-                continue
-            row, inv = pivots[p]
-            acc = _ZERO
-            for c, v in row.items():
-                xc = x.get(c)
-                if xc is not None:
-                    acc = acc - v * xc
-            if acc:
-                x[p] = acc * inv
-        vec = [_ZERO] * n_cols
-        for c, v in x.items():
-            vec[c] = v
-        basis.append(vec)
+    for k, vec in enumerate(vectors):
+        comb = echelon.reduce(vec, k)
+        if comb is not None:
+            basis.append([comb.get(i, _ZERO) for i in range(n)])
     return basis
+
+
+def kernel(n_cols: int, equations: Iterable[dict[int, object]]) -> list[list[GaussRat]]:
+    """`relations` of the columns of a system given by its rows, whose
+    coefficients are anything `GaussRat.of` reads."""
+    columns: list[Vector] = [{} for _ in range(n_cols)]
+    of = GaussRat.of
+    for r, row in enumerate(equations):
+        for c, v in row.items():
+            if g := of(v):
+                columns[c][r] = g
+    return relations(columns)
 
 
 def det(rows: Sequence[Sequence], normal_form: Callable | None = None):

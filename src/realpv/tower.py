@@ -32,7 +32,7 @@ from .errors import (
     Unsupported,
 )
 from .gauss import ONE, GaussRat, power
-from .linsolve import kernel
+from .linsolve import relations
 from .poly import (
     Context, Monomial, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, parse_fraction,
 )
@@ -89,14 +89,10 @@ def cleared_numerators(
     return [nf(_times(e.num, cofactor[e.den])) for e in elems]
 
 
-def kernel_by_monomial(ctx: Context, polys: Sequence[Poly]) -> list[list[GaussRat]]:
-    """Kernel of (a_k) -> sum a_k polys[k], one equation per monomial."""
-    by_monomial: dict[tuple, dict[int, GaussRat]] = {}
-    for k, p in enumerate(polys):
-        for mm, c in p.by_key.items():
-            by_monomial.setdefault(mm, {})[k] = c
-    rows = [by_monomial[mm] for mm in sorted(by_monomial, key=ctx.key)]
-    return kernel(len(polys), rows)
+def kernel_by_monomial(polys: Sequence[Poly]) -> list[list[GaussRat]]:
+    """Canonical basis of the (a_k) with sum a_k polys[k] = 0, the
+    polynomials compared monomial by monomial (`linsolve.relations`)."""
+    return relations([p.by_key for p in polys])
 
 
 def _clearing_factors(
@@ -158,13 +154,16 @@ class FieldElement:
     Canonical means: numerator and denominator are normal forms and the
     denominator's leading coefficient is 1.  Equality is decided by
     cross-multiplication, since pairs are not reduced to lowest terms.
+    A caller whose numerator is already a normal form says so with
+    `num_normal`, and only the denominator is normal-formed.
     """
 
     __slots__ = ("num", "den", "tower")
 
-    def __init__(self, num: Poly, den: Poly, tower: "DiffTower"):
+    def __init__(self, num: Poly, den: Poly, tower: "DiffTower", *, num_normal: bool = False):
         nf = tower.rewrite.normal_form
-        num = nf(num)
+        if not num_normal:
+            num = nf(num)
         den = nf(den)
         if den.is_zero():
             raise DivisionByZero("denominator is zero in the tower")
@@ -636,18 +635,18 @@ class DiffTower:
         elems = [self._window_element(m, j) for m, j in window]
         return elems, _index_of_one(window, self.context)
 
-    def _scan_rows(
+    def _scan_columns(
         self,
         window: Sequence[tuple[tuple, int]],
         coeff_degree_bound: int,
         rate: FieldElement | None = None,
-    ) -> list[dict[int, GaussRat]]:
-        """The scan's linear system, one row {column: coefficient} per
-        monomial in increasing order.  Column k is the normal form of
-        D(b) * E * t^K for the window element b = window[k], which vanishes
-        exactly when D(b) does; with a rate r = num/den of this tower that
-        lies in the base, of (D(b) - r * b) * E * den * t^K, which vanishes
-        exactly when D(b) = r * b.
+    ) -> list[dict[tuple, GaussRat]]:
+        """The scan's vectors, one {monomial key: coefficient} per window
+        element.  Column k is the normal form of D(b) * E * t^K for the
+        window element b = window[k], which vanishes exactly when D(b)
+        does; with a rate r = num/den of this tower that lies in the base,
+        of (D(b) - r * b) * E * den * t^K, which vanishes exactly when
+        D(b) = r * b.
 
         E is the tower's common denominator and D(m) = M_m / E, with
         M_m = sum_v e_v * (m/v) * C_v for m = prod_v v^e_v, read from the
@@ -657,11 +656,12 @@ class DiffTower:
         The normal forms T_m of t * M_m and ME_m of m * E are computed once
         per m; a rate makes them nf(t * (den * M_m - num * m * E)) and
         nf(den * m * E), and changes nothing else.  A column merges
-        T_m + j * ME_m, itself a normal form, and writes each term times
-        t^(j-1+K) into its row.  That product stays irreducible unless some
-        rule's leading monomial has t (t^3 -> g^2 when g^2 = t^3); only then
-        is the column normal-formed again.  Without a base variable column
-        k is the normal form of M_m (den * M_m - num * m * E with a rate).
+        T_m + j * ME_m, itself a normal form, with each term times
+        t^(j-1+K).  That product stays irreducible unless some rule's
+        leading monomial has t (t^3 -> g^2 when g^2 = t^3); only then is
+        the column normal-formed again.  Without a base variable column k
+        is the normal form of M_m (den * M_m - num * m * E with a rate),
+        a live `Poly.by_key`.
         """
         ctx = self.context
         nf = self.rewrite.normal_form
@@ -683,8 +683,8 @@ class DiffTower:
             return nf(mm.mul_monomial(t_unit)).by_key, nf(me).by_key
 
         parts: dict[tuple, tuple[dict, dict]] = {}
-        rows: dict[tuple, dict[int, GaussRat]] = {}
-        for k, (m, j) in enumerate(window):
+        columns: list[dict[tuple, GaussRat]] = []
+        for m, j in window:
             got = parts.get(m)
             if got is None:
                 got = parts[m] = normal_forms(m)
@@ -706,13 +706,8 @@ class DiffTower:
                         col[shift(key, s)] = c * g
                 if reducible:
                     col = nf(Poly._build(ctx, col)).by_key
-            for key, c in col.items():
-                row = rows.get(key)
-                if row is None:
-                    rows[key] = {k: c}
-                else:
-                    row[k] = c
-        return [rows[key] for key in sorted(rows, key=ctx.key)]
+            columns.append(col)
+        return columns
 
     def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
         """Kernel of (a_k) -> sum a_k elems[k], exactly, over GaussRat.
@@ -722,7 +717,7 @@ class DiffTower:
         monomial.  Scaling the family by the one nonzero L leaves the
         kernel, and so its canonical basis, unchanged.
         """
-        return kernel_by_monomial(self.context, cleared_numerators(self.rewrite, elems))
+        return kernel_by_monomial(cleared_numerators(self.rewrite, elems))
 
     def combine(
         self, coeffs: Sequence[GaussRat], elems: Sequence[FieldElement]
@@ -736,15 +731,16 @@ class DiffTower:
     def _window_combinations(
         self, degree_bound: int, coeff_degree_bound: int, rate: FieldElement | None = None
     ) -> Iterator[FieldElement]:
-        """One window combination per vector of the kernel basis of
-        `_scan_rows`, the canonical one of D(b) - r * b over the `scan_basis`
-        elements b (r the rate or 0), as each column is that element times
-        one common factor.  Without a rate the scalar direction is projected
-        off.  Window elements are built only for the combinations."""
+        """One window combination per vector of the `relations` basis of
+        `_scan_columns`, the canonical one of D(b) - r * b over the
+        `scan_basis` elements b (r the rate or 0), as each column is that
+        element times one common factor.  Without a rate the scalar
+        direction is projected off.  Window elements are built only for the
+        combinations."""
         window = self._window(degree_bound, coeff_degree_bound)
-        rows = self._scan_rows(window, coeff_degree_bound, rate)
+        columns = self._scan_columns(window, coeff_degree_bound, rate)
         skip = _index_of_one(window, self.context) if rate is None else -1
-        for vec in kernel(len(window), rows):
+        for vec in relations(columns):
             used = [k for k, c in enumerate(vec) if c and k != skip]
             yield self.combine(
                 [vec[k] for k in used], [self._window_element(*window[k]) for k in used]
@@ -756,9 +752,10 @@ class DiffTower:
         """New constants in the scan window, excluding the scalars.
 
         Solves d(sum a_k b_k) = 0 exactly over the window elements b_k
-        (`_window_combinations`): `_scan_rows` writes the system in one
-        pass, one equation per monomial, from two normal forms per
-        generator monomial and none per window element.  A combination that
+        (`_window_combinations`): `_scan_columns` writes each window
+        element's vector from two normal forms per generator monomial and
+        none per window element, and `linsolve.relations` eliminates only
+        the vectors whose leading monomials collide.  A combination that
         is a scalar is no new constant: the window can write 1 in more than
         one way, as g^2/t^3 when g^2 = t^3.  So an empty result certifies
         that the window contains no constant outside the base constants.

@@ -38,7 +38,8 @@ __all__ = [
 class Ladder:
     """The derivatives y, y', ..., y^(depth) of one tower element y = n/d,
     kept as the numerators and E-powers of `DiffTower.ladder`.  Entry k is
-    the element N_k / (E^a_k * d^(k+1)), built the first time it is read.
+    the element N_k / (E^a_k * d^(k+1)), built the first time it is read
+    with only its denominator normal-formed, as N_k is a normal form.
     `d` is d, or None when it is 1.
     """
 
@@ -67,7 +68,7 @@ class Ladder:
             for _ in range(powers[j] - powers[j - 1]):
                 den = den * self.tower.common_denominator
             self._den = den
-            built.append(FieldElement(self.nums[j], den, self.tower))
+            built.append(FieldElement(self.nums[j], den, self.tower, num_normal=True))
         return built[k]
 
 

@@ -279,7 +279,7 @@ def _fixed_by_substitution(group, elems):
     system = RewriteSystem(tw.context, tw.rewrite.rules + group.basis.rules_for(tw.context))
     moved = [_moved_by_substitution(group, e) for e in elems]
     assert all(m.den.is_constant() for m in moved)
-    return kernel_by_monomial(tw.context, cleared_numerators(system, moved))
+    return kernel_by_monomial(cleared_numerators(system, moved))
 
 
 def _conditions_by_substitution(group, x):

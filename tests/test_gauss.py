@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, strategies as st
 
-from realpv import GaussRat
+from realpv import Context, DiffTower, FieldElement, GaussRat, Poly
 from realpv.gauss import I, ONE, ZERO, is_square, rational_sqrt
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -48,6 +48,40 @@ def test_pow():
     assert two**10 == GaussRat.of(1024)
     assert two**-2 == GaussRat.of(Fraction(1, 4))
     assert two**0 == ONE
+
+
+def _power_bases():
+    ctx = Context(["x", "y"])
+    circle = DiffTower(base_var="t").adjoin_abstract(["c", "s"], ["-s", "c"], ["s^2+c^2-1"])
+    return {
+        GaussRat: GaussRat(Fraction(3, 2), Fraction(-1)),
+        Poly: Poly.variable(ctx, "x") * Poly.variable(ctx, "y") - Poly.const(ctx, 2),
+        FieldElement: circle.parse("(c+t)/(s+2)"),
+    }
+
+
+@pytest.mark.parametrize("cls", [GaussRat, Poly, FieldElement], ids=lambda c: c.__name__)
+def test_power_spends_no_product_on_one(cls, monkeypatch):
+    """x**n equals the product of n factors x and takes
+    floor(log2 n) squares and one product per further set bit of n: none for
+    n = 0 and 1, one for a square."""
+    x = _power_bases()[cls]
+    repeated = [x**0]
+    for _ in range(9):
+        repeated.append(repeated[-1] * x)
+    calls = []
+    mul = cls.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    for n in range(10):
+        calls.clear()
+        got = x**n
+        assert len(calls) == (n.bit_length() + n.bit_count() - 2 if n else 0), n
+        assert got == repeated[n], n
 
 
 @given(gauss, gauss, gauss)

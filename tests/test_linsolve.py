@@ -6,7 +6,9 @@ import pytest
 import sympy
 
 from realpv import Context, GaussRat, Poly, Unsupported
-from realpv.linsolve import Echelon, adjugate, det, identity, kernel, mat_conj, mat_mul
+from realpv.linsolve import (
+    Echelon, adjugate, det, identity, kernel, mat_conj, mat_mul, relations,
+)
 
 from helpers import rand_gauss, rng
 
@@ -215,7 +217,7 @@ def test_kernel_is_the_canonical_basis():
 
 
 def _echelon_state(echelon):
-    return {c: (dict(row), inv) for c, (row, inv) in echelon.pivots.items()}
+    return {c: (dict(row), inv) for c, (row, inv, _) in echelon.pivots.items()}
 
 
 @pytest.mark.parametrize("labels", ["int", "tuple"])
@@ -244,7 +246,9 @@ def test_echelon_add_tracks_the_rank(labels):
             m = m.col_join(line)
             grew = m.rank() > rank
             rank += grew
-            assert echelon.add(dict(vec)) is grew
+            snapshot = dict(vec)
+            assert echelon.add(vec) is grew
+            assert vec == snapshot
             seen["independent" if grew else "dependent"] += 1
             seen["complex"] += any(c.im for c in vec.values())
         before = _echelon_state(echelon)
@@ -260,6 +264,88 @@ def test_echelon_add_tracks_the_rank(labels):
         assert [echelon.copy().add(dict(vec)) for vec in extra] == answers
         seen["copy grew"] += len(other.pivots) > len(echelon.pivots)
     assert all(seen.values()), seen
+
+
+def _random_family(r, labels):
+    """Sparse vectors over Q(i) under the given labels, mixing zero vectors,
+    repeated ones (the same dict again), combinations of earlier ones, and
+    vectors that take an earlier one's leading label with other entries
+    below it."""
+    zero = GaussRat.of(0)
+    vectors = []
+    for _ in range(r.randint(1, 9)):
+        roll = r.random()
+        earlier = [v for v in vectors if v]
+        if roll < 0.1:
+            vectors.append({})
+        elif roll < 0.2 and vectors:
+            vectors.append(r.choice(vectors))
+        elif roll < 0.35 and len(earlier) >= 2:
+            a, b = r.sample(earlier, 2)
+            ca, cb = rand_gauss(r), rand_gauss(r)
+            vec = {}
+            for j in set(a) | set(b):
+                if v := ca * a.get(j, zero) + cb * b.get(j, zero):
+                    vec[j] = v
+            vectors.append(vec)
+        elif roll < 0.6 and earlier:
+            lead = max(r.choice(earlier))
+            vec = {lead: rand_gauss(r) or GaussRat.of(1)}
+            for j in labels:
+                if j < lead and r.random() < 0.5 and (c := rand_gauss(r)):
+                    vec[j] = c
+            vectors.append(vec)
+        else:
+            vectors.append({j: c for j in labels if r.random() < 0.4 and (c := rand_gauss(r))})
+    return vectors
+
+
+@pytest.mark.parametrize("labels", ["int", "tuple"])
+def test_relations_is_the_canonical_nullspace(labels):
+    """relations against the Gauss-Jordan reference and, on every fourth
+    family, against sympy's nullspace brought to reduced row-echelon form,
+    on seeded families whose leading labels collide, with repeated and zero
+    vectors and relation spaces of dimension 2 and more; the vectors come
+    back unchanged."""
+    r = rng(31)
+    seen = {"collision": 0, "collision kept": 0, "repeated": 0, "zero": 0,
+            "dimension >= 2": 0, "complex": 0, "full rank": 0}
+    for i in range(120):
+        n_labels = r.randint(1, 7)
+        if labels == "tuple":
+            keys = [(d, d - j, j) for d in range(4) for j in range(d + 1)][:n_labels]
+            r.shuffle(keys)
+        else:
+            keys = list(range(n_labels))
+        vectors = _random_family(r, keys)
+        before = [dict(v) for v in vectors]
+        basis = relations(vectors)
+        assert [dict(v) for v in vectors] == before
+        rows = [{k: v[key] for k, v in enumerate(vectors) if key in v} for key in keys]
+        assert basis == _gauss_jordan_kernel(len(vectors), rows)
+        if i % 4 == 0:
+            assert basis == _sympy_kernel(len(vectors), rows)
+        dependent = {max(k for k, c in enumerate(vec) if c) for vec in basis}
+        leads = [max(v) if v else None for v in vectors]
+        for k, lead in enumerate(leads):
+            if lead is not None and lead in leads[:k]:
+                seen["collision"] += 1
+                seen["collision kept"] += k not in dependent
+        seen["repeated"] += any(v is w for i, v in enumerate(vectors) for w in vectors[:i])
+        seen["zero"] += {} in vectors
+        seen["dimension >= 2"] += len(basis) >= 2
+        seen["complex"] += any(c.im for v in vectors for c in v.values())
+        seen["full rank"] += not basis
+    assert all(seen.values()), seen
+
+
+def test_kernel_transposes_its_rows_for_relations():
+    """kernel reads a system by rows, with int and Fraction coefficients,
+    as relations reads its columns."""
+    eqs = [{0: 1, 2: Fraction(1, 2)}, {1: 3, 2: 0}, {}]
+    columns = [{0: GaussRat.of(1)}, {1: GaussRat.of(3)}, {0: GaussRat.of(Fraction(1, 2))}]
+    assert kernel(3, eqs) == relations(columns)
+    assert kernel(3, eqs) == [[GaussRat.of(Fraction(-1, 2)), GaussRat.of(0), GaussRat.of(1)]]
 
 
 def test_mat_conj():

@@ -38,6 +38,7 @@ BENCH_ONLY = {
     "independent_over_constants": "item 8, step 6: an op of the algebra workload",
     "DiffTower.scan_basis": "item 8: bench/layertrace.py patches it by name",
     "DiffTower.linear_relations": "item 8: bench/layertrace.py patches it by name",
+    "kernel": "item 8: bench/layertrace.py patches it by name",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -10,7 +10,7 @@ from realpv import (
     Context, DiffTower, FieldElement, GaussRat, LinearODE, Monomial, build_pv, parse_poly
 )
 from realpv.errors import ContextError, IncompatibleDerivation
-from realpv.linsolve import kernel
+from realpv.linsolve import kernel, relations
 from realpv.rewrite import RewriteSystem
 from realpv.seidenberg import build_seidenberg
 
@@ -280,19 +280,19 @@ SCAN_BOUNDS = [(4, 3), (6, 5)] + [(_r.randint(0, 4), _r.randint(1, 5)) for _ in 
     ],
 )
 def test_scan_derivatives_match_derive(scan_towers, monkeypatch, name, bounds):
-    """The derivatives the scan clears and normal-forms have the kernel of
-    the window elements' derivatives, each computed by the Leibniz-chain
-    reference: the kernel constant_scan solves for is the reference one."""
+    """The derivatives the scan clears and normal-forms have the relations
+    of the window elements' derivatives, each computed by the Leibniz-chain
+    reference: the basis constant_scan solves for is the reference one."""
     tower = scan_towers[name]
     basis, _ = tower.scan_basis(*bounds)
     expected = tower.linear_relations([leibniz_derive(tower, b) for b in basis])
     kernels = []
 
-    def recording(n_cols, equations):
-        kernels.append(kernel(n_cols, equations))
+    def recording(vectors):
+        kernels.append(relations(vectors))
         return kernels[-1]
 
-    monkeypatch.setattr(realpv.tower, "kernel", recording)
+    monkeypatch.setattr(realpv.tower, "relations", recording)
     tower.constant_scan(*bounds)
     assert kernels == [expected]
 

@@ -11,11 +11,14 @@ from realpv import (
     EmptyInput,
     FieldElement,
     GaussRat,
+    LinearODE,
+    build_pv,
     independent_over_constants,
     wronskian_det,
     wronskian_matrix,
 )
 from realpv.linsolve import det
+from realpv.rewrite import RewriteSystem
 from realpv.wronskian import Ladder, WrMatrix
 
 from helpers import bench_algebra, rand_element, rng
@@ -233,3 +236,49 @@ def test_matrix_shape_guard(circle):
     s = circle.var("s")
     with pytest.raises(ValueError):
         WrMatrix([Ladder(s, 1), Ladder(s, 0)])
+
+
+APPLY_CLASSES = [
+    ("EXP", ["-1"]),
+    ("RADICAL", ["-1/2 * 1/t"]),
+    ("CIRCLE", ["1", "0"]),
+    ("CONSTCOEFF2", ["2", "-3"]),
+]
+
+
+def test_ladder_entries_normal_form_only_their_denominators(monkeypatch):
+    """`LinearODE.apply` on four elements of each of the four equation
+    classes, 16 cases: a ladder makes one normal form per derivative step,
+    one for d' when d is not 1, and one per entry read, for its
+    denominator; the numerator N_k is already a normal form."""
+    base = DiffTower(base_var="t")
+    cases = []
+    for eq_class, coeffs in APPLY_CLASSES:
+        pv = build_pv(base, LinearODE.from_texts(base, coeffs), eq_class)
+        tower = pv.extension
+        s = tower.lift(pv.solutions[0])
+        t = tower.var("t")
+        for y in (s, s * t, s / (t + tower.one()), s * s + t):
+            cases.append((pv.ode, y))
+    calls = []
+    normal_form = RewriteSystem.normal_form
+
+    def counting(self, p):
+        calls.append(p)
+        return normal_form(self, p)
+
+    expected, entries = 0, []
+    with monkeypatch.context() as m:
+        m.setattr(RewriteSystem, "normal_form", counting)
+        for ode, y in cases:
+            ladder = Ladder(y, ode.order)
+            entries.append([ladder[k] for k in range(ode.order + 1)])
+            expected += 2 * ode.order + (not y.den.is_constant())
+    assert len(cases) == 16
+    assert len(calls) == expected == 52
+    for (ode, y), got in zip(cases, entries):
+        want = [y]
+        for _ in range(ode.order):
+            want.append(want[-1].derive())
+        assert got == want
+        assert ode.apply(y) == ode.evaluate(want)
