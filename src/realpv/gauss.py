@@ -149,7 +149,7 @@ class GaussRat:
     def __pow__(self, e: int) -> "GaussRat":
         if e < 0:
             return self.inverse() ** (-e)
-        return power(self, e, ONE)
+        return power(self, e, lambda: ONE)
 
     def __str__(self) -> str:
         re, im = self.re, self.im
@@ -170,8 +170,8 @@ class GaussRat:
 
 def power(base, n: int, one):
     """base^n for n >= 0 by square-and-multiply, for any type whose product
-    is `*`: `one` when n is 0, else no product by one and no square that
-    nothing reads."""
+    is `*`: `one()` when n is 0, else no product by one and no square that
+    nothing reads, and `one` is not called."""
     out = None
     while n:
         if n & 1:
@@ -179,7 +179,7 @@ def power(base, n: int, one):
         n >>= 1
         if n:
             base = base * base
-    return one if out is None else out
+    return one() if out is None else out
 
 
 _alloc = object.__new__

@@ -87,9 +87,6 @@ class Monomial:
     def var(name: str, exp: int = 1) -> "Monomial":
         return Monomial({name: exp})
 
-    def degree(self) -> int:
-        return sum(self._exps.values())
-
     def degree_in(self, name: str) -> int:
         return self._exps.get(name, 0)
 
@@ -469,7 +466,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        return power(self, n, Poly.const(self.context, 1))
+        return power(self, n, lambda: Poly.const(self.context, 1))
 
     def monic(self) -> "Poly":
         if self.is_zero():

@@ -1,16 +1,21 @@
 """Confluent rewriting modulo polynomial relations.
 
-Relations are completed to a reduced Groebner basis under the context's
-graded-lex order (Buchberger's algorithm, stopped after `DEFAULT_BUDGET`
-S-polynomial reductions), then oriented into rules  leading monomial ->
-tail.  Normal forms are computed by total multivariate division: always
-reduce the largest remaining term with the first applicable rule, so the
-result is canonical and the map is GaussRat-linear and idempotent.  An
-input with no reducible term is returned as it is.  Otherwise the
-remaining monomials sit in a list kept in increasing order, so that the
-largest is popped from its end: monomial keys compare in the graded-lex
-order as they are (see `poly`), so the list needs no sort key.  A term
-that cancels keeps its list entry, which is skipped when it surfaces.
+Relations are completed to the reduced Groebner basis under the context's
+graded-lex order by Buchberger's algorithm, stopped after `DEFAULT_BUDGET`
+S-polynomial reductions.  Completion keeps one list of rules  leading
+monomial -> tail, each remainder oriented once as it joins; a pair's
+S-polynomial is read off the two tails.  Dropping the rules whose lhs
+another's divides and reducing each remaining tail once gives the reduced
+basis (Cox, Little & O'Shea, ch. 2 §7).
+
+Normal forms are computed by total multivariate division: always reduce
+the largest remaining term with the first applicable rule, so the result
+is canonical and the map is GaussRat-linear and idempotent.  An input
+with no reducible term is returned as it is.  Otherwise the remaining
+monomials sit in a list kept in increasing order, so that the largest is
+popped from its end: monomial keys compare in the graded-lex order as
+they are (see `poly`), so the list needs no sort key.  A term that
+cancels keeps its list entry, which is skipped when it surfaces.
 
 Rules may be applied to polynomials living in a wider context (extra
 variables of lower or higher rank), which stays confluent because a rule's
@@ -154,66 +159,56 @@ class RewriteSystem:
         return f"RewriteSystem[{body}]"
 
 
-def _spoly(f: Poly, g: Poly) -> Poly:
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    l = mono_lcm(lf, lg)
-    a = f.mul_monomial(mono_div(l, lf), f.leading_coefficient().inverse())
-    b = g.mul_monomial(mono_div(l, lg), g.leading_coefficient().inverse())
-    return a - b
-
-
 def buchberger(relations: Iterable[Poly], context: Context) -> RewriteSystem:
     """Complete `relations` to the reduced Groebner basis and orient it.
 
     `DEFAULT_BUDGET`, read at each call, bounds the S-polynomial reductions;
     exceeding it raises BudgetExceeded rather than looping on hostile input.
     """
-    basis: list[Poly] = []
+    rules: list[Rule] = []
+    system = RewriteSystem(context)
+
+    def keep(p: Poly) -> bool:
+        """Orient the remainder of p modulo the rules so far, if nonzero."""
+        nonlocal system
+        r = system.normal_form(p)
+        if r.is_zero():
+            return False
+        rules.append(Rule.orient(r))
+        system = RewriteSystem(context, rules)
+        return True
+
     pending = sorted(
         (p.in_context(context).monic() for p in relations if not p.is_zero()),
         key=lambda p: (context.key(p.leading_monomial()), str(p)),
     )
-
-    def reduce_by(p: Poly, others: Sequence[Poly]) -> Poly:
-        system = RewriteSystem(context, [Rule.orient(q) for q in others])
-        return system.normal_form(p)
-
-    steps = 0
     for p in pending:
-        r = reduce_by(p, basis)
-        if not r.is_zero():
-            basis.append(r.monic())
+        keep(p)
 
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop(0)
-        f, g = basis[i], basis[j]
+    # The pair list grows while it is read, so pairs are taken first in, first out.
+    pairs = [(i, j) for i in range(len(rules)) for j in range(i + 1, len(rules))]
+    steps = 0
+    for i, j in pairs:
+        f, g = rules[i], rules[j]
         # coprime leading monomials: the S-polynomial reduces to zero
-        if mono_gcd(f.leading_monomial(), g.leading_monomial()) == context.one:
+        if mono_gcd(f.lhs, g.lhs) == context.one:
             continue
         steps += 1
         if steps > DEFAULT_BUDGET:
             raise BudgetExceeded(
                 f"completion exceeded {DEFAULT_BUDGET} S-polynomial reductions"
             )
-        r = reduce_by(_spoly(f, g), basis)
-        if not r.is_zero():
-            basis.append(r.monic())
-            k = len(basis) - 1
+        # f and g are monic: lcm - rhs_f*(lcm/lhs_f) minus lcm - rhs_g*(lcm/lhs_g)
+        l = mono_lcm(f.lhs, g.lhs)
+        spoly = g.rhs.mul_monomial(mono_div(l, g.lhs)) - f.rhs.mul_monomial(mono_div(l, f.lhs))
+        if keep(spoly):
+            k = len(rules) - 1
             pairs.extend((idx, k) for idx in range(k))
 
-    # Inter-reduce to the unique reduced basis.
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            others = [q for k, q in enumerate(basis) if k != idx and not q.is_zero()]
-            r = reduce_by(basis[idx], others)
-            r = r.monic() if not r.is_zero() else r
-            if r != basis[idx]:
-                basis[idx] = r
-                changed = True
-        basis = [q for q in basis if not q.is_zero()]
-
-    basis.sort(key=lambda p: context.key(p.leading_monomial()), reverse=True)
-    return RewriteSystem(context, [Rule.orient(p) for p in basis])
+    # Each remainder is irreducible modulo the rules before it, so no two
+    # left-hand sides are equal.  Dropping each rule whose lhs another's lhs
+    # divides leaves a minimal basis; reducing each tail once makes it the
+    # reduced one, since no lhs changes and no rule applies to its own tail.
+    minimal = [r for r in rules if not any(o is not r and mono_divides(o.lhs, r.lhs) for o in rules)]
+    system = RewriteSystem(context, minimal)
+    return RewriteSystem(context, [Rule(r.lhs, system.normal_form(r.rhs)) for r in minimal])

@@ -232,7 +232,7 @@ class FieldElement:
         if n < 0:
             return self.inverse() ** (-n)
         # Squares are normal-formed; num^n / den^n would swell under relations.
-        return power(self, n, self.tower.one())
+        return power(self, n, self.tower.one)
 
     def scale(self, c) -> "FieldElement":
         return FieldElement(self.num.scale(c), self.den, self.tower)

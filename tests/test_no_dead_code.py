@@ -5,12 +5,13 @@ module of `src/realpv` and each script of `bench/` with the standard
 library's `ast` and reports the package's module-level `def`s and `class`es,
 and the methods in each class body, that nothing there references.  A
 reference is a name, an attribute, or a string constant equal to the name
-(the bench tracer patches functions by name).  These do not count: a
-definition's own name anywhere inside it, the strings of an `__all__`
-list, and the package `__init__`, which only re-exports.  Tests do not
-count either.  Dunder methods are not checked: Python calls them.  Names
-are matched by themselves, so a method counts as called when any method or
-function of that name is.
+(the bench tracer patches functions by name).  A bare name cannot call a
+method, so a method is referenced only by an attribute or a string.  These
+do not count: a definition's own name anywhere inside it, the strings of
+an `__all__` list, and the package `__init__`, which only re-exports.
+Tests do not count either.  Dunder methods are not checked: Python calls
+them.  Names are matched by themselves, so a method counts as called when
+any attribute of that name is.
 
 Names that only `bench/` references are listed in BENCH_ONLY with the
 ROADMAP item that releases them; the list must match exactly.
@@ -54,21 +55,25 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _references(node: ast.AST) -> set[str]:
-    """The names node references; inside a definition, not its own."""
-    out = set()
+def _references(node: ast.AST) -> tuple[set[str], set[str]]:
+    """The names node references as bare names, and those it references as
+    attributes or strings; inside a definition, not its own."""
+    bare, named = set(), set()
     for child in ast.iter_child_nodes(node):
-        out |= _references(child)
+        b, n = _references(child)
+        bare |= b
+        named |= n
     if isinstance(node, DEFINITIONS):
-        out.discard(node.name)
+        bare.discard(node.name)
+        named.discard(node.name)
     elif isinstance(node, ast.Name):
-        out.add(node.id)
+        bare.add(node.id)
     elif isinstance(node, ast.Attribute):
-        out.add(node.attr)
+        named.add(node.attr)
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
         if node.value.isidentifier():
-            out.add(node.value)
-    return out
+            named.add(node.value)
+    return bare, named
 
 
 def _definitions(node: ast.stmt, owner: str = "") -> list[str]:
@@ -87,16 +92,24 @@ def unreferenced(package: dict[str, str], others: dict[str, str]) -> list[str]:
     """`module.name` of each module-level def or class, and `module.Class.name`
     of each method, in the `package` sources that no source of `package` or
     `others` references outside its own definition."""
-    defined: list[str] = []
-    used: set[str] = set()
+    defined: list[tuple[str, str]] = []
+    bare: set[str] = set()
+    named: set[str] = set()
     for module, source in [*package.items(), *others.items()]:
         for node in ast.parse(source).body:
             if _is_all(node):
                 continue
-            used |= _references(node)
+            b, n = _references(node)
+            bare |= b
+            named |= n
             if module in package and isinstance(node, DEFINITIONS):
-                defined += [f"{module}.{q}" for q in _definitions(node)]
-    return sorted(q for q in defined if q.rsplit(".", 1)[1] not in used)
+                defined += [(module, q) for q in _definitions(node)]
+
+    def used(q: str) -> bool:
+        owner, _, name = q.rpartition(".")
+        return name in named or (not owner and name in bare)
+
+    return sorted(f"{module}.{q}" for module, q in defined if not used(q))
 
 
 def _sources(paths) -> dict[str, str]:
@@ -143,8 +156,11 @@ def test_guard_sees_uncalled_names_and_skips_called_ones():
             "        return self.spin()\n"
             "    def by_script(self):\n"
             "        return 0\n"
+            "    def shadowed(self):\n"
+            "        return 4\n"
             "def called():\n"
-            "    return Used()\n"
+            "    shadowed = Used()\n"
+            "    return shadowed\n"
             "def by_attribute():\n"
             "    return 2\n"
             "def by_string():\n"
@@ -165,10 +181,10 @@ def test_guard_sees_uncalled_names_and_skips_called_ones():
         ),
     }
     assert unreferenced(package, others) == [
-        "mod.Lonely", "mod.Lonely.make", "mod.Used.spin", "mod.unused"
+        "mod.Lonely", "mod.Lonely.make", "mod.Used.shadowed", "mod.Used.spin", "mod.unused"
     ]
     # without the script, what only it calls has no caller
     assert unreferenced(package, {}) == [
-        "mod.Lonely", "mod.Lonely.make", "mod.Used.by_script", "mod.Used.spin",
-        "mod.by_attribute", "mod.by_string", "mod.helper", "mod.unused",
+        "mod.Lonely", "mod.Lonely.make", "mod.Used.by_script", "mod.Used.shadowed",
+        "mod.Used.spin", "mod.by_attribute", "mod.by_string", "mod.helper", "mod.unused",
     ]

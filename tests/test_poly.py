@@ -50,7 +50,7 @@ def test_monomial_operations():
     m = key(x=2, y=1)
     n = key(x=1)
     assert XYZ.unpack(mono_div(m, n)).exponents() == {"x": 1, "y": 1}
-    assert XYZ.unpack(m).degree() == 3
+    assert sum(XYZ.unpack(m).exponents().values()) == m[0] == 3
     assert mono_divides(n, m)
     assert not mono_divides(m, n)
     assert XYZ.unpack(mono_lcm(m, key(y=3))).exponents() == {"x": 2, "y": 3}
@@ -158,12 +158,12 @@ def test_monomial_products_and_quotients_are_canonical():
     assert hash(prod) == hash(XYZ.pack(Monomial({"z": 1, "y": 4, "x": 2})))
     assert Monomial({"x": 2, "y": 4, "z": 1}) == Monomial({"z": 1, "y": 4, "x": 2})
     assert hash(Monomial({"x": 2, "y": 4})) == hash(Monomial({"y": 4, "x": 2, "z": 0}))
-    assert XYZ.unpack(prod).degree() == 7
+    assert sum(XYZ.unpack(prod).exponents().values()) == prod[0] == 7
     q = mono_div(prod, key(x=2, z=1))
-    assert XYZ.unpack(q).exponents() == {"y": 4} and XYZ.unpack(q).degree() == 4
+    assert XYZ.unpack(q).exponents() == {"y": 4} and q[0] == 4
     assert q == key(y=4) and hash(q) == hash(key(y=4))
     one = mono_div(m, m)
-    assert XYZ.unpack(one).is_one() and one == XYZ.one and XYZ.unpack(one).degree() == 0
+    assert XYZ.unpack(one).is_one() and one == XYZ.one and one[0] == 0
     with pytest.raises(ValueError):
         mono_div(m, n)
 
@@ -181,7 +181,7 @@ def test_monomial_product_unit_quotient_and_divides(me, ne):
     m, n = XYZW.pack(Monomial(me)), XYZW.pack(Monomial(ne))
     for prod in (mono_mul(m, XYZW.one), mono_mul(XYZW.one, m)):
         assert prod == m and hash(prod) == hash(m)
-        assert XYZW.unpack(prod).degree() == XYZW.unpack(m).degree()
+        assert prod[0] == m[0] == sum(XYZW.unpack(prod).exponents().values())
     mn = mono_mul(m, n)
     assert mono_div(mn, n) == m and hash(mono_div(mn, n)) == hash(m)
     assert mono_divides(m, n) == divides_by_exponents(me, ne)
@@ -244,7 +244,7 @@ def test_dense_keys_agree_with_exponent_dicts(case):
     assert mono_lcm(m, n) == ctx.pack(Monomial(lcm))
     assert mono_gcd(m, n) == ctx.pack(Monomial(gcd))
     # degree
-    assert ctx.unpack(m).degree() == sum(me.values())
+    assert m[0] == sum(ctx.unpack(m).exponents().values()) == sum(me.values())
     assert Poly(ctx, {Monomial(me): 1}).total_degree() == sum(me.values())
     # order: tuple order of the keys is the reference graded-lex order
     ref_m, ref_n = reference_key(ctx, me), reference_key(ctx, ne)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from realpv import Context, GaussRat, Monomial, Poly, buchberger, parse_poly, rewrite
@@ -11,7 +12,7 @@ from realpv.errors import BudgetExceeded
 from realpv.poly import mono_div, mono_divides, mono_mul
 from realpv.seidenberg import build_seidenberg
 
-from helpers import rand_poly, rng
+from helpers import rand_fraction, rand_poly, rng
 
 
 def test_linear_chain_completion():
@@ -93,6 +94,112 @@ def test_rules_lift_to_wider_context():
     wide = Context(["u", "t", "g"])
     p = parse_poly("g^2*u - t*u", wide)
     assert system.normal_form(p).is_zero()
+
+
+# -- completion: work, budget and an independent oracle ---------------------
+
+# name -> (variables, relations, the smallest DEFAULT_BUDGET that completes
+# them, the rules completion keeps on the way, the reduced basis).  "guard"
+# adds rules from S-polynomials and drops six in the inter-reduction.
+PINNED = {
+    "guard": (
+        ["z", "y", "x"], ["x^2*y - z", "x*y^2 - y", "y^3 - x"], 30, 10,
+        ["y*z^2 - z", "z^3 - y", "y^2 - z^2", "x - z"],
+    ),
+    "twisted_cubic": (
+        ["z", "y", "x"], ["y - x^2", "z - x^3"], 4, 4,
+        ["y^3 - z^2", "x^2 - y", "x*y - z", "x*z - y^2"],
+    ),
+    "cox_little_oshea": (
+        ["y", "x"], ["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"], 8, 5,
+        ["x^2", "x*y", "y^2 - 1/2*x"],
+    ),
+    "unit": (["z", "y", "x"], ["x*y - 1", "x^2 - y", "y^2 - x", "x - 2"], 1, 4, ["1"]),
+    "circle_line": (["y", "x"], ["x^2 + y^2 - 1", "x - y"], 0, 2, ["y^2 - 1/2", "x - y"]),
+    "two_generators": (["z", "y", "x"], ["x^2 - y", "y^2 - z"], 0, 2, ["x^2 - y", "y^2 - z"]),
+}
+
+
+def _pinned(name):
+    variables, relations, budget, kept, basis = PINNED[name]
+    ctx = Context(variables)
+    return ctx, [parse_poly(r, ctx) for r in relations], budget, kept, basis
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_completion_orients_each_kept_rule_once(name, monkeypatch):
+    """Each remainder that joins the rules is oriented once, and the reduced
+    basis keeps the minimal left-hand sides among them."""
+    ctx, gens, _, kept, basis = _pinned(name)
+    oriented = []
+    orient = rewrite.Rule.orient
+
+    def recording(p):
+        oriented.append(orient(p))
+        return oriented[-1]
+
+    monkeypatch.setattr(rewrite.Rule, "orient", staticmethod(recording))
+    system = buchberger(gens, ctx)
+    lhss = [r.lhs for r in oriented]
+    assert len(lhss) == len(set(lhss)) == kept
+    minimal = {m for m in lhss if not any(o != m and mono_divides(o, m) for o in lhss)}
+    assert {r.lhs for r in system.rules} == minimal
+    assert [str(r.as_poly()) for r in system.rules] == basis
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_smallest_budget_that_completes(name, monkeypatch):
+    """The budget counts S-polynomial reductions: the pinned one completes,
+    one less raises."""
+    ctx, gens, budget, _, basis = _pinned(name)
+    monkeypatch.setattr(rewrite, "DEFAULT_BUDGET", budget)
+    assert [str(r.as_poly()) for r in buchberger(gens, ctx).rules] == basis
+    if budget:
+        monkeypatch.setattr(rewrite, "DEFAULT_BUDGET", budget - 1)
+        with pytest.raises(BudgetExceeded):
+            buchberger(gens, ctx)
+
+
+def _rand_relation(r, ctx):
+    """Two to four terms with exponents up to 2 and rational coefficients."""
+    terms = {}
+    for _ in range(r.randint(2, 4)):
+        m = Monomial({v: r.randint(0, 2) for v in ctx.variables if r.random() < 0.6})
+        terms[m] = rand_fraction(r) or Fraction(1)
+    return Poly(ctx, terms)
+
+
+def _to_sympy(p):
+    return sum(
+        (
+            sympy.Rational(c.re) * sympy.prod(sympy.Symbol(v) ** e for v, e in m.exponents().items())
+            for m, c in p.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def _term_sets(exprs, gens):
+    """Each expression as the set of its (exponents of gens, coefficient) terms."""
+    return {frozenset(sympy.Poly(e, *gens, domain="QQ").terms()) for e in exprs}
+
+
+def test_reduced_basis_matches_sympy():
+    """Seeded random systems in three variables, and the pinned ones (the
+    unit ideal among them): the reduced basis, made monic, is sympy's."""
+    ctx = Context(["z", "y", "x"])
+    r = rng(3201)
+    systems = [(ctx, [_rand_relation(r, ctx) for _ in range(r.randint(2, 3))]) for _ in range(60)]
+    systems += [_pinned(name)[:2] for name in sorted(PINNED)]
+    sizes = []
+    for ctx, relations in systems:
+        gens = sympy.symbols(ctx.variables[::-1])  # highest rank first
+        oracle = sympy.groebner([_to_sympy(p) for p in relations], *gens, order="grlex", domain="QQ")
+        ours = [_to_sympy(rule.as_poly().monic()) for rule in buchberger(relations, ctx).rules]
+        assert _term_sets(ours, gens) == _term_sets(oracle.exprs, gens), relations
+        sizes.append(len(ours) if oracle.exprs != [1] else 0)
+    # unit ideals, and bases of several rules
+    assert sizes.count(0) >= 2 and max(sizes) >= 5
 
 
 # -- ordered normal forms against the plain division loop ---------------------

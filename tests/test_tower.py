@@ -369,6 +369,30 @@ def test_constant_scan_normal_forms_per_monomial_not_per_window_element(
     assert len(calls) == 2 * len(monomials) + 2 < window
 
 
+def test_square_builds_no_one(circle, monkeypatch):
+    """x ** 2 is one product x * x: one element and its two normal forms,
+    with no element 1 built for the n = 0 case it does not reach."""
+    built, normal_forms = [], []
+    init, normal_form = FieldElement.__init__, RewriteSystem.normal_form
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_nf(self, p):
+        normal_forms.append(p)
+        return normal_form(self, p)
+
+    x = circle.parse("(c+t)/(s+2)")
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    monkeypatch.setattr(RewriteSystem, "normal_form", counting_nf)
+    square = x**2
+    assert (len(built), len(normal_forms)) == (1, 2)
+    monkeypatch.undo()
+    assert square == x * x
+    assert x**0 == circle.one()
+
+
 def _pairwise_cleared_kernel(system, elems):
     """The kernel with each numerator times every other distinct denominator."""
     dens = list(dict.fromkeys(e.den for e in elems))
