@@ -42,11 +42,11 @@ from typing import Callable, Iterable, Sequence
 from .errors import BadIdeal, NotInGroup, Unsupported
 from .gauss import ONE, GaussRat
 from .linsolve import det as mat_det
-from .linsolve import adjugate, mat_mul
+from .linsolve import adjugate, mat_mul, relations
 from .poly import Context, Monomial, Poly, mono_div, mono_divides, parse_fraction
 from .pv import PVExtension, companion_residue
 from .rewrite import RewriteSystem, Rule, buchberger
-from .tower import DiffTower, FieldElement, kernel_by_monomial
+from .tower import DiffTower, FieldElement
 
 __all__ = [
     "MatrixGroup",
@@ -406,7 +406,7 @@ def fixed_combinations(
     act = _action(group)
     read = ctx.reader(group.pv.extension.context)
     window = [Poly._build(ctx, {read(m): ONE}) for m in monomials]
-    return kernel_by_monomial([nf(act(w) - w) for w in window])
+    return relations([nf(act(w) - w).by_key for w in window])
 
 
 def generic_pair(

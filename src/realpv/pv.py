@@ -35,8 +35,8 @@ from .errors import NotPV, UnsupportedEquation
 from .gauss import GaussRat, is_square, rational_sqrt
 from .poly import MAX_INT_DIGITS, Poly, power_overrun, too_many_digits
 from .report import Report
-from .tower import DiffTower, FieldElement
-from .wronskian import Ladder, WrMatrix, wronskian_det
+from .tower import DiffTower, FieldElement, Ladder
+from .wronskian import WrMatrix, wronskian_det
 
 __all__ = [
     "LinearODE",

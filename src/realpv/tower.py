@@ -43,8 +43,8 @@ __all__ = [
     "GeneratorSpec",
     "DiffTower",
     "FieldElement",
+    "Ladder",
     "cleared_numerators",
-    "kernel_by_monomial",
 ]
 
 
@@ -87,12 +87,6 @@ def cleared_numerators(
     _, cofactor = _clearing_factors(system.context, [e.den for e in elems])
     nf = system.normal_form
     return [nf(_times(e.num, cofactor[e.den])) for e in elems]
-
-
-def kernel_by_monomial(polys: Sequence[Poly]) -> list[list[GaussRat]]:
-    """Canonical basis of the (a_k) with sum a_k polys[k] = 0, the
-    polynomials compared monomial by monomial (`linsolve.relations`)."""
-    return relations([p.by_key for p in polys])
 
 
 def _clearing_factors(
@@ -262,6 +256,78 @@ class FieldElement:
         return f"FieldElement({self})"
 
 
+class Ladder:
+    """The derivatives y, y', ..., y^(depth) of one tower element y = n/d
+    over known denominators: normal forms N_k (`nums`) and powers a_k
+    (`powers`) with y^(k) = N_k / (E^a_k * d^(k+1)), E the tower's common
+    derivation denominator.  `d` is d, or None when it is 1.
+    `DiffTower.derive` is rung 1.
+
+    The quotient rule over the cleared derivation (p' = P_p/E) takes
+    y^(k) = N/(E^a * d^(k+1)) to
+        (P_N*E*d - N*(a*P_E*d + (k+1)*E*P_d)) / (E^(a+2) * d^(k+2)),
+    where E divides the numerator when a = 0 or P_E = 0 (E' = 0):
+        (P_N*d - (k+1)*N*P_d) / (E^(a+1) * d^(k+2)).
+    So a_k = 0 when E is 1, a_k = k when E' = 0 and a_k = 2k - 1
+    otherwise, against E^3 * d^4 for y'' by the plain quotient rule twice.
+    Each step is one `_cleared_derivative` pass and one normal form, with
+    no product by d or E when it is 1 and no P_d term when d is; P_d is
+    one more normal form when d is not 1.
+
+    Entry k is the element N_k / (E^a_k * d^(k+1)), built the first time
+    it is read with only its denominator normal-formed, as N_k is a normal
+    form.
+    """
+
+    __slots__ = ("tower", "d", "nums", "powers", "_built", "_den")
+
+    def __init__(self, y: FieldElement, depth: int):
+        tower = self.tower = y.tower
+        nf, cleared = tower.rewrite.normal_form, tower._cleared_derivative
+        e, pe, d = tower._common, tower._common_derivative, y.den
+        const_d = d.is_constant()  # a canonical constant denominator is 1
+        self.d = None if const_d else d
+        pd = None if const_d else nf(cleared(d))
+        rise = 0 if e.is_constant() else 1  # no power of E to count when E is 1
+        grows = depth > 1 and not pe.is_zero()  # step 0 has a = 0: rung 1 never grows
+        if grows:
+            ed, ped = (e, pe) if const_d else (e * d, pe * d)
+            epd = None if const_d else e * pd
+        nums, powers = [y.num], [0]
+        for k in range(depth):
+            num, a = nums[-1], powers[-1]
+            dn = cleared(num)
+            if a and grows:
+                low = ped.scale(a) if const_d else ped.scale(a) + epd.scale(k + 1)
+                out = dn * ed - num * low
+            else:
+                out = dn if const_d else dn * d - num * pd.scale(k + 1)
+            powers.append(a + 2 if a and grows else a + rise)
+            nums.append(nf(out))
+        self.nums, self.powers = nums, powers
+        self._built = [y]
+        self._den = d  # E^a_k * d^(k+1) of the last entry built, unreduced
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, k: int) -> FieldElement:
+        built = self._built
+        if 0 <= k < len(built):
+            return built[k]
+        if not 0 <= k < len(self.nums):
+            raise IndexError(k)
+        powers = self.powers
+        while len(built) <= k:
+            j = len(built)
+            den = self._den if self.d is None else self._den * self.d
+            for _ in range(powers[j] - powers[j - 1]):
+                den = den * self.tower.common_denominator
+            self._den = den
+            built.append(FieldElement(self.nums[j], den, self.tower, num_normal=True))
+        return built[k]
+
+
 class DiffTower:
     """Tower of differential field extensions in a fixed presentation."""
 
@@ -281,7 +347,7 @@ class DiffTower:
         relations = [s.relation for s in specs if s.relation is not None]
         self.rewrite = buchberger(relations, self.context)
         self._common, self._cleared = self._cleared_derivation()
-        # P_E, zero exactly when E' = 0 (`ladder`)
+        # P_E, zero exactly when E' = 0 (`Ladder`)
         self._common_derivative = self.rewrite.normal_form(
             self._cleared_derivative(self._common)
         )
@@ -312,7 +378,9 @@ class DiffTower:
                 )
         for s in self.specs:
             if s.relation is not None:
-                d = self.derive_poly(s.relation.in_context(self.context))
+                # P_p/E of the raw relation p: p's normal form is 0
+                p = self._cleared_derivative(s.relation.in_context(self.context))
+                d = FieldElement(p, self._common, self)
                 if not d.is_zero():
                     raise IncompatibleDerivation(
                         f"relation for {s.name!r} is not differential: d({s.relation}) = {d}"
@@ -400,12 +468,6 @@ class DiffTower:
                 out = out + dp * cv
         return out
 
-    def derive_poly(self, p: Poly) -> FieldElement:
-        """Derivative of a polynomial: P_p/E, one `FieldElement` built from
-        the cleared derivation with no intermediate element."""
-        p = self._cleared_derivative(p.in_context(self.context))
-        return FieldElement(p, self._common, self)
-
     def lift(self, x: FieldElement) -> FieldElement:
         """Re-read an element of a smaller tower in this one; an element of
         this tower is returned as it is."""
@@ -431,54 +493,10 @@ class DiffTower:
         return self.elem(x.num.in_context(self.context), x.den.in_context(self.context))
 
     def derive(self, x: FieldElement) -> FieldElement:
-        """The derivative of n/d: (P_n*d - n*P_d)/(E*d^2) by the quotient
-        rule over the cleared derivation, or P_n/E when d is 1.  One
-        `FieldElement` is built (two normal forms), none in between."""
-        x = self.lift(x)
-        n, d = x.num, x.den
-        dn = self._cleared_derivative(n)
-        if d.is_constant():  # a canonical constant denominator is 1
-            return FieldElement(dn, self._common, self)
-        dd = self._cleared_derivative(d)
-        return FieldElement(dn * d - n * dd, self._common * (d * d), self)
-
-    def ladder(self, x: FieldElement, depth: int) -> tuple[list[Poly], list[int]]:
-        """x, x', ..., x^(depth) over known denominators: the normal forms
-        N_k and the powers a_k with x^(k) = N_k / (E^a_k * d^(k+1)) for
-        x = n/d, E the common denominator.  No `FieldElement` is built.
-
-        The quotient rule over the cleared derivation (p' = P_p/E) takes
-        x^(k) = N/(E^a * d^(k+1)) to
-            (P_N*E*d - N*(a*P_E*d + (k+1)*E*P_d)) / (E^(a+2) * d^(k+2)),
-        where E divides the numerator when a = 0 or P_E = 0 (E' = 0):
-            (P_N*d - (k+1)*N*P_d) / (E^(a+1) * d^(k+2)).
-        So a_k = 0 when E is 1, a_k = k when E' = 0 and a_k = 2k - 1
-        otherwise, against E^3 * d^4 for x'' by `derive` twice.  Each step
-        is one `_cleared_derivative` pass and one normal form, with no
-        product by d or E when it is 1 and no P_d term when d is.
-        """
-        x = self.lift(x)
-        nf = self.rewrite.normal_form
-        e, pe, d = self._common, self._common_derivative, x.den
-        const_d = d.is_constant()  # a canonical constant denominator is 1
-        pd = None if const_d else nf(self._cleared_derivative(d))
-        rise = 0 if e.is_constant() else 1  # no power of E to count when E is 1
-        grows = not pe.is_zero()
-        if grows:
-            ed, ped = (e, pe) if const_d else (e * d, pe * d)
-            epd = None if const_d else e * pd
-        nums, powers = [x.num], [0]
-        for k in range(depth):
-            num, a = nums[-1], powers[-1]
-            dn = self._cleared_derivative(num)
-            if a and grows:
-                low = ped.scale(a) if const_d else ped.scale(a) + epd.scale(k + 1)
-                out = dn * ed - num * low
-            else:
-                out = dn if const_d else dn * d - num * pd.scale(k + 1)
-            powers.append(a + 2 if a and grows else a + rise)
-            nums.append(nf(out))
-        return nums, powers
+        """The derivative of x: rung 1 of its `Ladder`, one `FieldElement`
+        built (two normal forms when x's denominator is 1, three otherwise),
+        none in between."""
+        return Ladder(self.lift(x), 1)[1]
 
     # -- substitution ---------------------------------------------------------
 
@@ -717,7 +735,7 @@ class DiffTower:
         monomial.  Scaling the family by the one nonzero L leaves the
         kernel, and so its canonical basis, unchanged.
         """
-        return kernel_by_monomial(cleared_numerators(self.rewrite, elems))
+        return relations([p.by_key for p in cleared_numerators(self.rewrite, elems)])
 
     def combine(
         self, coeffs: Sequence[GaussRat], elems: Sequence[FieldElement]

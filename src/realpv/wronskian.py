@@ -4,14 +4,15 @@ The wronskian of elements y_1..y_n stacks the rows (y_1..y_n),
 (y_1'..y_n'), ...: nonvanishing of its determinant is the classical
 criterion for linear independence over the constants.
 
-Each column is a `Ladder` (`DiffTower.ladder`): y^(k) = N_k / (E^a_k *
-d^(k+1)) for y = n/d, E the tower's common derivation denominator, so
-its entries are known polynomials over known denominators, and the
-determinant builds none of them as a tower element.  Pulling 1/E^a_k out
-of row k and d^n out of each column leaves the polynomial matrix
-N_k * d^(n-1-k), whose determinant `linsolve.det` takes with no
-division, reducing each minor to normal form.  The Wronskian is that one
-numerator over E^(a_0 + ... + a_(n-1)) times the product of the d^n: one
+Each column is a `tower.Ladder`, the recurrence of which
+`DiffTower.derive` is rung 1: y^(k) = N_k / (E^a_k * d^(k+1)) for y =
+n/d, E the tower's common derivation denominator, so its entries are
+known polynomials over known denominators, and the determinant builds
+none of them as a tower element.  Pulling 1/E^a_k out of row k and d^n
+out of each column leaves the polynomial matrix N_k * d^(n-1-k), whose
+determinant `linsolve.det` takes with no division, reducing each minor
+to normal form.  The Wronskian is that one numerator over
+E^(a_0 + ... + a_(n-1)) times the product of the d^n: one
 `FieldElement`.
 """
 
@@ -24,52 +25,14 @@ from operator import mul
 from .errors import EmptyInput
 from .linsolve import det
 from .poly import Poly
-from .tower import DiffTower, FieldElement
+from .tower import DiffTower, FieldElement, Ladder
 
 __all__ = [
-    "Ladder",
     "WrMatrix",
     "wronskian_matrix",
     "wronskian_det",
     "independent_over_constants",
 ]
-
-
-class Ladder:
-    """The derivatives y, y', ..., y^(depth) of one tower element y = n/d,
-    kept as the numerators and E-powers of `DiffTower.ladder`.  Entry k is
-    the element N_k / (E^a_k * d^(k+1)), built the first time it is read
-    with only its denominator normal-formed, as N_k is a normal form.
-    `d` is d, or None when it is 1.
-    """
-
-    __slots__ = ("tower", "d", "nums", "powers", "_built", "_den")
-
-    def __init__(self, y: FieldElement, depth: int):
-        self.tower = y.tower
-        self.d = None if y.den.is_constant() else y.den  # a constant den is 1
-        self.nums, self.powers = y.tower.ladder(y, depth)
-        self._built = [y]
-        self._den = y.den  # E^a_k * d^(k+1) of the last entry built, unreduced
-
-    def __len__(self) -> int:
-        return len(self.nums)
-
-    def __getitem__(self, k: int) -> FieldElement:
-        built = self._built
-        if 0 <= k < len(built):
-            return built[k]
-        if not 0 <= k < len(self.nums):
-            raise IndexError(k)
-        powers = self.powers
-        while len(built) <= k:
-            j = len(built)
-            den = self._den if self.d is None else self._den * self.d
-            for _ in range(powers[j] - powers[j - 1]):
-                den = den * self.tower.common_denominator
-            self._den = den
-            built.append(FieldElement(self.nums[j], den, self.tower, num_normal=True))
-        return built[k]
 
 
 class _Row(Sequence):

@@ -47,8 +47,8 @@ from realpv import (
 )
 from realpv.correspondence import descriptor_polys
 from realpv.galois import MatrixGroup
-from realpv.linsolve import identity, kernel
-from realpv.tower import cleared_numerators, kernel_by_monomial
+from realpv.linsolve import identity, kernel, relations
+from realpv.tower import cleared_numerators
 
 from helpers import rand_fraction, rng
 
@@ -497,7 +497,7 @@ def _member_by_kernel(tower, x, gens):
     rows = [nf(x.num * w) for w in cleared]
     rows += cleared if x.den.is_constant() else [nf(x.den * w) for w in cleared]
     half = len(cleared)
-    for vec in kernel_by_monomial(rows):
+    for vec in relations([p.by_key for p in rows]):
         d = Poly.zero(tower.context)
         for c, w in zip(vec[:half], cleared):
             if c:
@@ -580,15 +580,16 @@ def test_contains_never_changes_the_cached_span(exp_group):
 
 @pytest.mark.parametrize("name", ["constcoeff", "circle"])
 def test_all_makes_no_kernel_call_for_membership(name, monkeypatch, capsys):
-    """`all` computes two kernels, the constant scan's and the fixed
-    combinations'; field membership adds none."""
+    """`all` computes two kernels, the constant scan's (in `tower`) and the
+    fixed combinations' (in `galois`); field membership adds none."""
     calls = []
 
     def counted(*args, _orig=tower_module.relations):
         calls.append(args[0])
         return _orig(*args)
 
-    monkeypatch.setattr(tower_module, "relations", counted)
+    for module in (tower_module, galois):
+        monkeypatch.setattr(module, "relations", counted)
     assert cli.main(["all", str(ROOT / "scenarios" / f"{name}.json")]) == 0
     capsys.readouterr()
     assert len(calls) == 2
@@ -651,9 +652,9 @@ def test_fixed_field_builds_field_elements_for_its_combinations_only(base, monke
     built = []
     init = FieldElement.__init__
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         built.append(args)
-        init(self, *args)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(FieldElement, "__init__", counted)
     assert fixed_field(group, desc).describe() == "K(e^1000)"

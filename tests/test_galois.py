@@ -41,9 +41,9 @@ from realpv import (
     subgroup_of,
 )
 from realpv.galois import fixed_combinations
-from realpv.linsolve import adjugate, identity, mat_mul
+from realpv.linsolve import adjugate, identity, mat_mul, relations
 from realpv.pv import DEFAULT_SCAN_BOUNDS
-from realpv.tower import cleared_numerators, kernel_by_monomial
+from realpv.tower import cleared_numerators
 
 I = GaussRat(Fraction(0), Fraction(1))
 ROOT = Path(__file__).resolve().parent.parent
@@ -279,7 +279,7 @@ def _fixed_by_substitution(group, elems):
     system = RewriteSystem(tw.context, tw.rewrite.rules + group.basis.rules_for(tw.context))
     moved = [_moved_by_substitution(group, e) for e in elems]
     assert all(m.den.is_constant() for m in moved)
-    return kernel_by_monomial(cleared_numerators(system, moved))
+    return relations([p.by_key for p in cleared_numerators(system, moved)])
 
 
 def _conditions_by_substitution(group, x):

@@ -14,6 +14,7 @@ from realpv import (
     build_pv,
 )
 from realpv.pv import _certify
+from realpv.tower import Ladder
 
 
 def _ode(base, *texts):
@@ -67,15 +68,15 @@ def test_certificates_derive_each_solution_once_per_order(
     ode = _ode(base, *coeffs)
     steps, calls = [], []
 
-    def counted_ladder(self, x, depth, _orig=DiffTower.ladder):
+    def counted_ladder(self, y, depth, _orig=Ladder.__init__):
         steps.append(depth)
-        return _orig(self, x, depth)
+        _orig(self, y, depth)
 
     def counted(self, x, _orig=DiffTower.derive):
         calls.append(x)
         return _orig(self, x)
 
-    monkeypatch.setattr(DiffTower, "ladder", counted_ladder)
+    monkeypatch.setattr(Ladder, "__init__", counted_ladder)
     monkeypatch.setattr(DiffTower, "derive", counted)
     build_pv(base, ode, eq_class)
     assert sum(steps) == derives

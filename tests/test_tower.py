@@ -510,9 +510,9 @@ def test_derive_builds_one_field_element(scan_towers, monkeypatch, name):
     built = []
     init = FieldElement.__init__
 
-    def counting(self, *args):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        init(self, *args)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(FieldElement, "__init__", counting)
     for x in xs:
@@ -524,6 +524,29 @@ def test_derive_builds_one_field_element(scan_towers, monkeypatch, name):
         built.clear()
         tower.derive(below)
         assert len(built) <= 2
+
+
+@pytest.mark.parametrize("name", ["circle", "radical_t3_exp", "seidenberg", "radical_t2p1"])
+def test_derive_normal_forms(scan_towers, monkeypatch, name):
+    """derive of n/d is rung 1 of its ladder: the numerator's and the
+    denominator's normal forms, and one more for P_d when d is not 1."""
+    tower = scan_towers[name]
+    r = rng(2805)
+    xs = [rand_element(r, tower) for _ in range(6)]
+    xs += [tower.elem(rand_poly(r, tower.context, complex_ok=False)) for _ in range(6)]
+    assert {x.den.is_constant() for x in xs} == {True, False}
+    calls = []
+    normal_form = RewriteSystem.normal_form
+
+    def counting(self, p):
+        calls.append(p)
+        return normal_form(self, p)
+
+    monkeypatch.setattr(RewriteSystem, "normal_form", counting)
+    for x in xs:
+        calls.clear()
+        x.derive()
+        assert len(calls) == (2 if x.den.is_constant() else 3), x
 
 
 def test_derivatives_share_one_denominator():

@@ -19,9 +19,10 @@ from realpv import (
 )
 from realpv.linsolve import det
 from realpv.rewrite import RewriteSystem
-from realpv.wronskian import Ladder, WrMatrix
+from realpv.tower import Ladder
+from realpv.wronskian import WrMatrix
 
-from helpers import bench_algebra, rand_element, rng
+from helpers import bench_algebra, leibniz_derive, rand_element, rng
 
 BENCH = bench_algebra()
 TOWERS = BENCH.towers()
@@ -103,7 +104,9 @@ def _constant_derivative_tower():
 def test_ladder_matches_repeated_derive(name):
     """Entry k of a ladder is y^(k) over E^a_k * d^(k+1): a_k = 2k - 1 on
     the radical tower, where E = t and E' != 0, a_k = k where E = c and
-    E' = 0, and a_k = 0 on the other towers, where E = 1."""
+    E' = 0, and a_k = 0 on the other towers, where E = 1.  `derive` is
+    the ladder's rung 1, so the reference is the Leibniz-rule derivative
+    in field element arithmetic (`helpers.leibniz_derive`)."""
     tower = TOWERS[name] if name != "constant-E" else _constant_derivative_tower()
     powers = {"radical": [0, 1, 3, 5], "constant-E": [0, 1, 2, 3]}.get(name, [0] * 4)
     r = rng(3000)
@@ -114,7 +117,7 @@ def test_ladder_matches_repeated_derive(name):
         want = y
         for k in range(4):
             assert lad[k] == want, (k, y)
-            want = want.derive()
+            want = leibniz_derive(tower, want)
         with pytest.raises(IndexError):
             lad[4]
 
