@@ -150,7 +150,7 @@ def _emit(reports: list[Report], args) -> int:
         if len(reports) == 1:
             text = reports[0].to_json()
         else:
-            payload = [json.loads(r.to_json()) for r in reports]
+            payload = [r.payload() for r in reports]
             text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = "\n".join(r.to_text() for r in reports)

@@ -63,8 +63,10 @@ class Report:
         out.append(f"result: {'ok' if self.ok else 'FAILED'}")
         return "\n".join(out) + "\n"
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The report as the object `to_json` encodes; a list of reports is
+        encoded as the list of their payloads."""
+        return {
             "title": self.title,
             "ok": self.ok,
             "checks": [
@@ -73,4 +75,6 @@ class Report:
             ],
             "data": self.data,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True, indent=2) + "\n"

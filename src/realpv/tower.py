@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadField,
@@ -32,7 +33,7 @@ from .errors import (
     Unsupported,
 )
 from .gauss import ONE, GaussRat, power
-from .linsolve import relations
+from .linsolve import Lazy, Vector, relations
 from .poly import (
     Context, Monomial, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, parse_fraction,
 )
@@ -134,6 +135,28 @@ def _monomial_part(p: Poly) -> tuple[tuple, Poly]:
     if m == p.context.one:
         return m, p
     return m, Poly._build(p.context, {mono_div(mm, m): c for mm, c in p.by_key.items()})
+
+
+def _shifted_column(
+    tn: dict[tuple, GaussRat],
+    me: dict[tuple, GaussRat],
+    g: GaussRat,
+    shift: Callable[[tuple, int], tuple],
+    s: int,
+) -> dict[tuple, GaussRat]:
+    """The terms of (T + g * ME) * t^s for the terms tn of T and me of ME,
+    as a new dict (`DiffTower._scan_columns`)."""
+    col = {}
+    for key, c in tn.items():
+        if key in me:
+            c = c + me[key] * g
+            if not c:
+                continue
+        col[shift(key, s)] = c
+    for key, c in me.items():
+        if key not in tn:
+            col[shift(key, s)] = c * g
+    return col
 
 
 def _index_of_one(window: Sequence[tuple[tuple, int]], ctx: Context) -> int:
@@ -272,7 +295,7 @@ class Ladder:
     otherwise, against E^3 * d^4 for y'' by the plain quotient rule twice.
     Each step is one `_cleared_derivative` pass and one normal form, with
     no product by d or E when it is 1 and no P_d term when d is; P_d is
-    one more normal form when d is not 1.
+    one more normal form when d is not 1 and the ladder is deeper than 1.
 
     Entry k is the element N_k / (E^a_k * d^(k+1)), built the first time
     it is read with only its denominator normal-formed, as N_k is a normal
@@ -287,7 +310,9 @@ class Ladder:
         e, pe, d = tower._common, tower._common_derivative, y.den
         const_d = d.is_constant()  # a canonical constant denominator is 1
         self.d = None if const_d else d
-        pd = None if const_d else nf(cleared(d))
+        pd = None if const_d else cleared(d)
+        if pd is not None and depth > 1:  # reused by each step
+            pd = nf(pd)
         rise = 0 if e.is_constant() else 1  # no power of E to count when E is 1
         grows = depth > 1 and not pe.is_zero()  # step 0 has a = 0: rung 1 never grows
         if grows:
@@ -494,7 +519,7 @@ class DiffTower:
 
     def derive(self, x: FieldElement) -> FieldElement:
         """The derivative of x: rung 1 of its `Ladder`, one `FieldElement`
-        built (two normal forms when x's denominator is 1, three otherwise),
+        built (two normal forms, of the numerator and the denominator),
         none in between."""
         return Ladder(self.lift(x), 1)[1]
 
@@ -658,12 +683,13 @@ class DiffTower:
         window: Sequence[tuple[tuple, int]],
         coeff_degree_bound: int,
         rate: FieldElement | None = None,
-    ) -> list[dict[tuple, GaussRat]]:
+    ) -> list[Vector | Lazy]:
         """The scan's vectors, one {monomial key: coefficient} per window
-        element.  Column k is the normal form of D(b) * E * t^K for the
-        window element b = window[k], which vanishes exactly when D(b)
-        does; with a rate r = num/den of this tower that lies in the base,
-        of (D(b) - r * b) * E * den * t^K, which vanishes exactly when
+        element, most of them given lazily for `linsolve.relations`.
+        Column k is the normal form of D(b) * E * t^K for the window element
+        b = window[k], which vanishes exactly when D(b) does; with a rate
+        r = num/den of this tower that lies in the base, of
+        (D(b) - r * b) * E * den * t^K, which vanishes exactly when
         D(b) = r * b.
 
         E is the tower's common denominator and D(m) = M_m / E, with
@@ -671,15 +697,20 @@ class DiffTower:
         cleared derivation (`_cleared_derivation`).  So
         D(m * t^j) * E * t^K = t^(j-1+K) * (t * M_m + j * m * E) with
         K = coeff_degree_bound + 1, a polynomial for every j in the window.
-        The normal forms T_m of t * M_m and ME_m of m * E are computed once
-        per m; a rate makes them nf(t * (den * M_m - num * m * E)) and
-        nf(den * m * E), and changes nothing else.  A column merges
-        T_m + j * ME_m, itself a normal form, with each term times
-        t^(j-1+K).  That product stays irreducible unless some rule's
-        leading monomial has t (t^3 -> g^2 when g^2 = t^3); only then is
-        the column normal-formed again.  Without a base variable column k
-        is the normal form of M_m (den * M_m - num * m * E with a rate),
-        a live `Poly.by_key`.
+        The normal forms T_m of t * M_m and ME_m of m * E, and their leading
+        monomials, are computed once per m; a rate makes them
+        nf(t * (den * M_m - num * m * E)) and nf(den * m * E), and changes
+        nothing else.  A column merges T_m + j * ME_m, itself a normal form,
+        with each term times t^(j-1+K) (`_shifted_column`).  That product
+        keeps the monomial order, so the column's leading monomial is the
+        larger of T_m's and ME_m's (T_m's for j = 0) times t^(j-1+K), and
+        the column is given as that monomial and its builder.  It is built
+        at once only when the two leads are equal and cancel at j.  The
+        product stays irreducible unless some rule's leading monomial has t
+        (t^3 -> g^2 when g^2 = t^3); only then is every column built and
+        normal-formed again.  Without a base variable column k is the
+        normal form of M_m (den * M_m - num * m * E with a rate), a live
+        `Poly.by_key`.
         """
         ctx = self.context
         nf = self.rewrite.normal_form
@@ -689,42 +720,49 @@ class DiffTower:
             shift = ctx.shifter(t)
             reducible = any(ctx.unpack(r.lhs).degree_in(t) for r in self.rewrite.rules)
 
-        def normal_forms(m: tuple) -> tuple[dict, dict]:
-            """The terms of T_m and ME_m; of M_m and none without t."""
+        scalars = {j: GaussRat.of(j) for j in {j for _, j in window}}
+
+        def parts_of(m: tuple) -> tuple:
+            """T_m and ME_m (M_m and {} without t), the leading monomial of
+            T_m, that of T_m + j * ME_m for j != 0, and the j at which the
+            latter cancels (None for a zero polynomial or no such j)."""
             mm = self._cleared_derivative(Poly._build(ctx, {m: ONE}))
             me = self._common.mul_monomial(m) if t or rate is not None else None
             if rate is not None:
                 mm = rate.den * mm - rate.num * me
                 me = rate.den * me
             if not t:
-                return nf(mm).by_key, {}
-            return nf(mm.mul_monomial(t_unit)).by_key, nf(me).by_key
+                return nf(mm).by_key, {}, None, None, None
+            tn, me = nf(mm.mul_monomial(t_unit)).by_key, nf(me).by_key
+            lt, lm = max(tn, default=None), max(me, default=None)
+            if lm is None or lt is not None and lt > lm:
+                return tn, me, lt, lt, None
+            if lt is None or lm > lt:
+                return tn, me, lt, lm, None
+            c = -(tn[lt] / me[lm])
+            return tn, me, lt, lt, next((j for j, g in scalars.items() if g == c), None)
 
-        parts: dict[tuple, tuple[dict, dict]] = {}
-        columns: list[dict[tuple, GaussRat]] = []
+        parts: dict[tuple, tuple] = {}
+        columns: list[Vector | Lazy] = []
         for m, j in window:
             got = parts.get(m)
             if got is None:
-                got = parts[m] = normal_forms(m)
-            tn, me = got
-            col = tn
-            if t:
-                s, g = j + coeff_degree_bound, GaussRat.of(j)
-                if not j:
-                    me = {}
-                col = {}
-                for key, c in tn.items():
-                    if key in me:
-                        c = c + me[key] * g
-                        if not c:
-                            continue
-                    col[shift(key, s)] = c
-                for key, c in me.items():
-                    if key not in tn:
-                        col[shift(key, s)] = c * g
-                if reducible:
-                    col = nf(Poly._build(ctx, col)).by_key
-            columns.append(col)
+                got = parts[m] = parts_of(m)
+            tn, me, lt, top, cancel = got
+            if not t:
+                columns.append(tn)
+                continue
+            s = j + coeff_degree_bound
+            build = partial(_shifted_column, tn, me if j else {}, scalars[j], shift, s)
+            lead = top if j else lt
+            if reducible:
+                columns.append(nf(Poly._build(ctx, build())).by_key)
+            elif lead is None:
+                columns.append({})
+            elif j == cancel:  # the column's lead is further down
+                columns.append(build())
+            else:
+                columns.append((shift(lead, s), build))
         return columns
 
     def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
@@ -770,10 +808,11 @@ class DiffTower:
         """New constants in the scan window, excluding the scalars.
 
         Solves d(sum a_k b_k) = 0 exactly over the window elements b_k
-        (`_window_combinations`): `_scan_columns` writes each window
-        element's vector from two normal forms per generator monomial and
-        none per window element, and `linsolve.relations` eliminates only
-        the vectors whose leading monomials collide.  A combination that
+        (`_window_combinations`): `_scan_columns` reads each window
+        element's vector, with no normal form per window element, as its
+        leading monomial and a builder, from two normal forms per generator
+        monomial, and `linsolve.relations` builds and eliminates only the
+        vectors whose leading monomials collide.  A combination that
         is a scalar is no new constant: the window can write 1 in more than
         one way, as g^2/t^3 when g^2 = t^3.  So an empty result certifies
         that the window contains no constant outside the base constants.

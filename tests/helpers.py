@@ -96,3 +96,47 @@ def leibniz_derive(tower: DiffTower, x):
 
     n, d = tower.elem(x.num), tower.elem(x.den)
     return (derive_poly(x.num) * d - n * derive_poly(x.den)) / (d * d)
+
+
+def eager_scan_columns(tower: DiffTower, window, coeff_degree_bound: int, rate=None):
+    """The scan's columns as `DiffTower._scan_columns` wrote them before it
+    gave them lazily, kept as a reference: every column built as a dict,
+    the normal form of (D(b) - r*b) * E * den * t^K (r = num/den the rate,
+    or 0 and den = 1) for the window element b = m * t^j, with
+    K = coeff_degree_bound + 1, from T_m = nf(t * M_m) and ME_m = nf(m * E)
+    per monomial (M_m alone without a base variable)."""
+    ctx = tower.context
+    nf = tower.rewrite.normal_form
+    t = tower.base_var
+    one = GaussRat.of(1)
+    if t:
+        t_unit = ctx.pack(Monomial.var(t))
+        shift = ctx.shifter(t)
+        reducible = any(ctx.unpack(r.lhs).degree_in(t) for r in tower.rewrite.rules)
+    parts = {}
+    columns = []
+    for m, j in window:
+        if m not in parts:
+            mm = tower._cleared_derivative(Poly._build(ctx, {m: one}))
+            me = tower.common_denominator.mul_monomial(m)
+            if rate is not None:
+                mm = rate.den * mm - rate.num * me
+                me = rate.den * me
+            if t:
+                parts[m] = nf(mm.mul_monomial(t_unit)).by_key, nf(me).by_key
+            else:
+                parts[m] = nf(mm).by_key, {}
+        tn, me = parts[m]
+        if not t:
+            columns.append(dict(tn))
+            continue
+        s, g = j + coeff_degree_bound, GaussRat.of(j)
+        col = {}
+        for key in set(tn) | set(me):
+            c = tn.get(key, GaussRat.of(0)) + me.get(key, GaussRat.of(0)) * g
+            if c:
+                col[shift(key, s)] = c
+        if reducible:
+            col = nf(Poly._build(ctx, col)).by_key
+        columns.append(col)
+    return columns

@@ -14,7 +14,9 @@ from realpv.linsolve import kernel, relations
 from realpv.rewrite import RewriteSystem
 from realpv.seidenberg import build_seidenberg
 
-from helpers import bench_algebra, leibniz_derive, rand_element, rand_poly, rng
+from helpers import (
+    bench_algebra, eager_scan_columns, leibniz_derive, rand_element, rand_poly, rng,
+)
 
 
 @pytest.fixture(scope="module")
@@ -271,14 +273,14 @@ _r = rng(41)
 SCAN_BOUNDS = [(4, 3), (6, 5)] + [(_r.randint(0, 4), _r.randint(1, 5)) for _ in range(2)]
 
 
+SCAN_TOWER_NAMES = [
+    "circle", "sqrt", "radical_t2p1", "exp", "constcoeff", "seidenberg",
+    "seidenberg_circle", "radical_t3", "radical_t3_exp",
+]
+
+
 @pytest.mark.parametrize("bounds", SCAN_BOUNDS, ids=str)
-@pytest.mark.parametrize(
-    "name",
-    [
-        "circle", "sqrt", "radical_t2p1", "exp", "constcoeff", "seidenberg",
-        "seidenberg_circle", "radical_t3", "radical_t3_exp",
-    ],
-)
+@pytest.mark.parametrize("name", SCAN_TOWER_NAMES)
 def test_scan_derivatives_match_derive(scan_towers, monkeypatch, name, bounds):
     """The derivatives the scan clears and normal-forms have the relations
     of the window elements' derivatives, each computed by the Leibniz-chain
@@ -298,6 +300,56 @@ def test_scan_derivatives_match_derive(scan_towers, monkeypatch, name, bounds):
 
 
 RATES = ["0", "3", "-1/(2*t)", "t/(t^2+1)"]
+
+
+@pytest.mark.parametrize("bounds", SCAN_BOUNDS, ids=str)
+@pytest.mark.parametrize("name", SCAN_TOWER_NAMES)
+def test_lazy_scan_columns_match_the_eager_writer(scan_towers, name, bounds):
+    """Each column the scan gives lazily has the leading monomial it is
+    given with and builds to the column the eager reference writes, the
+    other columns are those columns, and `relations` finds the same kernel
+    either way: for the constant scan and for `solution_scan` at every
+    rate (rates with t only over t)."""
+    tower = scan_towers[name]
+    window = tower._window(*bounds)
+    rates = RATES if tower.base_var else RATES[:2]
+    lazy_seen = 0
+    for rate in [None] + [tower.parse(r) for r in rates]:
+        lazy = tower._scan_columns(window, bounds[1], rate)
+        eager = eager_scan_columns(tower, window, bounds[1], rate)
+        assert relations(lazy) == relations(eager)
+        for col, ref in zip(lazy, eager, strict=True):
+            if isinstance(col, dict):
+                assert col == ref
+            else:
+                lead, build = col
+                assert lead == max(ref) and build() == ref
+                lazy_seen += 1
+    # only a t rule (radical_t3's t^3 -> g^2) or no t builds every column
+    reducible = name.startswith("radical_t3") or not tower.base_var
+    assert (lazy_seen == 0) == reducible
+
+
+@pytest.mark.parametrize("bounds", [(4, 3), (6, 5)], ids=str)
+def test_scan_builds_columns_only_where_leads_collide(corpus_towers, monkeypatch, bounds):
+    """On the benchmark's scenarios whose window columns have pairwise
+    distinct leading monomials the scan builds no column; on
+    constcoeff_complex, where they collide, it builds some."""
+    built = []
+    writer = realpv.tower._shifted_column
+
+    def counting(*args):
+        built.append(args)
+        return writer(*args)
+
+    monkeypatch.setattr(realpv.tower, "_shifted_column", counting)
+    counts = {}
+    for name in ["constcoeff", "circle", "exp", "constcoeff_complex"]:
+        built.clear()
+        corpus_towers[f"bench/scenarios/{name}.json"].constant_scan(*bounds)
+        counts[name] = len(built)
+    assert counts["constcoeff"] == counts["circle"] == counts["exp"] == 0, counts
+    assert counts["constcoeff_complex"] > 0, counts
 
 
 def test_solution_scan_matches_the_field_element_route(scan_towers, corpus_towers):
@@ -529,7 +581,8 @@ def test_derive_builds_one_field_element(scan_towers, monkeypatch, name):
 @pytest.mark.parametrize("name", ["circle", "radical_t3_exp", "seidenberg", "radical_t2p1"])
 def test_derive_normal_forms(scan_towers, monkeypatch, name):
     """derive of n/d is rung 1 of its ladder: the numerator's and the
-    denominator's normal forms, and one more for P_d when d is not 1."""
+    denominator's normal forms only, also when d is not 1 (P_d is summed
+    into the numerator before its one normal form)."""
     tower = scan_towers[name]
     r = rng(2805)
     xs = [rand_element(r, tower) for _ in range(6)]
@@ -546,7 +599,7 @@ def test_derive_normal_forms(scan_towers, monkeypatch, name):
     for x in xs:
         calls.clear()
         x.derive()
-        assert len(calls) == (2 if x.den.is_constant() else 3), x
+        assert len(calls) == 2, x
 
 
 def test_derivatives_share_one_denominator():
