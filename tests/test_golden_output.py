@@ -1,4 +1,5 @@
-"""Byte-for-byte goldens of the full JSON output of `all` and the demos.
+"""Byte-for-byte goldens of the full JSON output of `all`, the demos and
+`build` with the wide scan.
 
 The goldens freeze every report line (names, statuses and details), not
 only the `ok` flags and data payloads.  Besides the shipped scenarios they
@@ -8,7 +9,11 @@ subgroup ideal, roots of unity on algebraic and exponential generators
 under `tests/scenarios/` whose fixed field is recognized as a different
 descriptor than the one asked for (so the field round trip computes a
 second fixed field), and the scenario that `all` refuses, whose exit code
-and stderr are frozen too.
+and stderr are frozen too.  `build` with the wide scan bounds (6, 5) is
+frozen on every scenario under `scenarios/`, `bench/scenarios/` and
+`tests/scenarios/`, among them `radical_t3` (g^2 = t^3, oriented as the
+rule t^3 -> g^2, so its scan normal-forms the shifted columns again) and
+`exp_zero` (e' = 0, whose scan finds the constants e, ..., e^6 and fails).
 After an intended change of the output, regenerate them with
 
     PYTHONPATH=src python tests/test_golden_output.py
@@ -62,6 +67,18 @@ REFUSALS = [
     (f"refusal_{name}", _all_argv(ROOT / "bench" / "scenarios" / f"{name}.json"))
     for name in BENCH_REFUSALS
 ]
+
+# `build` at the wide scan bounds, keyed by directory and scenario name
+WIDE_SCAN = ["--json", "--scan-degree", "6", "--scan-coeff-degree", "5"]
+WIDE_SCAN_REFUSALS = ("tests_exp_zero",)
+for _dir in ("scenarios", "bench/scenarios", "tests/scenarios"):
+    for _path in sorted((ROOT / _dir).glob("*.json")):
+        _name = f"{_dir.split('/')[0]}_{_path.stem}"
+        _argv = ["build", str(_path), *WIDE_SCAN]
+        if _name in WIDE_SCAN_REFUSALS:
+            REFUSALS.append((f"refusal_build_wide_{_name}", _argv))
+        else:
+            CASES.append((f"build_wide_{_name}", _argv))
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
