@@ -13,13 +13,9 @@ it lies in the span of the earlier ones, and then the reduction writes it
 in the kept ones, which are independent.  That gives the canonical basis:
 one vector per such k, 1 at k and zero at every other such index.  It is
 unique, so it depends neither on the labels' order nor on the elimination.
-
-A vector whose leading label is known without its other entries may be
-given lazily (`Lazy`): the label and a function that builds the vector.  It
-is built only when its label meets a kept vector: to be reduced, or, when
-it was kept unbuilt, the first time it reduces another.  So a vector whose
-label is new is never built, and the elimination makes the same steps on
-the same vectors as when every vector is given built.
+While no two nonzero vectors share a leading label it is the unit vectors
+of the zero ones, which the constant scan reads off its leading monomials
+(`DiffTower._scan_relations`).
 """
 
 from __future__ import annotations
@@ -46,8 +42,6 @@ _ZERO = GaussRat.of(0)
 _ONE = GaussRat.of(1)
 
 Vector = dict[Hashable, GaussRat]
-# a nonzero vector as its leading label and a function building it anew
-Lazy = tuple[Hashable, Callable[[], Vector]]
 
 
 class Echelon:
@@ -55,56 +49,46 @@ class Echelon:
     of any one totally ordered type: ints for `kernel`, `Poly.by_key` keys
     for `relations` over polynomials and for field membership.
 
-    `pivots` maps each kept vector's leading label to the vector (a lazy
-    one's builder until it is first used), the inverse of its leading entry
-    (None until a vector is first reduced by it) and, for a vector added
-    with an index, the combination of the indexed vectors added so far that
-    it equals (else None).  Kept vectors are never changed, and a vector is
-    kept as given when its leading label is new, so a copy shares them and
-    they may be live `Poly.by_key` dicts.
+    `pivots` maps each kept vector's leading label to the vector, the
+    inverse of its leading entry (None until a vector is first reduced by
+    it) and, for a vector added with an index, the combination of the
+    indexed vectors added so far that it equals (else None).  Kept vectors
+    are never changed, and a vector is kept as given when its leading label
+    is new, so a copy shares them and they may be live `Poly.by_key` dicts.
     """
 
     __slots__ = ("pivots",)
 
     def __init__(self) -> None:
-        self.pivots: dict[
-            Hashable, tuple[Vector | Callable[[], Vector], GaussRat | None, Vector | None]
-        ] = {}
+        self.pivots: dict[Hashable, tuple[Vector, GaussRat | None, Vector | None]] = {}
 
     def copy(self) -> "Echelon":
         out = Echelon()
         out.pivots = dict(self.pivots)
         return out
 
-    def reduce(self, vec: Vector | Lazy, index: int | None = None) -> Vector | None:
-        """Top-reduce vec, a dict whose entries are nonzero or a `Lazy`
-        pair, and keep what is left at its leading label.  Returns None
-        when something was left, that is when vec was independent of the
-        kept vectors.  Otherwise returns the combination {index:
-        coefficient} of the vectors added with an index that vanishes: 1 at
-        `index`, the others the kept vectors' indices ({} without an
-        index).  A dict vec is never changed.  One echelon takes either
-        indexed vectors only or unindexed ones only.
+    def reduce(self, vec: Vector, index: int | None = None) -> Vector | None:
+        """Top-reduce vec, whose entries are nonzero, and keep what is left
+        at its leading label.  Returns None when something was left, that
+        is when vec was independent of the kept vectors.  Otherwise returns
+        the combination {index: coefficient} of the vectors added with an
+        index that vanishes: 1 at `index`, the others the kept vectors'
+        indices ({} without an index).  vec itself is never changed.  One
+        echelon takes either indexed vectors only or unindexed ones only.
         """
         pivots = self.pivots
         comb = None if index is None else {index: _ONE}
-        if isinstance(vec, dict):
-            eq, lead = vec, max(vec, default=None)
-        else:
-            lead, eq = vec
-        while lead is not None:
+        eq = vec
+        while eq:
+            lead = max(eq)
             hit = pivots.get(lead)
             if hit is None:
                 pivots[lead] = (eq, None, comb)
                 return None
             if eq is vec:
                 eq = dict(vec)
-            elif not isinstance(eq, dict):
-                eq = eq()
             row, inv, used = hit
             if inv is None:
-                if not isinstance(row, dict):
-                    row = row()
                 inv = row[lead].inverse()
                 pivots[lead] = (row, inv, used)
             f = eq.pop(lead) * inv
@@ -127,7 +111,6 @@ class Echelon:
                         comb[i] = val
                     else:
                         del comb[i]
-            lead = max(eq, default=None)
         return {} if comb is None else comb
 
     def add(self, vec: Vector) -> bool:
@@ -135,12 +118,11 @@ class Echelon:
         return self.reduce(vec) is None
 
 
-def relations(vectors: Sequence[Vector | Lazy]) -> list[list[GaussRat]]:
+def relations(vectors: Sequence[Vector]) -> list[list[GaussRat]]:
     """Canonical basis of the vectors a with sum a_k vectors[k] = 0: one per
     k whose vector lies in the span of the earlier ones, with 1 at k and
     zero at every other such index (module docstring).  The dicts, whose
-    entries are nonzero, are not changed; a `Lazy` vector is built only
-    when its leading label collides with a kept one's."""
+    entries are nonzero, are not changed."""
     echelon = Echelon()
     n = len(vectors)
     basis: list[list[GaussRat]] = []

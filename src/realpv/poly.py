@@ -44,6 +44,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
 from operator import add, le, sub
+from string import ascii_letters, digits
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ContextError, DivisionByZero
@@ -589,6 +590,10 @@ MAX_NESTING = 100
 # The most characters of the input that a parse error echoes: a longer
 # input is echoed as a window of this many around the column.
 ECHO_CHARS = 60
+# Integer literals are ASCII digits, and names are ASCII letters, digits
+# and "_", not starting with a digit: `str.isdigit` holds also for "\u00b2".
+_DIGITS = frozenset(digits)
+_NAME_CHARS = frozenset(ascii_letters + digits + "_")
 
 
 def power_overrun(polys: Iterable[Poly], n: int) -> str | None:
@@ -638,15 +643,13 @@ class _Tokens:
 
     def take_name(self) -> str:
         start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
+        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
             self.pos += 1
         return self.text[start : self.pos]
 
     def take_int(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if start == self.pos:
             self.error("expected integer")
@@ -746,9 +749,9 @@ def _parse_atom(tk: _Tokens, ctx: Context) -> _Frac:
         tk.pos += 1
         tk.depth -= 1
         return inner
-    if ch.isdigit():
+    if ch in _DIGITS:
         return _Frac(Poly.const(ctx, tk.take_int()), one)
-    if ch.isalpha() or ch == "_":
+    if ch in _NAME_CHARS:
         name = tk.take_name()
         if name == "i":
             return _Frac(Poly.const(ctx, GaussRat(Fraction(0), Fraction(1))), one)

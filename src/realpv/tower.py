@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -32,8 +31,8 @@ from .errors import (
     IncompatibleDerivation,
     Unsupported,
 )
-from .gauss import ONE, GaussRat, power
-from .linsolve import Lazy, Vector, relations
+from .gauss import ONE, ZERO, GaussRat, power
+from .linsolve import relations
 from .poly import (
     Context, Monomial, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, parse_fraction,
 )
@@ -145,7 +144,7 @@ def _shifted_column(
     s: int,
 ) -> dict[tuple, GaussRat]:
     """The terms of (T + g * ME) * t^s for the terms tn of T and me of ME,
-    as a new dict (`DiffTower._scan_columns`)."""
+    as a new dict (`DiffTower._scan_relations`)."""
     col = {}
     for key, c in tn.items():
         if key in me:
@@ -678,14 +677,15 @@ class DiffTower:
         elems = [self._window_element(m, j) for m, j in window]
         return elems, _index_of_one(window, self.context)
 
-    def _scan_columns(
+    def _scan_relations(
         self,
         window: Sequence[tuple[tuple, int]],
         coeff_degree_bound: int,
         rate: FieldElement | None = None,
-    ) -> list[Vector | Lazy]:
-        """The scan's vectors, one {monomial key: coefficient} per window
-        element, most of them given lazily for `linsolve.relations`.
+    ) -> list[list[GaussRat]]:
+        """The `linsolve.relations` basis of the scan's columns, one
+        {monomial key: coefficient} per window element, built only where
+        their leading monomials meet.
         Column k is the normal form of D(b) * E * t^K for the window element
         b = window[k], which vanishes exactly when D(b) does; with a rate
         r = num/den of this tower that lies in the base, of
@@ -703,14 +703,19 @@ class DiffTower:
         nothing else.  A column merges T_m + j * ME_m, itself a normal form,
         with each term times t^(j-1+K) (`_shifted_column`).  That product
         keeps the monomial order, so the column's leading monomial is the
-        larger of T_m's and ME_m's (T_m's for j = 0) times t^(j-1+K), and
-        the column is given as that monomial and its builder.  It is built
-        at once only when the two leads are equal and cancel at j.  The
-        product stays irreducible unless some rule's leading monomial has t
-        (t^3 -> g^2 when g^2 = t^3); only then is every column built and
-        normal-formed again.  Without a base variable column k is the
-        normal form of M_m (den * M_m - num * m * E with a rate), a live
-        `Poly.by_key`.
+        larger of T_m's and ME_m's (T_m's for j = 0) times t^(j-1+K).  The
+        column is built to find it only when the two leads are equal and
+        cancel at j.  The product stays irreducible unless some rule's
+        leading monomial has t (t^3 -> g^2 when g^2 = t^3); only then is
+        every column built and normal-formed again.  Without a base variable
+        column k is the normal form of M_m (den * M_m - num * m * E with a
+        rate): t is 1 and the shift is the identity.
+
+        Nonzero vectors with pairwise distinct leading monomials are
+        independent: nothing cancels the largest lead of a combination.  So
+        while no lead repeats, the basis is the unit vectors of the zero
+        columns and no column is built.  At the first repeated lead every
+        column is built, once, and `relations` eliminates them.
         """
         ctx = self.context
         nf = self.rewrite.normal_form
@@ -719,21 +724,22 @@ class DiffTower:
             t_unit = ctx.pack(Monomial.var(t))
             shift = ctx.shifter(t)
             reducible = any(ctx.unpack(r.lhs).degree_in(t) for r in self.rewrite.rules)
+        else:
+            t_unit, shift, reducible = ctx.one, lambda key, s: key, False
 
         scalars = {j: GaussRat.of(j) for j in {j for _, j in window}}
 
         def parts_of(m: tuple) -> tuple:
-            """T_m and ME_m (M_m and {} without t), the leading monomial of
-            T_m, that of T_m + j * ME_m for j != 0, and the j at which the
-            latter cancels (None for a zero polynomial or no such j)."""
+            """T_m and ME_m ({} without t), the leading monomial of T_m, that
+            of T_m + j * ME_m for j != 0, and the j at which the latter
+            cancels (None for a zero polynomial or no such j)."""
             mm = self._cleared_derivative(Poly._build(ctx, {m: ONE}))
             me = self._common.mul_monomial(m) if t or rate is not None else None
             if rate is not None:
                 mm = rate.den * mm - rate.num * me
                 me = rate.den * me
-            if not t:
-                return nf(mm).by_key, {}, None, None, None
-            tn, me = nf(mm.mul_monomial(t_unit)).by_key, nf(me).by_key
+            tn = nf(mm.mul_monomial(t_unit)).by_key
+            me = nf(me).by_key if t else {}
             lt, lm = max(tn, default=None), max(me, default=None)
             if lm is None or lt is not None and lt > lm:
                 return tn, me, lt, lt, None
@@ -742,28 +748,30 @@ class DiffTower:
             c = -(tn[lt] / me[lm])
             return tn, me, lt, lt, next((j for j, g in scalars.items() if g == c), None)
 
-        parts: dict[tuple, tuple] = {}
-        columns: list[Vector | Lazy] = []
-        for m, j in window:
-            got = parts.get(m)
-            if got is None:
-                got = parts[m] = parts_of(m)
-            tn, me, lt, top, cancel = got
-            if not t:
-                columns.append(tn)
-                continue
-            s = j + coeff_degree_bound
-            build = partial(_shifted_column, tn, me if j else {}, scalars[j], shift, s)
-            lead = top if j else lt
-            if reducible:
-                columns.append(nf(Poly._build(ctx, build())).by_key)
-            elif lead is None:
-                columns.append({})
-            elif j == cancel:  # the column's lead is further down
-                columns.append(build())
+        parts = {m: parts_of(m) for m in dict.fromkeys(m for m, _ in window)}
+
+        def column(k: int) -> dict[tuple, GaussRat]:
+            m, j = window[k]
+            tn, me, *_ = parts[m]
+            col = _shifted_column(tn, me if j else {}, scalars[j], shift, j + coeff_degree_bound)
+            return nf(Poly._build(ctx, col)).by_key if reducible else col
+
+        n = len(window)
+        built, leads, zeros = {}, set(), []
+        for k, (m, j) in enumerate(window):
+            _, _, lt, top, cancel = parts[m]
+            if reducible or j == cancel:  # the shifted leads do not give its lead
+                built[k] = column(k)
+                lead = max(built[k], default=None)
+            elif (lead := top if j else lt) is not None:
+                lead = shift(lead, j + coeff_degree_bound)
+            if lead is None:
+                zeros.append(k)
+            elif lead in leads:
+                return relations([built[i] if i in built else column(i) for i in range(n)])
             else:
-                columns.append((shift(lead, s), build))
-        return columns
+                leads.add(lead)
+        return [[ONE if i == k else ZERO for i in range(n)] for k in zeros]
 
     def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
         """Kernel of (a_k) -> sum a_k elems[k], exactly, over GaussRat.
@@ -787,16 +795,15 @@ class DiffTower:
     def _window_combinations(
         self, degree_bound: int, coeff_degree_bound: int, rate: FieldElement | None = None
     ) -> Iterator[FieldElement]:
-        """One window combination per vector of the `relations` basis of
-        `_scan_columns`, the canonical one of D(b) - r * b over the
+        """One window combination per vector of the basis that
+        `_scan_relations` gives, the canonical one of D(b) - r * b over the
         `scan_basis` elements b (r the rate or 0), as each column is that
         element times one common factor.  Without a rate the scalar
         direction is projected off.  Window elements are built only for the
         combinations."""
         window = self._window(degree_bound, coeff_degree_bound)
-        columns = self._scan_columns(window, coeff_degree_bound, rate)
         skip = _index_of_one(window, self.context) if rate is None else -1
-        for vec in relations(columns):
+        for vec in self._scan_relations(window, coeff_degree_bound, rate):
             used = [k for k, c in enumerate(vec) if c and k != skip]
             yield self.combine(
                 [vec[k] for k in used], [self._window_element(*window[k]) for k in used]
@@ -808,11 +815,12 @@ class DiffTower:
         """New constants in the scan window, excluding the scalars.
 
         Solves d(sum a_k b_k) = 0 exactly over the window elements b_k
-        (`_window_combinations`): `_scan_columns` reads each window
-        element's vector, with no normal form per window element, as its
-        leading monomial and a builder, from two normal forms per generator
-        monomial, and `linsolve.relations` builds and eliminates only the
-        vectors whose leading monomials collide.  A combination that
+        (`_window_combinations`): `_scan_relations` reads the leading
+        monomial of each window element's vector, with no normal form per
+        window element, from two normal forms per generator monomial.  When
+        no two nonzero leads meet, the kernel is read off the zero vectors
+        with no elimination; otherwise every vector is built and
+        `linsolve.relations` eliminates them.  A combination that
         is a scalar is no new constant: the window can write 1 in more than
         one way, as g^2/t^3 when g^2 = t^3.  So an empty result certifies
         that the window contains no constant outside the base constants.
@@ -835,6 +843,8 @@ class DiffTower:
         """The window's solutions of y' = rate * y for a rate in the base:
         the combinations (`_window_combinations`) that are not zero, as one
         can be where the window writes an element twice (g^2/t^3 and 1 when
-        g^2 = t^3).  The rate changes two normal forms per monomial only."""
+        g^2 = t^3).  The rate changes two normal forms per monomial only;
+        the leading monomials decide, as in `constant_scan`, whether to
+        eliminate."""
         scan = self._window_combinations(degree_bound, coeff_degree_bound, self.lift(rate))
         return [y for y in scan if not y.is_zero()]

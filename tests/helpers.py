@@ -99,12 +99,13 @@ def leibniz_derive(tower: DiffTower, x):
 
 
 def eager_scan_columns(tower: DiffTower, window, coeff_degree_bound: int, rate=None):
-    """The scan's columns as `DiffTower._scan_columns` wrote them before it
-    gave them lazily, kept as a reference: every column built as a dict,
-    the normal form of (D(b) - r*b) * E * den * t^K (r = num/den the rate,
-    or 0 and den = 1) for the window element b = m * t^j, with
-    K = coeff_degree_bound + 1, from T_m = nf(t * M_m) and ME_m = nf(m * E)
-    per monomial (M_m alone without a base variable)."""
+    """The scan's columns, kept as a reference for
+    `DiffTower._scan_relations`, which builds them only where their leading
+    monomials meet: every column written as a dict, the normal form of
+    (D(b) - r*b) * E * den * t^K (r = num/den the rate, or 0 and den = 1)
+    for the window element b = m * t^j, with K = coeff_degree_bound + 1,
+    from T_m = nf(t * M_m) and ME_m = nf(m * E) per monomial (M_m alone
+    without a base variable)."""
     ctx = tower.context
     nf = tower.rewrite.normal_form
     t = tower.base_var

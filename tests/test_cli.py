@@ -393,6 +393,17 @@ def test_radical_power_over_the_budget_is_refused(
     assert err == f"error: radical power f^{power} not supported: the power {why}\n"
 
 
+def test_non_ascii_digit_is_usage_error(capsys, tmp_path):
+    """A coefficient written with an Arabic-Indic digit is a parse error,
+    not the integer 3."""
+    bad = tmp_path / "digit.json"
+    bad.write_text(json.dumps({"equation": {"class": "EXP", "coefficients": ["-\u0663"]}}))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (2, "")
+    assert "scenario.equation.coefficients[0]" in err
+    assert "parse error at column 2: unexpected character" in err
+
+
 def test_unsupported_equation_is_math_failure(capsys, tmp_path):
     bad = tmp_path / "irr.json"
     bad.write_text(json.dumps({

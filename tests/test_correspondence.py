@@ -580,19 +580,25 @@ def test_contains_never_changes_the_cached_span(exp_group):
 
 @pytest.mark.parametrize("name", ["constcoeff", "circle"])
 def test_all_makes_no_kernel_call_for_membership(name, monkeypatch, capsys):
-    """`all` computes two kernels, the constant scan's (in `tower`) and the
-    fixed combinations' (in `galois`); field membership adds none."""
+    """`all` computes two kernels, the constant scan's (`_scan_relations`,
+    which reads it off the leading monomials here) and the fixed
+    combinations' (in `galois`); field membership adds none."""
     calls = []
 
     def counted(*args, _orig=tower_module.relations):
-        calls.append(args[0])
+        calls.append("relations")
+        return _orig(*args)
+
+    def scan(*args, _orig=DiffTower._scan_relations):
+        calls.append("scan")
         return _orig(*args)
 
     for module in (tower_module, galois):
         monkeypatch.setattr(module, "relations", counted)
+    monkeypatch.setattr(DiffTower, "_scan_relations", scan)
     assert cli.main(["all", str(ROOT / "scenarios" / f"{name}.json")]) == 0
     capsys.readouterr()
-    assert len(calls) == 2
+    assert calls == ["scan", "relations"]
 
 
 def test_group_over_recovers_subgroup(circle_group):

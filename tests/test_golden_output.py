@@ -68,17 +68,16 @@ REFUSALS = [
     for name in BENCH_REFUSALS
 ]
 
-# `build` at the wide scan bounds, keyed by directory and scenario name
+# `build` at the wide scan bounds on every scenario, keyed by its directory
 WIDE_SCAN = ["--json", "--scan-degree", "6", "--scan-coeff-degree", "5"]
+WIDE_SCAN_RUNS = [
+    (f"{d.split('/')[0]}_{path.stem}", ["build", str(path), *WIDE_SCAN])
+    for d in ("scenarios", "bench/scenarios", "tests/scenarios")
+    for path in sorted((ROOT / d).glob("*.json"))
+]
 WIDE_SCAN_REFUSALS = ("tests_exp_zero",)
-for _dir in ("scenarios", "bench/scenarios", "tests/scenarios"):
-    for _path in sorted((ROOT / _dir).glob("*.json")):
-        _name = f"{_dir.split('/')[0]}_{_path.stem}"
-        _argv = ["build", str(_path), *WIDE_SCAN]
-        if _name in WIDE_SCAN_REFUSALS:
-            REFUSALS.append((f"refusal_build_wide_{_name}", _argv))
-        else:
-            CASES.append((f"build_wide_{_name}", _argv))
+CASES += [(f"build_wide_{k}", a) for k, a in WIDE_SCAN_RUNS if k not in WIDE_SCAN_REFUSALS]
+REFUSALS += [(f"refusal_build_wide_{k}", a) for k, a in WIDE_SCAN_RUNS if k in WIDE_SCAN_REFUSALS]
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:

@@ -296,6 +296,18 @@ def test_parse_stray_character_is_named(ctx):
         parse_fraction("1 + )", ctx)
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("\u0663", 1), ("\uff13", 1), ("-\u0663", 2), ("\u00b2", 1), ("2 * \u00b2", 5)],
+    ids=["arabic_indic_three", "fullwidth_three", "negated", "superscript_two", "factor"],
+)
+def test_parse_refuses_non_ascii_digits(ctx, text, column):
+    """Digits other than ASCII ones are no integer literal, also where
+    `str.isdigit` holds for them."""
+    with pytest.raises(ValueError, match=f"^parse error at column {column}: unexpected character"):
+        parse_fraction(text, ctx)
+
+
 def test_parse_negative_power(ctx):
     num, den = parse_fraction("t^-2", ctx)
     assert str(num) == "1"

@@ -1,6 +1,7 @@
 """Differential towers: derivation, conjugation, scans, substitution."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -290,11 +291,11 @@ def test_scan_derivatives_match_derive(scan_towers, monkeypatch, name, bounds):
     expected = tower.linear_relations([leibniz_derive(tower, b) for b in basis])
     kernels = []
 
-    def recording(vectors):
-        kernels.append(relations(vectors))
+    def recording(self, *args, _orig=DiffTower._scan_relations):
+        kernels.append(_orig(self, *args))
         return kernels[-1]
 
-    monkeypatch.setattr(realpv.tower, "relations", recording)
+    monkeypatch.setattr(DiffTower, "_scan_relations", recording)
     tower.constant_scan(*bounds)
     assert kernels == [expected]
 
@@ -302,54 +303,63 @@ def test_scan_derivatives_match_derive(scan_towers, monkeypatch, name, bounds):
 RATES = ["0", "3", "-1/(2*t)", "t/(t^2+1)"]
 
 
+def _leads_distinct(columns) -> bool:
+    """Whether the nonzero columns' leading monomials are pairwise distinct."""
+    leads = [max(col) for col in columns if col]
+    return len(set(leads)) == len(leads)
+
+
+def _counting(monkeypatch, name):
+    """Replace `realpv.tower`'s `name` by a wrapper; returns its call list."""
+    calls = []
+    orig = getattr(realpv.tower, name)
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(realpv.tower, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("bounds", SCAN_BOUNDS, ids=str)
 @pytest.mark.parametrize("name", SCAN_TOWER_NAMES)
-def test_lazy_scan_columns_match_the_eager_writer(scan_towers, name, bounds):
-    """Each column the scan gives lazily has the leading monomial it is
-    given with and builds to the column the eager reference writes, the
-    other columns are those columns, and `relations` finds the same kernel
-    either way: for the constant scan and for `solution_scan` at every
-    rate (rates with t only over t)."""
+def test_lazy_scan_columns_match_the_eager_writer(scan_towers, monkeypatch, name, bounds):
+    """The scan's basis is the `relations` basis of the columns the eager
+    reference writes, and it eliminates (calls `relations`) exactly when
+    two of those columns' nonzero leading monomials meet: for the constant
+    scan and for `solution_scan` at every rate (rates with t only over t)."""
     tower = scan_towers[name]
     window = tower._window(*bounds)
     rates = RATES if tower.base_var else RATES[:2]
-    lazy_seen = 0
+    eliminated = _counting(monkeypatch, "relations")
     for rate in [None] + [tower.parse(r) for r in rates]:
-        lazy = tower._scan_columns(window, bounds[1], rate)
         eager = eager_scan_columns(tower, window, bounds[1], rate)
-        assert relations(lazy) == relations(eager)
-        for col, ref in zip(lazy, eager, strict=True):
-            if isinstance(col, dict):
-                assert col == ref
-            else:
-                lead, build = col
-                assert lead == max(ref) and build() == ref
-                lazy_seen += 1
-    # only a t rule (radical_t3's t^3 -> g^2) or no t builds every column
-    reducible = name.startswith("radical_t3") or not tower.base_var
-    assert (lazy_seen == 0) == reducible
+        eliminated.clear()
+        assert tower._scan_relations(window, bounds[1], rate) == relations(eager)
+        assert len(eliminated) == (not _leads_distinct(eager)), (rate, len(eliminated))
 
 
 @pytest.mark.parametrize("bounds", [(4, 3), (6, 5)], ids=str)
 def test_scan_builds_columns_only_where_leads_collide(corpus_towers, monkeypatch, bounds):
-    """On the benchmark's scenarios whose window columns have pairwise
-    distinct leading monomials the scan builds no column; on
-    constcoeff_complex, where they collide, it builds some."""
-    built = []
-    writer = realpv.tower._shifted_column
-
-    def counting(*args):
-        built.append(args)
-        return writer(*args)
-
-    monkeypatch.setattr(realpv.tower, "_shifted_column", counting)
-    counts = {}
-    for name in ["constcoeff", "circle", "exp", "constcoeff_complex"]:
+    """On the corpus scans whose window columns have pairwise distinct
+    leading monomials the scan builds no column and calls no `relations`;
+    on constcoeff_complex and radical_t2p1, the scans where two leads meet,
+    it builds every column exactly once and eliminates them once."""
+    built = _counting(monkeypatch, "_shifted_column")
+    eliminated = _counting(monkeypatch, "relations")
+    colliding = set()
+    for path, tower in sorted(corpus_towers.items()):
         built.clear()
-        corpus_towers[f"bench/scenarios/{name}.json"].constant_scan(*bounds)
-        counts[name] = len(built)
-    assert counts["constcoeff"] == counts["circle"] == counts["exp"] == 0, counts
-    assert counts["constcoeff_complex"] > 0, counts
+        eliminated.clear()
+        tower.constant_scan(*bounds)
+        window = tower._window(*bounds)
+        if _leads_distinct(eager_scan_columns(tower, window, bounds[1])):
+            assert (len(built), len(eliminated)) == (0, 0), path
+        else:
+            colliding.add(Path(path).stem)
+            assert (len(built), len(eliminated)) == (len(window), 1), path
+    assert colliding == {"constcoeff_complex", "radical_t2p1"}
 
 
 def test_solution_scan_matches_the_field_element_route(scan_towers, corpus_towers):
