@@ -13,9 +13,12 @@ it lies in the span of the earlier ones, and then the reduction writes it
 in the kept ones, which are independent.  That gives the canonical basis:
 one vector per such k, 1 at k and zero at every other such index.  It is
 unique, so it depends neither on the labels' order nor on the elimination.
-While no two nonzero vectors share a leading label it is the unit vectors
-of the zero ones, which the constant scan reads off its leading monomials
-(`DiffTower._scan_relations`).
+Adding to a vector multiples of earlier ones changes no span of a prefix,
+and so no such k.  While no two nonzero vectors share a leading label
+the relations are the unit vectors of the zero ones, with no elimination.
+The constant scan reads them off the leading monomials of its vectors,
+each reduced against earlier ones, when each zero reduced vector is a
+zero vector (`DiffTower._scan_relations`).
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ product, quotient and divisibility test (`mono_mul`, `mono_div`,
 
 Only this module knows the layout.  Other modules go through the key
 functions and through `Context`, which packs a context-free `Monomial` into
-a key, unpacks a key, renders it, re-reads keys between contexts
+a key, unpacks a key, renders it, reads one variable's exponent in it
+(`Context.degree_in`), re-reads keys between contexts
 (`Context.reader`, used by `Poly.in_context`), multiplies keys by a
 power of one variable (`Context.shifter`) and splits a key into its parts
 over two sets of variables (`Context.splitter`).  Mixing polynomials from
@@ -44,7 +45,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
 from operator import add, le, sub
-from string import ascii_letters, digits
+from string import ascii_letters, digits, whitespace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ContextError, DivisionByZero
@@ -174,6 +175,12 @@ class Context:
                 raise ContextError(f"monomial uses {v!r}, absent from {self.variables}")
             exps[i - 1] = e
         return (sum(exps), *exps)
+
+    def degree_in(self, m: Key, name: str) -> int:
+        """The exponent of `name` in the key m; a variable outside the
+        context raises ContextError."""
+        self.rank(name)
+        return m[self._slot[name]]
 
     def unpack(self, m: Key) -> Monomial:
         """The context-free monomial of a key."""
@@ -592,8 +599,11 @@ MAX_NESTING = 100
 ECHO_CHARS = 60
 # Integer literals are ASCII digits, and names are ASCII letters, digits
 # and "_", not starting with a digit: `str.isdigit` holds also for "\u00b2".
+# Only ASCII whitespace separates tokens: `str.isspace` holds also for the
+# no-break space "\u00a0" and the ideographic space "\u3000".
 _DIGITS = frozenset(digits)
 _NAME_CHARS = frozenset(ascii_letters + digits + "_")
+_SPACE = frozenset(whitespace)
 
 
 def power_overrun(polys: Iterable[Poly], n: int) -> str | None:
@@ -637,7 +647,7 @@ class _Tokens:
         raise ValueError(f"parse error at column {self.pos + 1}: {msg} in {text!r}")
 
     def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in _SPACE:
             self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 

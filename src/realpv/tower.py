@@ -34,7 +34,8 @@ from .errors import (
 from .gauss import ONE, ZERO, GaussRat, power
 from .linsolve import relations
 from .poly import (
-    Context, Monomial, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, parse_fraction,
+    Context, Monomial, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul,
+    parse_fraction,
 )
 from .rewrite import RewriteSystem, buchberger
 
@@ -156,6 +157,64 @@ def _shifted_column(
         if key not in tn:
             col[shift(key, s)] = c * g
     return col
+
+
+def _minus_times(a: dict, b: dict, f: GaussRat) -> dict:
+    """a - f * b for term dicts, as a new dict."""
+    out = dict(a)
+    for key, c in b.items():
+        cur = out.get(key)
+        if cur is None:
+            out[key] = -(f * c)
+        elif cur := cur - f * c:
+            out[key] = cur
+        else:
+            del out[key]
+    return out
+
+
+def _reduced_pairs(pairs: Mapping[tuple, tuple[dict, dict]]) -> dict[tuple, tuple[dict, dict]]:
+    """Each pair (T, ME), in order, top-reduced by T's leading monomial
+    against the pairs kept before it: f times a kept pair is subtracted
+    from both halves while T's lead is a kept pair's, and the pair is kept
+    at the new lead when it is not (`DiffTower._scan_relations`).  A pair
+    that needs no reduction is returned as it is."""
+    kept: dict[tuple, tuple[dict, dict]] = {}
+    out = {}
+    for m, pair in pairs.items():
+        tn, me = pair
+        while tn:
+            lead = max(tn)
+            hit = kept.get(lead)
+            if hit is None:
+                kept[lead] = tn, me
+                break
+            f = tn[lead] / hit[0][lead]
+            tn, me = _minus_times(tn, hit[0], f), _minus_times(me, hit[1], f)
+        out[m] = pair if tn is pair[0] else (tn, me)
+    return out
+
+
+def _pair_leads(
+    tn: dict, me: dict, scalars: Mapping[int, GaussRat]
+) -> tuple[tuple | None, tuple | None, int | None]:
+    """The leading monomial of T, that of T + j * ME for j != 0, and the j
+    among `scalars` at which the latter cancels (None for a zero
+    polynomial or no such j)."""
+    lt, lm = max(tn, default=None), max(me, default=None)
+    if lm is None or lt is not None and lt > lm:
+        return lt, lt, None
+    if lt is None or lm > lt:
+        return lt, lm, None
+    c = -(tn[lt] / me[lm])
+    return lt, lt, next((j for j, g in scalars.items() if g == c), None)
+
+
+def _vanishes(tn: dict, me: dict, g: GaussRat) -> bool:
+    """Whether T + g * ME is zero (T alone when g is 0)."""
+    if not g:
+        return not tn
+    return tn.keys() == me.keys() and not any(c + me[key] * g for key, c in tn.items())
 
 
 def _index_of_one(window: Sequence[tuple[tuple, int]], ctx: Context) -> int:
@@ -623,26 +682,20 @@ class DiffTower:
 
     def irreducible_monomials(self, max_degree: int) -> list[tuple]:
         """Keys of the generator monomials of bounded degree in rewrite
-        normal form."""
-        gens = self.generator_names()
+        normal form, sorted.  Each generator in turn multiplies the keys
+        found so far by its powers, as keys; a key that a rule's leading
+        monomial divides is dropped with all its multiples."""
+        ctx = self.context
         lhss = [r.lhs for r in self.rewrite.rules]
-        out: list[tuple] = []
-
-        def rec(idx: int, budget: int, acc: dict[str, int]):
-            if idx == len(gens):
-                m = self.context.pack(Monomial(acc))
-                if not any(mono_divides(l, m) for l in lhss):
-                    out.append(m)
-                return
-            for e in range(budget + 1):
-                nxt = dict(acc)
-                if e:
-                    nxt[gens[idx]] = e
-                rec(idx + 1, budget - e, nxt)
-
-        rec(0, max_degree, {})
-        out.sort(key=self.context.key)
-        return out
+        found = [(ctx.one, 0)]  # (key, degree)
+        for g in self.generator_names():
+            unit, grown = ctx.pack(Monomial.var(g)), []
+            for m, d in found:
+                while d <= max_degree and not any(mono_divides(l, m) for l in lhss):
+                    grown.append((m, d))
+                    m, d = mono_mul(m, unit), d + 1
+            found = grown
+        return sorted((m for m, _ in found), key=ctx.key)
 
     def _window(
         self, degree_bound: int, coeff_degree_bound: int
@@ -684,8 +737,8 @@ class DiffTower:
         rate: FieldElement | None = None,
     ) -> list[list[GaussRat]]:
         """The `linsolve.relations` basis of the scan's columns, one
-        {monomial key: coefficient} per window element, built only where
-        their leading monomials meet.
+        {monomial key: coefficient} per window element, mostly read from
+        their leading monomials with no column built.
         Column k is the normal form of D(b) * E * t^K for the window element
         b = window[k], which vanishes exactly when D(b) does; with a rate
         r = num/den of this tower that lies in the base, of
@@ -694,28 +747,39 @@ class DiffTower:
 
         E is the tower's common denominator and D(m) = M_m / E, with
         M_m = sum_v e_v * (m/v) * C_v for m = prod_v v^e_v, read from the
-        cleared derivation (`_cleared_derivation`).  So
+        cleared derivation (`_cleared_derivation`): each C_v is shifted by
+        the key of (m/v) * t and scaled by e_v into one dict, with no partial
+        derivative and no polynomial product.  So
         D(m * t^j) * E * t^K = t^(j-1+K) * (t * M_m + j * m * E) with
         K = coeff_degree_bound + 1, a polynomial for every j in the window.
-        The normal forms T_m of t * M_m and ME_m of m * E, and their leading
-        monomials, are computed once per m; a rate makes them
-        nf(t * (den * M_m - num * m * E)) and nf(den * m * E), and changes
-        nothing else.  A column merges T_m + j * ME_m, itself a normal form,
-        with each term times t^(j-1+K) (`_shifted_column`).  That product
-        keeps the monomial order, so the column's leading monomial is the
-        larger of T_m's and ME_m's (T_m's for j = 0) times t^(j-1+K).  The
-        column is built to find it only when the two leads are equal and
-        cancel at j.  The product stays irreducible unless some rule's
-        leading monomial has t (t^3 -> g^2 when g^2 = t^3); only then is
-        every column built and normal-formed again.  Without a base variable
-        column k is the normal form of M_m (den * M_m - num * m * E with a
-        rate): t is 1 and the shift is the identity.
+        The normal forms T_m of t * M_m and ME_m of m * E are computed once
+        per m; a rate makes them nf(t * (den * M_m - num * m * E)) and
+        nf(den * m * E), and changes nothing else.  A column merges
+        T_m + j * ME_m, itself a normal form, with each term times
+        t^(j-1+K) (`_shifted_column`).  That product keeps the monomial
+        order, so the column's leading monomial is the larger of T_m's and
+        ME_m's (T_m's for j = 0) times t^(j-1+K).  The column is built to
+        find it only when the two leads are equal and cancel at j.  Without
+        a base variable column k is the normal form of M_m (den * M_m -
+        num * m * E with a rate): t is 1 and the shift is the identity.
 
         Nonzero vectors with pairwise distinct leading monomials are
         independent: nothing cancels the largest lead of a combination.  So
-        while no lead repeats, the basis is the unit vectors of the zero
-        columns and no column is built.  At the first repeated lead every
-        column is built, once, and `relations` eliminates them.
+        the pairs (T_m, ME_m) are first top-reduced, in window order, by
+        T's leading monomial against the pairs kept from earlier monomials,
+        ME carried along with the same factor (`_reduced_pairs`).  Each
+        reduced column is then its own column plus earlier monomials'
+        columns at the same j, with the same coefficients for every j; the
+        window is m-major, so the reduced columns span the same prefixes
+        and have the same dependent indices.  When their leads are pairwise
+        distinct, the dependent ones are the zero reduced columns; when each
+        of those is a zero column too, the canonical basis is the unit
+        vectors of those columns and nothing is eliminated.  Otherwise every
+        column is built, once, and `relations` eliminates them.  The product
+        by a power of t stays irreducible unless some rule's leading
+        monomial has t (t^3 -> g^2 when g^2 = t^3); on such a tower every
+        column is built and normal-formed again, the pairs are not reduced,
+        and the leads of the columns decide.
         """
         ctx = self.context
         nf = self.rewrite.normal_form
@@ -723,52 +787,76 @@ class DiffTower:
         if t:
             t_unit = ctx.pack(Monomial.var(t))
             shift = ctx.shifter(t)
-            reducible = any(ctx.unpack(r.lhs).degree_in(t) for r in self.rewrite.rules)
+            reducible = any(ctx.degree_in(r.lhs, t) for r in self.rewrite.rules)
         else:
             t_unit, shift, reducible = ctx.one, lambda key, s: key, False
 
         scalars = {j: GaussRat.of(j) for j in {j for _, j in window}}
+        derivation = [
+            (v, ctx.pack(Monomial.var(v)), cv.by_key) for v, cv in self._cleared.items()
+        ]
 
-        def parts_of(m: tuple) -> tuple:
-            """T_m and ME_m ({} without t), the leading monomial of T_m, that
-            of T_m + j * ME_m for j != 0, and the j at which the latter
-            cancels (None for a zero polynomial or no such j)."""
-            mm = self._cleared_derivative(Poly._build(ctx, {m: ONE}))
-            me = self._common.mul_monomial(m) if t or rate is not None else None
+        def pair_of(m: tuple) -> tuple[dict, dict]:
+            """T_m and ME_m ({} without t)."""
+            mm: dict[tuple, GaussRat] = {}
+            for v, unit, cv in derivation:
+                e = ctx.degree_in(m, v)
+                if not e:
+                    continue
+                lift, g = mono_mul(mono_div(m, unit), t_unit), GaussRat.of(e)
+                for key, c in cv.items():
+                    key = mono_mul(key, lift)
+                    c = c * g if e > 1 else c
+                    cur = mm.get(key)
+                    if cur is None:
+                        mm[key] = c
+                    elif cur := cur + c:
+                        mm[key] = cur
+                    else:
+                        del mm[key]
+            tn = Poly._build(ctx, mm)
+            if not t and rate is None:
+                return nf(tn).by_key, {}
+            me = self._common.mul_monomial(m)
             if rate is not None:
-                mm = rate.den * mm - rate.num * me
+                tn = rate.den * tn - (rate.num * me).mul_monomial(t_unit)
                 me = rate.den * me
-            tn = nf(mm.mul_monomial(t_unit)).by_key
-            me = nf(me).by_key if t else {}
-            lt, lm = max(tn, default=None), max(me, default=None)
-            if lm is None or lt is not None and lt > lm:
-                return tn, me, lt, lt, None
-            if lt is None or lm > lt:
-                return tn, me, lt, lm, None
-            c = -(tn[lt] / me[lm])
-            return tn, me, lt, lt, next((j for j, g in scalars.items() if g == c), None)
+            return nf(tn).by_key, nf(me).by_key if t else {}
 
-        parts = {m: parts_of(m) for m in dict.fromkeys(m for m, _ in window)}
+        pairs = {m: pair_of(m) for m in dict.fromkeys(m for m, _ in window)}
+        n = len(window)
 
-        def column(k: int) -> dict[tuple, GaussRat]:
+        def column(table: Mapping[tuple, tuple[dict, dict]], k: int) -> dict[tuple, GaussRat]:
             m, j = window[k]
-            tn, me, *_ = parts[m]
+            tn, me = table[m]
             col = _shifted_column(tn, me if j else {}, scalars[j], shift, j + coeff_degree_bound)
             return nf(Poly._build(ctx, col)).by_key if reducible else col
 
-        n = len(window)
-        built, leads, zeros = {}, set(), []
+        if reducible:
+            columns = [column(pairs, k) for k in range(n)]
+            leads = [max(col) for col in columns if col]
+            if len(set(leads)) < len(leads):
+                return relations(columns)
+            zeros = [k for k, col in enumerate(columns) if not col]
+            return [[ONE if i == k else ZERO for i in range(n)] for k in zeros]
+
+        reduced = _reduced_pairs(pairs)
+        found = {m: _pair_leads(tn, me, scalars) for m, (tn, me) in reduced.items()}
+        built, leads, zeros = {}, set(), []  # built: columns of unreduced pairs
         for k, (m, j) in enumerate(window):
-            _, _, lt, top, cancel = parts[m]
-            if reducible or j == cancel:  # the shifted leads do not give its lead
-                built[k] = column(k)
-                lead = max(built[k], default=None)
+            lt, top, cancel = found[m]
+            if j == cancel:  # the shifted leads do not give its lead
+                if reduced[m] is pairs[m]:
+                    col = built[k] = column(pairs, k)
+                else:
+                    col = column(reduced, k)
+                lead = max(col, default=None)
             elif (lead := top if j else lt) is not None:
                 lead = shift(lead, j + coeff_degree_bound)
-            if lead is None:
+            if lead is None and _vanishes(*pairs[m], scalars[j]):
                 zeros.append(k)
-            elif lead in leads:
-                return relations([built[i] if i in built else column(i) for i in range(n)])
+            elif lead is None or lead in leads:
+                return relations([built[i] if i in built else column(pairs, i) for i in range(n)])
             else:
                 leads.add(lead)
         return [[ONE if i == k else ZERO for i in range(n)] for k in zeros]
@@ -815,12 +903,15 @@ class DiffTower:
         """New constants in the scan window, excluding the scalars.
 
         Solves d(sum a_k b_k) = 0 exactly over the window elements b_k
-        (`_window_combinations`): `_scan_relations` reads the leading
-        monomial of each window element's vector, with no normal form per
-        window element, from two normal forms per generator monomial.  When
-        no two nonzero leads meet, the kernel is read off the zero vectors
-        with no elimination; otherwise every vector is built and
-        `linsolve.relations` eliminates them.  A combination that
+        (`_window_combinations`): `_scan_relations` takes two normal forms
+        per generator monomial, reduces each monomial's pair against the
+        earlier monomials' pairs, and reads the leading monomial of each
+        window element's vector from the reduced pairs, with no normal form
+        per window element.  The reduced vectors span the same prefixes of
+        the window as the vectors.  When no two of their nonzero leads meet
+        and each zero one is a zero vector, the kernel is the unit vectors
+        of the zero vectors, with no elimination; otherwise every vector is
+        built and `linsolve.relations` eliminates them.  A combination that
         is a scalar is no new constant: the window can write 1 in more than
         one way, as g^2/t^3 when g^2 = t^3.  So an empty result certifies
         that the window contains no constant outside the base constants.
@@ -844,7 +935,7 @@ class DiffTower:
         the combinations (`_window_combinations`) that are not zero, as one
         can be where the window writes an element twice (g^2/t^3 and 1 when
         g^2 = t^3).  The rate changes two normal forms per monomial only;
-        the leading monomials decide, as in `constant_scan`, whether to
-        eliminate."""
+        the leading monomials of the reduced pairs decide, as in
+        `constant_scan`, whether to eliminate."""
         scan = self._window_combinations(degree_bound, coeff_degree_bound, self.lift(rate))
         return [y for y in scan if not y.is_zero()]

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from realpv import Context, DiffTower, GaussRat, Monomial, Poly
+from realpv.poly import mono_divides
 
 
 def bench_algebra():
@@ -141,3 +142,57 @@ def eager_scan_columns(tower: DiffTower, window, coeff_degree_bound: int, rate=N
             col = nf(Poly._build(ctx, col)).by_key
         columns.append(col)
     return columns
+
+
+def reduced_scan_columns(window, columns):
+    """The scan's columns as `DiffTower._scan_relations` reads their leads,
+    written from the eager ones: in window order, each monomial's columns
+    are top-reduced by the leading monomial of its j = 0 column against
+    the j = 0 columns kept from earlier monomials, and each kept
+    monomial's column at every j is subtracted with the same factor."""
+    zero = GaussRat.of(0)
+
+    def minus_times(a, b, f):
+        out = {key: a.get(key, zero) - f * b.get(key, zero) for key in set(a) | set(b)}
+        return {key: c for key, c in out.items() if c}
+
+    by_monomial = {}
+    for (m, j), col in zip(window, columns):
+        by_monomial.setdefault(m, {})[j] = col
+    kept, reduced = {}, {}
+    for m, cols in by_monomial.items():
+        while cols[0]:
+            lead = max(cols[0])
+            hit = kept.get(lead)
+            if hit is None:
+                kept[lead] = cols
+                break
+            f = cols[0][lead] / hit[0][lead]
+            cols = {j: minus_times(col, hit[j], f) for j, col in cols.items()}
+        reduced[m] = cols
+    return [reduced[m][j] for m, j in window]
+
+
+def enumerated_monomials(tower: DiffTower, max_degree: int):
+    """The former `DiffTower.irreducible_monomials`, kept as a reference:
+    every exponent vector of the generators with total degree at most
+    max_degree, packed from a `Monomial`, with the keys that a rule's
+    leading monomial divides dropped, sorted."""
+    gens = tower.generator_names()
+    lhss = [r.lhs for r in tower.rewrite.rules]
+    out = []
+
+    def rec(idx, budget, acc):
+        if idx == len(gens):
+            m = tower.context.pack(Monomial(acc))
+            if not any(mono_divides(l, m) for l in lhss):
+                out.append(m)
+            return
+        for e in range(budget + 1):
+            nxt = dict(acc)
+            if e:
+                nxt[gens[idx]] = e
+            rec(idx + 1, budget - e, nxt)
+
+    rec(0, max_degree, {})
+    return sorted(out)

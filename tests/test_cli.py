@@ -404,6 +404,17 @@ def test_non_ascii_digit_is_usage_error(capsys, tmp_path):
     assert "parse error at column 2: unexpected character" in err
 
 
+def test_non_ascii_space_is_usage_error(capsys, tmp_path):
+    """A coefficient spaced with a no-break space is a parse error, not
+    -1."""
+    bad = tmp_path / "space.json"
+    bad.write_text(json.dumps({"equation": {"class": "EXP", "coefficients": ["-\u00a01"]}}))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (2, "")
+    assert "scenario.equation.coefficients[0]" in err
+    assert "parse error at column 2: unexpected character" in err
+
+
 def test_unsupported_equation_is_math_failure(capsys, tmp_path):
     bad = tmp_path / "irr.json"
     bad.write_text(json.dumps({

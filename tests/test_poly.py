@@ -78,6 +78,15 @@ def test_shifter_multiplies_keys_by_a_power_of_one_variable(ctx):
         ctx.shifter("x")
 
 
+def test_degree_in_reads_one_exponent_of_a_key(ctx):
+    p = parse_poly("s^2*c*t^3 + 3*t - 1 + s*c", ctx)
+    for m in p.by_key:
+        for name in ("t", "c", "s"):
+            assert ctx.degree_in(m, name) == ctx.unpack(m).degree_in(name)
+    with pytest.raises(ContextError):
+        ctx.degree_in(ctx.one, "x")
+
+
 def test_splitter_splits_keys_by_variables(ctx):
     p = parse_poly("s^2*c*t^3 + 3*t - 1 + s*c", ctx)
     for names in ((), ("s",), ("c", "s"), ("t", "c", "s")):
@@ -306,6 +315,23 @@ def test_parse_refuses_non_ascii_digits(ctx, text, column):
     `str.isdigit` holds for them."""
     with pytest.raises(ValueError, match=f"^parse error at column {column}: unexpected character"):
         parse_fraction(text, ctx)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("1\u2003+\u00a0t", 2), ("\u30001", 1), ("t +\u00a01", 4), ("t\u00a0", 2)],
+    ids=["em_then_no_break", "ideographic", "no_break_before_operand", "trailing_no_break"],
+)
+def test_parse_refuses_non_ascii_whitespace(ctx, text, column):
+    """Only ASCII whitespace separates tokens, also where `str.isspace`
+    holds for a character: "1\u2003+\u00a0t" is no t + 1."""
+    with pytest.raises(ValueError, match=f"^parse error at column {column}: "):
+        parse_fraction(text, ctx)
+
+
+def test_parse_skips_ascii_whitespace(ctx):
+    num, den = parse_fraction(" 1 +\tt\r\n/\f( c\v)", ctx)
+    assert (str(num), str(den)) == ("c + t", "c")
 
 
 def test_parse_negative_power(ctx):

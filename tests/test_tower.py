@@ -1,7 +1,6 @@
 """Differential towers: derivation, conjugation, scans, substitution."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy
@@ -16,7 +15,8 @@ from realpv.rewrite import RewriteSystem
 from realpv.seidenberg import build_seidenberg
 
 from helpers import (
-    bench_algebra, eager_scan_columns, leibniz_derive, rand_element, rand_poly, rng,
+    bench_algebra, eager_scan_columns, enumerated_monomials, leibniz_derive, rand_element,
+    rand_poly, reduced_scan_columns, rng,
 )
 
 
@@ -246,6 +246,10 @@ def scan_towers(base, circle_pv, sqrt_pv, exp_pv):
         radical_base=base.parse("t^2+1"),
     )
     constcoeff = build_pv(base, LinearODE.from_texts(base, ["2", "-3"]), "CONSTCOEFF2")
+    # roots 1 +- i: the pairs of c*e^k and s*e^k have one leading monomial
+    constcoeff_complex = build_pv(
+        base, LinearODE.from_texts(base, ["2", "-2"]), "CONSTCOEFF2"
+    )
     seidenberg = build_seidenberg()
     # g^2 = t^3 is oriented as the rule t^3 -> g^2: t is on its left side
     radical_t3 = base.adjoin_algebraic("g", "g^2 - t^3", "3*g/(2*t)")
@@ -259,6 +263,7 @@ def scan_towers(base, circle_pv, sqrt_pv, exp_pv):
         "radical_t2p1": t2p1.extension,
         "exp": exp_pv.extension,
         "constcoeff": constcoeff.extension,
+        "constcoeff_complex": constcoeff_complex.extension,
         "seidenberg": seidenberg,
         # the Seidenberg demo's extension, whose window holds new constants
         "seidenberg_circle": seidenberg.adjoin_abstract(
@@ -266,6 +271,9 @@ def scan_towers(base, circle_pv, sqrt_pv, exp_pv):
         ),
         "radical_t3": radical_t3,
         "radical_t3_exp": radical_t3_exp,
+        # g' = h' = 1: g - t and h - t are constants, and the scan's
+        # dependent columns are not zero
+        "gh": base.adjoin_abstract(["g", "h"], ["1", "1"]),
     }
 
 
@@ -275,8 +283,8 @@ SCAN_BOUNDS = [(4, 3), (6, 5)] + [(_r.randint(0, 4), _r.randint(1, 5)) for _ in 
 
 
 SCAN_TOWER_NAMES = [
-    "circle", "sqrt", "radical_t2p1", "exp", "constcoeff", "seidenberg",
-    "seidenberg_circle", "radical_t3", "radical_t3_exp",
+    "circle", "sqrt", "radical_t2p1", "exp", "constcoeff", "constcoeff_complex",
+    "seidenberg", "seidenberg_circle", "radical_t3", "radical_t3_exp", "gh",
 ]
 
 
@@ -309,6 +317,19 @@ def _leads_distinct(columns) -> bool:
     return len(set(leads)) == len(leads)
 
 
+def _eliminates(tower, window, eager) -> bool:
+    """Whether the scan calls `relations` on the eager columns.  Where a
+    rule's leading monomial has t, when two of their nonzero leads meet.
+    Otherwise when two nonzero leads of the reduced columns
+    (`reduced_scan_columns`) meet, or a reduced column is zero and its
+    eager column is not."""
+    t = tower.base_var
+    if t and any(tower.context.degree_in(r.lhs, t) for r in tower.rewrite.rules):
+        return not _leads_distinct(eager)
+    reduced = reduced_scan_columns(window, eager)
+    return not _leads_distinct(reduced) or any(e and not r for r, e in zip(reduced, eager))
+
+
 def _counting(monkeypatch, name):
     """Replace `realpv.tower`'s `name` by a wrapper; returns its call list."""
     calls = []
@@ -326,9 +347,10 @@ def _counting(monkeypatch, name):
 @pytest.mark.parametrize("name", SCAN_TOWER_NAMES)
 def test_lazy_scan_columns_match_the_eager_writer(scan_towers, monkeypatch, name, bounds):
     """The scan's basis is the `relations` basis of the columns the eager
-    reference writes, and it eliminates (calls `relations`) exactly when
-    two of those columns' nonzero leading monomials meet: for the constant
-    scan and for `solution_scan` at every rate (rates with t only over t)."""
+    reference writes, and it eliminates (calls `relations`) exactly as
+    `_eliminates` says, never where those columns' nonzero leading
+    monomials are pairwise distinct: for the constant scan and for
+    `solution_scan` at every rate (rates with t only over t)."""
     tower = scan_towers[name]
     window = tower._window(*bounds)
     rates = RATES if tower.base_var else RATES[:2]
@@ -337,29 +359,68 @@ def test_lazy_scan_columns_match_the_eager_writer(scan_towers, monkeypatch, name
         eager = eager_scan_columns(tower, window, bounds[1], rate)
         eliminated.clear()
         assert tower._scan_relations(window, bounds[1], rate) == relations(eager)
-        assert len(eliminated) == (not _leads_distinct(eager)), (rate, len(eliminated))
+        assert len(eliminated) == _eliminates(tower, window, eager), (rate, len(eliminated))
+        assert not eliminated or not _leads_distinct(eager), rate
 
 
 @pytest.mark.parametrize("bounds", [(4, 3), (6, 5)], ids=str)
 def test_scan_builds_columns_only_where_leads_collide(corpus_towers, monkeypatch, bounds):
-    """On the corpus scans whose window columns have pairwise distinct
-    leading monomials the scan builds no column and calls no `relations`;
-    on constcoeff_complex and radical_t2p1, the scans where two leads meet,
-    it builds every column exactly once and eliminates them once."""
+    """The columns built and the `relations` calls of each corpus scan.
+    Only radical_t2p1's reduced leads meet: its scan builds every column
+    once and eliminates them once.  The eager leads of constcoeff_complex
+    meet too (c*e^k against s*e^k), and its reduced pairs part them: its
+    scan builds no column and calls no `relations`, like every other."""
     built = _counting(monkeypatch, "_shifted_column")
     eliminated = _counting(monkeypatch, "relations")
-    colliding = set()
+    counts = {}
     for path, tower in sorted(corpus_towers.items()):
         built.clear()
         eliminated.clear()
         tower.constant_scan(*bounds)
+        counts[path] = len(built), len(eliminated)
+    radical = "bench/scenarios/radical_t2p1.json"
+    expected = {path: (0, 0) for path in corpus_towers}
+    expected[radical] = len(corpus_towers[radical]._window(*bounds)), 1
+    assert counts == expected
+    complex_roots = corpus_towers["bench/scenarios/constcoeff_complex.json"]
+    window = complex_roots._window(*bounds)
+    assert not _leads_distinct(eager_scan_columns(complex_roots, window, bounds[1]))
+
+
+@pytest.mark.parametrize("bounds", [(1, 1), (2, 2), (4, 3)], ids=str)
+def test_scan_falls_back_where_a_dependent_column_is_not_zero(
+    base, scan_towers, monkeypatch, bounds
+):
+    """Where a dependent column is not zero, its relation is no unit
+    vector: the scan eliminates the eager columns, one `relations` call,
+    and gives their basis.  On K(g, h) with g' = h' = 1, g - t and h - t
+    are constants.  With g' = h' = 1/t, and with g' = h' = 1 and no base
+    variable, g - h is, and no lead meets: there only the zero reduced
+    column of h, whose eager column is not zero, shows the dependence."""
+    towers = [
+        scan_towers["gh"],
+        base.adjoin_abstract(["g", "h"], ["1/t", "1/t"]),
+        DiffTower(base_var=None).adjoin_abstract(["g", "h"], ["1", "1"]),
+    ]
+    eliminated = _counting(monkeypatch, "relations")
+    for tower in towers:
         window = tower._window(*bounds)
-        if _leads_distinct(eager_scan_columns(tower, window, bounds[1])):
-            assert (len(built), len(eliminated)) == (0, 0), path
-        else:
-            colliding.add(Path(path).stem)
-            assert (len(built), len(eliminated)) == (len(window), 1), path
-    assert colliding == {"constcoeff_complex", "radical_t2p1"}
+        eager = eager_scan_columns(tower, window, bounds[1])
+        eliminated.clear()
+        got = tower._scan_relations(window, bounds[1])
+        assert got == relations(eager), tower
+        assert len(eliminated) == 1, tower
+        # a canonical vector's last entry is at its dependent column
+        dependent = [max(k for k, c in enumerate(vec) if c) for vec in got]
+        assert any(eager[k] for k in dependent), tower
+
+
+@pytest.mark.parametrize("name", SCAN_TOWER_NAMES)
+def test_irreducible_monomials_match_the_enumeration(scan_towers, name):
+    """The window keys, built as keys, are the former enumeration's."""
+    tower = scan_towers[name]
+    for degree in range(7):
+        assert tower.irreducible_monomials(degree) == enumerated_monomials(tower, degree)
 
 
 def test_solution_scan_matches_the_field_element_route(scan_towers, corpus_towers):
