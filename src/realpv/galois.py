@@ -43,7 +43,7 @@ from .errors import BadIdeal, NotInGroup, Unsupported
 from .gauss import ONE, GaussRat
 from .linsolve import det as mat_det
 from .linsolve import adjugate, mat_mul, relations
-from .poly import Context, Monomial, Poly, mono_div, mono_divides, parse_fraction
+from .poly import Context, Key, Monomial, Poly, mono_div, mono_divides, parse_fraction
 from .pv import PVExtension, companion_residue
 from .rewrite import RewriteSystem, Rule, buchberger
 from .tower import DiffTower, FieldElement
@@ -192,7 +192,7 @@ def _collect_coefficients(num: Poly, x_ctx: Context) -> list[Poly]:
     term lands on its own term of one coefficient polynomial."""
     split = num.context.splitter(x_ctx.variables)
     read = x_ctx.reader(num.context)
-    groups: dict[tuple, dict[tuple, GaussRat]] = {}
+    groups: dict[Key, dict[Key, GaussRat]] = {}
     for key, c in num.by_key.items():
         xpart, rest = split(key)
         groups.setdefault(rest, {})[read(xpart)] = c
@@ -351,7 +351,7 @@ def _action(group: MatrixGroup) -> Callable[[Poly], Poly]:
     nf = tw.rewrite.normal_form
     split = ctx.splitter(mapping)
 
-    def image(m: tuple) -> Poly:
+    def image(m: Key) -> Poly:
         chain = []
         while m not in table:
             unit, g = next(u for u in units if mono_divides(u[0], m))
@@ -387,7 +387,7 @@ def invariance_conditions(group: MatrixGroup, x: FieldElement) -> list[Poly]:
 
 
 def fixed_combinations(
-    group: MatrixGroup, monomials: Sequence[tuple]
+    group: MatrixGroup, monomials: Sequence[Key]
 ) -> list[list[GaussRat]]:
     """Canonical basis of the vectors a such that sum a_k (sigma(m_k) - m_k)
     vanishes modulo the group's ideal, for the generic member sigma and the

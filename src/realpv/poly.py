@@ -7,20 +7,32 @@ and so on down).  Because the order is total, orientation of rewrite rules
 is never ambiguous.
 
 A polynomial keeps its terms in `Poly.by_key`, a dict from monomial keys to
-nonzero `GaussRat` coefficients.  A key is a plain tuple of ints
-(degree, e_top, ..., e_bottom): the total degree, then the exponent of each
-variable of the context from the highest-ranked down.  Python compares
-tuples slot by slot, so tuple order is exactly the graded-lex order: the
-leading monomial is `max(by_key)` and sorting needs no key function.
-Hashing, equality and comparison of keys run in C, and so do the slot-wise
-product, quotient and divisibility test (`mono_mul`, `mono_div`,
-`mono_divides`; `mono_lcm` and `mono_gcd` recompute the degree slot).
+nonzero `GaussRat` coefficients.  A key is one non-negative int holding
+the exponent vector packed (Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007): each
+variable of the context has a slot of `_W` = 32 bits, in rank order with
+the lowest-ranked variable in the lowest slot, and the total degree sits
+in the bits above the last slot.  Integer order is then exactly the
+graded-lex order: the leading monomial is `max(by_key)` and sorting needs
+no key function.  A product of keys is their sum, a quotient their
+difference, and a power t^s of one variable adds s times that
+variable's unit, all with no carry from one slot into the next.  The
+top bit of each slot is a guard bit, never set in a key: `MAX_DEGREE`,
+2^31 - 1, bounds the total degree and so every slot, and a product past
+it raises `Unsupported` instead of giving a wrong key.  A - b then
+borrows into the guard bit of some slot exactly when b does not divide
+a, so divisibility is one subtraction and one AND (`mono_divides`,
+`mono_div`); `mono_lcm` and `mono_gcd` pick each slot's larger or
+smaller exponent from the guard bits of a difference and recompute the
+degree.  One guard mask serves every context, as a context has at most
+`MAX_VARIABLES` (1023) variables.  The key of 1 is 0.
 
 Only this module knows the layout.  Other modules go through the key
 functions and through `Context`, which packs a context-free `Monomial` into
 a key, unpacks a key, renders it, reads one variable's exponent in it
 (`Context.degree_in`), re-reads keys between contexts
-(`Context.reader`, used by `Poly.in_context`), multiplies keys by a
+(`Context.reader`, used by `Poly.in_context`: one or two shifts when
+variables were adjoined below or above), multiplies keys by a
 power of one variable (`Context.shifter`) and splits a key into its parts
 over two sets of variables (`Context.splitter`).  Mixing polynomials from
 different contexts raises `ContextError`.
@@ -43,16 +55,20 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from math import comb
-from operator import add, le, sub
+from operator import add, mul, or_, truediv
 from string import ascii_letters, digits, whitespace
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ContextError, DivisionByZero
+from .errors import ContextError, DivisionByZero, Unsupported
 from .gauss import ONE, ZERO, GaussRat, Coeffable, power
 
 __all__ = [
     "Context",
+    "Key",
+    "MAX_DEGREE",
+    "MAX_VARIABLES",
     "Monomial",
     "Poly",
     "mono_mul",
@@ -66,7 +82,27 @@ __all__ = [
     "too_many_digits",
 ]
 
-Key = tuple  # (degree, e_top, ..., e_bottom) in one context
+Key = int  # the packed exponents of one monomial in one context
+
+_W = 32  # bits per slot
+_MASK = (1 << _W) - 1  # one slot; also the modulus that sums a key's slots
+# The largest total degree of a monomial: every slot stays below its guard bit.
+MAX_DEGREE = (1 << (_W - 1)) - 1
+# The most variables of a context: with the degree, they fill the slots of
+# `_GUARD`.
+MAX_VARIABLES = 1023
+# The guard bit of every slot a key can have.  Slots above a key's degree
+# slot are 0 in the key, and in a sum or a difference of keys that stays
+# below the degree limit, so one mask serves every context.  An AND of two
+# non-negative ints runs over the shorter one only.
+_GUARD = int.from_bytes(
+    (1 << (_W - 1)).to_bytes(_W // 8, "little") * (MAX_VARIABLES + 1), "little"
+)
+
+
+def _past_limit(degree: int | None = None) -> Unsupported:
+    got = "" if degree is None else f" {degree}"
+    return Unsupported(f"a monomial degree{got} is past the limit of {MAX_DEGREE}")
 
 
 class Monomial:
@@ -115,17 +151,22 @@ class Monomial:
 class Context:
     """Ordered variable set.  Variables are listed from lowest to highest rank."""
 
-    __slots__ = ("variables", "_rank", "_desc", "_slot", "one")
+    __slots__ = ("variables", "_rank", "_shift", "_down", "_top", "one")
 
     def __init__(self, variables: Sequence[str]):
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable in context: {variables}")
+        if len(variables) > MAX_VARIABLES:
+            raise Unsupported(
+                f"a context has at most {MAX_VARIABLES} variables, not {len(variables)}"
+            )
         self.variables: tuple[str, ...] = tuple(variables)
         self._rank = {v: k for k, v in enumerate(self.variables)}
-        self._desc = self.variables[::-1]
-        # position of each variable's exponent in a key
-        self._slot = {v: i for i, v in enumerate(self._desc, 1)}
-        self.one: Key = (0,) * (len(self.variables) + 1)
+        # bit offset of each variable's slot, and of the degree above them
+        self._shift = {v: _W * k for k, v in enumerate(self.variables)}
+        self._down = tuple(reversed(self._shift.items()))  # highest rank first
+        self._top = _W * len(self.variables)
+        self.one: Key = 0
 
     def rank(self, name: str) -> int:
         try:
@@ -161,67 +202,93 @@ class Context:
 
     def key(self, m: Key) -> Key:
         """Graded-lex sort key: bigger key means bigger monomial.  Keys are
-        laid out so that tuple order is this order, so it is the key itself."""
+        laid out so that int order is this order, so it is the key itself."""
         return m
+
+    def _slot(self, name: str) -> int:
+        """The bit offset of name's slot; ContextError outside the context."""
+        self.rank(name)
+        return self._shift[name]
 
     def pack(self, m: Monomial) -> Key:
         """The key of a context-free monomial; a variable outside the
-        context raises ContextError."""
-        exps = [0] * len(self._desc)
-        slot = self._slot
+        context raises ContextError, a degree past MAX_DEGREE Unsupported."""
+        key = degree = 0
+        shift = self._shift
         for v, e in m._exps.items():
-            i = slot.get(v)
-            if i is None:
+            s = shift.get(v)
+            if s is None:
                 raise ContextError(f"monomial uses {v!r}, absent from {self.variables}")
-            exps[i - 1] = e
-        return (sum(exps), *exps)
+            key |= e << s
+            degree += e
+        if degree > MAX_DEGREE:
+            raise _past_limit(degree)
+        return key | degree << self._top
 
     def degree_in(self, m: Key, name: str) -> int:
         """The exponent of `name` in the key m; a variable outside the
         context raises ContextError."""
-        self.rank(name)
-        return m[self._slot[name]]
+        return m >> self._slot(name) & _MASK
 
     def unpack(self, m: Key) -> Monomial:
         """The context-free monomial of a key."""
-        return Monomial(zip(self._desc, m[1:]))
+        return Monomial((v, m >> s & _MASK) for v, s in self._down)
 
     def render(self, m: Key) -> str:
         """The text of a key, as `Poly.__str__` writes it."""
-        parts = [v if e == 1 else f"{v}^{e}" for v, e in zip(self._desc, m[1:]) if e]
+        parts = []
+        for v, s in self._down:
+            e = m >> s & _MASK
+            if e:
+                parts.append(v if e == 1 else f"{v}^{e}")
         return "*".join(parts) or "1"
 
     def reader(self, other: "Context") -> Callable[[Key], Key]:
         """A function that re-reads keys of `other` as keys of this context.
         A key with a positive exponent on a variable this context lacks
-        raises ContextError."""
-        slots = other._slot
-        pad = len(slots) + 1  # reads the 0 appended below
-        take = [0] + [slots.get(v, pad) for v in self._desc]
-        lost = [(i, v) for v, i in slots.items() if v not in self._slot]
+        raises ContextError.
+
+        When this context is `other` with variables adjoined below and
+        above, the exponents move up by one block and the degree to the
+        new top: one or two shifts.  Otherwise each exponent moves to its
+        slot here."""
+        mine, theirs = self.variables, other.variables
+        low = mine.index(theirs[0]) if theirs and theirs[0] in self._rank else 0
+        if mine[low : low + len(theirs)] == theirs:
+            up, top, old = _W * low, self._top, other._top
+            if top == old + up:  # nothing adjoined above
+                return lambda m: m << up
+            exps = (1 << old) - 1
+            return lambda m: (m & exps) << up | (m >> old) << top
+        moves = [(s, self._shift[v]) for v, s in other._shift.items() if v in self._rank]
+        lost = [(s, v) for v, s in other._shift.items() if v not in self._rank]
+        top, old = self._top, other._top
 
         def read(m: Key) -> Key:
-            for i, v in lost:
-                if m[i]:
+            for s, v in lost:
+                if m >> s & _MASK:
                     raise ContextError(
                         f"{self.variables} does not cover {v!r}, used in {other.variables}"
                     )
-            return tuple(map((m + (0,)).__getitem__, take))
+            out = (m >> old) << top
+            for s, t in moves:
+                out |= (m >> s & _MASK) << t
+            return out
 
         return read
 
     def shifter(self, name: str) -> Callable[[Key, int], Key]:
         """A function that multiplies a key by name^s: shift(m, s) is the
         key of m * name^s.  A variable outside the context raises
-        ContextError."""
-        self.rank(name)
-        i = self._slot[name]
+        ContextError, a degree past MAX_DEGREE Unsupported."""
+        unit = 1 << self._slot(name) | 1 << self._top
+        top = self._top
 
         def shift(m: Key, s: int) -> Key:
-            k = list(m)
-            k[0] += s
-            k[i] += s
-            return tuple(k)
+            k = m + s * unit
+            if k >> top > MAX_DEGREE or k & _GUARD:
+                raise _past_limit()
+            return k
 
         return shift
 
@@ -229,46 +296,67 @@ class Context:
         """A function that splits a key m as (a, b) with m = a * b, a over
         the variables `names` and b over the others.  A name outside the
         context raises ContextError."""
-        picked = set()
+        top = self._top
+        picked = 0
         for v in names:
-            self.rank(v)
-            picked.add(self._slot[v])
-        mask = [i in picked for i in range(1, len(self._desc) + 1)]
+            picked |= _MASK << self._slot(v)
+        rest = ((1 << top) - 1) & ~picked
 
         def split(m: Key) -> tuple[Key, Key]:
-            a = [e if k else 0 for e, k in zip(m[1:], mask)]
-            b = [0 if k else e for e, k in zip(m[1:], mask)]
-            return (sum(a), *a), (sum(b), *b)
+            a = m & picked
+            da = a % _MASK  # 2^W = 1 modulo _MASK: the sum of a's slots
+            return a | da << top, m & rest | ((m >> top) - da) << top
 
         return split
 
 
 def mono_mul(a: Key, b: Key) -> Key:
-    """The product of two keys of one context."""
-    return tuple(map(add, a, b))
+    """The product of two keys of one context; Unsupported past MAX_DEGREE."""
+    m = a + b
+    if m & _GUARD:
+        raise _past_limit()
+    return m
 
 
 def mono_div(a: Key, b: Key) -> Key:
     """The exact quotient a / b; ValueError when b does not divide a."""
-    q = tuple(map(sub, a, b))
-    if min(q) < 0:
+    q = a - b
+    if q < 0 or q & _GUARD:
         raise ValueError("monomial quotient is not exact")
     return q
 
 
 def mono_divides(a: Key, b: Key) -> bool:
     """Whether a divides b."""
-    return all(map(le, a, b))
+    d = b - a
+    return d >= 0 and not d & _GUARD
 
 
 def mono_lcm(a: Key, b: Key) -> Key:
-    e = tuple(map(max, a[1:], b[1:]))
-    return (sum(e), *e)
+    """The least common multiple of two keys of one context, a * b / gcd;
+    Unsupported past MAX_DEGREE."""
+    m = a + b - mono_gcd(a, b)
+    if m & _GUARD:
+        raise _past_limit()
+    return m
 
 
 def mono_gcd(a: Key, b: Key) -> Key:
-    e = tuple(map(min, a[1:], b[1:]))
-    return (sum(e), *e)
+    """The greatest common divisor of two keys of one context.  Below the
+    degree slot, the guard bit of each slot of (a | guards) - b is set
+    exactly where a's exponent is at least b's, and the slot's bits pick
+    b's exponent there and a's elsewhere."""
+    if not a or not b:
+        return 0
+    top = (max(a, b).bit_length() - 1) // _W * _W  # the degree slot of both
+    exps = (1 << top) - 1
+    a &= exps
+    b &= exps
+    guard = _GUARD & exps
+    ge = ((a | guard) - b) & guard
+    pick = (ge << 1) - (ge >> (_W - 1))
+    e = b & pick | a & ~pick
+    return e | (e % _MASK) << top
 
 
 class _Terms(Mapping):
@@ -283,7 +371,7 @@ class _Terms(Mapping):
     def __getitem__(self, m: Monomial) -> GaussRat:
         try:
             return self._by_key[self._context.pack(m)]
-        except ContextError:
+        except (ContextError, Unsupported):  # no key: not a term
             raise KeyError(m) from None
 
     def __iter__(self) -> Iterator[Monomial]:
@@ -352,18 +440,18 @@ class Poly:
 
     def total_degree(self) -> int:
         # the largest key has the largest degree
-        return max(self.by_key)[0] if self.by_key else 0
+        return max(self.by_key) >> self.context._top if self.by_key else 0
 
     def degree_in(self, name: str) -> int:
-        i = self.context._slot.get(name)
-        if i is None:
+        s = self.context._shift.get(name)
+        if s is None:
             return 0
-        return max((m[i] for m in self.by_key), default=0)
+        return max((m >> s & _MASK for m in self.by_key), default=0)
 
     def variables(self) -> set[str]:
-        slots = zip(*self.by_key)
-        next(slots, None)  # the degree
-        return {v for v, col in zip(self.context._desc, slots) if any(col)}
+        # a slot of the OR of the keys is nonzero where some key's is
+        used = reduce(or_, self.by_key, 0)
+        return {v for v, s in self.context._shift.items() if used >> s & _MASK}
 
     def coeff(self, m: Monomial) -> GaussRat:
         return self.terms.get(m, ZERO)
@@ -426,10 +514,12 @@ class Poly:
         if len(self.by_key) == 1:
             [(m, c)] = self.by_key.items()
             return other.mul_monomial(m, c)
+        if other.by_key:
+            self._check_degree(max(other.by_key))
         d: dict[Key, GaussRat] = {}
         for m1, c1 in self.by_key.items():
             for m2, c2 in other.by_key.items():
-                m = tuple(map(add, m1, m2))
+                m = m1 + m2
                 s = d.get(m)
                 if s is None:
                     d[m] = c1 * c2
@@ -447,28 +537,38 @@ class Poly:
             return Poly.zero(self.context)
         return Poly._build(self.context, {m: v * g for m, v in self.by_key.items()})
 
+    def _check_degree(self, m: Key) -> None:
+        """Unsupported when this polynomial times the monomial with key m
+        has a degree past MAX_DEGREE: the leading keys' degrees add."""
+        if self.by_key:
+            degree = max(self.by_key) + m >> self.context._top
+            if degree > MAX_DEGREE:
+                raise _past_limit(degree)
+
     def mul_monomial(self, m: Key, c: Coeffable = ONE) -> "Poly":
         """This polynomial times c times the monomial with key m."""
         g = GaussRat.of(c)
         if not g:
             return Poly.zero(self.context)
         unit = g is ONE or g == ONE
-        if unit and m == self.context.one:
+        if unit and not m:
             return self
+        self._check_degree(m)
         return Poly._build(
             self.context,
-            {tuple(map(add, mm, m)): cc if unit else cc * g for mm, cc in self.by_key.items()},
+            {mm + m: cc if unit else cc * g for mm, cc in self.by_key.items()},
         )
 
     def partial(self, name: str) -> "Poly":
         """The formal partial derivative in the variable `name`."""
-        i = self.context._slot.get(name)
+        s = self.context._shift.get(name)
         d = {}
-        if i is not None:
+        if s is not None:
+            unit = 1 << s | 1 << self.context._top
             for m, c in self.by_key.items():
-                e = m[i]
+                e = m >> s & _MASK
                 if e:
-                    d[(m[0] - 1, *m[1:i], e - 1, *m[i + 1 :])] = c * e
+                    d[m - unit] = c * e
         return Poly._build(self.context, d)
 
     def __pow__(self, n: int) -> "Poly":
@@ -522,12 +622,13 @@ class Poly:
         each term by name; each power value(v)^e is computed once."""
         powers: dict = {}
         degree = self.total_degree()
-        by_name = sorted(self.context._slot.items())
+        top = self.context._top
+        by_name = sorted(self.context._shift.items())
         out = const(0)
         for m in sorted(self.by_key):
             term = const(self.by_key[m])
-            for v, i in by_name:
-                e = m[i]
+            for v, s in by_name:
+                e = m >> s & _MASK
                 if not e:
                     continue
                 got = powers.get((v, e))
@@ -535,7 +636,7 @@ class Poly:
                     got = powers[(v, e)] = value(v) ** e
                 term = term * got
             if scale is not None:
-                term = term * scale ** (degree - m[0])
+                term = term * scale ** (degree - (m >> top))
             out = out + term
         return out
 
@@ -571,7 +672,7 @@ def _render_coeff(c: GaussRat) -> str:
 
 
 def _render_term(m: Key, c: GaussRat, ctx: Context) -> str:
-    if not m[0]:
+    if not m:
         return _render_coeff(c)
     ms = ctx.render(m)
     if c == ONE:
@@ -614,7 +715,8 @@ def power_overrun(polys: Iterable[Poly], n: int) -> str | None:
     n-th power, and MAX_POWER_TERMS is the most allowed.  p^n leads with c^n
     for the leading coefficient c of p, and (c^n).max_int() has at least
     (n * c.height_bits() - 1) / 2 bits, which must stay within
-    MAX_INT_DIGITS digits.
+    MAX_INT_DIGITS digits.  p^n has n times the degree of p, which must
+    stay within MAX_DEGREE.
     """
     polys = [p for p in polys if not p.is_zero()]
     k = max((len(p.by_key) for p in polys), default=0)
@@ -623,6 +725,9 @@ def power_overrun(polys: Iterable[Poly], n: int) -> str | None:
     height = max((p.leading_coefficient().height_bits() for p in polys), default=0)
     if n * height > 2 * _INT_BOUND.bit_length():
         return f"the power has an integer of more than {MAX_INT_DIGITS} digits"
+    degree = n * max((p.total_degree() for p in polys), default=0)
+    if degree > MAX_DEGREE:
+        return f"the power has degree {degree}, past the limit of {MAX_DEGREE}"
     return None
 
 
@@ -702,23 +807,33 @@ class _Frac:
         return _Frac(self.den ** (-n), self.num ** (-n))
 
 
+def _combine(tk: _Tokens, at: int, op: Callable, a: _Frac, b: _Frac) -> _Frac:
+    """op(a, b), refused at column `at` when a degree passes MAX_DEGREE."""
+    try:
+        return op(a, b)
+    except Unsupported as e:
+        tk.pos = at
+        tk.error(str(e))
+        raise AssertionError
+
+
 def _parse_expr(tk: _Tokens, ctx: Context) -> _Frac:
     value = _parse_product(tk, ctx)
     while tk.peek() in ("+", "-"):
-        op = tk.peek()
+        op, at = tk.peek(), tk.pos
         tk.pos += 1
         rhs = _parse_product(tk, ctx)
-        value = value + (-rhs if op == "-" else rhs)
+        value = _combine(tk, at, add, value, -rhs if op == "-" else rhs)
     return value
 
 
 def _parse_product(tk: _Tokens, ctx: Context) -> _Frac:
     value = _parse_factor(tk, ctx)
     while tk.peek() in ("*", "/"):
-        op = tk.peek()
+        op, at = tk.peek(), tk.pos
         tk.pos += 1
         rhs = _parse_factor(tk, ctx)
-        value = value * rhs if op == "*" else value / rhs
+        value = _combine(tk, at, mul if op == "*" else truediv, value, rhs)
     return value
 
 

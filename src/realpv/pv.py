@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import NotPV, UnsupportedEquation
 from .gauss import GaussRat, is_square, rational_sqrt
-from .poly import MAX_INT_DIGITS, Poly, power_overrun, too_many_digits
+from .poly import MAX_DEGREE, MAX_INT_DIGITS, Poly, power_overrun, too_many_digits
 from .report import Report
 from .tower import DiffTower, FieldElement, Ladder
 from .wronskian import WrMatrix, wronskian_det
@@ -222,6 +222,10 @@ def _build_radical(base: DiffTower, ode: LinearODE, radical_base: FieldElement |
     if p <= 0:
         raise UnsupportedEquation(
             f"radical exponent {r} not supported (need p/q with p >= 1)"
+        )
+    if q > MAX_DEGREE:
+        raise UnsupportedEquation(
+            f"radical index q = {q} not supported: past the degree limit of {MAX_DEGREE}"
         )
     why = power_overrun((f.num, f.den), p)
     if not why:

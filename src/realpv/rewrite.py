@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from .errors import BudgetExceeded, ContextError
 from .gauss import ONE, GaussRat
 from .poly import (
-    Context, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul,
+    Context, Key, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul,
 )
 
 __all__ = ["Rule", "RewriteSystem", "buchberger"]
@@ -45,7 +45,7 @@ class Rule:
 
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: tuple, rhs: Poly):
+    def __init__(self, lhs: Key, rhs: Poly):
         self.lhs = lhs
         self.rhs = rhs
 
@@ -111,9 +111,9 @@ class RewriteSystem:
         # Every monomial in `work` has exactly one entry in `order`, made
         # when it first entered.  A term that cancels stays in `work` as
         # None until its entry surfaces.
-        work: dict[tuple, GaussRat | None] = dict(p.by_key)
+        work: dict[Key, GaussRat | None] = dict(p.by_key)
         order = sorted(work)
-        done: dict[tuple, GaussRat] = {}
+        done: dict[Key, GaussRat] = {}
         while order:
             m = order.pop()
             c = work.pop(m)

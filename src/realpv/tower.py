@@ -34,7 +34,7 @@ from .errors import (
 from .gauss import ONE, ZERO, GaussRat, power
 from .linsolve import relations
 from .poly import (
-    Context, Monomial, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul,
+    Context, Key, Monomial, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul,
     parse_fraction,
 )
 from .rewrite import RewriteSystem, buchberger
@@ -92,7 +92,7 @@ def cleared_numerators(
 
 def _clearing_factors(
     ctx: Context, dens: Iterable[Poly]
-) -> tuple[Poly, dict[Poly, tuple[tuple, Poly | None]]]:
+) -> tuple[Poly, dict[Poly, tuple[Key, Poly | None]]]:
     """A common multiple L of `dens` and the cofactor L/den of each, as a
     monomial times the product of the other rests (None when there is
     none); `_times` applies it.
@@ -107,7 +107,7 @@ def _clearing_factors(
     mono = ctx.one
     for m, _ in split.values():
         mono = mono_lcm(mono, m)
-    cofactor: dict[Poly, tuple[tuple, Poly | None]] = {}
+    cofactor: dict[Poly, tuple[Key, Poly | None]] = {}
     for d, (m, rest) in split.items():
         others = None
         for r in rests:
@@ -120,13 +120,13 @@ def _clearing_factors(
     return common, cofactor
 
 
-def _times(p: Poly, cofactor: tuple[tuple, Poly | None]) -> Poly:
+def _times(p: Poly, cofactor: tuple[Key, Poly | None]) -> Poly:
     m, others = cofactor
     p = p.mul_monomial(m)
     return p if others is None else p * others
 
 
-def _monomial_part(p: Poly) -> tuple[tuple, Poly]:
+def _monomial_part(p: Poly) -> tuple[Key, Poly]:
     """p as m * rest with m the gcd of p's monomials."""
     mons = iter(p.by_key)
     m = next(mons)
@@ -138,12 +138,12 @@ def _monomial_part(p: Poly) -> tuple[tuple, Poly]:
 
 
 def _shifted_column(
-    tn: dict[tuple, GaussRat],
-    me: dict[tuple, GaussRat],
+    tn: dict[Key, GaussRat],
+    me: dict[Key, GaussRat],
     g: GaussRat,
-    shift: Callable[[tuple, int], tuple],
+    shift: Callable[[Key, int], Key],
     s: int,
-) -> dict[tuple, GaussRat]:
+) -> dict[Key, GaussRat]:
     """The terms of (T + g * ME) * t^s for the terms tn of T and me of ME,
     as a new dict (`DiffTower._scan_relations`)."""
     col = {}
@@ -173,13 +173,13 @@ def _minus_times(a: dict, b: dict, f: GaussRat) -> dict:
     return out
 
 
-def _reduced_pairs(pairs: Mapping[tuple, tuple[dict, dict]]) -> dict[tuple, tuple[dict, dict]]:
+def _reduced_pairs(pairs: Mapping[Key, tuple[dict, dict]]) -> dict[Key, tuple[dict, dict]]:
     """Each pair (T, ME), in order, top-reduced by T's leading monomial
     against the pairs kept before it: f times a kept pair is subtracted
     from both halves while T's lead is a kept pair's, and the pair is kept
     at the new lead when it is not (`DiffTower._scan_relations`).  A pair
     that needs no reduction is returned as it is."""
-    kept: dict[tuple, tuple[dict, dict]] = {}
+    kept: dict[Key, tuple[dict, dict]] = {}
     out = {}
     for m, pair in pairs.items():
         tn, me = pair
@@ -197,7 +197,7 @@ def _reduced_pairs(pairs: Mapping[tuple, tuple[dict, dict]]) -> dict[tuple, tupl
 
 def _pair_leads(
     tn: dict, me: dict, scalars: Mapping[int, GaussRat]
-) -> tuple[tuple | None, tuple | None, int | None]:
+) -> tuple[Key | None, Key | None, int | None]:
     """The leading monomial of T, that of T + j * ME for j != 0, and the j
     among `scalars` at which the latter cancels (None for a zero
     polynomial or no such j)."""
@@ -217,7 +217,7 @@ def _vanishes(tn: dict, me: dict, g: GaussRat) -> bool:
     return tn.keys() == me.keys() and not any(c + me[key] * g for key, c in tn.items())
 
 
-def _index_of_one(window: Sequence[tuple[tuple, int]], ctx: Context) -> int:
+def _index_of_one(window: Sequence[tuple[Key, int]], ctx: Context) -> int:
     """Position of the element 1 = (1, 0) in a scan window, or -1."""
     one = (ctx.one, 0)
     return window.index(one) if one in window else -1
@@ -680,7 +680,7 @@ class DiffTower:
 
     # -- monomial windows and constants --------------------------------------
 
-    def irreducible_monomials(self, max_degree: int) -> list[tuple]:
+    def irreducible_monomials(self, max_degree: int) -> list[Key]:
         """Keys of the generator monomials of bounded degree in rewrite
         normal form, sorted.  Each generator in turn multiplies the keys
         found so far by its powers, as keys; a key that a rule's leading
@@ -699,7 +699,7 @@ class DiffTower:
 
     def _window(
         self, degree_bound: int, coeff_degree_bound: int
-    ) -> list[tuple[tuple, int]]:
+    ) -> list[tuple[Key, int]]:
         """The scan window as pairs (m, j) standing for m * t^j: generator
         monomials m of degree <= degree_bound, and Laurent powers j of the
         base variable up to coeff_degree_bound (only j = 0 without one)."""
@@ -710,7 +710,7 @@ class DiffTower:
         )
         return [(m, j) for m in self.irreducible_monomials(degree_bound) for j in tpowers]
 
-    def _window_element(self, m: tuple, j: int) -> FieldElement:
+    def _window_element(self, m: Key, j: int) -> FieldElement:
         """The window element m * t^j."""
         num = Poly._build(self.context, {m: ONE})
         den = Poly.const(self.context, 1)
@@ -732,7 +732,7 @@ class DiffTower:
 
     def _scan_relations(
         self,
-        window: Sequence[tuple[tuple, int]],
+        window: Sequence[tuple[Key, int]],
         coeff_degree_bound: int,
         rate: FieldElement | None = None,
     ) -> list[list[GaussRat]]:
@@ -796,9 +796,9 @@ class DiffTower:
             (v, ctx.pack(Monomial.var(v)), cv.by_key) for v, cv in self._cleared.items()
         ]
 
-        def pair_of(m: tuple) -> tuple[dict, dict]:
+        def pair_of(m: Key) -> tuple[dict, dict]:
             """T_m and ME_m ({} without t)."""
-            mm: dict[tuple, GaussRat] = {}
+            mm: dict[Key, GaussRat] = {}
             for v, unit, cv in derivation:
                 e = ctx.degree_in(m, v)
                 if not e:
@@ -826,7 +826,7 @@ class DiffTower:
         pairs = {m: pair_of(m) for m in dict.fromkeys(m for m, _ in window)}
         n = len(window)
 
-        def column(table: Mapping[tuple, tuple[dict, dict]], k: int) -> dict[tuple, GaussRat]:
+        def column(table: Mapping[Key, tuple[dict, dict]], k: int) -> dict[Key, GaussRat]:
             m, j = window[k]
             tn, me = table[m]
             col = _shifted_column(tn, me if j else {}, scalars[j], shift, j + coeff_degree_bound)

@@ -10,6 +10,7 @@ import pytest
 from realpv.cli import main
 from realpv.correspondence import MAX_ROOT_ORDER
 from realpv.errors import ScenarioError
+from realpv.poly import MAX_DEGREE
 from realpv.scenario import scenario_from_dict
 
 SCENARIOS = "scenarios"
@@ -391,6 +392,43 @@ def test_radical_power_over_the_budget_is_refused(
     code, out, err = run(capsys, "build", str(bad))
     assert (code, out) == (1, "")
     assert err == f"error: radical power f^{power} not supported: the power {why}\n"
+
+
+@pytest.mark.parametrize(
+    "coefficient, radical_base, why",
+    [
+        ("-1/(3000000000*t)", "t",
+         "radical index q = 3000000000 not supported: past the degree limit"),
+        ("-3000000000/t", "t",
+         "radical power f^3000000000 not supported: the power has degree 3000000000, past the limit"),
+        ("-4000000000/t", "t^2000000000",
+         "radical power f^2 not supported: the power has degree 4000000000, past the limit"),
+    ],
+    ids=["index", "power", "base_degree"],
+)
+def test_radical_past_the_degree_limit_is_refused(capsys, tmp_path, coefficient, radical_base, why):
+    """g^q = f^p with q or p * deg f past MAX_DEGREE is refused with an
+    error line naming it and the limit, not a traceback or a wrong key."""
+    bad = tmp_path / "radical.json"
+    bad.write_text(json.dumps({"base_var": "t", "equation": {
+        "class": "RADICAL", "coefficients": [coefficient], "radical_base": radical_base,
+    }}))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: {why} of {MAX_DEGREE}\n"
+
+
+def test_power_past_the_degree_limit_is_usage_error(capsys, tmp_path):
+    """t^3000000000 is a parse error at its `^`, not an equation with a
+    monomial past the degree limit."""
+    bad = tmp_path / "power.json"
+    bad.write_text(json.dumps({"equation": {"class": "EXP", "coefficients": ["-t^3000000000"]}}))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (2, "")
+    assert err == (
+        "scenario error at scenario.equation.coefficients[0]: parse error at column 3: "
+        f"the power has degree 3000000000, past the limit of {MAX_DEGREE} in '-t^3000000000'\n"
+    )
 
 
 def test_non_ascii_digit_is_usage_error(capsys, tmp_path):

@@ -9,7 +9,7 @@ from realpv import (
     Context, DiffTower, GaussRat, Monomial, Poly, buchberger, parse_fraction, parse_poly,
 )
 from realpv import poly
-from realpv.errors import ContextError
+from realpv.errors import ContextError, Unsupported
 from realpv.poly import mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul
 
 from helpers import rand_element, rand_poly, rng
@@ -46,11 +46,16 @@ def key(**exps):
     return XYZ.pack(Monomial(exps))
 
 
+def degree(ctx, m):
+    """The total degree of the key m, read by `Poly.total_degree`."""
+    return Poly._build(ctx, {m: GaussRat.of(1)}).total_degree()
+
+
 def test_monomial_operations():
     m = key(x=2, y=1)
     n = key(x=1)
     assert XYZ.unpack(mono_div(m, n)).exponents() == {"x": 1, "y": 1}
-    assert sum(XYZ.unpack(m).exponents().values()) == m[0] == 3
+    assert sum(XYZ.unpack(m).exponents().values()) == degree(XYZ, m) == 3
     assert mono_divides(n, m)
     assert not mono_divides(m, n)
     assert XYZ.unpack(mono_lcm(m, key(y=3))).exponents() == {"x": 2, "y": 3}
@@ -167,12 +172,12 @@ def test_monomial_products_and_quotients_are_canonical():
     assert hash(prod) == hash(XYZ.pack(Monomial({"z": 1, "y": 4, "x": 2})))
     assert Monomial({"x": 2, "y": 4, "z": 1}) == Monomial({"z": 1, "y": 4, "x": 2})
     assert hash(Monomial({"x": 2, "y": 4})) == hash(Monomial({"y": 4, "x": 2, "z": 0}))
-    assert sum(XYZ.unpack(prod).exponents().values()) == prod[0] == 7
+    assert sum(XYZ.unpack(prod).exponents().values()) == degree(XYZ, prod) == 7
     q = mono_div(prod, key(x=2, z=1))
-    assert XYZ.unpack(q).exponents() == {"y": 4} and q[0] == 4
+    assert XYZ.unpack(q).exponents() == {"y": 4} and degree(XYZ, q) == 4
     assert q == key(y=4) and hash(q) == hash(key(y=4))
     one = mono_div(m, m)
-    assert XYZ.unpack(one).is_one() and one == XYZ.one and one[0] == 0
+    assert XYZ.unpack(one).is_one() and one == XYZ.one and degree(XYZ, one) == 0
     with pytest.raises(ValueError):
         mono_div(m, n)
 
@@ -190,7 +195,7 @@ def test_monomial_product_unit_quotient_and_divides(me, ne):
     m, n = XYZW.pack(Monomial(me)), XYZW.pack(Monomial(ne))
     for prod in (mono_mul(m, XYZW.one), mono_mul(XYZW.one, m)):
         assert prod == m and hash(prod) == hash(m)
-        assert prod[0] == m[0] == sum(XYZW.unpack(prod).exponents().values())
+        assert degree(XYZW, prod) == degree(XYZW, m) == sum(XYZW.unpack(prod).exponents().values())
     mn = mono_mul(m, n)
     assert mono_div(mn, n) == m and hash(mono_div(mn, n)) == hash(m)
     assert mono_divides(m, n) == divides_by_exponents(me, ne)
@@ -253,15 +258,157 @@ def test_dense_keys_agree_with_exponent_dicts(case):
     assert mono_lcm(m, n) == ctx.pack(Monomial(lcm))
     assert mono_gcd(m, n) == ctx.pack(Monomial(gcd))
     # degree
-    assert m[0] == sum(ctx.unpack(m).exponents().values()) == sum(me.values())
+    assert degree(ctx, m) == sum(ctx.unpack(m).exponents().values()) == sum(me.values())
     assert Poly(ctx, {Monomial(me): 1}).total_degree() == sum(me.values())
-    # order: tuple order of the keys is the reference graded-lex order
+    # order: int order of the keys is the reference graded-lex order
     ref_m, ref_n = reference_key(ctx, me), reference_key(ctx, ne)
     assert (m < n) == (ref_m < ref_n) and (m == n) == (ref_m == ref_n)
     assert sorted([m, n], key=ctx.key) == sorted([m, n])
     p = Poly(ctx, {Monomial(me): 1, Monomial(ne): 2})
     lead = max([me, ne], key=lambda e: reference_key(ctx, e))
     assert ctx.unpack(p.leading_monomial()) == Monomial(lead)
+
+
+# -- packed keys at the slot boundary ------------------------------------------------
+
+MAX = poly.MAX_DEGREE
+assert MAX == 2**31 - 1
+
+
+@st.composite
+def exponents_near_the_limit(draw, names):
+    """Exponents of `names` with a degree of at most MAX_DEGREE, drawn often
+    at or next to the room that the degree leaves."""
+    room = draw(st.one_of(st.just(MAX), st.integers(MAX - 2, MAX), st.integers(0, MAX)))
+    exps = {}
+    for v in draw(st.permutations(names)):
+        exps[v] = draw(st.one_of(
+            st.just(room), st.integers(max(room - 2, 0), room),
+            st.integers(0, min(room, 3)), st.integers(0, room),
+        ))
+        room -= exps[v]
+    return exps
+
+
+@st.composite
+def keys_near_the_limit(draw):
+    """A context of 1 to 4 variables in a random rank order, and two
+    exponent dicts of degree at most MAX_DEGREE over its variables."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.permutations(NAMES))[:n]
+    return Context(names), draw(exponents_near_the_limit(names)), draw(exponents_near_the_limit(names))
+
+
+@given(keys_near_the_limit())
+def test_keys_agree_with_exponent_dicts_up_to_the_degree_limit(case):
+    ctx, me, ne = case
+    m, n = ctx.pack(Monomial(me)), ctx.pack(Monomial(ne))
+    assert ctx.unpack(m) == Monomial(me) and ctx.unpack(n) == Monomial(ne)
+    assert all(ctx.degree_in(m, v) == me.get(v, 0) for v in ctx.variables)
+    assert degree(ctx, m) == sum(me.values())
+    names = ctx.variables
+    prod = {v: me.get(v, 0) + ne.get(v, 0) for v in names}
+    if sum(prod.values()) <= MAX:
+        assert mono_mul(m, n) == ctx.pack(Monomial(prod))
+        assert mono_div(mono_mul(m, n), n) == m
+    else:
+        with pytest.raises(Unsupported):
+            mono_mul(m, n)
+    assert mono_divides(m, n) == divides_by_exponents(me, ne)
+    assert mono_divides(n, m) == divides_by_exponents(ne, me)
+    if divides_by_exponents(ne, me):
+        quot = {v: me.get(v, 0) - ne.get(v, 0) for v in names}
+        assert mono_div(m, n) == ctx.pack(Monomial(positive(quot)))
+    else:
+        with pytest.raises(ValueError):
+            mono_div(m, n)
+    lcm = {v: max(me.get(v, 0), ne.get(v, 0)) for v in names}
+    gcd = {v: min(me.get(v, 0), ne.get(v, 0)) for v in names}
+    assert mono_gcd(m, n) == ctx.pack(Monomial(gcd))
+    if sum(lcm.values()) <= MAX:
+        assert mono_lcm(m, n) == ctx.pack(Monomial(lcm))
+    else:
+        with pytest.raises(Unsupported):
+            mono_lcm(m, n)
+    ref_m, ref_n = reference_key(ctx, me), reference_key(ctx, ne)
+    assert (m < n) == (ref_m < ref_n) and (m == n) == (ref_m == ref_n)
+
+
+@given(keys_near_the_limit(), st.sampled_from([["a"], ["a", "b"]]))
+def test_reader_agrees_with_pack_and_unpack(case, new):
+    ctx, me, _ = case
+    m = ctx.pack(Monomial(me))
+    # the block shift: variables adjoined below, above, or both
+    wide = [ctx.extend_top(new), ctx.extend_bottom(new), ctx.extend_bottom(new).extend_top(["z"])]
+    for target in wide:
+        assert target.reader(ctx)(m) == target.pack(Monomial(me))
+    # the per-variable path: a reordered or a narrowed context
+    names = list(ctx.variables)
+    for target in (Context(names[::-1]), Context(names[1:]), Context(names[:-1] + new)):
+        if all(v in target for v, e in me.items() if e):
+            assert target.reader(ctx)(m) == target.pack(Monomial(me))
+        else:
+            with pytest.raises(ContextError):
+                target.reader(ctx)(m)
+    # and back from a wider context
+    for target in wide:
+        assert ctx.reader(target)(target.pack(Monomial(me))) == m
+
+
+def test_products_past_the_degree_limit_raise_unsupported():
+    ctx = Context(["t", "x"])
+    big = Poly.variable(ctx, "t", MAX - 1)
+    assert (big * Poly.variable(ctx, "x")).total_degree() == MAX
+    assert big.mul_monomial(ctx.pack(Monomial.var("x"))).total_degree() == MAX
+    two = parse_poly("t + x", ctx)
+    for product in (
+        lambda: big * two * two,
+        lambda: (big + Poly.const(ctx, 1)) * (two * two),
+        lambda: big.mul_monomial(ctx.pack(Monomial({"t": 1, "x": 1}))),
+        lambda: big**2,
+        lambda: mono_mul(big.leading_monomial(), ctx.pack(Monomial({"x": 2}))),
+        lambda: mono_lcm(ctx.pack(Monomial.var("t", MAX)), ctx.pack(Monomial.var("x", 1))),
+        lambda: ctx.shifter("x")(big.leading_monomial(), 2),
+        lambda: ctx.pack(Monomial({"t": MAX, "x": 1})),
+        lambda: Poly.variable(ctx, "x", MAX + 1),
+    ):
+        with pytest.raises(Unsupported, match=f"past the limit of {MAX}"):
+            product()
+
+
+def test_contexts_up_to_the_variable_limit():
+    names = [f"v{k}" for k in range(poly.MAX_VARIABLES)]
+    ctx = Context(names)
+    top, low = ctx.pack(Monomial.var(names[-1], MAX)), ctx.pack(Monomial.var(names[0]))
+    assert ctx.unpack(top) == Monomial.var(names[-1], MAX) and top > low
+    assert not mono_divides(low, top) and mono_gcd(top, low) == ctx.one
+    with pytest.raises(Unsupported):
+        mono_mul(top, low)
+    with pytest.raises(Unsupported, match=f"at most {poly.MAX_VARIABLES} variables"):
+        Context([*names, "w"])
+
+
+def test_a_monomial_past_the_degree_limit_is_no_term(ctx):
+    p = parse_poly(f"t^{MAX} + 1", ctx)
+    assert p.coeff(Monomial.var("t", MAX)) == GaussRat.of(1)
+    assert p.coeff(Monomial.var("t", MAX + 1)) == GaussRat.of(0)
+    assert Monomial.var("t", MAX + 1) not in p.terms
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("t^2147483648", 2), ("-t^3000000000", 3), ("t^2000000000*t^2000000000", 13),
+     ("1/t^2000000000 + 1/t^2000000000", 16), ("(t*c)^-1073741824", 6)],
+)
+def test_parse_refuses_a_degree_past_the_limit(ctx, text, column):
+    with pytest.raises(ValueError, match=f"parse error at column {column}: .*past the limit of {MAX}"):
+        parse_fraction(text, ctx)
+
+
+def test_parse_reaches_the_degree_limit(ctx):
+    num, den = parse_fraction(f"t^{MAX - 1}*c/s^{MAX}", ctx)
+    assert (num.total_degree(), den.total_degree()) == (MAX, MAX)
+    assert poly.power_overrun([parse_poly("t", ctx)], MAX) is None
 
 
 def test_in_context_and_restrict_round_trip():
