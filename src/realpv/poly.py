@@ -31,8 +31,7 @@ Only this module knows the layout.  Other modules go through the key
 functions and through `Context`, which packs a context-free `Monomial` into
 a key, unpacks a key, renders it, reads one variable's exponent in it
 (`Context.degree_in`), re-reads keys between contexts
-(`Context.reader`, used by `Poly.in_context`: one or two shifts when
-variables were adjoined below or above), multiplies keys by a
+(`Context.reader`, used by `Poly.in_context`), multiplies keys by a
 power of one variable (`Context.shifter`) and splits a key into its parts
 over two sets of variables (`Context.splitter`).  Mixing polynomials from
 different contexts raises `ContextError`.
@@ -245,21 +244,9 @@ class Context:
 
     def reader(self, other: "Context") -> Callable[[Key], Key]:
         """A function that re-reads keys of `other` as keys of this context.
-        A key with a positive exponent on a variable this context lacks
-        raises ContextError.
-
-        When this context is `other` with variables adjoined below and
-        above, the exponents move up by one block and the degree to the
-        new top: one or two shifts.  Otherwise each exponent moves to its
-        slot here."""
-        mine, theirs = self.variables, other.variables
-        low = mine.index(theirs[0]) if theirs and theirs[0] in self._rank else 0
-        if mine[low : low + len(theirs)] == theirs:
-            up, top, old = _W * low, self._top, other._top
-            if top == old + up:  # nothing adjoined above
-                return lambda m: m << up
-            exps = (1 << old) - 1
-            return lambda m: (m & exps) << up | (m >> old) << top
+        Each exponent moves to its slot here and the degree to the top; a
+        key with a positive exponent on a variable this context lacks
+        raises ContextError."""
         moves = [(s, self._shift[v]) for v, s in other._shift.items() if v in self._rank]
         lost = [(s, v) for v, s in other._shift.items() if v not in self._rank]
         top, old = self._top, other._top

@@ -338,11 +338,11 @@ def test_keys_agree_with_exponent_dicts_up_to_the_degree_limit(case):
 def test_reader_agrees_with_pack_and_unpack(case, new):
     ctx, me, _ = case
     m = ctx.pack(Monomial(me))
-    # the block shift: variables adjoined below, above, or both
+    # variables adjoined below, above, or both
     wide = [ctx.extend_top(new), ctx.extend_bottom(new), ctx.extend_bottom(new).extend_top(["z"])]
     for target in wide:
         assert target.reader(ctx)(m) == target.pack(Monomial(me))
-    # the per-variable path: a reordered or a narrowed context
+    # a reordered or a narrowed context
     names = list(ctx.variables)
     for target in (Context(names[::-1]), Context(names[1:]), Context(names[:-1] + new)):
         if all(v in target for v, e in me.items() if e):
