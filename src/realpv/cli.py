@@ -53,8 +53,8 @@ class _Session:
     def pv(self):
         scn = self.scn
         base = DiffTower(base_var=scn.base_var or None)
-        ode = LinearODE.from_texts(base, list(scn.coefficients))
-        radical_base = base.parse(scn.radical_base) if scn.radical_base else None
+        ode = LinearODE(base, tuple(base.elem(*f) for f in scn.parsed_coefficients))
+        radical_base = base.elem(*scn.radical_base) if scn.radical_base else None
         return build_pv(base, ode, scn.eq_class, self.scan_bounds, radical_base)
 
     @cached_property

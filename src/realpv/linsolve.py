@@ -18,7 +18,8 @@ and so no such k.  While no two nonzero vectors share a leading label
 the relations are the unit vectors of the zero ones, with no elimination.
 The constant scan reads them off the leading monomials of its vectors,
 each reduced against earlier ones, when each zero reduced vector is a
-zero vector (`DiffTower._scan_relations`).
+zero vector, and otherwise passes every vector here
+(`DiffTower._scan_relations`).
 """
 
 from __future__ import annotations

@@ -558,6 +558,47 @@ class Poly:
                     d[m - unit] = c * e
         return Poly._build(self.context, d)
 
+    def derivation(self, images: Mapping[str, "Poly"]) -> "Poly":
+        """sum_v dp/dv * images[v] over the variables v of `images`: p's
+        image under the derivation that takes each such v to images[v] and
+        every other variable to 0.  Each term c*m of p with v^e in m, e > 0,
+        adds the terms of images[v] shifted by m/v and scaled by e*c, into
+        one dict, with no product when e*c is 1.  A variable outside the
+        context raises ContextError; a product dp/dv * images[v] past
+        MAX_DEGREE raises Unsupported, as `*` does, with its degree."""
+        ctx, d = self.context, {}
+        top = ctx._top
+        for v, image in images.items():
+            self._check(image)
+            s = ctx._slot(v)
+            if not image.by_key:
+                continue
+            unit = 1 << s | 1 << top
+            hi = -1  # the largest key of p with v in it
+            for m, c in self.by_key.items():
+                e = m >> s & _MASK
+                if not e:
+                    continue
+                hi = max(hi, m)
+                m -= unit
+                f = c if e == 1 else c * e
+                one = f is ONE or f == ONE
+                for k, ck in image.by_key.items():
+                    k += m
+                    if not one:
+                        ck = ck * f
+                    cur = d.get(k)
+                    if cur is None:
+                        d[k] = ck
+                    elif cur := cur + ck:
+                        d[k] = cur
+                    else:
+                        del d[k]
+            # past the limit the keys summed above are wrong, and d is dropped
+            if hi >= 0 and (degree := (hi - unit + max(image.by_key)) >> top) > MAX_DEGREE:
+                raise _past_limit(degree)
+        return Poly._build(ctx, d)
+
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")

@@ -197,6 +197,12 @@ def _build_exp(base: DiffTower, ode: LinearODE):
     if ode.order != 1:
         raise UnsupportedEquation("EXP expects a first-order equation")
     rate = -ode.coeffs[0]
+    degree = rate.num.total_degree() + 1
+    if degree > MAX_DEGREE:
+        raise UnsupportedEquation(
+            f"EXP generator not supported: the numerator of e' = rate*e has degree "
+            f"{degree}, past the limit of {MAX_DEGREE}"
+        )
     ext = base.adjoin_exponential("e", rate)
     return ext, (ext.var("e"),), ((rate,),)
 
@@ -234,6 +240,12 @@ def _build_radical(base: DiffTower, ode: LinearODE, radical_base: FieldElement |
             why = f"the power has an integer of more than {MAX_INT_DIGITS} digits"
     if why:
         raise UnsupportedEquation(f"radical power f^{p} not supported: {why}")
+    degree = den.total_degree() + q  # deg num is within the limit, as f^p is
+    if degree > MAX_DEGREE:
+        raise UnsupportedEquation(
+            f"RADICAL relation not supported: den*g^{q} - num for f^{p} = num/den has "
+            f"degree {degree}, past the limit of {MAX_DEGREE}"
+        )
     ctx = base.extended_context(["g"])
     gq = Poly.variable(ctx, "g", q)
     relation = den.in_context(ctx) * gq - num.in_context(ctx)

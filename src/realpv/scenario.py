@@ -18,7 +18,7 @@ from .correspondence import SUBGROUP_KINDS, SubgroupDescriptor
 from .errors import DivisionByZero, ScenarioError
 from .galois import parse_scalar
 from .gauss import GaussRat
-from .poly import Context, parse_fraction
+from .poly import Context, Poly, parse_fraction
 from .pv import EQUATION_CLASSES
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
@@ -37,10 +37,15 @@ _ADJOINED_NAMES = {
 
 @dataclass
 class Scenario:
+    """A validated scenario.  The coefficients and `radical_base` are also
+    kept parsed, as (numerator, denominator) pairs in the context of
+    `DiffTower(base_var)`; the coefficient strings title the reports."""
+
     eq_class: str
     coefficients: tuple[str, ...]
+    parsed_coefficients: tuple[tuple[Poly, Poly], ...]
     base_var: str = "t"
-    radical_base: str | None = None
+    radical_base: tuple[Poly, Poly] | None = None
     subgroup: SubgroupDescriptor | None = None
     cocycle: tuple[tuple[GaussRat, ...], ...] | None = None
 
@@ -108,9 +113,9 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
     coeffs = tuple(
         _expect_str(c, f"{eq_loc}.coefficients[{i}]") for i, c in enumerate(coeffs_raw)
     )
-    radical_base = None
+    radical_text = None
     if "radical_base" in eq:
-        radical_base = _expect_str(eq["radical_base"], f"{eq_loc}.radical_base")
+        radical_text = _expect_str(eq["radical_base"], f"{eq_loc}.radical_base")
 
     base_var = "t"
     if "base_var" in raw:
@@ -128,10 +133,12 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
 
     # the context of DiffTower(base_var), where the CLI reads the expressions
     in_base = partial(parse_fraction, ctx=Context([base_var] if base_var else []))
-    for i, c in enumerate(coeffs):
-        _expect_expr(c, in_base, f"{eq_loc}.coefficients[{i}]")
-    if radical_base is not None:
-        _expect_expr(radical_base, in_base, f"{eq_loc}.radical_base")
+    parsed = tuple(
+        _expect_expr(c, in_base, f"{eq_loc}.coefficients[{i}]") for i, c in enumerate(coeffs)
+    )
+    radical_base = None
+    if radical_text is not None:
+        radical_base = _expect_expr(radical_text, in_base, f"{eq_loc}.radical_base")
 
     subgroup = None
     if "subgroup" in raw:
@@ -170,7 +177,7 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
         cocycle = _parse_matrix(raw["cocycle"], f"{loc}.cocycle")
 
     return Scenario(
-        eq_class, coeffs, base_var, radical_base, subgroup=subgroup, cocycle=cocycle
+        eq_class, coeffs, parsed, base_var, radical_base, subgroup=subgroup, cocycle=cocycle
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadField,
@@ -137,84 +137,46 @@ def _monomial_part(p: Poly) -> tuple[Key, Poly]:
     return m, Poly._build(p.context, {mono_div(mm, m): c for mm, c in p.by_key.items()})
 
 
-def _shifted_column(
-    tn: dict[Key, GaussRat],
-    me: dict[Key, GaussRat],
-    g: GaussRat,
-    shift: Callable[[Key, int], Key],
-    s: int,
-) -> dict[Key, GaussRat]:
-    """The terms of (T + g * ME) * t^s for the terms tn of T and me of ME,
-    as a new dict (`DiffTower._scan_relations`)."""
-    col = {}
-    for key, c in tn.items():
-        if key in me:
-            c = c + me[key] * g
-            if not c:
-                continue
-        col[shift(key, s)] = c
-    for key, c in me.items():
-        if key not in tn:
-            col[shift(key, s)] = c * g
-    return col
-
-
-def _minus_times(a: dict, b: dict, f: GaussRat) -> dict:
-    """a - f * b for term dicts, as a new dict."""
-    out = dict(a)
-    for key, c in b.items():
-        cur = out.get(key)
-        if cur is None:
-            out[key] = -(f * c)
-        elif cur := cur - f * c:
-            out[key] = cur
-        else:
-            del out[key]
-    return out
-
-
-def _reduced_pairs(pairs: Mapping[Key, tuple[dict, dict]]) -> dict[Key, tuple[dict, dict]]:
+def _reduced_pairs(pairs: Mapping[Key, tuple[Poly, Poly]]) -> dict[Key, tuple[Poly, Poly]]:
     """Each pair (T, ME), in order, top-reduced by T's leading monomial
     against the pairs kept before it: f times a kept pair is subtracted
     from both halves while T's lead is a kept pair's, and the pair is kept
-    at the new lead when it is not (`DiffTower._scan_relations`).  A pair
-    that needs no reduction is returned as it is."""
-    kept: dict[Key, tuple[dict, dict]] = {}
+    at the new lead when it is not (`DiffTower._scan_relations`)."""
+    kept: dict[Key, tuple[Poly, Poly]] = {}
     out = {}
-    for m, pair in pairs.items():
-        tn, me = pair
-        while tn:
-            lead = max(tn)
+    for m, (tn, me) in pairs.items():
+        while tn.by_key:
+            lead = tn.leading_monomial()
             hit = kept.get(lead)
             if hit is None:
                 kept[lead] = tn, me
                 break
-            f = tn[lead] / hit[0][lead]
-            tn, me = _minus_times(tn, hit[0], f), _minus_times(me, hit[1], f)
-        out[m] = pair if tn is pair[0] else (tn, me)
+            f = tn.by_key[lead] / hit[0].by_key[lead]
+            tn, me = tn - hit[0].scale(f), me - hit[1].scale(f)
+        out[m] = tn, me
     return out
 
 
 def _pair_leads(
-    tn: dict, me: dict, scalars: Mapping[int, GaussRat]
+    tn: Poly, me: Poly, scalars: Mapping[int, GaussRat]
 ) -> tuple[Key | None, Key | None, int | None]:
     """The leading monomial of T, that of T + j * ME for j != 0, and the j
     among `scalars` at which the latter cancels (None for a zero
     polynomial or no such j)."""
-    lt, lm = max(tn, default=None), max(me, default=None)
+    lt, lm = max(tn.by_key, default=None), max(me.by_key, default=None)
     if lm is None or lt is not None and lt > lm:
         return lt, lt, None
     if lt is None or lm > lt:
         return lt, lm, None
-    c = -(tn[lt] / me[lm])
+    c = -(tn.by_key[lt] / me.by_key[lm])
     return lt, lt, next((j for j, g in scalars.items() if g == c), None)
 
 
-def _vanishes(tn: dict, me: dict, g: GaussRat) -> bool:
-    """Whether T + g * ME is zero (T alone when g is 0)."""
-    if not g:
-        return not tn
-    return tn.keys() == me.keys() and not any(c + me[key] * g for key, c in tn.items())
+def _column(pair: tuple[Poly, Poly], g: GaussRat, shift: Key) -> Poly:
+    """The scan column (T + g * ME) * t^s of a pair (T, ME), for g = j and
+    the key `shift` of t^s (`DiffTower._scan_relations`)."""
+    tn, me = pair
+    return (tn + me.scale(g) if g else tn).mul_monomial(shift)
 
 
 def _index_of_one(window: Sequence[tuple[Key, int]], ctx: Context) -> int:
@@ -543,13 +505,9 @@ class DiffTower:
 
     def _cleared_derivative(self, p: Poly) -> Poly:
         """P_p = sum_v dp/dv * C_v, the numerator of p' = P_p/E over the
-        tower's one denominator (`_cleared_derivation`); not normal-formed."""
-        out = Poly.zero(self.context)
-        for v, cv in self._cleared.items():
-            dp = p.partial(v)
-            if dp.by_key:
-                out = out + dp * cv
-        return out
+        tower's one denominator (`_cleared_derivation`, `Poly.derivation`);
+        not normal-formed."""
+        return p.derivation(self._cleared)
 
     def lift(self, x: FieldElement) -> FieldElement:
         """Re-read an element of a smaller tower in this one; an element of
@@ -737,31 +695,32 @@ class DiffTower:
         rate: FieldElement | None = None,
     ) -> list[list[GaussRat]]:
         """The `linsolve.relations` basis of the scan's columns, one
-        {monomial key: coefficient} per window element, mostly read from
-        their leading monomials with no column built.
+        polynomial per window element, mostly read from their leading
+        monomials with no column built.
         Column k is the normal form of D(b) * E * t^K for the window element
         b = window[k], which vanishes exactly when D(b) does; with a rate
         r = num/den of this tower that lies in the base, of
         (D(b) - r * b) * E * den * t^K, which vanishes exactly when
         D(b) = r * b.
 
-        E is the tower's common denominator and D(m) = M_m / E, with
-        M_m = sum_v e_v * (m/v) * C_v for m = prod_v v^e_v, read from the
-        cleared derivation (`_cleared_derivation`): each C_v is shifted by
-        the key of (m/v) * t and scaled by e_v into one dict, with no partial
-        derivative and no polynomial product.  So
-        D(m * t^j) * E * t^K = t^(j-1+K) * (t * M_m + j * m * E) with
+        E is the tower's common denominator and D(m) = M_m / E, with M_m
+        the cleared derivative of the monomial m (`_cleared_derivative`).
+        So D(m * t^j) * E * t^K = t^(j-1+K) * (t * M_m + j * m * E) with
         K = coeff_degree_bound + 1, a polynomial for every j in the window.
         The normal forms T_m of t * M_m and ME_m of m * E are computed once
         per m; a rate makes them nf(t * (den * M_m - num * m * E)) and
-        nf(den * m * E), and changes nothing else.  A column merges
-        T_m + j * ME_m, itself a normal form, with each term times
-        t^(j-1+K) (`_shifted_column`).  That product keeps the monomial
-        order, so the column's leading monomial is the larger of T_m's and
-        ME_m's (T_m's for j = 0) times t^(j-1+K).  The column is built to
-        find it only when the two leads are equal and cancel at j.  Without
-        a base variable column k is the normal form of M_m (den * M_m -
-        num * m * E with a rate): t is 1 and the shift is the identity.
+        nf(den * m * E), and changes nothing else.  A column is
+        (T_m + j * ME_m) * t^(j-1+K) (`_column`).  Without a base variable
+        column k is the normal form of M_m (den * M_m - num * m * E with a
+        rate): t is 1 and ME_m is not used.
+
+        The product by a power of t stays irreducible unless some rule's
+        leading monomial has t (t^3 -> g^2 when g^2 = t^3).  On such a tower
+        every column is normal-formed and `relations` eliminates them.
+        Otherwise the product keeps the monomial order, so a column's
+        leading monomial is the larger of T_m's and ME_m's (T_m's for
+        j = 0) times t^(j-1+K), and the column is built to find it only
+        when the two leads are equal and cancel at j.
 
         Nonzero vectors with pairwise distinct leading monomials are
         independent: nothing cancels the largest lead of a combination.  So
@@ -775,11 +734,7 @@ class DiffTower:
         distinct, the dependent ones are the zero reduced columns; when each
         of those is a zero column too, the canonical basis is the unit
         vectors of those columns and nothing is eliminated.  Otherwise every
-        column is built, once, and `relations` eliminates them.  The product
-        by a power of t stays irreducible unless some rule's leading
-        monomial has t (t^3 -> g^2 when g^2 = t^3); on such a tower every
-        column is built and normal-formed again, the pairs are not reduced,
-        and the leads of the columns decide.
+        column is built and `relations` eliminates them.
         """
         ctx = self.context
         nf = self.rewrite.normal_form
@@ -787,78 +742,50 @@ class DiffTower:
         if t:
             t_unit = ctx.pack(Monomial.var(t))
             shift = ctx.shifter(t)
-            reducible = any(ctx.degree_in(r.lhs, t) for r in self.rewrite.rules)
         else:
-            t_unit, shift, reducible = ctx.one, lambda key, s: key, False
-
+            t_unit, shift = ctx.one, lambda key, s: key
         scalars = {j: GaussRat.of(j) for j in {j for _, j in window}}
-        derivation = [
-            (v, ctx.pack(Monomial.var(v)), cv.by_key) for v, cv in self._cleared.items()
-        ]
+        zero = Poly.zero(ctx)
 
-        def pair_of(m: Key) -> tuple[dict, dict]:
-            """T_m and ME_m ({} without t)."""
-            mm: dict[Key, GaussRat] = {}
-            for v, unit, cv in derivation:
-                e = ctx.degree_in(m, v)
-                if not e:
-                    continue
-                lift, g = mono_mul(mono_div(m, unit), t_unit), GaussRat.of(e)
-                for key, c in cv.items():
-                    key = mono_mul(key, lift)
-                    c = c * g if e > 1 else c
-                    cur = mm.get(key)
-                    if cur is None:
-                        mm[key] = c
-                    elif cur := cur + c:
-                        mm[key] = cur
-                    else:
-                        del mm[key]
-            tn = Poly._build(ctx, mm)
+        def pair_of(m: Key) -> tuple[Poly, Poly]:
+            """T_m and ME_m (zero without t)."""
+            tn = self._cleared_derivative(Poly._build(ctx, {m: ONE})).mul_monomial(t_unit)
             if not t and rate is None:
-                return nf(tn).by_key, {}
+                return nf(tn), zero
             me = self._common.mul_monomial(m)
             if rate is not None:
                 tn = rate.den * tn - (rate.num * me).mul_monomial(t_unit)
                 me = rate.den * me
-            return nf(tn).by_key, nf(me).by_key if t else {}
+            return nf(tn), nf(me) if t else zero
 
         pairs = {m: pair_of(m) for m in dict.fromkeys(m for m, _ in window)}
         n = len(window)
 
-        def column(table: Mapping[Key, tuple[dict, dict]], k: int) -> dict[Key, GaussRat]:
+        def column(table: Mapping[Key, tuple[Poly, Poly]], k: int) -> Poly:
             m, j = window[k]
-            tn, me = table[m]
-            col = _shifted_column(tn, me if j else {}, scalars[j], shift, j + coeff_degree_bound)
-            return nf(Poly._build(ctx, col)).by_key if reducible else col
+            return _column(table[m], scalars[j], shift(ctx.one, j + coeff_degree_bound))
 
-        if reducible:
-            columns = [column(pairs, k) for k in range(n)]
-            leads = [max(col) for col in columns if col]
-            if len(set(leads)) < len(leads):
-                return relations(columns)
-            zeros = [k for k, col in enumerate(columns) if not col]
-            return [[ONE if i == k else ZERO for i in range(n)] for k in zeros]
+        if t and any(ctx.degree_in(r.lhs, t) for r in self.rewrite.rules):
+            return relations([nf(column(pairs, k)).by_key for k in range(n)])
 
         reduced = _reduced_pairs(pairs)
         found = {m: _pair_leads(tn, me, scalars) for m, (tn, me) in reduced.items()}
-        built, leads, zeros = {}, set(), []  # built: columns of unreduced pairs
+        leads, zeros = set(), []
         for k, (m, j) in enumerate(window):
             lt, top, cancel = found[m]
             if j == cancel:  # the shifted leads do not give its lead
-                if reduced[m] is pairs[m]:
-                    col = built[k] = column(pairs, k)
-                else:
-                    col = column(reduced, k)
-                lead = max(col, default=None)
+                lead = max(column(reduced, k).by_key, default=None)
             elif (lead := top if j else lt) is not None:
                 lead = shift(lead, j + coeff_degree_bound)
-            if lead is None and _vanishes(*pairs[m], scalars[j]):
-                zeros.append(k)
-            elif lead is None or lead in leads:
-                return relations([built[i] if i in built else column(pairs, i) for i in range(n)])
-            else:
+            if lead is None:
+                tn, me = pairs[m]
+                if tn == me.scale(-scalars[j]):  # the unreduced column is zero
+                    zeros.append(k)
+                    continue
+            elif lead not in leads:
                 leads.add(lead)
+                continue
+            return relations([column(pairs, i).by_key for i in range(n)])
         return [[ONE if i == k else ZERO for i in range(n)] for k in zeros]
 
     def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
@@ -904,20 +831,23 @@ class DiffTower:
 
         Solves d(sum a_k b_k) = 0 exactly over the window elements b_k
         (`_window_combinations`): `_scan_relations` takes two normal forms
-        per generator monomial, reduces each monomial's pair against the
-        earlier monomials' pairs, and reads the leading monomial of each
-        window element's vector from the reduced pairs, with no normal form
-        per window element.  The reduced vectors span the same prefixes of
-        the window as the vectors.  When no two of their nonzero leads meet
-        and each zero one is a zero vector, the kernel is the unit vectors
-        of the zero vectors, with no elimination; otherwise every vector is
-        built and `linsolve.relations` eliminates them.  A combination that
-        is a scalar is no new constant: the window can write 1 in more than
-        one way, as g^2/t^3 when g^2 = t^3.  So an empty result certifies
-        that the window contains no constant outside the base constants.
-        Two kernel vectors can likewise give one constant (e*g, e*g^3/g^2):
-        a combination, scaled to leading coefficient 1, that equals one
-        already found is dropped.
+        per generator monomial, from its cleared derivative
+        (`Poly.derivation`), and then takes one of two paths.  It reduces
+        each monomial's pair against the earlier monomials' pairs and reads
+        the leading monomial of each window element's vector from the
+        reduced pairs, with no normal form per window element.  The reduced
+        vectors span the same prefixes of the window as the vectors.  When
+        no two of their nonzero leads meet and each zero one is a zero
+        vector, the kernel is the unit vectors of the zero vectors, with no
+        elimination.  Otherwise, and on a tower where a rule's leading
+        monomial has t, every vector is built and `linsolve.relations`
+        eliminates them.  A combination that is a scalar is no new
+        constant: the window can write 1 in more than one way, as g^2/t^3
+        when g^2 = t^3.  So an empty result certifies that the window
+        contains no constant outside the base constants.  Two kernel vectors
+        can likewise give one constant (e*g, e*g^3/g^2): a combination,
+        scaled to leading coefficient 1, that equals one already found is
+        dropped.
         """
         found: list[FieldElement] = []
         for x in self._window_combinations(degree_bound, coeff_degree_bound):
@@ -935,7 +865,6 @@ class DiffTower:
         the combinations (`_window_combinations`) that are not zero, as one
         can be where the window writes an element twice (g^2/t^3 and 1 when
         g^2 = t^3).  The rate changes two normal forms per monomial only;
-        the leading monomials of the reduced pairs decide, as in
-        `constant_scan`, whether to eliminate."""
+        the scan takes the same two paths as `constant_scan`."""
         scan = self._window_combinations(degree_bound, coeff_degree_bound, self.lift(rate))
         return [y for y in scan if not y.is_zero()]

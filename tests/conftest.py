@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from realpv import AlgebraError, DiffTower, LinearODE, build_pv, load_scenario
+from realpv.cli import _Session
 from realpv.pv import DEFAULT_SCAN_BOUNDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,12 +51,8 @@ def corpus_towers():
     """The extension of each scenario of the corpus that builds, by path."""
     out = {}
     for path in CORPUS:
-        scn = load_scenario(str(path))
-        base = DiffTower(base_var=scn.base_var)
-        ode = LinearODE.from_texts(base, list(scn.coefficients))
-        radical_base = base.parse(scn.radical_base) if scn.radical_base else None
         try:
-            pv = build_pv(base, ode, scn.eq_class, DEFAULT_SCAN_BOUNDS, radical_base)
+            pv = _Session(load_scenario(str(path)), DEFAULT_SCAN_BOUNDS).pv
         except AlgebraError:
             continue
         out[str(path.relative_to(ROOT))] = pv.extension

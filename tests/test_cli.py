@@ -418,6 +418,31 @@ def test_radical_past_the_degree_limit_is_refused(capsys, tmp_path, coefficient,
     assert err == f"error: {why} of {MAX_DEGREE}\n"
 
 
+@pytest.mark.parametrize(
+    "equation, why",
+    [
+        ({"class": "EXP", "coefficients": ["-t^2147483647"]},
+         "EXP generator not supported: the numerator of e' = rate*e has degree 2147483648"),
+        ({"class": "RADICAL", "coefficients": ["-1/(2147483647*t*(t+1))"],
+          "radical_base": "t/(t+1)"},
+         "RADICAL relation not supported: den*g^2147483647 - num for f^1 = num/den "
+         "has degree 2147483648"),
+    ],
+    ids=["exp_numerator", "radical_relation"],
+)
+def test_generator_past_the_degree_limit_is_refused_by_its_builder(
+    capsys, tmp_path, equation, why
+):
+    """A generator whose declared data would pass MAX_DEGREE is refused by
+    its class builder, with a line that names the class, the quantity and
+    the limit, not by the product that would pass it."""
+    bad = tmp_path / "limit.json"
+    bad.write_text(json.dumps({"equation": equation}))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: {why}, past the limit of {MAX_DEGREE}\n"
+
+
 def test_power_past_the_degree_limit_is_usage_error(capsys, tmp_path):
     """t^3000000000 is a parse error at its `^`, not an equation with a
     monomial past the degree limit."""

@@ -42,6 +42,7 @@ from realpv import (
 )
 from realpv.galois import fixed_combinations
 from realpv.linsolve import adjugate, identity, mat_mul, relations
+from realpv.cli import _Session
 from realpv.pv import DEFAULT_SCAN_BOUNDS
 from realpv.tower import cleared_numerators
 
@@ -301,14 +302,11 @@ def corpus_groups():
     out = {}
     for path in CORPUS:
         scn = load_scenario(str(path))
-        base = DiffTower(base_var=scn.base_var)
-        ode = LinearODE.from_texts(base, list(scn.coefficients))
-        radical_base = base.parse(scn.radical_base) if scn.radical_base else None
         try:
-            pv = build_pv(base, ode, scn.eq_class, DEFAULT_SCAN_BOUNDS, radical_base)
+            group = _Session(scn, DEFAULT_SCAN_BOUNDS).group
         except AlgebraError:
             continue
-        out[str(path.relative_to(ROOT))] = (defining_equations(pv), scn.subgroup)
+        out[str(path.relative_to(ROOT))] = (group, scn.subgroup)
     return out
 
 

@@ -276,10 +276,12 @@ assert MAX == 2**31 - 1
 
 
 @st.composite
-def exponents_near_the_limit(draw, names):
-    """Exponents of `names` with a degree of at most MAX_DEGREE, drawn often
-    at or next to the room that the degree leaves."""
-    room = draw(st.one_of(st.just(MAX), st.integers(MAX - 2, MAX), st.integers(0, MAX)))
+def exponents_near_the_limit(draw, names, room=None):
+    """Exponents of `names` with a degree of at most `room` (by default
+    drawn up to MAX_DEGREE), drawn often at or next to the room that the
+    degree leaves."""
+    if room is None:
+        room = draw(st.one_of(st.just(MAX), st.integers(MAX - 2, MAX), st.integers(0, MAX)))
     exps = {}
     for v in draw(st.permutations(names)):
         exps[v] = draw(st.one_of(
@@ -353,6 +355,65 @@ def test_reader_agrees_with_pack_and_unpack(case, new):
     # and back from a wider context
     for target in wide:
         assert ctx.reader(target)(target.pack(Monomial(me))) == m
+
+
+COEFFICIENTS = st.sampled_from(
+    [GaussRat.of(1), GaussRat.of(-1), GaussRat.of(2), GaussRat.of(Fraction(1, 3)),
+     GaussRat(Fraction(0), Fraction(1))]
+)
+
+
+@st.composite
+def derivations_near_the_limit(draw):
+    """A polynomial p over a context of 1 to 4 variables and images of some
+    of its variables, with the degrees of dp/dv and of images[v] adding up
+    to values at, next to and far below MAX_DEGREE."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.permutations(NAMES))[:n]
+    ctx = Context(names)
+    split = draw(st.one_of(st.integers(0, 4), st.integers(MAX - 4, MAX - 1), st.integers(0, MAX - 1)))
+
+    def poly_of(room):
+        exps = st.builds(Monomial, exponents_near_the_limit(names, min(max(room, 0), MAX)))
+        return Poly(ctx, draw(st.dictionaries(exps, COEFFICIENTS, min_size=1, max_size=3)))
+
+    p = poly_of(split + 1)
+    images = {
+        v: poly_of(MAX - split + draw(st.integers(-2, 2)))
+        for v in draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    }
+    return p, images
+
+
+def derivation_by_partials(p, images):
+    """sum_v p.partial(v) * images[v], the reference of `Poly.derivation`."""
+    out = Poly.zero(p.context)
+    for v, image in images.items():
+        out = out + p.partial(v) * image
+    return out
+
+
+@given(derivations_near_the_limit())
+def test_derivation_is_the_sum_of_partials_times_images(case):
+    """Poly.derivation gives sum_v dp/dv * images[v], and refuses exactly
+    where a product dp/dv * images[v] passes MAX_DEGREE, with `*`'s
+    message."""
+    p, images = case
+    try:
+        expected = derivation_by_partials(p, images)
+    except Unsupported as e:
+        with pytest.raises(Unsupported, match=f"past the limit of {MAX}") as got:
+            p.derivation(images)
+        assert str(got.value) == str(e)
+    else:
+        assert p.derivation(images) == expected
+
+
+def test_derivation_of_a_variable_outside_the_context_is_refused(ctx):
+    with pytest.raises(ContextError):
+        parse_poly("t*c", ctx).derivation({"x": Poly.const(ctx, 1)})
+    with pytest.raises(ContextError):
+        parse_poly("t*c", ctx).derivation({"t": Poly.const(Context(["t"]), 1)})
 
 
 def test_products_past_the_degree_limit_raise_unsupported():

@@ -317,15 +317,19 @@ def _leads_distinct(columns) -> bool:
     return len(set(leads)) == len(leads)
 
 
-def _eliminates(tower, window, eager) -> bool:
-    """Whether the scan calls `relations` on the eager columns.  Where a
-    rule's leading monomial has t, when two of their nonzero leads meet.
-    Otherwise when two nonzero leads of the reduced columns
-    (`reduced_scan_columns`) meet, or a reduced column is zero and its
-    eager column is not."""
+def _t_rule(tower) -> bool:
+    """Whether a rule's leading monomial has the base variable t."""
     t = tower.base_var
-    if t and any(tower.context.degree_in(r.lhs, t) for r in tower.rewrite.rules):
-        return not _leads_distinct(eager)
+    return bool(t) and any(tower.context.degree_in(r.lhs, t) for r in tower.rewrite.rules)
+
+
+def _eliminates(tower, window, eager) -> bool:
+    """Whether the scan calls `relations` on the eager columns.  Always
+    where a rule's leading monomial has t.  Otherwise when two nonzero
+    leads of the reduced columns (`reduced_scan_columns`) meet, or a
+    reduced column is zero and its eager column is not."""
+    if _t_rule(tower):
+        return True
     reduced = reduced_scan_columns(window, eager)
     return not _leads_distinct(reduced) or any(e and not r for r, e in zip(reduced, eager))
 
@@ -348,9 +352,11 @@ def _counting(monkeypatch, name):
 def test_lazy_scan_columns_match_the_eager_writer(scan_towers, monkeypatch, name, bounds):
     """The scan's basis is the `relations` basis of the columns the eager
     reference writes, and it eliminates (calls `relations`) exactly as
-    `_eliminates` says, never where those columns' nonzero leading
-    monomials are pairwise distinct: for the constant scan and for
-    `solution_scan` at every rate (rates with t only over t)."""
+    `_eliminates` says: for the constant scan and for `solution_scan` at
+    every rate (rates with t only over t).  Where a rule's leading monomial
+    has t, the one `relations` call gives the unit vectors of the zero
+    columns when the columns' nonzero leading monomials are pairwise
+    distinct; elsewhere it is never made then."""
     tower = scan_towers[name]
     window = tower._window(*bounds)
     rates = RATES if tower.base_var else RATES[:2]
@@ -360,17 +366,28 @@ def test_lazy_scan_columns_match_the_eager_writer(scan_towers, monkeypatch, name
         eliminated.clear()
         assert tower._scan_relations(window, bounds[1], rate) == relations(eager)
         assert len(eliminated) == _eliminates(tower, window, eager), (rate, len(eliminated))
-        assert not eliminated or not _leads_distinct(eager), rate
+        if not _leads_distinct(eager):
+            continue
+        if _t_rule(tower):
+            units = [
+                [GaussRat.of(int(i == k)) for i in range(len(eager))]
+                for k, col in enumerate(eager)
+                if not col
+            ]
+            assert relations(eager) == units, rate
+        else:
+            assert not eliminated, rate
 
 
 @pytest.mark.parametrize("bounds", [(4, 3), (6, 5)], ids=str)
 def test_scan_builds_columns_only_where_leads_collide(corpus_towers, monkeypatch, bounds):
     """The columns built and the `relations` calls of each corpus scan.
-    Only radical_t2p1's reduced leads meet: its scan builds every column
-    once and eliminates them once.  The eager leads of constcoeff_complex
-    meet too (c*e^k against s*e^k), and its reduced pairs part them: its
-    scan builds no column and calls no `relations`, like every other."""
-    built = _counting(monkeypatch, "_shifted_column")
+    Only radical_t2p1's reduced leads meet: its scan builds one column to
+    read a lead where the two leads of a pair cancel, then every column,
+    and eliminates them once.  The eager leads of constcoeff_complex meet
+    too (c*e^k against s*e^k), and its reduced pairs part them: its scan
+    builds no column and calls no `relations`, like every other."""
+    built = _counting(monkeypatch, "_column")
     eliminated = _counting(monkeypatch, "relations")
     counts = {}
     for path, tower in sorted(corpus_towers.items()):
@@ -380,7 +397,7 @@ def test_scan_builds_columns_only_where_leads_collide(corpus_towers, monkeypatch
         counts[path] = len(built), len(eliminated)
     radical = "bench/scenarios/radical_t2p1.json"
     expected = {path: (0, 0) for path in corpus_towers}
-    expected[radical] = len(corpus_towers[radical]._window(*bounds)), 1
+    expected[radical] = len(corpus_towers[radical]._window(*bounds)) + 1, 1
     assert counts == expected
     complex_roots = corpus_towers["bench/scenarios/constcoeff_complex.json"]
     window = complex_roots._window(*bounds)
