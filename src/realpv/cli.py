@@ -54,7 +54,7 @@ class _Session:
         scn = self.scn
         base = DiffTower(base_var=scn.base_var or None)
         ode = LinearODE(base, tuple(base.elem(*f) for f in scn.parsed_coefficients))
-        radical_base = base.elem(*scn.radical_base) if scn.radical_base else None
+        radical_base = scn.parsed_radical_base and base.elem(*scn.parsed_radical_base)
         return build_pv(base, ode, scn.eq_class, self.scan_bounds, radical_base)
 
     @cached_property

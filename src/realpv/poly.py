@@ -559,15 +559,11 @@ class Poly:
         return Poly._build(self.context, d)
 
     def derivation(self, images: Mapping[str, "Poly"]) -> "Poly":
-        """sum_v dp/dv * images[v] over the variables v of `images`: p's
-        image under the derivation that takes each such v to images[v] and
-        every other variable to 0.  Each term c*m of p with v^e in m, e > 0,
-        adds the terms of images[v] shifted by m/v and scaled by e*c, into
-        one dict, with no product when e*c is 1.  A variable outside the
-        context raises ContextError; a product dp/dv * images[v] past
-        MAX_DEGREE raises Unsupported, as `*` does, with its degree."""
-        ctx, d = self.context, {}
-        top = ctx._top
+        """sum_v dp/dv * images[v] over the variables v of `images`, by key
+        sums into one dict, with no product when a factor e*c is 1.  A
+        variable outside the context raises ContextError; a product past
+        MAX_DEGREE raises Unsupported with its degree, as `*` does."""
+        ctx, d, top = self.context, {}, self.context._top
         for v, image in images.items():
             self._check(image)
             s = ctx._slot(v)

@@ -197,8 +197,7 @@ def _build_exp(base: DiffTower, ode: LinearODE):
     if ode.order != 1:
         raise UnsupportedEquation("EXP expects a first-order equation")
     rate = -ode.coeffs[0]
-    degree = rate.num.total_degree() + 1
-    if degree > MAX_DEGREE:
+    if (degree := rate.num.total_degree() + 1) > MAX_DEGREE:
         raise UnsupportedEquation(
             f"EXP generator not supported: the numerator of e' = rate*e has degree "
             f"{degree}, past the limit of {MAX_DEGREE}"

@@ -10,7 +10,7 @@ fail loudly instead of being ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
@@ -37,20 +37,33 @@ _ADJOINED_NAMES = {
 
 @dataclass
 class Scenario:
-    """A validated scenario.  The coefficients and `radical_base` are also
-    kept parsed, as (numerator, denominator) pairs in the context of
-    `DiffTower(base_var)`; the coefficient strings title the reports."""
+    """A validated scenario.  `parsed_coefficients` and `parsed_radical_base`
+    hold the expressions as (numerator, denominator) pairs in the context of
+    `DiffTower(base_var)`; a scenario made without them parses its strings."""
 
     eq_class: str
     coefficients: tuple[str, ...]
-    parsed_coefficients: tuple[tuple[Poly, Poly], ...]
     base_var: str = "t"
-    radical_base: tuple[Poly, Poly] | None = None
+    radical_base: str | None = None
     subgroup: SubgroupDescriptor | None = None
     cocycle: tuple[tuple[GaussRat, ...], ...] | None = None
+    parsed_coefficients: tuple[tuple[Poly, Poly], ...] | None = field(default=None, kw_only=True)
+    parsed_radical_base: tuple[Poly, Poly] | None = field(default=None, kw_only=True)
+
+    def __post_init__(self) -> None:
+        in_base = _base_parser(self.base_var)
+        if self.parsed_coefficients is None:
+            self.parsed_coefficients = tuple(map(in_base, self.coefficients))
+        if self.parsed_radical_base is None and self.radical_base is not None:
+            self.parsed_radical_base = in_base(self.radical_base)
 
     def describe(self) -> str:
         return f"{self.eq_class} equation with coefficients {list(self.coefficients)}"
+
+
+def _base_parser(base_var: str) -> Callable[[str], tuple[Poly, Poly]]:
+    """parse_fraction in the context of DiffTower(base_var)."""
+    return partial(parse_fraction, ctx=Context([base_var] if base_var else []))
 
 
 def _reject_unknown(obj: dict, allowed: set, loc: str) -> None:
@@ -113,9 +126,9 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
     coeffs = tuple(
         _expect_str(c, f"{eq_loc}.coefficients[{i}]") for i, c in enumerate(coeffs_raw)
     )
-    radical_text = None
+    radical_base = None
     if "radical_base" in eq:
-        radical_text = _expect_str(eq["radical_base"], f"{eq_loc}.radical_base")
+        radical_base = _expect_str(eq["radical_base"], f"{eq_loc}.radical_base")
 
     base_var = "t"
     if "base_var" in raw:
@@ -131,14 +144,13 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
                 location=base_loc,
             )
 
-    # the context of DiffTower(base_var), where the CLI reads the expressions
-    in_base = partial(parse_fraction, ctx=Context([base_var] if base_var else []))
+    in_base = _base_parser(base_var)
     parsed = tuple(
         _expect_expr(c, in_base, f"{eq_loc}.coefficients[{i}]") for i, c in enumerate(coeffs)
     )
-    radical_base = None
-    if radical_text is not None:
-        radical_base = _expect_expr(radical_text, in_base, f"{eq_loc}.radical_base")
+    parsed_radical = None
+    if radical_base is not None:
+        parsed_radical = _expect_expr(radical_base, in_base, f"{eq_loc}.radical_base")
 
     subgroup = None
     if "subgroup" in raw:
@@ -177,7 +189,8 @@ def scenario_from_dict(raw: Any, loc: str = "scenario") -> Scenario:
         cocycle = _parse_matrix(raw["cocycle"], f"{loc}.cocycle")
 
     return Scenario(
-        eq_class, coeffs, parsed, base_var, radical_base, subgroup=subgroup, cocycle=cocycle
+        eq_class, coeffs, base_var, radical_base, subgroup=subgroup, cocycle=cocycle,
+        parsed_coefficients=parsed, parsed_radical_base=parsed_radical,
     )
 
 

@@ -505,8 +505,7 @@ class DiffTower:
 
     def _cleared_derivative(self, p: Poly) -> Poly:
         """P_p = sum_v dp/dv * C_v, the numerator of p' = P_p/E over the
-        tower's one denominator (`_cleared_derivation`, `Poly.derivation`);
-        not normal-formed."""
+        tower's one denominator (`_cleared_derivation`); not normal-formed."""
         return p.derivation(self._cleared)
 
     def lift(self, x: FieldElement) -> FieldElement:

@@ -51,8 +51,9 @@ def corpus_towers():
     """The extension of each scenario of the corpus that builds, by path."""
     out = {}
     for path in CORPUS:
+        scn = load_scenario(str(path))
         try:
-            pv = _Session(load_scenario(str(path)), DEFAULT_SCAN_BOUNDS).pv
+            pv = _Session(scn, DEFAULT_SCAN_BOUNDS).pv
         except AlgebraError:
             continue
         out[str(path.relative_to(ROOT))] = pv.extension

@@ -11,7 +11,7 @@ from realpv.cli import main
 from realpv.correspondence import MAX_ROOT_ORDER
 from realpv.errors import ScenarioError
 from realpv.poly import MAX_DEGREE
-from realpv.scenario import scenario_from_dict
+from realpv.scenario import Scenario, scenario_from_dict
 
 SCENARIOS = "scenarios"
 
@@ -840,3 +840,16 @@ def test_schema_defaults():
     scn = scenario_from_dict({"equation": {"class": "EXP", "coefficients": ["-1"]}})
     assert scn.base_var == "t"
     assert scn.subgroup is None and scn.cocycle is None
+
+
+def test_scenario_made_positionally_parses_its_strings():
+    """`Scenario` keeps its positional fields; made without the parsed
+    pairs it parses its strings, and equals the loader's scenario."""
+    scn = Scenario("RADICAL", ("-1/2 * 1/t",), "t", "t")
+    loaded = scenario_from_dict(
+        {"equation": {"class": "RADICAL", "coefficients": ["-1/2 * 1/t"], "radical_base": "t"}}
+    )
+    assert scn == loaded
+    assert scn.parsed_coefficients == loaded.parsed_coefficients
+    assert scn.parsed_radical_base == loaded.parsed_radical_base
+    assert scn.radical_base == "t"

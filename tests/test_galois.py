@@ -302,11 +302,12 @@ def corpus_groups():
     out = {}
     for path in CORPUS:
         scn = load_scenario(str(path))
+        ses = _Session(scn, DEFAULT_SCAN_BOUNDS)
         try:
-            group = _Session(scn, DEFAULT_SCAN_BOUNDS).group
+            ses.pv
         except AlgebraError:
             continue
-        out[str(path.relative_to(ROOT))] = (group, scn.subgroup)
+        out[str(path.relative_to(ROOT))] = (ses.group, scn.subgroup)
     return out
 
 
