@@ -58,6 +58,10 @@ class Unsupported(AlgebraError):
     """Requested operation is outside the implemented fragment."""
 
 
+class DegreeLimitExceeded(Unsupported):
+    """A monomial degree is past `poly.MAX_DEGREE`."""
+
+
 class BadField(AlgebraError):
     """Claimed intermediate field is not one (element outside the extension,
     or generators not closed under the derivation)."""

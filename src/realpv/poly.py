@@ -60,7 +60,7 @@ from operator import add, mul, or_, truediv
 from string import ascii_letters, digits, whitespace
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ContextError, DivisionByZero, Unsupported
+from .errors import ContextError, DegreeLimitExceeded, DivisionByZero, Unsupported
 from .gauss import ONE, ZERO, GaussRat, Coeffable, power
 
 __all__ = [
@@ -99,9 +99,9 @@ _GUARD = int.from_bytes(
 )
 
 
-def _past_limit(degree: int | None = None) -> Unsupported:
+def _past_limit(degree: int | None = None) -> DegreeLimitExceeded:
     got = "" if degree is None else f" {degree}"
-    return Unsupported(f"a monomial degree{got} is past the limit of {MAX_DEGREE}")
+    return DegreeLimitExceeded(f"a monomial degree{got} is past the limit of {MAX_DEGREE}")
 
 
 class Monomial:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotPV, UnsupportedEquation
+from .errors import DegreeLimitExceeded, NotPV, UnsupportedEquation
 from .gauss import GaussRat, is_square, rational_sqrt
 from .poly import MAX_DEGREE, MAX_INT_DIGITS, Poly, power_overrun, too_many_digits
 from .report import Report
@@ -54,6 +54,11 @@ DEFAULT_SCAN_BOUNDS = (4, 3)
 # both; a cold `build` of bench/scenarios/constcoeff_complex.json at
 # (20, 20) takes under a second.
 MAX_SCAN_BOUNDS = (20, 20)
+# The certificates of an extension, in the order `_certify` computes them.
+CERTIFICATES = (
+    "solutions_satisfy_equation", "wronskian_invertible",
+    "no_new_constants_in_window", "companion_matrix_consistent",
+)
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,9 @@ def companion_residue(
 
 
 def _certify(pv: PVExtension) -> Report:
-    rep = Report("certificates")
+    """The certificates of pv, added to `pv.certificates` as each is computed."""
+    equation, wronskian, scan, companion = CERTIFICATES
+    rep = pv.certificates = Report("certificates")
     tower = pv.extension
     sols = [tower.lift(s) for s in pv.solutions]
     # each solution is derived once, up to the order the equation and the
@@ -152,7 +159,7 @@ def _certify(pv: PVExtension) -> Report:
         (i, r) for i, l in enumerate(ladders) if not (r := pv.ode.evaluate(l)).is_zero()
     ]
     rep.add(
-        "solutions_satisfy_equation",
+        equation,
         not bad,
         "all normal forms zero"
         if not bad
@@ -160,19 +167,19 @@ def _certify(pv: PVExtension) -> Report:
     )
     det = wronskian_det(WrMatrix(ladders))
     rep.add(
-        "wronskian_invertible",
+        wronskian,
         not det.is_zero(),
         f"wronskian determinant = {det}",
     )
     news = tower.constant_scan(*pv.scan_bounds)
     rep.add(
-        "no_new_constants_in_window",
+        scan,
         not news,
         f"scan bounds {pv.scan_bounds}: "
         + ("no new constants" if not news else "found " + ", ".join(str(x) for x in news)),
     )
     rep.add(
-        "companion_matrix_consistent",
+        companion,
         all(
             companion_residue(
                 tower, sols, ladders[j][1], [row[j] for row in pv.companion]
@@ -182,15 +189,6 @@ def _certify(pv: PVExtension) -> Report:
         "solution derivatives match the recorded first-order system",
     )
     return rep
-
-
-def _finish(pv: PVExtension) -> PVExtension:
-    rep = _certify(pv)
-    pv.certificates = rep
-    if not rep.ok:
-        names = ", ".join(c.name for c in rep.failures())
-        raise NotPV(f"certificate failed: {names}", rep)
-    return pv
 
 
 def _build_exp(base: DiffTower, ode: LinearODE):
@@ -336,20 +334,32 @@ def build_pv(
     """Construct and certify a PV extension for the given equation class.
 
     Raises UnsupportedEquation when the equation does not match the class
-    and NotPV (with the certificate report attached) when a certificate
-    fails.
+    or a degree passes the limit, naming the stage, and NotPV (with the
+    certificate report attached) when a certificate fails.
     """
     if eq_class not in EQUATION_CLASSES:
         raise UnsupportedEquation(f"unknown equation class {eq_class!r}")
     if ode.base != base:
         raise UnsupportedEquation("equation coefficients live over a different base")
-    if eq_class == "EXP":
-        tower, sols, companion = _build_exp(base, ode)
-    elif eq_class == "RADICAL":
-        tower, sols, companion = _build_radical(base, ode, radical_base)
-    elif eq_class == "CIRCLE":
-        tower, sols, companion = _build_circle(base, ode)
-    else:
-        tower, sols, companion = _build_constcoeff2(base, ode)
-    return _finish(PVExtension(base, tower, ode, eq_class, sols, companion, scan_bounds))
+    pv = None
+    try:
+        if eq_class == "EXP":
+            tower, sols, companion = _build_exp(base, ode)
+        elif eq_class == "RADICAL":
+            tower, sols, companion = _build_radical(base, ode, radical_base)
+        elif eq_class == "CIRCLE":
+            tower, sols, companion = _build_circle(base, ode)
+        else:
+            tower, sols, companion = _build_constcoeff2(base, ode)
+        pv = PVExtension(base, tower, ode, eq_class, sols, companion, scan_bounds)
+        rep = _certify(pv)
+    except DegreeLimitExceeded as exc:
+        stage = "building the tower"
+        if pv is not None:
+            stage = "computing the certificate " + CERTIFICATES[len(pv.certificates.lines)]
+        raise UnsupportedEquation(f"{eq_class} not supported: {stage}: {exc}") from exc
+    if not rep.ok:
+        names = ", ".join(c.name for c in rep.failures())
+        raise NotPV(f"certificate failed: {names}", rep)
+    return pv
 

@@ -339,10 +339,12 @@ def radical_pair_report(pv: PVExtension, h: FieldElement) -> Report:
     `h.tower`.
 
     Any differential isomorphism over the base matches solution spaces of
-    Y' = a Y, which are one-dimensional over the constants; comparing the
-    q-th powers of matched generators, which lie in the base, forces a
-    rational constant gamma with gamma^q = -1.  A twist changes the relation
-    only for q = 2 mod 4, so q is even and no such gamma exists.
+    Y' = a Y, which are one-dimensional over the constants: (y/h)' = 0 for
+    each solution y, and the twisted field's constant scan finds no new
+    constant.  Comparing the q-th powers of matched generators, which lie
+    in the base, forces a rational constant gamma with gamma^q = -1.  A
+    twist changes the relation only for q = 2 mod 4, so q is even and no
+    such gamma exists.
     """
     twisted = h.tower
     (name,) = pv.extension.generator_names()
@@ -358,12 +360,12 @@ def radical_pair_report(pv: PVExtension, h: FieldElement) -> Report:
         f"rates {rate_g} and {rate_h}",
     )
 
-    span = twisted.solution_scan(pv.companion[0][0], 2, 2)  # Y' = -a0 * Y
-    only_h = len(span) == 1 and (span[0] / h).as_scalar() is not None
+    news = twisted.constant_scan(2, 2)
     report.add(
         "solution space in the twisted field is the line through h",
-        only_h,
-        f"window solutions: {[str(x) for x in span]}",
+        not news,
+        "(y/h)' = 0 for every solution y; scan bounds (2, 2): "
+        + ("no new constants" if not news else "found " + ", ".join(str(x) for x in news)),
     )
 
     # g^q and h^q both lie in the base; gamma^q * h^q = g^q would need

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadField,
@@ -688,30 +688,22 @@ class DiffTower:
         return elems, _index_of_one(window, self.context)
 
     def _scan_relations(
-        self,
-        window: Sequence[tuple[Key, int]],
-        coeff_degree_bound: int,
-        rate: FieldElement | None = None,
+        self, window: Sequence[tuple[Key, int]], coeff_degree_bound: int
     ) -> list[list[GaussRat]]:
         """The `linsolve.relations` basis of the scan's columns, one
         polynomial per window element, mostly read from their leading
         monomials with no column built.
         Column k is the normal form of D(b) * E * t^K for the window element
-        b = window[k], which vanishes exactly when D(b) does; with a rate
-        r = num/den of this tower that lies in the base, of
-        (D(b) - r * b) * E * den * t^K, which vanishes exactly when
-        D(b) = r * b.
+        b = window[k], which vanishes exactly when D(b) does.
 
         E is the tower's common denominator and D(m) = M_m / E, with M_m
         the cleared derivative of the monomial m (`_cleared_derivative`).
         So D(m * t^j) * E * t^K = t^(j-1+K) * (t * M_m + j * m * E) with
         K = coeff_degree_bound + 1, a polynomial for every j in the window.
         The normal forms T_m of t * M_m and ME_m of m * E are computed once
-        per m; a rate makes them nf(t * (den * M_m - num * m * E)) and
-        nf(den * m * E), and changes nothing else.  A column is
-        (T_m + j * ME_m) * t^(j-1+K) (`_column`).  Without a base variable
-        column k is the normal form of M_m (den * M_m - num * m * E with a
-        rate): t is 1 and ME_m is not used.
+        per m.  A column is (T_m + j * ME_m) * t^(j-1+K) (`_column`).
+        Without a base variable column k is the normal form of M_m: t is 1
+        and ME_m is not used.
 
         The product by a power of t stays irreducible unless some rule's
         leading monomial has t (t^3 -> g^2 when g^2 = t^3).  On such a tower
@@ -744,18 +736,11 @@ class DiffTower:
         else:
             t_unit, shift = ctx.one, lambda key, s: key
         scalars = {j: GaussRat.of(j) for j in {j for _, j in window}}
-        zero = Poly.zero(ctx)
 
         def pair_of(m: Key) -> tuple[Poly, Poly]:
             """T_m and ME_m (zero without t)."""
             tn = self._cleared_derivative(Poly._build(ctx, {m: ONE})).mul_monomial(t_unit)
-            if not t and rate is None:
-                return nf(tn), zero
-            me = self._common.mul_monomial(m)
-            if rate is not None:
-                tn = rate.den * tn - (rate.num * me).mul_monomial(t_unit)
-                me = rate.den * me
-            return nf(tn), nf(me) if t else zero
+            return nf(tn), nf(self._common.mul_monomial(m)) if t else Poly.zero(ctx)
 
         pairs = {m: pair_of(m) for m in dict.fromkeys(m for m, _ in window)}
         n = len(window)
@@ -806,64 +791,38 @@ class DiffTower:
                 out = out + e.scale(c)
         return out
 
-    def _window_combinations(
-        self, degree_bound: int, coeff_degree_bound: int, rate: FieldElement | None = None
-    ) -> Iterator[FieldElement]:
-        """One window combination per vector of the basis that
-        `_scan_relations` gives, the canonical one of D(b) - r * b over the
-        `scan_basis` elements b (r the rate or 0), as each column is that
-        element times one common factor.  Without a rate the scalar
-        direction is projected off.  Window elements are built only for the
-        combinations."""
-        window = self._window(degree_bound, coeff_degree_bound)
-        skip = _index_of_one(window, self.context) if rate is None else -1
-        for vec in self._scan_relations(window, coeff_degree_bound, rate):
-            used = [k for k, c in enumerate(vec) if c and k != skip]
-            yield self.combine(
-                [vec[k] for k in used], [self._window_element(*window[k]) for k in used]
-            )
-
     def constant_scan(
         self, degree_bound: int, coeff_degree_bound: int
     ) -> list[FieldElement]:
         """New constants in the scan window, excluding the scalars.
 
-        Solves d(sum a_k b_k) = 0 exactly over the window elements b_k
-        (`_window_combinations`): `_scan_relations` takes two normal forms
-        per generator monomial, from its cleared derivative
-        (`Poly.derivation`), and then takes one of two paths.  It reduces
-        each monomial's pair against the earlier monomials' pairs and reads
-        the leading monomial of each window element's vector from the
-        reduced pairs, with no normal form per window element.  The reduced
-        vectors span the same prefixes of the window as the vectors.  When
-        no two of their nonzero leads meet and each zero one is a zero
-        vector, the kernel is the unit vectors of the zero vectors, with no
-        elimination.  Otherwise, and on a tower where a rule's leading
-        monomial has t, every vector is built and `linsolve.relations`
-        eliminates them.  A combination that is a scalar is no new
-        constant: the window can write 1 in more than one way, as g^2/t^3
-        when g^2 = t^3.  So an empty result certifies that the window
-        contains no constant outside the base constants.  Two kernel vectors
-        can likewise give one constant (e*g, e*g^3/g^2): a combination,
-        scaled to leading coefficient 1, that equals one already found is
-        dropped.
+        Solves d(sum a_k b_k) = 0 exactly over the window elements b_k.
+        The kernel basis is `_scan_relations`, read from two normal forms
+        per generator monomial, and eliminated only where leading monomials
+        meet.  Each kernel vector, with the scalar direction projected off,
+        gives one combination; window elements are built only for the
+        combinations.  A combination that is a scalar is no new constant:
+        the window can write 1 in more than one way, as g^2/t^3 when
+        g^2 = t^3.  So an empty result certifies that the window contains
+        no constant outside the base constants.  Two kernel vectors can
+        likewise give one constant (e*g, e*g^3/g^2): a combination, scaled
+        to leading coefficient 1, that equals one already found is dropped.
+
+        It is the one window certificate: where there is no new constant,
+        the solutions y of y' = a * y are the constant multiples of any one
+        h of them, as (y/h)' = 0 (`realforms.radical_pair_report`).
         """
+        window = self._window(degree_bound, coeff_degree_bound)
+        one = _index_of_one(window, self.context)
         found: list[FieldElement] = []
-        for x in self._window_combinations(degree_bound, coeff_degree_bound):
+        for vec in self._scan_relations(window, coeff_degree_bound):
+            used = [k for k, c in enumerate(vec) if c and k != one]
+            x = self.combine(
+                [vec[k] for k in used], [self._window_element(*window[k]) for k in used]
+            )
             if x.as_scalar() is not None:
                 continue
             x = x.scale(x.num.leading_coefficient().inverse())
             if not any(x == y for y in found):
                 found.append(x)
         return found
-
-    def solution_scan(
-        self, rate: FieldElement, degree_bound: int, coeff_degree_bound: int
-    ) -> list[FieldElement]:
-        """The window's solutions of y' = rate * y for a rate in the base:
-        the combinations (`_window_combinations`) that are not zero, as one
-        can be where the window writes an element twice (g^2/t^3 and 1 when
-        g^2 = t^3).  The rate changes two normal forms per monomial only;
-        the scan takes the same two paths as `constant_scan`."""
-        scan = self._window_combinations(degree_bound, coeff_degree_bound, self.lift(rate))
-        return [y for y in scan if not y.is_zero()]

@@ -99,14 +99,13 @@ def leibniz_derive(tower: DiffTower, x):
     return (derive_poly(x.num) * d - n * derive_poly(x.den)) / (d * d)
 
 
-def eager_scan_columns(tower: DiffTower, window, coeff_degree_bound: int, rate=None):
+def eager_scan_columns(tower: DiffTower, window, coeff_degree_bound: int):
     """The scan's columns, kept as a reference for
     `DiffTower._scan_relations`, which builds them only where their leading
     monomials meet: every column written as a dict, the normal form of
-    (D(b) - r*b) * E * den * t^K (r = num/den the rate, or 0 and den = 1)
-    for the window element b = m * t^j, with K = coeff_degree_bound + 1,
-    from T_m = nf(t * M_m) and ME_m = nf(m * E) per monomial (M_m alone
-    without a base variable)."""
+    D(b) * E * t^K for the window element b = m * t^j, with
+    K = coeff_degree_bound + 1, from T_m = nf(t * M_m) and ME_m = nf(m * E)
+    per monomial (M_m alone without a base variable)."""
     ctx = tower.context
     nf = tower.rewrite.normal_form
     t = tower.base_var
@@ -121,9 +120,6 @@ def eager_scan_columns(tower: DiffTower, window, coeff_degree_bound: int, rate=N
         if m not in parts:
             mm = tower._cleared_derivative(Poly._build(ctx, {m: one}))
             me = tower.common_denominator.mul_monomial(m)
-            if rate is not None:
-                mm = rate.den * mm - rate.num * me
-                me = rate.den * me
             if t:
                 parts[m] = nf(mm.mul_monomial(t_unit)).by_key, nf(me).by_key
             else:

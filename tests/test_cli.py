@@ -443,6 +443,29 @@ def test_generator_past_the_degree_limit_is_refused_by_its_builder(
     assert err == f"error: {why}, past the limit of {MAX_DEGREE}\n"
 
 
+@pytest.mark.parametrize(
+    "coefficient, stage, degree",
+    [
+        ("-t^2147483646", "computing the certificate no_new_constants_in_window", 2147483648),
+        ("-1/t^2147483647", "building the tower", 4294967293),
+    ],
+    ids=["in_the_scan", "in_the_tower"],
+)
+def test_degree_past_the_limit_names_its_stage(capsys, tmp_path, coefficient, stage, degree):
+    """A declared rate that passes its builder's check can still form a
+    product past MAX_DEGREE: e' = t^2147483646*e in the constant scan,
+    e' = -e/t^2147483647 in the derivative of the tower's common
+    denominator.  The refusal names the class, the stage and the degree."""
+    bad = tmp_path / "limit.json"
+    bad.write_text(json.dumps({"equation": {"class": "EXP", "coefficients": [coefficient]}}))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: EXP not supported: {stage}: "
+        f"a monomial degree {degree} is past the limit of {MAX_DEGREE}\n"
+    )
+
+
 def test_power_past_the_degree_limit_is_usage_error(capsys, tmp_path):
     """t^3000000000 is a parse error at its `^`, not an equation with a
     monomial past the degree limit."""

@@ -367,6 +367,22 @@ def test_radical_pair_lines_fail_for_the_trivial_twist(sqrt_pv, sqrt_group):
     ]
 
 
+def test_line_through_h_fails_where_the_twisted_field_has_a_new_constant(
+    sqrt_pv, sqrt_group
+):
+    """Above h, a generator k with k' = 0 is a new constant, so k*h solves
+    Y' = a Y and is no constant multiple of h: the line through h prints
+    FAIL, names the constants the scan found, and is the only failure."""
+    res = twist(sqrt_pv, sqrt_group, [[GaussRat.of(-1)]])
+    doctored = res.tower.adjoin_abstract(["k"], ["0"])
+    rep = radical_pair_report(sqrt_pv, doctored.var("h"))
+    assert rep.failures() == [(
+        "solution space in the twisted field is the line through h",
+        False,
+        "(y/h)' = 0 for every solution y; scan bounds (2, 2): found k, k^2",
+    )]
+
+
 # -- cohomology class lists -----------------------------------------------------------
 
 
