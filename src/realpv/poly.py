@@ -559,41 +559,66 @@ class Poly:
         return Poly._build(self.context, d)
 
     def derivation(self, images: Mapping[str, "Poly"]) -> "Poly":
-        """sum_v dp/dv * images[v] over the variables v of `images`, by key
-        sums into one dict, with no product when a factor e*c is 1.  A
-        variable outside the context raises ContextError; a product past
-        MAX_DEGREE raises Unsupported with its degree, as `*` does."""
-        ctx, d, top = self.context, {}, self.context._top
+        """sum_v dp/dv * images[v] over the variables v of `images`: the
+        batch of one of `derivations`."""
+        return Poly.derivations(images, (self,), 0)[0]
+
+    @staticmethod
+    def derivations(
+        images: Mapping[str, "Poly"], polys: Sequence["Poly"], factor: Key
+    ) -> list["Poly"]:
+        """[sum_v dp/dv * images[v] * f for p in polys], for a nonempty
+        batch of one context and f the monomial with key `factor`, by key
+        sums into one dict per p, with no product when a factor e*c is 1.
+        Each variable's slot, unit and image are read once per call, and
+        f's key is added as the terms are written.  A variable outside the
+        context raises ContextError; a product past MAX_DEGREE raises
+        Unsupported with its degree, as `*` and then `mul_monomial` do."""
+        ctx = polys[0].context
+        top, parts = ctx._top, []
         for v, image in images.items():
-            self._check(image)
-            s = ctx._slot(v)
-            if not image.by_key:
-                continue
-            unit = 1 << s | 1 << top
-            hi = -1  # the largest key of p with v in it
-            for m, c in self.by_key.items():
-                e = m >> s & _MASK
-                if not e:
-                    continue
-                hi = max(hi, m)
-                m -= unit
-                f = c if e == 1 else c * e
-                one = f is ONE or f == ONE
-                for k, ck in image.by_key.items():
-                    k += m
-                    if not one:
-                        ck = ck * f
-                    cur = d.get(k)
-                    if cur is None:
-                        d[k] = ck
-                    elif cur := cur + ck:
-                        d[k] = cur
-                    else:
-                        del d[k]
-            # past the limit the keys summed above are wrong, and d is dropped
-            if hi >= 0 and (degree := (hi - unit + max(image.by_key)) >> top) > MAX_DEGREE:
+            if image.context is not ctx:
+                polys[0]._check(image)
+            s = ctx._shift[v] if v in ctx._shift else ctx._slot(v)
+            if image.by_key:
+                unit = 1 << s | 1 << top
+                parts.append((s, unit, factor - unit, image.by_key))
+        out = []
+        for p in polys:
+            if p.context is not ctx:
+                polys[0]._check(p)
+            d = {}
+            for s, unit, shift, terms in parts:
+                hi = -1  # the largest key of p with v in it
+                for m, c in p.by_key.items():
+                    e = m >> s & _MASK
+                    if not e:
+                        continue
+                    if m > hi:
+                        hi = m
+                    m += shift
+                    f = c if e == 1 else c * e
+                    one = f is ONE or f == ONE
+                    for k, ck in terms.items():
+                        k += m
+                        if not one:
+                            ck = ck * f
+                        cur = d.get(k)
+                        if cur is None:
+                            d[k] = ck
+                        elif cur := cur + ck:
+                            d[k] = cur
+                        else:
+                            del d[k]
+                # past the limit the keys summed above are wrong, and d is dropped
+                if hi >= 0 and (degree := (hi - unit + max(terms)) >> top) > MAX_DEGREE:
+                    raise _past_limit(degree)
+            # adding f keeps distinct keys distinct, so d cancels as without
+            # it; only its lead times f can pass the limit
+            if factor and d and (degree := max(d) >> top) > MAX_DEGREE:
                 raise _past_limit(degree)
-        return Poly._build(ctx, d)
+            out.append(Poly._build(ctx, d))
+        return out
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

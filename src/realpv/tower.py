@@ -700,8 +700,11 @@ class DiffTower:
         the cleared derivative of the monomial m (`_cleared_derivative`).
         So D(m * t^j) * E * t^K = t^(j-1+K) * (t * M_m + j * m * E) with
         K = coeff_degree_bound + 1, a polynomial for every j in the window.
-        The normal forms T_m of t * M_m and ME_m of m * E are computed once
-        per m.  A column is (T_m + j * ME_m) * t^(j-1+K) (`_column`).
+        One `Poly.derivations` call gives t * M_m for every m of the window,
+        t's key added as its terms are written, and T_m is its normal form.
+        ME_m is c * m when E is a constant c, a normal form already as the
+        window's monomials are irreducible, and the normal form of m * E
+        otherwise.  A column is (T_m + j * ME_m) * t^(j-1+K) (`_column`).
         Without a base variable column k is the normal form of M_m: t is 1
         and ME_m is not used.
 
@@ -735,14 +738,22 @@ class DiffTower:
             shift = ctx.shifter(t)
         else:
             t_unit, shift = ctx.one, lambda key, s: key
-        scalars = {j: GaussRat.of(j) for j in {j for _, j in window}}
-
-        def pair_of(m: Key) -> tuple[Poly, Poly]:
-            """T_m and ME_m (zero without t)."""
-            tn = self._cleared_derivative(Poly._build(ctx, {m: ONE})).mul_monomial(t_unit)
-            return nf(tn), nf(self._common.mul_monomial(m)) if t else Poly.zero(ctx)
-
-        pairs = {m: pair_of(m) for m in dict.fromkeys(m for m, _ in window)}
+        # the window is m-major: 2K - 1 powers of t per monomial (`_window`)
+        step = 2 * coeff_degree_bound + 1 if t else 1
+        scalars = {j: GaussRat.of(j) for _, j in window[:step]}
+        monomials = [m for m, _ in window[::step]]
+        derived = Poly.derivations(
+            self._cleared, [Poly._build(ctx, {m: ONE}) for m in monomials], t_unit
+        )
+        common = self._common
+        if not t:
+            mes = [Poly.zero(ctx)] * len(monomials)
+        elif common.is_constant():
+            c = common.constant_value()
+            mes = [Poly._build(ctx, {m: c}) for m in monomials]
+        else:
+            mes = [nf(common.mul_monomial(m)) for m in monomials]
+        pairs = {m: (nf(tn), me) for m, tn, me in zip(monomials, derived, mes)}
         n = len(window)
 
         def column(table: Mapping[Key, tuple[Poly, Poly]], k: int) -> Poly:
@@ -796,17 +807,18 @@ class DiffTower:
     ) -> list[FieldElement]:
         """New constants in the scan window, excluding the scalars.
 
-        Solves d(sum a_k b_k) = 0 exactly over the window elements b_k.
-        The kernel basis is `_scan_relations`, read from two normal forms
-        per generator monomial, and eliminated only where leading monomials
-        meet.  Each kernel vector, with the scalar direction projected off,
-        gives one combination; window elements are built only for the
-        combinations.  A combination that is a scalar is no new constant:
-        the window can write 1 in more than one way, as g^2/t^3 when
-        g^2 = t^3.  So an empty result certifies that the window contains
-        no constant outside the base constants.  Two kernel vectors can
-        likewise give one constant (e*g, e*g^3/g^2): a combination, scaled
-        to leading coefficient 1, that equals one already found is dropped.
+        Solves d(sum a_k b_k) = 0 exactly over the window elements b_k.  The
+        kernel basis is `_scan_relations`, read from at most two normal
+        forms per generator monomial, and eliminated only where leading
+        monomials meet.  Each kernel vector, with the scalar direction
+        projected off, gives one combination; window elements are built only
+        for the combinations.  A combination that is a scalar is no new
+        constant: the window can write 1 in more than one way, as g^2/t^3
+        when g^2 = t^3.  So an empty result certifies that the window
+        contains no constant outside the base constants.  Two kernel vectors
+        can likewise give one constant (e*g, e*g^3/g^2): a combination,
+        scaled to leading coefficient 1, that equals one already found is
+        dropped.
 
         It is the one window certificate: where there is no new constant,
         the solutions y of y' = a * y are the constant multiples of any one

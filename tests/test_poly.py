@@ -365,24 +365,28 @@ COEFFICIENTS = st.sampled_from(
 
 @st.composite
 def derivations_near_the_limit(draw):
-    """A polynomial p over a context of 1 to 4 variables and images of some
-    of its variables, with the degrees of dp/dv and of images[v] adding up
-    to values at, next to and far below MAX_DEGREE."""
+    """Polynomials over a context of 1 to 4 variables, one-term ones among
+    them, images of some of their variables and a factor monomial, with
+    the degrees of dp/dv, of images[v] and of the factor adding up to
+    values at, next to and far below MAX_DEGREE."""
     n = draw(st.integers(1, 4))
     names = draw(st.permutations(NAMES))[:n]
     ctx = Context(names)
     split = draw(st.one_of(st.integers(0, 4), st.integers(MAX - 4, MAX - 1), st.integers(0, MAX - 1)))
+    room = draw(st.one_of(st.integers(0, 4), st.integers(0, MAX)))
 
-    def poly_of(room):
+    def poly_of(room, size=3):
         exps = st.builds(Monomial, exponents_near_the_limit(names, min(max(room, 0), MAX)))
-        return Poly(ctx, draw(st.dictionaries(exps, COEFFICIENTS, min_size=1, max_size=3)))
+        return Poly(ctx, draw(st.dictionaries(exps, COEFFICIENTS, min_size=1, max_size=size)))
 
-    p = poly_of(split + 1)
+    sizes = draw(st.lists(st.sampled_from([1, 3]), min_size=1, max_size=3))
+    polys = [poly_of(split + 1, size) for size in sizes]
     images = {
-        v: poly_of(MAX - split + draw(st.integers(-2, 2)))
+        v: poly_of(MAX - split - room + draw(st.integers(-2, 2)))
         for v in draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
     }
-    return p, images
+    factor = ctx.pack(Monomial(draw(exponents_near_the_limit(names, room))))
+    return polys, images, factor
 
 
 def derivation_by_partials(p, images):
@@ -395,18 +399,26 @@ def derivation_by_partials(p, images):
 
 @given(derivations_near_the_limit())
 def test_derivation_is_the_sum_of_partials_times_images(case):
-    """Poly.derivation gives sum_v dp/dv * images[v], and refuses exactly
-    where a product dp/dv * images[v] passes MAX_DEGREE, with `*`'s
-    message."""
-    p, images = case
-    try:
-        expected = derivation_by_partials(p, images)
-    except Unsupported as e:
-        with pytest.raises(Unsupported, match=f"past the limit of {MAX}") as got:
-            p.derivation(images)
-        assert str(got.value) == str(e)
-    else:
-        assert p.derivation(images) == expected
+    """Poly.derivation gives sum_v dp/dv * images[v], and Poly.derivations
+    that times a factor monomial for each polynomial of a batch.  Each
+    refuses exactly where a product dp/dv * images[v], or then the sum
+    times the factor, passes MAX_DEGREE, with the message of `*` or of
+    `mul_monomial`."""
+    polys, images, factor = case
+    p = polys[0]
+    runs = [
+        (lambda: [p.derivation(images)], [p], p.context.one),
+        (lambda: Poly.derivations(images, polys, factor), polys, factor),
+    ]
+    for run, batch, f in runs:
+        try:
+            expected = [derivation_by_partials(q, images).mul_monomial(f) for q in batch]
+        except Unsupported as e:
+            with pytest.raises(Unsupported, match=f"past the limit of {MAX}") as got:
+                run()
+            assert str(got.value) == str(e)
+        else:
+            assert run() == expected
 
 
 def test_derivation_of_a_variable_outside_the_context_is_refused(ctx):

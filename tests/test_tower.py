@@ -454,10 +454,12 @@ def test_constant_scan_reports_each_constant_once(scan_towers, bounds):
 
 
 def test_constant_scan_normal_forms_per_monomial_not_per_window_element(
-    circle, monkeypatch
+    scan_towers, monkeypatch
 ):
-    """The scan normal-forms two polynomials per generator monomial and
-    writes each window element's column from them with no normal form."""
+    """The scan normal-forms T_m for each generator monomial m, and m * E
+    too unless the common denominator E is a constant (1 on the circle,
+    t on sqrt), and writes each window element's column from them with
+    no normal form."""
     calls = []
     normal_form = RewriteSystem.normal_form
 
@@ -466,12 +468,16 @@ def test_constant_scan_normal_forms_per_monomial_not_per_window_element(
         return normal_form(self, p)
 
     monkeypatch.setattr(RewriteSystem, "normal_form", counting)
-    assert circle.constant_scan(6, 5) == []
-    monomials = circle.irreducible_monomials(6)
-    window = len(monomials) * len(range(-5, 6))
-    # two per generator monomial, and two for the zero that the kernel
-    # vector of the scalar 1 combines to
-    assert len(calls) == 2 * len(monomials) + 2 < window
+    for name, per_monomial in [("circle", 1), ("sqrt", 2)]:
+        tower = scan_towers[name]
+        assert tower.common_denominator.is_constant() == (per_monomial == 1)
+        calls.clear()
+        assert tower.constant_scan(6, 5) == []
+        monomials = tower.irreducible_monomials(6)
+        window = len(monomials) * len(range(-5, 6))
+        # per generator monomial, and two for the zero that the kernel
+        # vector of the scalar 1 combines to
+        assert len(calls) == per_monomial * len(monomials) + 2 < window, name
 
 
 def test_square_builds_no_one(circle, monkeypatch):
