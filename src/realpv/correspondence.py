@@ -388,8 +388,8 @@ def fixed_field(group: MatrixGroup, desc: SubgroupDescriptor) -> IntermediateFie
     pv = group.pv
     ext = pv.extension
     monomials = ext.irreducible_monomials(max(_WINDOW_DEGREE, desc.order or 0))
-    fixed = [ext.elem(Poly._build(ext.context, {m: c for m, c in zip(monomials, k) if c}))
-             for k in fixed_combinations(sub, monomials)]
+    fixed = [ext.elem(Poly._build(ext.context, {monomials[k]: c for k, c in vec.items()}))
+             for vec in fixed_combinations(sub, monomials)]
 
     candidates = [
         x.scale(x.num.leading_coefficient().inverse())

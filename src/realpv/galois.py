@@ -388,11 +388,11 @@ def invariance_conditions(group: MatrixGroup, x: FieldElement) -> list[Poly]:
 
 def fixed_combinations(
     group: MatrixGroup, monomials: Sequence[Key]
-) -> list[list[GaussRat]]:
-    """Canonical basis of the vectors a such that sum a_k (sigma(m_k) - m_k)
-    vanishes modulo the group's ideal, for the generic member sigma and the
-    keys m_k of irreducible generator monomials of the extension's context
-    (`DiffTower.irreducible_monomials`).
+) -> list[dict[int, GaussRat]]:
+    """Canonical basis {k: a_k} of the vectors a such that sum a_k
+    (sigma(m_k) - m_k) vanishes modulo the group's ideal, for the generic
+    member sigma and the keys m_k of irreducible generator monomials of the
+    extension's context (`DiffTower.irreducible_monomials`).
 
     Each key is re-read in `param_tower`, where it stays irreducible, and
     sigma(m_k) - m_k, read from the table of monomial images (`_action`),

@@ -10,16 +10,16 @@ there, or nothing is left.  Vectors with pairwise distinct leading labels
 are independent, so kept ones need no other elimination (Faugere's F4).
 `relations` adds its vectors in order: v_k reduces to nothing exactly when
 it lies in the span of the earlier ones, and then the reduction writes it
-in the kept ones, which are independent.  That gives the canonical basis:
-one vector per such k, 1 at k and zero at every other such index.  It is
-unique, so it depends neither on the labels' order nor on the elimination.
-Adding to a vector multiples of earlier ones changes no span of a prefix,
-and so no such k.  While no two nonzero vectors share a leading label
-the relations are the unit vectors of the zero ones, with no elimination.
-The constant scan reads them off the leading monomials of its vectors,
-each reduced against earlier ones, when each zero reduced vector is a
-zero vector, and otherwise passes every vector here
-(`DiffTower._scan_relations`).
+in the kept ones, which are independent.  That gives the canonical basis,
+in the vectors' own sparse form {k: a_k}: one vector per such k, 1 at k
+and no entry at any other such index.  It is unique, so it depends neither
+on the labels' order nor on the elimination.  Adding to a vector multiples
+of earlier ones changes no span of a prefix, and so no such k.  While no
+two nonzero vectors share a leading label the relations are the unit
+vectors {k: 1} of the zero ones, with no elimination.  The constant scan
+reads them off the leading monomials of its vectors, each reduced against
+earlier ones, when each zero reduced vector is a zero vector, and
+otherwise passes every vector here (`DiffTower._scan_relations`).
 """
 
 from __future__ import annotations
@@ -122,22 +122,21 @@ class Echelon:
         return self.reduce(vec) is None
 
 
-def relations(vectors: Sequence[Vector]) -> list[list[GaussRat]]:
-    """Canonical basis of the vectors a with sum a_k vectors[k] = 0: one per
-    k whose vector lies in the span of the earlier ones, with 1 at k and
-    zero at every other such index (module docstring).  The dicts, whose
-    entries are nonzero, are not changed."""
+def relations(vectors: Sequence[Vector]) -> list[dict[int, GaussRat]]:
+    """Canonical basis, as {k: a_k} of nonzero entries, of the vectors a with
+    sum a_k vectors[k] = 0: one per k whose vector lies in the span of the
+    earlier ones, 1 at k and no entry at any other such index (module
+    docstring).  The dicts, whose entries are nonzero, are not changed."""
     echelon = Echelon()
-    n = len(vectors)
-    basis: list[list[GaussRat]] = []
+    basis: list[dict[int, GaussRat]] = []
     for k, vec in enumerate(vectors):
         comb = echelon.reduce(vec, k)
         if comb is not None:
-            basis.append([comb.get(i, _ZERO) for i in range(n)])
+            basis.append(comb)
     return basis
 
 
-def kernel(n_cols: int, equations: Iterable[dict[int, object]]) -> list[list[GaussRat]]:
+def kernel(n_cols: int, equations: Iterable[dict[int, object]]) -> list[dict[int, GaussRat]]:
     """`relations` of the columns of a system given by its rows, whose
     coefficients are anything `GaussRat.of` reads."""
     columns: list[Vector] = [{} for _ in range(n_cols)]

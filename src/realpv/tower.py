@@ -31,7 +31,7 @@ from .errors import (
     IncompatibleDerivation,
     Unsupported,
 )
-from .gauss import ONE, ZERO, GaussRat, power
+from .gauss import ONE, GaussRat, power
 from .linsolve import relations
 from .poly import (
     Context, Key, Monomial, Poly, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul,
@@ -689,7 +689,7 @@ class DiffTower:
 
     def _scan_relations(
         self, window: Sequence[tuple[Key, int]], coeff_degree_bound: int
-    ) -> list[list[GaussRat]]:
+    ) -> list[dict[int, GaussRat]]:
         """The `linsolve.relations` basis of the scan's columns, one
         polynomial per window element, mostly read from their leading
         monomials with no column built.
@@ -727,8 +727,8 @@ class DiffTower:
         and have the same dependent indices.  When their leads are pairwise
         distinct, the dependent ones are the zero reduced columns; when each
         of those is a zero column too, the canonical basis is the unit
-        vectors of those columns and nothing is eliminated.  Otherwise every
-        column is built and `relations` eliminates them.
+        vectors {k: 1} of those columns and nothing is eliminated.  Otherwise
+        every column is built and `relations` eliminates them.
         """
         ctx = self.context
         nf = self.rewrite.normal_form
@@ -754,14 +754,13 @@ class DiffTower:
         else:
             mes = [nf(common.mul_monomial(m)) for m in monomials]
         pairs = {m: (nf(tn), me) for m, tn, me in zip(monomials, derived, mes)}
-        n = len(window)
 
         def column(table: Mapping[Key, tuple[Poly, Poly]], k: int) -> Poly:
             m, j = window[k]
             return _column(table[m], scalars[j], shift(ctx.one, j + coeff_degree_bound))
 
         if t and any(ctx.degree_in(r.lhs, t) for r in self.rewrite.rules):
-            return relations([nf(column(pairs, k)).by_key for k in range(n)])
+            return relations([nf(column(pairs, k)).by_key for k in range(len(window))])
 
         reduced = _reduced_pairs(pairs)
         found = {m: _pair_leads(tn, me, scalars) for m, (tn, me) in reduced.items()}
@@ -780,11 +779,12 @@ class DiffTower:
             elif lead not in leads:
                 leads.add(lead)
                 continue
-            return relations([column(pairs, i).by_key for i in range(n)])
-        return [[ONE if i == k else ZERO for i in range(n)] for k in zeros]
+            return relations([column(pairs, i).by_key for i in range(len(window))])
+        return [{k: ONE} for k in zeros]
 
-    def linear_relations(self, elems: Sequence[FieldElement]) -> list[list[GaussRat]]:
-        """Kernel of (a_k) -> sum a_k elems[k], exactly, over GaussRat.
+    def linear_relations(self, elems: Sequence[FieldElement]) -> list[dict[int, GaussRat]]:
+        """Kernel of (a_k) -> sum a_k elems[k], exactly, over GaussRat, as
+        the canonical basis of sparse {k: a_k} vectors (`linsolve.relations`).
 
         Each numerator is multiplied by L/den for the common denominator L
         of `_clearing_factors`, normal-formed and compared monomial by
@@ -810,15 +810,15 @@ class DiffTower:
         Solves d(sum a_k b_k) = 0 exactly over the window elements b_k.  The
         kernel basis is `_scan_relations`, read from at most two normal
         forms per generator monomial, and eliminated only where leading
-        monomials meet.  Each kernel vector, with the scalar direction
-        projected off, gives one combination; window elements are built only
-        for the combinations.  A combination that is a scalar is no new
-        constant: the window can write 1 in more than one way, as g^2/t^3
-        when g^2 = t^3.  So an empty result certifies that the window
-        contains no constant outside the base constants.  Two kernel vectors
-        can likewise give one constant (e*g, e*g^3/g^2): a combination,
-        scaled to leading coefficient 1, that equals one already found is
-        dropped.
+        monomials meet.  Each kernel vector, a sparse {k: a_k}, gives one
+        combination over its keys other than the index of 1, in ascending
+        order; window elements are built only for those keys.  A scalar
+        combination is no new constant: the window can write 1 in more than
+        one way, as g^2/t^3 when g^2 = t^3.  So an empty result certifies
+        that the window contains no constant outside the base constants.
+        Two kernel vectors can likewise give one constant (e*g, e*g^3/g^2):
+        a combination, scaled to leading coefficient 1, that equals one
+        already found is dropped.
 
         It is the one window certificate: where there is no new constant,
         the solutions y of y' = a * y are the constant multiples of any one
@@ -828,7 +828,7 @@ class DiffTower:
         one = _index_of_one(window, self.context)
         found: list[FieldElement] = []
         for vec in self._scan_relations(window, coeff_degree_bound):
-            used = [k for k, c in enumerate(vec) if c and k != one]
+            used = sorted(k for k in vec if k != one)
             x = self.combine(
                 [vec[k] for k in used], [self._window_element(*window[k]) for k in used]
             )

@@ -25,6 +25,13 @@ def rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
 
 
+def dense(basis, n: int) -> list[list[GaussRat]]:
+    """A relation basis of sparse {k: a_k} vectors (`linsolve.relations`)
+    as dense lists of n GaussRats, for dense references and `combine`."""
+    zero = GaussRat.of(0)
+    return [[vec.get(k, zero) for k in range(n)] for vec in basis]
+
+
 def rand_fraction(r: random.Random, span: int = 5) -> Fraction:
     num = r.randint(-span, span)
     den = r.randint(1, span)

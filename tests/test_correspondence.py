@@ -50,7 +50,7 @@ from realpv.galois import MatrixGroup
 from realpv.linsolve import identity, kernel, relations
 from realpv.tower import cleared_numerators
 
-from helpers import rand_fraction, rng
+from helpers import dense, rand_fraction, rng
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -244,8 +244,7 @@ def _weight(ext, w):
 def _common_kernel(n, kernels):
     """Canonical basis of the intersection of the spans `kernels`, as the
     annihilator of the sum of their annihilators."""
-    rows = lambda vecs: [dict(enumerate(v)) for v in vecs]
-    return kernel(n, [r for vecs in kernels for r in rows(kernel(n, rows(vecs)))])
+    return kernel(n, [r for vecs in kernels for r in kernel(n, vecs)])
 
 
 def _former_samples(group, desc):
@@ -287,7 +286,8 @@ def _sampled_fixed_field(group, desc):
         if not samples:
             return None
         kernels = [ext.linear_relations([apply(s, w) - w for w in window]) for s in samples]
-        fixed = [ext.combine(k, window) for k in _common_kernel(len(window), kernels)]
+        common = _common_kernel(len(window), kernels)
+        fixed = [ext.combine(k, window) for k in dense(common, len(window))]
     base_vars = {pv.base.base_var}
     candidates = sorted(
         (x.scale(x.num.leading_coefficient().inverse()) for x in fixed
@@ -389,7 +389,7 @@ def _member_by_field_elements(tower, x, gens):
     window = correspondence.window_products(tower, gens, deg, tpow)
     elems = [x * w for w in window] + list(window)
     half = len(window)
-    for vec in tower.linear_relations(elems):
+    for vec in dense(tower.linear_relations(elems), len(elems)):
         if any(vec[:half]) and not tower.combine(vec[:half], window).is_zero():
             return True
     return False
@@ -497,7 +497,7 @@ def _member_by_kernel(tower, x, gens):
     rows = [nf(x.num * w) for w in cleared]
     rows += cleared if x.den.is_constant() else [nf(x.den * w) for w in cleared]
     half = len(cleared)
-    for vec in relations([p.by_key for p in rows]):
+    for vec in dense(relations([p.by_key for p in rows]), len(rows)):
         d = Poly.zero(tower.context)
         for c, w in zip(vec[:half], cleared):
             if c:

@@ -71,6 +71,12 @@ def test_constcoeff_roots_4_and_3_group(capsys, tmp_path):
     assert _group_contains(capsys, path, "X11^3 - X22^4")
 
 
+@_known_wrong(1, "e1^4*e2 is a new constant of degree 5, past the window")
+def test_constcoeff_roots_1_and_minus_4_group(capsys, tmp_path):
+    path = _scenario(tmp_path, "CONSTCOEFF2", ["-4", "3"])
+    assert _group_contains(capsys, path, "X11^4*X22 - 1")
+
+
 @_known_wrong(12, "the solution lies in K, so the group is trivial")
 @pytest.mark.parametrize("rate", ["-5/t", "-2*t/(t^2+1)"])
 def test_rational_solution_has_the_trivial_group(capsys, tmp_path, rate):

@@ -10,7 +10,7 @@ from realpv.linsolve import (
     Echelon, adjugate, det, identity, kernel, mat_conj, mat_mul, relations,
 )
 
-from helpers import rand_gauss, rng
+from helpers import dense, rand_gauss, rng
 
 
 def _to_sympy(v: GaussRat):
@@ -70,7 +70,7 @@ def test_kernel_vectors_annihilate():
                         row[j] = c
             eqs.append(row)
         basis = kernel(n_cols, eqs)
-        for vec in basis:
+        for vec in dense(basis, n_cols):
             for row in eqs:
                 total = GaussRat.of(0)
                 for j, c in row.items():
@@ -198,16 +198,16 @@ def test_kernel_is_the_canonical_basis():
     for k in range(200):
         n_cols, eqs = _random_system(r)
         basis = kernel(n_cols, eqs)
-        assert basis == _gauss_jordan_kernel(n_cols, eqs)
+        assert dense(basis, n_cols) == _gauss_jordan_kernel(n_cols, eqs)
         if k % 5 == 0:
-            assert basis == _sympy_kernel(n_cols, eqs)
+            assert dense(basis, n_cols) == _sympy_kernel(n_cols, eqs)
         seen["full rank"] += not basis
         seen["dimension >= 2"] += len(basis) >= 2
         # a vector's free column is its last nonzero entry, so one with two
         # nonzero entries has a nonzero pivot left of its free column, which
         # a back-substitution stopping at the free column would miss
         seen["pivot left of free"] += len(basis) >= 2 and any(
-            sum(map(bool, vec)) >= 2 for vec in basis
+            len(vec) >= 2 for vec in basis
         )
         seen["zero column"] += any(all(j not in row for row in eqs) for j in range(n_cols))
         seen["empty row"] += {} in eqs
@@ -306,7 +306,9 @@ def test_relations_is_the_canonical_nullspace(labels):
     family, against sympy's nullspace brought to reduced row-echelon form,
     on seeded families whose leading labels collide, with repeated and zero
     vectors and relation spaces of dimension 2 and more; the vectors come
-    back unchanged."""
+    back unchanged.  Each basis vector keeps only nonzero entries, with 1
+    at its own index, its largest key, and no key at another dependent
+    index."""
     r = rng(31)
     seen = {"collision": 0, "collision kept": 0, "repeated": 0, "zero": 0,
             "dimension >= 2": 0, "complex": 0, "full rank": 0}
@@ -322,10 +324,14 @@ def test_relations_is_the_canonical_nullspace(labels):
         basis = relations(vectors)
         assert [dict(v) for v in vectors] == before
         rows = [{k: v[key] for k, v in enumerate(vectors) if key in v} for key in keys]
-        assert basis == _gauss_jordan_kernel(len(vectors), rows)
+        assert dense(basis, len(vectors)) == _gauss_jordan_kernel(len(vectors), rows)
         if i % 4 == 0:
-            assert basis == _sympy_kernel(len(vectors), rows)
-        dependent = {max(k for k, c in enumerate(vec) if c) for vec in basis}
+            assert dense(basis, len(vectors)) == _sympy_kernel(len(vectors), rows)
+        dependent = {max(vec) for vec in basis}
+        for vec in basis:
+            assert all(vec.values()), vec
+            assert vec[max(vec)] == GaussRat.of(1), vec
+            assert dependent & vec.keys() == {max(vec)}, vec
         leads = [max(v) if v else None for v in vectors]
         for k, lead in enumerate(leads):
             if lead is not None and lead in leads[:k]:
@@ -345,7 +351,7 @@ def test_kernel_transposes_its_rows_for_relations():
     eqs = [{0: 1, 2: Fraction(1, 2)}, {1: 3, 2: 0}, {}]
     columns = [{0: GaussRat.of(1)}, {1: GaussRat.of(3)}, {0: GaussRat.of(Fraction(1, 2))}]
     assert kernel(3, eqs) == relations(columns)
-    assert kernel(3, eqs) == [[GaussRat.of(Fraction(-1, 2)), GaussRat.of(0), GaussRat.of(1)]]
+    assert kernel(3, eqs) == [{0: GaussRat.of(Fraction(-1, 2)), 2: GaussRat.of(1)}]
 
 
 def test_mat_conj():

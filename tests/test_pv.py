@@ -56,6 +56,21 @@ def test_perturbed_companion_fails_its_certificate(circle_pv):
 
 
 @pytest.mark.parametrize(
+    "texts,detail",
+    [(("s", "t*c"), "solution 2 leaves residue -2*s"),
+     (("t*s", "c"), "solution 1 leaves residue 2*c")],
+)
+def test_wrong_solution_is_named_by_its_number(circle_pv, texts, detail):
+    # y = t*c and y = t*s are no solutions of y'' + y = 0: the FAIL detail
+    # names the first wrong solution by its 1-based number and its residue
+    sols = tuple(circle_pv.extension.parse(x) for x in texts)
+    rep = _certify(replace(circle_pv, solutions=sols))
+    line = next(c for c in rep.lines if c.name == "solutions_satisfy_equation")
+    assert line.status == "FAIL"
+    assert line.detail == detail
+
+
+@pytest.mark.parametrize(
     "eq_class,coeffs,derives",
     [("CIRCLE", ["1", "0"], 4), ("CONSTCOEFF2", ["2", "-3"], 4), ("EXP", ["-1"], 1)],
 )
