@@ -231,9 +231,8 @@ def main(argv=None) -> int:
         return 2
     except NotPV as e:
         print(f"certificate failure: {e}", file=sys.stderr)
-        if e.report is not None:
-            for check in e.report.lines:
-                print(f"  [{check.status}] {check.name}: {check.detail}", file=sys.stderr)
+        for check in e.report.lines:
+            print(f"  [{check.status}] {check.name}: {check.detail}", file=sys.stderr)
         return 1
     except AlgebraError as e:
         print(f"error: {e}", file=sys.stderr)

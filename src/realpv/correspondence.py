@@ -37,7 +37,7 @@ from .galois import (
 )
 from .gauss import GaussRat
 from .linsolve import Echelon, identity, mat_mul
-from .poly import Context, Poly, mono_div, mono_gcd, parse_poly
+from .poly import Context, Poly, parse_poly
 from .rewrite import RewriteSystem, buchberger
 from .pv import LinearODE, PVExtension, build_pv
 from .report import Report
@@ -412,23 +412,9 @@ def fixed_field(group: MatrixGroup, desc: SubgroupDescriptor) -> IntermediateFie
         if not all(sub.basis.is_zero_mod(p) for p in invariance_conditions(sub, g)):
             raise BadField(f"{g} is not fixed by {desc.label()} (symbolic check)")
         dg = g.derive()
-        if not (_written_over(pv.base, dg / g) or F.contains(dg)):
+        if not (pv.base.writes(dg / g) or F.contains(dg)):
             raise BadField(f"derivative of {g} escapes the candidate field")
     return F
-
-
-def _written_over(base: DiffTower, x: FieldElement) -> bool:
-    """Whether x = a/b is written in the variables of `base` once a and b
-    are divided by the monomial that divides all their terms: then x lies
-    in the base.  On EXP, (1000*e^1000)/(e^1000) is 1000.  False may still
-    be an element of the base, written otherwise."""
-    keys = [*x.num.by_key, *x.den.by_key]
-    m = keys[0]
-    for k in keys[1:]:
-        m = mono_gcd(m, k)
-    ctx = x.tower.context
-    names = set().union(*(ctx.unpack(mono_div(k, m)).variables() for k in keys))
-    return names <= set(base.context.variables)
 
 
 def group_over(
@@ -646,7 +632,7 @@ def _weak_normality(group: MatrixGroup, q: int) -> tuple[Report, int, int | None
         ctx = Context(["X"])
         x = Poly.variable(ctx, "X")
         f = rules[0].as_poly().substitute(lambda v: x, lambda c: Poly.const(ctx, c))
-        [gcd] = buchberger([f, f.partial("X")], ctx).rules
+        [gcd] = buchberger([f, f.derivation({"X": Poly.const(ctx, 1)})], ctx).rules
         complex_count = f.total_degree() - gcd.as_poly().total_degree()
         roots_detail = f"{f} has {complex_count} roots over the complexified constants"
 

@@ -37,7 +37,7 @@ class UnsupportedEquation(AlgebraError):
 class NotPV(AlgebraError):
     """A Picard-Vessiot certificate failed; carries the certificate report."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

@@ -546,18 +546,6 @@ class Poly:
             {mm + m: cc if unit else cc * g for mm, cc in self.by_key.items()},
         )
 
-    def partial(self, name: str) -> "Poly":
-        """The formal partial derivative in the variable `name`."""
-        s = self.context._shift.get(name)
-        d = {}
-        if s is not None:
-            unit = 1 << s | 1 << self.context._top
-            for m, c in self.by_key.items():
-                e = m >> s & _MASK
-                if e:
-                    d[m - unit] = c * e
-        return Poly._build(self.context, d)
-
     def derivation(self, images: Mapping[str, "Poly"]) -> "Poly":
         """sum_v dp/dv * images[v] over the variables v of `images`: the
         batch of one of `derivations`."""

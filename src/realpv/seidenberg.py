@@ -74,7 +74,7 @@ def seidenberg_demo() -> Report:
             "certified construction must fail over this field", False, "it succeeded"
         )
     except NotPV as e:
-        names = [c.name for c in e.report.failures()] if e.report is not None else []
+        names = [c.name for c in e.report.failures()]
         report.add(
             "certified construction fails on the constant check",
             "no_new_constants_in_window" in names,

@@ -222,8 +222,21 @@ class FieldElement:
         return self.num.is_zero()
 
     def variables(self) -> set[str]:
-        """The variables the element is written in."""
-        return self.num.variables() | self.den.variables()
+        """The variables the element is written in, read in lowest monomial
+        terms (`_lowest_terms`): (e*t)/(e) is written in t alone."""
+        num, den = self._lowest_terms()
+        return num.variables() | den.variables()
+
+    def _lowest_terms(self) -> tuple[Poly, Poly]:
+        """num and den divided by the monomial that divides all their terms,
+        both still normal forms.  A constant denominator shares no monomial
+        with anything, so that pair is returned as it is."""
+        num, den = self.num, self.den
+        if den.is_constant():
+            return num, den
+        (mn, rn), (md, rd) = _monomial_part(num), _monomial_part(den)
+        m = mono_gcd(mn, md)
+        return rn.mul_monomial(mono_div(mn, m)), rd.mul_monomial(mono_div(md, m))
 
     def as_scalar(self) -> GaussRat | None:
         """The element's value if it is a scalar (num = v * den), else None."""
@@ -516,21 +529,25 @@ class DiffTower:
         return self.elem(x.num, x.den)
 
     def writes(self, x: FieldElement) -> bool:
-        """Whether x is written in this tower's variables alone."""
+        """Whether x, in lowest monomial terms, is written in this tower's
+        variables alone: then x lies in this tower.  False may still be an
+        element of this tower, written otherwise."""
         return x.variables() <= set(self.context.variables)
 
     def restrict(self, x: FieldElement) -> FieldElement:
         """Re-read an element of a larger tower in this one.
 
         Scalars always restrict; anything else must be written in this
-        tower's variables only, or BadField is raised.
+        tower's variables only (`writes`), or BadField is raised, and its
+        lowest monomial terms are re-read.
         """
         scalar = x.as_scalar()
         if scalar is not None:
             return self.const(scalar)
         if not self.writes(x):
             raise BadField(f"{x} does not lie in the base field")
-        return self.elem(x.num.in_context(self.context), x.den.in_context(self.context))
+        num, den = x._lowest_terms()
+        return self.elem(num.in_context(self.context), den.in_context(self.context))
 
     def derive(self, x: FieldElement) -> FieldElement:
         """The derivative of x: rung 1 of its `Ladder`, one `FieldElement`

@@ -103,6 +103,21 @@ def test_radical_over_a_negative_base_is_refused(capsys, tmp_path):
     assert code != 0
 
 
+@_known_wrong(19, "B = [[(3+i)/4, -(3-i)/4], [(3-i)/4, (3+i)/4]] in SO2 splits A'")
+def test_circle_twist_by_a_coboundary_is_isomorphic(capsys, tmp_path):
+    """A' = B * conj(B)^-1 with det B = 1, so the twist by A' is the
+    original real form; only diagonal B with entries 1 and i are tried."""
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({
+        "base_var": "t",
+        "equation": {"class": "CIRCLE", "coefficients": ["1", "0"]},
+        "cocycle": [["5/4", "3/4*i"], ["-3/4*i", "5/4"]],
+    }))
+    code, out = _run(capsys, "twist", str(path))
+    assert code == 0
+    assert "isomorphic to the original extension" in out
+
+
 @_known_wrong(5, "membership searches a bounded window (t-powers |j| <= 2)")
 @pytest.mark.parametrize("inverted", [False, True], ids=["x", "1/x"])
 def test_member_of_field_beyond_the_window(inverted):

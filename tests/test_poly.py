@@ -12,7 +12,7 @@ from realpv import poly
 from realpv.errors import ContextError, Unsupported
 from realpv.poly import mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul
 
-from helpers import rand_element, rand_poly, rng
+from helpers import partial, rand_element, rand_poly, rng
 
 
 @pytest.fixture
@@ -390,10 +390,10 @@ def derivations_near_the_limit(draw):
 
 
 def derivation_by_partials(p, images):
-    """sum_v p.partial(v) * images[v], the reference of `Poly.derivation`."""
+    """sum_v partial(p, v) * images[v], the reference of `Poly.derivation`."""
     out = Poly.zero(p.context)
     for v, image in images.items():
-        out = out + p.partial(v) * image
+        out = out + partial(p, v) * image
     return out
 
 

@@ -7,7 +7,7 @@ import sympy
 
 import realpv.tower
 from realpv import (
-    Context, DiffTower, FieldElement, GaussRat, LinearODE, Monomial, build_pv, parse_poly
+    Context, DiffTower, FieldElement, GaussRat, LinearODE, Monomial, Poly, build_pv, parse_poly
 )
 from realpv.errors import ContextError, IncompatibleDerivation
 from realpv.linsolve import kernel, relations
@@ -16,7 +16,7 @@ from realpv.seidenberg import build_seidenberg
 
 from helpers import (
     bench_algebra, dense, eager_scan_columns, enumerated_monomials, leibniz_derive, rand_element,
-    rand_poly, reduced_scan_columns, rng,
+    rand_monomial, rand_poly, reduced_scan_columns, rng,
 )
 
 
@@ -703,3 +703,35 @@ def test_derive_agrees_with_sympy_on_the_models(name):
         for point in ("7391/10000", "13177/10000"):
             value = gap.evalf(60, subs={t: sympy.Rational(point)})
             assert abs(complex(value)) < 1e-40, (x, point)
+
+
+def test_the_rate_of_an_exponential_restricts_to_the_base(base):
+    """On e' = t*e the rate e'/e is stored as (e*t)/(e), which in lowest
+    monomial terms is t: `writes` puts it in the base and `restrict` reads
+    it there."""
+    ext = build_pv(base, LinearODE.from_texts(base, ["-t"]), "EXP").extension
+    e = ext.var("e")
+    rate = e.derive() / e
+    assert str(rate) == "(e*t)/(e)"
+    assert base.writes(rate)
+    assert str(base.restrict(rate)) == "t"
+
+
+@pytest.mark.parametrize(
+    "eq_class, coefficients", [("EXP", ["-t"]), ("CONSTCOEFF2", ["2", "-3"])]
+)
+def test_a_common_monomial_cancels_into_the_base(base, eq_class, coefficients):
+    """p*m/(q*m), for a random base element b = p/q and a random monomial m
+    in the generators and t, is written in the base and restricts to b; a
+    nonzero b times a generator is not written in the base."""
+    ext = build_pv(base, LinearODE.from_texts(base, coefficients), eq_class).extension
+    r = rng(7)
+    for _ in range(40):
+        b = rand_element(r, base)
+        wide = ext.lift(b)
+        m = Poly(ext.context, {rand_monomial(r, ext.context): 1})
+        x = FieldElement(wide.num * m, wide.den * m, ext)
+        assert base.writes(x), (b, x)
+        assert base.restrict(x) == b, (b, x)
+        if not b.is_zero():
+            assert not any(base.writes(wide * ext.var(g)) for g in ext.generator_names())
